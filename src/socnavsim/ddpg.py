@@ -29,6 +29,7 @@ from .networks import (
     save_checkpoint,
     soft_update,
 )
+from .nn import Adam, shared_forward
 from .world import EnvConfig, NavEnv, Status
 
 STAGE_REWARD_WEIGHTS = {
@@ -43,28 +44,65 @@ class TrainingDiverged(RuntimeError):
         self.diagnostics = diagnostics
 
 
+def mem_available_bytes() -> int | None:
+    """MemAvailable from /proc/meminfo, or None where it cannot be read."""
+    try:
+        with open("/proc/meminfo") as f:
+            for line in f:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024  # reported in kB
+    except (OSError, ValueError, IndexError):
+        pass
+    return None
+
+
 class ReplayBuffer:
     """Uniform-sampling FIFO ring buffer of transitions.
 
     Observations are stored at half precision (ranges are normalized to
     [0.01, 1] so the quantization error is far below sensor resolution);
     reward parts are kept separate so either stage can recombine them.
+    The arrays are committed lazily, page by page as they fill, so a
+    buffer larger than the available memory is refused up front instead
+    of being killed for memory mid-training.
     """
 
     def __init__(self, capacity: int, feature_shape: tuple[int, int]):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
+        per = self.bytes_per_transition(feature_shape)
+        available = mem_available_bytes()
+        if available is not None and capacity * per > available:
+            raise ValueError(
+                f"replay buffer of {capacity} transitions needs {capacity * per} bytes "
+                f"({per} per transition) but only {available} bytes are available; "
+                f"the largest capacity that fits is {available // per}"
+            )
         self.capacity = capacity
-        k, b = feature_shape
-        self.feat = np.zeros((capacity, k, b), np.float16)
-        self.goal = np.zeros((capacity, 2), np.float32)
-        self.action = np.zeros((capacity, ACTION_DIM), np.float32)
-        self.reward_parts = np.zeros((capacity, 3), np.float32)
-        self.next_feat = np.zeros((capacity, k, b), np.float16)
-        self.next_goal = np.zeros((capacity, 2), np.float32)
-        self.done = np.zeros(capacity, np.float32)
+        for name, (shape, dtype) in self.layout(feature_shape).items():
+            setattr(self, name, np.zeros((capacity, *shape), dtype))
         self.pos = 0
         self.size = 0
+
+    @staticmethod
+    def layout(feature_shape: tuple[int, int]) -> dict:
+        """Per-transition (shape, dtype) of every stored array."""
+        return {
+            "feat": (feature_shape, np.float16),
+            "goal": ((2,), np.float32),
+            "action": ((ACTION_DIM,), np.float32),
+            "reward_parts": ((3,), np.float32),
+            "next_feat": (feature_shape, np.float16),
+            "next_goal": ((2,), np.float32),
+            "done": ((), np.float32),
+        }
+
+    @classmethod
+    def bytes_per_transition(cls, feature_shape: tuple[int, int]) -> int:
+        return sum(
+            math.prod(shape) * np.dtype(dtype).itemsize
+            for shape, dtype in cls.layout(feature_shape).values()
+        )
 
     def add(self, feat, goal, action, reward_parts, next_feat, next_goal, done: bool):
         i = self.pos
@@ -112,8 +150,6 @@ class DDPG:
     """Actor-critic pair with target networks and Adam optimizers."""
 
     def __init__(self, spec: NetworkSpec, config: DDPGConfig, rng, dtype=np.float32):
-        from .nn import Adam
-
         self.spec = spec
         self.config = config
         self.actor = Actor(spec, rng, dtype)
@@ -131,28 +167,33 @@ class DDPG:
         return a[0]
 
     def update(self, batch: dict) -> tuple[float, float]:
-        """One critic step, one actor step, then soft target updates."""
+        """One critic step, one actor step, then soft target updates.
+
+        Networks whose conv1 weights are current at the same moment share
+        one conv1 GEMM per patch matrix (nn.shared_forward): the target
+        actor and target critic on the next observations, the critic
+        (before its Adam step) and the actor on the current ones.  The
+        critic's second pass follows its step, so it runs its own GEMM on
+        the same patch matrix.
+        """
         cfg = self.config
         n = batch["feat"].shape[0]
-        # the first-layer patch matrices depend only on the inputs, so
-        # every network consuming the same batch can share them
-        cols_o = self.critic.trunk.im2col1(batch["feat"])
-        cols_next = self.target_critic.trunk.im2col1(batch["next_feat"])
+        y = self._target_values(batch)
 
-        a_next, _ = self.target_actor.forward(batch["next_feat"], batch["next_goal"], cols_next)
-        q_next, _ = self.target_critic.forward(
-            batch["next_feat"], batch["next_goal"], a_next, cols_next
+        feat, goal = batch["feat"], batch["goal"]
+        cols = self.critic.trunk.im2col1(feat)
+        conv1_critic, conv1_actor = shared_forward(
+            (self.critic.trunk.conv1, self.actor.trunk.conv1), feat[..., None], cols
         )
-        y = batch["reward"] + cfg.gamma * (1.0 - batch["done"]) * q_next
-
-        q, cache = self.critic.forward(batch["feat"], batch["goal"], batch["action"], cols_o)
+        q, cache = self.critic.forward(feat, goal, batch["action"], conv1_out=conv1_critic)
         diff = q - y
         critic_loss = float(np.mean(diff * diff))
         _, cgrads = self.critic.backward((2.0 / n) * diff, cache, param_grads=True)
         self.opt_critic.step(cgrads)
+        del cache, cgrads  # free the critic's caches before the actor pass
 
-        a, acache = self.actor.forward(batch["feat"], batch["goal"], cols_o)
-        q_pi, ccache = self.critic.forward(batch["feat"], batch["goal"], a, cols_o)
+        a, acache = self.actor.forward(feat, goal, conv1_out=conv1_actor)
+        q_pi, ccache = self.critic.forward(feat, goal, a, cols)
         dq_da, _ = self.critic.backward(np.full(n, -1.0 / n, dtype=q_pi.dtype), ccache, param_grads=False)
         logit_grad = (2.0 * cfg.logit_penalty / n) * self.actor.logits(acache)
         agrads = self.actor.backward(dq_da, acache, logit_grad=logit_grad)
@@ -162,6 +203,22 @@ class DDPG:
         soft_update(self.target_critic, self.critic, cfg.tau)
         self.updates += 1
         return critic_loss, float(np.mean(q_pi))
+
+    def _target_values(self, batch: dict) -> np.ndarray:
+        """Critic targets y = r + gamma * (1 - done) * Q'(o', mu'(o')).
+
+        A scope of its own: the next-observation patch matrix and the
+        target networks' caches are freed before the online passes
+        allocate theirs.
+        """
+        feat, goal = batch["next_feat"], batch["next_goal"]
+        cols = self.target_critic.trunk.im2col1(feat)
+        conv1_actor, conv1_critic = shared_forward(
+            (self.target_actor.trunk.conv1, self.target_critic.trunk.conv1), feat[..., None], cols
+        )
+        a_next, _ = self.target_actor.forward(feat, goal, conv1_out=conv1_actor)
+        q_next, _ = self.target_critic.forward(feat, goal, a_next, conv1_out=conv1_critic)
+        return batch["reward"] + self.config.gamma * (1.0 - batch["done"]) * q_next
 
     # -- persistence
 

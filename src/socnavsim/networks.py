@@ -5,6 +5,19 @@ axis with small extents along the time axis, followed by width-wise max
 pooling, making the features insensitive to object shape while keeping
 temporal changes resolved.  The action (critic) and goal vector join
 after the trunk.
+
+What the trunk sees, with the default spec (valid padding throughout):
+
+- At 180 beams conv1 yields 18 columns and the pool floors them to 16,
+  so beams 161-179 (the last 27 degrees of the fan, at its +135 degree
+  edge) never reach the actor or critic.  conv2's 5-wide kernel clamps
+  to the 4 pooled columns, the full width.
+- At 1080 beams conv2's stride-2 windows cover 31 of the 32 pooled
+  columns, so beams 1025-1079 (the last 14 degrees, same edge) never
+  reach them.
+
+Both were checked by zeroing one beam at a time and comparing outputs.
+Changing the receptive field changes the network, so it is left as is.
 """
 
 from __future__ import annotations
@@ -79,28 +92,33 @@ class Trunk:
         for i, (ch, kh, kw, sh, sw) in enumerate(spec.conv):
             conv = Conv2d(in_ch, ch, (kh, kw), (sh, sw), hw, rng, dtype)
             layers.append((f"conv{i + 1}", conv))
-            layers.append((f"relu{i + 1}", ReLU()))
             hw = conv.out_hw
             in_ch = ch
             if i == 0:
+                # max and ReLU commute exactly; pooling first leaves ReLU
+                # a pool-width times smaller tensor
                 pool = MaxPoolW(spec.pool_width)
                 layers.append(("pool", pool))
                 hw = (hw[0], pool.out_width(hw[1]))
+            layers.append((f"relu{i + 1}", ReLU()))
         self.layers = layers
+        self.conv1 = layers[0][1]
         self.flat_dim = in_ch * hw[0] * hw[1]
 
     def im2col1(self, feat):
         """First-layer patch matrix; reusable by any same-spec trunk."""
-        return self.layers[0][1].im2col(feat[..., None])
+        return self.conv1.im2col(feat[..., None])
 
-    def forward(self, feat, cols1=None):
+    def forward(self, feat, cols1=None, conv1_out=None):
+        """conv1_out, when given, is this trunk's (output, cache) of conv1,
+        computed elsewhere (see nn.shared_forward)."""
         x = feat[..., None]  # channels-last
-        caches = []
-        for i, (_, layer) in enumerate(self.layers):
-            if i == 0:
-                x, cache = layer.forward(x, cols1)
-            else:
-                x, cache = layer.forward(x)
+        if conv1_out is None:
+            conv1_out = self.conv1.forward(x, cols1)
+        x, cache = conv1_out
+        caches = [cache]
+        for _, layer in self.layers[1:]:
+            x, cache = layer.forward(x)
             caches.append(cache)
         n = x.shape[0]
         flat_shape = x.shape
@@ -111,7 +129,7 @@ class Trunk:
         dx = dflat.reshape(flat_shape)
         grads = {}
         for (name, layer), lcache in zip(reversed(self.layers), reversed(caches)):
-            first = layer is self.layers[0][1]
+            first = layer is self.conv1
             dx, lgrads = layer.backward(dx, lcache, need_input_grad=not first)
             for k, g in lgrads.items():
                 grads[f"{name}.{k}"] = g
@@ -174,8 +192,8 @@ class Actor:
         self.mlp = _MLP((self.trunk.flat_dim + GOAL_DIM, *spec.dense, ACTION_DIM), rng, dtype)
         self.tanh = Tanh()
 
-    def forward(self, feat, goal, cols1=None):
-        flat, tcache = self.trunk.forward(feat, cols1)
+    def forward(self, feat, goal, cols1=None, conv1_out=None):
+        flat, tcache = self.trunk.forward(feat, cols1, conv1_out)
         x = np.concatenate([flat, goal], axis=1)
         y, mcache = self.mlp.forward(x)
         a, acache = self.tanh.forward(y)
@@ -211,8 +229,8 @@ class Critic:
         self.trunk = Trunk(spec, rng, dtype)
         self.mlp = _MLP((self.trunk.flat_dim + GOAL_DIM + ACTION_DIM, *spec.dense, 1), rng, dtype)
 
-    def forward(self, feat, goal, action, cols1=None):
-        flat, tcache = self.trunk.forward(feat, cols1)
+    def forward(self, feat, goal, action, cols1=None, conv1_out=None):
+        flat, tcache = self.trunk.forward(feat, cols1, conv1_out)
         x = np.concatenate([flat, goal, action / ACTION_SCALE], axis=1)
         q, mcache = self.mlp.forward(x)
         return q[:, 0], (tcache, mcache)

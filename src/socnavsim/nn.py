@@ -100,12 +100,37 @@ class Conv2d:
         return {"W": self.W, "b": self.b}
 
 
+def shared_forward(convs, x, cols):
+    """``[conv.forward(x, cols) for conv in convs]`` with one GEMM.
+
+    ``cols`` is multiplied once by the column-concatenated weights of all
+    the layers.  OpenBLAS computes each output element as the same dot
+    product whichever other columns ride along, so each column slice
+    equals the separate product bit for bit and the outputs equal
+    separate forward calls (tests/test_policy.py gates this).  The
+    outputs are strided views into one shared array.
+    """
+    prod = cols @ np.concatenate([conv.W for conv in convs], axis=1)
+    prod += np.concatenate([conv.b for conv in convs])
+    outs, lo = [], 0
+    for conv in convs:
+        y = prod[:, lo : lo + conv.out_ch].reshape(x.shape[0], *conv.out_hw, conv.out_ch)
+        outs.append((y, (cols, x.shape)))
+        lo += conv.out_ch
+    return outs
+
+
 class MaxPoolW:
     """Max pooling along the width axis (N, H, W, C), window = stride.
 
-    Running pairwise max keeps the winner index as it goes, which beats
-    a strided argmax reduce on this machine; ties go to the lowest
-    offset, matching a plain argmax.
+    The forward pass is a running ``np.maximum`` over the window offsets
+    and stores no winner index; its cache is the window view of the input
+    plus the output.  backward recovers the winners from those, so only
+    passes that backprop pay for them.  Ties go to the lowest offset, the
+    rule of a plain argmax.  Trailing columns that fill no window are
+    dropped and get zero gradient; so do the non-winning inputs, as a
+    zero carrying the sign of the output gradient, which changes no sum
+    it enters.
     """
 
     def __init__(self, width):
@@ -120,21 +145,22 @@ class MaxPoolW:
         ow = w // pw
         v = x[:, :, : ow * pw, :].reshape(n, h, ow, pw, c)
         y = v[:, :, :, 0, :].copy()
-        idx = np.zeros(y.shape, dtype=np.int8)
         for k in range(1, pw):
-            vk = v[:, :, :, k, :]
-            better = vk > y
-            np.copyto(y, vk, where=better)
-            np.copyto(idx, np.int8(k), where=better)
-        return y, (idx, x.shape, pw, ow)
+            np.maximum(y, v[:, :, :, k, :], out=y)
+        return y, (v, y, x.shape)
 
     def backward(self, dy, cache, need_input_grad=True):
-        idx, x_shape, pw, ow = cache
-        n, h, w, c = x_shape
-        dv = np.zeros((n, h, ow, pw, c), dtype=dy.dtype)
-        np.put_along_axis(dv, idx[:, :, :, None, :].astype(np.intp), dy[:, :, :, None, :], axis=3)
-        dx = np.zeros(x_shape, dtype=dy.dtype)
-        dx[:, :, : ow * pw, :] = dv.reshape(n, h, ow * pw, c)
+        v, y, x_shape = cache
+        covered = v.shape[2] * v.shape[3]
+        dx = np.empty(x_shape, dtype=dy.dtype)
+        dx[:, :, covered:, :] = 0.0
+        dv = dx[:, :, :covered, :].reshape(v.shape)  # a view: writes land in dx
+        open_ = np.ones(y.shape, dtype=bool)  # windows whose winner is not found yet
+        for k in range(v.shape[3]):
+            hit = v[:, :, :, k, :] == y
+            hit &= open_
+            np.multiply(dy, hit, out=dv[:, :, :, k, :])
+            open_ ^= hit
         return dx, {}
 
     def params(self):

@@ -92,6 +92,47 @@ def rects_share_sampled_point(a, b, rng, samples=100_000) -> bool:
     return bool(np.any(points_in_shape(px, py, a) & points_in_shape(px, py, b)))
 
 
+# ---------------------------------------------------------------------------
+# Learner oracle: DDPG.update with per-network forward passes
+
+
+def reference_update(learner, batch):
+    """One DDPG update as separate per-network passes: every network runs
+    its own conv1 GEMM on a patch matrix shared only per input, and both
+    patch matrices stay live for the whole update.  DDPG.update must
+    match it bit for bit."""
+    from socnavsim.networks import soft_update
+
+    cfg = learner.config
+    n = batch["feat"].shape[0]
+    cols_o = learner.critic.trunk.im2col1(batch["feat"])
+    cols_next = learner.target_critic.trunk.im2col1(batch["next_feat"])
+
+    a_next, _ = learner.target_actor.forward(batch["next_feat"], batch["next_goal"], cols_next)
+    q_next, _ = learner.target_critic.forward(
+        batch["next_feat"], batch["next_goal"], a_next, cols_next
+    )
+    y = batch["reward"] + cfg.gamma * (1.0 - batch["done"]) * q_next
+
+    q, cache = learner.critic.forward(batch["feat"], batch["goal"], batch["action"], cols_o)
+    diff = q - y
+    critic_loss = float(np.mean(diff * diff))
+    _, cgrads = learner.critic.backward((2.0 / n) * diff, cache, param_grads=True)
+    learner.opt_critic.step(cgrads)
+
+    a, acache = learner.actor.forward(batch["feat"], batch["goal"], cols_o)
+    q_pi, ccache = learner.critic.forward(batch["feat"], batch["goal"], a, cols_o)
+    dq_da, _ = learner.critic.backward(np.full(n, -1.0 / n, dtype=q_pi.dtype), ccache, param_grads=False)
+    logit_grad = (2.0 * cfg.logit_penalty / n) * learner.actor.logits(acache)
+    agrads = learner.actor.backward(dq_da, acache, logit_grad=logit_grad)
+    learner.opt_actor.step(agrads)
+
+    soft_update(learner.target_actor, learner.actor, cfg.tau)
+    soft_update(learner.target_critic, learner.critic, cfg.tau)
+    learner.updates += 1
+    return critic_loss, float(np.mean(q_pi))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)

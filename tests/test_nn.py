@@ -104,3 +104,81 @@ class TestAdam:
         opt.step({"w": g.copy()})
         opt2.step({"w": g.copy()})
         assert np.array_equal(p["w"], p2["w"])
+
+
+def pool_oracle(x, width, dy):
+    """Loop-by-loop max pool along the width axis: the winner of each
+    window is its lowest offset holding the maximum; it alone gets the
+    output gradient."""
+    n, h, w, c = x.shape
+    ow = w // width
+    y = np.zeros((n, h, ow, c), x.dtype)
+    dx = np.zeros_like(x)
+    for i in np.ndindex(n, h, ow, c):
+        b, r, j, ch = i
+        window = [x[b, r, j * width + k, ch] for k in range(width)]
+        k = window.index(max(window))
+        y[i] = window[k]
+        dx[b, r, j * width + k, ch] = dy[i]
+    return y, dx
+
+
+def tied_input(rng, dtype):
+    """Windows of width 4 along axis 2 (two trailing columns fill none):
+    all equal, all negative with ties, ties at the maximum, all zero."""
+    x = rng.integers(-3, 4, size=(3, 2, 18, 5)).astype(dtype)
+    x[0, 0, 0:4, :] = 2.0  # all equal, positive
+    x[0, 1, 4:8, :] = -1.5  # all equal, negative
+    x[1, 0, 8:12, :] = [[-4.0], [-2.0], [-3.0], [-2.0]]  # all negative, tie at the max
+    x[1, 1, 0:4, :] = [[1.0], [3.0], [0.0], [3.0]]  # tie at the max, later offset
+    x[2, 0, 12:16, :] = 0.0  # all zero
+    return x
+
+
+class TestMaxPoolTies:
+    def test_inputs_have_ties(self, rng):
+        x = tied_input(rng, np.float32)
+        v = x[:, :, :16, :].reshape(3, 2, 4, 4, 5)
+        assert np.any(np.sum(v == v.max(axis=3, keepdims=True), axis=3) > 1)
+        assert np.any(np.all(v < 0, axis=3))
+
+    def test_lowest_offset_wins(self, rng):
+        for dtype in (np.float32, np.float64):
+            x = tied_input(rng, dtype)
+            dy = rng.normal(size=(3, 2, 4, 5)).astype(dtype)
+            layer = MaxPoolW(4)
+            y, cache = layer.forward(x)
+            dx, _ = layer.backward(dy, cache)
+            y_ref, dx_ref = pool_oracle(x, 4, dy)
+            assert y.dtype == dx.dtype == dtype
+            assert np.array_equal(y, y_ref)
+            assert np.array_equal(dx, dx_ref)
+            assert np.all(dx[:, :, 16:, :] == 0.0)
+
+    def test_forward_does_not_touch_input(self, rng):
+        x = tied_input(rng, np.float32)
+        before = x.copy()
+        layer = MaxPoolW(4)
+        _, cache = layer.forward(x)
+        layer.backward(np.ones((3, 2, 4, 5), np.float32), cache)
+        assert np.array_equal(x, before)
+
+    def test_pool_relu_commute_bitwise(self, rng):
+        """Pooling before ReLU (the trunk's order) equals ReLU before
+        pooling, in values and input gradients, bit for bit."""
+        pool, relu = MaxPoolW(4), ReLU()
+        for x in (tied_input(rng, np.float32), rng.normal(size=(4, 3, 18, 6)).astype(np.float32)):
+            dy = rng.normal(size=(x.shape[0], x.shape[1], 4, x.shape[3])).astype(np.float32)
+
+            p, pc = pool.forward(x)
+            y1, rc = relu.forward(p)
+            d, _ = relu.backward(dy, rc)
+            dx1, _ = pool.backward(d, pc)
+
+            r, rc = relu.forward(x)
+            y2, pc = pool.forward(r)
+            d, _ = pool.backward(dy, pc)
+            dx2, _ = relu.backward(d, rc)
+
+            assert y1.tobytes() == y2.tobytes()
+            assert dx1.tobytes() == dx2.tobytes()

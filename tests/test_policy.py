@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import reference_update
+from socnavsim import ddpg as ddpg_module
 from socnavsim.crowd import CrowdConfig
 from socnavsim.ddpg import DDPG, DDPGConfig, ReplayBuffer, TrainConfig, train
 from socnavsim.lidar import MotionFeature
@@ -11,6 +13,7 @@ from socnavsim.networks import (
     Critic,
     NetworkSpec,
     actor_from_checkpoint,
+    default_network_spec,
     featurize,
     soft_update,
 )
@@ -183,10 +186,45 @@ class TestReplayBuffer:
         with pytest.raises(ValueError):
             buf.sample(1, rng, (1, 1, 1))
 
+    def test_bytes_per_transition_matches_arrays(self):
+        buf = ReplayBuffer(7, (40, 180))
+        total = sum(v.nbytes for v in vars(buf).values() if isinstance(v, np.ndarray))
+        assert total == 7 * ReplayBuffer.bytes_per_transition((40, 180))
+        assert ReplayBuffer.bytes_per_transition((40, 1080)) == 4 * 40 * 1080 + 40
 
-def make_batch(rng, n=16, done=None, reward=None):
-    feat = rng.random((n, 4, 16)).astype(np.float32)
-    nfeat = rng.random((n, 4, 16)).astype(np.float32)
+    def test_refuses_capacity_beyond_available_memory(self, monkeypatch):
+        per = ReplayBuffer.bytes_per_transition((40, 180))
+        monkeypatch.setattr(ddpg_module, "mem_available_bytes", lambda: 1000 * per + 5)
+        ReplayBuffer(1000, (40, 180))
+        with pytest.raises(ValueError) as err:
+            ReplayBuffer(1001, (40, 180))
+        msg = str(err.value)
+        assert f"needs {1001 * per} bytes" in msg
+        assert f"only {1000 * per + 5} bytes are available" in msg
+        assert "largest capacity that fits is 1000" in msg
+
+    def test_unreadable_probe_skips_check(self, monkeypatch):
+        monkeypatch.setattr(ddpg_module, "mem_available_bytes", lambda: None)
+        assert ReplayBuffer(3, (40, 180)).capacity == 3
+
+    def test_probe_reads_this_host(self):
+        available = ddpg_module.mem_available_bytes()
+        assert available is None or available > 0
+
+    def test_train_fails_before_first_episode(self, monkeypatch):
+        def no_episode(*args, **kwargs):
+            raise AssertionError("an episode started")
+
+        monkeypatch.setattr(ddpg_module, "mem_available_bytes", lambda: 10**6)
+        monkeypatch.setattr(ddpg_module, "NavEnv", no_episode)
+        env_cfg = EnvConfig(beam_count=180, crowd=CrowdConfig(count=0))
+        with pytest.raises(ValueError, match="largest capacity that fits is 34"):
+            train("ego", env_cfg, TrainConfig(total_env_steps=1000), seed=0)
+
+
+def make_batch(rng, n=16, done=None, reward=None, shape=(4, 16)):
+    feat = rng.random((n, *shape)).astype(np.float32)
+    nfeat = rng.random((n, *shape)).astype(np.float32)
     return {
         "feat": feat,
         "goal": rng.random((n, 2)).astype(np.float32),
@@ -225,6 +263,23 @@ class TestDDPGUpdate:
             losses.append(closs)
         for a, b in zip(losses, losses[1:]):
             assert b < a
+
+    def test_matches_reference_bitwise(self, rng):
+        """DDPG.update (shared conv1 GEMMs, scoped target pass) against the
+        per-network oracle, at desk scale and float32."""
+        spec = default_network_spec(40, 180)
+        fast = DDPG(spec, DDPGConfig(), np.random.default_rng(3))
+        ref = DDPG(spec, DDPGConfig(), np.random.default_rng(3))
+        for _ in range(3):
+            batch = make_batch(rng, 128, shape=spec.feature_shape)
+            assert fast.update(batch) == reference_update(ref, batch)
+        fast_parts, ref_parts = fast.named_parts(), ref.named_parts()
+        assert fast_parts.keys() == ref_parts.keys()
+        for part, params in fast_parts.items():
+            assert params.keys() == ref_parts[part].keys()
+            for k, v in params.items():
+                assert v.dtype == ref_parts[part][k].dtype
+                assert np.array_equal(v, ref_parts[part][k]), f"{part}/{k}"
 
     def test_divergence_detection_fields(self):
         from socnavsim.ddpg import TrainingDiverged
