@@ -13,8 +13,7 @@ from typing import Protocol
 import numpy as np
 
 from .lidar import LidarConfig, MotionFeature
-
-V_MAX = 1.5
+from .world import V_MAX
 
 
 @dataclass(frozen=True)

@@ -142,16 +142,14 @@ def cmd_train(args, parser) -> int:
     except TrainingDiverged as exc:
         print(f"training diverged: {exc} {exc.diagnostics}", file=sys.stderr)
         return 3
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 
 def cmd_eval(args, parser) -> int:
-    from .evaluation import (
-        episode_seeds,
-        export,
-        run_episode,
-        suite_config,
-    )
+    from .evaluation import episode_seeds, export, run_suite, suite_config
 
     env_cfg = _load_env_config(args.config)
     try:
@@ -161,7 +159,6 @@ def cmd_eval(args, parser) -> int:
     policy = _build_policy(args.policy, cfg, parser)
 
     os.makedirs(args.out, exist_ok=True)
-    seeds = episode_seeds(args.seed, args.runs)
     jobs = 1 if args.single_thread else max(1, int(args.jobs or 1))
     if jobs > 1:
         import multiprocessing as mp
@@ -169,14 +166,11 @@ def cmd_eval(args, parser) -> int:
         with mp.get_context("spawn").Pool(jobs) as pool:
             work = [
                 (args.policy, args.config, args.suite, seed, map_seed, crowd_seed)
-                for seed, map_seed, crowd_seed in seeds
+                for seed, map_seed, crowd_seed in episode_seeds(args.seed, args.runs)
             ]
             logs = pool.starmap(_episode_worker, work)
     else:
-        logs = [
-            run_episode(policy, cfg, args.suite, seed, map_seed, crowd_seed)
-            for seed, map_seed, crowd_seed in seeds
-        ]
+        logs = run_suite(policy, args.suite, args.runs, args.seed, env_cfg)
 
     for log in logs:
         name = f"log__{args.suite.replace(':', '-')}__{log.policy}__{log.seed}.json"

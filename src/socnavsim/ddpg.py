@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .evaluation import episode_seeds, run_episode
 from .lidar import HISTORY_LEN
 from .networks import (
     ACTION_DIM,
@@ -30,6 +31,7 @@ from .networks import (
     soft_update,
 )
 from .nn import Adam, shared_forward
+from .policies import LearnedPolicy
 from .world import EnvConfig, NavEnv, Status
 
 STAGE_REWARD_WEIGHTS = {
@@ -282,26 +284,6 @@ class TrainConfig:
     ddpg: DDPGConfig = field(default_factory=DDPGConfig)
 
 
-def evaluate_policy(actor: Actor, env_config: EnvConfig, episodes: int, seed: int) -> float:
-    """Noise-free success rate over freshly randomized episodes."""
-    ss = np.random.SeedSequence(seed)
-    seeds = ss.generate_state(2 * episodes)
-    successes = 0
-    for e in range(episodes):
-        env = NavEnv(env_config)
-        obs = env.reset(map_seed=int(seeds[2 * e]), crowd_seed=int(seeds[2 * e + 1]))
-        initial = max(obs.goal_vector[0], 1e-6)
-        while True:
-            feat, goal = featurize(obs, initial)
-            a, _ = actor.forward(feat[None], goal[None])
-            outcome = env.step(a[0])
-            obs = outcome.observation
-            if outcome.done is not Status.RUNNING:
-                successes += outcome.done is Status.REACHED
-                break
-    return successes / episodes
-
-
 def train(
     stage: str,
     env_config: EnvConfig,
@@ -435,7 +417,12 @@ def train(
             if env_steps - last_eval_at >= tc.eval_every:
                 last_eval_at = env_steps
                 probe_cfg = tc.eval_env_config if tc.eval_env_config is not None else env_config
-                success = evaluate_policy(learner.actor, probe_cfg, tc.eval_episodes, eval_seed)
+                probe = LearnedPolicy.from_actor(learner.actor, f"learned-{stage}")
+                reached = sum(
+                    run_episode(probe, probe_cfg, "probe", *seeds).outcome == Status.REACHED.value
+                    for seeds in episode_seeds(eval_seed, tc.eval_episodes)
+                )
+                success = reached / tc.eval_episodes
                 if success > best_eval:
                     best_eval = success
                     checkpoint("best", env_steps)

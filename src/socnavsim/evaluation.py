@@ -4,7 +4,8 @@ Metrics follow the violation-step convention: a step counts once toward
 the social violation count m when at least one zone intersection is
 present, and once toward the ego count k when anything sits inside the
 ego-safety circle.  Scores are averaged per episode over all executed
-steps, failed episodes included.
+steps, failed episodes included.  In-memory logs and exported trajectory
+tables both reduce to EpisodeSummary, which holds the score formula.
 """
 
 from __future__ import annotations
@@ -55,11 +56,15 @@ class EpisodeLog:
     def steps(self) -> int:
         return len(self.records)
 
-    def ego_violation_steps(self) -> int:
-        return sum(1 for r in self.records if r.ego_violation)
-
-    def social_violation_steps(self) -> int:
-        return sum(1 for r in self.records if r.social_violations >= 1)
+    def summary(self) -> "EpisodeSummary":
+        return EpisodeSummary(
+            outcome=self.outcome,
+            steps=self.steps,
+            arriving_time=self.arriving_time,
+            ego_violation_steps=sum(1 for r in self.records if r.ego_violation),
+            social_violation_steps=sum(1 for r in self.records if r.social_violations >= 1),
+            reward_sum=sum(r.r_ego + r.r_social + r.r_goal for r in self.records),
+        )
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -79,6 +84,29 @@ class EpisodeLog:
     def load(path) -> "EpisodeLog":
         with open(path) as f:
             return EpisodeLog.from_dict(json.load(f))
+
+
+@dataclass(frozen=True)
+class EpisodeSummary:
+    """Everything one episode contributes to the metrics and the series."""
+
+    outcome: str
+    steps: int
+    arriving_time: float | None
+    ego_violation_steps: int
+    social_violation_steps: int
+    reward_sum: float
+
+    @property
+    def ego_score(self) -> float:
+        return self._score(self.ego_violation_steps)
+
+    @property
+    def social_score(self) -> float:
+        return self._score(self.social_violation_steps)
+
+    def _score(self, violation_steps: int) -> float:
+        return (1.0 - violation_steps / max(self.steps, 1)) * 100.0
 
 
 @dataclass(frozen=True)
@@ -227,21 +255,18 @@ def run_suite(
 def compute_metrics(logs: list[EpisodeLog]) -> Metrics:
     if not logs:
         raise ValueError("compute_metrics requires at least one episode log")
-    successes = [log for log in logs if log.outcome == Status.REACHED.value]
-    times = [log.arriving_time for log in successes]
-    ego_scores = []
-    social_scores = []
-    for log in logs:
-        n = max(log.steps, 1)
-        ego_scores.append((1.0 - log.ego_violation_steps() / n) * 100.0)
-        social_scores.append((1.0 - log.social_violation_steps() / n) * 100.0)
+    return _reduce([log.summary() for log in logs])
+
+
+def _reduce(summaries: list[EpisodeSummary]) -> Metrics:
+    times = [s.arriving_time for s in summaries if s.outcome == Status.REACHED.value]
     return Metrics(
-        runs=len(logs),
-        success_rate=100.0 * len(successes) / len(logs),
+        runs=len(summaries),
+        success_rate=100.0 * len(times) / len(summaries),
         arriving_time_mean=float(np.mean(times)) if times else None,
         arriving_time_std=float(np.std(times)) if times else None,
-        ego_score=float(np.mean(ego_scores)),
-        social_score=float(np.mean(social_scores)),
+        ego_score=float(np.mean([s.ego_score for s in summaries])),
+        social_score=float(np.mean([s.social_score for s in summaries])),
     )
 
 
@@ -308,8 +333,8 @@ def export_trajectory_table(log: EpisodeLog, out_dir) -> str:
     return path
 
 
-def parse_trajectory_table(path) -> dict:
-    """Recover per-step fields sufficient to recompute every metric."""
+def parse_trajectory_table(path) -> EpisodeSummary:
+    """Recover the episode summary from an exported trajectory table."""
     with open(path) as f:
         header = f.readline().strip().split(",")
         if header != TRAJECTORY_COLUMNS:
@@ -317,34 +342,25 @@ def parse_trajectory_table(path) -> dict:
         rows = [line.rstrip("\n").split(",") for line in f if line.strip()]
     cols = {name: i for i, name in enumerate(TRAJECTORY_COLUMNS)}
     outcome = rows[-1][cols["outcome"]] if rows else "timeout"
-    return {
-        "steps": len(rows),
-        "outcome": outcome,
-        "t": [float(r[cols["t"]]) for r in rows],
-        "x": [float(r[cols["x"]]) for r in rows],
-        "y": [float(r[cols["y"]]) for r in rows],
-        "ego_violations": sum(int(r[cols["ego_violation"]]) for r in rows),
-        "social_violation_steps": sum(1 for r in rows if int(r[cols["social_violations"]]) >= 1),
-        "arriving_time": float(rows[-1][cols["t"]]) if outcome == "reached" else None,
-    }
+    return EpisodeSummary(
+        outcome=outcome,
+        steps=len(rows),
+        arriving_time=float(rows[-1][cols["t"]]) if outcome == "reached" else None,
+        ego_violation_steps=sum(int(r[cols["ego_violation"]]) for r in rows),
+        social_violation_steps=sum(1 for r in rows if int(r[cols["social_violations"]]) >= 1),
+        reward_sum=sum(
+            float(r[cols["r_ego"]]) + float(r[cols["r_social"]]) + float(r[cols["r_goal"]])
+            for r in rows
+        ),
+    )
 
 
 def metrics_from_tables(paths) -> Metrics:
     """Recompute suite metrics from exported trajectory tables."""
-    parsed = [parse_trajectory_table(p) for p in paths]
-    if not parsed:
+    summaries = [parse_trajectory_table(p) for p in paths]
+    if not summaries:
         raise ValueError("no trajectory tables given")
-    times = [p["arriving_time"] for p in parsed if p["outcome"] == "reached"]
-    ego = [(1.0 - p["ego_violations"] / max(p["steps"], 1)) * 100.0 for p in parsed]
-    social = [(1.0 - p["social_violation_steps"] / max(p["steps"], 1)) * 100.0 for p in parsed]
-    return Metrics(
-        runs=len(parsed),
-        success_rate=100.0 * len(times) / len(parsed),
-        arriving_time_mean=float(np.mean(times)) if times else None,
-        arriving_time_std=float(np.std(times)) if times else None,
-        ego_score=float(np.mean(ego)),
-        social_score=float(np.mean(social)),
-    )
+    return _reduce(summaries)
 
 
 def export_metrics_table(logs: list[EpisodeLog], out_dir) -> str:
@@ -380,19 +396,18 @@ def export_curve_series(logs: list[EpisodeLog], out_dir) -> str:
     path = os.path.join(out_dir, f"episodes__{suite.replace(':', '-')}__{policy}.csv")
     lines = ["episode,seed,outcome,steps,arriving_time,ego_score,social_score,reward_sum"]
     for i, log in enumerate(logs):
-        n = max(log.steps, 1)
-        reward_sum = sum(r.r_ego + r.r_social + r.r_goal for r in log.records)
+        s = log.summary()
         lines.append(
             ",".join(
                 [
                     str(i),
                     str(log.seed),
-                    log.outcome,
-                    str(log.steps),
-                    _fmt(log.arriving_time) if log.arriving_time is not None else "",
-                    _fmt((1.0 - log.ego_violation_steps() / n) * 100.0),
-                    _fmt((1.0 - log.social_violation_steps() / n) * 100.0),
-                    _fmt(reward_sum),
+                    s.outcome,
+                    str(s.steps),
+                    _fmt(s.arriving_time) if s.arriving_time is not None else "",
+                    _fmt(s.ego_score),
+                    _fmt(s.social_score),
+                    _fmt(s.reward_sum),
                 ]
             )
         )

@@ -46,9 +46,6 @@ class Vec2:
     def dot(self, other: "Vec2") -> float:
         return self.x * other.x + self.y * other.y
 
-    def cross(self, other: "Vec2") -> float:
-        return self.x * other.y - self.y * other.x
-
     def norm(self) -> float:
         return math.hypot(self.x, self.y)
 
@@ -135,75 +132,12 @@ class OrientedRect:
                 out.append(Segment(a, b))
         return out
 
-    def contains(self, p: Vec2) -> bool:
-        """Closed containment test."""
-        fwd, left = self.axes()
-        d = p - self.anchor
-        lx = d.dot(fwd)
-        ly = d.dot(left)
-        eps = 1e-12
-        return -eps <= lx <= self.length + eps and abs(ly) <= self.half_width + eps
-
 
 Shape = Circle | Segment | OrientedRect
 
 
 # ---------------------------------------------------------------------------
 # Raycasting
-
-
-def _ray_circle(ox, oy, dx, dy, c: Circle) -> float:
-    fx, fy = ox - c.center.x, oy - c.center.y
-    b = fx * dx + fy * dy
-    disc = b * b - (fx * fx + fy * fy - c.radius * c.radius)
-    if disc < 0.0:
-        return math.inf
-    sq = math.sqrt(disc)
-    t = -b - sq
-    if t < 0.0:
-        t = -b + sq  # origin inside: exit point
-    return t if t >= 0.0 else math.inf
-
-
-def _ray_segment(ox, oy, dx, dy, seg: Segment) -> float:
-    ex, ey = seg.b.x - seg.a.x, seg.b.y - seg.a.y
-    denom = dx * ey - dy * ex
-    if abs(denom) < 1e-15:
-        return math.inf
-    wx, wy = seg.a.x - ox, seg.a.y - oy
-    t = (wx * ey - wy * ex) / denom
-    s = (wx * dy - wy * dx) / denom
-    if t >= 0.0 and 0.0 <= s <= 1.0:
-        return t
-    return math.inf
-
-
-def _ray_shape(ox, oy, dx, dy, shape: Shape) -> float:
-    if isinstance(shape, Circle):
-        return _ray_circle(ox, oy, dx, dy, shape)
-    if isinstance(shape, Segment):
-        return _ray_segment(ox, oy, dx, dy, shape)
-    if isinstance(shape, OrientedRect):
-        return min(
-            (_ray_segment(ox, oy, dx, dy, e) for e in shape.edges()),
-            default=math.inf,
-        )
-    raise TypeError(f"unsupported shape {type(shape).__name__}")
-
-
-def ray_cast(origin: Vec2, direction: Vec2, shapes: list[Shape], max_range: float) -> float:
-    """Distance from origin along a unit direction to the first hit.
-
-    Returns max_range when nothing is hit within range.
-    """
-    if max_range <= 0.0:
-        raise ValueError("max_range must be positive")
-    best = max_range
-    for shape in shapes:
-        t = _ray_shape(origin.x, origin.y, direction.x, direction.y, shape)
-        if t < best:
-            best = t
-    return best
 
 
 def cast_fan(origin: Vec2, angles: np.ndarray, shapes: list[Shape], max_range: float) -> np.ndarray:
@@ -315,38 +249,3 @@ def closest_distance(robot: Circle, shapes: list[Shape]) -> float:
             best = d
     return best
 
-
-# ---------------------------------------------------------------------------
-# Exact convex-polygon overlap, used by tests as an oracle independent of SAT
-
-
-def _orient(a: Vec2, b: Vec2, c: Vec2) -> float:
-    return (b - a).cross(c - a)
-
-
-def segments_intersect(s1: Segment, s2: Segment) -> bool:
-    """Closed segment-segment intersection, collinear touch included."""
-    d1 = _orient(s2.a, s2.b, s1.a)
-    d2 = _orient(s2.a, s2.b, s1.b)
-    d3 = _orient(s1.a, s1.b, s2.a)
-    d4 = _orient(s1.a, s1.b, s2.b)
-    if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and (
-        (d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)
-    ):
-        return True
-    if d1 == 0 and _on_segment(s1.a, s2):
-        return True
-    if d2 == 0 and _on_segment(s1.b, s2):
-        return True
-    if d3 == 0 and _on_segment(s2.a, s1):
-        return True
-    if d4 == 0 and _on_segment(s2.b, s1):
-        return True
-    return False
-
-
-def _on_segment(p: Vec2, seg: Segment) -> bool:
-    return (
-        min(seg.a.x, seg.b.x) <= p.x <= max(seg.a.x, seg.b.x)
-        and min(seg.a.y, seg.b.y) <= p.y <= max(seg.a.y, seg.b.y)
-    )

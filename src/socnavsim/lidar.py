@@ -113,11 +113,6 @@ def calibrate(prev: Scan, current_heading: float, config: LidarConfig) -> Scan:
     return Scan(ranges=out, heading_at_capture=current_heading, timestamp=prev.timestamp)
 
 
-def calibration_shift(prev_heading: float, current_heading: float, config: LidarConfig) -> int:
-    """Index shift applied by calibrate(); exposed for fill-in bookkeeping."""
-    return int(round(wrap_angle(current_heading - prev_heading) / config.angle_increment))
-
-
 def build_motion_feature(
     history: list[Scan] | tuple[Scan, ...],
     current_heading: float,

@@ -230,19 +230,3 @@ class Adam:
         for k in self.params:
             self.m[k] = state[f"m.{k}"].copy()
             self.v[k] = state[f"v.{k}"].copy()
-
-
-def numeric_gradient(f, x, h=1e-5):
-    """Central finite differences of a scalar function, for tests."""
-    g = np.zeros_like(x, dtype=float)
-    flat = x.reshape(-1)
-    gflat = g.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        fp = f()
-        flat[i] = orig - h
-        fm = f()
-        flat[i] = orig
-        gflat[i] = (fp - fm) / (2.0 * h)
-    return g

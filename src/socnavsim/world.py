@@ -26,16 +26,6 @@ V_MAX = 1.5
 
 
 @dataclass(frozen=True)
-class Action:
-    a_x: float
-    a_y: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "a_x", float(np.clip(self.a_x, -ACTION_LIMIT, ACTION_LIMIT)))
-        object.__setattr__(self, "a_y", float(np.clip(self.a_y, -ACTION_LIMIT, ACTION_LIMIT)))
-
-
-@dataclass(frozen=True)
 class RobotState:
     x: float
     y: float
@@ -400,10 +390,7 @@ class NavEnv:
             raise RuntimeError("call reset() before step()")
         if self.status is not Status.RUNNING:
             raise RuntimeError(f"episode already finished ({self.status.value})")
-        if isinstance(action, Action):
-            a_x, a_y = action.a_x, action.a_y
-        else:
-            a_x, a_y = float(action[0]), float(action[1])
+        a_x, a_y = float(action[0]), float(action[1])
         v_l, v_w = action_to_twist(a_x, a_y)
         self._desired_heading = wrap_angle(self.robot.heading + v_w)
 

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from socnavsim.geometry import Circle, OrientedRect, Vec2, segments_intersect
+from socnavsim.geometry import Circle, OrientedRect, Vec2, cast_fan, wrap_angle
 
 
 # ---------------------------------------------------------------------------
@@ -69,15 +69,62 @@ def marching_ray(origin, angle, shapes, max_range, step=1e-4):
     return min(float(ts[int(np.argmax(inside))]), max_range)
 
 
+def cast_one(origin, angle, shapes, max_range):
+    """The production raycaster, cast_fan, over a single beam."""
+    return float(cast_fan(origin, np.array([angle]), shapes, max_range)[0])
+
+
 # ---------------------------------------------------------------------------
 # Exact convex-overlap oracle (corner containment + edge crossings),
 # independent of the separating-axis projections
 
 
-def rect_overlap_oracle(a: OrientedRect, b: OrientedRect) -> bool:
-    if any(b.contains(c) for c in a.corners()):
+def rect_contains(rect: OrientedRect, p: Vec2) -> bool:
+    """Closed containment test."""
+    fwd, left = rect.axes()
+    d = p - rect.anchor
+    lx = d.dot(fwd)
+    ly = d.dot(left)
+    eps = 1e-12
+    return -eps <= lx <= rect.length + eps and abs(ly) <= rect.half_width + eps
+
+
+def _orient(a, b, c) -> float:
+    return (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
+
+
+def _on_segment(p, seg) -> bool:
+    return (
+        min(seg.a.x, seg.b.x) <= p.x <= max(seg.a.x, seg.b.x)
+        and min(seg.a.y, seg.b.y) <= p.y <= max(seg.a.y, seg.b.y)
+    )
+
+
+def segments_intersect(s1, s2) -> bool:
+    """Closed segment-segment intersection, collinear touch included."""
+    d1 = _orient(s2.a, s2.b, s1.a)
+    d2 = _orient(s2.a, s2.b, s1.b)
+    d3 = _orient(s1.a, s1.b, s2.a)
+    d4 = _orient(s1.a, s1.b, s2.b)
+    if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and (
+        (d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)
+    ):
         return True
-    if any(a.contains(c) for c in b.corners()):
+    if d1 == 0 and _on_segment(s1.a, s2):
+        return True
+    if d2 == 0 and _on_segment(s1.b, s2):
+        return True
+    if d3 == 0 and _on_segment(s2.a, s1):
+        return True
+    if d4 == 0 and _on_segment(s2.b, s1):
+        return True
+    return False
+
+
+def rect_overlap_oracle(a: OrientedRect, b: OrientedRect) -> bool:
+    if any(rect_contains(b, c) for c in a.corners()):
+        return True
+    if any(rect_contains(a, c) for c in b.corners()):
         return True
     return any(segments_intersect(ea, eb) for ea in a.edges() for eb in b.edges())
 
@@ -90,6 +137,35 @@ def rects_share_sampled_point(a, b, rng, samples=100_000) -> bool:
     px = rng.uniform(min(xs), max(xs), samples)
     py = rng.uniform(min(ys), max(ys), samples)
     return bool(np.any(points_in_shape(px, py, a) & points_in_shape(px, py, b)))
+
+
+# ---------------------------------------------------------------------------
+# Calibration bookkeeping
+
+
+def calibration_shift(prev_heading, current_heading, config) -> int:
+    """Index shift that lidar.calibrate applies between two headings."""
+    return int(round(wrap_angle(current_heading - prev_heading) / config.angle_increment))
+
+
+# ---------------------------------------------------------------------------
+# Gradient oracle
+
+
+def numeric_gradient(f, x, h=1e-5):
+    """Central finite differences of a scalar function of x (perturbed in place)."""
+    g = np.zeros_like(x, dtype=float)
+    flat = x.reshape(-1)
+    gflat = g.reshape(-1)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        fp = f()
+        flat[i] = orig - h
+        fm = f()
+        flat[i] = orig
+        gflat[i] = (fp - fm) / (2.0 * h)
+    return g
 
 
 # ---------------------------------------------------------------------------

@@ -105,6 +105,17 @@ class TestTrain:
         ])
         assert rc == 0
 
+    def test_train_value_error_is_one_line(self, tmp_path, env_yaml, monkeypatch, capsys):
+        monkeypatch.setattr("socnavsim.ddpg.mem_available_bytes", lambda: 1024)
+        rc = main([
+            "train", "--stage", "ego", "--config", env_yaml, "--out", str(tmp_path / "x"),
+            "--budget", "100", "--buffer-capacity", "200",
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: replay buffer of 100 transitions needs ")
+        assert err.count("\n") == 1
+
     def test_short_training_deterministic_curves(self, tmp_path, env_yaml):
         curves = []
         for name in ("r1", "r2"):

@@ -1,5 +1,7 @@
+import csv
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -7,6 +9,7 @@ from socnavsim.baselines import GreedyPolicy
 from socnavsim.crowd import CrowdConfig
 from socnavsim.evaluation import (
     EpisodeLog,
+    EpisodeSummary,
     StepRecord,
     compute_metrics,
     episode_seeds,
@@ -151,19 +154,47 @@ class TestComputeMetrics:
         with pytest.raises(ValueError):
             compute_metrics([])
 
+    def test_summary_scores(self):
+        s = EpisodeSummary("collided", 40, None, 4, 2, -1.0)
+        assert s.ego_score == pytest.approx(90.0) and s.social_score == pytest.approx(95.0)
+        # an empty table scores clean instead of dividing by zero
+        assert EpisodeSummary("timeout", 0, None, 0, 0, 0.0).ego_score == 100.0
+
 
 class TestExport:
     def test_trajectory_round_trip(self, tmp_path):
         log = synthetic_log(steps=7, k=2, m=1)
         (path,) = export([log], "trajectory-table", tmp_path)
-        parsed = parse_trajectory_table(path)
-        assert parsed["steps"] == 7
-        assert parsed["outcome"] == "reached"
-        assert parsed["ego_violations"] == 2
-        assert parsed["social_violation_steps"] == 1
-        assert parsed["arriving_time"] == pytest.approx(0.7)
+        summary = parse_trajectory_table(path)
+        assert summary.steps == 7
+        assert summary.outcome == "reached"
+        assert summary.ego_violation_steps == 2
+        assert summary.social_violation_steps == 1
+        assert summary.arriving_time == pytest.approx(0.7)
+        assert summary.reward_sum == pytest.approx(-0.07)
         # positions survive the 9-significant-digit format
-        assert parsed["x"][3] == pytest.approx(0.3, abs=1e-9)
+        with open(path) as f:
+            rows = list(csv.DictReader(f))
+        assert float(rows[3]["x"]) == pytest.approx(0.3, abs=1e-9)
+
+    def test_table_summary_matches_log_summary(self, tmp_path):
+        logs = [
+            synthetic_log(steps=10, k=1, seed=1),
+            synthetic_log(outcome="timeout", steps=20, m=3, seed=2),
+            synthetic_log(outcome="collided", steps=5, k=5, m=2, seed=3),
+        ]
+        # a step with three zone intersections still counts as one violation step
+        logs[2].records[0] = replace(logs[2].records[0], social_violations=3)
+        paths = export(logs, "trajectory-table", tmp_path)
+        assert logs[2].summary().social_violation_steps == 2
+        for log, path in zip(logs, paths):
+            direct, parsed = log.summary(), parse_trajectory_table(path)
+            assert (parsed.outcome, parsed.steps) == (direct.outcome, direct.steps)
+            assert parsed.ego_violation_steps == direct.ego_violation_steps
+            assert parsed.social_violation_steps == direct.social_violation_steps
+            assert (parsed.ego_score, parsed.social_score) == (direct.ego_score, direct.social_score)
+            assert parsed.reward_sum == pytest.approx(direct.reward_sum)
+            assert parsed.arriving_time == pytest.approx(direct.arriving_time)
 
     def test_metrics_recomputed_from_tables_match(self, tmp_path):
         logs = [

@@ -11,16 +11,18 @@ from socnavsim.geometry import (
     cast_fan,
     closest_distance,
     point_rect_signed_distance,
-    ray_cast,
     rects_intersect,
     wrap_angle,
 )
 
-from conftest import marching_ray, random_rect, random_shape, rect_overlap_oracle
-
-
-def unit(angle):
-    return Vec2(math.cos(angle), math.sin(angle))
+from conftest import (
+    cast_one,
+    marching_ray,
+    random_rect,
+    random_shape,
+    rect_contains,
+    rect_overlap_oracle,
+)
 
 
 class TestConstruction:
@@ -57,32 +59,30 @@ class TestConstruction:
 
 class TestRayCast:
     def test_axis_aligned_circle(self):
-        d = ray_cast(Vec2(0, 0), Vec2(1, 0), [Circle(Vec2(5, 0), 1.0)], 10.0)
+        d = cast_one(Vec2(0, 0), 0.0, [Circle(Vec2(5, 0), 1.0)], 10.0)
         assert d == pytest.approx(4.0, abs=1e-12)
 
     def test_miss_returns_max_range(self):
-        assert ray_cast(Vec2(0, 0), Vec2(1, 0), [], 10.0) == 10.0
+        assert cast_one(Vec2(0, 0), 0.0, [], 10.0) == 10.0
 
     def test_oblique_circle_matches_marching_oracle(self):
         shapes = [Circle(Vec2(4, 1), 0.5)]
         angle = 0.3
-        d = ray_cast(Vec2(0, 0), unit(angle), shapes, 10.0)
+        d = cast_one(Vec2(0, 0), angle, shapes, 10.0)
         oracle = marching_ray(Vec2(0, 0), angle, shapes, 10.0)
         assert d == pytest.approx(oracle, abs=1e-3)
 
     def test_segment_hit(self):
         seg = Segment(Vec2(3, -1), Vec2(3, 1))
-        assert ray_cast(Vec2(0, 0), Vec2(1, 0), [seg], 10.0) == pytest.approx(3.0)
+        assert cast_one(Vec2(0, 0), 0.0, [seg], 10.0) == pytest.approx(3.0)
 
     def test_rect_equals_min_over_edges(self, rng):
         for _ in range(50):
             rect = random_rect(rng)
             angle = float(rng.uniform(-math.pi, math.pi))
             origin = Vec2(float(rng.uniform(-5, 5)), float(rng.uniform(-5, 5)))
-            d = ray_cast(origin, unit(angle), [rect], 10.0)
-            d_edges = min(
-                [ray_cast(origin, unit(angle), [e], 10.0) for e in rect.edges()]
-            )
+            d = cast_one(origin, angle, [rect], 10.0)
+            d_edges = min([cast_one(origin, angle, [e], 10.0) for e in rect.edges()])
             assert d == pytest.approx(d_edges, abs=1e-12)
 
     def test_monotone_in_shapes(self, rng):
@@ -90,8 +90,8 @@ class TestRayCast:
             shapes = [random_shape(rng) for _ in range(3)]
             origin = Vec2(float(rng.uniform(-5, 5)), float(rng.uniform(-5, 5)))
             angle = float(rng.uniform(-math.pi, math.pi))
-            d_all = ray_cast(origin, unit(angle), shapes, 10.0)
-            d_some = ray_cast(origin, unit(angle), shapes[:2], 10.0)
+            d_all = cast_one(origin, angle, shapes, 10.0)
+            d_some = cast_one(origin, angle, shapes[:2], 10.0)
             assert d_all <= d_some + 1e-12
 
     def test_against_marching_oracle_random_scenes(self, rng):
@@ -104,22 +104,30 @@ class TestRayCast:
             ):
                 continue  # keep the origin outside every shape
             angle = float(rng.uniform(-math.pi, math.pi))
-            d = ray_cast(origin, unit(angle), shapes, 10.0)
+            d = cast_one(origin, angle, shapes, 10.0)
             oracle = marching_ray(origin, angle, shapes, 10.0)
             assert abs(d - oracle) <= 1e-3
             hits += d < 10.0
         assert hits > 20  # the sampling actually exercised hits
 
-    def test_cast_fan_matches_scalar(self, rng):
-        shapes = [random_shape(rng) for _ in range(4)]
-        origin = Vec2(0.3, -0.2)
+    def test_cast_fan_matches_marching_oracle_per_beam(self, rng):
         angles = np.linspace(-math.pi, math.pi, 91)
-        fan = cast_fan(origin, angles, shapes, 10.0)
-        for a, d in zip(angles, fan):
-            assert d == pytest.approx(ray_cast(origin, unit(float(a)), shapes, 10.0), abs=1e-9)
+        scenes = 0
+        while scenes < 4:
+            shapes = [random_shape(rng) for _ in range(4)]
+            origin = Vec2(float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)))
+            if closest_distance(Circle(origin, 0.05), shapes) <= 0.0:
+                continue  # keep the origin outside every shape
+            scenes += 1
+            fan = cast_fan(origin, angles, shapes, 10.0)
+            assert np.sum(fan < 10.0) > 10  # the fan actually hit something
+            for a, d in zip(angles, fan):
+                # each beam of the fan is the same cast made on its own
+                assert d == pytest.approx(cast_one(origin, float(a), shapes, 10.0), abs=1e-9)
+                assert abs(d - marching_ray(origin, float(a), shapes, 10.0)) <= 1e-3
 
     def test_origin_inside_circle_returns_exit(self):
-        d = ray_cast(Vec2(0, 0), Vec2(1, 0), [Circle(Vec2(0, 0), 2.0)], 10.0)
+        d = cast_one(Vec2(0, 0), 0.0, [Circle(Vec2(0, 0), 2.0)], 10.0)
         assert d == pytest.approx(2.0)
 
 
@@ -200,7 +208,7 @@ class TestClosestDistance:
                 xs = e.a.x + (e.b.x - e.a.x) * ts
                 ys = e.a.y + (e.b.y - e.a.y) * ts
                 best = min(best, float(np.min(np.hypot(xs - robot.center.x, ys - robot.center.y))))
-            inside = rect.contains(robot.center)
+            inside = rect_contains(rect, robot.center)
             expected = (-best if inside else best) - robot.radius
             assert d == pytest.approx(expected, abs=2e-3)
 

@@ -10,11 +10,10 @@ from socnavsim.lidar import (
     Scan,
     build_motion_feature,
     calibrate,
-    calibration_shift,
     simulate_scan,
 )
 
-from conftest import marching_ray, random_shape
+from conftest import calibration_shift, marching_ray, random_shape
 
 CFG = LidarConfig(beam_count=181)
 

@@ -2,7 +2,9 @@
 
 import numpy as np
 
-from socnavsim.nn import Adam, Conv2d, Dense, MaxPoolW, ReLU, Tanh, numeric_gradient
+from socnavsim.nn import Adam, Conv2d, Dense, MaxPoolW, ReLU, Tanh
+
+from conftest import numeric_gradient
 
 
 def rel_err(a, b):

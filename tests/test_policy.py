@@ -1,12 +1,15 @@
+import copy
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import reference_update
+from conftest import numeric_gradient, reference_update
 from socnavsim import ddpg as ddpg_module
 from socnavsim.crowd import CrowdConfig
 from socnavsim.ddpg import DDPG, DDPGConfig, ReplayBuffer, TrainConfig, train
+from socnavsim.evaluation import episode_seeds, run_episode
 from socnavsim.lidar import MotionFeature
 from socnavsim.networks import (
     Actor,
@@ -17,7 +20,7 @@ from socnavsim.networks import (
     featurize,
     soft_update,
 )
-from socnavsim.nn import numeric_gradient
+from socnavsim.policies import LearnedPolicy
 from socnavsim.world import EnvConfig
 
 TINY = NetworkSpec(feature_shape=(4, 16), conv=((3, 2, 5, 1, 2), (4, 2, 3, 1, 1)),
@@ -359,6 +362,45 @@ class TestTrainLoop:
         _, c1 = train("ego", self._env_cfg(), self._train_cfg(120), seed=5)
         _, c2 = train("ego", self._env_cfg(), self._train_cfg(120), seed=5)
         assert c1 == c2
+
+    def test_eval_probe_counts_reached_episodes(self, monkeypatch):
+        """Each eval record is reached / eval_episodes over run_episode logs
+        of the actor as it stood at that probe, on the same seeds each time."""
+        calls = []
+        real_run_episode = ddpg_module.run_episode
+
+        def spy(policy, cfg, suite, *seeds):
+            calls.append((copy.deepcopy(policy.actor), seeds))
+            return real_run_episode(policy, cfg, suite, *seeds)
+
+        monkeypatch.setattr(ddpg_module, "run_episode", spy)
+        # a probe start 0.6 m from the goal, where a barely trained actor
+        # reaches it in some episodes and not in others
+        env_cfg = EnvConfig(beam_count=64, max_steps=30, obstacle_count_range=(0, 1),
+                            crowd=CrowdConfig(count=0))
+        probe_cfg = replace(env_cfg, start=(2.9, 0.0))
+        n = 6
+        tc = TrainConfig(total_env_steps=150, warmup_steps=20, update_every=2, eval_every=30,
+                         eval_episodes=n, eval_env_config=probe_cfg, checkpoint_every=10**9,
+                         ddpg=DDPGConfig(batch_size=8, buffer_capacity=200))
+        _, curve = train("ego", env_cfg, tc, seed=3)
+
+        evals = [r for r in curve if r["kind"] == "eval"]
+        assert [r["env_steps"] for r in evals] == [30, 60, 90, 120, 150]
+        assert len(calls) == n * len(evals)
+        seeds = [s for _, s in calls[:n]]
+        assert seeds == episode_seeds(seeds[0][0], n)
+        for k, record in enumerate(evals):
+            batch = calls[k * n:(k + 1) * n]
+            assert [s for _, s in batch] == seeds
+            actor = batch[0][0]
+            replay = LearnedPolicy.from_actor(actor, "replay")
+            reached = sum(
+                run_episode(replay, probe_cfg, "replay", *s).outcome == "reached" for s in seeds
+            )
+            assert record["success_rate"] == reached / n
+        # a rate strictly between 0 and 1 tells reached / n from 100 * reached / n / 100
+        assert any(0.0 < r["success_rate"] < 1.0 for r in evals)
 
     def test_warm_start_applied(self, tmp_path):
         learner, _ = train("ego", self._env_cfg(), self._train_cfg(60), seed=3,

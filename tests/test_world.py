@@ -6,7 +6,6 @@ import pytest
 from socnavsim.crowd import CrowdConfig
 from socnavsim.geometry import Circle, Vec2, closest_distance
 from socnavsim.world import (
-    Action,
     EnvConfig,
     NavEnv,
     RobotState,
@@ -50,8 +49,9 @@ class TestActionToTwist:
         assert v_l == 1.5 and v_w == 0.0
 
     def test_action_type_clamps(self):
-        a = Action(2.0, -7.0)
-        assert a.a_x == 1.5 and a.a_y == -1.5
+        # both components clamp to the 1.5 limit before the twist is formed
+        v_l, v_w = action_to_twist(2.0, -7.0)
+        assert v_l == 1.5 and v_w == pytest.approx(-math.pi / 4, abs=1e-15)
 
 
 class TestIntegrate:
