@@ -5,6 +5,10 @@ velocity among those satisfying per-neighbor reciprocal half-plane
 constraints (2D linear program, with a fallback that minimizes the worst
 violation when the constraints are infeasible).  Pedestrians avoid each
 other and static obstacles but never see the robot.
+
+Each step builds every pedestrian's half-planes in one numpy pass over
+the snapshot (orca_lines); only the small per-pedestrian LP runs as
+scalar code (orca_velocity).
 """
 
 from __future__ import annotations
@@ -74,21 +78,22 @@ class CrowdConfig:
                 raise ValueError("ranges must be positive and nonempty")
 
 
-@dataclass(frozen=True)
-class _Line:
-    point: Vec2
-    direction: Vec2
+def _normalized(x: float, y: float) -> tuple[float, float]:
+    n = math.hypot(x, y)
+    if n == 0.0:
+        raise ValueError("cannot normalize zero vector")
+    return x / n, y / n
 
 
-def _det(a: Vec2, b: Vec2) -> float:
-    return a.x * b.y - a.y * b.x
+# The LP works on constraint lines (point_x, point_y, dir_x, dir_y) as
+# plain floats; det(a, b) = a.x * b.y - a.y * b.x is written out inline.
 
 
-def _linear_program1(lines, line_no, radius, opt_velocity, direction_opt):
+def _linear_program1(lines, line_no, radius, opt_x, opt_y, direction_opt):
     """Clip the optimum onto constraint line line_no; None when infeasible."""
-    line = lines[line_no]
-    dot = line.point.dot(line.direction)
-    discriminant = dot * dot + radius * radius - line.point.dot(line.point)
+    px, py, dx, dy = lines[line_no]
+    dot = px * dx + py * dy
+    discriminant = dot * dot + radius * radius - (px * px + py * py)
     if discriminant < 0.0:
         return None  # speed circle misses the line entirely
     sqrt_disc = math.sqrt(discriminant)
@@ -96,8 +101,9 @@ def _linear_program1(lines, line_no, radius, opt_velocity, direction_opt):
     t_right = -dot + sqrt_disc
 
     for i in range(line_no):
-        denominator = _det(line.direction, lines[i].direction)
-        numerator = _det(lines[i].direction, line.point - lines[i].point)
+        qx, qy, ex, ey = lines[i]
+        denominator = dx * ey - dy * ex
+        numerator = ex * (py - qy) - ey * (px - qx)
         if abs(denominator) <= ORCA_EPSILON:
             if numerator < 0.0:
                 return None
@@ -111,28 +117,29 @@ def _linear_program1(lines, line_no, radius, opt_velocity, direction_opt):
             return None
 
     if direction_opt:
-        if opt_velocity.dot(line.direction) > 0.0:
+        if opt_x * dx + opt_y * dy > 0.0:
             t = t_right
         else:
             t = t_left
     else:
-        t = line.direction.dot(opt_velocity - line.point)
+        t = dx * (opt_x - px) + dy * (opt_y - py)
         t = min(t_right, max(t_left, t))
-    return line.point + line.direction * t
+    return px + dx * t, py + dy * t
 
 
-def _linear_program2(lines, radius, opt_velocity, direction_opt):
+def _linear_program2(lines, radius, opt_x, opt_y, direction_opt):
     """Sequential 2D LP; returns (result, index of first failing line or len)."""
     if direction_opt:
-        result = opt_velocity * radius
-    elif opt_velocity.dot(opt_velocity) > radius * radius:
-        result = opt_velocity.normalized() * radius
+        result = (opt_x * radius, opt_y * radius)
+    elif opt_x * opt_x + opt_y * opt_y > radius * radius:
+        ux, uy = _normalized(opt_x, opt_y)
+        result = (ux * radius, uy * radius)
     else:
-        result = opt_velocity
+        result = (opt_x, opt_y)
 
-    for i, line in enumerate(lines):
-        if _det(line.direction, line.point - result) > 0.0:
-            new_result = _linear_program1(lines, i, radius, opt_velocity, direction_opt)
+    for i, (px, py, dx, dy) in enumerate(lines):
+        if dx * (py - result[1]) - dy * (px - result[0]) > 0.0:
+            new_result = _linear_program1(lines, i, radius, opt_x, opt_y, direction_opt)
             if new_result is None:
                 return result, i
             result = new_result
@@ -148,78 +155,26 @@ def _linear_program3(lines, num_fixed, begin_line, radius, result):
     """
     distance = 0.0
     for i in range(begin_line, len(lines)):
-        if _det(lines[i].direction, lines[i].point - result) > distance:
+        px, py, dx, dy = lines[i]
+        if dx * (py - result[1]) - dy * (px - result[0]) > distance:
             proj_lines = list(lines[:num_fixed])
             for j in range(num_fixed, i):
-                determinant = _det(lines[i].direction, lines[j].direction)
+                qx, qy, ex, ey = lines[j]
+                determinant = dx * ey - dy * ex
                 if abs(determinant) <= ORCA_EPSILON:
-                    if lines[i].direction.dot(lines[j].direction) > 0.0:
+                    if dx * ex + dy * ey > 0.0:
                         continue  # parallel, same direction
-                    point = (lines[i].point + lines[j].point) * 0.5
+                    point = ((px + qx) * 0.5, (py + qy) * 0.5)
                 else:
-                    t = _det(lines[j].direction, lines[i].point - lines[j].point) / determinant
-                    point = lines[i].point + lines[i].direction * t
-                direction = (lines[j].direction - lines[i].direction).normalized()
-                proj_lines.append(_Line(point, direction))
+                    t = (ex * (py - qy) - ey * (px - qx)) / determinant
+                    point = (px + dx * t, py + dy * t)
+                proj_lines.append(point + _normalized(ex - dx, ey - dy))
 
-            opt_direction = Vec2(-lines[i].direction.y, lines[i].direction.x)
-            new_result, fail = _linear_program2(proj_lines, radius, opt_direction, True)
+            new_result, fail = _linear_program2(proj_lines, radius, -dy, dx, True)
             if fail >= len(proj_lines):
                 result = new_result
-            distance = _det(lines[i].direction, lines[i].point - result)
+            distance = dx * (py - result[1]) - dy * (px - result[0])
     return result
-
-
-def _avoidance_line(
-    rel_position: Vec2,
-    rel_velocity: Vec2,
-    combined_radius: float,
-    inv_horizon: float,
-    inv_dt: float,
-    responsibility: float,
-    velocity: Vec2,
-) -> _Line:
-    """Half-plane of velocities that stay clear of one neighbor."""
-    dist_sq = rel_position.dot(rel_position)
-    combined_sq = combined_radius * combined_radius
-
-    if dist_sq > combined_sq:
-        w = rel_velocity - rel_position * inv_horizon
-        w_len_sq = w.dot(w)
-        dot1 = w.dot(rel_position)
-        if dot1 < 0.0 and dot1 * dot1 > combined_sq * w_len_sq:
-            # project onto the cut-off circle
-            w_len = math.sqrt(w_len_sq)
-            unit_w = Vec2(w.x / w_len, w.y / w_len)
-            direction = Vec2(unit_w.y, -unit_w.x)
-            u = unit_w * (combined_radius * inv_horizon - w_len)
-        else:
-            # project onto a cone leg
-            leg = math.sqrt(dist_sq - combined_sq)
-            if _det(rel_position, w) > 0.0:
-                direction = Vec2(
-                    rel_position.x * leg - rel_position.y * combined_radius,
-                    rel_position.x * combined_radius + rel_position.y * leg,
-                ) * (1.0 / dist_sq)
-            else:
-                direction = Vec2(
-                    rel_position.x * leg + rel_position.y * combined_radius,
-                    -rel_position.x * combined_radius + rel_position.y * leg,
-                ) * (-1.0 / dist_sq)
-            dot2 = rel_velocity.dot(direction)
-            u = direction * dot2 - rel_velocity
-    else:
-        # already colliding: resolve within one time step
-        w = rel_velocity - rel_position * inv_dt
-        w_len = w.norm()
-        if w_len > 0.0:
-            unit_w = Vec2(w.x / w_len, w.y / w_len)
-        else:
-            unit_w = Vec2(1.0, 0.0)
-        direction = Vec2(unit_w.y, -unit_w.x)
-        u = unit_w * (combined_radius * inv_dt - w_len)
-
-    return _Line(velocity + u * responsibility, direction)
 
 
 def _obstacle_discs(obstacles: list[Shape]) -> list[Circle]:
@@ -249,61 +204,110 @@ def preferred_velocity(ped: Pedestrian) -> Vec2:
     return to_goal * (ped.pref_speed / dist)
 
 
-def orca_velocity(
-    ped: Pedestrian,
-    neighbors: list[Pedestrian],
-    obstacles: list[Shape],
-    dt: float,
-    time_horizon: float = AGENT_TIME_HORIZON,
-    obstacle_time_horizon: float = OBSTACLE_TIME_HORIZON,
-) -> Vec2:
-    """New velocity closest to the preferred one under all constraints.
+def orca_lines(
+    peds: list[Pedestrian], obstacles: list[Shape], dt: float
+) -> tuple[np.ndarray, int]:
+    """Every pedestrian's ORCA half-planes, built from one snapshot.
 
-    The robot is never among the neighbors: pedestrians ignore it.
+    Returns (lines, num_fixed): lines[i] is an (m, 4) array of rows
+    (point_x, point_y, dir_x, dir_y) for pedestrian i, first one per
+    obstacle disc (num_fixed of them, full responsibility, obstacle time
+    horizon), then one per other pedestrian in list order (half
+    responsibility, agent time horizon).  The permitted velocities lie
+    left of each directed line.  Pedestrian ids must be unique.
+
+    The arithmetic is that of the scalar reference formulation, operation
+    by operation, so the lines are bitwise those of per-pair Vec2 code.
+    Rows are not checked for finiteness here; step_crowd rejects the
+    non-finite ones of the pedestrians it moves.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    lines: list[_Line] = []
+    if not peds:
+        return np.empty((0, 0, 4)), 0
     inv_dt = 1.0 / dt
+    discs = _obstacle_discs(obstacles)
+    k, n = len(discs), len(peds)
 
-    for disc in _obstacle_discs(obstacles):
-        rel_position = disc.center - ped.position
-        # full responsibility against non-reacting obstacles
-        lines.append(
-            _avoidance_line(
-                rel_position,
-                ped.velocity,
-                ped.radius + disc.radius,
-                1.0 / obstacle_time_horizon,
-                inv_dt,
-                1.0,
-                ped.velocity,
-            )
+    # (x, y, vx, vy, radius) of each pedestrian, then of everything it avoids
+    me = np.array([(p.position.x, p.position.y, p.velocity.x, p.velocity.y, p.radius) for p in peds])
+    them = np.concatenate(
+        [np.array([(d.center.x, d.center.y, 0.0, 0.0, d.radius) for d in discs]).reshape(k, 5), me]
+    )
+    keep = np.ones((n, k + n), dtype=bool)
+    keep[np.arange(n), k + np.arange(n)] = False  # a pedestrian does not avoid itself
+    m = k + n - 1
+
+    def pairs(a):
+        return a[keep].reshape(n, m)
+
+    x, y, vx, vy, r = me.T[:, :, None]
+    ox, oy, ovx, ovy, orad = them.T[:, None, :]
+    inv_horizon = np.repeat((1.0 / OBSTACLE_TIME_HORIZON, 1.0 / AGENT_TIME_HORIZON), (k, n - 1))
+    responsibility = np.repeat((1.0, 0.5), (k, n - 1))
+
+    # Every branch runs on every lane and the masks pick each lane's own
+    # branch, so the other lanes may divide by zero or take a negative
+    # sqrt.  Overflow is not flagged either: step_crowd rejects the
+    # non-finite rows it uses.
+    with np.errstate(all="ignore"):
+        rpx, rpy = pairs(ox - x), pairs(oy - y)  # relative position
+        rvx, rvy = pairs(vx - ovx), pairs(vy - ovy)  # relative velocity; obstacles are still
+        combined = pairs(r + orad)
+        dist_sq = rpx * rpx + rpy * rpy
+        combined_sq = combined * combined
+        wx = rvx - rpx * inv_horizon
+        wy = rvy - rpy * inv_horizon
+        w_len_sq = wx * wx + wy * wy
+        dot1 = wx * rpx + wy * rpy
+        # project onto the cut-off circle
+        cut = (dot1 < 0.0) & (dot1 * dot1 > combined_sq * w_len_sq)
+        w_len = np.sqrt(w_len_sq)
+        unit_x = wx / w_len
+        unit_y = wy / w_len
+        scale = combined * inv_horizon - w_len
+        # or onto a cone leg
+        leg = np.sqrt(dist_sq - combined_sq)
+        left = rpx * wy - rpy * wx > 0.0
+        leg_x = np.where(left, rpx * leg - rpy * combined, rpx * leg + rpy * combined)
+        leg_y = np.where(left, rpx * combined + rpy * leg, -rpx * combined + rpy * leg)
+        inv_dist_sq = np.where(left, 1.0 / dist_sq, -1.0 / dist_sq)
+        leg_x = leg_x * inv_dist_sq
+        leg_y = leg_y * inv_dist_sq
+        dot2 = rvx * leg_x + rvy * leg_y
+        dir_x = np.where(cut, unit_y, leg_x)
+        dir_y = np.where(cut, -unit_x, leg_y)
+        u_x = np.where(cut, unit_x * scale, leg_x * dot2 - rvx)
+        u_y = np.where(cut, unit_y * scale, leg_y * dot2 - rvy)
+
+        # already colliding (rare): resolve within one time step
+        for i, j in zip(*np.nonzero(dist_sq <= combined_sq)):
+            cx = float(rvx[i, j]) - float(rpx[i, j]) * inv_dt
+            cy = float(rvy[i, j]) - float(rpy[i, j]) * inv_dt
+            c_len = math.hypot(cx, cy)
+            ux, uy = (cx / c_len, cy / c_len) if c_len > 0.0 else (1.0, 0.0)
+            c_scale = float(combined[i, j]) * inv_dt - c_len
+            dir_x[i, j], dir_y[i, j] = uy, -ux
+            u_x[i, j], u_y[i, j] = ux * c_scale, uy * c_scale
+
+        lines = np.stack(
+            [vx + u_x * responsibility, vy + u_y * responsibility, dir_x, dir_y], axis=-1
         )
-    num_fixed = len(lines)
+    return lines, k
 
-    for other in neighbors:
-        if other.id == ped.id:
-            continue
-        rel_position = other.position - ped.position
-        rel_velocity = ped.velocity - other.velocity
-        lines.append(
-            _avoidance_line(
-                rel_position,
-                rel_velocity,
-                ped.radius + other.radius,
-                1.0 / time_horizon,
-                inv_dt,
-                0.5,
-                ped.velocity,
-            )
-        )
 
+def orca_velocity(ped: Pedestrian, lines: np.ndarray, num_fixed: int) -> Vec2:
+    """New velocity closest to the preferred one under ped's ORCA lines.
+
+    lines and num_fixed are ped's row of orca_lines.  The robot is never
+    among the neighbors: pedestrians ignore it.
+    """
+    rows = lines.tolist()
     pref = preferred_velocity(ped)
-    result, fail = _linear_program2(lines, ped.pref_speed, pref, False)
-    if fail < len(lines):
-        result = _linear_program3(lines, num_fixed, fail, ped.pref_speed, result)
-    return result
+    result, fail = _linear_program2(rows, ped.pref_speed, pref.x, pref.y, False)
+    if fail < len(rows):
+        result = _linear_program3(rows, num_fixed, fail, ped.pref_speed, result)
+    return Vec2(*result)
 
 
 def _sample_ped(
@@ -429,11 +433,13 @@ def step_crowd(
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    obstacles = obstacles or []
+    lines, num_fixed = orca_lines(peds, obstacles or [], dt)
+    # the per-operation checks of Vec2 code, done once per step
+    finite = np.isfinite(lines).all(axis=(1, 2))
     out: list[Pedestrian] = []
     next_id = max((p.id for p in peds), default=-1) + 1
 
-    for ped in peds:
+    for i, ped in enumerate(peds):
         stopped_steps = ped.stopped_steps
         if stopped_steps > 0:
             stopped_steps -= 1
@@ -445,7 +451,9 @@ def step_crowd(
             out.append(replace(ped, velocity=Vec2(0.0, 0.0), stopped_steps=stopped_steps))
             continue
 
-        velocity = orca_velocity(ped, peds, obstacles, dt)
+        if not finite[i]:
+            raise ValueError(f"non-finite ORCA constraint for pedestrian {ped.id}")
+        velocity = orca_velocity(ped, lines[i], num_fixed)
         position = ped.position + velocity * dt
         goal = ped.goal
         if (position - goal).norm() < GOAL_REACHED_DIST:

@@ -340,8 +340,11 @@ def parse_trajectory_table(path) -> EpisodeSummary:
         if header != TRAJECTORY_COLUMNS:
             raise ValueError(f"unexpected trajectory table columns in {path}")
         rows = [line.rstrip("\n").split(",") for line in f if line.strip()]
+    if not rows:
+        # every episode takes at least one step: a table without rows is truncated
+        raise ValueError(f"trajectory table {path} has no rows")
     cols = {name: i for i, name in enumerate(TRAJECTORY_COLUMNS)}
-    outcome = rows[-1][cols["outcome"]] if rows else "timeout"
+    outcome = rows[-1][cols["outcome"]]
     return EpisodeSummary(
         outcome=outcome,
         steps=len(rows),

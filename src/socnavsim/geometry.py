@@ -123,15 +123,6 @@ class OrientedRect:
         w = left * self.half_width
         return (rear - w, front - w, front + w, rear + w)
 
-    def edges(self) -> list[Segment]:
-        cs = self.corners()
-        out = []
-        for i in range(4):
-            a, b = cs[i], cs[(i + 1) % 4]
-            if a != b:
-                out.append(Segment(a, b))
-        return out
-
 
 Shape = Circle | Segment | OrientedRect
 
@@ -140,42 +131,67 @@ Shape = Circle | Segment | OrientedRect
 # Raycasting
 
 
+def _rect_edges(rect: OrientedRect) -> list[tuple[float, float, float, float]]:
+    """Edges (ax, ay, bx, by) between the corners() of rect, in float
+    arithmetic.  Zero-length edges are kept: no ray hits them."""
+    fx, fy = math.cos(rect.heading), math.sin(rect.heading)
+    rear_x, rear_y = rect.anchor.x, rect.anchor.y
+    front_x, front_y = rear_x + fx * rect.length, rear_y + fy * rect.length
+    wx, wy = -fy * rect.half_width, fx * rect.half_width
+    c = (
+        (rear_x - wx, rear_y - wy),
+        (front_x - wx, front_y - wy),
+        (front_x + wx, front_y + wy),
+        (rear_x + wx, rear_y + wy),
+    )
+    return [c[i] + c[(i + 1) % 4] for i in range(4)]
+
+
 def cast_fan(origin: Vec2, angles: np.ndarray, shapes: list[Shape], max_range: float) -> np.ndarray:
-    """Vectorized raycast over an array of world-frame beam angles."""
+    """Vectorized raycast over an array of world-frame beam angles.
+
+    Circles and segments (rectangle edges included) are each packed into
+    one array and intersected with every beam at once, shapes on axis 0.
+    """
     dx = np.cos(angles)
     dy = np.sin(angles)
-    best = np.full(angles.shape, max_range)
+    circles = []  # (center x, center y, radius**2)
+    segments = []  # (ax, ay, bx, by)
     for shape in shapes:
-        segs: list[Segment]
         if isinstance(shape, Circle):
-            fx = origin.x - shape.center.x
-            fy = origin.y - shape.center.y
-            b = fx * dx + fy * dy
-            disc = b * b - (fx * fx + fy * fy - shape.radius**2)
-            hit = disc >= 0.0
-            sq = np.sqrt(np.where(hit, disc, 0.0))
-            t = -b - sq
-            t_exit = -b + sq
-            t = np.where(t < 0.0, t_exit, t)
-            valid = hit & (t >= 0.0)
-            np.minimum(best, np.where(valid, t, np.inf), out=best)
-            continue
+            circles.append((shape.center.x, shape.center.y, shape.radius**2))
         elif isinstance(shape, Segment):
-            segs = [shape]
+            segments.append((shape.a.x, shape.a.y, shape.b.x, shape.b.y))
         elif isinstance(shape, OrientedRect):
-            segs = shape.edges()
+            segments.extend(_rect_edges(shape))
         else:
             raise TypeError(f"unsupported shape {type(shape).__name__}")
-        for seg in segs:
-            ex, ey = seg.b.x - seg.a.x, seg.b.y - seg.a.y
-            wx, wy = seg.a.x - origin.x, seg.a.y - origin.y
-            denom = dx * ey - dy * ex
-            ok = np.abs(denom) >= 1e-15
-            denom_safe = np.where(ok, denom, 1.0)
-            t = (wx * ey - wy * ex) / denom_safe
-            s = (wx * dy - wy * dx) / denom_safe
-            valid = ok & (t >= 0.0) & (s >= 0.0) & (s <= 1.0)
-            np.minimum(best, np.where(valid, t, np.inf), out=best)
+
+    best = np.full(angles.shape, max_range)
+    if circles:
+        cx, cy, r_sq = np.array(circles).T[:, :, None]
+        fx = origin.x - cx
+        fy = origin.y - cy
+        b = fx * dx + fy * dy
+        disc = b * b - (fx * fx + fy * fy - r_sq)
+        hit = disc >= 0.0
+        sq = np.sqrt(np.where(hit, disc, 0.0))
+        t = -b - sq
+        t_exit = -b + sq
+        t = np.where(t < 0.0, t_exit, t)  # origin inside: the exit point
+        valid = hit & (t >= 0.0)
+        np.minimum(best, np.where(valid, t, np.inf).min(axis=0), out=best)
+    if segments:
+        ax, ay, bx, by = np.array(segments).T[:, :, None]
+        ex, ey = bx - ax, by - ay
+        wx, wy = ax - origin.x, ay - origin.y
+        denom = dx * ey - dy * ex
+        ok = np.abs(denom) >= 1e-15
+        denom_safe = np.where(ok, denom, 1.0)
+        t = (wx * ey - wy * ex) / denom_safe
+        s = (wx * dy - wy * dx) / denom_safe
+        valid = ok & (t >= 0.0) & (s >= 0.0) & (s <= 1.0)
+        np.minimum(best, np.where(valid, t, np.inf).min(axis=0), out=best)
     return best
 
 

@@ -87,6 +87,23 @@ class EnvConfig:
             raise ValueError("scan_hz must be a multiple of control_hz and policy_hz")
         if self.start == self.goal:
             raise ValueError("start must differ from goal")
+        if self.max_steps <= 0:
+            raise ValueError(f"max_steps must be positive, got {self.max_steps}")
+        if self.beam_count < 2:
+            raise ValueError(f"beam_count must be at least 2, got {self.beam_count}")
+        for name in ("obstacle_count_range", "obstacle_size_range"):
+            lo, hi = getattr(self, name)
+            if lo > hi:
+                raise ValueError(f"{name} must have lo <= hi, got {(lo, hi)}")
+        if self.walls:
+            # a robot touching a wall at spawn has already collided
+            limit = self.arena_half - self.robot_radius
+            for name in ("start", "goal"):
+                x, y = getattr(self, name)
+                if not (abs(x) < limit and abs(y) < limit):
+                    raise ValueError(
+                        f"{name} {(x, y)} must lie inside the walls, |x| and |y| < {limit}"
+                    )
 
     def lidar(self) -> LidarConfig:
         return LidarConfig(beam_count=self.beam_count, noise_sigma=self.noise_sigma)

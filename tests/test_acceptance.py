@@ -12,7 +12,14 @@ import os
 import numpy as np
 import pytest
 
-from socnavsim.crowd import CrowdConfig, Pedestrian, orca_velocity, spawn_crowd, step_crowd
+from socnavsim.crowd import (
+    CrowdConfig,
+    Pedestrian,
+    orca_lines,
+    orca_velocity,
+    spawn_crowd,
+    step_crowd,
+)
 from socnavsim.geometry import Circle, Vec2, rects_intersect
 from socnavsim.lidar import (
     HISTORY_LEN,
@@ -210,8 +217,9 @@ class TestCriterion4OrcaSanity:
         from dataclasses import replace
 
         for _ in range(500):
-            va = orca_velocity(a, [b], [], dt)
-            vb = orca_velocity(b, [a], [], dt)
+            lines, num_fixed = orca_lines([a, b], [], dt)
+            va = orca_velocity(a, lines[0], num_fixed)
+            vb = orca_velocity(b, lines[1], num_fixed)
             assert va.x == pytest.approx(-vb.x, abs=1e-9)
             assert va.y == pytest.approx(-vb.y, abs=1e-9)
             a = replace(a, position=a.position + va * dt, velocity=va)

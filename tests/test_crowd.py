@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -6,13 +7,16 @@ import pytest
 from socnavsim.crowd import (
     CrowdConfig,
     Pedestrian,
+    orca_lines,
     orca_velocity,
     preferred_velocity,
     spawn_crowd,
     spawn_scenario,
     step_crowd,
 )
-from socnavsim.geometry import Circle, Vec2
+from socnavsim.geometry import Circle, OrientedRect, Segment, Vec2
+
+from conftest import reference_orca_lines, reference_orca_velocity
 
 
 def ped(pid, pos, vel, goal, speed=1.0, radius=0.3):
@@ -26,23 +30,103 @@ def ped(pid, pos, vel, goal, speed=1.0, radius=0.3):
     )
 
 
+def solve(p, neighbors, obstacles, dt):
+    """orca_velocity for p among the given neighbors, through orca_lines."""
+    lines, num_fixed = orca_lines([p, *neighbors], obstacles, dt)
+    return orca_velocity(p, lines[0], num_fixed)
+
+
+def random_point(rng, spread):
+    return Vec2(*(float(c) for c in rng.uniform(-spread, spread, 2)))
+
+
+def random_snapshot(rng):
+    """Crowded pedestrians and obstacles that reach every branch of the
+    half-plane construction and of the linear programs: twins (colliding
+    with zero relative motion, parallel lines), mirror-image neighbors
+    (antiparallel lines), circle, rect and degenerate-rect obstacles."""
+    spread = float(rng.choice([0.6, 1.0, 2.0]))
+    peds = []
+    for i in range(int(rng.integers(2, 12))):
+        if peds and rng.random() < 0.15:
+            twin = peds[int(rng.integers(len(peds)))]
+            pos, vel = twin.position, twin.velocity
+        else:
+            pos, vel = random_point(rng, spread), random_point(rng, 1.5)
+        peds.append(Pedestrian(i, pos, vel, float(rng.uniform(0.5, 1.5)),
+                               float(rng.uniform(0.15, 0.4)), random_point(rng, 3.0)))
+    if rng.random() < 0.2:
+        p0, d = peds[0], random_point(rng, 0.3)
+        for sign in (1.0, -1.0):
+            peds.append(Pedestrian(len(peds), p0.position + d * sign, p0.velocity, 1.0,
+                                   p0.radius, p0.goal))
+    obstacles = []
+    for _ in range(int(rng.integers(0, 4))):
+        center, u = random_point(rng, spread), rng.random()
+        if u < 0.4:
+            obstacles.append(Circle(center, float(rng.uniform(0.1, 0.6))))
+            continue
+        half_width = 0.0 if u < 0.55 else float(rng.uniform(0.05, 0.5))
+        length = 0.0 if 0.55 <= u < 0.7 else float(rng.uniform(0.1, 1.0))
+        heading = float(rng.uniform(-math.pi, math.pi))
+        obstacles.append(OrientedRect(center, heading, half_width, length))
+    if rng.random() < 0.3:
+        obstacles.append(Segment(Vec2(-3.0, -3.0), Vec2(3.0, -3.0)))
+    return peds, obstacles
+
+
+class TestOrcaMatchesReference:
+    """orca_lines + orca_velocity against the per-pair Vec2 oracle,
+    bit for bit."""
+
+    def test_random_snapshots_bitwise(self):
+        rng = np.random.default_rng(17)
+        hits = collections.Counter()
+        kinds = collections.Counter()
+        for _ in range(150):
+            peds, obstacles = random_snapshot(rng)
+            dt = float(rng.choice([0.05, 0.025, 0.1, 1.0 / 3.0]))
+            kinds.update(type(s).__name__ for s in obstacles)
+            lines, num_fixed = orca_lines(peds, obstacles, dt)
+            for i, p in enumerate(peds):
+                ref = reference_orca_lines(p, peds, obstacles, dt)
+                expected = [[r.point.x, r.point.y, r.direction.x, r.direction.y] for r in ref]
+                assert num_fixed + len(peds) - 1 == len(ref)
+                assert np.array_equal(lines[i], np.array(expected).reshape(-1, 4))
+                v = orca_velocity(p, lines[i], num_fixed)
+                assert v == reference_orca_velocity(p, peds, obstacles, dt, hits)
+        branches = ("cutoff_circle", "left_leg", "right_leg", "colliding", "colliding_w_zero",
+                    "obstacle", "lp1_parallel", "lp3", "lp3_parallel_same",
+                    "lp3_parallel_opposite")
+        assert all(hits[b] > 0 for b in branches), hits
+        assert kinds["Circle"] and kinds["OrientedRect"] and kinds["Segment"]
+
+    def test_non_finite_snapshot_raises(self):
+        cfg = CrowdConfig(count=2)
+        peds = [ped(0, (1e160, 1e160), (1, 0), (0, 0)), ped(1, (-1e160, -1e160), (0, 1), (0, 0))]
+        with pytest.raises(ValueError):
+            reference_orca_velocity(peds[0], peds, [], 0.05)
+        with pytest.raises(ValueError):
+            step_crowd(peds, cfg, 0.05, np.random.default_rng(0))
+
+
 class TestOrcaVelocity:
     def test_no_neighbors_returns_preferred(self):
         p = ped(0, (0, 0), (0, 0), (5, 0), speed=1.2)
-        v = orca_velocity(p, [], [], dt=0.05)
+        v = solve(p, [], [], dt=0.05)
         assert v.x == pytest.approx(1.2, abs=1e-9)
         assert v.y == pytest.approx(0.0, abs=1e-9)
 
     def test_on_goal_returns_zero(self):
         p = ped(0, (2, 3), (0, 0), (2, 3))
-        v = orca_velocity(p, [], [], dt=0.05)
+        v = solve(p, [], [], dt=0.05)
         assert v.norm() == 0.0
 
     def test_head_on_mirror_symmetry(self):
         a = ped(0, (-2, 0), (1, 0), (2, 0))
         b = ped(1, (2, 0), (-1, 0), (-2, 0))
-        va = orca_velocity(a, [b], [], dt=0.05)
-        vb = orca_velocity(b, [a], [], dt=0.05)
+        va = solve(a, [b], [], dt=0.05)
+        vb = solve(b, [a], [], dt=0.05)
         # the scene maps to itself under rotation by pi: outputs negate
         assert va.x == pytest.approx(-vb.x, abs=1e-9)
         assert va.y == pytest.approx(-vb.y, abs=1e-9)
@@ -54,8 +138,8 @@ class TestOrcaVelocity:
         tau = 2.0
         a = ped(0, (-2, 0), (1, 0), (2, 0))
         b = ped(1, (2, 0), (-1, 0), (-2, 0))
-        va = orca_velocity(a, [b], [], dt=0.05)
-        vb = orca_velocity(b, [a], [], dt=0.05)
+        va = solve(a, [b], [], dt=0.05)
+        vb = solve(b, [a], [], dt=0.05)
         rel = va - vb  # relative velocity after both choose ORCA outputs
         # truncated VO cone membership test at horizon tau by brute force:
         # relative position must not be reachable within tau under rel vel
@@ -72,20 +156,20 @@ class TestOrcaVelocity:
             for i, k in enumerate(np.linspace(0, 2 * math.pi, 7)[:-1])
         ]
         target = ped(99, (0.05, 0.05), (1, 0), (5, 5), speed=0.9)
-        v = orca_velocity(target, crowd, [], dt=0.05)
+        v = solve(target, crowd, [], dt=0.05)
         assert v.norm() <= 0.9 + 1e-9
 
     def test_static_obstacle_constraint(self):
         p = ped(0, (0, 0), (1, 0), (5, 0))
         wall = Circle(Vec2(1.2, 0.0), 0.5)
-        v = orca_velocity(p, [], [wall], dt=0.05)
+        v = solve(p, [], [wall], dt=0.05)
         # heading straight at the disc is no longer allowed at full speed
         assert v.x < 1.0 - 1e-6 or abs(v.y) > 1e-6
 
     def test_rejects_bad_dt(self):
         p = ped(0, (0, 0), (0, 0), (1, 0))
         with pytest.raises(ValueError):
-            orca_velocity(p, [], [], dt=0.0)
+            orca_lines([p], [], dt=0.0)
 
 
 class TestStepCrowd:
@@ -216,7 +300,7 @@ def test_robot_ignorance_is_structural():
     depend on it."""
     import inspect
 
-    for fn in (step_crowd, orca_velocity, spawn_crowd):
+    for fn in (step_crowd, orca_lines, orca_velocity, spawn_crowd):
         assert "robot" not in inspect.signature(fn).parameters
 
 

@@ -210,6 +210,16 @@ class TestExport:
         assert recomputed.social_score == pytest.approx(direct.social_score)
         assert recomputed.arriving_time_mean == pytest.approx(direct.arriving_time_mean)
 
+    def test_truncated_table_rejected(self, tmp_path):
+        logs = [synthetic_log(steps=10, k=1, seed=1), synthetic_log(steps=4, seed=2)]
+        paths = export(logs, "trajectory-table", tmp_path)
+        with open(paths[1]) as f:
+            header = f.readline()
+        with open(paths[1], "w") as f:
+            f.write(header)  # header only: the rows were lost
+        with pytest.raises(ValueError, match="no rows"):
+            metrics_from_tables(paths)
+
     def test_metrics_table_has_exactly_four_metrics(self, tmp_path):
         (path,) = export([synthetic_log()], "metrics-table", tmp_path)
         doc = json.loads(open(path).read())

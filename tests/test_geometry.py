@@ -21,7 +21,9 @@ from conftest import (
     random_rect,
     random_shape,
     rect_contains,
+    rect_edges,
     rect_overlap_oracle,
+    reference_cast_fan,
 )
 
 
@@ -82,7 +84,7 @@ class TestRayCast:
             angle = float(rng.uniform(-math.pi, math.pi))
             origin = Vec2(float(rng.uniform(-5, 5)), float(rng.uniform(-5, 5)))
             d = cast_one(origin, angle, [rect], 10.0)
-            d_edges = min([cast_one(origin, angle, [e], 10.0) for e in rect.edges()])
+            d_edges = min([cast_one(origin, angle, [e], 10.0) for e in rect_edges(rect)])
             assert d == pytest.approx(d_edges, abs=1e-12)
 
     def test_monotone_in_shapes(self, rng):
@@ -129,6 +131,39 @@ class TestRayCast:
     def test_origin_inside_circle_returns_exit(self):
         d = cast_one(Vec2(0, 0), 0.0, [Circle(Vec2(0, 0), 2.0)], 10.0)
         assert d == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("depth", [1e-4, 5e-3])
+    def test_origin_just_inside_circle_returns_exit(self, depth):
+        # the entry point lies `depth` behind the origin; the beam reads the exit
+        origin = Vec2(2.0 - depth, 0.0)
+        circle = Circle(Vec2(0, 0), 2.0)
+        assert cast_one(origin, math.pi, [circle], 10.0) == pytest.approx(4.0 - depth, abs=1e-9)
+        angles = np.array([math.pi - 0.5, math.pi + 0.5])
+        for a, d in zip(angles, cast_fan(origin, angles, [circle], 10.0)):
+            exit_x, exit_y = origin.x + d * math.cos(a), origin.y + d * math.sin(a)
+            assert math.hypot(exit_x, exit_y) == pytest.approx(2.0, abs=1e-9)
+            assert d > 1.0
+
+    def test_cast_fan_matches_reference_bitwise(self, rng):
+        """One broadcast per shape kind equals the per-shape loop exactly,
+        degenerate rectangles and walls included."""
+        for beams in (180, 1080):
+            angles = np.linspace(-math.pi, math.pi, beams) + float(rng.uniform(-1, 1))
+            for _ in range(40):
+                shapes = [random_shape(rng) for _ in range(int(rng.integers(0, 8)))]
+                for _ in range(int(rng.integers(0, 3))):
+                    shapes.append(OrientedRect(
+                        Vec2(float(rng.uniform(-4, 4)), float(rng.uniform(-4, 4))),
+                        float(rng.uniform(-math.pi, math.pi)),
+                        half_width=float(rng.choice([0.0, 0.4])),
+                        length=float(rng.choice([0.0, 1.5])),
+                    ))
+                if rng.random() < 0.5:
+                    shapes.append(Segment(Vec2(-5, -5), Vec2(5, -5)))
+                shapes = [shapes[i] for i in rng.permutation(len(shapes))]
+                origin = Vec2(float(rng.uniform(-5, 5)), float(rng.uniform(-5, 5)))
+                fan = cast_fan(origin, angles, shapes, 10.0)
+                assert np.array_equal(fan, reference_cast_fan(origin, angles, shapes, 10.0))
 
 
 class TestRectsIntersect:
@@ -204,7 +239,7 @@ class TestClosestDistance:
             # dense boundary sampling of the rect perimeter
             ts = np.linspace(0.0, 1.0, 4001)
             best = math.inf
-            for e in rect.edges():
+            for e in rect_edges(rect):
                 xs = e.a.x + (e.b.x - e.a.x) * ts
                 ys = e.a.y + (e.b.y - e.a.y) * ts
                 best = min(best, float(np.min(np.hypot(xs - robot.center.x, ys - robot.center.y))))

@@ -1,4 +1,5 @@
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -247,6 +248,31 @@ class TestConfigIO:
         path.write_text("beam_count: 64\nbogus_field: 3\n")
         with pytest.raises(ValueError):
             load_config(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "max_steps: 0\n",
+            "obstacle_count_range: [5, 2]\n",
+            "obstacle_size_range: [1.0, 0.5]\n",
+            "start: [4.8, 0.0]\n",  # the robot (radius 0.3) would overlap the wall at 5.0
+            "goal: [0.0, -4.7]\n",
+            "beam_count: 1\n",
+        ],
+    )
+    def test_invalid_values_rejected_on_load(self, tmp_path, text):
+        path = tmp_path / "bad.yaml"
+        path.write_text(text)
+        with pytest.raises(ValueError):
+            load_config(path)
+
+    def test_shipped_and_wall_free_configs_load(self, tmp_path):
+        root = pathlib.Path(__file__).parent.parent / "configs"
+        for path in sorted(root.glob("*.yaml")):
+            load_config(path)
+        path = tmp_path / "open.yaml"
+        path.write_text("start: [4.8, 0.0]\nwalls: false\n")  # no wall to overlap
+        assert load_config(path).start == (4.8, 0.0)
 
     def test_invalid_rates_rejected(self):
         with pytest.raises(ValueError):
