@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Protocol
 
 import numpy as np
@@ -43,17 +44,43 @@ def _inflate_returns(
 ) -> np.ndarray:
     """Erode the scan: each return blocks beams passing within the hull
     radius of it, so a beam's value is the distance the body (not just
-    the ray) can travel."""
-    safe = ranges.copy()
+    the ray) can travel.
+
+    Return j covers the window of beams j - half .. j + half, clipped to
+    the scan, with half = int(atan2(radius, r_j) / delta_theta); every
+    beam keeps the minimum of its own range and the returns covering it.
+    A window of length L is the union of the two blocks of length
+    2**floor(log2 L) at its ends, so each return is scattered into a
+    table of power-of-two blocks twice, and each level of the table is
+    pushed down into the two halves below it.  A minimum does not
+    depend on the order it is taken in, so the result is exact.  `half`
+    comes from the scalar libm atan2, which rounds the same on every
+    host (numpy's vectorized arctan2 differs from it by an ulp on some
+    inputs, and truncation can turn that into a different window).
+    """
     n = ranges.size
-    for j in np.flatnonzero(ranges < range_max - 1e-9):
-        half = int(math.atan2(radius, ranges[j]) / delta_theta)
-        if half <= 0:
-            continue
-        lo = max(0, j - half)
-        hi = min(n, j + half + 1)
-        np.minimum(safe[lo:hi], ranges[j], out=safe[lo:hi])
-    return safe
+    hits = np.flatnonzero(ranges < range_max - 1e-9)
+    values = ranges[hits]
+    angles = np.fromiter(
+        map(math.atan2, repeat(radius, hits.size), values.tolist()), float, hits.size
+    )
+    half = np.maximum(angles / delta_theta, 0.0).astype(np.intp)  # int() of each, floored at 0
+    lo = np.maximum(hits - half, 0)
+    hi = np.minimum(hits + half + 1, n)
+    level = np.frexp(hi - lo)[1] - 1  # floor(log2(window length))
+    top = int(level.max(initial=0))
+    # blocks[k, s] is the minimum scattered onto beams s .. s + 2**k - 1
+    blocks = np.full((top + 1, n), np.inf)
+    flat = blocks.reshape(-1)
+    np.minimum.at(flat, level * n + lo, values)
+    np.minimum.at(flat, level * n + hi - (1 << level), values)
+    for k in range(top, 0, -1):
+        starts = n - (1 << k) + 1
+        h = 1 << (k - 1)
+        parent = blocks[k, :starts]
+        np.minimum(blocks[k - 1, :starts], parent, out=blocks[k - 1, :starts])
+        np.minimum(blocks[k - 1, h : h + starts], parent, out=blocks[k - 1, h : h + starts])
+    return np.minimum(ranges, blocks[0])
 
 
 def greedy_plan(

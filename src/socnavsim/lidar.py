@@ -34,14 +34,19 @@ class LidarConfig:
             raise ValueError("need at least two beams")
         if not 0.0 < self.range_min < self.range_max:
             raise ValueError("invalid range bounds")
+        # built once: the scanner adds them to the heading on every tick
+        offsets = np.linspace(-FAN_ANGLE / 2.0, FAN_ANGLE / 2.0, self.beam_count)
+        offsets.flags.writeable = False
+        object.__setattr__(self, "_beam_offsets", offsets)
 
     @property
     def angle_increment(self) -> float:
         return FAN_ANGLE / (self.beam_count - 1)
 
     def beam_offsets(self) -> np.ndarray:
-        """Beam angles relative to the robot heading, ascending."""
-        return np.linspace(-FAN_ANGLE / 2.0, FAN_ANGLE / 2.0, self.beam_count)
+        """Beam angles relative to the robot heading, ascending; one
+        read-only array per config."""
+        return self._beam_offsets
 
 
 @dataclass(frozen=True)
@@ -93,26 +98,6 @@ def simulate_scan(
     return Scan(ranges=ranges, heading_at_capture=heading, timestamp=timestamp)
 
 
-def calibrate(prev: Scan, current_heading: float, config: LidarConfig) -> Scan:
-    """Shift a past sweep into the current heading frame.
-
-    Beam i of the result takes the value previously at i + shift, where
-    shift = round(delta_heading / angle_increment); beams shifted in
-    from outside the previous fan read range_max.
-    """
-    delta = wrap_angle(current_heading - prev.heading_at_capture)
-    shift = int(round(delta / config.angle_increment))
-    b = prev.ranges.size
-    out = np.full(b, config.range_max)
-    if shift >= 0:
-        if shift < b:
-            out[: b - shift] = prev.ranges[shift:]
-    else:
-        if -shift < b:
-            out[-shift:] = prev.ranges[: b + shift]
-    return Scan(ranges=out, heading_at_capture=current_heading, timestamp=prev.timestamp)
-
-
 def build_motion_feature(
     history: list[Scan] | tuple[Scan, ...],
     current_heading: float,
@@ -122,13 +107,25 @@ def build_motion_feature(
 ) -> MotionFeature:
     """Stack the last K sweeps, each calibrated to the current heading.
 
-    The history must hold exactly K scans ordered oldest to newest; at
-    episode start the caller pre-fills it by repeating the first scan.
+    Row k, beam i takes the value sweep k held at beam i + shift, where
+    shift = round(wrap(current_heading - heading_at_capture) /
+    angle_increment); beams shifted in from outside that sweep's fan
+    read range_max.  The history must hold exactly K scans ordered
+    oldest to newest; at episode start the caller pre-fills it by
+    repeating the first scan.
     """
     if len(history) != HISTORY_LEN:
         raise ValueError(f"need exactly {HISTORY_LEN} scans, got {len(history)}")
-    rows = [calibrate(s, current_heading, config).ranges for s in history]
+    b = history[-1].ranges.size
+    inc = config.angle_increment
+    matrix = np.full((HISTORY_LEN, b), config.range_max)
+    for row, scan in zip(matrix, history):
+        shift = int(round(wrap_angle(current_heading - scan.heading_at_capture) / inc))
+        if 0 <= shift < b:
+            row[: b - shift] = scan.ranges[shift:]
+        elif -b < shift < 0:
+            row[-shift:] = scan.ranges[: b + shift]
     return MotionFeature(
-        matrix=np.stack(rows),
+        matrix=matrix,
         goal_vector=(goal_distance, wrap_angle(goal_bearing)),
     )

@@ -15,6 +15,7 @@ from hypothesis import settings
 
 from socnavsim import crowd
 from socnavsim.geometry import Circle, OrientedRect, Segment, Vec2, cast_fan, wrap_angle
+from socnavsim.lidar import Scan
 
 
 # property tests draw the same examples on every run and keep no example file
@@ -395,12 +396,57 @@ def reference_orca_velocity(ped, neighbors, obstacles, dt, hits=None):
 
 
 # ---------------------------------------------------------------------------
-# Calibration bookkeeping
+# Calibration oracle: one shifted Scan per history row
 
 
 def calibration_shift(prev_heading, current_heading, config) -> int:
-    """Index shift that lidar.calibrate applies between two headings."""
+    """Index shift that calibrate applies between two headings."""
     return int(round(wrap_angle(current_heading - prev_heading) / config.angle_increment))
+
+
+def calibrate(prev: Scan, current_heading: float, config) -> Scan:
+    """Shift a past sweep into the current heading frame.
+
+    Beam i of the result takes the value previously at i + shift, where
+    shift = round(delta_heading / angle_increment); beams shifted in
+    from outside the previous fan read range_max.
+    """
+    delta = wrap_angle(current_heading - prev.heading_at_capture)
+    shift = int(round(delta / config.angle_increment))
+    b = prev.ranges.size
+    out = np.full(b, config.range_max)
+    if shift >= 0:
+        if shift < b:
+            out[: b - shift] = prev.ranges[shift:]
+    else:
+        if -shift < b:
+            out[-shift:] = prev.ranges[: b + shift]
+    return Scan(ranges=out, heading_at_capture=current_heading, timestamp=prev.timestamp)
+
+
+def reference_motion_matrix(history, current_heading, config) -> np.ndarray:
+    """The motion feature as a stack of calibrated Scans;
+    lidar.build_motion_feature must match it bit for bit."""
+    return np.stack([calibrate(s, current_heading, config).ranges for s in history])
+
+
+# ---------------------------------------------------------------------------
+# Scan erosion oracle
+
+
+def reference_inflate_returns(ranges, delta_theta, radius, range_max):
+    """baselines._inflate_returns as one loop over the returns; the
+    scatter-min must match it bit for bit."""
+    safe = ranges.copy()
+    n = ranges.size
+    for j in np.flatnonzero(ranges < range_max - 1e-9):
+        half = int(math.atan2(radius, ranges[j]) / delta_theta)
+        if half <= 0:
+            continue
+        lo = max(0, j - half)
+        hi = min(n, j + half + 1)
+        np.minimum(safe[lo:hi], ranges[j], out=safe[lo:hi])
+    return safe
 
 
 # ---------------------------------------------------------------------------

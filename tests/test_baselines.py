@@ -7,10 +7,13 @@ from socnavsim.baselines import (
     FullStatePolicyAdapter,
     GreedyParams,
     GreedyPolicy,
+    _inflate_returns,
     greedy_plan,
 )
-from socnavsim.lidar import HISTORY_LEN, LidarConfig, MotionFeature
+from socnavsim.lidar import HISTORY_LEN, RANGE_MAX, RANGE_MIN, LidarConfig, MotionFeature
 from socnavsim.world import action_to_twist
+
+from conftest import reference_inflate_returns
 
 CFG = LidarConfig(beam_count=181)
 OFFSETS = CFG.beam_offsets()
@@ -51,10 +54,8 @@ class TestGreedyPlan:
                     for i in range(ranges.size)
                 ]
             )
-            from socnavsim.baselines import _inflate_returns
-
-            safe = _inflate_returns(ranges, float(OFFSETS[1] - OFFSETS[0]),
-                                    params.inflate_radius, 10.0)
+            safe = reference_inflate_returns(ranges, float(OFFSETS[1] - OFFSETS[0]),
+                                             params.inflate_radius, 10.0)
             clear = np.array(
                 [
                     safe[max(0, i - half) : min(safe.size, i + half + 1)].mean()
@@ -97,8 +98,6 @@ class TestGreedyPlan:
             assert v_w1 == pytest.approx(v_w2, abs=1e-12)
 
     def test_inflation_is_conservative(self, rng):
-        from socnavsim.baselines import _inflate_returns
-
         for _ in range(20):
             ranges = rng.uniform(0.2, 10.0, CFG.beam_count)
             safe = _inflate_returns(ranges, float(OFFSETS[1] - OFFSETS[0]), 0.35, 10.0)
@@ -111,6 +110,98 @@ class TestGreedyPlan:
                                    float(rng.uniform(0.5, 9)))
             assert 0.0 <= v_l <= 1.5
             assert -math.pi <= v_w <= math.pi
+
+
+def delta_theta(beams):
+    offsets = LidarConfig(beam_count=beams).beam_offsets()
+    return float(offsets[1] - offsets[0])
+
+
+def assert_inflation_matches_reference(ranges, dtheta, radius=0.35):
+    got = _inflate_returns(ranges, dtheta, radius, RANGE_MAX)
+    want = reference_inflate_returns(ranges, dtheta, radius, RANGE_MAX)
+    assert got.tobytes() == want.tobytes()
+
+
+def half_boundaries(dtheta, radius=0.35):
+    """Ranges on both sides of every float where
+    int(atan2(radius, r) / dtheta) drops by one, found by bisection."""
+
+    def half(r):
+        return int(math.atan2(radius, r) / dtheta)
+
+    out = []
+    for k in range(half(RANGE_MAX) + 1, half(RANGE_MIN) + 1):
+        lo, hi = RANGE_MIN, RANGE_MAX  # half(lo) >= k > half(hi)
+        while True:
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                break
+            if half(mid) >= k:
+                lo = mid
+            else:
+                hi = mid
+        for r in (lo, hi):
+            out.append(r)
+            down = up = r
+            for _ in range(3):
+                down = math.nextafter(down, 0.0)
+                up = math.nextafter(up, math.inf)
+                out.extend((down, up))
+    return np.array(out)
+
+
+class TestInflateReturnsExact:
+    """The scatter-min erosion equals the per-return loop bit for bit."""
+
+    @pytest.mark.parametrize("beams", [180, 1080])
+    def test_random_scans(self, rng, beams):
+        for _ in range(20):
+            ranges = rng.uniform(RANGE_MIN, RANGE_MAX, beams)
+            ranges[rng.random(beams) < 0.3] = RANGE_MAX
+            assert_inflation_matches_reference(ranges, delta_theta(beams))
+
+    @pytest.mark.parametrize("beams", [2, 180, 1080])
+    def test_no_returns_and_all_returns(self, rng, beams):
+        dtheta = delta_theta(beams)
+        free = np.full(beams, RANGE_MAX)
+        assert _inflate_returns(free, dtheta, 0.35, RANGE_MAX).tobytes() == free.tobytes()
+        assert_inflation_matches_reference(rng.uniform(RANGE_MIN, 9.0, beams), dtheta)
+
+    @pytest.mark.parametrize("beams", [2, 3, 180, 1080])
+    def test_near_range_min(self, rng, beams):
+        # a near-wall sweep: wide windows that overlap everywhere
+        ranges = rng.uniform(RANGE_MIN, 0.3, beams)
+        for scan in (ranges, np.sort(ranges), np.full(beams, RANGE_MIN)):
+            assert_inflation_matches_reference(scan, delta_theta(beams))
+
+    @pytest.mark.parametrize("beams", [2, 3, 180, 1080])
+    def test_half_exceeds_beam_count(self, rng, beams):
+        """A fan's half never exceeds (B - 1) / 3 beams, so a finer
+        angular step makes every window overrun both ends of the scan."""
+        dtheta = math.atan2(0.35, 0.3) / (2 * beams + 5)
+        assert int(math.atan2(0.35, 0.3) / dtheta) > beams
+        ranges = rng.uniform(RANGE_MIN, 0.3, beams)
+        ranges[rng.random(beams) < 0.2] = RANGE_MAX
+        assert_inflation_matches_reference(ranges, dtheta)
+
+    def test_two_beam_scans(self):
+        dtheta = delta_theta(2)
+        for pair in [(RANGE_MIN, RANGE_MAX), (RANGE_MAX, RANGE_MIN), (0.2, 0.1), (5.0, 10.0)]:
+            for radius in (0.35, 100.0):
+                assert_inflation_matches_reference(np.array(pair), dtheta, radius)
+
+    @pytest.mark.parametrize("beams", [180, 1080])
+    def test_half_boundaries_found_by_bisection(self, beams):
+        """One return alone in the middle beam, so that a window one beam
+        wider or narrower shows at both of its ends."""
+        dtheta = delta_theta(beams)
+        edges = half_boundaries(dtheta)
+        assert edges.size > 100
+        ranges = np.full(beams, RANGE_MAX)
+        for r in edges:
+            ranges[beams // 2] = r
+            assert_inflation_matches_reference(ranges, dtheta)
 
 
 class TestGreedyPolicy:

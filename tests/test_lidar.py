@@ -9,11 +9,16 @@ from socnavsim.lidar import (
     LidarConfig,
     Scan,
     build_motion_feature,
-    calibrate,
     simulate_scan,
 )
 
-from conftest import calibration_shift, marching_ray, random_shape
+from conftest import (
+    calibrate,
+    calibration_shift,
+    marching_ray,
+    random_shape,
+    reference_motion_matrix,
+)
 
 CFG = LidarConfig(beam_count=181)
 
@@ -48,6 +53,13 @@ class TestSimulateScan:
         for i in range(0, CFG.beam_count, 17):
             oracle = marching_ray(pos, heading + float(offsets[i]), shapes, 10.0)
             assert abs(s.ranges[i] - np.clip(oracle, 0.1, 10.0)) <= 1e-3
+
+    def test_beam_offsets_built_once(self):
+        offsets = CFG.beam_offsets()
+        assert offsets is CFG.beam_offsets()
+        assert not offsets.flags.writeable
+        expected = np.linspace(-0.75 * math.pi, 0.75 * math.pi, CFG.beam_count)
+        assert offsets.tobytes() == expected.tobytes()
 
     def test_noise_flag(self, rng):
         cfg = LidarConfig(beam_count=64, noise_sigma=0.05)
@@ -148,6 +160,37 @@ class TestMotionFeature:
         b = build_motion_feature(history, 1.0, 2.0, 0.3, CFG)
         assert np.array_equal(a.matrix, b.matrix)
         assert a.goal_vector == b.goal_vector
+
+    @pytest.mark.parametrize("beams", [2, 181, 1080])
+    def test_equals_calibrated_stack(self, rng, beams):
+        """Bit for bit the stack of calibrate() rows, over headings spread
+        around the circle, so that shifts reach about +-2(B - 1)/3."""
+        cfg = LidarConfig(beam_count=beams)
+        for _ in range(5):
+            headings = rng.uniform(-math.pi, math.pi, HISTORY_LEN)
+            history = [
+                Scan(rng.uniform(0.1, 10.0, beams), float(h), i) for i, h in enumerate(headings)
+            ]
+            current = float(rng.uniform(-4.0, 4.0))
+            mf = build_motion_feature(history, current, 1.0, 0.0, cfg)
+            want = reference_motion_matrix(history, current, cfg)
+            assert mf.matrix.tobytes() == want.tobytes()
+
+    def test_shifts_past_the_sweep_fill_range_max(self, rng):
+        """Sweeps shorter than the configured fan see shifts of at least
+        B and at most -B; those rows read range_max everywhere."""
+        b = 4
+        dtheta = CFG.angle_increment
+        shifts = np.arange(HISTORY_LEN) - HISTORY_LEN // 2  # -20 .. 19
+        history = [
+            Scan(rng.uniform(0.1, 10.0, b), float(-k * dtheta), i) for i, k in enumerate(shifts)
+        ]
+        assert [calibration_shift(s.heading_at_capture, 0.0, CFG) for s in history] == list(shifts)
+        mf = build_motion_feature(history, 0.0, 1.0, 0.0, CFG)
+        assert mf.matrix.tobytes() == reference_motion_matrix(history, 0.0, CFG).tobytes()
+        outside = np.abs(shifts) >= b
+        assert outside.sum() > 30 and shifts.min() <= -b and shifts.max() >= b
+        assert np.all(mf.matrix[outside] == CFG.range_max)
 
     def test_goal_bearing_wrapped(self):
         s = Scan(np.full(CFG.beam_count, 10.0), 0.0, 0)

@@ -1,11 +1,14 @@
-"""Property tests for the raycaster and the ORCA solver."""
+"""Property tests for the raycaster, the rectangle overlap test, the
+greedy planner's scan erosion and the ORCA solver."""
 
 import math
 
 import numpy as np
 from hypothesis import assume, given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from socnavsim.baselines import _inflate_returns
 from socnavsim.crowd import Pedestrian, orca_lines, orca_velocity
 from socnavsim.geometry import (
     Circle,
@@ -15,9 +18,16 @@ from socnavsim.geometry import (
     cast_fan,
     closest_distance,
     point_rect_signed_distance,
+    rects_intersect,
 )
+from socnavsim.lidar import RANGE_MAX, RANGE_MIN, LidarConfig
 
-from conftest import marching_ray, reference_cast_fan
+from conftest import (
+    marching_ray,
+    rect_overlap_oracle,
+    reference_cast_fan,
+    reference_inflate_returns,
+)
 
 
 def coords(bound):
@@ -76,6 +86,72 @@ def test_cast_fan_against_marching_ray_outside_shapes(origin, angle, shapes):
     if d < 10.0:
         hit = origin + Vec2.from_angle(angle, float(d))
         assert min(boundary_distance(hit, s) for s in shapes) <= 1e-9 * (1.0 + hit.norm())
+
+
+# Overlap cases: corners on a 1/16 m grid, so that rectangles do not come
+# within the oracle's 1e-12 m containment slack of each other by accident;
+# contact is drawn on purpose, with the shared points computed exactly.
+sixteenths = st.integers(-24, 24).map(lambda k: k / 16.0)
+grid_rects = st.builds(
+    OrientedRect,
+    st.builds(Vec2, sixteenths, sixteenths),
+    st.integers(-180, 180).map(math.radians),
+    st.one_of(st.just(0.0), st.integers(0, 16).map(lambda k: k / 16.0)),
+    st.integers(0, 32).map(lambda k: k / 16.0),
+)
+
+
+@st.composite
+def touching_rects(draw):
+    a = draw(grid_rects)
+    length = draw(st.integers(0, 32).map(lambda k: k / 16.0))
+    if draw(st.booleans()):
+        # end to end: b's rear edge is a's front edge, at any heading
+        fwd, _ = a.axes()
+        return a, OrientedRect(a.anchor + fwd * a.length, a.heading, a.half_width, length)
+    # side by side along the x axis, sliding from corner to corner contact
+    a = OrientedRect(a.anchor, 0.0, a.half_width, a.length)
+    half_width = draw(st.integers(0, 16).map(lambda k: k / 16.0))
+    slide = draw(st.integers(-32, 32).map(lambda k: k / 16.0))
+    assume(-length <= slide <= a.length)
+    side = draw(st.sampled_from([-1.0, 1.0]))
+    anchor = a.anchor + Vec2(slide, side * (a.half_width + half_width))
+    return a, OrientedRect(anchor, 0.0, half_width, length)
+
+
+@given(a=grid_rects, b=grid_rects)
+def test_rects_intersect_equals_oracle(a, b):
+    expected = rect_overlap_oracle(a, b)
+    assert rects_intersect(a, b) == expected
+    assert rects_intersect(b, a) == expected
+
+
+@given(pair=touching_rects())
+def test_touching_rects_intersect(pair):
+    a, b = pair
+    assert rect_overlap_oracle(a, b)
+    assert rects_intersect(a, b) and rects_intersect(b, a)
+
+
+@given(
+    beams=st.sampled_from([2, 3, 180, 1080]),
+    radius=st.floats(0.0, 2.0),
+    data=st.data(),
+)
+def test_inflate_returns_equals_reference(beams, radius, data):
+    ranges = data.draw(
+        arrays(
+            np.float64,
+            beams,
+            elements=st.one_of(
+                st.floats(RANGE_MIN, RANGE_MAX), st.just(RANGE_MIN), st.just(RANGE_MAX)
+            ),
+        )
+    )
+    offsets = LidarConfig(beam_count=beams).beam_offsets()
+    dtheta = float(offsets[1] - offsets[0])
+    got = _inflate_returns(ranges, dtheta, radius, RANGE_MAX)
+    assert got.tobytes() == reference_inflate_returns(ranges, dtheta, radius, RANGE_MAX).tobytes()
 
 
 pedestrians = st.builds(
