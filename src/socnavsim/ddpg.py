@@ -171,12 +171,14 @@ class DDPG:
     def update(self, batch: dict) -> tuple[float, float]:
         """One critic step, one actor step, then soft target updates.
 
-        Networks whose conv1 weights are current at the same moment share
-        one conv1 GEMM per patch matrix (nn.shared_forward): the target
-        actor and target critic on the next observations, the critic
-        (before its Adam step) and the actor on the current ones.  The
-        critic's second pass follows its step, so it runs its own GEMM on
-        the same patch matrix.
+        conv1 runs as one GEMM per time tap over width patches that hold
+        each scan row once (nn.Conv2d); each batch of observations gets
+        one patch array.  Networks whose conv1 weights are current at
+        the same moment share each tap's GEMM (nn.shared_forward): the
+        target actor and target critic on the next observations, the
+        critic (before its Adam step) and the actor on the current ones.
+        The critic's second pass follows its step, so it runs its own
+        tap GEMMs on the same patches.
         """
         cfg = self.config
         n = batch["feat"].shape[0]
@@ -185,7 +187,7 @@ class DDPG:
         feat, goal = batch["feat"], batch["goal"]
         cols = self.critic.trunk.im2col1(feat)
         conv1_critic, conv1_actor = shared_forward(
-            (self.critic.trunk.conv1, self.actor.trunk.conv1), feat[..., None], cols
+            (self.critic.trunk.conv1, self.actor.trunk.conv1), cols
         )
         q, cache = self.critic.forward(feat, goal, batch["action"], conv1_out=conv1_critic)
         diff = q - y
@@ -209,14 +211,14 @@ class DDPG:
     def _target_values(self, batch: dict) -> np.ndarray:
         """Critic targets y = r + gamma * (1 - done) * Q'(o', mu'(o')).
 
-        A scope of its own: the next-observation patch matrix and the
+        A scope of its own: the next-observation patches and the
         target networks' caches are freed before the online passes
         allocate theirs.
         """
         feat, goal = batch["next_feat"], batch["next_goal"]
         cols = self.target_critic.trunk.im2col1(feat)
         conv1_actor, conv1_critic = shared_forward(
-            (self.target_actor.trunk.conv1, self.target_critic.trunk.conv1), feat[..., None], cols
+            (self.target_actor.trunk.conv1, self.target_critic.trunk.conv1), cols
         )
         a_next, _ = self.target_actor.forward(feat, goal, conv1_out=conv1_actor)
         q_next, _ = self.target_critic.forward(feat, goal, a_next, conv1_out=conv1_critic)

@@ -96,8 +96,11 @@ class OrientedRect:
 
     The anchor sits at the middle of the rear edge; the rect spans
     laterally +-half_width.  Degenerate extents (zero length or width)
-    are allowed: they collapse to a segment or point and still behave
-    correctly in intersection tests.
+    are allowed and collapse to a segment or point.  rects_intersect can
+    miss exact contact with such a rectangle by one rounding: its
+    corners anchor +- w can project one rounding off the anchor onto the
+    other rectangle's axis.  No such miss is known for rectangles with
+    both extents positive.
     """
 
     anchor: Vec2

@@ -8,16 +8,21 @@ after the trunk.
 
 What the trunk sees, with the default spec (valid padding throughout):
 
-- At 180 beams conv1 yields 18 columns and the pool floors them to 16,
-  so beams 161-179 (the last 27 degrees of the fan, at its +135 degree
-  edge) never reach the actor or critic.  conv2's 5-wide kernel clamps
-  to the 4 pooled columns, the full width.
+- At 180 beams conv1 has room for 18 columns and the pool floors them to
+  16, so beams 161-179 (the last 27 degrees of the fan, at its +135
+  degree edge) never reach the actor or critic.  conv2's 5-wide kernel
+  clamps to the 4 pooled columns, the full width.
 - At 1080 beams conv2's stride-2 windows cover 31 of the 32 pooled
   columns, so beams 1025-1079 (the last 14 degrees, same edge) never
   reach them.
 
-Both were checked by zeroing one beam at a time and comparing outputs.
-Changing the receptive field changes the network, so it is left as is.
+trunk_reach computes this cut from the layer geometry, and conv1 reads
+only beams [0, Trunk.beams) and computes only the columns the pool
+keeps (16 of 18 at 180 beams, 124 of 130 at 1080).  The outputs are
+those of the full-width network; tests/test_policy.py::TestBeamReach
+checks that against a float64 full-width oracle and by perturbing the
+beams on each side of the cut.  Changing the receptive field changes the
+network, so it is left as is.
 """
 
 from __future__ import annotations
@@ -83,11 +88,38 @@ def featurize(obs: MotionFeature, initial_goal_distance: float, dtype=np.float32
     return feat, goal
 
 
+def trunk_reach(spec: NetworkSpec) -> int:
+    """Number of leading beams that can change the trunk output.
+
+    Valid padding floors away trailing columns at every layer.  Walking
+    the layer geometry back from the last column gives the input width
+    the trunk actually reads; beams past it never reach the networks.
+    """
+    w = spec.feature_shape[1]
+    windows = []  # (extent, stride) of each width-reducing layer, in order
+    for i, (_, _, kw, _, sw) in enumerate(spec.conv):
+        kw = min(kw, w)  # the clamp Conv2d applies
+        windows.append((kw, sw))
+        w = (w - kw) // sw + 1
+        if i == 0:
+            pw = min(spec.pool_width, w)  # MaxPoolW's window
+            windows.append((pw, pw))
+            w //= pw
+    for extent, stride in reversed(windows):
+        w = (w - 1) * stride + extent
+    return w
+
+
 class Trunk:
+    """The conv stack.  conv1 reads only beams [0, self.beams), the ones
+    that can reach the output (trunk_reach), and so computes only the
+    columns the pool keeps."""
+
     def __init__(self, spec: NetworkSpec, rng, dtype=np.float32):
-        k, b = spec.feature_shape
+        k = spec.feature_shape[0]
+        self.beams = trunk_reach(spec)
         layers = []
-        hw = (k, b)
+        hw = (k, self.beams)
         in_ch = 1
         for i, (ch, kh, kw, sh, sw) in enumerate(spec.conv):
             conv = Conv2d(in_ch, ch, (kh, kw), (sh, sw), hw, rng, dtype)
@@ -105,14 +137,18 @@ class Trunk:
         self.conv1 = layers[0][1]
         self.flat_dim = in_ch * hw[0] * hw[1]
 
+    def conv1_input(self, feat):
+        """The (N, H, beams, 1) channels-last view conv1 reads."""
+        return feat[:, :, : self.beams, None]
+
     def im2col1(self, feat):
-        """First-layer patch matrix; reusable by any same-spec trunk."""
-        return self.conv1.im2col(feat[..., None])
+        """conv1 width patches of feat; reusable by any same-spec trunk."""
+        return self.conv1.im2col(self.conv1_input(feat))
 
     def forward(self, feat, cols1=None, conv1_out=None):
         """conv1_out, when given, is this trunk's (output, cache) of conv1,
         computed elsewhere (see nn.shared_forward)."""
-        x = feat[..., None]  # channels-last
+        x = self.conv1_input(feat)
         if conv1_out is None:
             conv1_out = self.conv1.forward(x, cols1)
         x, cache = conv1_out

@@ -34,12 +34,17 @@ class Dense:
 
 
 class Conv2d:
-    """Valid-padding 2-D convolution via im2col and one GEMM.
+    """Valid-padding 2-D convolution as one GEMM per time tap.
 
-    Channels-last layout (N, H, W, C): the GEMM result is already the
-    output, no transposes anywhere.  Kernel extents wider than the input
-    are clamped at construction so one architecture spec serves any beam
-    count.
+    Channels-last layout (N, H, W, C).  im2col copies each kw-column
+    window of every input row once, as width patches (N, H, OW, kw*C).
+    Output row r is the sum over time taps i of the patches of input row
+    r*sh + i times tap i's (kw*C, out) slice of the weights, so each tap
+    reads a row-shifted view of the same patches and no input row is
+    copied once per tap.  W keeps the (C, kh, kw) row order of a single
+    im2col GEMM, the layout checkpoints store; taps() reorders it.
+    Kernel extents wider than the input are clamped at construction so
+    one architecture spec serves any beam count.
     """
 
     def __init__(self, in_ch, out_ch, kernel, stride, in_hw, rng, dtype=np.float32):
@@ -59,63 +64,89 @@ class Conv2d:
         self.b = np.zeros(out_ch, dtype=dtype)
 
     def im2col(self, x):
-        """Patch matrix (N*OH*OW, C*kh*kw); shareable between networks
-        built from the same spec since it depends only on the input.
-        Patch order keeps kw innermost, giving memcpy-friendly gathers."""
-        n = x.shape[0]
+        """Width patches (N, H, OW, kw*C) of an (N, H, W, C) input.
+
+        Patch [n, h, o] is row h's columns o*sw .. o*sw + kw - 1, one
+        contiguous kw*C run of a channels-last row.  It depends only on
+        the input, so networks built from the same spec can share it.
+        """
+        kw, sw = self.kernel[1], self.stride[1]
+        win = np.lib.stride_tricks.sliding_window_view(x, kw, axis=2)[:, :, ::sw]
+        win = win.transpose(0, 1, 2, 4, 3)  # (N, H, OW, kw, C)
+        return np.ascontiguousarray(win).reshape(*x.shape[:2], self.out_hw[1], kw * self.in_ch)
+
+    def taps(self):
+        """The weights as (kh, kw*C, out); tap i multiplies input row r*sh + i."""
         kh, kw = self.kernel
-        sh, sw = self.stride
+        w = self.W.reshape(self.in_ch, kh, kw, -1).transpose(1, 2, 0, 3)
+        return w.reshape(kh, kw * self.in_ch, -1)
+
+    def tap_rows(self, cols, i):
+        """Tap i's GEMM rows (N, OH*OW, kw*C): patch rows i, i + sh, ...
+        of each sample; a view when sh == 1."""
         oh, ow = self.out_hw
-        win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
-        win = win[:, ::sh, ::sw]  # (N, OH, OW, C, kh, kw)
-        return np.ascontiguousarray(win).reshape(n * oh * ow, self.in_ch * kh * kw)
+        sh = self.stride[0]
+        return cols[:, i : i + oh * sh : sh].reshape(cols.shape[0], oh * ow, -1)
+
+    def tap_sum(self, cols, taps, b):
+        """(N, OH*OW, out): sum_i tap_rows(cols, i) @ taps[i] in tap order, + b."""
+        y = np.matmul(self.tap_rows(cols, 0), taps[0])
+        for i in range(1, len(taps)):
+            y += np.matmul(self.tap_rows(cols, i), taps[i])
+        y += b
+        return y
 
     def forward(self, x, cols=None):
-        n = x.shape[0]
-        oh, ow = self.out_hw
         if cols is None:
             cols = self.im2col(x)
-        y = cols @ self.W + self.b
-        return y.reshape(n, oh, ow, self.out_ch), (cols, x.shape)
+        y = self.tap_sum(cols, self.taps(), self.b)
+        return y.reshape(x.shape[0], *self.out_hw, self.out_ch), cols
 
     def backward(self, dy, cache, need_input_grad=True):
-        cols, x_shape = cache
+        cols = cache
         n = dy.shape[0]
         kh, kw = self.kernel
         sh, sw = self.stride
         oh, ow = self.out_hw
-        dy_rows = dy.reshape(n * oh * ow, self.out_ch)
-        grads = {"W": cols.T @ dy_rows, "b": dy_rows.sum(axis=0)}
+        dy_rows = dy.reshape(n, oh * ow, self.out_ch)
+        dtaps = np.stack([
+            np.matmul(self.tap_rows(cols, i).transpose(0, 2, 1), dy_rows).sum(axis=0)
+            for i in range(kh)
+        ])
+        # (kh, kw, C) rows back to the (C, kh, kw) order of W
+        dW = dtaps.reshape(kh, kw, self.in_ch, -1).transpose(2, 0, 1, 3)
+        grads = {"W": dW.reshape(self.W.shape), "b": dy_rows.sum(axis=(0, 1))}
         if not need_input_grad:
             return None, grads
-        dcols = dy_rows @ self.W.T
-        dcols = dcols.reshape(n, oh, ow, self.in_ch, kh, kw)
-        dx = np.zeros(x_shape, dtype=dy.dtype)
-        for i in range(kh):
-            for j in range(kw):
-                dx[:, i : i + oh * sh : sh, j : j + ow * sw : sw, :] += dcols[:, :, :, :, i, j]
+        dcols = np.zeros(cols.shape, dtype=dy.dtype)
+        for i, w in enumerate(self.taps()):
+            dcols[:, i : i + oh * sh : sh] += np.matmul(dy_rows, w.T).reshape(n, oh, ow, -1)
+        dcols = dcols.reshape(*cols.shape[:3], kw, self.in_ch)
+        dx = np.zeros((n, *self.in_hw, self.in_ch), dtype=dy.dtype)
+        for j in range(kw):
+            dx[:, :, j : j + ow * sw : sw, :] += dcols[:, :, :, j, :]
         return dx, grads
 
     def params(self):
         return {"W": self.W, "b": self.b}
 
 
-def shared_forward(convs, x, cols):
-    """``[conv.forward(x, cols) for conv in convs]`` with one GEMM.
+def shared_forward(convs, cols):
+    """``[conv.forward(x, cols) for conv in convs]`` with one GEMM per tap.
 
-    ``cols`` is multiplied once by the column-concatenated weights of all
-    the layers.  OpenBLAS computes each output element as the same dot
-    product whichever other columns ride along, so each column slice
-    equals the separate product bit for bit and the outputs equal
-    separate forward calls (tests/test_policy.py gates this).  The
-    outputs are strided views into one shared array.
+    Each time tap multiplies the patches once by the column-concatenated
+    tap weights of all the layers.  OpenBLAS computes each output
+    element as the same dot product whichever other columns ride along,
+    and the taps are summed in the same order, so each column slice
+    equals the separate forward call bit for bit (tests/test_policy.py
+    gates this).  The outputs are strided views into one shared array.
     """
-    prod = cols @ np.concatenate([conv.W for conv in convs], axis=1)
-    prod += np.concatenate([conv.b for conv in convs])
+    taps = np.concatenate([conv.taps() for conv in convs], axis=2)
+    prod = convs[0].tap_sum(cols, taps, np.concatenate([conv.b for conv in convs]))
     outs, lo = [], 0
     for conv in convs:
-        y = prod[:, lo : lo + conv.out_ch].reshape(x.shape[0], *conv.out_hw, conv.out_ch)
-        outs.append((y, (cols, x.shape)))
+        y = prod[:, :, lo : lo + conv.out_ch].reshape(cols.shape[0], *conv.out_hw, conv.out_ch)
+        outs.append((y, cols))
         lo += conv.out_ch
     return outs
 

@@ -470,14 +470,37 @@ def numeric_gradient(f, x, h=1e-5):
 
 
 # ---------------------------------------------------------------------------
+# Convolution oracle
+
+
+def reference_conv2d(x, W, b, kernel, stride):
+    """Valid-padding convolution of a channels-last (N, H, W, C) input by
+    explicit float64 loops over the kernel taps.  Row c*kh*kw + i*kw + j
+    of W weights channel c at time offset i and beam offset j: the
+    (C, kh, kw) row order that Conv2d stores and checkpoints keep."""
+    x = np.asarray(x, dtype=np.float64)
+    n, h, w, c = x.shape
+    kh, kw = kernel
+    sh, sw = stride
+    oh, ow = (h - kh) // sh + 1, (w - kw) // sw + 1
+    y = np.zeros((n, oh, ow, W.shape[1])) + np.asarray(b, dtype=np.float64)
+    for ci in range(c):
+        for i in range(kh):
+            for j in range(kw):
+                xs = x[:, i : i + (oh - 1) * sh + 1 : sh, j : j + (ow - 1) * sw + 1 : sw, ci]
+                y += xs[..., None] * np.asarray(W[ci * kh * kw + i * kw + j], dtype=np.float64)
+    return y
+
+
+# ---------------------------------------------------------------------------
 # Learner oracle: DDPG.update with per-network forward passes
 
 
 def reference_update(learner, batch):
     """One DDPG update as separate per-network passes: every network runs
-    its own conv1 GEMM on a patch matrix shared only per input, and both
-    patch matrices stay live for the whole update.  DDPG.update must
-    match it bit for bit."""
+    its own conv1 tap GEMMs on patches shared only per input, and both
+    patch arrays stay live for the whole update.  DDPG.update must match
+    it bit for bit."""
     from socnavsim.networks import soft_update
 
     cfg = learner.config

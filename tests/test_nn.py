@@ -2,9 +2,12 @@
 
 import numpy as np
 
+import pytest
+
+from socnavsim.networks import Trunk, default_network_spec
 from socnavsim.nn import Adam, Conv2d, Dense, MaxPoolW, ReLU, Tanh
 
-from conftest import numeric_gradient
+from conftest import numeric_gradient, reference_conv2d
 
 
 def rel_err(a, b):
@@ -55,6 +58,12 @@ class TestLayerGradients:
         check_param_grads(layer, x, layer.params(), rng)
         check_input_grad(layer, x, rng)
 
+    def test_conv2d_strided_both_axes(self, rng):
+        layer = Conv2d(3, 2, (3, 4), (2, 3), (8, 14), rng, dtype=np.float64)
+        x = rng.normal(size=(2, 8, 14, 3))
+        check_param_grads(layer, x, layer.params(), rng)
+        check_input_grad(layer, x, rng)
+
     def test_conv2d_kernel_clamped(self, rng):
         layer = Conv2d(1, 2, (3, 50), (1, 8), (4, 16), rng, dtype=np.float64)
         assert layer.kernel == (3, 16)
@@ -83,6 +92,37 @@ class TestLayerGradients:
         layer = Tanh()
         x = rng.normal(size=(5, 9))
         check_input_grad(layer, x, rng)
+
+
+class TestConvOracle:
+    """Conv2d.forward against explicit loops over W in (C, kh, kw) row
+    order, so a consistently mis-permuted tap layout cannot pass."""
+
+    @staticmethod
+    def check(layer, rng, n=2):
+        layer.b[...] = rng.normal(size=layer.b.shape)
+        x = rng.normal(size=(n, *layer.in_hw, layer.in_ch))
+        y, _ = layer.forward(x)
+        ref = reference_conv2d(x, layer.W, layer.b, layer.kernel, layer.stride)
+        assert y.shape == ref.shape
+        np.testing.assert_allclose(y, ref, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("beams", [180, 1080])
+    def test_default_trunk_layers(self, rng, beams):
+        trunk = Trunk(default_network_spec(40, beams), rng, dtype=np.float64)
+        convs = [layer for name, layer in trunk.layers if name.startswith("conv")]
+        assert len(convs) == 2
+        for layer in convs:
+            self.check(layer, rng)
+
+    def test_multichannel_strided_both_axes(self, rng):
+        # trailing rows and columns that no window reaches
+        self.check(Conv2d(3, 4, (3, 5), (2, 3), (10, 21), rng, dtype=np.float64), rng, n=3)
+
+    def test_kernel_clamped(self, rng):
+        layer = Conv2d(1, 2, (3, 50), (1, 8), (4, 16), rng, dtype=np.float64)
+        assert layer.kernel == (3, 16)
+        self.check(layer, rng)
 
 
 class TestAdam:

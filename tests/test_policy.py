@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import numeric_gradient, reference_update
+from conftest import numeric_gradient, reference_conv2d, reference_update
 from socnavsim import ddpg as ddpg_module
 from socnavsim.crowd import CrowdConfig
 from socnavsim.ddpg import DDPG, DDPGConfig, ReplayBuffer, TrainConfig, train
@@ -137,6 +137,64 @@ class TestSharedCols:
         a1, _ = actor.forward(feat, goal)
         a2, _ = actor.forward(feat, goal, cols)
         assert np.array_equal(a1, a2)
+
+
+def full_width_trunk(trunk, feat):
+    """The trunk's layers applied to every beam of feat, in float64, with
+    the convolution oracle and numpy pooling."""
+    x = feat[..., None].astype(np.float64)
+    for name, layer in trunk.layers:
+        if name.startswith("conv"):
+            x = reference_conv2d(x, layer.W, layer.b, layer.kernel, layer.stride)
+        elif name == "pool":
+            n, h, w, c = x.shape
+            pw = min(layer.width, w)
+            x = x[:, :, : w // pw * pw].reshape(n, h, w // pw, pw, c).max(axis=3)
+        else:
+            x = np.maximum(x, 0.0)
+    return x.reshape(len(x), -1)
+
+
+class TestBeamReach:
+    """conv1 reads only beams [0, trunk.beams): the ones valid padding
+    lets reach the output."""
+
+    REACH = {180: 161, 1080: 1025}
+
+    @pytest.mark.parametrize("beams", [180, 1080])
+    def test_trunk_equals_full_width_network(self, beams):
+        rng = np.random.default_rng(11)
+        trunk = Actor(default_network_spec(40, beams), rng, dtype=np.float64).trunk
+        assert trunk.beams == self.REACH[beams]
+        feat = rng.random((2, 40, beams))
+        flat, _ = trunk.forward(feat)
+        np.testing.assert_allclose(flat, full_width_trunk(trunk, feat), rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("beams", [180, 1080])
+    def test_only_leading_beams_change_outputs(self, beams):
+        rng = np.random.default_rng(12)
+        spec = default_network_spec(40, beams)
+        actor, critic = Actor(spec, rng), Critic(spec, rng)
+        reach = actor.trunk.beams
+        assert reach == critic.trunk.beams == self.REACH[beams]
+        feat = rng.random((2, 40, beams)).astype(np.float32)
+        goal = rng.random((2, 2)).astype(np.float32)
+        action = rng.uniform(-1.5, 1.5, (2, 2)).astype(np.float32)
+
+        def outputs(f):
+            return actor.forward(f, goal)[0], critic.forward(f, goal, action)[0]
+
+        a0, q0 = outputs(feat)
+        for beam in range(reach, beams):
+            f = feat.copy()
+            f[:, :, beam] += 1.0
+            a1, q1 = outputs(f)
+            assert np.array_equal(a0, a1) and np.array_equal(q0, q1), beam
+        f = feat.copy()
+        f[:, :, reach - 1] += 1.0
+        a1, q1 = outputs(f)
+        assert not np.array_equal(a0, a1)
+        assert not np.array_equal(q0, q1)
 
 
 class TestSoftUpdate:
