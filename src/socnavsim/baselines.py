@@ -174,7 +174,7 @@ class ExternalCrowdPolicy(Protocol):
 class FullStatePolicyAdapter:
     """Adapts an ExternalCrowdPolicy to the shared interface.
 
-    The evaluation runner recognizes `wants_state` and calls
+    The episode stepper (evaluation.episode_steps) recognizes `wants_state` and calls
     `observe_state` with simulator ground truth before each act().
     """
 

@@ -119,17 +119,17 @@ def cmd_train(args, parser) -> int:
     else:
         cycle = (None,)
 
-    tc = TrainConfig(
-        total_env_steps=args.budget,
-        warmup_steps=args.warmup_steps,
-        update_every=args.update_every,
-        eval_every=args.eval_every,
-        early_stop_success=args.early_stop_success,
-        checkpoint_every=args.checkpoint_every,
-        scenario_cycle=cycle,
-        ddpg=DDPGConfig(batch_size=args.batch_size, buffer_capacity=args.buffer_capacity),
-    )
     try:
+        tc = TrainConfig(
+            total_env_steps=args.budget,
+            warmup_steps=args.warmup_steps,
+            update_every=args.update_every,
+            eval_every=args.eval_every,
+            early_stop_success=args.early_stop_success,
+            checkpoint_every=args.checkpoint_every,
+            scenario_cycle=cycle,
+            ddpg=DDPGConfig(batch_size=args.batch_size, buffer_capacity=args.buffer_capacity),
+        )
         train(
             args.stage,
             env_cfg,
@@ -149,7 +149,7 @@ def cmd_train(args, parser) -> int:
 
 
 def cmd_eval(args, parser) -> int:
-    from .evaluation import episode_seeds, export, run_suite, suite_config
+    from .evaluation import episode_seeds, export, run_episode, suite_config
 
     env_cfg = _load_env_config(args.config)
     try:
@@ -159,18 +159,15 @@ def cmd_eval(args, parser) -> int:
     policy = _build_policy(args.policy, cfg, parser)
 
     os.makedirs(args.out, exist_ok=True)
+    work = [(policy, cfg, args.suite, *seeds) for seeds in episode_seeds(args.seed, args.runs)]
     jobs = 1 if args.single_thread else max(1, int(args.jobs or 1))
     if jobs > 1:
         import multiprocessing as mp
 
         with mp.get_context("spawn").Pool(jobs) as pool:
-            work = [
-                (args.policy, args.config, args.suite, seed, map_seed, crowd_seed)
-                for seed, map_seed, crowd_seed in episode_seeds(args.seed, args.runs)
-            ]
-            logs = pool.starmap(_episode_worker, work)
+            logs = pool.starmap(run_episode, work)
     else:
-        logs = run_suite(policy, args.suite, args.runs, args.seed, env_cfg)
+        logs = [run_episode(*w) for w in work]
 
     for log in logs:
         name = f"log__{args.suite.replace(':', '-')}__{log.policy}__{log.seed}.json"
@@ -179,15 +176,6 @@ def cmd_eval(args, parser) -> int:
     export(logs, "metrics-table", args.out)
     export(logs, "curve-series", args.out)
     return 0
-
-
-def _episode_worker(policy_desc, config_path, suite, seed, map_seed, crowd_seed):
-    parser = build_parser()
-    from .evaluation import run_episode, suite_config
-
-    cfg = suite_config(suite, _load_env_config(config_path))
-    policy = _build_policy(policy_desc, cfg, parser)
-    return run_episode(policy, cfg, suite, seed, map_seed, crowd_seed)
 
 
 def cmd_scenario_gen(args, parser) -> int:

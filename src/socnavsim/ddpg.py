@@ -16,7 +16,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .evaluation import episode_seeds, run_episode
+from .crowd import SCENARIO_KINDS
+from .evaluation import episode_seeds, episode_steps, run_episode
 from .lidar import HISTORY_LEN
 from .networks import (
     ACTION_DIM,
@@ -32,7 +33,7 @@ from .networks import (
 )
 from .nn import Adam, shared_forward
 from .policies import LearnedPolicy
-from .world import EnvConfig, NavEnv, Status
+from .world import EnvConfig, Status
 
 STAGE_REWARD_WEIGHTS = {
     "ego": (1.0, 0.0, 1.0),
@@ -146,6 +147,10 @@ class DDPGConfig:
     # tanh rail corner where gradients vanish and clipped exploration
     # noise never samples the opposite side
     logit_penalty: float = 1e-3
+
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
 
 
 class DDPG:
@@ -285,6 +290,66 @@ class TrainConfig:
     divergence_threshold: float = 1e6
     ddpg: DDPGConfig = field(default_factory=DDPGConfig)
 
+    def __post_init__(self):
+        for name in ("update_every", "eval_every", "eval_episodes", "checkpoint_every"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.warmup_steps < 0:
+            raise ValueError(f"warmup_steps must be non-negative, got {self.warmup_steps}")
+        if not self.scenario_cycle:
+            raise ValueError("scenario_cycle must name at least one scenario (None for uniform)")
+        for kind in self.scenario_cycle:
+            if kind is not None and kind not in SCENARIO_KINDS:
+                raise ValueError(f"unknown scenario kind {kind!r}; expected None or one of {SCENARIO_KINDS}")
+        if self.start_distance_fractions is not None:
+            lo, hi = self.start_distance_fractions
+            if not 0.0 < lo <= hi <= 1.0:
+                raise ValueError(f"start_distance_fractions must satisfy 0 < lo <= hi <= 1, got {(lo, hi)}")
+        if not 0.0 <= self.random_action_prob <= 1.0:
+            raise ValueError(f"random_action_prob must lie in [0, 1], got {self.random_action_prob}")
+
+    def noise_sigma(self, env_steps: int) -> float:
+        """Exploration sigma after env_steps steps, linear from start to end over the budget."""
+        return self.noise_sigma_start + (self.noise_sigma_end - self.noise_sigma_start) * min(
+            1.0, env_steps / max(self.total_env_steps, 1)
+        )
+
+
+class BehaviourPolicy:
+    """Training-time actions for episode_steps, drawn from one noise stream.
+
+    A uniform draw through the warm-up and, after it, with probability
+    random_action_prob; else the actor's action plus Gaussian noise of
+    the annealed sigma, clipped to the action box.  `features` featurizes
+    each observation once, for act() and the replay alike.
+    """
+
+    name = "behaviour"
+
+    def __init__(self, learner: DDPG, config: TrainConfig, rng: np.random.Generator):
+        self.learner, self.config, self.rng = learner, config, rng
+        self.actions = 0  # over all episodes: one per environment step
+        self.obs = None
+
+    def begin_episode(self, obs) -> None:
+        self.initial_distance = max(obs.goal_vector[0], 1e-6)
+        self.features(obs)
+
+    def features(self, obs) -> tuple[np.ndarray, np.ndarray]:
+        """featurize(obs) at this episode's initial goal distance, cached."""
+        if obs is not self.obs:
+            self.obs, self.feat_goal = obs, featurize(obs, self.initial_distance)
+        return self.feat_goal
+
+    def act(self, obs) -> np.ndarray:
+        tc, step = self.config, self.actions
+        self.actions += 1
+        if step < tc.warmup_steps or self.rng.random() < tc.random_action_prob:
+            return self.rng.uniform(-ACTION_SCALE, ACTION_SCALE, ACTION_DIM)
+        action = self.learner.act(*self.features(obs))
+        noise = self.rng.normal(0.0, tc.noise_sigma(step), ACTION_DIM)
+        return np.clip(action + noise, -ACTION_SCALE, ACTION_SCALE)
+
 
 def train(
     stage: str,
@@ -308,13 +373,9 @@ def train(
 
     weights = STAGE_REWARD_WEIGHTS[stage]
     tc = train_config
-    ss = np.random.SeedSequence(seed)
-    init_ss, noise_ss, buffer_ss, env_ss, eval_ss = ss.spawn(5)
-    init_rng = np.random.default_rng(init_ss)
-    noise_rng = np.random.default_rng(noise_ss)
-    buffer_rng = np.random.default_rng(buffer_ss)
-    env_seed_rng = np.random.default_rng(env_ss)
-    eval_seed = int(np.random.default_rng(eval_ss).integers(2**31))
+    streams = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(5))
+    init_rng, noise_rng, buffer_rng, env_seed_rng, eval_rng = streams
+    eval_seed = int(eval_rng.integers(2**31))
 
     spec = default_network_spec(HISTORY_LEN, env_config.beam_count)
     learner = DDPG(spec, tc.ddpg, init_rng)
@@ -351,6 +412,7 @@ def train(
         return path
 
     checkpoint("init", 0)
+    behaviour = BehaviourPolicy(learner, tc, noise_rng)
     env_steps = 0
     episode = 0
     last_eval_at = 0
@@ -366,44 +428,18 @@ def train(
             gx, gy = cfg.goal
             sx, sy = cfg.start
             cfg = replace(cfg, start=(gx + (sx - gx) * frac, gy + (sy - gy) * frac))
-        env = NavEnv(cfg)
-        obs = env.reset(
-            map_seed=int(env_seed_rng.integers(2**31)),
-            crowd_seed=int(env_seed_rng.integers(2**31)),
-        )
-        initial = max(obs.goal_vector[0], 1e-6)
-        feat, goal = featurize(obs, initial)
+        map_seed = int(env_seed_rng.integers(2**31))
+        crowd_seed = int(env_seed_rng.integers(2**31))
         ep_return = 0.0
         ep_closs = math.nan
-        outcome = None
 
-        while True:
-            sigma = tc.noise_sigma_start + (tc.noise_sigma_end - tc.noise_sigma_start) * min(
-                1.0, env_steps / max(tc.total_env_steps, 1)
-            )
-            if env_steps < tc.warmup_steps or noise_rng.random() < tc.random_action_prob:
-                action = noise_rng.uniform(-ACTION_SCALE, ACTION_SCALE, ACTION_DIM)
-            else:
-                action = learner.act(feat, goal)
-                action = np.clip(
-                    action + noise_rng.normal(0.0, sigma, ACTION_DIM),
-                    -ACTION_SCALE,
-                    ACTION_SCALE,
-                )
-            outcome = env.step(action)
-            next_feat, next_goal = featurize(outcome.observation, initial)
+        for outcome in episode_steps(behaviour, cfg, map_seed, crowd_seed):
+            feat_goal = behaviour.feat_goal  # of the observation the action answered
+            next_feat_goal = behaviour.features(outcome.observation)
+            action = (outcome.record.a_x, outcome.record.a_y)
             terminal = outcome.done in (Status.REACHED, Status.COLLIDED)
-            buffer.add(
-                feat,
-                goal,
-                action.astype(np.float32),
-                outcome.reward_parts,
-                next_feat,
-                next_goal,
-                terminal,
-            )
+            buffer.add(*feat_goal, action, outcome.reward_parts, *next_feat_goal, terminal)
             ep_return += float(np.dot(weights, outcome.reward_parts))
-            feat, goal = next_feat, next_goal
             env_steps += 1
 
             if env_steps >= tc.warmup_steps and env_steps % tc.update_every == 0 and buffer.size >= tc.ddpg.batch_size:
@@ -436,7 +472,7 @@ def train(
                 checkpoint(f"step{env_steps}", env_steps)
             if env_steps >= tc.total_env_steps:
                 stop = True
-            if stop or outcome.done is not Status.RUNNING:
+            if stop:
                 break
 
         emit(
@@ -445,10 +481,10 @@ def train(
                 "episode": episode,
                 "env_steps": env_steps,
                 "return": ep_return,
-                "outcome": outcome.done.value if outcome else "none",
-                "steps": env.steps,
+                "outcome": outcome.done.value,
+                "steps": outcome.record.step,
                 "critic_loss": None if math.isnan(ep_closs) else ep_closs,
-                "noise_sigma": sigma if env_steps else tc.noise_sigma_start,
+                "noise_sigma": tc.noise_sigma(env_steps - 1),
             }
         )
         episode += 1

@@ -1,4 +1,4 @@
-"""Scenario suites, metrics, episode logging, and file export.
+"""Scenario suites, the episode stepper, metrics, episode logging, and export.
 
 Metrics follow the violation-step convention: a step counts once toward
 the social violation count m when at least one zone intersection is
@@ -6,38 +6,21 @@ present, and once toward the ego count k when anything sits inside the
 ego-safety circle.  Scores are averaged per episode over all executed
 steps, failed episodes included.  In-memory logs and exported trajectory
 tables both reduce to EpisodeSummary, which holds the score formula.
+Evaluation, the training probe and training itself all step NavEnv
+through episode_steps.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .world import EnvConfig, NavEnv, Status
+from .world import EnvConfig, NavEnv, Status, StepRecord
 
 FLOAT_FMT = "%.9g"
-
-
-@dataclass(frozen=True)
-class StepRecord:
-    step: int
-    t: float
-    x: float
-    y: float
-    heading: float
-    v_l: float
-    omega: float
-    a_x: float
-    a_y: float
-    r_ego: float
-    r_social: float
-    r_goal: float
-    ego_violation: bool
-    social_violations: int
-    pedestrians: list = field(default_factory=list)  # (x, y, heading) triples
 
 
 @dataclass
@@ -163,21 +146,19 @@ def suite_config(suite: str, base: EnvConfig | None = None) -> EnvConfig:
     )
 
 
-def run_episode(
-    policy,
-    env_config: EnvConfig,
-    suite: str,
-    seed: int,
-    map_seed: int,
-    crowd_seed: int,
-) -> EpisodeLog:
+def episode_steps(policy, env_config: EnvConfig, map_seed: int, crowd_seed: int):
+    """Build, reset and step one NavEnv under a policy; yield each StepOutcome.
+
+    The generator ends after the terminal step; a caller may stop it
+    earlier.  A policy with `wants_state` is handed the simulator's
+    ground truth before each act().
+    """
     env = NavEnv(env_config)
     obs = env.reset(map_seed=map_seed, crowd_seed=crowd_seed)
     policy.begin_episode(obs)
-    records: list[StepRecord] = []
-    arriving_time = None
+    wants_state = getattr(policy, "wants_state", False)
     while True:
-        if getattr(policy, "wants_state", False):
+        if wants_state:
             policy.observe_state(
                 (env.robot.x, env.robot.y, env.robot.heading),
                 (env.goal.x, env.goal.y),
@@ -186,34 +167,25 @@ def run_episode(
                     for p in env.peds
                 ],
             )
-        a_x, a_y = policy.act(obs)
-        outcome = env.step((a_x, a_y))
-        info = outcome.info
-        robot = info["robot"]
-        records.append(
-            StepRecord(
-                step=info["steps"],
-                t=info["sim_time"],
-                x=robot.x,
-                y=robot.y,
-                heading=robot.heading,
-                v_l=info["twist"][0],
-                omega=info["twist"][1],
-                a_x=info["action"][0],
-                a_y=info["action"][1],
-                r_ego=outcome.reward_parts[0],
-                r_social=outcome.reward_parts[1],
-                r_goal=outcome.reward_parts[2],
-                ego_violation=info["ego_violation"],
-                social_violations=info["social_violations"],
-                pedestrians=info["pedestrians"],
-            )
-        )
-        obs = outcome.observation
+        outcome = env.step(policy.act(obs))
+        yield outcome
         if outcome.done is not Status.RUNNING:
-            if outcome.done is Status.REACHED:
-                arriving_time = info["sim_time"]
-            break
+            return
+        obs = outcome.observation
+
+
+def run_episode(
+    policy,
+    env_config: EnvConfig,
+    suite: str,
+    seed: int,
+    map_seed: int,
+    crowd_seed: int,
+) -> EpisodeLog:
+    """One episode's log; it keeps the step records, not the observations."""
+    records = []
+    for outcome in episode_steps(policy, env_config, map_seed, crowd_seed):
+        records.append(outcome.record)
     return EpisodeLog(
         policy=policy.name,
         suite=suite,
@@ -222,8 +194,8 @@ def run_episode(
         crowd_seed=crowd_seed,
         config=env_config.to_dict(),
         records=records,
-        outcome=env.status.value,
-        arriving_time=arriving_time,
+        outcome=outcome.done.value,
+        arriving_time=outcome.record.t if outcome.done is Status.REACHED else None,
     )
 
 
@@ -242,10 +214,7 @@ def run_suite(
 ) -> list[EpisodeLog]:
     """One log per run; failures are logged, never raised."""
     cfg = suite_config(suite, base_config)
-    logs = []
-    for seed, map_seed, crowd_seed in episode_seeds(root_seed, runs):
-        logs.append(run_episode(policy, cfg, suite, seed, map_seed, crowd_seed))
-    return logs
+    return [run_episode(policy, cfg, suite, *seeds) for seeds in episode_seeds(root_seed, runs)]
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,15 @@ from .networks import Actor, actor_from_checkpoint, featurize
 
 @runtime_checkable
 class Policy(Protocol):
-    """Maps observations to 2-D actions, one episode at a time."""
+    """Maps observations to 2-D actions, one episode at a time.
+
+    The episode stepper (evaluation.episode_steps) calls begin_episode
+    once with the observation after reset, then act once per policy
+    step with the latest observation, and sends the action to
+    NavEnv.step.  A policy that sets `wants_state = True` must also
+    define observe_state(robot, goal, pedestrians); the stepper calls
+    it with the simulator's ground truth before each act().
+    """
 
     name: str
 

@@ -49,12 +49,31 @@ class Status(str, enum.Enum):
 
 
 @dataclass(frozen=True)
+class StepRecord:  # what an episode log keeps of one policy step
+    step: int
+    t: float
+    x: float
+    y: float
+    heading: float
+    v_l: float
+    omega: float
+    a_x: float
+    a_y: float
+    r_ego: float
+    r_social: float
+    r_goal: float
+    ego_violation: bool
+    social_violations: int
+    pedestrians: list = field(default_factory=list)  # (x, y, heading) triples
+
+
+@dataclass(frozen=True)
 class StepOutcome:
     observation: MotionFeature
     reward: float
     reward_parts: tuple[float, float, float]  # (ego, social, goal)
     done: Status
-    info: dict
+    record: StepRecord
 
 
 @dataclass(frozen=True)
@@ -451,25 +470,26 @@ class NavEnv:
             self.start,
             reached=self.status is Status.REACHED,
         )
-        parts = (assessment.r_ego, assessment.r_social, assessment.r_goal)
-        outcome = StepOutcome(
+        return StepOutcome(
             observation=self._observation(),
             reward=assessment.total,
-            reward_parts=parts,
+            reward_parts=(assessment.r_ego, assessment.r_social, assessment.r_goal),
             done=self.status,
-            info={
-                "d_t": assessment.d_t,
-                "ego_violation": assessment.ego_violation,
-                "social_violations": assessment.violations,
-                "considered_pedestrians": assessment.considered_pedestrians,
-                "sim_time": self.sim_time,
-                "steps": self.steps,
-                "robot": self.robot,
-                "twist": self._twist,
-                "action": (a_x, a_y),
-                "pedestrians": [
-                    (p.position.x, p.position.y, p.motion_heading) for p in self.peds
-                ],
-            },
+            record=StepRecord(
+                step=self.steps,
+                t=self.sim_time,
+                x=self.robot.x,
+                y=self.robot.y,
+                heading=self.robot.heading,
+                v_l=self._twist[0],
+                omega=self._twist[1],
+                a_x=a_x,
+                a_y=a_y,
+                r_ego=assessment.r_ego,
+                r_social=assessment.r_social,
+                r_goal=assessment.r_goal,
+                ego_violation=assessment.ego_violation,
+                social_violations=assessment.violations,
+                pedestrians=[(p.position.x, p.position.y, p.motion_heading) for p in self.peds],
+            ),
         )
-        return outcome

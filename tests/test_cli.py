@@ -56,6 +56,30 @@ class TestEval:
         for k in ta:
             assert ta[k] == tb[k], k
 
+    @pytest.mark.parametrize("policy, suite", [
+        ("greedy", "crowd:random:4"),
+        ("checkpoint", "mapless"),
+    ])
+    def test_jobs_match_single_thread(self, tmp_path, env_yaml, policy, suite):
+        """The worker pool writes the bytes the serial path writes."""
+        if policy == "checkpoint":
+            from socnavsim.ddpg import DDPG, DDPGConfig
+            from socnavsim.networks import default_network_spec
+
+            policy = str(tmp_path / "ck.npz")
+            learner = DDPG(default_network_spec(40, 64), DDPGConfig(), np.random.default_rng(2))
+            learner.save(policy, {"stage": "ego", "beam_count": 64})
+        common = ["eval", "--policy", policy, "--suite", suite, "--runs", "3", "--seed", "7",
+                  "--config", env_yaml]
+        serial, pooled = tmp_path / "serial", tmp_path / "pooled"
+        assert main(["--single-thread", *common, "--out", str(serial)]) == 0
+        assert main([*common, "--jobs", "2", "--out", str(pooled)]) == 0
+        ts, tp = read_tree(serial), read_tree(pooled)
+        assert sum(n.startswith("log__") for n in ts) == 3
+        assert ts.keys() == tp.keys()
+        for k in ts:
+            assert ts[k] == tp[k], k
+
     def test_unknown_suite_usage_error(self, tmp_path, env_yaml):
         with pytest.raises(SystemExit) as exc:
             main(["eval", "--policy", "greedy", "--suite", "wormhole",
@@ -114,6 +138,16 @@ class TestTrain:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: replay buffer of 100 transitions needs ")
+        assert err.count("\n") == 1
+
+    def test_bad_train_config_is_one_line(self, tmp_path, env_yaml, capsys):
+        rc = main([
+            "train", "--stage", "ego", "--config", env_yaml, "--out", str(tmp_path / "x"),
+            "--budget", "100", "--update-every", "0",
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: update_every must be at least 1")
         assert err.count("\n") == 1
 
     def test_short_training_deterministic_curves(self, tmp_path, env_yaml):

@@ -21,7 +21,7 @@ from socnavsim.networks import (
     soft_update,
 )
 from socnavsim.policies import LearnedPolicy
-from socnavsim.world import EnvConfig
+from socnavsim.world import EnvConfig, NavEnv
 
 TINY = NetworkSpec(feature_shape=(4, 16), conv=((3, 2, 5, 1, 2), (4, 2, 3, 1, 1)),
                    pool_width=2, dense=(12, 8))
@@ -277,7 +277,7 @@ class TestReplayBuffer:
             raise AssertionError("an episode started")
 
         monkeypatch.setattr(ddpg_module, "mem_available_bytes", lambda: 10**6)
-        monkeypatch.setattr(ddpg_module, "NavEnv", no_episode)
+        monkeypatch.setattr(ddpg_module, "episode_steps", no_episode)
         env_cfg = EnvConfig(beam_count=180, crowd=CrowdConfig(count=0))
         with pytest.raises(ValueError, match="largest capacity that fits is 34"):
             train("ego", env_cfg, TrainConfig(total_env_steps=1000), seed=0)
@@ -391,6 +391,37 @@ class TestFeaturize:
         assert goal[1] == pytest.approx(0.5)
 
 
+class TestTrainConfigValidation:
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"update_every": 0}, "update_every"),
+        ({"eval_every": 0}, "eval_every"),
+        ({"eval_episodes": 0}, "eval_episodes"),
+        ({"checkpoint_every": 0}, "checkpoint_every"),
+        ({"warmup_steps": -1}, "warmup_steps"),
+        ({"scenario_cycle": ()}, "scenario_cycle"),
+        ({"scenario_cycle": (None, "stampede")}, "stampede"),
+        ({"start_distance_fractions": (0.0, 0.5)}, "start_distance_fractions"),
+        ({"start_distance_fractions": (0.6, 0.4)}, "start_distance_fractions"),
+        ({"start_distance_fractions": (0.5, 1.2)}, "start_distance_fractions"),
+        ({"random_action_prob": -0.1}, "random_action_prob"),
+        ({"random_action_prob": 1.5}, "random_action_prob"),
+    ])
+    def test_bad_value_rejected(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            TrainConfig(**kwargs)
+
+    def test_zero_batch_size_rejected(self):
+        with pytest.raises(ValueError, match="batch_size"):
+            DDPGConfig(batch_size=0)
+
+    def test_boundary_values_accepted(self):
+        TrainConfig(update_every=1, eval_every=1, eval_episodes=1, checkpoint_every=1,
+                    warmup_steps=0, scenario_cycle=(None, "crossing"),
+                    start_distance_fractions=(1.0, 1.0), random_action_prob=1.0,
+                    ddpg=DDPGConfig(batch_size=1))
+        TrainConfig(start_distance_fractions=(0.01, 0.5), random_action_prob=0.0)
+
+
 class TestTrainLoop:
     def _env_cfg(self):
         return EnvConfig(beam_count=16, max_steps=30, obstacle_count_range=(0, 1),
@@ -459,6 +490,45 @@ class TestTrainLoop:
             assert record["success_rate"] == reached / n
         # a rate strictly between 0 and 1 tells reached / n from 100 * reached / n / 100
         assert any(0.0 < r["success_rate"] < 1.0 for r in evals)
+
+    def test_warmup_draw_order_pinned(self, monkeypatch):
+        """Inside the warm-up, each action reaching NavEnv.step is the next
+        uniform draw of the noise stream, and each reset takes the next
+        start fraction, map seed and crowd seed of the env stream."""
+        actions, resets = [], []
+        real_step, real_reset = NavEnv.step, NavEnv.reset
+
+        def step(env, action):
+            actions.append(np.array(action, dtype=float))
+            return real_step(env, action)
+
+        def reset(env, map_seed=None, crowd_seed=None):
+            resets.append((env.config.start, map_seed, crowd_seed))
+            return real_reset(env, map_seed=map_seed, crowd_seed=crowd_seed)
+
+        monkeypatch.setattr(NavEnv, "step", step)
+        monkeypatch.setattr(NavEnv, "reset", reset)
+        env_cfg = replace(self._env_cfg(), max_steps=7)
+        budget, fractions, seed = 30, (0.4, 0.9), 13
+        # a non-zero random_action_prob: the warm-up must not draw its coin
+        tc = TrainConfig(total_env_steps=budget, warmup_steps=budget + 10, random_action_prob=0.5,
+                         eval_every=10**9, checkpoint_every=10**9, start_distance_fractions=fractions,
+                         ddpg=DDPGConfig(batch_size=8, buffer_capacity=100))
+        train("ego", env_cfg, tc, seed=seed)
+
+        _, noise_ss, _, env_ss, _ = np.random.SeedSequence(seed).spawn(5)
+        noise_rng = np.random.default_rng(noise_ss)
+        assert len(actions) == budget
+        for action in actions:
+            assert np.array_equal(action, noise_rng.uniform(-1.5, 1.5, 2))
+        env_rng = np.random.default_rng(env_ss)
+        (gx, gy), (sx, sy) = env_cfg.goal, env_cfg.start
+        assert len(resets) >= budget // env_cfg.max_steps + 1
+        for start, map_seed, crowd_seed in resets:
+            frac = float(env_rng.uniform(*fractions))
+            assert start == (gx + (sx - gx) * frac, gy + (sy - gy) * frac)
+            assert map_seed == int(env_rng.integers(2**31))
+            assert crowd_seed == int(env_rng.integers(2**31))
 
     def test_warm_start_applied(self, tmp_path):
         learner, _ = train("ego", self._env_cfg(), self._train_cfg(60), seed=3,

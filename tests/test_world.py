@@ -159,7 +159,7 @@ class TestEnvStep:
         for _ in range(60):
             out = env.step((1.5, 0.0))
             if out.done is Status.REACHED:
-                t = out.info["sim_time"]
+                t = out.record.t
                 break
         # 3 m at 1.5 m/s less the 0.3 m tolerance: about 1.8 s
         assert t is not None and t == pytest.approx(1.8, abs=0.3)
