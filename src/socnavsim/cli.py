@@ -160,7 +160,7 @@ def cmd_eval(args, parser) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     work = [(policy, cfg, args.suite, *seeds) for seeds in episode_seeds(args.seed, args.runs)]
-    jobs = 1 if args.single_thread else max(1, int(args.jobs or 1))
+    jobs = 1 if args.single_thread else min(len(work), max(1, int(args.jobs or 1)))
     if jobs > 1:
         import multiprocessing as mp
 
@@ -220,17 +220,8 @@ def cmd_scenario_gen(args, parser) -> int:
         "goal": list(cfg.goal),
         "obstacles": obstacles,
         "pedestrians": [
-            {
-                "id": p.id,
-                "x": p.position.x,
-                "y": p.position.y,
-                "vx": p.velocity.x,
-                "vy": p.velocity.y,
-                "radius": p.radius,
-                "pref_speed": p.pref_speed,
-                "goal": [p.goal.x, p.goal.y],
-            }
-            for p in env.peds
+            {"id": i, "x": x, "y": y, "vx": vx, "vy": vy, "radius": r, "pref_speed": s, "goal": [gx, gy]}
+            for i, x, y, vx, vy, gx, gy, s, r, *_ in env.crowd.rows()
         ],
     }
     os.makedirs(args.out, exist_ok=True)

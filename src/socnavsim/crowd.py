@@ -6,19 +6,20 @@ constraints (2D linear program, with a fallback that minimizes the worst
 violation when the constraints are infeasible).  Pedestrians avoid each
 other and static obstacles but never see the robot.
 
-Each step builds every pedestrian's half-planes in one numpy pass over
-the snapshot (orca_lines); only the small per-pedestrian LP runs as
-scalar code (orca_velocity).
+The crowd is one Crowd of arrays.  Each step builds every pedestrian's
+half-planes in one numpy pass over it (orca_lines); only the small
+per-pedestrian LP runs as scalar code on floats (orca_velocity).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Circle, OrientedRect, Segment, Shape, Vec2
+from .geometry import (Circle, OrientedRect, Scene, Segment, Shape, Vec2, elementwise, rect_edges,
+                       wrap_angle)
 
 ORCA_EPSILON = 1e-5
 AGENT_TIME_HORIZON = 2.0
@@ -28,33 +29,51 @@ MEAN_STOP_SECONDS = 1.0
 STILL_SPEED = 0.05
 
 
-@dataclass(frozen=True)
-class Pedestrian:
-    id: int
-    position: Vec2
-    velocity: Vec2
-    pref_speed: float
-    radius: float  # bounding circle used by avoidance and collision checks
-    goal: Vec2
-    rect_shape: bool = False  # rendered to lidar as an oriented rectangle
-    stopped_steps: int = 0  # >0 while in a stop-and-go pause
-    motion_heading: float = 0.0  # last heading of actual motion
+@dataclass(frozen=True, eq=False)
+class Crowd:
+    """Every pedestrian's state as parallel arrays, one row per pedestrian."""
 
-    @property
-    def walking(self) -> bool:
-        return self.stopped_steps == 0
+    ids: np.ndarray  # (n,) int, unique
+    position: np.ndarray  # (n, 2)
+    velocity: np.ndarray  # (n, 2)
+    goal: np.ndarray  # (n, 2)
+    pref_speed: np.ndarray  # (n,)
+    radius: np.ndarray  # (n,) bounding circle used by avoidance and collision checks
+    rect: np.ndarray  # (n,) bool: scanned as an oriented square
+    stopped: np.ndarray  # (n,) int, >0 while in a stop-and-go pause
+    motion_heading: np.ndarray  # (n,) last heading of actual motion
 
-    def body(self) -> Circle:
-        return Circle(self.position, self.radius)
+    @staticmethod
+    def from_rows(rows) -> "Crowd":
+        """From rows (id, x, y, vx, vy, goal x, goal y, pref_speed, radius, rect,
+        stopped, motion_heading); rows() gives them back as Python scalars."""
+        t = np.array(rows, dtype=float).reshape(-1, 12)
+        ids, stopped = t[:, 0].astype(np.int64), t[:, 10].astype(np.int64)
+        return Crowd(ids, t[:, 1:3], t[:, 3:5], t[:, 5:7], t[:, 7], t[:, 8], t[:, 9] != 0.0, stopped, t[:, 11])
 
-    def lidar_shape(self) -> Shape:
-        """Shape seen by the scanner; avoidance always uses the circle."""
-        if not self.rect_shape:
-            return self.body()
-        side = self.radius / math.sqrt(2.0)
-        fwd = Vec2.from_angle(self.motion_heading)
-        anchor = self.position - fwd * side
-        return OrientedRect(anchor, self.motion_heading, half_width=side, length=2.0 * side)
+    def rows(self):
+        columns = (self.ids, *self.position.T, *self.velocity.T, *self.goal.T, self.pref_speed,
+                   self.radius, self.rect, self.stopped, self.motion_heading)
+        return zip(*(c.tolist() for c in columns))
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def distances(self, x: float, y: float) -> np.ndarray:
+        """Every pedestrian's center distance from the point (x, y)."""
+        return elementwise(math.hypot, x - self.position[:, 0], y - self.position[:, 1])
+
+    def lidar_scene(self) -> Scene:
+        """The scanner's view, bitwise pack_shapes': a round pedestrian's circle (radius**2
+        by Python's pow) or a rect one's inscribed square, anchored along the raw motion
+        heading and turned by the wrapped one."""
+        r, rect = self.radius, self.rect
+        circles = np.column_stack([self.position[~rect], [x**2 for x in r[~rect].tolist()]])
+        heading, side = self.motion_heading[rect], r[rect] / math.sqrt(2.0)
+        fwd = np.column_stack([elementwise(math.cos, heading), elementwise(math.sin, heading)])
+        anchor = self.position[rect] - fwd * side[:, None]
+        squares = np.column_stack([anchor, elementwise(wrap_angle, heading), side, 2.0 * side])
+        return Scene(circles, rect_edges(squares), len(self))
 
 
 @dataclass(frozen=True)
@@ -76,6 +95,11 @@ class CrowdConfig:
         for lo, hi in (self.speed_range, self.radius_range):
             if not 0.0 < lo <= hi:
                 raise ValueError("ranges must be positive and nonempty")
+        for name in ("walk_in_probability", "stop_go_probability", "rect_shape_probability"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
+        if not (self.area[0] > 0.0 and self.area[1] > 0.0):
+            raise ValueError(f"area sides must be positive, got {self.area}")
 
 
 def _normalized(x: float, y: float) -> tuple[float, float]:
@@ -177,44 +201,44 @@ def _linear_program3(lines, num_fixed, begin_line, radius, result):
     return result
 
 
-def _obstacle_discs(obstacles: list[Shape]) -> list[Circle]:
-    """Static obstacles as bounding discs for avoidance purposes."""
+def obstacle_discs(obstacles: list[Shape]) -> np.ndarray:
+    """Static obstacles as (center x, center y, radius) rows of bounding discs."""
     discs = []
     for shape in obstacles:
         if isinstance(shape, Circle):
-            discs.append(shape)
+            discs.append((shape.center.x, shape.center.y, shape.radius))
         elif isinstance(shape, OrientedRect):
             fwd, _ = shape.axes()
             center = shape.anchor + fwd * (shape.length / 2.0)
             radius = math.hypot(shape.length / 2.0, shape.half_width)
-            discs.append(Circle(center, max(radius, 1e-3)))
+            discs.append((center.x, center.y, max(radius, 1e-3)))
         elif isinstance(shape, Segment):
             continue  # boundary walls: pedestrians are goal-confined instead
         else:
             raise TypeError(f"unsupported shape {type(shape).__name__}")
-    return discs
+    return np.array(discs, dtype=float).reshape(-1, 3)
 
 
-def preferred_velocity(ped: Pedestrian) -> Vec2:
+def preferred_velocity(x, y, goal_x, goal_y, pref_speed) -> tuple[float, float]:
     """Unit vector to the goal scaled by the preferred speed."""
-    to_goal = ped.goal - ped.position
-    dist = to_goal.norm()
+    to_x, to_y = goal_x - x, goal_y - y
+    dist = math.hypot(to_x, to_y)
     if dist < 1e-9:
-        return Vec2(0.0, 0.0)
-    return to_goal * (ped.pref_speed / dist)
+        return 0.0, 0.0
+    scale = pref_speed / dist
+    return to_x * scale, to_y * scale
 
 
-def orca_lines(
-    peds: list[Pedestrian], obstacles: list[Shape], dt: float
-) -> tuple[np.ndarray, int]:
+def orca_lines(crowd: Crowd, discs: np.ndarray | None, dt: float) -> tuple[np.ndarray, int]:
     """Every pedestrian's ORCA half-planes, built from one snapshot.
 
     Returns (lines, num_fixed): lines[i] is an (m, 4) array of rows
     (point_x, point_y, dir_x, dir_y) for pedestrian i, first one per
     obstacle disc (num_fixed of them, full responsibility, obstacle time
-    horizon), then one per other pedestrian in list order (half
-    responsibility, agent time horizon).  The permitted velocities lie
-    left of each directed line.  Pedestrian ids must be unique.
+    horizon), then one per other pedestrian in row order (half
+    responsibility, agent time horizon).  discs holds obstacle_discs
+    rows; None means no obstacles.  The permitted velocities lie left of
+    each directed line.
 
     The arithmetic is that of the scalar reference formulation, operation
     by operation, so the lines are bitwise those of per-pair Vec2 code.
@@ -223,16 +247,16 @@ def orca_lines(
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    if not peds:
+    if not len(crowd):
         return np.empty((0, 0, 4)), 0
     inv_dt = 1.0 / dt
-    discs = _obstacle_discs(obstacles)
-    k, n = len(discs), len(peds)
+    discs = np.empty((0, 3)) if discs is None else discs
+    k, n = len(discs), len(crowd)
 
     # (x, y, vx, vy, radius) of each pedestrian, then of everything it avoids
-    me = np.array([(p.position.x, p.position.y, p.velocity.x, p.velocity.y, p.radius) for p in peds])
+    me = np.column_stack([crowd.position, crowd.velocity, crowd.radius])
     them = np.concatenate(
-        [np.array([(d.center.x, d.center.y, 0.0, 0.0, d.radius) for d in discs]).reshape(k, 5), me]
+        [np.column_stack([discs[:, :2], np.zeros((k, 2)), discs[:, 2]]), me]
     )
     keep = np.ones((n, k + n), dtype=bool)
     keep[np.arange(n), k + np.arange(n)] = False  # a pedestrian does not avoid itself
@@ -296,42 +320,27 @@ def orca_lines(
     return lines, k
 
 
-def orca_velocity(ped: Pedestrian, lines: np.ndarray, num_fixed: int) -> Vec2:
-    """New velocity closest to the preferred one under ped's ORCA lines.
-
-    lines and num_fixed are ped's row of orca_lines.  The robot is never
-    among the neighbors: pedestrians ignore it.
-    """
+def orca_velocity(pref_x, pref_y, pref_speed, lines: np.ndarray, num_fixed: int) -> tuple[float, float]:
+    """New velocity closest to the preferred one under one pedestrian's
+    row of orca_lines.  The robot is never among the neighbors."""
     rows = lines.tolist()
-    pref = preferred_velocity(ped)
-    result, fail = _linear_program2(rows, ped.pref_speed, pref.x, pref.y, False)
+    result, fail = _linear_program2(rows, pref_speed, pref_x, pref_y, False)
     if fail < len(rows):
-        result = _linear_program3(rows, num_fixed, fail, ped.pref_speed, result)
-    return Vec2(*result)
+        result = _linear_program3(rows, num_fixed, fail, pref_speed, result)
+    return result
 
 
-def _sample_ped(
-    ped_id: int,
-    position: Vec2,
-    goal: Vec2,
-    config: CrowdConfig,
-    rng: np.random.Generator,
-) -> Pedestrian:
-    speed = float(rng.uniform(*config.speed_range))
+def _sample_ped(ped_id, position, goal, speed_range, config: CrowdConfig, rng) -> tuple:
+    """A new pedestrian's Crowd row, walking at its goal."""
+    (x, y), (goal_x, goal_y) = position, goal
+    speed = float(rng.uniform(*speed_range))
     radius = float(rng.uniform(*config.radius_range))
     rect = bool(rng.random() < config.rect_shape_probability)
-    heading = (goal - position).angle() if (goal - position).norm() > 1e-9 else 0.0
-    velocity = Vec2.from_angle(heading, speed) if (goal - position).norm() > 1e-9 else Vec2(0.0, 0.0)
-    return Pedestrian(
-        id=ped_id,
-        position=position,
-        velocity=velocity,
-        pref_speed=speed,
-        radius=radius,
-        goal=goal,
-        rect_shape=rect,
-        motion_heading=heading,
-    )
+    heading, vx, vy = 0.0, 0.0, 0.0
+    if math.hypot(goal_x - x, goal_y - y) > 1e-9:
+        heading = math.atan2(goal_y - y, goal_x - x)
+        vx, vy = speed * math.cos(heading), speed * math.sin(heading)
+    return (ped_id, x, y, vx, vy, goal_x, goal_y, speed, radius, rect, 0, heading)
 
 
 def _area_bounds(config: CrowdConfig) -> tuple[float, float, float, float]:
@@ -340,32 +349,32 @@ def _area_bounds(config: CrowdConfig) -> tuple[float, float, float, float]:
     return cx - w / 2.0, cx + w / 2.0, cy - h / 2.0, cy + h / 2.0
 
 
-def _random_point(config: CrowdConfig, rng: np.random.Generator) -> Vec2:
+def _random_point(config: CrowdConfig, rng: np.random.Generator) -> tuple[float, float]:
     x0, x1, y0, y1 = _area_bounds(config)
-    return Vec2(float(rng.uniform(x0, x1)), float(rng.uniform(y0, y1)))
+    return float(rng.uniform(x0, x1)), float(rng.uniform(y0, y1))
 
 
-def _boundary_point(config: CrowdConfig, rng: np.random.Generator) -> Vec2:
+def _boundary_point(config: CrowdConfig, rng: np.random.Generator) -> tuple[float, float]:
     x0, x1, y0, y1 = _area_bounds(config)
     side = int(rng.integers(0, 4))
     t = float(rng.random())
     if side == 0:
-        return Vec2(x0, y0 + t * (y1 - y0))
+        return x0, y0 + t * (y1 - y0)
     if side == 1:
-        return Vec2(x1, y0 + t * (y1 - y0))
+        return x1, y0 + t * (y1 - y0)
     if side == 2:
-        return Vec2(x0 + t * (x1 - x0), y0)
-    return Vec2(x0 + t * (x1 - x0), y1)
+        return x0 + t * (x1 - x0), y0
+    return x0 + t * (x1 - x0), y1
 
 
-def spawn_crowd(config: CrowdConfig, rng: np.random.Generator) -> list[Pedestrian]:
+def spawn_crowd(config: CrowdConfig, rng: np.random.Generator) -> Crowd:
     """Uniformly random pedestrians with random goals inside the area."""
-    peds = []
+    rows = []
     for i in range(config.count):
         pos = _random_point(config, rng)
         goal = _random_point(config, rng)
-        peds.append(_sample_ped(i, pos, goal, config, rng))
-    return peds
+        rows.append(_sample_ped(i, pos, goal, config.speed_range, config, rng))
+    return Crowd.from_rows(rows)
 
 
 SCENARIO_KINDS = ("crossing", "towards", "ahead", "random")
@@ -378,7 +387,7 @@ def spawn_scenario(
     rng: np.random.Generator,
     robot_start: Vec2,
     robot_goal: Vec2,
-) -> list[Pedestrian]:
+) -> Crowd:
     """Structured crowd start states relative to the robot's route.
 
     crossing: flow perpendicular to the robot-goal axis; towards: walking
@@ -391,18 +400,18 @@ def spawn_scenario(
     perp = Vec2(-axis.y, axis.x)
     x0, x1, y0, y1 = _area_bounds(config)
     span = max(x1 - x0, y1 - y0)
-    cfg = config
+    speed_range = config.speed_range
     if kind == "ahead":
         lo, hi = config.speed_range
-        cfg = replace(config, speed_range=(lo * 0.6, max(lo * 0.6 + 1e-3, hi * 0.6)))
+        speed_range = (lo * 0.6, max(lo * 0.6 + 1e-3, hi * 0.6))
 
-    peds: list[Pedestrian] = []
+    rows: list[tuple] = []
     for i in range(count):
         for _ in range(200):
-            pos = _random_point(config, rng)
+            pos = Vec2(*_random_point(config, rng))
             if (pos - robot_start).norm() < 1.0:
                 continue
-            if any((pos - p.position).norm() < 0.9 for p in peds):
+            if any((pos - Vec2(row[1], row[2])).norm() < 0.9 for row in rows):
                 continue
             break
         if kind == "crossing":
@@ -413,66 +422,59 @@ def spawn_scenario(
         elif kind == "ahead":
             goal = pos + axis * span
         else:
-            goal = _random_point(config, rng)
-        peds.append(_sample_ped(i, pos, goal, cfg, rng))
-    return peds
+            goal = Vec2(*_random_point(config, rng))
+        rows.append(_sample_ped(i, (pos.x, pos.y), (goal.x, goal.y), speed_range, config, rng))
+    return Crowd.from_rows(rows)
 
 
 def step_crowd(
-    peds: list[Pedestrian],
+    crowd: Crowd,
     config: CrowdConfig,
     dt: float,
     rng: np.random.Generator,
-    obstacles: list[Shape] | None = None,
-) -> list[Pedestrian]:
+    discs: np.ndarray | None = None,
+) -> Crowd:
     """Advance all pedestrians by one step of dt seconds.
 
     New velocities are computed from the previous snapshot and committed
-    together.  Handles stop-and-go pauses, goal renewal, and walk-ins;
-    fully deterministic under a fixed generator state.
+    together; discs are the obstacle_discs rows to avoid.  Handles
+    stop-and-go pauses, goal renewal, and walk-ins; fully deterministic
+    under a fixed generator state.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    lines, num_fixed = orca_lines(peds, obstacles or [], dt)
+    lines, num_fixed = orca_lines(crowd, discs, dt)
     # the per-operation checks of Vec2 code, done once per step
     finite = np.isfinite(lines).all(axis=(1, 2))
-    out: list[Pedestrian] = []
-    next_id = max((p.id for p in peds), default=-1) + 1
+    rows: list[tuple] = []
 
-    for i, ped in enumerate(peds):
-        stopped_steps = ped.stopped_steps
-        if stopped_steps > 0:
-            stopped_steps -= 1
+    for i, row in enumerate(crowd.rows()):
+        ped_id, x, y, vx, vy, goal_x, goal_y, speed, radius, rect, stopped, heading = row
+        if stopped > 0:
+            stopped -= 1
         elif config.stop_go_probability > 0.0 and rng.random() < config.stop_go_probability:
             # geometric pause, one expected second long
-            stopped_steps = int(rng.geometric(min(1.0, dt / MEAN_STOP_SECONDS)))
+            stopped = int(rng.geometric(min(1.0, dt / MEAN_STOP_SECONDS)))
 
-        if stopped_steps > 0:
-            out.append(replace(ped, velocity=Vec2(0.0, 0.0), stopped_steps=stopped_steps))
+        if stopped > 0:
+            rows.append((ped_id, x, y, 0.0, 0.0, goal_x, goal_y, speed, radius, rect, stopped, heading))
             continue
 
         if not finite[i]:
-            raise ValueError(f"non-finite ORCA constraint for pedestrian {ped.id}")
-        velocity = orca_velocity(ped, lines[i], num_fixed)
-        position = ped.position + velocity * dt
-        goal = ped.goal
-        if (position - goal).norm() < GOAL_REACHED_DIST:
-            goal = _random_point(config, rng)
-        heading = velocity.angle() if velocity.norm() >= STILL_SPEED else ped.motion_heading
-        out.append(
-            replace(
-                ped,
-                position=position,
-                velocity=velocity,
-                goal=goal,
-                stopped_steps=0,
-                motion_heading=heading,
-            )
-        )
+            raise ValueError(f"non-finite ORCA constraint for pedestrian {ped_id}")
+        pref_x, pref_y = preferred_velocity(x, y, goal_x, goal_y, speed)
+        vx, vy = orca_velocity(pref_x, pref_y, speed, lines[i], num_fixed)
+        x, y = x + vx * dt, y + vy * dt
+        if math.hypot(x - goal_x, y - goal_y) < GOAL_REACHED_DIST:
+            goal_x, goal_y = _random_point(config, rng)
+        if math.hypot(vx, vy) >= STILL_SPEED:
+            heading = math.atan2(vy, vx)
+        rows.append((ped_id, x, y, vx, vy, goal_x, goal_y, speed, radius, rect, 0, heading))
 
-    if config.walk_in_probability > 0.0 and len(out) < config.max_count:
+    if config.walk_in_probability > 0.0 and len(rows) < config.max_count:
         if rng.random() < config.walk_in_probability:
+            next_id = max(crowd.ids.tolist(), default=-1) + 1
             pos = _boundary_point(config, rng)
             goal = _random_point(config, rng)
-            out.append(_sample_ped(next_id, pos, goal, config, rng))
-    return out
+            rows.append(_sample_ped(next_id, pos, goal, config.speed_range, config, rng))
+    return Crowd.from_rows(rows)

@@ -162,10 +162,7 @@ def episode_steps(policy, env_config: EnvConfig, map_seed: int, crowd_seed: int)
             policy.observe_state(
                 (env.robot.x, env.robot.y, env.robot.heading),
                 (env.goal.x, env.goal.y),
-                [
-                    (p.position.x, p.position.y, p.velocity.x, p.velocity.y, p.radius)
-                    for p in env.peds
-                ],
+                [row[1:5] + row[8:9] for row in env.crowd.rows()],  # (x, y, vx, vy, radius)
             )
         outcome = env.step(policy.act(obs))
         yield outcome

@@ -23,6 +23,12 @@ def wrap_angle(angle: float) -> float:
     return a - math.pi
 
 
+def elementwise(fn, *arrays: np.ndarray) -> np.ndarray:
+    """fn mapped over equal-length 1-D arrays, one scalar call per element:
+    numpy's vectorized transcendentals round differently from libm's."""
+    return np.fromiter(map(fn, *(a.tolist() for a in arrays)), float, len(arrays[0]))
+
+
 @dataclass(frozen=True)
 class Vec2:
     x: float
@@ -62,9 +68,6 @@ class Vec2:
     def angle(self) -> float:
         return math.atan2(self.y, self.x)
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y])
-
     @staticmethod
     def from_angle(angle: float, length: float = 1.0) -> "Vec2":
         return Vec2(length * math.cos(angle), length * math.sin(angle))
@@ -96,7 +99,7 @@ class OrientedRect:
 
     The anchor sits at the middle of the rear edge; the rect spans
     laterally +-half_width.  Degenerate extents (zero length or width)
-    are allowed and collapse to a segment or point.  rects_intersect can
+    are allowed and collapse to a segment or point.  rects_overlap can
     miss exact contact with such a rectangle by one rounding: its
     corners anchor +- w can project one rounding off the anchor onto the
     other rectangle's axis.  No such miss is known for rectangles with
@@ -131,48 +134,85 @@ Shape = Circle | Segment | OrientedRect
 
 
 # ---------------------------------------------------------------------------
-# Raycasting
+# Packed shapes; a rectangle row is (anchor x, anchor y, wrapped heading, half_width, length)
 
 
-def _rect_edges(rect: OrientedRect) -> list[tuple[float, float, float, float]]:
-    """Edges (ax, ay, bx, by) between the corners() of rect, in float
-    arithmetic.  Zero-length edges are kept: no ray hits them."""
-    fx, fy = math.cos(rect.heading), math.sin(rect.heading)
-    rear_x, rear_y = rect.anchor.x, rect.anchor.y
-    front_x, front_y = rear_x + fx * rect.length, rear_y + fy * rect.length
-    wx, wy = -fy * rect.half_width, fx * rect.half_width
-    c = (
-        (rear_x - wx, rear_y - wy),
-        (front_x - wx, front_y - wy),
-        (front_x + wx, front_y + wy),
-        (rear_x + wx, rear_y + wy),
-    )
-    return [c[i] + c[(i + 1) % 4] for i in range(4)]
+def rect_frames(rects: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Forward axes (fx, fy) and (n, 4) corner coordinates (xs, ys) of rectangle rows,
+    bitwise those of OrientedRect.axes() and corners(), which they order alike."""
+    ax, ay, heading, half_width, length = rects.T
+    fx, fy = elementwise(math.cos, heading), elementwise(math.sin, heading)
+    front_x, front_y = ax + fx * length, ay + fy * length
+    wx, wy = -fy * half_width, fx * half_width
+    xs = np.stack([ax - wx, front_x - wx, front_x + wx, ax + wx], axis=1)
+    ys = np.stack([ay - wy, front_y - wy, front_y + wy, ay + wy], axis=1)
+    return fx, fy, xs, ys
 
 
-def cast_fan(origin: Vec2, angles: np.ndarray, shapes: list[Shape], max_range: float) -> np.ndarray:
-    """Vectorized raycast over an array of world-frame beam angles.
+def rect_rows(rects: list[OrientedRect]) -> np.ndarray:
+    rows = [(r.anchor.x, r.anchor.y, r.heading, r.half_width, r.length) for r in rects]
+    return np.array(rows, dtype=float).reshape(-1, 5)
 
-    Circles and segments (rectangle edges included) are each packed into
-    one array and intersected with every beam at once, shapes on axis 0.
-    """
-    dx = np.cos(angles)
-    dy = np.sin(angles)
-    circles = []  # (center x, center y, radius**2)
-    segments = []  # (ax, ay, bx, by)
+
+def rect_edges(rects: np.ndarray) -> np.ndarray:
+    """Rows (ax, ay, bx, by) of each rectangle's four edges, zero-length ones kept."""
+    _, _, xs, ys = rect_frames(rects)
+    nxt = [1, 2, 3, 0]
+    return np.stack([xs, ys, xs[:, nxt], ys[:, nxt]], axis=-1).reshape(-1, 4)
+
+
+def rects_overlap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Closed-set overlap of rectangle rows a and b, broadcast row by row: the
+    separating-axis test on the four face normals, projected as the Vec2 one."""
+    afx, afy, axs, ays = rect_frames(a)
+    bfx, bfy, bxs, bys = rect_frames(b)
+    apart = np.zeros(np.broadcast_shapes(len(a), len(b)), dtype=bool)
+    for ux, uy in ((afx, afy), (-afy, afx), (bfx, bfy), (-bfy, bfx)):  # forward, left
+        pa = axs * ux[:, None] + ays * uy[:, None]
+        pb = bxs * ux[:, None] + bys * uy[:, None]
+        apart |= (pa.max(axis=1) < pb.min(axis=1)) | (pb.max(axis=1) < pa.min(axis=1))
+    return ~apart
+
+
+@dataclass(frozen=True)
+class Scene:
+    """Shapes packed for cast_fan; len() counts a rectangle (four edge rows) once."""
+
+    circles: np.ndarray  # (c, 3): center x, center y, radius**2
+    segments: np.ndarray  # (s, 4): ax, ay, bx, by
+    count: int
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __add__(self, other: "Scene") -> "Scene":
+        circles = np.concatenate([self.circles, other.circles])
+        return Scene(circles, np.concatenate([self.segments, other.segments]), self.count + other.count)
+
+
+def pack_shapes(shapes: list[Shape]) -> Scene:
+    circles, segments = [], []
     for shape in shapes:
         if isinstance(shape, Circle):
             circles.append((shape.center.x, shape.center.y, shape.radius**2))
         elif isinstance(shape, Segment):
             segments.append((shape.a.x, shape.a.y, shape.b.x, shape.b.y))
         elif isinstance(shape, OrientedRect):
-            segments.extend(_rect_edges(shape))
+            segments.extend(rect_edges(rect_rows([shape])).tolist())
         else:
             raise TypeError(f"unsupported shape {type(shape).__name__}")
+    return Scene(np.array(circles).reshape(-1, 3), np.array(segments).reshape(-1, 4), len(shapes))
 
+
+def cast_fan(origin: Vec2, angles: np.ndarray, shapes: Scene | list[Shape], max_range: float) -> np.ndarray:
+    """Vectorized raycast over an array of world-frame beam angles: all
+    circles, then all segments, against every beam at once."""
+    scene = shapes if isinstance(shapes, Scene) else pack_shapes(shapes)
+    dx = np.cos(angles)
+    dy = np.sin(angles)
     best = np.full(angles.shape, max_range)
-    if circles:
-        cx, cy, r_sq = np.array(circles).T[:, :, None]
+    if len(scene.circles):
+        cx, cy, r_sq = scene.circles.T[:, :, None]
         fx = origin.x - cx
         fy = origin.y - cy
         b = fx * dx + fy * dy
@@ -184,8 +224,8 @@ def cast_fan(origin: Vec2, angles: np.ndarray, shapes: list[Shape], max_range: f
         t = np.where(t < 0.0, t_exit, t)  # origin inside: the exit point
         valid = hit & (t >= 0.0)
         np.minimum(best, np.where(valid, t, np.inf).min(axis=0), out=best)
-    if segments:
-        ax, ay, bx, by = np.array(segments).T[:, :, None]
+    if len(scene.segments):
+        ax, ay, bx, by = scene.segments.T[:, :, None]
         ex, ey = bx - ax, by - ay
         wx, wy = ax - origin.x, ay - origin.y
         denom = dx * ey - dy * ex
@@ -199,28 +239,7 @@ def cast_fan(origin: Vec2, angles: np.ndarray, shapes: list[Shape], max_range: f
 
 
 # ---------------------------------------------------------------------------
-# Overlap and distance
-
-
-def _project(corners, axis: Vec2) -> tuple[float, float]:
-    dots = [c.dot(axis) for c in corners]
-    return min(dots), max(dots)
-
-
-def rects_intersect(a: OrientedRect, b: OrientedRect) -> bool:
-    """Closed-set overlap test via the separating-axis theorem.
-
-    Only the four face normals need checking for a pair of rectangles;
-    boundary contact counts as intersecting.
-    """
-    ca, cb = a.corners(), b.corners()
-    for rect in (a, b):
-        for axis in rect.axes():
-            amin, amax = _project(ca, axis)
-            bmin, bmax = _project(cb, axis)
-            if amax < bmin or bmax < amin:
-                return False
-    return True
+# Distance
 
 
 def point_segment_distance(p: Vec2, seg: Segment) -> float:

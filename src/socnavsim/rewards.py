@@ -11,8 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .crowd import STILL_SPEED, Pedestrian
-from .geometry import Circle, OrientedRect, Shape, Vec2, closest_distance, rects_intersect
+import numpy as np
+
+from .crowd import STILL_SPEED, Crowd
+from .geometry import Circle, OrientedRect, Vec2, elementwise, rect_rows, rects_overlap, wrap_angle
 
 EGO_MARGIN = 0.4  # ego-safety circle radius is robot radius + this
 COLLISION_PENALTY = -10.0
@@ -27,7 +29,6 @@ MIN_HEADWAY = 0.5
 
 @dataclass(frozen=True)
 class SafetyAssessment:
-    d_t: float
     ego_violation: bool
     violations: int
     considered_pedestrians: int
@@ -40,22 +41,15 @@ class SafetyAssessment:
         return self.r_ego + self.r_social + self.r_goal
 
 
-def ego_reward(
-    robot: Circle,
-    pedestrians: list[Pedestrian],
-    obstacles: list[Shape],
-) -> tuple[float, bool, float]:
-    """Graded ego-safety penalty; returns (reward, violation flag, d_t)."""
-    shapes: list[Shape] = [p.body() for p in pedestrians] + list(obstacles)
-    if not shapes:
-        return 0.0, False, math.inf
-    d_t = closest_distance(robot, shapes)
-    zone = robot.radius + EGO_MARGIN
+def ego_reward(d_t: float, robot_radius: float) -> tuple[float, bool]:
+    """Graded ego-safety penalty from the robot's clearance d_t (surface
+    distance to the nearest shape, inf for none); (reward, violation flag)."""
+    zone = robot_radius + EGO_MARGIN
     if d_t <= 0.0:
-        return COLLISION_PENALTY, True, d_t
+        return COLLISION_PENALTY, True
     if d_t < zone:
-        return EGO_SCALE * (1.0 - d_t / zone), True, d_t
-    return 0.0, False, d_t
+        return EGO_SCALE * (1.0 - d_t / zone), True
+    return 0.0, False
 
 
 def social_zone(
@@ -79,29 +73,30 @@ def social_zone(
     return OrientedRect(position, motion_heading, half_width=radius, length=length)
 
 
-def pedestrian_zone(ped: Pedestrian) -> OrientedRect:
-    speed = ped.velocity.norm()
-    heading = ped.velocity.angle() if speed >= STILL_SPEED else ped.motion_heading
-    return social_zone(ped.position, heading, ped.radius, speed)
+def pedestrian_zones(crowd: Crowd) -> np.ndarray:
+    """Every pedestrian's social_zone as a rect_rows row, headed along its
+    velocity, or its last motion heading below STILL_SPEED."""
+    vx, vy = crowd.velocity.T
+    speed = elementwise(math.hypot, vx, vy)
+    heading = np.where(speed >= STILL_SPEED, elementwise(math.atan2, vy, vx), crowd.motion_heading)
+    length = crowd.radius / 2.0 + MIN_HEADWAY + LOOKAHEAD_DT * speed
+    return np.column_stack([crowd.position, elementwise(wrap_angle, heading), crowd.radius, length])
 
 
-def social_reward(
-    robot_zone: OrientedRect,
-    robot_position: Vec2,
-    pedestrians: list[Pedestrian],
-) -> tuple[float, int, int]:
+def social_reward(robot_zone: OrientedRect, distances, crowd: Crowd) -> tuple[float, int, int]:
     """Zone-intersection penalty; returns (reward, violations, considered).
 
+    distances holds each pedestrian's center distance from the robot.
     Only pedestrians within 5 m take part in the intersection checks,
     but the penalty is normalized by the total number of pedestrians in
     the scene; an empty scene yields zero.
     """
-    if not pedestrians:
+    if not len(crowd):
         return 0.0, 0, 0
-    considered = [p for p in pedestrians if (p.position - robot_position).norm() <= SOCIAL_RANGE]
-    violations = sum(1 for p in considered if rects_intersect(robot_zone, pedestrian_zone(p)))
-    reward = SOCIAL_SCALE * violations / len(pedestrians)
-    return reward, violations, len(considered)
+    near = distances <= SOCIAL_RANGE
+    hit = rects_overlap(rect_rows([robot_zone]), pedestrian_zones(crowd))
+    violations = int(np.count_nonzero(hit & near))
+    return SOCIAL_SCALE * violations / len(crowd), violations, int(np.count_nonzero(near))
 
 
 def goal_reward(p_t: Vec2, p_star: Vec2, p_0: Vec2, reached: bool) -> float:
@@ -123,19 +118,20 @@ def assess(
     robot: Circle,
     robot_motion_heading: float,
     robot_speed: float,
-    pedestrians: list[Pedestrian],
-    obstacles: list[Shape],
+    clearance: float,
+    distances: np.ndarray,
+    crowd: Crowd,
     p_star: Vec2,
     p_0: Vec2,
     reached: bool,
 ) -> SafetyAssessment:
-    """All three reward parts from one full state snapshot."""
-    r_ego, ego_violation, d_t = ego_reward(robot, pedestrians, obstacles)
+    """All three reward parts from one full state snapshot, with the
+    clearance and pedestrian distances the collision check measured."""
+    r_ego, ego_violation = ego_reward(clearance, robot.radius)
     zone = social_zone(robot.center, robot_motion_heading, robot.radius, robot_speed)
-    r_social, violations, considered = social_reward(zone, robot.center, pedestrians)
+    r_social, violations, considered = social_reward(zone, distances, crowd)
     r_goal = goal_reward(robot.center, p_star, p_0, reached)
     return SafetyAssessment(
-        d_t=d_t,
         ego_violation=ego_violation,
         violations=violations,
         considered_pedestrians=considered,

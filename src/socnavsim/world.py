@@ -17,8 +17,10 @@ import numpy as np
 import yaml
 
 from . import rewards
-from .crowd import STILL_SPEED, CrowdConfig, spawn_crowd, spawn_scenario, step_crowd
-from .geometry import Circle, OrientedRect, Segment, Shape, Vec2, closest_distance, wrap_angle
+from .crowd import (SCENARIO_KINDS, STILL_SPEED, Crowd, CrowdConfig, obstacle_discs, spawn_crowd,
+                    spawn_scenario, step_crowd)
+from .geometry import (Circle, OrientedRect, Segment, Shape, Vec2, closest_distance, pack_shapes,
+                       wrap_angle)
 from .lidar import HISTORY_LEN, LidarConfig, MotionFeature, Scan, build_motion_feature, simulate_scan
 
 ACTION_LIMIT = 1.5
@@ -114,6 +116,16 @@ class EnvConfig:
             lo, hi = getattr(self, name)
             if lo > hi:
                 raise ValueError(f"{name} must have lo <= hi, got {(lo, hi)}")
+        if self.obstacle_count_range[0] < 0:
+            raise ValueError(f"obstacle_count_range must be nonnegative, got {self.obstacle_count_range}")
+        if self.obstacle_size_range[0] <= 0.0:
+            raise ValueError(f"obstacle_size_range must be positive, got {self.obstacle_size_range}")
+        if not (self.robot_radius > 0.0 and self.goal_tolerance > 0.0):
+            raise ValueError("robot_radius and goal_tolerance must be positive")
+        if not self.noise_sigma >= 0.0:
+            raise ValueError(f"noise_sigma must be nonnegative, got {self.noise_sigma}")
+        if self.scenario is not None and self.scenario not in SCENARIO_KINDS:
+            raise ValueError(f"unknown scenario {self.scenario!r}; expected one of {SCENARIO_KINDS}")
         if self.walls:
             # a robot touching a wall at spawn has already collided
             limit = self.arena_half - self.robot_radius
@@ -345,7 +357,10 @@ class NavEnv:
         self.obstacles: list[Shape] = []
         if cfg.obstacle_count_range[1] > 0:
             self.obstacles = randomize_map(self.map_rng, cfg)
-        self.wall_segments: list[Shape] = list(arena_walls(cfg.arena_half)) if cfg.walls else []
+        # the static scene, packed once per episode
+        self.static_shapes = self.obstacles + (arena_walls(cfg.arena_half) if cfg.walls else [])
+        self._static_scene = pack_shapes(self.static_shapes)
+        self._discs = obstacle_discs(self.obstacles)
 
         start = Vec2(*cfg.start)
         goal = Vec2(*cfg.goal)
@@ -361,11 +376,10 @@ class NavEnv:
         self.robot_motion_heading = self.robot.heading
 
         if cfg.scenario is not None:
-            self.peds = spawn_scenario(
-                cfg.scenario, cfg.crowd.count, cfg.crowd, self.crowd_rng, start, goal
-            )
+            crowd = spawn_scenario(cfg.scenario, cfg.crowd.count, cfg.crowd, self.crowd_rng, start, goal)
         else:
-            self.peds = spawn_crowd(cfg.crowd, self.crowd_rng)
+            crowd = spawn_crowd(cfg.crowd, self.crowd_rng)
+        self._set_crowd(crowd)
 
         self.status = Status.RUNNING
         self.steps = 0
@@ -380,19 +394,13 @@ class NavEnv:
 
     # -- internals
 
-    def _world_shapes(self) -> list[Shape]:
-        shapes = list(self.obstacles) + self.wall_segments
-        shapes.extend(p.lidar_shape() for p in self.peds)
-        return shapes
-
-    def _collision_shapes(self) -> list[Shape]:
-        shapes = list(self.obstacles) + self.wall_segments
-        shapes.extend(p.body() for p in self.peds)
-        return shapes
+    def _set_crowd(self, crowd: Crowd) -> None:
+        self.crowd = crowd
+        self._scene = self._static_scene + crowd.lidar_scene() if len(crowd) else self._static_scene
 
     def _scan(self) -> Scan:
         return simulate_scan(
-            self._world_shapes(),
+            self._scene,
             self.robot.position(),
             self.robot.heading,
             self.tick,
@@ -412,8 +420,14 @@ class NavEnv:
         )
 
     def _check_terminal(self) -> None:
-        shapes = self._collision_shapes()
-        if shapes and closest_distance(self.robot.body(), shapes) <= 0.0:
+        """Collision and arrival; keeps the clearance and pedestrian distances for the reward."""
+        robot = self.robot.body()
+        self._distances = self.crowd.distances(robot.center.x, robot.center.y)
+        gaps = self._distances - self.crowd.radius - robot.radius
+        self._clearance = float(gaps.min(initial=math.inf))
+        if self.static_shapes:
+            self._clearance = min(closest_distance(robot, self.static_shapes), self._clearance)
+        if self._clearance <= 0.0:
             self.status = Status.COLLIDED
             return
         if (self.goal - self.robot.position()).norm() < self.config.goal_tolerance:
@@ -444,13 +458,8 @@ class NavEnv:
                 self.robot = integrate(self.robot, v_l, omega, self.control_dt)
                 if v_l >= STILL_SPEED:
                     self.robot_motion_heading = self.robot.heading
-                self.peds = step_crowd(
-                    self.peds,
-                    self.config.crowd,
-                    self.control_dt,
-                    self.crowd_rng,
-                    self.obstacles,
-                )
+                crowd = step_crowd(self.crowd, self.config.crowd, self.control_dt, self.crowd_rng, self._discs)
+                self._set_crowd(crowd)
                 self._check_terminal()
             self.tick += 1
             self.sim_time += self.tick_dt
@@ -464,8 +473,9 @@ class NavEnv:
             self.robot.body(),
             self.robot_motion_heading,
             abs(self.robot.v_l),
-            self.peds,
-            self.obstacles + self.wall_segments,
+            self._clearance,
+            self._distances,
+            self.crowd,
             self.goal,
             self.start,
             reached=self.status is Status.REACHED,
@@ -490,6 +500,6 @@ class NavEnv:
                 r_goal=assessment.r_goal,
                 ego_violation=assessment.ego_violation,
                 social_violations=assessment.violations,
-                pedestrians=[(p.position.x, p.position.y, p.motion_heading) for p in self.peds],
+                pedestrians=list(zip(*self.crowd.position.T.tolist(), self.crowd.motion_heading.tolist())),
             ),
         )

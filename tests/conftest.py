@@ -7,14 +7,25 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from socnavsim import crowd
-from socnavsim.geometry import Circle, OrientedRect, Segment, Vec2, cast_fan, wrap_angle
+from socnavsim import crowd, rewards
+from socnavsim.crowd import Crowd
+from socnavsim.geometry import (
+    Circle,
+    OrientedRect,
+    Segment,
+    Vec2,
+    cast_fan,
+    closest_distance,
+    rect_rows,
+    rects_overlap,
+    wrap_angle,
+)
 from socnavsim.lidar import Scan
 
 
@@ -193,6 +204,147 @@ def rects_share_sampled_point(a, b, rng, samples=100_000) -> bool:
     return bool(np.any(points_in_shape(px, py, a) & points_in_shape(px, py, b)))
 
 
+def _project(corners, axis: Vec2) -> tuple[float, float]:
+    dots = [c.dot(axis) for c in corners]
+    return min(dots), max(dots)
+
+
+def rects_intersect(a: OrientedRect, b: OrientedRect) -> bool:
+    """Closed-set overlap test via the separating-axis theorem, one pair
+    at a time through Vec2 corners; geometry.rects_overlap must match it
+    bit for bit.
+
+    Only the four face normals need checking for a pair of rectangles;
+    boundary contact counts as intersecting.
+    """
+    ca, cb = a.corners(), b.corners()
+    for rect in (a, b):
+        for axis in rect.axes():
+            amin, amax = _project(ca, axis)
+            bmin, bmax = _project(cb, axis)
+            if amax < bmin or bmax < amin:
+                return False
+    return True
+
+
+def overlaps(a: OrientedRect, b: OrientedRect) -> bool:
+    """geometry.rects_overlap on a single pair of OrientedRects."""
+    return bool(rects_overlap(rect_rows([a]), rect_rows([b]))[0])
+
+
+# ---------------------------------------------------------------------------
+# Pedestrian oracle: one frozen Vec2 dataclass per pedestrian, the crowd
+# representation that crowd.Crowd replaced
+
+
+@dataclass(frozen=True)
+class Pedestrian:
+    id: int
+    position: Vec2
+    velocity: Vec2
+    pref_speed: float
+    radius: float  # bounding circle used by avoidance and collision checks
+    goal: Vec2
+    rect_shape: bool = False  # rendered to lidar as an oriented rectangle
+    stopped_steps: int = 0  # >0 while in a stop-and-go pause
+    motion_heading: float = 0.0  # last heading of actual motion
+
+    @property
+    def walking(self) -> bool:
+        return self.stopped_steps == 0
+
+    def body(self) -> Circle:
+        return Circle(self.position, self.radius)
+
+    def lidar_shape(self):
+        """Shape seen by the scanner; avoidance always uses the circle."""
+        if not self.rect_shape:
+            return self.body()
+        side = self.radius / math.sqrt(2.0)
+        fwd = Vec2.from_angle(self.motion_heading)
+        anchor = self.position - fwd * side
+        return OrientedRect(anchor, self.motion_heading, half_width=side, length=2.0 * side)
+
+    def zone(self) -> OrientedRect:
+        """The social zone: rewards.pedestrian_zones must match it bit for bit."""
+        speed = self.velocity.norm()
+        heading = self.velocity.angle() if speed >= crowd.STILL_SPEED else self.motion_heading
+        return rewards.social_zone(self.position, heading, self.radius, speed)
+
+
+def edge_case_peds(rng, n=40):
+    """Round and rect pedestrians, walking and stopped, with motion
+    headings at +-pi and 0 among random ones; velocities along -x with
+    a signed zero y component give atan2 = +-pi.  The first ones stand
+    on the x axis, where sin(pi) and sin(-pi) leave different anchors."""
+
+    def point(span):
+        return Vec2(*(float(c) for c in rng.uniform(-span, span, 2)))
+
+    headings = [math.pi, -math.pi, 0.0, -0.0, math.pi / 2]
+    velocities = [Vec2(-1.0, 0.0), Vec2(-1.0, -0.0), Vec2(0.0, 0.0), Vec2(0.03, -0.02)]
+    peds = []
+    for i in range(n):
+        heading = headings[i] if i < len(headings) else float(rng.uniform(-math.pi, math.pi))
+        velocity = velocities[i % 4] if i < 12 else point(1.5)
+        position = Vec2(float(i), 0.0) if i < 8 else point(4.0)
+        peds.append(
+            Pedestrian(
+                i, position, velocity, float(rng.uniform(0.5, 1.5)),
+                float(rng.uniform(0.15, 0.4)), point(4.0), rect_shape=i % 3 != 2,
+                stopped_steps=int(i % 4 == 0), motion_heading=heading,
+            )
+        )
+    return peds
+
+
+def pack(peds) -> Crowd:
+    """A list of Pedestrians as a Crowd."""
+    return Crowd.from_rows(
+        [
+            (p.id, p.position.x, p.position.y, p.velocity.x, p.velocity.y, p.goal.x, p.goal.y,
+             p.pref_speed, p.radius, p.rect_shape, p.stopped_steps, p.motion_heading)
+            for p in peds
+        ]
+    )
+
+
+def unpack(c: Crowd) -> list:
+    """A Crowd as a list of Pedestrians."""
+    return [
+        Pedestrian(pid, Vec2(x, y), Vec2(vx, vy), speed, radius, Vec2(gx, gy), rect, stopped, h)
+        for pid, x, y, vx, vy, gx, gy, speed, radius, rect, stopped, h in c.rows()
+    ]
+
+
+def clearance(robot: Circle, peds, obstacles) -> float:
+    """Surface distance from the robot to the nearest Pedestrian body or
+    obstacle, inf for none: what NavEnv's collision check keeps."""
+    shapes = [p.body() for p in peds] + list(obstacles)
+    return closest_distance(robot, shapes) if shapes else math.inf
+
+
+def ego_reward_of(robot: Circle, peds, obstacles):
+    """rewards.ego_reward of the robot among Pedestrians and obstacles;
+    returns (reward, violation flag, clearance)."""
+    d_t = clearance(robot, peds, obstacles)
+    return (*rewards.ego_reward(d_t, robot.radius), d_t)
+
+
+def social_reward_of(robot_zone: OrientedRect, robot_position: Vec2, peds):
+    """rewards.social_reward of the robot zone among Pedestrians."""
+    c = pack(peds)
+    return rewards.social_reward(robot_zone, c.distances(robot_position.x, robot_position.y), c)
+
+
+def assess_of(robot: Circle, heading, speed, peds, obstacles, p_star, p_0, reached):
+    """rewards.assess of the robot among Pedestrians and obstacles."""
+    c = pack(peds)
+    distances = c.distances(robot.center.x, robot.center.y)
+    d_t = clearance(robot, peds, obstacles)
+    return rewards.assess(robot, heading, speed, d_t, distances, c, p_star, p_0, reached)
+
+
 # ---------------------------------------------------------------------------
 # ORCA oracle: one Vec2 half-plane per pair and a Vec2 linear program.
 # Vec2 rejects every non-finite intermediate value.  `hits`, when given,
@@ -351,13 +503,13 @@ def reference_orca_lines(ped, neighbors, obstacles, dt, hits=None):
         raise ValueError("dt must be positive")
     lines = []
     inv_dt = 1.0 / dt
-    for disc in crowd._obstacle_discs(obstacles):
+    for x, y, radius in crowd.obstacle_discs(obstacles).tolist():
         _hit(hits, "obstacle")
         lines.append(
             _avoidance_line(
-                disc.center - ped.position,
+                Vec2(x, y) - ped.position,
                 ped.velocity,
-                ped.radius + disc.radius,
+                ped.radius + radius,
                 1.0 / crowd.OBSTACLE_TIME_HORIZON,
                 inv_dt,
                 1.0,
@@ -387,12 +539,72 @@ def reference_orca_velocity(ped, neighbors, obstacles, dt, hits=None):
     """orca_velocity as per-pair Vec2 code; orca_lines + orca_velocity
     must match it bit for bit."""
     lines = reference_orca_lines(ped, neighbors, obstacles, dt, hits)
-    num_fixed = len(crowd._obstacle_discs(obstacles))
-    pref = crowd.preferred_velocity(ped)
+    num_fixed = len(crowd.obstacle_discs(obstacles))
+    pref = reference_preferred_velocity(ped)
     result, fail = _linear_program2(lines, ped.pref_speed, pref, False, hits)
     if fail < len(lines):
         result = _linear_program3(lines, num_fixed, fail, ped.pref_speed, result, hits)
     return result
+
+
+def reference_preferred_velocity(ped) -> Vec2:
+    """Unit vector to the goal scaled by the preferred speed."""
+    to_goal = ped.goal - ped.position
+    dist = to_goal.norm()
+    if dist < 1e-9:
+        return Vec2(0.0, 0.0)
+    return to_goal * (ped.pref_speed / dist)
+
+
+def orca_solve(ped, lines, num_fixed) -> Vec2:
+    """crowd.orca_velocity for one Pedestrian and its row of orca_lines."""
+    pref = crowd.preferred_velocity(ped.position.x, ped.position.y, ped.goal.x, ped.goal.y,
+                                    ped.pref_speed)
+    return Vec2(*crowd.orca_velocity(*pref, ped.pref_speed, lines, num_fixed))
+
+
+# ---------------------------------------------------------------------------
+# Crowd step oracle: the Pedestrian-list step, one Vec2 ORCA solve per
+# walking pedestrian and dataclasses.replace for every update
+
+
+def _reference_sample_ped(ped_id, position, goal, config, rng) -> Pedestrian:
+    speed = float(rng.uniform(*config.speed_range))
+    radius = float(rng.uniform(*config.radius_range))
+    rect = bool(rng.random() < config.rect_shape_probability)
+    heading = (goal - position).angle() if (goal - position).norm() > 1e-9 else 0.0
+    velocity = Vec2.from_angle(heading, speed) if (goal - position).norm() > 1e-9 else Vec2(0.0, 0.0)
+    return Pedestrian(ped_id, position, velocity, speed, radius, goal, rect, 0, heading)
+
+
+def reference_step_crowd(peds, config, dt, rng, obstacles=()):
+    """crowd.step_crowd on a list of Pedestrians; the Crowd step must
+    match it bit for bit, draws from rng included."""
+    out = []
+    next_id = max((p.id for p in peds), default=-1) + 1
+    for ped in peds:
+        stopped_steps = ped.stopped_steps
+        if stopped_steps > 0:
+            stopped_steps -= 1
+        elif config.stop_go_probability > 0.0 and rng.random() < config.stop_go_probability:
+            stopped_steps = int(rng.geometric(min(1.0, dt / crowd.MEAN_STOP_SECONDS)))
+        if stopped_steps > 0:
+            out.append(replace(ped, velocity=Vec2(0.0, 0.0), stopped_steps=stopped_steps))
+            continue
+        velocity = reference_orca_velocity(ped, peds, list(obstacles), dt)
+        position = ped.position + velocity * dt
+        goal = ped.goal
+        if (position - goal).norm() < crowd.GOAL_REACHED_DIST:
+            goal = Vec2(*crowd._random_point(config, rng))
+        heading = velocity.angle() if velocity.norm() >= crowd.STILL_SPEED else ped.motion_heading
+        out.append(replace(ped, position=position, velocity=velocity, goal=goal,
+                           stopped_steps=0, motion_heading=heading))
+    if config.walk_in_probability > 0.0 and len(out) < config.max_count:
+        if rng.random() < config.walk_in_probability:
+            pos = Vec2(*crowd._boundary_point(config, rng))
+            goal = Vec2(*crowd._random_point(config, rng))
+            out.append(_reference_sample_ped(next_id, pos, goal, config, rng))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -14,13 +14,11 @@ import pytest
 
 from socnavsim.crowd import (
     CrowdConfig,
-    Pedestrian,
     orca_lines,
-    orca_velocity,
     spawn_crowd,
     step_crowd,
 )
-from socnavsim.geometry import Circle, Vec2, rects_intersect
+from socnavsim.geometry import Circle, Vec2, rect_rows, rects_overlap
 from socnavsim.lidar import (
     HISTORY_LEN,
     LidarConfig,
@@ -30,23 +28,26 @@ from socnavsim.lidar import (
 from socnavsim.rewards import (
     COLLISION_PENALTY,
     GOAL_BONUS,
-    assess,
-    ego_reward,
     goal_reward,
-    pedestrian_zone,
-    social_reward,
     social_zone,
 )
 
 from conftest import (
+    Pedestrian,
+    assess_of,
     calibration_shift,
     cast_one,
+    ego_reward_of,
     marching_ray,
     numeric_gradient,
+    orca_solve,
+    pack,
     random_rect,
     random_shape,
     rect_overlap_oracle,
     rects_share_sampled_point,
+    social_reward_of,
+    unpack,
 )
 
 
@@ -80,7 +81,7 @@ class TestCriterion1RewardFormulas:
             obstacles = [random_shape(rng) for _ in range(int(rng.integers(0, 3)))]
             goal = Vec2(4.5, 4.5)
             start = Vec2(-4.5, -4.5)
-            a = assess(
+            a = assess_of(
                 robot,
                 float(rng.uniform(-math.pi, math.pi)),
                 float(rng.uniform(0, 1.5)),
@@ -98,11 +99,11 @@ class TestCriterion1RewardFormulas:
 
     def test_paper_substitution_examples(self):
         # ego: collision, boundary, and the -0.125 band value
-        r, _, _ = ego_reward(Circle(Vec2(0, 0), 0.3), [], [Circle(Vec2(0.5, 0), 0.3)])
+        r, _, _ = ego_reward_of(Circle(Vec2(0, 0), 0.3), [], [Circle(Vec2(0.5, 0), 0.3)])
         assert r == -10.0
-        r, _, d = ego_reward(Circle(Vec2(0, 0), 0.3), [], [Circle(Vec2(1.4, 0), 0.4)])
+        r, _, d = ego_reward_of(Circle(Vec2(0, 0), 0.3), [], [Circle(Vec2(1.4, 0), 0.4)])
         assert d == pytest.approx(0.7, abs=1e-12) and r == 0.0
-        r, _, d = ego_reward(Circle(Vec2(0, 0), 0.3), [], [Circle(Vec2(1.05, 0), 0.4)])
+        r, _, d = ego_reward_of(Circle(Vec2(0, 0), 0.3), [], [Circle(Vec2(1.05, 0), 0.4)])
         assert d == pytest.approx(0.35, abs=1e-12)
         assert r == pytest.approx(-0.25 * (1 - 0.35 / 0.7), abs=1e-12)
 
@@ -126,7 +127,7 @@ class TestCriterion1RewardFormulas:
                        pref_speed=1.5, radius=0.3, goal=Vec2(0, 0))
             for i in range(6)
         ]
-        r, violations, _ = social_reward(zone, Vec2(0, 0), close + far)
+        r, violations, _ = social_reward_of(zone, Vec2(0, 0), close + far)
         assert violations == 2 and r == pytest.approx(-0.025, abs=1e-12)
 
         # goal reward: +10 on arrival; -0.01 at the start position
@@ -158,7 +159,7 @@ class TestCriterion2GeometryOracles:
         overlap_cases = 0
         for _ in range(100):
             a, b = random_rect(rng, span=2.0), random_rect(rng, span=2.0)
-            got = rects_intersect(a, b)
+            got = bool(rects_overlap(rect_rows([a]), rect_rows([b]))[0])
             assert got == rect_overlap_oracle(a, b)
             if got and rects_share_sampled_point(a, b, rng, samples=100_000):
                 overlap_cases += 1
@@ -174,12 +175,12 @@ class TestCriterion2GeometryOracles:
                 float(rng.uniform(0, 1.5)),
             )
             peds = [random_ped(rng, i) for i in range(int(rng.integers(1, 9)))]
-            _, violations, _ = social_reward(zone, Vec2(0, 0), peds)
+            _, violations, _ = social_reward_of(zone, Vec2(0, 0), peds)
             brute = sum(
                 1
                 for p in peds
                 if (p.position - Vec2(0, 0)).norm() <= 5.0
-                and rect_overlap_oracle(zone, pedestrian_zone(p))
+                and rect_overlap_oracle(zone, p.zone())
             )
             assert violations == brute
         report(2, "raycast (1e-3 m), SAT-vs-oracle, and zone counts all agree")
@@ -217,9 +218,9 @@ class TestCriterion4OrcaSanity:
         from dataclasses import replace
 
         for _ in range(500):
-            lines, num_fixed = orca_lines([a, b], [], dt)
-            va = orca_velocity(a, lines[0], num_fixed)
-            vb = orca_velocity(b, lines[1], num_fixed)
+            lines, num_fixed = orca_lines(pack([a, b]), None, dt)
+            va = orca_solve(a, lines[0], num_fixed)
+            vb = orca_solve(b, lines[1], num_fixed)
             assert va.x == pytest.approx(-vb.x, abs=1e-9)
             assert va.y == pytest.approx(-vb.y, abs=1e-9)
             a = replace(a, position=a.position + va * dt, velocity=va)
@@ -236,8 +237,9 @@ class TestCriterion4OrcaSanity:
         for _ in range(steps):
             peds = step_crowd(peds, cfg, 0.05, rng)
             worst = 0.0
-            for i, p in enumerate(peds):
-                for q in peds[i + 1 :]:
+            listed = unpack(peds)
+            for i, p in enumerate(listed):
+                for q in listed[i + 1 :]:
                     pen = p.radius + q.radius - (p.position - q.position).norm()
                     if pen > worst:
                         worst = pen

@@ -86,6 +86,34 @@ class TestEval:
                   "--config", env_yaml, "--out", str(tmp_path / "x")])
         assert exc.value.code == 2
 
+    def test_unknown_crowd_kind_usage_error(self, tmp_path, env_yaml, capsys):
+        """A bad scenario kind fails when the suite config is built, as one
+        usage error, not as a traceback from the first reset."""
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--policy", "greedy", "--suite", "crowd:bogus:4",
+                  "--config", env_yaml, "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unknown scenario 'bogus'" in err and "Traceback" not in err
+
+    def test_single_run_starts_no_pool(self, tmp_path, env_yaml, monkeypatch):
+        """--jobs is capped at the episode count, so one run is serial and
+        writes the bytes of --single-thread."""
+        import multiprocessing
+
+        common = ["eval", "--policy", "greedy", "--suite", "crowd:random:4", "--runs", "1",
+                  "--seed", "5", "--config", env_yaml]
+        serial, default = tmp_path / "serial", tmp_path / "default"
+        assert main(["--single-thread", *common, "--out", str(serial)]) == 0
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+        assert main([*common, "--jobs", "4", "--out", str(default)]) == 0
+        assert read_tree(default) == read_tree(serial)
+
     def test_unknown_policy_usage_error(self, tmp_path, env_yaml):
         with pytest.raises(SystemExit):
             main(["eval", "--policy", "/nonexistent.npz", "--suite", "mapless",

@@ -6,7 +6,7 @@ import pytest
 
 from socnavsim.crowd import (
     CrowdConfig,
-    Pedestrian,
+    obstacle_discs,
     orca_lines,
     orca_velocity,
     preferred_velocity,
@@ -14,9 +14,27 @@ from socnavsim.crowd import (
     spawn_scenario,
     step_crowd,
 )
-from socnavsim.geometry import Circle, OrientedRect, Segment, Vec2
+from socnavsim.geometry import (
+    Circle,
+    OrientedRect,
+    Segment,
+    Vec2,
+    cast_fan,
+    closest_distance,
+    pack_shapes,
+)
 
-from conftest import reference_orca_lines, reference_orca_velocity
+from conftest import (
+    Pedestrian,
+    edge_case_peds,
+    orca_solve,
+    pack,
+    reference_cast_fan,
+    reference_orca_lines,
+    reference_orca_velocity,
+    reference_step_crowd,
+    unpack,
+)
 
 
 def ped(pid, pos, vel, goal, speed=1.0, radius=0.3):
@@ -32,8 +50,8 @@ def ped(pid, pos, vel, goal, speed=1.0, radius=0.3):
 
 def solve(p, neighbors, obstacles, dt):
     """orca_velocity for p among the given neighbors, through orca_lines."""
-    lines, num_fixed = orca_lines([p, *neighbors], obstacles, dt)
-    return orca_velocity(p, lines[0], num_fixed)
+    lines, num_fixed = orca_lines(pack([p, *neighbors]), obstacle_discs(obstacles), dt)
+    return orca_solve(p, lines[0], num_fixed)
 
 
 def random_point(rng, spread):
@@ -87,13 +105,13 @@ class TestOrcaMatchesReference:
             peds, obstacles = random_snapshot(rng)
             dt = float(rng.choice([0.05, 0.025, 0.1, 1.0 / 3.0]))
             kinds.update(type(s).__name__ for s in obstacles)
-            lines, num_fixed = orca_lines(peds, obstacles, dt)
+            lines, num_fixed = orca_lines(pack(peds), obstacle_discs(obstacles), dt)
             for i, p in enumerate(peds):
                 ref = reference_orca_lines(p, peds, obstacles, dt)
                 expected = [[r.point.x, r.point.y, r.direction.x, r.direction.y] for r in ref]
                 assert num_fixed + len(peds) - 1 == len(ref)
                 assert np.array_equal(lines[i], np.array(expected).reshape(-1, 4))
-                v = orca_velocity(p, lines[i], num_fixed)
+                v = orca_solve(p, lines[i], num_fixed)
                 assert v == reference_orca_velocity(p, peds, obstacles, dt, hits)
         branches = ("cutoff_circle", "left_leg", "right_leg", "colliding", "colliding_w_zero",
                     "obstacle", "lp1_parallel", "lp3", "lp3_parallel_same",
@@ -107,7 +125,7 @@ class TestOrcaMatchesReference:
         with pytest.raises(ValueError):
             reference_orca_velocity(peds[0], peds, [], 0.05)
         with pytest.raises(ValueError):
-            step_crowd(peds, cfg, 0.05, np.random.default_rng(0))
+            step_crowd(pack(peds), cfg, 0.05, np.random.default_rng(0))
 
 
 class TestOrcaVelocity:
@@ -169,26 +187,26 @@ class TestOrcaVelocity:
     def test_rejects_bad_dt(self):
         p = ped(0, (0, 0), (0, 0), (1, 0))
         with pytest.raises(ValueError):
-            orca_lines([p], [], dt=0.0)
+            orca_lines(pack([p]), None, dt=0.0)
 
 
 class TestStepCrowd:
     def test_empty_stays_empty(self, rng):
         cfg = CrowdConfig(count=0, walk_in_probability=0.0)
-        peds = []
+        peds = pack([])
         for _ in range(50):
             peds = step_crowd(peds, cfg, 0.05, rng)
-        assert peds == []
+        assert unpack(peds) == []
 
     def test_straight_shot_arrival_time(self, rng):
         cfg = CrowdConfig(count=1, area=(40.0, 40.0))
         p = ped(0, (0, 0), (0, 0), (4, 0), speed=1.0)
-        peds = [p]
+        peds = pack([p])
         t = 0.0
         for _ in range(300):
             peds = step_crowd(peds, cfg, 0.05, rng)
             t += 0.05
-            if (peds[0].position - Vec2(4, 0)).norm() < 0.35:
+            if (unpack(peds)[0].position - Vec2(4, 0)).norm() < 0.35:
                 break
         assert t == pytest.approx(4.0, abs=0.5)  # distance / pref_speed
 
@@ -201,7 +219,7 @@ class TestStepCrowd:
             a = step_crowd(a, cfg, 0.05, rng_a)
             b = step_crowd(b, cfg, 0.05, rng_b)
         assert len(a) == len(b)
-        for pa, pb in zip(a, b):
+        for pa, pb in zip(unpack(a), unpack(b)):
             assert pa.position == pb.position and pa.velocity == pb.velocity
 
     def test_speed_bound_never_exceeded(self, rng):
@@ -209,7 +227,7 @@ class TestStepCrowd:
         peds = spawn_crowd(cfg, rng)
         for _ in range(400):
             peds = step_crowd(peds, cfg, 0.05, rng)
-            for p in peds:
+            for p in unpack(peds):
                 assert p.velocity.norm() <= p.pref_speed + 1e-9
 
     def test_penetration_rare(self, rng):
@@ -220,8 +238,9 @@ class TestStepCrowd:
         for _ in range(steps):
             peds = step_crowd(peds, cfg, 0.05, rng)
             worst = 0.0
-            for i, a in enumerate(peds):
-                for b in peds[i + 1 :]:
+            listed = unpack(peds)
+            for i, a in enumerate(listed):
+                for b in listed[i + 1 :]:
                     pen = a.radius + b.radius - (a.position - b.position).norm()
                     worst = max(worst, pen)
             bad += worst > 1e-2
@@ -229,27 +248,27 @@ class TestStepCrowd:
 
     def test_walk_ins_appear(self, rng):
         cfg = CrowdConfig(count=0, walk_in_probability=0.3, max_count=5)
-        peds = []
+        peds = pack([])
         for _ in range(100):
             peds = step_crowd(peds, cfg, 0.05, rng)
         assert 1 <= len(peds) <= 5
 
     def test_stop_and_go_pauses(self, rng):
         cfg = CrowdConfig(count=1, area=(40.0, 40.0), stop_go_probability=0.2)
-        peds = [ped(0, (0, 0), (1, 0), (20, 0))]
+        peds = pack([ped(0, (0, 0), (1, 0), (20, 0))])
         stopped_seen = 0
         for _ in range(200):
             peds = step_crowd(peds, cfg, 0.05, rng)
-            stopped_seen += not peds[0].walking
+            stopped_seen += not unpack(peds)[0].walking
         assert stopped_seen > 0
 
     def test_goal_renewal(self, rng):
         cfg = CrowdConfig(count=1, area=(3.0, 3.0))
-        peds = [ped(0, (0, 0), (0, 0), (0.2, 0))]
-        first_goal = peds[0].goal
+        peds = pack([ped(0, (0, 0), (0, 0), (0.2, 0))])
+        first_goal = unpack(peds)[0].goal
         for _ in range(40):
             peds = step_crowd(peds, cfg, 0.05, rng)
-        assert peds[0].goal != first_goal
+        assert unpack(peds)[0].goal != first_goal
 
 
 class TestSpawnScenario:
@@ -259,24 +278,24 @@ class TestSpawnScenario:
 
     def test_ahead_moves_along_goal_direction(self, cfg, rng):
         peds = spawn_scenario("ahead", 4, cfg, rng, Vec2(-3, 0), Vec2(3, 0))
-        for p in peds:
+        for p in unpack(peds):
             assert p.velocity.dot(Vec2(1, 0)) > 0
 
     def test_towards_moves_against_goal_direction(self, cfg, rng):
         peds = spawn_scenario("towards", 4, cfg, rng, Vec2(-3, 0), Vec2(3, 0))
-        for p in peds:
+        for p in unpack(peds):
             assert p.velocity.dot(Vec2(1, 0)) < 0
 
     def test_crossing_dominantly_perpendicular(self, cfg, rng):
         peds = spawn_scenario("crossing", 8, cfg, rng, Vec2(-3, 0), Vec2(3, 0))
-        for p in peds:
+        for p in unpack(peds):
             v = p.velocity
             assert abs(v.y) > abs(v.x)
 
     def test_random_deterministic_under_seed(self, cfg):
         a = spawn_scenario("random", 6, cfg, np.random.default_rng(5), Vec2(-3, 0), Vec2(3, 0))
         b = spawn_scenario("random", 6, cfg, np.random.default_rng(5), Vec2(-3, 0), Vec2(3, 0))
-        for pa, pb in zip(a, b):
+        for pa, pb in zip(unpack(a), unpack(b)):
             assert pa.position == pb.position and pa.goal == pb.goal
 
     def test_counts_supported(self, cfg, rng):
@@ -290,7 +309,7 @@ class TestSpawnScenario:
 
     def test_inside_area(self, cfg, rng):
         peds = spawn_scenario("random", 12, cfg, rng, Vec2(-3, 0), Vec2(3, 0))
-        for p in peds:
+        for p in unpack(peds):
             assert abs(p.position.x) <= 2.5 + 1e-9
             assert abs(p.position.y) <= 2.5 + 1e-9
 
@@ -306,7 +325,73 @@ def test_robot_ignorance_is_structural():
 
 def test_preferred_velocity_unit_times_speed():
     p = ped(0, (1, 1), (0, 0), (4, 5), speed=1.3)
-    v = preferred_velocity(p)
+    v = Vec2(*preferred_velocity(p.position.x, p.position.y, p.goal.x, p.goal.y, p.pref_speed))
     assert v.norm() == pytest.approx(1.3, abs=1e-9)
     d = (Vec2(4, 5) - Vec2(1, 1)).normalized()
     assert v.normalized().dot(d) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestCrowdRowsMatchPedestrians:
+    """The Crowd's packed rows against the Pedestrian oracle, bit for bit."""
+
+    def test_pack_round_trip(self, rng):
+        peds = edge_case_peds(rng)
+        assert unpack(pack(peds)) == peds
+
+    def test_lidar_rows_equal_shape_rows(self, rng):
+        peds = edge_case_peds(rng, n=2000)
+        scene = pack(peds).lidar_scene()
+        shapes = pack_shapes([p.lidar_shape() for p in peds])
+        assert np.array_equal(scene.circles, shapes.circles)
+        assert np.array_equal(scene.segments, shapes.segments)
+        assert len(scene) == len(shapes) == len(peds)
+        assert shapes.circles.size and shapes.segments.size
+
+    def test_scan_equals_reference_raycast(self, rng):
+        peds = edge_case_peds(rng, n=12)
+        static = [Circle(Vec2(1.0, 1.0), 0.4), Segment(Vec2(-5, -5), Vec2(5, -5)),
+                  OrientedRect(Vec2(-2.0, 2.0), 0.3, 0.2, 0.8)]
+        angles = np.linspace(-math.pi, math.pi, 361)
+        origin = Vec2(0.1, -0.2)
+        got = cast_fan(origin, angles, pack_shapes(static) + pack(peds).lidar_scene(), 10.0)
+        want = reference_cast_fan(origin, angles, static + [p.lidar_shape() for p in peds], 10.0)
+        assert np.array_equal(got, want)
+
+    def test_body_gaps_equal_closest_distance(self, rng):
+        peds = edge_case_peds(rng, n=500)
+        c = pack(peds)
+        for _ in range(20):
+            robot = Circle(random_point(rng, 4.0), float(rng.uniform(0.1, 0.5)))
+            gaps = c.distances(robot.center.x, robot.center.y) - c.radius - robot.radius
+            want = [closest_distance(robot, [p.body()]) for p in peds]
+            assert gaps.tolist() == want
+
+
+class TestStepMatchesReference:
+    def test_crowd_random_20_steps_bitwise(self):
+        """200 steps of the crowd:random:20 crowd among obstacles, with
+        stop-and-go and walk-ins (max_count raised so that walk-ins can
+        happen), against the Pedestrian-list step; the generators end in
+        the same state."""
+        from dataclasses import replace
+
+        from socnavsim.evaluation import suite_config
+        from socnavsim.world import EnvConfig
+
+        cfg = suite_config("crowd:random:20", EnvConfig()).crowd
+        cfg = replace(cfg, max_count=24, walk_in_probability=0.05, stop_go_probability=0.02)
+        obstacles = [Circle(Vec2(1.5, -1.0), 0.3), OrientedRect(Vec2(-1.0, 1.0), 2.5, 0.2, 0.6),
+                     Segment(Vec2(-5, 5), Vec2(5, 5))]
+        rng_a, rng_b = np.random.default_rng(8), np.random.default_rng(8)
+        crowd = spawn_scenario("random", 20, cfg, np.random.default_rng(4), Vec2(-3.5, 0),
+                               Vec2(3.5, 0))
+        peds = unpack(crowd)
+        discs = obstacle_discs(obstacles)
+        stops = 0
+        for _ in range(200):
+            crowd = step_crowd(crowd, cfg, 0.05, rng_a, discs)
+            peds = reference_step_crowd(peds, cfg, 0.05, rng_b, obstacles)
+            assert unpack(crowd) == peds
+            stops += sum(not p.walking for p in peds)
+        assert len(peds) > 20 and stops > 0
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state

@@ -11,13 +11,13 @@ from socnavsim.geometry import (
     cast_fan,
     closest_distance,
     point_rect_signed_distance,
-    rects_intersect,
     wrap_angle,
 )
 
 from conftest import (
     cast_one,
     marching_ray,
+    overlaps,
     random_rect,
     random_shape,
     rect_contains,
@@ -169,35 +169,35 @@ class TestRayCast:
 class TestRectsIntersect:
     def test_identical(self):
         r = OrientedRect(Vec2(0, 0), 0.4, 0.5, 1.0)
-        assert rects_intersect(r, r)
+        assert overlaps(r, r)
 
     def test_far_apart(self):
         a = OrientedRect(Vec2(-0.5, 0), 0.0, 0.5, 1.0)
         b = OrientedRect(Vec2(9.5, 10), 0.0, 0.5, 1.0)
-        assert not rects_intersect(a, b)
+        assert not overlaps(a, b)
 
     def test_rotated_overlap_matches_oracle(self):
         a = OrientedRect(Vec2(-0.5, 0), 0.0, 0.5, 1.0)  # unit square at origin
         b = OrientedRect(Vec2(1.2, 0) - Vec2(math.cos(math.pi / 4), math.sin(math.pi / 4)) * 0.5,
                          math.pi / 4, 0.5, 1.0)
-        assert rects_intersect(a, b) == rect_overlap_oracle(a, b)
+        assert overlaps(a, b) == rect_overlap_oracle(a, b)
 
     def test_shared_edge_counts(self):
         a = OrientedRect(Vec2(0, 0), 0.0, 0.5, 1.0)
         b = OrientedRect(Vec2(1.0, 0), 0.0, 0.5, 1.0)  # rear edge on a's front edge
-        assert rects_intersect(a, b)
+        assert overlaps(a, b)
 
     def test_symmetry_and_oracle_agreement(self, rng):
         for _ in range(200):
             a, b = random_rect(rng), random_rect(rng)
-            got = rects_intersect(a, b)
-            assert got == rects_intersect(b, a)
+            got = overlaps(a, b)
+            assert got == overlaps(b, a)
             assert got == rect_overlap_oracle(a, b)
 
     def test_rigid_transform_equivariance(self, rng):
         for _ in range(100):
             a, b = random_rect(rng, span=2.0), random_rect(rng, span=2.0)
-            before = rects_intersect(a, b)
+            before = overlaps(a, b)
             shift = Vec2(float(rng.uniform(-3, 3)), float(rng.uniform(-3, 3)))
             rot = float(rng.uniform(-math.pi, math.pi))
 
@@ -209,7 +209,7 @@ class TestRectsIntersect:
                     r.length,
                 )
 
-            assert rects_intersect(moved(a), moved(b)) == before
+            assert overlaps(moved(a), moved(b)) == before
 
 
 class TestClosestDistance:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from socnavsim.baselines import _inflate_returns
-from socnavsim.crowd import Pedestrian, orca_lines, orca_velocity
+from socnavsim.crowd import obstacle_discs, orca_lines
 from socnavsim.geometry import (
     Circle,
     OrientedRect,
@@ -18,13 +18,19 @@ from socnavsim.geometry import (
     cast_fan,
     closest_distance,
     point_rect_signed_distance,
-    rects_intersect,
+    rect_rows,
+    rects_overlap,
 )
 from socnavsim.lidar import RANGE_MAX, RANGE_MIN, LidarConfig
 
 from conftest import (
+    Pedestrian,
     marching_ray,
+    orca_solve,
+    overlaps,
+    pack,
     rect_overlap_oracle,
+    rects_intersect,
     reference_cast_fan,
     reference_inflate_returns,
 )
@@ -122,15 +128,28 @@ def touching_rects(draw):
 @given(a=grid_rects, b=grid_rects)
 def test_rects_intersect_equals_oracle(a, b):
     expected = rect_overlap_oracle(a, b)
-    assert rects_intersect(a, b) == expected
-    assert rects_intersect(b, a) == expected
+    assert overlaps(a, b) == expected
+    assert overlaps(b, a) == expected
 
 
 @given(pair=touching_rects())
 def test_touching_rects_intersect(pair):
     a, b = pair
     assert rect_overlap_oracle(a, b)
-    assert rects_intersect(a, b) and rects_intersect(b, a)
+    assert overlaps(a, b) and overlaps(b, a)
+
+
+@given(rs=st.lists(st.one_of(rects, grid_rects), min_size=1, max_size=12))
+def test_rects_overlap_equals_pairwise_sat(rs):
+    """One rects_overlap pass over every ordered pair equals the Vec2
+    separating-axis test of each pair on its own, degenerate rects too."""
+    rows = rect_rows(rs)
+    n = len(rs)
+    got = rects_overlap(np.repeat(rows, n, axis=0), np.tile(rows, (n, 1)))
+    assert got.tolist() == [rects_intersect(a, b) for a in rs for b in rs]
+    # and one rectangle against all of them, the way the social reward calls it
+    for i, a in enumerate(rs):
+        assert np.array_equal(rects_overlap(rows[i : i + 1], rows), got[i * n : (i + 1) * n])
 
 
 @given(
@@ -173,9 +192,9 @@ pedestrians = st.builds(
 def test_orca_speed_within_preferred(crowd, discs):
     crowd = [Pedestrian(i, p.position, p.velocity, p.pref_speed, p.radius, p.goal)
              for i, p in enumerate(crowd)]
-    lines, num_fixed = orca_lines(crowd, discs, 0.05)
+    lines, num_fixed = orca_lines(pack(crowd), obstacle_discs(discs), 0.05)
     for p, rows in zip(crowd, lines):
-        assert orca_velocity(p, rows, num_fixed).norm() <= p.pref_speed + 1e-9
+        assert orca_solve(p, rows, num_fixed).norm() <= p.pref_speed + 1e-9
 
 
 @given(
@@ -192,7 +211,7 @@ def test_orca_head_on_mirror_symmetry(distance, heading, speed, pref_speed, radi
     v = Vec2.from_angle(heading, speed)
     a = Pedestrian(0, p * -1.0, v, pref_speed, radius, p * 2.0)
     b = Pedestrian(1, p, v * -1.0, pref_speed, radius, p * -2.0)
-    lines, num_fixed = orca_lines([a, b], [], 0.05)
-    va = orca_velocity(a, lines[0], num_fixed)
-    vb = orca_velocity(b, lines[1], num_fixed)
+    lines, num_fixed = orca_lines(pack([a, b]), None, 0.05)
+    va = orca_solve(a, lines[0], num_fixed)
+    vb = orca_solve(b, lines[1], num_fixed)
     assert abs(va.x + vb.x) <= 1e-9 and abs(va.y + vb.y) <= 1e-9

@@ -3,20 +3,25 @@ import math
 import numpy as np
 import pytest
 
-from socnavsim.crowd import Pedestrian
-from socnavsim.geometry import Circle, Vec2, wrap_angle
+from socnavsim.geometry import Circle, Vec2, rect_rows, wrap_angle
 from socnavsim.rewards import (
     COLLISION_PENALTY,
     GOAL_BONUS,
-    assess,
-    ego_reward,
     goal_reward,
-    pedestrian_zone,
-    social_reward,
+    pedestrian_zones,
     social_zone,
 )
 
-from conftest import rect_overlap_oracle
+from conftest import (
+    Pedestrian,
+    assess_of,
+    edge_case_peds,
+    ego_reward_of,
+    pack,
+    rect_overlap_oracle,
+    rects_intersect,
+    social_reward_of,
+)
 
 
 def ped(pid, pos, vel, radius=0.3, heading=0.0):
@@ -33,14 +38,14 @@ def ped(pid, pos, vel, radius=0.3, heading=0.0):
 
 class TestEgoReward:
     def test_collision_is_minus_ten(self):
-        r, violated, d = ego_reward(
+        r, violated, d = ego_reward_of(
             Circle(Vec2(0, 0), 0.3), [], [Circle(Vec2(0.5, 0), 0.3)]
         )
         assert r == COLLISION_PENALTY and violated and d <= 0.0
 
     def test_boundary_of_zone_is_zero(self):
         # surface distance exactly r_i + 0.4
-        r, violated, d = ego_reward(
+        r, violated, d = ego_reward_of(
             Circle(Vec2(0, 0), 0.3), [], [Circle(Vec2(1.4, 0), 0.4)]
         )
         assert d == pytest.approx(0.7, abs=1e-12)
@@ -48,7 +53,7 @@ class TestEgoReward:
 
     def test_paper_substitution(self):
         # r_i = 0.3, d = 0.35 -> -0.25 * (1 - 0.35/0.7) = -0.125
-        r, violated, d = ego_reward(
+        r, violated, d = ego_reward_of(
             Circle(Vec2(0, 0), 0.3), [], [Circle(Vec2(1.05, 0), 0.4)]
         )
         assert d == pytest.approx(0.35, abs=1e-12)
@@ -56,13 +61,13 @@ class TestEgoReward:
         assert violated
 
     def test_empty_scene_no_violation(self):
-        r, violated, d = ego_reward(Circle(Vec2(0, 0), 0.3), [], [])
+        r, violated, d = ego_reward_of(Circle(Vec2(0, 0), 0.3), [], [])
         assert r == 0.0 and not violated and math.isinf(d)
 
     def test_monotone_in_approach(self):
         prev = 0.0
         for gap in np.linspace(0.69, 0.01, 30):
-            r, _, _ = ego_reward(
+            r, _, _ = ego_reward_of(
                 Circle(Vec2(0, 0), 0.3), [], [Circle(Vec2(0.3 + gap + 0.4, 0), 0.4)]
             )
             assert r <= prev + 1e-12
@@ -70,7 +75,7 @@ class TestEgoReward:
 
     def test_pedestrians_and_obstacles_both_count(self):
         near_ped = ped(0, (0.9, 0), (0, 0))
-        r_ped, _, d_ped = ego_reward(Circle(Vec2(0, 0), 0.3), [near_ped], [])
+        r_ped, _, d_ped = ego_reward_of(Circle(Vec2(0, 0), 0.3), [near_ped], [])
         assert d_ped == pytest.approx(0.3)
         assert r_ped < 0.0
 
@@ -102,14 +107,14 @@ class TestSocialZone:
 
     def test_stationary_pedestrian_uses_last_motion_heading(self):
         p = ped(0, (0, 0), (0.0, 0.0), heading=1.1)
-        z = pedestrian_zone(p)
-        assert z.heading == pytest.approx(1.1)
+        heading = pedestrian_zones(pack([p]))[0, 2]
+        assert heading == pytest.approx(1.1)
 
 
 class TestSocialReward:
     def test_no_pedestrians_zero(self):
         zone = social_zone(Vec2(0, 0), 0.0, 0.3, 1.0)
-        r, violations, considered = social_reward(zone, Vec2(0, 0), [])
+        r, violations, considered = social_reward_of(zone, Vec2(0, 0), [])
         assert (r, violations, considered) == (0.0, 0, 0)
 
     def test_paper_fraction_substitution(self):
@@ -118,21 +123,21 @@ class TestSocialReward:
         close = [ped(i, (1.0, 0.2 * i), (-0.5, 0)) for i in range(2)]  # head-on, zones meet
         far = [ped(10 + i, (0, 20 + i), (0, 0)) for i in range(6)]
         peds = close + far
-        r, violations, considered = social_reward(robot_zone, Vec2(0, 0), peds)
+        r, violations, considered = social_reward_of(robot_zone, Vec2(0, 0), peds)
         assert violations == 2 and considered == 2
         assert r == pytest.approx(-0.025, abs=1e-12)
 
     def test_far_robot_no_violations(self):
         zone = social_zone(Vec2(0, 0), 0.0, 0.3, 0.0)
         peds = [ped(i, (7.5 + i, 0), (0, 0)) for i in range(4)]
-        r, violations, considered = social_reward(zone, Vec2(0, 0), peds)
+        r, violations, considered = social_reward_of(zone, Vec2(0, 0), peds)
         assert violations == 0 and considered == 0 and r == 0.0
 
     def test_five_meter_cutoff(self):
         zone = social_zone(Vec2(0, 0), 0.0, 0.3, 1.5)
         inside = ped(0, (4.9, 0), (0, 0))
         outside = ped(1, (5.1, 0), (0, 0))
-        _, _, considered = social_reward(zone, Vec2(0, 0), [inside, outside])
+        _, _, considered = social_reward_of(zone, Vec2(0, 0), [inside, outside])
         assert considered == 1
 
     def test_violation_count_matches_oracle(self, rng):
@@ -149,12 +154,12 @@ class TestSocialReward:
                 )
                 for i in range(int(rng.integers(1, 9)))
             ]
-            _, violations, _ = social_reward(zone, robot_pos, peds)
+            _, violations, _ = social_reward_of(zone, robot_pos, peds)
             oracle = sum(
                 1
                 for p in peds
                 if (p.position - robot_pos).norm() <= 5.0
-                and rect_overlap_oracle(zone, pedestrian_zone(p))
+                and rect_overlap_oracle(zone, p.zone())
             )
             assert violations == oracle
 
@@ -172,7 +177,7 @@ class TestSocialReward:
             ]
             heading = float(rng.uniform(-math.pi, math.pi))
             zone = social_zone(Vec2(0, 0), heading, 0.3, 1.0)
-            r1, v1, c1 = social_reward(zone, Vec2(0, 0), peds)
+            r1, v1, c1 = social_reward_of(zone, Vec2(0, 0), peds)
 
             def move(p):
                 return Pedestrian(
@@ -186,9 +191,37 @@ class TestSocialReward:
                 )
 
             zone2 = social_zone(shift, wrap_angle(heading + rot), 0.3, 1.0)
-            r2, v2, c2 = social_reward(zone2, shift, [move(p) for p in peds])
+            r2, v2, c2 = social_reward_of(zone2, shift, [move(p) for p in peds])
             assert (v1, c1) == (v2, c2)
             assert r1 == pytest.approx(r2, abs=1e-12)
+
+
+class TestZonesMatchPedestrians:
+    """The one-pass zone test against the Pedestrian oracle, bit for bit."""
+
+    def test_zone_rows_equal_oracle_zones(self, rng):
+        peds = edge_case_peds(rng, n=2000)
+        assert np.array_equal(pedestrian_zones(pack(peds)), rect_rows([p.zone() for p in peds]))
+
+    def test_violations_equal_pairwise_sat(self, rng):
+        for _ in range(200):
+            robot_pos = Vec2(float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)))
+            heading = float(rng.choice([math.pi, -math.pi, 0.0, rng.uniform(-math.pi, math.pi)]))
+            zone = social_zone(robot_pos, heading, 0.3, float(rng.uniform(0, 1.5)))
+            peds = [
+                ped(
+                    i,
+                    (float(rng.uniform(-6, 6)), float(rng.uniform(-6, 6))),
+                    tuple(float(v) for v in rng.uniform(-1.5, 1.5, 2) * (rng.random() < 0.8)),
+                    radius=float(rng.uniform(0.15, 0.4)),
+                    heading=float(rng.uniform(-math.pi, math.pi)),
+                )
+                for i in range(int(rng.integers(1, 21)))
+            ]
+            _, violations, considered = social_reward_of(zone, robot_pos, peds)
+            near = [p for p in peds if (p.position - robot_pos).norm() <= 5.0]
+            assert considered == len(near)
+            assert violations == sum(rects_intersect(zone, p.zone()) for p in near)
 
 
 class TestGoalReward:
@@ -225,7 +258,7 @@ class TestAssess:
                 for i in range(int(rng.integers(0, 6)))
             ]
             obstacles = [Circle(Vec2(float(rng.uniform(-4, 4)), float(rng.uniform(-4, 4))), 0.4)]
-            a = assess(
+            a = assess_of(
                 robot,
                 0.0,
                 float(rng.uniform(0, 1.5)),

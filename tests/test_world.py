@@ -1,3 +1,4 @@
+import collections
 import math
 import pathlib
 
@@ -6,6 +7,7 @@ import pytest
 
 from socnavsim.crowd import CrowdConfig
 from socnavsim.geometry import Circle, Vec2, closest_distance
+from socnavsim.rewards import ego_reward, social_zone
 from socnavsim.world import (
     EnvConfig,
     NavEnv,
@@ -19,6 +21,8 @@ from socnavsim.world import (
     randomize_map,
     save_config,
 )
+
+from conftest import clearance, rects_intersect, unpack
 
 
 def small_cfg(**kw):
@@ -230,6 +234,113 @@ class TestEnvStep:
         assert env.scan_history[-1].timestamp == t0 + 4
 
 
+class TestStepAgainstOracles:
+    def test_rewards_equal_pedestrian_oracle(self):
+        """Each step's ego part comes from the collision check's clearance
+        and its social violations from the one-pass zone test; both equal
+        the Pedestrian-list oracle recomputed from the stepped state."""
+        from socnavsim.evaluation import suite_config
+
+        violations = ego_steps = 0
+        for suite, seed in (("crowd:random:20", 1), ("combined:8", 2), ("crowd:towards:8", 3)):
+            env = NavEnv(suite_config(suite, small_cfg(max_steps=80)))
+            env.reset(map_seed=seed, crowd_seed=seed + 10)
+            rng = np.random.default_rng(seed)
+            for _ in range(80):
+                out = env.step((1.2, float(rng.uniform(-0.6, 0.6))))
+                robot = env.robot.body()
+                peds = unpack(env.crowd)
+                r_ego, _ = ego_reward(clearance(robot, peds, env.static_shapes), robot.radius)
+                assert out.reward_parts[0] == r_ego
+                zone = social_zone(robot.center, env.robot_motion_heading, robot.radius,
+                                   abs(env.robot.v_l))
+                near = [p for p in peds if (p.position - robot.center).norm() <= 5.0]
+                assert out.record.social_violations == sum(rects_intersect(zone, p.zone()) for p in near)
+                violations += out.record.social_violations
+                ego_steps += out.record.ego_violation
+                if out.done is not Status.RUNNING:
+                    break
+        assert violations > 0 and ego_steps > 0
+
+    def test_step_builds_no_objects_per_pedestrian(self, monkeypatch):
+        """Vec2, Circle and OrientedRect objects built inside each step are
+        as many with 20 pedestrians as with none, on the same map under
+        the same action."""
+        from dataclasses import replace
+
+        from socnavsim import geometry
+        from socnavsim.evaluation import suite_config
+
+        built = collections.Counter()
+        for cls in (geometry.Vec2, geometry.Circle, geometry.OrientedRect):
+            def counting(self, original=cls.__post_init__, name=cls.__name__):
+                built[name] += 1
+                original(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counting)
+
+        def per_step(cfg):
+            env = NavEnv(cfg)
+            env.reset(map_seed=4, crowd_seed=9)
+            counts = []
+            for _ in range(6):
+                built.clear()
+                out = env.step((0.6, 0.1))
+                counts.append(dict(built))
+                assert out.done is Status.RUNNING
+            return counts, len(env.crowd)
+
+        crowded = suite_config("combined:20", small_cfg())
+        empty = replace(crowded, crowd=replace(crowded.crowd, count=0, walk_in_probability=0.0))
+        (with_crowd, n), (without, m) = per_step(crowded), per_step(empty)
+        assert (n, m) == (20, 0)
+        assert with_crowd == without
+        assert with_crowd[0]["Vec2"] > 0
+
+
+class TestBenchmarkProbes:
+    def test_probes_keep_their_meaning(self, monkeypatch):
+        """Every name perfbench/layers.py wraps resolves, and its probes still
+        count pedestrians per crowd step, shapes per cast (a rectangle
+        once) and considered pedestrians per assessment."""
+        from socnavsim.evaluation import suite_config
+
+        monkeypatch.syspath_prepend(str(pathlib.Path(__file__).parent.parent / "perfbench"))
+        import layers
+        import tracing
+
+        calls = collections.defaultdict(list)
+        for target in layers.TARGETS:
+            owner = tracing.resolve(target.owner)
+            original = getattr(owner, target.attr)
+            if target.span in ("crowd.step_crowd", "crowd.orca_velocity", "geometry.cast_fan",
+                               "rewards.assess"):
+                def spy(*args, _original=original, _target=target, **kwargs):
+                    result = _original(*args, **kwargs)
+                    counts = _target.probe(args, kwargs, result) if _target.probe else {}
+                    calls[_target.span].append((args, result, counts))
+                    return result
+
+                monkeypatch.setattr(owner, target.attr, spy)
+
+        env = NavEnv(suite_config("combined:20", small_cfg()))
+        env.reset(map_seed=4, crowd_seed=9)
+        for _ in range(5):
+            calls.clear()
+            env.step((0.6, 0.1))
+            walking = 0
+            for (crowd, *_), result, counts in calls["crowd.step_crowd"]:
+                assert counts["peds"] == len(unpack(crowd)) == 20
+                walking += int((result.stopped[: len(crowd)] == 0).sum())
+            assert len(calls["crowd.orca_velocity"]) == walking > 0
+            shapes = len(env.static_shapes) + len(unpack(env.crowd))
+            for args, _, counts in calls["geometry.cast_fan"]:
+                assert counts["beam_shape_pairs"] == len(args[1]) * shapes
+            ((args, _, counts),) = calls["rewards.assess"]
+            near = [p for p in unpack(env.crowd) if (p.position - env.robot.position()).norm() <= 5.0]
+            assert counts["considered"] == len(near)
+
+
 class TestConfigIO:
     def test_round_trip(self, tmp_path):
         cfg = EnvConfig(
@@ -273,6 +384,50 @@ class TestConfigIO:
         path = tmp_path / "open.yaml"
         path.write_text("start: [4.8, 0.0]\nwalls: false\n")  # no wall to overlap
         assert load_config(path).start == (4.8, 0.0)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "robot_radius: 0.0\n",  # the robot's Circle would only raise once a step ran
+            "goal_tolerance: 0.0\n",
+            "noise_sigma: -0.01\n",  # would silently turn the noise off
+            "scenario: zigzag\n",
+            "obstacle_count_range: [-1, 3]\n",
+            "obstacle_size_range: [0.0, 0.5]\n",
+            "crowd: {walk_in_probability: -0.1}\n",
+            "crowd: {stop_go_probability: 1.5}\n",
+            "crowd: {rect_shape_probability: 1.01}\n",
+            "crowd: {area: [0.0, 5.0]}\n",
+            "crowd: {area: [5.0, -1.0]}\n",
+        ],
+    )
+    def test_out_of_range_values_rejected(self, tmp_path, text):
+        path = tmp_path / "bad.yaml"
+        path.write_text(text)
+        with pytest.raises(ValueError):
+            load_config(path)
+
+    @pytest.mark.parametrize("scenario", [None, "crossing", "towards", "ahead", "random"])
+    def test_boundary_values_accepted(self, scenario):
+        cfg = EnvConfig(
+            noise_sigma=0.0,
+            scenario=scenario,
+            obstacle_count_range=(0, 0),
+            obstacle_size_range=(1e-3, 1e-3),
+            crowd=CrowdConfig(walk_in_probability=1.0, stop_go_probability=0.0,
+                              rect_shape_probability=1.0, area=(1e-3, 1e-3)),
+        )
+        assert EnvConfig.from_dict(cfg.to_dict()) == cfg
+
+    def test_suite_configs_load(self):
+        from socnavsim.evaluation import suite_config
+
+        root = pathlib.Path(__file__).parent.parent / "configs"
+        for path in [None, *sorted(root.glob("*.yaml"))]:
+            base = load_config(path) if path else EnvConfig()
+            for suite in ("mapless", "combined", "combined:8", "crowd:crossing:12",
+                          "crowd:towards:8", "crowd:ahead:4", "crowd:random:20"):
+                suite_config(suite, base)
 
     def test_invalid_rates_rejected(self):
         with pytest.raises(ValueError):
