@@ -443,33 +443,34 @@ def step_crowd(
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    lines, num_fixed = orca_lines(crowd, discs, dt)
-    # the per-operation checks of Vec2 code, done once per step
-    finite = np.isfinite(lines).all(axis=(1, 2))
     rows: list[tuple] = []
+    if len(crowd):  # an empty crowd has no constraints to build
+        lines, num_fixed = orca_lines(crowd, discs, dt)
+        # the per-operation checks of Vec2 code, done once per step
+        finite = np.isfinite(lines).all(axis=(1, 2))
 
-    for i, row in enumerate(crowd.rows()):
-        ped_id, x, y, vx, vy, goal_x, goal_y, speed, radius, rect, stopped, heading = row
-        if stopped > 0:
-            stopped -= 1
-        elif config.stop_go_probability > 0.0 and rng.random() < config.stop_go_probability:
-            # geometric pause, one expected second long
-            stopped = int(rng.geometric(min(1.0, dt / MEAN_STOP_SECONDS)))
+        for i, row in enumerate(crowd.rows()):
+            ped_id, x, y, vx, vy, goal_x, goal_y, speed, radius, rect, stopped, heading = row
+            if stopped > 0:
+                stopped -= 1
+            elif config.stop_go_probability > 0.0 and rng.random() < config.stop_go_probability:
+                # geometric pause, one expected second long
+                stopped = int(rng.geometric(min(1.0, dt / MEAN_STOP_SECONDS)))
 
-        if stopped > 0:
-            rows.append((ped_id, x, y, 0.0, 0.0, goal_x, goal_y, speed, radius, rect, stopped, heading))
-            continue
+            if stopped > 0:
+                rows.append((ped_id, x, y, 0.0, 0.0, goal_x, goal_y, speed, radius, rect, stopped, heading))
+                continue
 
-        if not finite[i]:
-            raise ValueError(f"non-finite ORCA constraint for pedestrian {ped_id}")
-        pref_x, pref_y = preferred_velocity(x, y, goal_x, goal_y, speed)
-        vx, vy = orca_velocity(pref_x, pref_y, speed, lines[i], num_fixed)
-        x, y = x + vx * dt, y + vy * dt
-        if math.hypot(x - goal_x, y - goal_y) < GOAL_REACHED_DIST:
-            goal_x, goal_y = _random_point(config, rng)
-        if math.hypot(vx, vy) >= STILL_SPEED:
-            heading = math.atan2(vy, vx)
-        rows.append((ped_id, x, y, vx, vy, goal_x, goal_y, speed, radius, rect, 0, heading))
+            if not finite[i]:
+                raise ValueError(f"non-finite ORCA constraint for pedestrian {ped_id}")
+            pref_x, pref_y = preferred_velocity(x, y, goal_x, goal_y, speed)
+            vx, vy = orca_velocity(pref_x, pref_y, speed, lines[i], num_fixed)
+            x, y = x + vx * dt, y + vy * dt
+            if math.hypot(x - goal_x, y - goal_y) < GOAL_REACHED_DIST:
+                goal_x, goal_y = _random_point(config, rng)
+            if math.hypot(vx, vy) >= STILL_SPEED:
+                heading = math.atan2(vy, vx)
+            rows.append((ped_id, x, y, vx, vy, goal_x, goal_y, speed, radius, rect, 0, heading))
 
     if config.walk_in_probability > 0.0 and len(rows) < config.max_count:
         if rng.random() < config.walk_in_probability:
@@ -477,4 +478,4 @@ def step_crowd(
             pos = _boundary_point(config, rng)
             goal = _random_point(config, rng)
             rows.append(_sample_ped(next_id, pos, goal, config.speed_range, config, rng))
-    return Crowd.from_rows(rows)
+    return Crowd.from_rows(rows) if rows else crowd

@@ -81,20 +81,30 @@ class MotionFeature:
         return self.matrix[-1]
 
 
+def cast_sweep(shapes: list[Shape], position: Vec2, heading: float, config: LidarConfig) -> np.ndarray:
+    """The noiseless, unclipped ranges of the fan centered on heading.
+
+    Read-only: every scan taken from one pose into one scene reads the
+    same sweep.
+    """
+    ranges = cast_fan(position, heading + config.beam_offsets(), shapes, config.range_max)
+    ranges.flags.writeable = False
+    return ranges
+
+
 def simulate_scan(
-    shapes: list[Shape],
-    position: Vec2,
+    sweep: np.ndarray,
     heading: float,
     timestamp: int,
     config: LidarConfig,
     noise_rng: np.random.Generator | None = None,
 ) -> Scan:
-    """Sweep the fan centered on the robot heading and clamp returns."""
-    angles = heading + config.beam_offsets()
-    ranges = cast_fan(position, angles, shapes, config.range_max)
+    """One reading of a sweep: range noise, then the clamp to the sensor
+    bounds, into a fresh array."""
+    ranges = sweep
     if config.noise_sigma > 0.0 and noise_rng is not None:
-        ranges = ranges + noise_rng.normal(0.0, config.noise_sigma, ranges.shape)
-    np.clip(ranges, config.range_min, config.range_max, out=ranges)
+        ranges = sweep + noise_rng.normal(0.0, config.noise_sigma, sweep.shape)
+    ranges = np.clip(ranges, config.range_min, config.range_max)
     return Scan(ranges=ranges, heading_at_capture=heading, timestamp=timestamp)
 
 

@@ -4,6 +4,9 @@ The scanner, controller, and policy run at separate rates (40/20/10 Hz
 by default).  One call to step() covers a full policy period: the inner
 controller tracks the commanded heading offset, the crowd advances, the
 scanner captures sweeps, and the reward is assessed on the final state.
+The robot and the crowd move only on control ticks, so the scanner
+casts once per reset and once per control tick; every scan tick in
+between reads that sweep, adding its own range noise.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ from .crowd import (SCENARIO_KINDS, STILL_SPEED, Crowd, CrowdConfig, obstacle_di
                     spawn_scenario, step_crowd)
 from .geometry import (Circle, OrientedRect, Segment, Shape, Vec2, closest_distance, pack_shapes,
                        wrap_angle)
-from .lidar import HISTORY_LEN, LidarConfig, MotionFeature, Scan, build_motion_feature, simulate_scan
+from .lidar import (HISTORY_LEN, LidarConfig, MotionFeature, Scan, build_motion_feature, cast_sweep,
+                    simulate_scan)
 
 ACTION_LIMIT = 1.5
 V_MAX = 1.5
@@ -267,26 +271,29 @@ def _grid_free(
 
 
 def _grid_connected(free: np.ndarray, start_ij, goal_ij) -> bool:
+    """Flood fill from start through 4-neighbour free cells, until it reaches
+    goal or stops growing."""
     if not (free[start_ij] and free[goal_ij]):
         return False
-    n, m = free.shape
-    visited = np.zeros_like(free, dtype=bool)
-    queue = deque([start_ij])
-    visited[start_ij] = True
-    while queue:
-        i, j = queue.popleft()
-        if (i, j) == goal_ij:
-            return True
-        for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            ni, nj = i + di, j + dj
-            if 0 <= ni < n and 0 <= nj < m and free[ni, nj] and not visited[ni, nj]:
-                visited[ni, nj] = True
-                queue.append((ni, nj))
-    return False
+    reached = np.zeros_like(free)
+    reached[start_ij] = True
+    size = 1
+    while not reached[goal_ij]:
+        grown = reached.copy()
+        grown[1:] |= reached[:-1]
+        grown[:-1] |= reached[1:]
+        grown[:, 1:] |= reached[:, :-1]
+        grown[:, :-1] |= reached[:, 1:]
+        grown &= free
+        grown_size = int(np.count_nonzero(grown))
+        if grown_size == size:
+            return False
+        reached, size = grown, grown_size
+    return True
 
 
 def corridor_exists(obstacles: list[Shape], config: EnvConfig, resolution: float = 0.1) -> bool:
-    """Coarse grid BFS between start and goal with inflated obstacles."""
+    """Coarse grid flood fill between start and goal with inflated obstacles."""
     free, origin, res = _grid_free(obstacles, config, resolution)
 
     def cell(p):
@@ -387,6 +394,7 @@ class NavEnv:
         self.sim_time = 0.0
         self._desired_heading = self.robot.heading
         self._twist = (0.0, 0.0)
+        self._cast()
         first = self._scan()
         self.scan_history: deque[Scan] = deque([first] * HISTORY_LEN, maxlen=HISTORY_LEN)
         self._needs_reset = False
@@ -398,15 +406,12 @@ class NavEnv:
         self.crowd = crowd
         self._scene = self._static_scene + crowd.lidar_scene() if len(crowd) else self._static_scene
 
+    def _cast(self) -> None:
+        """Cast the sweep that every scan reads until the robot or the crowd moves."""
+        self._sweep = cast_sweep(self._scene, self.robot.position(), self.robot.heading, self.lidar_config)
+
     def _scan(self) -> Scan:
-        return simulate_scan(
-            self._scene,
-            self.robot.position(),
-            self.robot.heading,
-            self.tick,
-            self.lidar_config,
-            self.noise_rng,
-        )
+        return simulate_scan(self._sweep, self.robot.heading, self.tick, self.lidar_config, self.noise_rng)
 
     def _goal_relative(self) -> tuple[float, float]:
         to_goal = self.goal - self.robot.position()
@@ -460,6 +465,7 @@ class NavEnv:
                     self.robot_motion_heading = self.robot.heading
                 crowd = step_crowd(self.crowd, self.config.crowd, self.control_dt, self.crowd_rng, self._discs)
                 self._set_crowd(crowd)
+                self._cast()
                 self._check_terminal()
             self.tick += 1
             self.sim_time += self.tick_dt

@@ -7,6 +7,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 import math
+from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -26,7 +27,8 @@ from socnavsim.geometry import (
     rects_overlap,
     wrap_angle,
 )
-from socnavsim.lidar import Scan
+from socnavsim.lidar import Scan, cast_sweep, simulate_scan
+from socnavsim.world import NavEnv
 
 
 # property tests draw the same examples on every run and keep no example file
@@ -659,6 +661,40 @@ def reference_inflate_returns(ranges, delta_theta, radius, range_max):
         hi = min(n, j + half + 1)
         np.minimum(safe[lo:hi], ranges[j], out=safe[lo:hi])
     return safe
+
+
+# ---------------------------------------------------------------------------
+# Map and scanner oracles
+
+
+def reference_grid_connected(free, start_ij, goal_ij) -> bool:
+    """world._grid_connected as a breadth-first search over 4-neighbour
+    free cells."""
+    if not (free[start_ij] and free[goal_ij]):
+        return False
+    n, m = free.shape
+    visited = np.zeros_like(free, dtype=bool)
+    queue = deque([start_ij])
+    visited[start_ij] = True
+    while queue:
+        i, j = queue.popleft()
+        if (i, j) == goal_ij:
+            return True
+        for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+            ni, nj = i + di, j + dj
+            if 0 <= ni < n and 0 <= nj < m and free[ni, nj] and not visited[ni, nj]:
+                visited[ni, nj] = True
+                queue.append((ni, nj))
+    return False
+
+
+class CastEveryTickEnv(NavEnv):
+    """NavEnv whose scanner casts a fresh sweep at every scan tick; the
+    env that casts once per pose must step bit for bit like it."""
+
+    def _scan(self) -> Scan:
+        sweep = cast_sweep(self._scene, self.robot.position(), self.robot.heading, self.lidar_config)
+        return simulate_scan(sweep, self.robot.heading, self.tick, self.lidar_config, self.noise_rng)
 
 
 # ---------------------------------------------------------------------------

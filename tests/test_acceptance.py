@@ -23,6 +23,7 @@ from socnavsim.lidar import (
     HISTORY_LEN,
     LidarConfig,
     build_motion_feature,
+    cast_sweep,
     simulate_scan,
 )
 from socnavsim.rewards import (
@@ -194,7 +195,7 @@ class TestCriterion3CalibrationInvariant:
             shapes = [random_shape(rng, span=3.0) for _ in range(int(rng.integers(2, 6)))]
             headings = np.cumsum(rng.integers(-5, 6, HISTORY_LEN)) * cfg.angle_increment
             history = [
-                simulate_scan(shapes, Vec2(0, 0), float(h), i, cfg)
+                simulate_scan(cast_sweep(shapes, Vec2(0, 0), float(h), cfg), float(h), i, cfg)
                 for i, h in enumerate(headings)
             ]
             current = float(headings[-1])

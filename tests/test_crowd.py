@@ -395,3 +395,22 @@ class TestStepMatchesReference:
             stops += sum(not p.walking for p in peds)
         assert len(peds) > 20 and stops > 0
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    @pytest.mark.parametrize("walk_in", [0.0, 1.0])
+    def test_empty_crowd_steps_bitwise(self, walk_in):
+        """From an empty crowd, with walk-ins never or always: the step draws
+        what the Pedestrian-list step draws, and returns its input while
+        nobody has walked in."""
+        cfg = CrowdConfig(count=0, walk_in_probability=walk_in, stop_go_probability=0.3, max_count=3)
+        obstacles = [Circle(Vec2(1.5, -1.0), 0.3)]
+        rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
+        crowd = spawn_crowd(cfg, np.random.default_rng(1))
+        peds = unpack(crowd)
+        for _ in range(6):
+            stepped = step_crowd(crowd, cfg, 0.05, rng_a, obstacle_discs(obstacles))
+            peds = reference_step_crowd(peds, cfg, 0.05, rng_b, obstacles)
+            assert unpack(stepped) == peds
+            assert rng_a.bit_generator.state == rng_b.bit_generator.state
+            assert (stepped is crowd) == (not peds)
+            crowd = stepped
+        assert len(peds) == (3 if walk_in else 0)

@@ -9,6 +9,7 @@ from socnavsim.lidar import (
     LidarConfig,
     Scan,
     build_motion_feature,
+    cast_sweep,
     simulate_scan,
 )
 
@@ -23,8 +24,8 @@ from conftest import (
 CFG = LidarConfig(beam_count=181)
 
 
-def scan_at(shapes, x, y, heading, cfg=CFG, t=0):
-    return simulate_scan(shapes, Vec2(x, y), heading, t, cfg)
+def scan_at(shapes, x, y, heading, cfg=CFG, t=0, noise_rng=None):
+    return simulate_scan(cast_sweep(shapes, Vec2(x, y), heading, cfg), heading, t, cfg, noise_rng)
 
 
 class TestSimulateScan:
@@ -48,7 +49,7 @@ class TestSimulateScan:
         shapes = [random_shape(rng, span=3.0) for _ in range(3)]
         pos = Vec2(0.1, -0.4)
         heading = 0.7
-        s = simulate_scan(shapes, pos, heading, 0, CFG)
+        s = scan_at(shapes, pos.x, pos.y, heading)
         offsets = CFG.beam_offsets()
         for i in range(0, CFG.beam_count, 17):
             oracle = marching_ray(pos, heading + float(offsets[i]), shapes, 10.0)
@@ -63,9 +64,26 @@ class TestSimulateScan:
 
     def test_noise_flag(self, rng):
         cfg = LidarConfig(beam_count=64, noise_sigma=0.05)
-        a = simulate_scan([], Vec2(0, 0), 0.0, 0, cfg, np.random.default_rng(1))
+        a = scan_at([], 0, 0, 0.0, cfg, noise_rng=np.random.default_rng(1))
         assert not np.all(a.ranges == 10.0)  # noise pushed some below the cap
         assert a.ranges.max() <= 10.0
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.05])
+    def test_sweep_read_only_and_scans_fresh(self, sigma):
+        """A scan is a fresh array: writing into it leaves the sweep, and
+        every later scan of it, as they were."""
+        cfg = LidarConfig(beam_count=64, noise_sigma=sigma)
+        sweep = cast_sweep([Circle(Vec2(2.0, 0.5), 0.4)], Vec2(0, 0), 0.1, cfg)
+        kept = sweep.copy()
+        assert not sweep.flags.writeable
+        with pytest.raises(ValueError):
+            sweep[0] = 1.0
+        want = simulate_scan(sweep, 0.1, 0, cfg, np.random.default_rng(2)).ranges.tobytes()
+        a = simulate_scan(sweep, 0.1, 0, cfg, np.random.default_rng(2))
+        assert a.ranges.flags.writeable and not np.shares_memory(a.ranges, sweep)
+        a.ranges[:] = 0.5
+        assert sweep.tobytes() == kept.tobytes()
+        assert simulate_scan(sweep, 0.1, 1, cfg, np.random.default_rng(2)).ranges.tobytes() == want
 
 
 class TestCalibrate:

@@ -13,6 +13,9 @@ from socnavsim.world import (
     NavEnv,
     RobotState,
     Status,
+    _grid_connected,
+    _grid_free,
+    _sample_obstacle,
     action_to_twist,
     arena_walls,
     corridor_exists,
@@ -22,7 +25,7 @@ from socnavsim.world import (
     save_config,
 )
 
-from conftest import clearance, rects_intersect, unpack
+from conftest import CastEveryTickEnv, clearance, reference_grid_connected, rects_intersect, unpack
 
 
 def small_cfg(**kw):
@@ -121,6 +124,68 @@ class TestRandomizeMap:
         cfg = small_cfg(obstacle_count_range=(220, 240), obstacle_size_range=(1.2, 1.6))
         with pytest.raises(RuntimeError):
             randomize_map(np.random.default_rng(0), cfg, max_attempts=3)
+
+
+class TestGridConnected:
+    def check(self, free, start, goal):
+        got = _grid_connected(free, start, goal)
+        assert got == reference_grid_connected(free, start, goal)
+        return got
+
+    def test_random_grids_match_bfs(self, rng):
+        for density in (0.2, 0.35, 0.45, 0.6):
+            for _ in range(50):
+                n, m = (int(v) for v in rng.integers(1, 25, 2))
+                free = rng.random((n, m)) > density
+                start = (int(rng.integers(n)), int(rng.integers(m)))
+                goal = (int(rng.integers(n)), int(rng.integers(m)))
+                self.check(free, start, goal)
+
+    def test_obstacle_grids_match_bfs(self, rng):
+        cfg = small_cfg(obstacle_size_range=(0.8, 2.5))
+        found = set()
+        for _ in range(30):
+            obstacles = [_sample_obstacle(rng, cfg) for _ in range(int(rng.integers(4, 60)))]
+            free, _, _ = _grid_free(obstacles, cfg)
+            cells = np.argwhere(free)
+            for _ in range(3):
+                start, goal = (tuple(int(v) for v in cells[rng.integers(len(cells))]) for _ in range(2))
+                found.add(self.check(free, start, goal))
+        assert found == {True, False}
+
+    def test_blocked_start_or_goal(self):
+        free = np.ones((6, 7), dtype=bool)
+        free[2, 3] = False
+        assert not self.check(free, (2, 3), (5, 6))
+        assert not self.check(free, (0, 0), (2, 3))
+        assert not self.check(free, (2, 3), (2, 3))
+
+    def test_start_equals_goal(self):
+        free = np.zeros((5, 5), dtype=bool)
+        free[4, 0] = True  # walled in on every side
+        assert self.check(free, (4, 0), (4, 0))
+
+    def test_edge_cells(self):
+        for n, m in ((1, 1), (1, 9), (9, 1), (8, 8)):
+            free = np.ones((n, m), dtype=bool)
+            assert self.check(free, (0, 0), (n - 1, m - 1))
+            assert self.check(free, (n - 1, m - 1), (0, 0))
+        free = np.ones((8, 8), dtype=bool)
+        free[:, 4] = False
+        assert not self.check(free, (0, 0), (7, 7))
+        free[7, 4] = True  # a gap in the bottom row
+        assert self.check(free, (0, 0), (0, 7))
+
+    def test_serpentine_maze(self):
+        n, m = 41, 30
+        free = np.ones((n, m), dtype=bool)
+        for k, row in enumerate(range(1, n, 2)):  # walls with gaps at alternating ends
+            free[row] = False
+            free[row, -1 if k % 2 == 0 else 0] = True
+        assert self.check(free, (0, 0), (n - 1, m - 1))
+        assert self.check(free, (n - 1, 0), (0, m - 1))
+        free[n // 2, :] = False  # close one gap
+        assert not self.check(free, (0, 0), (n - 1, m - 1))
 
 
 class TestEnvStep:
@@ -296,6 +361,89 @@ class TestStepAgainstOracles:
         assert (n, m) == (20, 0)
         assert with_crowd == without
         assert with_crowd[0]["Vec2"] > 0
+
+
+class TestScanOncePerPose:
+    """The scanner casts once per reset and once per control tick; every
+    other scan tick reads the kept sweep."""
+
+    def rollout(self, env_cls, cfg, actions, monkeypatch):
+        """Outcomes of one episode, with the casts and control ticks counted
+        per call (the reset first, then each step)."""
+        from socnavsim import lidar, world
+
+        counts = collections.Counter()
+        with monkeypatch.context() as m:
+            for module, name in ((lidar, "cast_fan"), (world, "step_crowd")):
+                def counted(*args, _original=getattr(module, name), _name=name, **kwargs):
+                    counts[_name] += 1
+                    return _original(*args, **kwargs)
+
+                m.setattr(module, name, counted)
+            env = env_cls(cfg)
+            outs, tallies = [env.reset(map_seed=4, crowd_seed=9)], [dict(counts)]
+            for a in actions:
+                counts.clear()
+                outs.append(env.step(a))
+                tallies.append(dict(counts))
+                if outs[-1].done is not Status.RUNNING:
+                    break
+        return outs, tallies
+
+    def check_parity(self, cfg, monkeypatch, actions=None):
+        if actions is None:
+            actions = np.random.default_rng(1).uniform(-1.5, 1.5, (40, 2))
+        got, tallies = self.rollout(NavEnv, cfg, actions, monkeypatch)
+        want, _ = self.rollout(CastEveryTickEnv, cfg, actions, monkeypatch)
+        assert len(got) == len(want)
+        assert got[0].matrix.tobytes() == want[0].matrix.tobytes()
+        for a, b in zip(got[1:], want[1:]):
+            assert a.observation.matrix.tobytes() == b.observation.matrix.tobytes()
+            assert a.observation.goal_vector == b.observation.goal_vector
+            assert repr((a.reward, a.reward_parts, a.done, a.record)) == repr(
+                (b.reward, b.reward_parts, b.done, b.record))
+        assert tallies[0] == {"cast_fan": 1}
+        for tally in tallies[1:]:
+            assert tally["cast_fan"] == tally["step_crowd"]
+        return got, tallies
+
+    def test_noisy_combined_8(self, monkeypatch):
+        from socnavsim.evaluation import suite_config
+
+        cfg = suite_config("combined:8", small_cfg(noise_sigma=0.05))
+        got, _ = self.check_parity(cfg, monkeypatch)
+        assert len(got) > 10
+
+    def test_crowd_random_20(self, monkeypatch):
+        from socnavsim.evaluation import suite_config
+
+        cfg = suite_config("crowd:random:20", small_cfg())
+        got, _ = self.check_parity(cfg, monkeypatch)
+        assert len(got) > 10
+
+    @pytest.mark.parametrize("start_x, last_controls", [(4.0, 2), (4.0375, 1)])
+    def test_collision_mid_step(self, monkeypatch, start_x, last_controls):
+        """Driving into the wall at x = 5: the robot collides on the second
+        control tick of a step, or on the first, after which the step runs
+        no control tick and its remaining scans read the kept sweep."""
+        cfg = small_cfg(obstacle_count_range=(0, 0), start=(start_x, 0.0), goal=(-4.0, 0.0),
+                        start_heading=0.0, noise_sigma=0.05)
+        got, tallies = self.check_parity(cfg, monkeypatch, actions=[(1.5, 0.0)] * 10)
+        assert got[-1].done is Status.COLLIDED
+        assert tallies[-1]["step_crowd"] == last_controls
+
+    def test_kept_sweep_is_read_only_and_scans_are_fresh(self):
+        env = NavEnv(small_cfg(map_seed=3))
+        env.reset()
+        env.step((0.8, 0.3))
+        assert not env._sweep.flags.writeable
+        with pytest.raises(ValueError):
+            env._sweep[0] = 1.0
+        first = env._scan()
+        want = first.ranges.copy()
+        first.ranges[:] = 0.5
+        assert env._scan().ranges.tobytes() == want.tobytes()
+        assert not np.shares_memory(env.scan_history[-1].ranges, env._sweep)
 
 
 class TestBenchmarkProbes:
