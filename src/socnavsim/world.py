@@ -22,8 +22,8 @@ import yaml
 from . import rewards
 from .crowd import (SCENARIO_KINDS, STILL_SPEED, Crowd, CrowdConfig, obstacle_discs, spawn_crowd,
                     spawn_scenario, step_crowd)
-from .geometry import (Circle, OrientedRect, Segment, Shape, Vec2, closest_distance, pack_shapes,
-                       wrap_angle)
+from .geometry import (Circle, OrientedRect, Segment, Shape, Vec2, closest_distance, pack_distance_scene,
+                       pack_shapes, wrap_angle)
 from .lidar import (HISTORY_LEN, LidarConfig, MotionFeature, Scan, build_motion_feature, cast_sweep,
                     simulate_scan)
 
@@ -367,6 +367,7 @@ class NavEnv:
         # the static scene, packed once per episode
         self.static_shapes = self.obstacles + (arena_walls(cfg.arena_half) if cfg.walls else [])
         self._static_scene = pack_shapes(self.static_shapes)
+        self._static_distances = pack_distance_scene(self.static_shapes)
         self._discs = obstacle_discs(self.obstacles)
 
         start = Vec2(*cfg.start)
@@ -429,9 +430,7 @@ class NavEnv:
         robot = self.robot.body()
         self._distances = self.crowd.distances(robot.center.x, robot.center.y)
         gaps = self._distances - self.crowd.radius - robot.radius
-        self._clearance = float(gaps.min(initial=math.inf))
-        if self.static_shapes:
-            self._clearance = min(closest_distance(robot, self.static_shapes), self._clearance)
+        self._clearance = min(self._static_distances.closest_distance(robot), float(gaps.min(initial=math.inf)))
         if self._clearance <= 0.0:
             self.status = Status.COLLIDED
             return

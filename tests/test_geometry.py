@@ -187,6 +187,17 @@ class TestRectsIntersect:
         b = OrientedRect(Vec2(1.0, 0), 0.0, 0.5, 1.0)  # rear edge on a's front edge
         assert overlaps(a, b)
 
+    @pytest.mark.parametrize("anchor, degrees, half_width", [
+        (Vec2(0.0625, 0.3125), 5, 0.125), (Vec2(0.0, 0.0625), 1, 0.25),
+    ])
+    def test_point_on_zero_length_rect_counts(self, anchor, degrees, half_width):
+        """A point rectangle at the anchor of a zero-length one: the corners
+        anchor +- w project a rounding off the anchor, within CONTACT_SLACK."""
+        point = OrientedRect(anchor, 0.0, 0.0, 0.0)
+        bar = OrientedRect(anchor, math.radians(degrees), half_width, 0.0)
+        assert rect_overlap_oracle(point, bar)
+        assert overlaps(point, bar) and overlaps(bar, point)
+
     def test_symmetry_and_oracle_agreement(self, rng):
         for _ in range(200):
             a, b = random_rect(rng), random_rect(rng)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from socnavsim.geometry import Circle, Segment, Vec2
+from socnavsim.geometry import Circle, Segment, Vec2, pack_shapes, takes_windows
 from socnavsim.lidar import (
     HISTORY_LEN,
     LidarConfig,
@@ -12,11 +12,14 @@ from socnavsim.lidar import (
     cast_sweep,
     simulate_scan,
 )
+from socnavsim.world import arena_walls
 
 from conftest import (
     calibrate,
     calibration_shift,
     marching_ray,
+    random_circle,
+    random_rect,
     random_shape,
     reference_motion_matrix,
 )
@@ -84,6 +87,22 @@ class TestSimulateScan:
         a.ranges[:] = 0.5
         assert sweep.tobytes() == kept.tobytes()
         assert simulate_scan(sweep, 0.1, 1, cfg, np.random.default_rng(2)).ranges.tobytes() == want
+
+
+def test_benchmark_sized_scenes_pick_their_cast_path(rng):
+    """A scene the size of a typical eval-crowd20 one (4 walls, 16 round and
+    4 square pedestrians: 36 rows at 180 beams) stays on the broadcast; the
+    smallest eval-mapless1080 one seen (4 walls, 3 circles and a rectangle:
+    11 rows at 1080 beams) takes the beam windows, unless its fan is not
+    ascending."""
+    walls = arena_walls(5.0)
+    crowd = [random_circle(rng) for _ in range(16)] + [random_rect(rng) for _ in range(4)]
+    obstacles = [random_circle(rng) for _ in range(3)] + [random_rect(rng)]
+    for shapes, beams, windows in ((walls + crowd, 180, False), (walls + obstacles, 1080, True)):
+        scene = pack_shapes(shapes)
+        fan = float(rng.uniform(-math.pi, math.pi)) + LidarConfig(beam_count=beams).beam_offsets()
+        assert takes_windows(fan, scene) is windows
+        assert not takes_windows(fan[::-1], scene)
 
 
 class TestCalibrate:

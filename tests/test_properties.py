@@ -8,6 +8,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from socnavsim import geometry
 from socnavsim.baselines import _inflate_returns
 from socnavsim.crowd import obstacle_discs, orca_lines
 from socnavsim.geometry import (
@@ -15,11 +16,15 @@ from socnavsim.geometry import (
     OrientedRect,
     Segment,
     Vec2,
+    beam_arcs,
     cast_fan,
     closest_distance,
+    pack_shapes,
     point_rect_signed_distance,
     rect_rows,
     rects_overlap,
+    row_terms,
+    takes_windows,
 )
 from socnavsim.lidar import RANGE_MAX, RANGE_MIN, LidarConfig
 
@@ -69,6 +74,76 @@ def test_cast_fan_equals_reference(origin, angles, shapes):
     angles = np.concatenate([angles, aims])
     fan = cast_fan(origin, angles, shapes, 10.0)
     assert np.array_equal(fan, reference_cast_fan(origin, angles, shapes, 10.0))
+
+
+@st.composite
+def placed_shape(draw, origin, heading):
+    """A shape at a drawn bearing and distance from origin: around the fan's
+    centre, its edges or the rear gap, holding origin, or beyond range."""
+    bearing = heading + draw(st.one_of(
+        coords(math.pi),
+        st.sampled_from([0.0, math.pi, 0.75 * math.pi, -0.75 * math.pi]).flatmap(
+            lambda a: st.floats(a - 0.3, a + 0.3)),
+    ))
+    distance = draw(st.one_of(st.floats(0.0, 0.5), st.floats(0.5, 9.0), st.floats(10.0, 14.0)))
+    centre = origin + Vec2.from_angle(bearing, distance)
+    kind = draw(st.sampled_from(["circle", "rect", "across", "on line", "on axis"]))
+    if kind == "circle":
+        return Circle(centre, draw(st.floats(0.05, 2.0)))
+    if kind == "rect":
+        h, length, half_width = draw(coords(math.pi)), draw(st.floats(0.0, 2.0)), draw(st.floats(0.0, 1.0))
+        return OrientedRect(centre - Vec2.from_angle(h, length / 2.0), h, half_width, length)
+    u, v = draw(st.floats(-4.0, 4.0)), draw(st.floats(-4.0, 4.0))
+    if kind == "across":  # perpendicular to the bearing, straddling it
+        a, b = centre + Vec2.from_angle(bearing + math.pi / 2.0, u), centre + Vec2.from_angle(bearing - math.pi / 2.0, v)
+    elif kind == "on line":  # along the bearing, through origin up to rounding
+        a, b = origin + Vec2.from_angle(bearing, u), origin + Vec2.from_angle(bearing, v)
+    else:  # exactly on origin's horizontal or vertical line
+        axis = draw(st.sampled_from([Vec2(1.0, 0.0), Vec2(0.0, 1.0)]))
+        a, b = origin + axis * u, origin + axis * v
+    assume(a != b)
+    return Segment(a, b)
+
+
+@st.composite
+def windowed_casts(draw):
+    """An ascending fan, heading + LidarConfig offsets, with enough beams for
+    cast_fan's beam windows, plus beams aimed at every circle tangent,
+    segment endpoint and window edge, and one ulp either side of each edge."""
+    origin = draw(st.builds(Vec2, coords(6.0), coords(6.0)))
+    heading = draw(st.one_of(coords(math.pi), st.floats(math.pi - 1e-3, math.pi),
+                             st.floats(-math.pi, -math.pi + 1e-3)))
+    shapes = draw(st.lists(st.one_of(circles, rects, segments, placed_shape(origin, heading)),
+                           min_size=1, max_size=6))
+    scene = pack_shapes(shapes)
+    rows = len(scene.circles) + len(scene.segments)
+    beams = -(-geometry.WINDOW_MIN_LANES // rows) + draw(st.integers(0, 300))
+    fan = heading + LidarConfig(beam_count=beams).beam_offsets()
+    aims = []
+    for s in shapes:
+        if isinstance(s, Circle):
+            d = (s.center - origin).norm()
+            half = math.asin(min(1.0, s.radius / d)) if d > 0.0 else math.pi
+            aims += [(s.center - origin).angle() + k * half for k in (-1.0, 1.0)]
+        else:
+            ends = (s.a, s.b) if isinstance(s, Segment) else s.corners()
+            aims += [(p - origin).angle() for p in ends if p != origin]
+    first, width = beam_arcs(origin, scene, row_terms(origin, scene))
+    slack = geometry.WINDOW_SLACK
+    for edge in np.concatenate([first, first + width, first - slack, first + width + slack]):
+        aims += [np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)]
+    # into the fan's turn; those in the rear gap are dropped
+    aims = fan[0] + np.mod(np.array(aims) - fan[0], 2.0 * math.pi)
+    return origin, np.sort(np.concatenate([fan, aims[aims <= fan[-1]]])), shapes
+
+
+@given(case=windowed_casts())
+def test_beam_windows_equal_reference(case):
+    """cast_fan over the beam windows equals the per-shape loop bit for bit."""
+    origin, angles, shapes = case
+    assert takes_windows(angles, pack_shapes(shapes))
+    fan = cast_fan(origin, angles, shapes, 10.0)
+    assert fan.tobytes() == reference_cast_fan(origin, angles, shapes, 10.0).tobytes()
 
 
 def boundary_distance(p, shape):

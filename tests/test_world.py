@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from socnavsim.crowd import CrowdConfig
-from socnavsim.geometry import Circle, Vec2, closest_distance
+from socnavsim.geometry import (Circle, OrientedRect, Segment, Vec2, closest_distance, pack_distance_scene,
+                                point_rect_signed_distance)
 from socnavsim.rewards import ego_reward, social_zone
 from socnavsim.world import (
     EnvConfig,
@@ -124,6 +125,37 @@ class TestRandomizeMap:
         cfg = small_cfg(obstacle_count_range=(220, 240), obstacle_size_range=(1.2, 1.6))
         with pytest.raises(RuntimeError):
             randomize_map(np.random.default_rng(0), cfg, max_attempts=3)
+
+
+class TestStaticClearance:
+    def test_packed_equals_closest_distance(self, rng):
+        """The clearance NavEnv takes from the packed static shapes equals
+        closest_distance over the shape objects bit for bit: random poses
+        and robot radii on random maps with walls (and a few slanted
+        segments), poses inside rectangles and outside the arena included."""
+        cfg = small_cfg(obstacle_count_range=(4, 10))
+        inside = 0
+        for seed in range(25):
+            shapes = randomize_map(np.random.default_rng(seed), cfg) + arena_walls(cfg.arena_half)
+            shapes += [Segment(Vec2(*rng.uniform(-5, 5, 2)), Vec2(*rng.uniform(-5, 5, 2))) for _ in range(3)]
+            poses = [Vec2(*rng.uniform(-cfg.arena_half - 0.5, cfg.arena_half + 0.5, 2)) for _ in range(40)]
+            for rect in (s for s in shapes if isinstance(s, OrientedRect)):
+                fwd, left = rect.axes()
+                for u, v in rng.uniform(-0.99, 0.99, (4, 2)):
+                    p = rect.anchor + fwd * (rect.length * (u + 1.0) / 2.0) + left * (rect.half_width * v)
+                    inside += point_rect_signed_distance(p, rect) < 0.0
+                    poses.append(p)
+            packed = pack_distance_scene(shapes)
+            for p in poses:
+                robot = Circle(p, float(rng.uniform(0.1, 0.5)))
+                assert packed.closest_distance(robot).hex() == closest_distance(robot, shapes).hex()
+        assert inside > 100
+
+    def test_env_clearance_uses_every_static_shape(self):
+        env = NavEnv(small_cfg())
+        env.reset(map_seed=3)
+        env._check_terminal()
+        assert env._clearance == closest_distance(env.robot.body(), env.static_shapes)
 
 
 class TestGridConnected:
