@@ -16,8 +16,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import evaluation
 from .crowd import SCENARIO_KINDS
-from .evaluation import episode_seeds, episode_steps, run_episode
+from .evaluation import episode_seeds, episode_steps
 from .lidar import HISTORY_LEN
 from .networks import (
     ACTION_DIM,
@@ -456,10 +457,9 @@ def train(
                 last_eval_at = env_steps
                 probe_cfg = tc.eval_env_config if tc.eval_env_config is not None else env_config
                 probe = LearnedPolicy.from_actor(learner.actor, f"learned-{stage}")
-                reached = sum(
-                    run_episode(probe, probe_cfg, "probe", *seeds).outcome == Status.REACHED.value
-                    for seeds in episode_seeds(eval_seed, tc.eval_episodes)
-                )
+                logs = (evaluation.run_episode(probe, probe_cfg, "probe", *seeds)
+                        for seeds in episode_seeds(eval_seed, tc.eval_episodes))
+                reached = sum(log.outcome == Status.REACHED.value for log in logs)
                 success = reached / tc.eval_episodes
                 if success > best_eval:
                     best_eval = success

@@ -160,8 +160,8 @@ def episode_steps(policy, env_config: EnvConfig, map_seed: int, crowd_seed: int)
     while True:
         if wants_state:
             policy.observe_state(
-                (env.robot.x, env.robot.y, env.robot.heading),
-                (env.goal.x, env.goal.y),
+                (env.x, env.y, env.heading),
+                env_config.goal,
                 [row[1:5] + row[8:9] for row in env.crowd.rows()],  # (x, y, vx, vy, radius)
             )
         outcome = env.step(policy.act(obs))

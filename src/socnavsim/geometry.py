@@ -231,15 +231,16 @@ NEAR_LINE = 1e-6
 FULL_ARC_GAP = 1e-3
 
 
-def row_terms(origin: Vec2, scene: Scene) -> tuple[tuple, tuple]:
+def row_terms(origin: tuple[float, float], scene: Scene) -> tuple[tuple, tuple]:
     """The per-row factors of the lane arithmetic: (fx, fy, q) of the circle rows,
     the origin less the centre and q = fx*fx + fy*fy - radius**2; (wx, wy, ex, ey,
     cross) of the segment rows, the start less the origin, the end less the start
     and cross = wx*ey - wy*ex."""
+    ox, oy = origin
     cx, cy, r_sq = scene.circles.T
-    fx, fy = origin.x - cx, origin.y - cy
+    fx, fy = ox - cx, oy - cy
     ax, ay, bx, by = scene.segments.T
-    wx, wy = ax - origin.x, ay - origin.y
+    wx, wy = ax - ox, ay - oy
     ex, ey = bx - ax, by - ay
     return (fx, fy, fx * fx + fy * fy - r_sq), (wx, wy, ex, ey, wx * ey - wy * ex)
 
@@ -277,7 +278,8 @@ def takes_windows(angles: np.ndarray, scene: Scene) -> bool:
     )
 
 
-def beam_arcs(origin: Vec2, scene: Scene, terms: tuple[tuple, tuple]) -> tuple[np.ndarray, np.ndarray]:
+def beam_arcs(origin: tuple[float, float], scene: Scene,
+              terms: tuple[tuple, tuple]) -> tuple[np.ndarray, np.ndarray]:
     """Per packed row (circles, then segments), the arc of bearings from origin
     that holds the row: its first bearing and its width, a full turn where the
     row takes the whole fan.
@@ -290,7 +292,7 @@ def beam_arcs(origin: Vec2, scene: Scene, terms: tuple[tuple, tuple]) -> tuple[n
     c_full = q <= NEAR_CIRCLE * r_sq
     half = np.arcsin(np.sqrt(r_sq / np.where(c_full, r_sq, q + r_sq)))
     bearing_a = np.arctan2(wy, wx)
-    bearing_b = np.arctan2(scene.segments[:, 3] - origin.y, scene.segments[:, 2] - origin.x)
+    bearing_b = np.arctan2(scene.segments[:, 3] - origin[1], scene.segments[:, 2] - origin[0])
     arc = np.mod(bearing_b - bearing_a, TWO_PI)
     ccw = arc <= math.pi  # the shorter arc runs from a to b, else from b to a
     arc = np.where(ccw, arc, TWO_PI - arc)
@@ -314,11 +316,11 @@ def beam_windows(angles: np.ndarray, first: np.ndarray, width: np.ndarray) -> tu
     return start, np.minimum(stop + n * wraps - start, n)
 
 
-def cast_fan(origin: Vec2, angles: np.ndarray, shapes: Scene | list[Shape], max_range: float) -> np.ndarray:
-    """Vectorized raycast over an array of world-frame beam angles: every
-    circle and segment row against every beam at once, or, over enough lanes
-    (takes_windows), against the beams of its window only (beam_windows)."""
-    scene = shapes if isinstance(shapes, Scene) else pack_shapes(shapes)
+def cast_fan(origin: tuple[float, float], angles: np.ndarray, scene: Scene, max_range: float) -> np.ndarray:
+    """Vectorized raycast from origin (x, y) over an array of world-frame beam
+    angles: every circle and segment row against every beam at once, or, over
+    enough lanes (takes_windows), against the beams of its window only
+    (beam_windows)."""
     dx = np.cos(angles)
     dy = np.sin(angles)
     best = np.full(angles.shape, max_range)
@@ -353,42 +355,20 @@ def cast_fan(origin: Vec2, angles: np.ndarray, shapes: Scene | list[Shape], max_
 # Distance
 
 
-def point_segment_distance(p: Vec2, seg: Segment) -> float:
-    d = seg.b - seg.a
-    t = (p - seg.a).dot(d) / d.dot(d)
-    t = min(1.0, max(0.0, t))
-    closest = seg.a + d * t
-    return (p - closest).norm()
-
-
-def point_rect_signed_distance(p: Vec2, rect: OrientedRect) -> float:
-    """Signed distance to the rectangle boundary; negative inside."""
-    fwd, left = rect.axes()
-    d = p - rect.anchor
-    # local frame centered on the rect
-    lx = d.dot(fwd) - rect.length / 2.0
-    ly = d.dot(left)
-    qx = abs(lx) - rect.length / 2.0
-    qy = abs(ly) - rect.half_width
-    outside = math.hypot(max(qx, 0.0), max(qy, 0.0))
-    inside = min(max(qx, qy), 0.0)
-    return outside + inside
-
-
 @dataclass(frozen=True)
 class DistanceScene:
-    """Shapes packed once as float rows, for closest_distance without Vec2
-    objects; pack_distance_scene builds it.  A loop over these rows beats an
-    array pass at the 4-12 static shapes of a map."""
+    """Shapes packed once as float rows for the surface distance of a disc;
+    pack_distance_scene builds it.  A loop over these rows beats an array
+    pass at the 4-12 static shapes of a map."""
 
     circles: tuple[tuple[float, ...], ...]  # centre x, centre y, radius
     segments: tuple[tuple[float, ...], ...]  # ax, ay, ex, ey, ex*ex + ey*ey with e = b - a
     rects: tuple[tuple[float, ...], ...]  # anchor x, anchor y, cos and sin of heading, half_width, length / 2
 
-    def closest_distance(self, robot: Circle) -> float:
-        """closest_distance(robot, shapes) bit for bit, by the same float
-        operations on the rows; inf for no shapes."""
-        px, py, r = robot.center.x, robot.center.y, robot.radius
+    def closest_distance(self, px: float, py: float, r: float) -> float:
+        """Smallest surface-to-surface distance from the disc of radius r
+        centred at (px, py) to any shape, negative on penetration; inf for
+        no shapes.  A rectangle's distance is signed, negative inside."""
         gaps = [math.hypot(px - x, py - y) - radius - r for x, y, radius in self.circles]
         for ax, ay, ex, ey, e_sq in self.segments:
             t = min(1.0, max(0.0, ((px - ax) * ex + (py - ay) * ey) / e_sq))
@@ -407,36 +387,22 @@ def pack_distance_scene(shapes: list[Shape]) -> DistanceScene:
         if isinstance(shape, Circle):
             circles.append((shape.center.x, shape.center.y, shape.radius))
         elif isinstance(shape, Segment):
-            e = shape.b - shape.a
-            segments.append((shape.a.x, shape.a.y, e.x, e.y, e.dot(e)))
+            ex, ey = shape.b.x - shape.a.x, shape.b.y - shape.a.y
+            segments.append((shape.a.x, shape.a.y, ex, ey, ex * ex + ey * ey))
         elif isinstance(shape, OrientedRect):
-            fwd, _ = shape.axes()
-            rects.append((shape.anchor.x, shape.anchor.y, fwd.x, fwd.y, shape.half_width, shape.length / 2.0))
+            fx, fy = math.cos(shape.heading), math.sin(shape.heading)  # the forward axis
+            rects.append((shape.anchor.x, shape.anchor.y, fx, fy, shape.half_width, shape.length / 2.0))
         else:
             raise TypeError(f"unsupported shape {type(shape).__name__}")
     return DistanceScene(tuple(circles), tuple(segments), tuple(rects))
 
 
 def closest_distance(robot: Circle, shapes: list[Shape]) -> float:
-    """Smallest surface-to-surface distance from the robot to any shape.
+    """DistanceScene.closest_distance of the robot disc over shapes.
 
-    Negative values indicate penetration depth.  Raises on an empty
-    shape list: the no-neighbor case is the caller's to handle.
+    Raises on an empty shape list: the no-neighbor case is the caller's
+    to handle.
     """
     if not shapes:
         raise ValueError("closest_distance requires at least one shape")
-    best = math.inf
-    c, r = robot.center, robot.radius
-    for shape in shapes:
-        if isinstance(shape, Circle):
-            d = (c - shape.center).norm() - shape.radius - r
-        elif isinstance(shape, Segment):
-            d = point_segment_distance(c, shape) - r
-        elif isinstance(shape, OrientedRect):
-            d = point_rect_signed_distance(c, shape) - r
-        else:
-            raise TypeError(f"unsupported shape {type(shape).__name__}")
-        if d < best:
-            best = d
-    return best
-
+    return pack_distance_scene(shapes).closest_distance(robot.center.x, robot.center.y, robot.radius)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Shape, Vec2, cast_fan, wrap_angle
+from .geometry import Scene, cast_fan, wrap_angle
 
 FAN_ANGLE = 1.5 * math.pi  # 270 degrees
 RANGE_MIN = 0.1
@@ -81,13 +81,15 @@ class MotionFeature:
         return self.matrix[-1]
 
 
-def cast_sweep(shapes: list[Shape], position: Vec2, heading: float, config: LidarConfig) -> np.ndarray:
-    """The noiseless, unclipped ranges of the fan centered on heading.
+def cast_sweep(scene: Scene, position: tuple[float, float], heading: float,
+               config: LidarConfig) -> np.ndarray:
+    """The noiseless, unclipped ranges of the fan from position (x, y),
+    centered on heading.
 
     Read-only: every scan taken from one pose into one scene reads the
     same sweep.
     """
-    ranges = cast_fan(position, heading + config.beam_offsets(), shapes, config.range_max)
+    ranges = cast_fan(position, heading + config.beam_offsets(), scene, config.range_max)
     ranges.flags.writeable = False
     return ranges
 

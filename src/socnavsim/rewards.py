@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .crowd import STILL_SPEED, Crowd
-from .geometry import Circle, OrientedRect, Vec2, elementwise, rect_rows, rects_overlap, wrap_angle
+from .geometry import elementwise, rects_overlap, wrap_angle
 
 EGO_MARGIN = 0.4  # ego-safety circle radius is robot radius + this
 COLLISION_PENALTY = -10.0
@@ -52,39 +52,30 @@ def ego_reward(d_t: float, robot_radius: float) -> tuple[float, bool]:
     return 0.0, False
 
 
-def social_zone(
-    position: Vec2,
-    motion_heading: float,
-    radius: float,
-    speed: float,
-    lookahead_dt: float = LOOKAHEAD_DT,
-    min_headway: float = MIN_HEADWAY,
-) -> OrientedRect:
-    """Forward interaction rectangle of one agent.
+def zone_rows(position, heading, radius, speed) -> np.ndarray:
+    """Forward interaction rectangles as rect_rows rows, one per agent.
 
-    Extends from the agent center along its motion direction by
-    radius/2 + min_headway + lookahead_dt * speed, spanning one bounding
-    diameter laterally.  Callers pass the last motion heading for
-    near-stationary agents (speed below 0.05 m/s).
+    Each extends from the agent centre (a row of position) along its
+    motion heading by radius/2 + MIN_HEADWAY + LOOKAHEAD_DT * speed and
+    spans one bounding diameter laterally.  Callers pass the last motion
+    heading for near-stationary agents (speed below STILL_SPEED).
     """
-    if speed < 0.0:
-        raise ValueError("speed must be nonnegative")
-    length = radius / 2.0 + min_headway + lookahead_dt * speed
-    return OrientedRect(position, motion_heading, half_width=radius, length=length)
+    length = radius / 2.0 + MIN_HEADWAY + LOOKAHEAD_DT * speed
+    return np.column_stack([position, elementwise(wrap_angle, heading), radius, length])
 
 
 def pedestrian_zones(crowd: Crowd) -> np.ndarray:
-    """Every pedestrian's social_zone as a rect_rows row, headed along its
-    velocity, or its last motion heading below STILL_SPEED."""
+    """Every pedestrian's zone_rows row, headed along its velocity, or its
+    last motion heading below STILL_SPEED."""
     vx, vy = crowd.velocity.T
     speed = elementwise(math.hypot, vx, vy)
     heading = np.where(speed >= STILL_SPEED, elementwise(math.atan2, vy, vx), crowd.motion_heading)
-    length = crowd.radius / 2.0 + MIN_HEADWAY + LOOKAHEAD_DT * speed
-    return np.column_stack([crowd.position, elementwise(wrap_angle, heading), crowd.radius, length])
+    return zone_rows(crowd.position, heading, crowd.radius, speed)
 
 
-def social_reward(robot_zone: OrientedRect, distances, crowd: Crowd) -> tuple[float, int, int]:
-    """Zone-intersection penalty; returns (reward, violations, considered).
+def social_reward(robot_zone: np.ndarray, distances, crowd: Crowd) -> tuple[float, int, int]:
+    """Zone-intersection penalty of the robot's zone_rows row; returns
+    (reward, violations, considered).
 
     distances holds each pedestrian's center distance from the robot.
     Only pedestrians within 5 m take part in the intersection checks,
@@ -94,43 +85,46 @@ def social_reward(robot_zone: OrientedRect, distances, crowd: Crowd) -> tuple[fl
     if not len(crowd):
         return 0.0, 0, 0
     near = distances <= SOCIAL_RANGE
-    hit = rects_overlap(rect_rows([robot_zone]), pedestrian_zones(crowd))
+    hit = rects_overlap(robot_zone, pedestrian_zones(crowd))
     violations = int(np.count_nonzero(hit & near))
     return SOCIAL_SCALE * violations / len(crowd), violations, int(np.count_nonzero(near))
 
 
-def goal_reward(p_t: Vec2, p_star: Vec2, p_0: Vec2, reached: bool) -> float:
-    """Arrival bonus, else a small penalty scaled by remaining distance.
+def goal_reward(distance: float, initial_distance: float, reached: bool) -> float:
+    """Arrival bonus, else a small penalty scaled by the remaining goal
+    distance over the initial one.
 
     The distance ratio is clamped at 1 so the shaping term never exceeds
     the magnitude it has at the start position.
     """
     if reached:
         return GOAL_BONUS
-    denom = (p_0 - p_star).norm()
-    if denom <= 0.0:
+    if initial_distance <= 0.0:
         raise ValueError("start must differ from target")
-    ratio = min(1.0, (p_t - p_star).norm() / denom)
-    return GOAL_SCALE * ratio
+    return GOAL_SCALE * min(1.0, distance / initial_distance)
 
 
 def assess(
-    robot: Circle,
+    robot: tuple[float, float, float],
     robot_motion_heading: float,
     robot_speed: float,
     clearance: float,
     distances: np.ndarray,
     crowd: Crowd,
-    p_star: Vec2,
-    p_0: Vec2,
+    goal_distance: float,
+    initial_goal_distance: float,
     reached: bool,
 ) -> SafetyAssessment:
-    """All three reward parts from one full state snapshot, with the
-    clearance and pedestrian distances the collision check measured."""
-    r_ego, ego_violation = ego_reward(clearance, robot.radius)
-    zone = social_zone(robot.center, robot_motion_heading, robot.radius, robot_speed)
-    r_social, violations, considered = social_reward(zone, distances, crowd)
-    r_goal = goal_reward(robot.center, p_star, p_0, reached)
+    """All three reward parts from one full state snapshot of the robot
+    disc (centre x, centre y, radius), with the clearance, pedestrian
+    distances and goal distance the collision and arrival checks measured."""
+    x, y, radius = robot
+    r_ego, ego_violation = ego_reward(clearance, radius)
+    r_social, violations, considered = 0.0, 0, 0
+    if len(crowd):  # no zone to meet in an empty scene
+        zone = zone_rows(np.array([[x, y]]), np.array([robot_motion_heading]), radius, robot_speed)
+        r_social, violations, considered = social_reward(zone, distances, crowd)
+    r_goal = goal_reward(goal_distance, initial_goal_distance, reached)
     return SafetyAssessment(
         ego_violation=ego_violation,
         violations=violations,

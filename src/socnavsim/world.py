@@ -6,7 +6,8 @@ controller tracks the commanded heading offset, the crowd advances, the
 scanner captures sweeps, and the reward is assessed on the final state.
 The robot and the crowd move only on control ticks, so the scanner
 casts once per reset and once per control tick; every scan tick in
-between reads that sweep, adding its own range noise.
+between reads that sweep, adding its own range noise.  The robot pose
+is kept as floats, and its goal distance is measured once per move.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import enum
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import yaml
@@ -29,22 +30,6 @@ from .lidar import (HISTORY_LEN, LidarConfig, MotionFeature, Scan, build_motion_
 
 ACTION_LIMIT = 1.5
 V_MAX = 1.5
-
-
-@dataclass(frozen=True)
-class RobotState:
-    x: float
-    y: float
-    heading: float
-    v_l: float = 0.0
-    omega: float = 0.0
-    radius: float = 0.3
-
-    def position(self) -> Vec2:
-        return Vec2(self.x, self.y)
-
-    def body(self) -> Circle:
-        return Circle(self.position(), self.radius)
 
 
 class Status(str, enum.Enum):
@@ -126,6 +111,12 @@ class EnvConfig:
             raise ValueError(f"obstacle_size_range must be positive, got {self.obstacle_size_range}")
         if not (self.robot_radius > 0.0 and self.goal_tolerance > 0.0):
             raise ValueError("robot_radius and goal_tolerance must be positive")
+        for name in ("arena_half", "heading_gain", "turn_rate_cap"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        if self.start_heading is not None and not math.isfinite(self.start_heading):
+            raise ValueError(f"start_heading must be finite, got {self.start_heading}")
         if not self.noise_sigma >= 0.0:
             raise ValueError(f"noise_sigma must be nonnegative, got {self.noise_sigma}")
         if self.scenario is not None and self.scenario not in SCENARIO_KINDS:
@@ -203,19 +194,19 @@ def action_to_twist(a_x: float, a_y: float) -> tuple[float, float]:
     return v_l, v_w
 
 
-def integrate(robot: RobotState, v_l: float, omega: float, dt: float) -> RobotState:
-    """Unicycle update with exact-arc integration; no lateral motion."""
-    theta = robot.heading
+def integrate(x: float, y: float, heading: float, v_l: float, omega: float,
+              dt: float) -> tuple[float, float, float]:
+    """Unicycle update with exact-arc integration, no lateral motion; the
+    new (x, y, heading)."""
+    new_heading = heading + omega * dt
     if abs(omega) > 1e-6:
-        new_theta = theta + omega * dt
         k = v_l / omega
-        x = robot.x + k * (math.sin(new_theta) - math.sin(theta))
-        y = robot.y - k * (math.cos(new_theta) - math.cos(theta))
+        x += k * (math.sin(new_heading) - math.sin(heading))
+        y -= k * (math.cos(new_heading) - math.cos(heading))
     else:
-        x = robot.x + v_l * dt * math.cos(theta)
-        y = robot.y + v_l * dt * math.sin(theta)
-        new_theta = theta + omega * dt
-    return replace(robot, x=x, y=y, heading=wrap_angle(new_theta), v_l=v_l, omega=omega)
+        x += v_l * dt * math.cos(heading)
+        y += v_l * dt * math.sin(heading)
+    return x, y, wrap_angle(new_heading)
 
 
 # ---------------------------------------------------------------------------
@@ -370,21 +361,21 @@ class NavEnv:
         self._static_distances = pack_distance_scene(self.static_shapes)
         self._discs = obstacle_discs(self.obstacles)
 
-        start = Vec2(*cfg.start)
-        goal = Vec2(*cfg.goal)
+        # the robot pose, speed and turn rate
+        self.x, self.y = cfg.start
+        gx, gy = cfg.goal
         heading = cfg.start_heading
         if heading is None:
-            heading = (goal - start).angle()
-        self.robot = RobotState(
-            start.x, start.y, wrap_angle(heading), radius=cfg.robot_radius
-        )
-        self.goal = goal
-        self.start = start
-        self.initial_goal_distance = (goal - start).norm()
-        self.robot_motion_heading = self.robot.heading
+            heading = math.atan2(gy - self.y, gx - self.x)
+        self.heading = wrap_angle(heading)
+        self.v_l = self.omega = 0.0
+        self.robot_motion_heading = self.heading
+        self._measure_goal()
+        self.initial_goal_distance = self._goal_distance
 
         if cfg.scenario is not None:
-            crowd = spawn_scenario(cfg.scenario, cfg.crowd.count, cfg.crowd, self.crowd_rng, start, goal)
+            crowd = spawn_scenario(cfg.scenario, cfg.crowd.count, cfg.crowd, self.crowd_rng,
+                                   Vec2(*cfg.start), Vec2(*cfg.goal))
         else:
             crowd = spawn_crowd(cfg.crowd, self.crowd_rng)
         self._set_crowd(crowd)
@@ -393,8 +384,6 @@ class NavEnv:
         self.steps = 0
         self.tick = 0
         self.sim_time = 0.0
-        self._desired_heading = self.robot.heading
-        self._twist = (0.0, 0.0)
         self._cast()
         first = self._scan()
         self.scan_history: deque[Scan] = deque([first] * HISTORY_LEN, maxlen=HISTORY_LEN)
@@ -409,32 +398,35 @@ class NavEnv:
 
     def _cast(self) -> None:
         """Cast the sweep that every scan reads until the robot or the crowd moves."""
-        self._sweep = cast_sweep(self._scene, self.robot.position(), self.robot.heading, self.lidar_config)
+        self._sweep = cast_sweep(self._scene, (self.x, self.y), self.heading, self.lidar_config)
 
     def _scan(self) -> Scan:
-        return simulate_scan(self._sweep, self.robot.heading, self.tick, self.lidar_config, self.noise_rng)
+        return simulate_scan(self._sweep, self.heading, self.tick, self.lidar_config, self.noise_rng)
 
-    def _goal_relative(self) -> tuple[float, float]:
-        to_goal = self.goal - self.robot.position()
-        bearing = wrap_angle(to_goal.angle() - self.robot.heading)
-        return to_goal.norm(), bearing
+    def _measure_goal(self) -> None:
+        """The goal distance of the current pose, which the arrival check,
+        the observation and the goal reward read until the robot moves."""
+        gx, gy = self.config.goal
+        self._goal_distance = math.hypot(gx - self.x, gy - self.y)
 
     def _observation(self) -> MotionFeature:
-        dist, bearing = self._goal_relative()
+        gx, gy = self.config.goal
+        bearing = wrap_angle(math.atan2(gy - self.y, gx - self.x) - self.heading)
         return build_motion_feature(
-            list(self.scan_history), self.robot.heading, dist, bearing, self.lidar_config
+            list(self.scan_history), self.heading, self._goal_distance, bearing, self.lidar_config
         )
 
     def _check_terminal(self) -> None:
         """Collision and arrival; keeps the clearance and pedestrian distances for the reward."""
-        robot = self.robot.body()
-        self._distances = self.crowd.distances(robot.center.x, robot.center.y)
-        gaps = self._distances - self.crowd.radius - robot.radius
-        self._clearance = min(self._static_distances.closest_distance(robot), float(gaps.min(initial=math.inf)))
+        radius = self.config.robot_radius
+        self._distances = self.crowd.distances(self.x, self.y)
+        gaps = self._distances - self.crowd.radius - radius
+        static = self._static_distances.closest_distance(self.x, self.y, radius)
+        self._clearance = min(static, float(gaps.min(initial=math.inf)))
         if self._clearance <= 0.0:
             self.status = Status.COLLIDED
             return
-        if (self.goal - self.robot.position()).norm() < self.config.goal_tolerance:
+        if self._goal_distance < self.config.goal_tolerance:
             self.status = Status.REACHED
 
     # -- stepping
@@ -445,23 +437,22 @@ class NavEnv:
         if self.status is not Status.RUNNING:
             raise RuntimeError(f"episode already finished ({self.status.value})")
         a_x, a_y = float(action[0]), float(action[1])
+        if math.isnan(a_x) or math.isnan(a_y):
+            raise ValueError(f"action components must not be NaN, got ({a_x}, {a_y})")
         v_l, v_w = action_to_twist(a_x, a_y)
-        self._desired_heading = wrap_angle(self.robot.heading + v_w)
+        desired_heading = wrap_angle(self.heading + v_w)
 
         for i in range(self.ticks_per_step):
             if self.status is Status.RUNNING and i % self.ticks_per_control == 0:
-                err = wrap_angle(self._desired_heading - self.robot.heading)
-                omega = float(
-                    np.clip(
-                        self.config.heading_gain * err,
-                        -self.config.turn_rate_cap,
-                        self.config.turn_rate_cap,
-                    )
-                )
-                self._twist = (v_l, omega)
-                self.robot = integrate(self.robot, v_l, omega, self.control_dt)
+                err = wrap_angle(desired_heading - self.heading)
+                cap = self.config.turn_rate_cap
+                omega = float(min(cap, max(-cap, self.config.heading_gain * err)))
+                self.v_l, self.omega = v_l, omega
+                pose = integrate(self.x, self.y, self.heading, v_l, omega, self.control_dt)
+                self.x, self.y, self.heading = pose
+                self._measure_goal()
                 if v_l >= STILL_SPEED:
-                    self.robot_motion_heading = self.robot.heading
+                    self.robot_motion_heading = self.heading
                 crowd = step_crowd(self.crowd, self.config.crowd, self.control_dt, self.crowd_rng, self._discs)
                 self._set_crowd(crowd)
                 self._cast()
@@ -475,14 +466,14 @@ class NavEnv:
             self.status = Status.TIMEOUT
 
         assessment = rewards.assess(
-            self.robot.body(),
+            (self.x, self.y, self.config.robot_radius),
             self.robot_motion_heading,
-            abs(self.robot.v_l),
+            self.v_l,  # never negative: action_to_twist takes a norm
             self._clearance,
             self._distances,
             self.crowd,
-            self.goal,
-            self.start,
+            self._goal_distance,
+            self.initial_goal_distance,
             reached=self.status is Status.REACHED,
         )
         return StepOutcome(
@@ -493,11 +484,11 @@ class NavEnv:
             record=StepRecord(
                 step=self.steps,
                 t=self.sim_time,
-                x=self.robot.x,
-                y=self.robot.y,
-                heading=self.robot.heading,
-                v_l=self._twist[0],
-                omega=self._twist[1],
+                x=self.x,
+                y=self.y,
+                heading=self.heading,
+                v_l=self.v_l,
+                omega=self.omega,
                 a_x=a_x,
                 a_y=a_y,
                 r_ego=assessment.r_ego,

@@ -23,7 +23,7 @@ from socnavsim.geometry import (
     Segment,
     Vec2,
     cast_fan,
-    closest_distance,
+    pack_shapes,
     rect_rows,
     rects_overlap,
     wrap_angle,
@@ -94,9 +94,14 @@ def marching_ray(origin, angle, shapes, max_range, step=1e-4):
     return min(float(ts[int(np.argmax(inside))]), max_range)
 
 
+def cast_fan_of(origin: Vec2, angles, shapes, max_range):
+    """The production raycaster, cast_fan, from a Vec2 origin over a shape list."""
+    return cast_fan((origin.x, origin.y), angles, pack_shapes(shapes), max_range)
+
+
 def cast_one(origin, angle, shapes, max_range):
-    """The production raycaster, cast_fan, over a single beam."""
-    return float(cast_fan(origin, np.array([angle]), shapes, max_range)[0])
+    """cast_fan_of over a single beam."""
+    return float(cast_fan_of(origin, np.array([angle]), shapes, max_range)[0])
 
 
 def rect_edges(rect: OrientedRect) -> list[Segment]:
@@ -142,6 +147,65 @@ def reference_cast_fan(origin, angles, shapes, max_range):
             valid = ok & (t >= 0.0) & (s >= 0.0) & (s <= 1.0)
             np.minimum(best, np.where(valid, t, np.inf), out=best)
     return best
+
+
+# ---------------------------------------------------------------------------
+# Distance oracle: one Vec2 computation per shape, the static-distance code
+# that geometry.DistanceScene replaced; DistanceScene must match it bit for bit
+
+
+def point_segment_distance(p: Vec2, seg: Segment) -> float:
+    d = seg.b - seg.a
+    t = (p - seg.a).dot(d) / d.dot(d)
+    t = min(1.0, max(0.0, t))
+    closest = seg.a + d * t
+    return (p - closest).norm()
+
+
+def point_rect_signed_distance(p: Vec2, rect: OrientedRect) -> float:
+    """Signed distance to the rectangle boundary; negative inside."""
+    fwd, left = rect.axes()
+    d = p - rect.anchor
+    # local frame centered on the rect
+    lx = d.dot(fwd) - rect.length / 2.0
+    ly = d.dot(left)
+    qx = abs(lx) - rect.length / 2.0
+    qy = abs(ly) - rect.half_width
+    outside = math.hypot(max(qx, 0.0), max(qy, 0.0))
+    inside = min(max(qx, qy), 0.0)
+    return outside + inside
+
+
+def reference_closest_distance(robot: Circle, shapes) -> float:
+    """Smallest surface-to-surface distance from the robot to any shape,
+    negative on penetration, as one loop over the shape objects."""
+    best = math.inf
+    c, r = robot.center, robot.radius
+    for shape in shapes:
+        if isinstance(shape, Circle):
+            d = (c - shape.center).norm() - shape.radius - r
+        elif isinstance(shape, Segment):
+            d = point_segment_distance(c, shape) - r
+        elif isinstance(shape, OrientedRect):
+            d = point_rect_signed_distance(c, shape) - r
+        else:
+            raise TypeError(f"unsupported shape {type(shape).__name__}")
+        if d < best:
+            best = d
+    return best
+
+
+# ---------------------------------------------------------------------------
+# Social zone oracle: one OrientedRect per agent, the zone that
+# rewards.zone_rows replaced; its rect_rows row must match zone_rows bit for bit
+
+
+def social_zone(position: Vec2, motion_heading: float, radius: float, speed: float) -> OrientedRect:
+    """Forward interaction rectangle of one agent: from its center along
+    its motion heading by radius/2 + MIN_HEADWAY + LOOKAHEAD_DT * speed,
+    one bounding diameter wide."""
+    length = radius / 2.0 + rewards.MIN_HEADWAY + rewards.LOOKAHEAD_DT * speed
+    return OrientedRect(position, motion_heading, half_width=radius, length=length)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +338,7 @@ class Pedestrian:
         """The social zone: rewards.pedestrian_zones must match it bit for bit."""
         speed = self.velocity.norm()
         heading = self.velocity.angle() if speed >= crowd.STILL_SPEED else self.motion_heading
-        return rewards.social_zone(self.position, heading, self.radius, speed)
+        return social_zone(self.position, heading, self.radius, speed)
 
 
 def edge_case_peds(rng, n=40):
@@ -326,7 +390,7 @@ def clearance(robot: Circle, peds, obstacles) -> float:
     """Surface distance from the robot to the nearest Pedestrian body or
     obstacle, inf for none: what NavEnv's collision check keeps."""
     shapes = [p.body() for p in peds] + list(obstacles)
-    return closest_distance(robot, shapes) if shapes else math.inf
+    return reference_closest_distance(robot, shapes)
 
 
 def ego_reward_of(robot: Circle, peds, obstacles):
@@ -339,15 +403,18 @@ def ego_reward_of(robot: Circle, peds, obstacles):
 def social_reward_of(robot_zone: OrientedRect, robot_position: Vec2, peds):
     """rewards.social_reward of the robot zone among Pedestrians."""
     c = pack(peds)
-    return rewards.social_reward(robot_zone, c.distances(robot_position.x, robot_position.y), c)
+    return rewards.social_reward(rect_rows([robot_zone]), c.distances(robot_position.x, robot_position.y), c)
 
 
 def assess_of(robot: Circle, heading, speed, peds, obstacles, p_star, p_0, reached):
-    """rewards.assess of the robot among Pedestrians and obstacles."""
+    """rewards.assess of the robot among Pedestrians and obstacles, on its
+    way from p_0 to p_star."""
     c = pack(peds)
-    distances = c.distances(robot.center.x, robot.center.y)
+    p = robot.center
+    distances = c.distances(p.x, p.y)
     d_t = clearance(robot, peds, obstacles)
-    return rewards.assess(robot, heading, speed, d_t, distances, c, p_star, p_0, reached)
+    return rewards.assess((p.x, p.y, robot.radius), heading, speed, d_t, distances, c,
+                          (p - p_star).norm(), (p_0 - p_star).norm(), reached)
 
 
 # ---------------------------------------------------------------------------
@@ -696,8 +763,8 @@ class CastEveryTickEnv(NavEnv):
     env that casts once per pose must step bit for bit like it."""
 
     def _scan(self) -> Scan:
-        sweep = cast_sweep(self._scene, self.robot.position(), self.robot.heading, self.lidar_config)
-        return simulate_scan(sweep, self.robot.heading, self.tick, self.lidar_config, self.noise_rng)
+        sweep = cast_sweep(self._scene, (self.x, self.y), self.heading, self.lidar_config)
+        return simulate_scan(sweep, self.heading, self.tick, self.lidar_config, self.noise_rng)
 
 
 # ---------------------------------------------------------------------------

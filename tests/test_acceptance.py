@@ -18,7 +18,7 @@ from socnavsim.crowd import (
     spawn_crowd,
     step_crowd,
 )
-from socnavsim.geometry import Circle, Vec2, rect_rows, rects_overlap
+from socnavsim.geometry import Circle, Vec2, pack_shapes, rect_rows, rects_overlap
 from socnavsim.lidar import (
     HISTORY_LEN,
     LidarConfig,
@@ -30,7 +30,7 @@ from socnavsim.rewards import (
     COLLISION_PENALTY,
     GOAL_BONUS,
     goal_reward,
-    social_zone,
+    zone_rows,
 )
 
 from conftest import (
@@ -47,7 +47,9 @@ from conftest import (
     random_shape,
     rect_overlap_oracle,
     rects_share_sampled_point,
+    reference_closest_distance,
     social_reward_of,
+    social_zone,
     unpack,
 )
 
@@ -109,12 +111,10 @@ class TestCriterion1RewardFormulas:
         assert r == pytest.approx(-0.25 * (1 - 0.35 / 0.7), abs=1e-12)
 
         # social zone: length = r/2 + 0.5 + 0.77 * v
-        z = social_zone(Vec2(0, 0), 0.0, radius=0.3, speed=1.0)
-        assert z.length == pytest.approx(1.42, abs=1e-12)
-        z0 = social_zone(Vec2(0, 0), 0.0, radius=0.3, speed=0.0)
-        assert z0.length == pytest.approx(0.65, abs=1e-12)
-        z2 = social_zone(Vec2(0, 0), 0.0, radius=0.3, speed=2.0)
-        assert z2.length - z.length == pytest.approx(0.77, abs=1e-12)
+        z, z0, z2 = zone_rows(np.zeros((3, 2)), np.zeros(3), np.full(3, 0.3), np.array([1.0, 0.0, 2.0]))[:, 4]
+        assert z == pytest.approx(1.42, abs=1e-12)
+        assert z0 == pytest.approx(0.65, abs=1e-12)
+        assert z2 - z == pytest.approx(0.77, abs=1e-12)
 
         # social reward: 2 violations of 8 pedestrians
         zone = social_zone(Vec2(0, 0), 0.0, 0.3, 1.0)
@@ -132,9 +132,9 @@ class TestCriterion1RewardFormulas:
         assert violations == 2 and r == pytest.approx(-0.025, abs=1e-12)
 
         # goal reward: +10 on arrival; -0.01 at the start position
-        assert goal_reward(Vec2(3, 0), Vec2(3, 0), Vec2(0, 0), True) == 10.0
-        assert goal_reward(Vec2(0, 0), Vec2(3, 0), Vec2(0, 0), False) == pytest.approx(-0.01)
-        assert goal_reward(Vec2(1.5, 0), Vec2(3, 0), Vec2(0, 0), False) == pytest.approx(-0.005)
+        assert goal_reward(0.0, 3.0, True) == 10.0
+        assert goal_reward(3.0, 3.0, False) == pytest.approx(-0.01)
+        assert goal_reward(1.5, 3.0, False) == pytest.approx(-0.005)
         report(1, "reward bounds, exact sum, and paper substitutions on 10^4 states")
 
 
@@ -145,9 +145,7 @@ class TestCriterion2GeometryOracles:
         while checked < 1000:
             shapes = [random_shape(rng) for _ in range(int(rng.integers(1, 4)))]
             origin = Vec2(float(rng.uniform(-5, 5)), float(rng.uniform(-5, 5)))
-            from socnavsim.geometry import closest_distance
-
-            if closest_distance(Circle(origin, 0.05), shapes) <= 0.0:
+            if reference_closest_distance(Circle(origin, 0.05), shapes) <= 0.0:
                 continue
             angle = float(rng.uniform(-math.pi, math.pi))
             d = cast_one(origin, angle, shapes, 10.0)
@@ -195,7 +193,7 @@ class TestCriterion3CalibrationInvariant:
             shapes = [random_shape(rng, span=3.0) for _ in range(int(rng.integers(2, 6)))]
             headings = np.cumsum(rng.integers(-5, 6, HISTORY_LEN)) * cfg.angle_increment
             history = [
-                simulate_scan(cast_sweep(shapes, Vec2(0, 0), float(h), cfg), float(h), i, cfg)
+                simulate_scan(cast_sweep(pack_shapes(shapes), (0.0, 0.0), float(h), cfg), float(h), i, cfg)
                 for i, h in enumerate(headings)
             ]
             current = float(headings[-1])

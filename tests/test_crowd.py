@@ -20,7 +20,6 @@ from socnavsim.geometry import (
     Segment,
     Vec2,
     cast_fan,
-    closest_distance,
     pack_shapes,
 )
 
@@ -30,6 +29,7 @@ from conftest import (
     orca_solve,
     pack,
     reference_cast_fan,
+    reference_closest_distance,
     reference_orca_lines,
     reference_orca_velocity,
     reference_step_crowd,
@@ -353,7 +353,7 @@ class TestCrowdRowsMatchPedestrians:
                   OrientedRect(Vec2(-2.0, 2.0), 0.3, 0.2, 0.8)]
         angles = np.linspace(-math.pi, math.pi, 361)
         origin = Vec2(0.1, -0.2)
-        got = cast_fan(origin, angles, pack_shapes(static) + pack(peds).lidar_scene(), 10.0)
+        got = cast_fan((origin.x, origin.y), angles, pack_shapes(static) + pack(peds).lidar_scene(), 10.0)
         want = reference_cast_fan(origin, angles, static + [p.lidar_shape() for p in peds], 10.0)
         assert np.array_equal(got, want)
 
@@ -363,7 +363,7 @@ class TestCrowdRowsMatchPedestrians:
         for _ in range(20):
             robot = Circle(random_point(rng, 4.0), float(rng.uniform(0.1, 0.5)))
             gaps = c.distances(robot.center.x, robot.center.y) - c.radius - robot.radius
-            want = [closest_distance(robot, [p.body()]) for p in peds]
+            want = [reference_closest_distance(robot, [p.body()]) for p in peds]
             assert gaps.tolist() == want
 
 

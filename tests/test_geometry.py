@@ -8,13 +8,13 @@ from socnavsim.geometry import (
     OrientedRect,
     Segment,
     Vec2,
-    cast_fan,
     closest_distance,
-    point_rect_signed_distance,
+    pack_distance_scene,
     wrap_angle,
 )
 
 from conftest import (
+    cast_fan_of,
     cast_one,
     marching_ray,
     overlaps,
@@ -22,6 +22,7 @@ from conftest import (
     random_shape,
     rect_contains,
     rect_edges,
+    point_rect_signed_distance,
     rect_overlap_oracle,
     reference_cast_fan,
 )
@@ -121,7 +122,7 @@ class TestRayCast:
             if closest_distance(Circle(origin, 0.05), shapes) <= 0.0:
                 continue  # keep the origin outside every shape
             scenes += 1
-            fan = cast_fan(origin, angles, shapes, 10.0)
+            fan = cast_fan_of(origin, angles, shapes, 10.0)
             assert np.sum(fan < 10.0) > 10  # the fan actually hit something
             for a, d in zip(angles, fan):
                 # each beam of the fan is the same cast made on its own
@@ -139,7 +140,7 @@ class TestRayCast:
         circle = Circle(Vec2(0, 0), 2.0)
         assert cast_one(origin, math.pi, [circle], 10.0) == pytest.approx(4.0 - depth, abs=1e-9)
         angles = np.array([math.pi - 0.5, math.pi + 0.5])
-        for a, d in zip(angles, cast_fan(origin, angles, [circle], 10.0)):
+        for a, d in zip(angles, cast_fan_of(origin, angles, [circle], 10.0)):
             exit_x, exit_y = origin.x + d * math.cos(a), origin.y + d * math.sin(a)
             assert math.hypot(exit_x, exit_y) == pytest.approx(2.0, abs=1e-9)
             assert d > 1.0
@@ -162,7 +163,7 @@ class TestRayCast:
                     shapes.append(Segment(Vec2(-5, -5), Vec2(5, -5)))
                 shapes = [shapes[i] for i in rng.permutation(len(shapes))]
                 origin = Vec2(float(rng.uniform(-5, 5)), float(rng.uniform(-5, 5)))
-                fan = cast_fan(origin, angles, shapes, 10.0)
+                fan = cast_fan_of(origin, angles, shapes, 10.0)
                 assert np.array_equal(fan, reference_cast_fan(origin, angles, shapes, 10.0))
 
 
@@ -273,7 +274,9 @@ class TestClosestDistance:
 
 
 def test_point_rect_signed_distance_sign():
+    """The packed rectangle distance and its Vec2 oracle: negative inside."""
     rect = OrientedRect(Vec2(0, 0), 0.0, 0.5, 2.0)
-    assert point_rect_signed_distance(Vec2(1.0, 0.0), rect) < 0  # inside
-    assert point_rect_signed_distance(Vec2(1.0, 2.0), rect) == pytest.approx(1.5)
-    assert point_rect_signed_distance(Vec2(-1.0, 0.0), rect) == pytest.approx(1.0)
+    scene = pack_distance_scene([rect])
+    for (x, y), want in (((1.0, 0.0), -0.5), ((1.0, 2.0), 1.5), ((-1.0, 0.0), 1.0)):
+        assert scene.closest_distance(x, y, 0.0) == pytest.approx(want)
+        assert point_rect_signed_distance(Vec2(x, y), rect) == pytest.approx(want)

@@ -28,7 +28,7 @@ CFG = LidarConfig(beam_count=181)
 
 
 def scan_at(shapes, x, y, heading, cfg=CFG, t=0, noise_rng=None):
-    return simulate_scan(cast_sweep(shapes, Vec2(x, y), heading, cfg), heading, t, cfg, noise_rng)
+    return simulate_scan(cast_sweep(pack_shapes(shapes), (x, y), heading, cfg), heading, t, cfg, noise_rng)
 
 
 class TestSimulateScan:
@@ -76,7 +76,7 @@ class TestSimulateScan:
         """A scan is a fresh array: writing into it leaves the sweep, and
         every later scan of it, as they were."""
         cfg = LidarConfig(beam_count=64, noise_sigma=sigma)
-        sweep = cast_sweep([Circle(Vec2(2.0, 0.5), 0.4)], Vec2(0, 0), 0.1, cfg)
+        sweep = cast_sweep(pack_shapes([Circle(Vec2(2.0, 0.5), 0.4)]), (0.0, 0.0), 0.1, cfg)
         kept = sweep.copy()
         assert not sweep.flags.writeable
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import numeric_gradient, reference_conv2d, reference_update
 from socnavsim import ddpg as ddpg_module
+from socnavsim import evaluation as evaluation_module
 from socnavsim.crowd import CrowdConfig
 from socnavsim.ddpg import DDPG, DDPGConfig, ReplayBuffer, TrainConfig, train
 from socnavsim.evaluation import episode_seeds, run_episode
@@ -452,17 +453,35 @@ class TestTrainLoop:
         _, c2 = train("ego", self._env_cfg(), self._train_cfg(120), seed=5)
         assert c1 == c2
 
+    def test_probes_call_evaluation_run_episode(self, monkeypatch):
+        """Probe episodes go through socnavsim.evaluation.run_episode, looked
+        up on the module at each call, where a wrapper on it sees them."""
+        calls = []
+        real_run_episode = evaluation_module.run_episode
+
+        def spy(policy, cfg, suite, *seeds):
+            calls.append(suite)
+            return real_run_episode(policy, cfg, suite, *seeds)
+
+        monkeypatch.setattr(evaluation_module, "run_episode", spy)
+        env_cfg = replace(self._env_cfg(), max_steps=3)
+        tc = TrainConfig(total_env_steps=4, warmup_steps=10, eval_every=2, eval_episodes=1,
+                         checkpoint_every=10**9, ddpg=DDPGConfig(batch_size=8, buffer_capacity=10))
+        _, curve = train("ego", env_cfg, tc, seed=1)
+        assert calls == ["probe", "probe"]
+        assert [r["env_steps"] for r in curve if r["kind"] == "eval"] == [2, 4]
+
     def test_eval_probe_counts_reached_episodes(self, monkeypatch):
         """Each eval record is reached / eval_episodes over run_episode logs
         of the actor as it stood at that probe, on the same seeds each time."""
         calls = []
-        real_run_episode = ddpg_module.run_episode
+        real_run_episode = evaluation_module.run_episode
 
         def spy(policy, cfg, suite, *seeds):
             calls.append((copy.deepcopy(policy.actor), seeds))
             return real_run_episode(policy, cfg, suite, *seeds)
 
-        monkeypatch.setattr(ddpg_module, "run_episode", spy)
+        monkeypatch.setattr(evaluation_module, "run_episode", spy)
         # a probe start 0.6 m from the goal, where a barely trained actor
         # reaches it in some episodes and not in others
         env_cfg = EnvConfig(beam_count=64, max_steps=30, obstacle_count_range=(0, 1),

@@ -1,5 +1,6 @@
-"""Property tests for the raycaster, the rectangle overlap test, the
-greedy planner's scan erosion and the ORCA solver."""
+"""Property tests for the raycaster, the static distance, the social
+zones, the rectangle overlap test, the greedy planner's scan erosion and
+the ORCA solver."""
 
 import math
 
@@ -17,27 +18,30 @@ from socnavsim.geometry import (
     Segment,
     Vec2,
     beam_arcs,
-    cast_fan,
-    closest_distance,
+    pack_distance_scene,
     pack_shapes,
-    point_rect_signed_distance,
     rect_rows,
     rects_overlap,
     row_terms,
     takes_windows,
 )
 from socnavsim.lidar import RANGE_MAX, RANGE_MIN, LidarConfig
+from socnavsim.rewards import zone_rows
 
 from conftest import (
     Pedestrian,
+    cast_fan_of,
     marching_ray,
     orca_solve,
     overlaps,
     pack,
+    point_rect_signed_distance,
     rect_overlap_oracle,
     rects_intersect,
     reference_cast_fan,
+    reference_closest_distance,
     reference_inflate_returns,
+    social_zone,
 )
 
 
@@ -49,6 +53,12 @@ points = st.builds(Vec2, coords(5.0), coords(5.0))
 circles = st.builds(Circle, points, st.floats(0.05, 2.0))
 rects = st.builds(
     OrientedRect, points, coords(math.pi), st.floats(0.0, 1.0), st.floats(0.0, 2.0)
+)
+# rectangles with area, for the marching-ray oracle: it meets a zero-area
+# rectangle only where a sample lands on it exactly, a coincidence of rounding
+# (a beam at pi/2 has a cosine of 6e-17) that no analytic cast reproduces
+solid_rects = st.builds(
+    OrientedRect, points, coords(math.pi), st.floats(0.05, 1.0), st.floats(0.05, 2.0)
 )
 segments = st.tuples(points, points).filter(lambda ab: ab[0] != ab[1]).map(lambda ab: Segment(*ab))
 beams = st.lists(coords(2.0 * math.pi), min_size=1, max_size=40).map(np.array)
@@ -72,7 +82,7 @@ def test_cast_fan_equals_reference(origin, angles, shapes):
             targets.extend((cs[i] + cs[(i + 1) % 4]) * 0.5 for i in range(4))
     aims = [(t - origin).angle() for t in targets]
     angles = np.concatenate([angles, aims])
-    fan = cast_fan(origin, angles, shapes, 10.0)
+    fan = cast_fan_of(origin, angles, shapes, 10.0)
     assert np.array_equal(fan, reference_cast_fan(origin, angles, shapes, 10.0))
 
 
@@ -128,7 +138,8 @@ def windowed_casts(draw):
         else:
             ends = (s.a, s.b) if isinstance(s, Segment) else s.corners()
             aims += [(p - origin).angle() for p in ends if p != origin]
-    first, width = beam_arcs(origin, scene, row_terms(origin, scene))
+    xy = (origin.x, origin.y)
+    first, width = beam_arcs(xy, scene, row_terms(xy, scene))
     slack = geometry.WINDOW_SLACK
     for edge in np.concatenate([first, first + width, first - slack, first + width + slack]):
         aims += [np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)]
@@ -142,7 +153,7 @@ def test_beam_windows_equal_reference(case):
     """cast_fan over the beam windows equals the per-shape loop bit for bit."""
     origin, angles, shapes = case
     assert takes_windows(angles, pack_shapes(shapes))
-    fan = cast_fan(origin, angles, shapes, 10.0)
+    fan = cast_fan_of(origin, angles, shapes, 10.0)
     assert fan.tobytes() == reference_cast_fan(origin, angles, shapes, 10.0).tobytes()
 
 
@@ -155,11 +166,11 @@ def boundary_distance(p, shape):
 @given(
     origin=st.builds(Vec2, coords(6.0), coords(6.0)),
     angle=coords(math.pi),
-    shapes=st.lists(st.one_of(circles, rects), min_size=1, max_size=4),
+    shapes=st.lists(st.one_of(circles, solid_rects), min_size=1, max_size=4),
 )
 def test_cast_fan_against_marching_ray_outside_shapes(origin, angle, shapes):
-    assume(closest_distance(Circle(origin, 0.05), shapes) > 0.0)
-    (d,) = cast_fan(origin, np.array([angle]), shapes, 10.0)
+    assume(reference_closest_distance(Circle(origin, 0.05), shapes) > 0.0)
+    (d,) = cast_fan_of(origin, np.array([angle]), shapes, 10.0)
     # no sampled point inside a shape comes before the analytic hit ...
     assert d <= marching_ray(origin, angle, shapes, 10.0) + 1e-3
     # ... and the analytic hit lies on a shape boundary (a grazing ray may
@@ -167,6 +178,48 @@ def test_cast_fan_against_marching_ray_outside_shapes(origin, angle, shapes):
     if d < 10.0:
         hit = origin + Vec2.from_angle(angle, float(d))
         assert min(boundary_distance(hit, s) for s in shapes) <= 1e-9 * (1.0 + hit.norm())
+
+
+@st.composite
+def disc_near_shapes(draw):
+    """A robot disc and shapes around it: drawn anywhere, or with the disc
+    centre on a shape, inside a rectangle, on a segment's line or at one of
+    its endpoints."""
+    shapes = draw(st.lists(st.one_of(circles, rects, segments), min_size=1, max_size=4))
+    shape = draw(st.sampled_from(shapes))
+    u, v = draw(st.floats(-1.5, 1.5)), draw(st.floats(-1.0, 1.0))
+    if isinstance(shape, Circle):
+        near = shape.center + Vec2.from_angle(draw(coords(math.pi)), shape.radius * u)
+    elif isinstance(shape, Segment):
+        near = shape.a + (shape.b - shape.a) * draw(st.sampled_from([0.0, 1.0, u]))
+    else:
+        fwd, left = shape.axes()
+        near = shape.anchor + fwd * (shape.length * (u + 1.0) / 2.0) + left * (shape.half_width * v)
+    centre = draw(st.one_of(st.builds(Vec2, coords(6.0), coords(6.0)), st.just(near)))
+    return Circle(centre, draw(st.floats(0.05, 0.6))), shapes
+
+
+@given(case=disc_near_shapes())
+def test_distance_scene_equals_vec2_loop(case):
+    """DistanceScene, the library's one static-distance path, equals the
+    Vec2 loop over the shape objects bit for bit."""
+    robot, shapes = case
+    p = robot.center
+    got = pack_distance_scene(shapes).closest_distance(p.x, p.y, robot.radius)
+    assert got.hex() == reference_closest_distance(robot, shapes).hex()
+
+
+@given(
+    position=st.builds(Vec2, coords(6.0), coords(6.0)),
+    heading=st.one_of(coords(4.0), st.sampled_from([math.pi, -math.pi, 0.0, -0.0])),
+    radius=st.floats(0.05, 0.6),
+    speed=st.one_of(st.floats(0.0, 1.5), st.just(0.0)),
+)
+def test_robot_zone_row_equals_social_zone(position, heading, radius, speed):
+    """The robot's zone_rows row, built as rewards.assess builds it, equals
+    the OrientedRect social zone packed by rect_rows bit for bit."""
+    row = zone_rows(np.array([[position.x, position.y]]), np.array([heading]), radius, speed)
+    assert row.tobytes() == rect_rows([social_zone(position, heading, radius, speed)]).tobytes()
 
 
 # Overlap cases: corners on a 1/16 m grid, so that rectangles do not come

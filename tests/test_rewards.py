@@ -9,7 +9,7 @@ from socnavsim.rewards import (
     GOAL_BONUS,
     goal_reward,
     pedestrian_zones,
-    social_zone,
+    zone_rows,
 )
 
 from conftest import (
@@ -21,6 +21,7 @@ from conftest import (
     rect_overlap_oracle,
     rects_intersect,
     social_reward_of,
+    social_zone,
 )
 
 
@@ -80,30 +81,33 @@ class TestEgoReward:
         assert r_ped < 0.0
 
 
+def zone_row(x, y, heading, radius, speed):
+    """One agent's zone_rows row as (x, y, heading, half_width, length)."""
+    return tuple(zone_rows(np.array([[x, y]]), np.array([heading]), radius, speed)[0])
+
+
 class TestSocialZone:
     def test_paper_length_substitution(self):
-        z = social_zone(Vec2(0, 0), 0.0, radius=0.3, speed=1.0)
-        assert z.length == pytest.approx(1.42, abs=1e-12)
-        assert z.half_width == pytest.approx(0.3, abs=1e-12)
+        _, _, _, half_width, length = zone_row(0.0, 0.0, 0.0, radius=0.3, speed=1.0)
+        assert length == pytest.approx(1.42, abs=1e-12)
+        assert half_width == pytest.approx(0.3, abs=1e-12)
 
     def test_zero_speed_length(self):
-        z = social_zone(Vec2(0, 0), 0.0, radius=0.3, speed=0.0)
-        assert z.length == pytest.approx(0.3 / 2 + 0.5, abs=1e-12)
+        length = zone_row(0.0, 0.0, 0.0, radius=0.3, speed=0.0)[4]
+        assert length == pytest.approx(0.3 / 2 + 0.5, abs=1e-12)
 
     def test_doubling_speed_adds_dt_v(self):
-        z1 = social_zone(Vec2(0, 0), 0.0, radius=0.3, speed=1.0)
-        z2 = social_zone(Vec2(0, 0), 0.0, radius=0.3, speed=2.0)
-        assert z2.length - z1.length == pytest.approx(0.77, abs=1e-12)
+        z1 = zone_row(0.0, 0.0, 0.0, radius=0.3, speed=1.0)
+        z2 = zone_row(0.0, 0.0, 0.0, radius=0.3, speed=2.0)
+        assert z2[4] - z1[4] == pytest.approx(0.77, abs=1e-12)
 
     def test_anchored_at_agent_extending_forward(self):
-        z = social_zone(Vec2(1, 2), math.pi / 2, radius=0.2, speed=0.5)
-        assert z.anchor == Vec2(1, 2)
-        front = z.anchor + Vec2.from_angle(z.heading) * z.length
-        assert front.y > 2.0
+        x, y, heading, _, length = zone_row(1.0, 2.0, math.pi / 2, radius=0.2, speed=0.5)
+        assert (x, y) == (1.0, 2.0)
+        assert y + length * math.sin(heading) > 2.0
 
-    def test_negative_speed_rejected(self):
-        with pytest.raises(ValueError):
-            social_zone(Vec2(0, 0), 0.0, radius=0.3, speed=-0.1)
+    def test_heading_wrapped(self):
+        assert zone_row(0.0, 0.0, 3.0 * math.pi / 2, radius=0.3, speed=1.0)[2] == pytest.approx(-math.pi / 2)
 
     def test_stationary_pedestrian_uses_last_motion_heading(self):
         p = ped(0, (0, 0), (0.0, 0.0), heading=1.1)
@@ -225,22 +229,23 @@ class TestZonesMatchPedestrians:
 
 
 class TestGoalReward:
+    # goal_reward(distance to the goal, distance from the start to the goal, reached)
     def test_reached_bonus(self):
-        assert goal_reward(Vec2(3, 0), Vec2(3, 0), Vec2(0, 0), True) == GOAL_BONUS
+        assert goal_reward(0.0, 3.0, True) == GOAL_BONUS
 
     def test_start_position_penalty(self):
-        assert goal_reward(Vec2(0, 0), Vec2(3, 0), Vec2(0, 0), False) == pytest.approx(-0.01)
+        assert goal_reward(3.0, 3.0, False) == pytest.approx(-0.01)
 
     def test_halfway_penalty(self):
-        assert goal_reward(Vec2(1.5, 0), Vec2(3, 0), Vec2(0, 0), False) == pytest.approx(-0.005)
+        assert goal_reward(1.5, 3.0, False) == pytest.approx(-0.005)
 
     def test_clamped_beyond_start(self):
         # wandering farther than the start distance saturates at -0.01
-        assert goal_reward(Vec2(-5, 0), Vec2(3, 0), Vec2(0, 0), False) == pytest.approx(-0.01)
+        assert goal_reward(8.0, 3.0, False) == pytest.approx(-0.01)
 
     def test_degenerate_start_rejected(self):
         with pytest.raises(ValueError):
-            goal_reward(Vec2(1, 0), Vec2(3, 0), Vec2(3, 0), False)
+            goal_reward(2.0, 0.0, False)
 
 
 class TestAssess:

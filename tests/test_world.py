@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from socnavsim.crowd import CrowdConfig
-from socnavsim.geometry import (Circle, OrientedRect, Segment, Vec2, closest_distance, pack_distance_scene,
-                                point_rect_signed_distance)
-from socnavsim.rewards import ego_reward, social_zone
+from socnavsim.evaluation import suite_config
+from socnavsim.geometry import Circle, OrientedRect, Segment, Vec2, closest_distance, pack_distance_scene
+from socnavsim.rewards import ego_reward
 from socnavsim.world import (
     EnvConfig,
     NavEnv,
-    RobotState,
     Status,
     _grid_connected,
     _grid_free,
@@ -26,7 +25,8 @@ from socnavsim.world import (
     save_config,
 )
 
-from conftest import CastEveryTickEnv, clearance, reference_grid_connected, rects_intersect, unpack
+from conftest import (CastEveryTickEnv, clearance, point_rect_signed_distance, reference_closest_distance,
+                      reference_grid_connected, rects_intersect, social_zone, unpack)
 
 
 def small_cfg(**kw):
@@ -65,32 +65,29 @@ class TestActionToTwist:
 
 class TestIntegrate:
     def test_straight_advance(self):
-        r = RobotState(0, 0, 0.0)
-        r2 = integrate(r, 1.0, 0.0, 0.05)
-        assert r2.x == pytest.approx(0.05) and r2.y == 0.0
+        x, y, _ = integrate(0.0, 0.0, 0.0, 1.0, 0.0, 0.05)
+        assert x == pytest.approx(0.05) and y == 0.0
 
     def test_rotate_in_place(self):
-        r = RobotState(0, 0, 0.0)
-        r2 = integrate(r, 0.0, math.pi, 0.05)
-        assert (r2.x, r2.y) == (0.0, 0.0)
-        assert r2.heading == pytest.approx(0.05 * math.pi)
+        x, y, heading = integrate(0.0, 0.0, 0.0, 0.0, math.pi, 0.05)
+        assert (x, y) == (0.0, 0.0)
+        assert heading == pytest.approx(0.05 * math.pi)
 
     def test_closed_circle(self):
         # v = w = 1; after total angle 2*pi the exact arc closes
         steps = 126
         dt = 2 * math.pi / steps
-        r = RobotState(0.3, -0.2, 0.4)
+        x, y, heading = 0.3, -0.2, 0.4
         for _ in range(steps):
-            r = integrate(r, 1.0, 1.0, dt)
-        assert r.x == pytest.approx(0.3, abs=1e-6)
-        assert r.y == pytest.approx(-0.2, abs=1e-6)
+            x, y, heading = integrate(x, y, heading, 1.0, 1.0, dt)
+        assert x == pytest.approx(0.3, abs=1e-6)
+        assert y == pytest.approx(-0.2, abs=1e-6)
 
     def test_no_lateral_motion(self):
         for omega in (0.0, 0.4, -1.2):
-            r = RobotState(0, 0, 0.7)
-            r2 = integrate(r, 1.0, omega, 0.05)
-            disp = Vec2(r2.x - r.x, r2.y - r.y)
-            mid = r.heading + omega * 0.05 / 2.0
+            x, y, _ = integrate(0.0, 0.0, 0.7, 1.0, omega, 0.05)
+            disp = Vec2(x, y)
+            mid = 0.7 + omega * 0.05 / 2.0
             # displacement is along the mid-arc heading for the exact arc
             assert disp.normalized().dot(Vec2.from_angle(mid)) == pytest.approx(1.0, abs=1e-4)
 
@@ -130,7 +127,7 @@ class TestRandomizeMap:
 class TestStaticClearance:
     def test_packed_equals_closest_distance(self, rng):
         """The clearance NavEnv takes from the packed static shapes equals
-        closest_distance over the shape objects bit for bit: random poses
+        the Vec2 loop over the shape objects bit for bit: random poses
         and robot radii on random maps with walls (and a few slanted
         segments), poses inside rectangles and outside the arena included."""
         cfg = small_cfg(obstacle_count_range=(4, 10))
@@ -148,14 +145,17 @@ class TestStaticClearance:
             packed = pack_distance_scene(shapes)
             for p in poses:
                 robot = Circle(p, float(rng.uniform(0.1, 0.5)))
-                assert packed.closest_distance(robot).hex() == closest_distance(robot, shapes).hex()
+                want = reference_closest_distance(robot, shapes).hex()
+                assert packed.closest_distance(p.x, p.y, robot.radius).hex() == want
+                assert closest_distance(robot, shapes).hex() == want
         assert inside > 100
 
     def test_env_clearance_uses_every_static_shape(self):
         env = NavEnv(small_cfg())
         env.reset(map_seed=3)
         env._check_terminal()
-        assert env._clearance == closest_distance(env.robot.body(), env.static_shapes)
+        robot = Circle(Vec2(env.x, env.y), env.config.robot_radius)
+        assert env._clearance == reference_closest_distance(robot, env.static_shapes)
 
 
 class TestGridConnected:
@@ -306,7 +306,7 @@ class TestEnvStep:
             trace = []
             for a in actions:
                 out = env.step(a)
-                trace.append((out.reward, env.robot.x, env.robot.y, env.robot.heading))
+                trace.append((out.reward, env.x, env.y, env.heading))
                 if out.done is not Status.RUNNING:
                     break
             return trace
@@ -321,7 +321,35 @@ class TestEnvStep:
         # command a pure left turn at small speed; heading converges toward pi/2
         for _ in range(12):
             env.step((0.01, 1.2))
-        assert env.robot.heading > 0.5
+        assert env.heading > 0.5
+
+    @pytest.mark.parametrize("action", [(math.nan, 0.0), (0.3, math.nan), (math.nan, math.nan)])
+    def test_nan_action_rejected_before_any_change(self, action):
+        """A NaN component raises before the step changes any state: the
+        episode then goes on exactly like one that never saw it."""
+        cfg = suite_config("combined:8", small_cfg(noise_sigma=0.05))
+
+        def rollout(bad):
+            env = NavEnv(cfg)
+            env.reset(map_seed=2, crowd_seed=3)
+            outs = [env.step((0.8, 0.2))]
+            if bad is not None:
+                with pytest.raises(ValueError, match="NaN"):
+                    env.step(bad)
+            outs += [env.step((0.5, -0.4)) for _ in range(3)]
+            return [(repr((o.reward, o.done, o.record, o.observation.goal_vector)),
+                     o.observation.matrix.tobytes()) for o in outs]
+
+        assert rollout(action) == rollout(None)
+
+    def test_infinite_action_clamps(self):
+        def pose(action):
+            env = NavEnv(small_cfg(map_seed=5))
+            env.reset()
+            out = env.step(action)
+            return out.record.x, out.record.y, out.record.heading, out.record.v_l, out.record.omega
+
+        assert pose((math.inf, -math.inf)) == pose((1.5, -1.5))
 
     def test_scans_advance_four_per_step(self):
         env = NavEnv(small_cfg())
@@ -336,8 +364,6 @@ class TestStepAgainstOracles:
         """Each step's ego part comes from the collision check's clearance
         and its social violations from the one-pass zone test; both equal
         the Pedestrian-list oracle recomputed from the stepped state."""
-        from socnavsim.evaluation import suite_config
-
         violations = ego_steps = 0
         for suite, seed in (("crowd:random:20", 1), ("combined:8", 2), ("crowd:towards:8", 3)):
             env = NavEnv(suite_config(suite, small_cfg(max_steps=80)))
@@ -345,12 +371,11 @@ class TestStepAgainstOracles:
             rng = np.random.default_rng(seed)
             for _ in range(80):
                 out = env.step((1.2, float(rng.uniform(-0.6, 0.6))))
-                robot = env.robot.body()
+                robot = Circle(Vec2(env.x, env.y), env.config.robot_radius)
                 peds = unpack(env.crowd)
                 r_ego, _ = ego_reward(clearance(robot, peds, env.static_shapes), robot.radius)
                 assert out.reward_parts[0] == r_ego
-                zone = social_zone(robot.center, env.robot_motion_heading, robot.radius,
-                                   abs(env.robot.v_l))
+                zone = social_zone(robot.center, env.robot_motion_heading, robot.radius, env.v_l)
                 near = [p for p in peds if (p.position - robot.center).norm() <= 5.0]
                 assert out.record.social_violations == sum(rects_intersect(zone, p.zone()) for p in near)
                 violations += out.record.social_violations
@@ -360,13 +385,14 @@ class TestStepAgainstOracles:
         assert violations > 0 and ego_steps > 0
 
     def test_step_builds_no_objects_per_pedestrian(self, monkeypatch):
-        """Vec2, Circle and OrientedRect objects built inside each step are
-        as many with 20 pedestrians as with none, on the same map under
-        the same action."""
-        from dataclasses import replace
+        """NavEnv.step builds no Vec2, Circle or OrientedRect object and
+        makes no dataclasses.replace copy, with 20 pedestrians or with
+        none; the reset that builds the walls does build Vec2s, and the
+        config copies below are counted, so both counters are live."""
+        import dataclasses
+        import sys
 
         from socnavsim import geometry
-        from socnavsim.evaluation import suite_config
 
         built = collections.Counter()
         for cls in (geometry.Vec2, geometry.Circle, geometry.OrientedRect):
@@ -376,23 +402,36 @@ class TestStepAgainstOracles:
 
             monkeypatch.setattr(cls, "__post_init__", counting)
 
+        def counting_replace(*args, _original=dataclasses.replace, **kwargs):
+            built["replace"] += 1
+            return _original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("socnavsim") and getattr(module, "replace", None) is dataclasses.replace:
+                monkeypatch.setattr(module, "replace", counting_replace)
+        monkeypatch.setattr(dataclasses, "replace", counting_replace)
+
         def per_step(cfg):
             env = NavEnv(cfg)
+            built.clear()
             env.reset(map_seed=4, crowd_seed=9)
+            assert built["Vec2"] > 0
             counts = []
             for _ in range(6):
                 built.clear()
                 out = env.step((0.6, 0.1))
-                counts.append(dict(built))
+                counts.append(sum(built.values()))
                 assert out.done is Status.RUNNING
             return counts, len(env.crowd)
 
         crowded = suite_config("combined:20", small_cfg())
-        empty = replace(crowded, crowd=replace(crowded.crowd, count=0, walk_in_probability=0.0))
+        built.clear()
+        empty = dataclasses.replace(crowded, crowd=dataclasses.replace(crowded.crowd, count=0,
+                                                                       walk_in_probability=0.0))
+        assert built["replace"] == 2
         (with_crowd, n), (without, m) = per_step(crowded), per_step(empty)
         assert (n, m) == (20, 0)
-        assert with_crowd == without
-        assert with_crowd[0]["Vec2"] > 0
+        assert with_crowd == without == [0] * 6
 
 
 class TestScanOncePerPose:
@@ -440,15 +479,11 @@ class TestScanOncePerPose:
         return got, tallies
 
     def test_noisy_combined_8(self, monkeypatch):
-        from socnavsim.evaluation import suite_config
-
         cfg = suite_config("combined:8", small_cfg(noise_sigma=0.05))
         got, _ = self.check_parity(cfg, monkeypatch)
         assert len(got) > 10
 
     def test_crowd_random_20(self, monkeypatch):
-        from socnavsim.evaluation import suite_config
-
         cfg = suite_config("crowd:random:20", small_cfg())
         got, _ = self.check_parity(cfg, monkeypatch)
         assert len(got) > 10
@@ -483,8 +518,6 @@ class TestBenchmarkProbes:
         """Every name perfbench/layers.py wraps resolves, and its probes still
         count pedestrians per crowd step, shapes per cast (a rectangle
         once) and considered pedestrians per assessment."""
-        from socnavsim.evaluation import suite_config
-
         monkeypatch.syspath_prepend(str(pathlib.Path(__file__).parent.parent / "perfbench"))
         import layers
         import tracing
@@ -517,7 +550,7 @@ class TestBenchmarkProbes:
             for args, _, counts in calls["geometry.cast_fan"]:
                 assert counts["beam_shape_pairs"] == len(args[1]) * shapes
             ((args, _, counts),) = calls["rewards.assess"]
-            near = [p for p in unpack(env.crowd) if (p.position - env.robot.position()).norm() <= 5.0]
+            near = [p for p in unpack(env.crowd) if (p.position - Vec2(env.x, env.y)).norm() <= 5.0]
             assert counts["considered"] == len(near)
 
 
@@ -556,6 +589,17 @@ class TestConfigIO:
         path.write_text(text)
         with pytest.raises(ValueError):
             load_config(path)
+
+    @pytest.mark.parametrize("name", ["arena_half", "heading_gain", "turn_rate_cap"])
+    @pytest.mark.parametrize("value", [-2.0, 0.0, math.nan, math.inf])
+    def test_gains_and_arena_must_be_finite_and_positive(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            EnvConfig(walls=False, **{name: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_start_heading_must_be_finite(self, value):
+        with pytest.raises(ValueError, match="start_heading"):
+            EnvConfig(start_heading=value)
 
     def test_shipped_and_wall_free_configs_load(self, tmp_path):
         root = pathlib.Path(__file__).parent.parent / "configs"
@@ -600,8 +644,6 @@ class TestConfigIO:
         assert EnvConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_suite_configs_load(self):
-        from socnavsim.evaluation import suite_config
-
         root = pathlib.Path(__file__).parent.parent / "configs"
         for path in [None, *sorted(root.glob("*.yaml"))]:
             base = load_config(path) if path else EnvConfig()
