@@ -61,10 +61,6 @@ class Vec2:
             raise ValueError("cannot normalize zero vector")
         return Vec2(self.x / n, self.y / n)
 
-    def rotated(self, angle: float) -> "Vec2":
-        c, s = math.cos(angle), math.sin(angle)
-        return Vec2(c * self.x - s * self.y, s * self.x + c * self.y)
-
     def angle(self) -> float:
         return math.atan2(self.y, self.x)
 
@@ -137,7 +133,8 @@ Shape = Circle | Segment | OrientedRect
 
 
 # rects_overlap's separating-axis test counts projections this close (m) as
-# touching, so that exact contact survives the rounding of the corners
+# touching, and cast_fan a beam this close to a parallel segment row's line,
+# so that exact contact survives the rounding of the corners and beams
 CONTACT_SLACK = 1e-12
 
 
@@ -258,13 +255,22 @@ def _circle_lanes(fx, fy, q, dx, dy):
 
 
 def _segment_lanes(wx, wy, ex, ey, cross, dx, dy):
-    """Range along each beam (dx, dy) to its segment row, inf on a miss."""
+    """Range along each beam (dx, dy) to its segment row, inf on a miss.  A row
+    parallel to its beam, or of zero length, is met only where it lies on the
+    beam's line, within CONTACT_SLACK: at its nearer end, or at 0 from on it."""
     denom = dx * ey - dy * ex
     ok = np.abs(denom) >= 1e-15
     denom_safe = np.where(ok, denom, 1.0)
     t = cross / denom_safe
     s = (wx * dy - wy * dx) / denom_safe
-    return np.where(ok & (t >= 0.0) & (s >= 0.0) & (s <= 1.0), t, np.inf)
+    t = np.where(ok & (t >= 0.0) & (s >= 0.0) & (s <= 1.0), t, np.inf)
+    if not ok.all():
+        wx, wy, ex, ey, dx, dy = (np.broadcast_to(a, t.shape)[~ok] for a in (wx, wy, ex, ey, dx, dy))
+        near = wx * dx + wy * dy
+        far = near + (ex * dx + ey * dy)
+        on_line = (np.abs(wx * dy - wy * dx) <= CONTACT_SLACK) & (np.maximum(near, far) >= 0.0)
+        t[~ok] = np.where(on_line, np.maximum(np.minimum(near, far), 0.0), np.inf)
+    return t
 
 
 def takes_windows(angles: np.ndarray, scene: Scene) -> bool:

@@ -120,10 +120,8 @@ def assess(
     distances and goal distance the collision and arrival checks measured."""
     x, y, radius = robot
     r_ego, ego_violation = ego_reward(clearance, radius)
-    r_social, violations, considered = 0.0, 0, 0
-    if len(crowd):  # no zone to meet in an empty scene
-        zone = zone_rows(np.array([[x, y]]), np.array([robot_motion_heading]), radius, robot_speed)
-        r_social, violations, considered = social_reward(zone, distances, crowd)
+    zone = zone_rows(np.array([[x, y]]), np.array([robot_motion_heading]), radius, robot_speed)
+    r_social, violations, considered = social_reward(zone, distances, crowd)
     r_goal = goal_reward(goal_distance, initial_goal_distance, reached)
     return SafetyAssessment(
         ego_violation=ego_violation,

@@ -95,6 +95,8 @@ class EnvConfig:
             raise ValueError("rates must be positive")
         if self.scan_hz % self.control_hz or self.scan_hz % self.policy_hz:
             raise ValueError("scan_hz must be a multiple of control_hz and policy_hz")
+        if not all(map(math.isfinite, (*self.start, *self.goal))):
+            raise ValueError(f"start and goal must be finite, got {self.start} and {self.goal}")
         if self.start == self.goal:
             raise ValueError("start must differ from goal")
         if self.max_steps <= 0:

@@ -63,6 +63,12 @@ def random_shape(rng, span=4.0):
     return random_circle(rng, span) if rng.random() < 0.5 else random_rect(rng, span)
 
 
+def rotated(v: Vec2, angle: float) -> Vec2:
+    """v turned counter-clockwise by angle, for the rigid-motion tests."""
+    c, s = math.cos(angle), math.sin(angle)
+    return Vec2(c * v.x - s * v.y, s * v.x + c * v.y)
+
+
 # ---------------------------------------------------------------------------
 # Point containment (vectorized), used by the ray-marching oracle
 
@@ -135,17 +141,26 @@ def reference_cast_fan(origin, angles, shapes, max_range):
             valid = hit & (t >= 0.0)
             np.minimum(best, np.where(valid, t, np.inf), out=best)
             continue
-        segs = [shape] if isinstance(shape, Segment) else rect_edges(shape)
-        for seg in segs:
-            ex, ey = seg.b.x - seg.a.x, seg.b.y - seg.a.y
-            wx, wy = seg.a.x - origin.x, seg.a.y - origin.y
+        if isinstance(shape, Segment):
+            ends = [(shape.a, shape.b)]
+        else:  # all four edges, zero-length ones too
+            cs = shape.corners()
+            ends = [(cs[i], cs[(i + 1) % 4]) for i in range(4)]
+        for a, b in ends:
+            ex, ey = b.x - a.x, b.y - a.y
+            wx, wy = a.x - origin.x, a.y - origin.y
             denom = dx * ey - dy * ex
             ok = np.abs(denom) >= 1e-15
             denom_safe = np.where(ok, denom, 1.0)
             t = (wx * ey - wy * ex) / denom_safe
             s = (wx * dy - wy * dx) / denom_safe
             valid = ok & (t >= 0.0) & (s >= 0.0) & (s <= 1.0)
-            np.minimum(best, np.where(valid, t, np.inf), out=best)
+            # parallel or zero-length: met only on the beam's line
+            near = wx * dx + wy * dy
+            far = near + (ex * dx + ey * dy)
+            on_line = ~ok & (np.abs(wx * dy - wy * dx) <= CONTACT_SLACK) & (np.maximum(near, far) >= 0.0)
+            t = np.where(on_line, np.maximum(np.minimum(near, far), 0.0), np.where(valid, t, np.inf))
+            np.minimum(best, t, out=best)
     return best
 
 

@@ -25,6 +25,7 @@ from conftest import (
     point_rect_signed_distance,
     rect_overlap_oracle,
     reference_cast_fan,
+    rotated,
 )
 
 
@@ -78,6 +79,27 @@ class TestRayCast:
     def test_segment_hit(self):
         seg = Segment(Vec2(3, -1), Vec2(3, 1))
         assert cast_one(Vec2(0, 0), 0.0, [seg], 10.0) == pytest.approx(3.0)
+
+    @pytest.mark.parametrize(
+        "shape, origin, angle, expected",
+        [
+            (OrientedRect(Vec2(0, 0), 0.0, 0.0, 0.0), Vec2(-1, 0), 0.0, 1.0),  # a point
+            (OrientedRect(Vec2(5, 0), math.pi / 2, 0.0, 0.0), Vec2(5, -1), math.pi / 2, 1.0),  # cos: 6e-17
+            (OrientedRect(Vec2(2, 0), 0.0, 0.0, 1.0), Vec2(0, 0), 0.0, 2.0),  # zero width, end on
+            (OrientedRect(Vec2(2, 0), 0.0, 0.0, 1.0), Vec2(5, 0), math.pi, 2.0),  # from the far end
+            (OrientedRect(Vec2(0, -1), math.pi / 2, 0.0, 2.0), Vec2(0, 0), math.pi / 2, 0.0),  # from on it
+            (Segment(Vec2(-1, 0), Vec2(-3, 0)), Vec2(0, 0), math.pi, 1.0),  # a segment end on
+            (OrientedRect(Vec2(1, 1), 0.0, 1.0, 2.0), Vec2(0, 0), 0.0, 1.0),  # along a rect's side
+        ],
+    )
+    def test_parallel_contact_counts(self, shape, origin, angle, expected):
+        """A beam that runs along a zero-area rectangle, a segment or an edge
+        meets it at its nearer end, as the closed-set contact of the module."""
+        assert cast_one(origin, angle, [shape], 10.0) == pytest.approx(expected, abs=1e-12)
+
+    def test_beam_beside_a_point_misses(self):
+        point = OrientedRect(Vec2(0, 0), 0.0, 0.0, 0.0)
+        assert cast_one(Vec2(-1, 0), 1e-9, [point], 10.0) == 10.0
 
     def test_rect_equals_min_over_edges(self, rng):
         for _ in range(50):
@@ -215,7 +237,7 @@ class TestRectsIntersect:
 
             def moved(r):
                 return OrientedRect(
-                    r.anchor.rotated(rot) + shift,
+                    rotated(r.anchor, rot) + shift,
                     wrap_angle(r.heading + rot),
                     r.half_width,
                     r.length,

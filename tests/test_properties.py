@@ -54,12 +54,6 @@ circles = st.builds(Circle, points, st.floats(0.05, 2.0))
 rects = st.builds(
     OrientedRect, points, coords(math.pi), st.floats(0.0, 1.0), st.floats(0.0, 2.0)
 )
-# rectangles with area, for the marching-ray oracle: it meets a zero-area
-# rectangle only where a sample lands on it exactly, a coincidence of rounding
-# (a beam at pi/2 has a cosine of 6e-17) that no analytic cast reproduces
-solid_rects = st.builds(
-    OrientedRect, points, coords(math.pi), st.floats(0.05, 1.0), st.floats(0.05, 2.0)
-)
 segments = st.tuples(points, points).filter(lambda ab: ab[0] != ab[1]).map(lambda ab: Segment(*ab))
 beams = st.lists(coords(2.0 * math.pi), min_size=1, max_size=40).map(np.array)
 
@@ -166,7 +160,7 @@ def boundary_distance(p, shape):
 @given(
     origin=st.builds(Vec2, coords(6.0), coords(6.0)),
     angle=coords(math.pi),
-    shapes=st.lists(st.one_of(circles, solid_rects), min_size=1, max_size=4),
+    shapes=st.lists(st.one_of(circles, rects), min_size=1, max_size=4),
 )
 def test_cast_fan_against_marching_ray_outside_shapes(origin, angle, shapes):
     assume(reference_closest_distance(Circle(origin, 0.05), shapes) > 0.0)

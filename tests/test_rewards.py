@@ -20,6 +20,7 @@ from conftest import (
     pack,
     rect_overlap_oracle,
     rects_intersect,
+    rotated,
     social_reward_of,
     social_zone,
 )
@@ -186,11 +187,11 @@ class TestSocialReward:
             def move(p):
                 return Pedestrian(
                     id=p.id,
-                    position=p.position.rotated(rot) + shift,
-                    velocity=p.velocity.rotated(rot),
+                    position=rotated(p.position, rot) + shift,
+                    velocity=rotated(p.velocity, rot),
                     pref_speed=p.pref_speed,
                     radius=p.radius,
-                    goal=p.goal.rotated(rot) + shift,
+                    goal=rotated(p.goal, rot) + shift,
                     motion_heading=wrap_angle(p.motion_heading + rot),
                 )
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from socnavsim.crowd import CrowdConfig
-from socnavsim.evaluation import suite_config
 from socnavsim.geometry import Circle, OrientedRect, Segment, Vec2, closest_distance, pack_distance_scene
 from socnavsim.rewards import ego_reward
 from socnavsim.world import (
@@ -327,6 +326,8 @@ class TestEnvStep:
     def test_nan_action_rejected_before_any_change(self, action):
         """A NaN component raises before the step changes any state: the
         episode then goes on exactly like one that never saw it."""
+        from socnavsim.evaluation import suite_config
+
         cfg = suite_config("combined:8", small_cfg(noise_sigma=0.05))
 
         def rollout(bad):
@@ -364,6 +365,8 @@ class TestStepAgainstOracles:
         """Each step's ego part comes from the collision check's clearance
         and its social violations from the one-pass zone test; both equal
         the Pedestrian-list oracle recomputed from the stepped state."""
+        from socnavsim.evaluation import suite_config
+
         violations = ego_steps = 0
         for suite, seed in (("crowd:random:20", 1), ("combined:8", 2), ("crowd:towards:8", 3)):
             env = NavEnv(suite_config(suite, small_cfg(max_steps=80)))
@@ -393,6 +396,7 @@ class TestStepAgainstOracles:
         import sys
 
         from socnavsim import geometry
+        from socnavsim.evaluation import suite_config
 
         built = collections.Counter()
         for cls in (geometry.Vec2, geometry.Circle, geometry.OrientedRect):
@@ -479,11 +483,15 @@ class TestScanOncePerPose:
         return got, tallies
 
     def test_noisy_combined_8(self, monkeypatch):
+        from socnavsim.evaluation import suite_config
+
         cfg = suite_config("combined:8", small_cfg(noise_sigma=0.05))
         got, _ = self.check_parity(cfg, monkeypatch)
         assert len(got) > 10
 
     def test_crowd_random_20(self, monkeypatch):
+        from socnavsim.evaluation import suite_config
+
         cfg = suite_config("crowd:random:20", small_cfg())
         got, _ = self.check_parity(cfg, monkeypatch)
         assert len(got) > 10
@@ -518,6 +526,8 @@ class TestBenchmarkProbes:
         """Every name perfbench/layers.py wraps resolves, and its probes still
         count pedestrians per crowd step, shapes per cast (a rectangle
         once) and considered pedestrians per assessment."""
+        from socnavsim.evaluation import suite_config
+
         monkeypatch.syspath_prepend(str(pathlib.Path(__file__).parent.parent / "perfbench"))
         import layers
         import tracing
@@ -596,6 +606,12 @@ class TestConfigIO:
         with pytest.raises(ValueError, match=name):
             EnvConfig(walls=False, **{name: value})
 
+    @pytest.mark.parametrize("name", ["start", "goal"])
+    @pytest.mark.parametrize("point", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)])
+    def test_start_and_goal_must_be_finite(self, name, point):
+        with pytest.raises(ValueError, match=name):
+            EnvConfig(walls=False, obstacle_count_range=(0, 0), **{name: point})
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_start_heading_must_be_finite(self, value):
         with pytest.raises(ValueError, match="start_heading"):
@@ -644,6 +660,8 @@ class TestConfigIO:
         assert EnvConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_suite_configs_load(self):
+        from socnavsim.evaluation import suite_config
+
         root = pathlib.Path(__file__).parent.parent / "configs"
         for path in [None, *sorted(root.glob("*.yaml"))]:
             base = load_config(path) if path else EnvConfig()
