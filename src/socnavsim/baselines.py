@@ -13,7 +13,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .lidar import LidarConfig, MotionFeature
+from .lidar import RANGE_MAX, LidarConfig, MotionFeature
 from .world import V_MAX
 
 
@@ -39,9 +39,7 @@ def _window_means(ranges: np.ndarray, window: int) -> np.ndarray:
     return (csum[hi] - csum[lo]) / (hi - lo)
 
 
-def _inflate_returns(
-    ranges: np.ndarray, delta_theta: float, radius: float, range_max: float
-) -> np.ndarray:
+def _inflate_returns(ranges: np.ndarray, delta_theta: float, radius: float) -> np.ndarray:
     """Erode the scan: each return blocks beams passing within the hull
     radius of it, so a beam's value is the distance the body (not just
     the ray) can travel.
@@ -59,7 +57,7 @@ def _inflate_returns(
     inputs, and truncation can turn that into a different window).
     """
     n = ranges.size
-    hits = np.flatnonzero(ranges < range_max - 1e-9)
+    hits = np.flatnonzero(ranges < RANGE_MAX - 1e-9)
     values = ranges[hits]
     angles = np.fromiter(
         map(math.atan2, repeat(radius, hits.size), values.tolist()), float, hits.size
@@ -89,7 +87,6 @@ def greedy_plan(
     goal_bearing: float,
     goal_distance: float = 10.0,
     params: GreedyParams = GreedyParams(),
-    range_max: float = 10.0,
 ) -> tuple[float, float]:
     """Pick the best beam and return (v_l, heading offset).
 
@@ -105,10 +102,10 @@ def greedy_plan(
     window = max(3, int(round(params.window_beams_at_180 * ranges.size / 180.0)) | 1)
     ranges = np.asarray(ranges, dtype=float)
     delta_theta = float(beam_offsets[1] - beam_offsets[0])
-    safe = _inflate_returns(ranges, delta_theta, params.inflate_radius, range_max)
+    safe = _inflate_returns(ranges, delta_theta, params.inflate_radius)
     clearance = _window_means(safe, window)
     useful = np.minimum(clearance, goal_distance + params.stop_clearance)
-    bias = params.goal_bias * useful.max() / range_max
+    bias = params.goal_bias * useful.max() / RANGE_MAX
     score = useful - bias * np.abs(beam_offsets - goal_bearing)
     best_score = score.max()
     tied = np.flatnonzero(score >= best_score - 1e-12)

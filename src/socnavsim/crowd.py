@@ -229,16 +229,16 @@ def preferred_velocity(x, y, goal_x, goal_y, pref_speed) -> tuple[float, float]:
     return to_x * scale, to_y * scale
 
 
-def orca_lines(crowd: Crowd, discs: np.ndarray | None, dt: float) -> tuple[np.ndarray, int]:
+def orca_lines(crowd: Crowd, discs: np.ndarray, dt: float) -> tuple[np.ndarray, int]:
     """Every pedestrian's ORCA half-planes, built from one snapshot.
 
     Returns (lines, num_fixed): lines[i] is an (m, 4) array of rows
     (point_x, point_y, dir_x, dir_y) for pedestrian i, first one per
     obstacle disc (num_fixed of them, full responsibility, obstacle time
     horizon), then one per other pedestrian in row order (half
-    responsibility, agent time horizon).  discs holds obstacle_discs
-    rows; None means no obstacles.  The permitted velocities lie left of
-    each directed line.
+    responsibility, agent time horizon).  discs holds the (k, 3)
+    obstacle_discs rows, k = 0 for none.  The permitted velocities lie
+    left of each directed line.
 
     The arithmetic is that of the scalar reference formulation, operation
     by operation, so the lines are bitwise those of per-pair Vec2 code.
@@ -250,7 +250,6 @@ def orca_lines(crowd: Crowd, discs: np.ndarray | None, dt: float) -> tuple[np.nd
     if not len(crowd):
         return np.empty((0, 0, 4)), 0
     inv_dt = 1.0 / dt
-    discs = np.empty((0, 3)) if discs is None else discs
     k, n = len(discs), len(crowd)
 
     # (x, y, vx, vy, radius) of each pedestrian, then of everything it avoids
@@ -432,12 +431,12 @@ def step_crowd(
     config: CrowdConfig,
     dt: float,
     rng: np.random.Generator,
-    discs: np.ndarray | None = None,
+    discs: np.ndarray,
 ) -> Crowd:
     """Advance all pedestrians by one step of dt seconds.
 
     New velocities are computed from the previous snapshot and committed
-    together; discs are the obstacle_discs rows to avoid.  Handles
+    together; discs are the (k, 3) obstacle_discs rows to avoid.  Handles
     stop-and-go pauses, goal renewal, and walk-ins; fully deterministic
     under a fixed generator state.
     """

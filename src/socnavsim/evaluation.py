@@ -50,9 +50,7 @@ class EpisodeLog:
         )
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["records"] = [asdict(r) for r in self.records]
-        return d
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "EpisodeLog":
@@ -120,18 +118,10 @@ def suite_config(suite: str, base: EnvConfig | None = None) -> EnvConfig:
         if parts[0] == "crowd":
             if len(parts) != 3:
                 raise ValueError(f"crowd suite spec must be crowd:<kind>:<count>, got {suite!r}")
-            kind, count = parts[1], int(parts[2])
-            crowd = replace(
-                base.crowd,
-                count=count,
-                area=(5.0, 5.0),
-                center=(0.0, 0.0),
-                walk_in_probability=0.02,
-                stop_go_probability=0.01,
-            )
-            return replace(base, scenario=kind, obstacle_count_range=(0, 0), crowd=crowd)
-        # combined: static obstacles plus a random crowd
-        count = int(parts[1]) if len(parts) > 1 else 8
+            kind, count, obstacles = parts[1], int(parts[2]), (0, 0)
+        else:  # combined: static obstacles plus a random crowd
+            kind, count = "random", int(parts[1]) if len(parts) > 1 else 8
+            obstacles = base.obstacle_count_range
         crowd = replace(
             base.crowd,
             count=count,
@@ -140,7 +130,7 @@ def suite_config(suite: str, base: EnvConfig | None = None) -> EnvConfig:
             walk_in_probability=0.02,
             stop_go_probability=0.01,
         )
-        return replace(base, scenario="random", crowd=crowd)
+        return replace(base, scenario=kind, obstacle_count_range=obstacles, crowd=crowd)
     raise ValueError(
         f"unknown suite {suite!r}; expected mapless, crowd:<kind>:<count>, or combined[:<count>]"
     )

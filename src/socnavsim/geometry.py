@@ -85,8 +85,10 @@ class Segment:
     b: Vec2
 
     def __post_init__(self):
-        if self.a == self.b:
-            raise ValueError("degenerate segment: endpoints coincide")
+        # distance code divides by the squared length, so it must not round to 0
+        ex, ey = self.b.x - self.a.x, self.b.y - self.a.y
+        if not ex * ex + ey * ey > 0.0:
+            raise ValueError(f"degenerate segment {self.a} -> {self.b}: squared length not positive")
 
 
 @dataclass(frozen=True)

@@ -24,16 +24,14 @@ HISTORY_LEN = 40
 
 @dataclass(frozen=True)
 class LidarConfig:
+    """Beam count and range noise; the range bounds are RANGE_MIN and RANGE_MAX."""
+
     beam_count: int = 1080
-    range_min: float = RANGE_MIN
-    range_max: float = RANGE_MAX
     noise_sigma: float = 0.0  # Gaussian range noise, disabled by default
 
     def __post_init__(self):
         if self.beam_count < 2:
             raise ValueError("need at least two beams")
-        if not 0.0 < self.range_min < self.range_max:
-            raise ValueError("invalid range bounds")
         # built once: the scanner adds them to the heading on every tick
         offsets = np.linspace(-FAN_ANGLE / 2.0, FAN_ANGLE / 2.0, self.beam_count)
         offsets.flags.writeable = False
@@ -89,7 +87,7 @@ def cast_sweep(scene: Scene, position: tuple[float, float], heading: float,
     Read-only: every scan taken from one pose into one scene reads the
     same sweep.
     """
-    ranges = cast_fan(position, heading + config.beam_offsets(), scene, config.range_max)
+    ranges = cast_fan(position, heading + config.beam_offsets(), scene, RANGE_MAX)
     ranges.flags.writeable = False
     return ranges
 
@@ -99,14 +97,14 @@ def simulate_scan(
     heading: float,
     timestamp: int,
     config: LidarConfig,
-    noise_rng: np.random.Generator | None = None,
+    noise_rng: np.random.Generator,
 ) -> Scan:
-    """One reading of a sweep: range noise, then the clamp to the sensor
-    bounds, into a fresh array."""
+    """One reading of a sweep: range noise drawn from noise_rng, then the
+    clamp to the sensor bounds, into a fresh array."""
     ranges = sweep
-    if config.noise_sigma > 0.0 and noise_rng is not None:
+    if config.noise_sigma > 0.0:
         ranges = sweep + noise_rng.normal(0.0, config.noise_sigma, sweep.shape)
-    ranges = np.clip(ranges, config.range_min, config.range_max)
+    ranges = np.clip(ranges, RANGE_MIN, RANGE_MAX)
     return Scan(ranges=ranges, heading_at_capture=heading, timestamp=timestamp)
 
 
@@ -122,7 +120,7 @@ def build_motion_feature(
     Row k, beam i takes the value sweep k held at beam i + shift, where
     shift = round(wrap(current_heading - heading_at_capture) /
     angle_increment); beams shifted in from outside that sweep's fan
-    read range_max.  The history must hold exactly K scans ordered
+    read RANGE_MAX.  The history must hold exactly K scans ordered
     oldest to newest; at episode start the caller pre-fills it by
     repeating the first scan.
     """
@@ -130,7 +128,7 @@ def build_motion_feature(
         raise ValueError(f"need exactly {HISTORY_LEN} scans, got {len(history)}")
     b = history[-1].ranges.size
     inc = config.angle_increment
-    matrix = np.full((HISTORY_LEN, b), config.range_max)
+    matrix = np.full((HISTORY_LEN, b), RANGE_MAX)
     for row, scan in zip(matrix, history):
         shift = int(round(wrap_angle(current_heading - scan.heading_at_capture) / inc))
         if 0 <= shift < b:

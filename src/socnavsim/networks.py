@@ -34,13 +34,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lidar import MotionFeature
+from .lidar import RANGE_MAX, MotionFeature
 from .nn import Conv2d, Dense, MaxPoolW, ReLU, Tanh
 
 ACTION_DIM = 2
 GOAL_DIM = 2
 ACTION_SCALE = 1.5
-RANGE_NORM = 10.0
+OUT_INIT = 3e-3  # half-width of the uniform output-layer init
 
 
 @dataclass(frozen=True)
@@ -79,12 +79,12 @@ def default_network_spec(time_rows: int, beams: int) -> NetworkSpec:
     return NetworkSpec(feature_shape=(time_rows, beams))
 
 
-def featurize(obs: MotionFeature, initial_goal_distance: float, dtype=np.float32):
-    """Normalize an observation into network inputs."""
-    feat = (obs.matrix / RANGE_NORM).astype(dtype)
+def featurize(obs: MotionFeature, initial_goal_distance: float):
+    """Normalize an observation into float32 network inputs."""
+    feat = (obs.matrix / RANGE_MAX).astype(np.float32)
     dist, bearing = obs.goal_vector
     denom = max(initial_goal_distance, 1e-6)
-    goal = np.array([dist / denom, bearing / math.pi], dtype=dtype)
+    goal = np.array([dist / denom, bearing / math.pi], dtype=np.float32)
     return feat, goal
 
 
@@ -180,11 +180,11 @@ class Trunk:
 
 
 class _MLP:
-    def __init__(self, dims, rng, dtype=np.float32, out_init=3e-3):
+    def __init__(self, dims, rng, dtype=np.float32):
         self.hidden = [Dense(dims[i], dims[i + 1], rng, dtype) for i in range(len(dims) - 2)]
         out = Dense(dims[-2], dims[-1], rng, dtype)
         # small uniform output init keeps early value estimates near zero
-        out.W = rng.uniform(-out_init, out_init, out.W.shape).astype(dtype)
+        out.W = rng.uniform(-OUT_INIT, OUT_INIT, out.W.shape).astype(dtype)
         self.out = out
         self.relu = ReLU()
 

@@ -12,12 +12,15 @@ import math
 
 import numpy as np
 
+# Adam's moment decay rates and denominator floor
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 class Dense:
-    def __init__(self, in_dim, out_dim, rng, dtype=np.float32, init_scale=None):
-        if init_scale is None:
-            init_scale = math.sqrt(2.0 / in_dim)
-        self.W = rng.normal(0.0, init_scale, (in_dim, out_dim)).astype(dtype)
+    def __init__(self, in_dim, out_dim, rng, dtype=np.float32):
+        self.W = rng.normal(0.0, math.sqrt(2.0 / in_dim), (in_dim, out_dim)).astype(dtype)
         self.b = np.zeros(out_dim, dtype=dtype)
 
     def forward(self, x):
@@ -168,7 +171,7 @@ class MaxPoolW:
         self.width = width
 
     def out_width(self, w):
-        return max(1, w // self.width) if w >= self.width else 1
+        return max(1, w // self.width)
 
     def forward(self, x):
         n, h, w, c = x.shape
@@ -224,30 +227,27 @@ class Tanh:
 class Adam:
     """Standard Adam over a flat dict of named parameter arrays."""
 
-    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
 
     def step(self, grads):
         self.t += 1
-        b1c = 1.0 - self.beta1**self.t
-        b2c = 1.0 - self.beta2**self.t
+        b1c = 1.0 - BETA1**self.t
+        b2c = 1.0 - BETA2**self.t
         for k, g in grads.items():
             p = self.params[k]
             g = g.astype(p.dtype, copy=False)
             m = self.m[k]
             v = self.v[k]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * (g * g)
+            p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + EPS)
 
     def state_dict(self):
         out = {"t": np.array(self.t)}

@@ -30,6 +30,8 @@ from .lidar import (HISTORY_LEN, LidarConfig, MotionFeature, Scan, build_motion_
 
 ACTION_LIMIT = 1.5
 V_MAX = 1.5
+GRID_RESOLUTION = 0.1  # cell size (m) of the corridor check's occupancy grid
+MAP_ATTEMPTS = 100  # maps randomize_map samples before it gives up
 
 
 class Status(str, enum.Enum):
@@ -234,13 +236,12 @@ def _sample_obstacle(rng: np.random.Generator, config: EnvConfig) -> Shape:
     return OrientedRect(anchor, heading, half_width=half_width, length=length)
 
 
-def _grid_free(
-    obstacles: list[Shape], config: EnvConfig, resolution: float = 0.1
-) -> tuple[np.ndarray, float, float]:
-    """Occupancy grid of cells a robot disc can stand on."""
+def _grid_free(obstacles: list[Shape], config: EnvConfig) -> tuple[np.ndarray, float]:
+    """Occupancy grid of GRID_RESOLUTION cells a robot disc can stand on,
+    and the coordinate of the first cell's centre."""
     half = config.arena_half
     inflate = config.robot_radius
-    coords = np.arange(-half + resolution / 2.0, half, resolution)
+    coords = np.arange(-half + GRID_RESOLUTION / 2.0, half, GRID_RESOLUTION)
     xs, ys = np.meshgrid(coords, coords, indexing="ij")
     free = (np.abs(xs) < half - inflate) & (np.abs(ys) < half - inflate)
     for shape in obstacles:
@@ -260,7 +261,7 @@ def _grid_free(
         else:
             continue
         free &= d > inflate
-    return free, -half + resolution / 2.0, resolution
+    return free, -half + GRID_RESOLUTION / 2.0
 
 
 def _grid_connected(free: np.ndarray, start_ij, goal_ij) -> bool:
@@ -285,29 +286,30 @@ def _grid_connected(free: np.ndarray, start_ij, goal_ij) -> bool:
     return True
 
 
-def corridor_exists(obstacles: list[Shape], config: EnvConfig, resolution: float = 0.1) -> bool:
+def corridor_exists(obstacles: list[Shape], config: EnvConfig) -> bool:
     """Coarse grid flood fill between start and goal with inflated obstacles."""
-    free, origin, res = _grid_free(obstacles, config, resolution)
+    free, origin = _grid_free(obstacles, config)
 
     def cell(p):
-        i = int(round((p[0] - origin) / res))
-        j = int(round((p[1] - origin) / res))
+        i = int(round((p[0] - origin) / GRID_RESOLUTION))
+        j = int(round((p[1] - origin) / GRID_RESOLUTION))
         n, m = free.shape
         return min(max(i, 0), n - 1), min(max(j, 0), m - 1)
 
     return _grid_connected(free, cell(config.start), cell(config.goal))
 
 
-def randomize_map(rng: np.random.Generator, config: EnvConfig, max_attempts: int = 100) -> list[Shape]:
+def randomize_map(rng: np.random.Generator, config: EnvConfig) -> list[Shape]:
     """Sample static obstacles leaving a start-to-goal corridor.
 
     Placements overlapping the 0.8 m discs around start or goal are
-    rejected; whole maps failing the corridor check are resampled.
+    rejected; whole maps failing the corridor check are resampled, up to
+    MAP_ATTEMPTS maps in all.
     """
     lo, hi = config.obstacle_count_range
     start_disc = Circle(Vec2(*config.start), 0.8)
     goal_disc = Circle(Vec2(*config.goal), 0.8)
-    for _ in range(max_attempts):
+    for _ in range(MAP_ATTEMPTS):
         count = int(rng.integers(lo, hi + 1))
         obstacles: list[Shape] = []
         for _ in range(count):
@@ -322,7 +324,7 @@ def randomize_map(rng: np.random.Generator, config: EnvConfig, max_attempts: int
         if corridor_exists(obstacles, config):
             return obstacles
     raise RuntimeError(
-        f"no connected map found in {max_attempts} attempts; configuration too dense"
+        f"no connected map found in {MAP_ATTEMPTS} attempts; configuration too dense"
     )
 
 

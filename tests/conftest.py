@@ -28,7 +28,7 @@ from socnavsim.geometry import (
     rects_overlap,
     wrap_angle,
 )
-from socnavsim.lidar import Scan, cast_sweep, simulate_scan
+from socnavsim.lidar import RANGE_MAX, Scan, cast_sweep, simulate_scan
 from socnavsim.world import NavEnv
 
 
@@ -111,14 +111,16 @@ def cast_one(origin, angle, shapes, max_range):
 
 
 def rect_edges(rect: OrientedRect) -> list[Segment]:
-    """The rectangle's boundary as segments; degenerate edges are dropped."""
+    """The rectangle's boundary as segments; edges whose squared length is
+    not positive, which Segment rejects, are dropped."""
     cs = rect.corners()
-    out = []
-    for i in range(4):
-        a, b = cs[i], cs[(i + 1) % 4]
-        if a != b:
-            out.append(Segment(a, b))
-    return out
+    return [Segment(a, b) for a, b in zip(cs, cs[1:] + cs[:1]) if segment_ok(a, b)]
+
+
+def segment_ok(a: Vec2, b: Vec2) -> bool:
+    """Whether Segment(a, b) is valid: its squared length is positive."""
+    d = b - a
+    return d.x * d.x + d.y * d.y > 0.0
 
 
 def reference_cast_fan(origin, angles, shapes, max_range):
@@ -708,12 +710,12 @@ def calibrate(prev: Scan, current_heading: float, config) -> Scan:
 
     Beam i of the result takes the value previously at i + shift, where
     shift = round(delta_heading / angle_increment); beams shifted in
-    from outside the previous fan read range_max.
+    from outside the previous fan read RANGE_MAX.
     """
     delta = wrap_angle(current_heading - prev.heading_at_capture)
     shift = int(round(delta / config.angle_increment))
     b = prev.ranges.size
-    out = np.full(b, config.range_max)
+    out = np.full(b, RANGE_MAX)
     if shift >= 0:
         if shift < b:
             out[: b - shift] = prev.ranges[shift:]
@@ -733,12 +735,12 @@ def reference_motion_matrix(history, current_heading, config) -> np.ndarray:
 # Scan erosion oracle
 
 
-def reference_inflate_returns(ranges, delta_theta, radius, range_max):
+def reference_inflate_returns(ranges, delta_theta, radius):
     """baselines._inflate_returns as one loop over the returns; the
     scatter-min must match it bit for bit."""
     safe = ranges.copy()
     n = ranges.size
-    for j in np.flatnonzero(ranges < range_max - 1e-9):
+    for j in np.flatnonzero(ranges < RANGE_MAX - 1e-9):
         half = int(math.atan2(radius, ranges[j]) / delta_theta)
         if half <= 0:
             continue

@@ -14,6 +14,7 @@ import pytest
 
 from socnavsim.crowd import (
     CrowdConfig,
+    obstacle_discs,
     orca_lines,
     spawn_crowd,
     step_crowd,
@@ -193,7 +194,7 @@ class TestCriterion3CalibrationInvariant:
             shapes = [random_shape(rng, span=3.0) for _ in range(int(rng.integers(2, 6)))]
             headings = np.cumsum(rng.integers(-5, 6, HISTORY_LEN)) * cfg.angle_increment
             history = [
-                simulate_scan(cast_sweep(pack_shapes(shapes), (0.0, 0.0), float(h), cfg), float(h), i, cfg)
+                simulate_scan(cast_sweep(pack_shapes(shapes), (0.0, 0.0), float(h), cfg), float(h), i, cfg, rng)
                 for i, h in enumerate(headings)
             ]
             current = float(headings[-1])
@@ -217,7 +218,7 @@ class TestCriterion4OrcaSanity:
         from dataclasses import replace
 
         for _ in range(500):
-            lines, num_fixed = orca_lines(pack([a, b]), None, dt)
+            lines, num_fixed = orca_lines(pack([a, b]), obstacle_discs([]), dt)
             va = orca_solve(a, lines[0], num_fixed)
             vb = orca_solve(b, lines[1], num_fixed)
             assert va.x == pytest.approx(-vb.x, abs=1e-9)
@@ -231,10 +232,11 @@ class TestCriterion4OrcaSanity:
         rng = np.random.default_rng(404)
         cfg = CrowdConfig(count=8, area=(5.0, 5.0))
         peds = spawn_crowd(cfg, rng)
+        no_discs = obstacle_discs([])
         steps = 10_000
         bad = 0
         for _ in range(steps):
-            peds = step_crowd(peds, cfg, 0.05, rng)
+            peds = step_crowd(peds, cfg, 0.05, rng, no_discs)
             worst = 0.0
             listed = unpack(peds)
             for i, p in enumerate(listed):

@@ -54,8 +54,7 @@ class TestGreedyPlan:
                     for i in range(ranges.size)
                 ]
             )
-            safe = reference_inflate_returns(ranges, float(OFFSETS[1] - OFFSETS[0]),
-                                             params.inflate_radius, 10.0)
+            safe = reference_inflate_returns(ranges, float(OFFSETS[1] - OFFSETS[0]), params.inflate_radius)
             clear = np.array(
                 [
                     safe[max(0, i - half) : min(safe.size, i + half + 1)].mean()
@@ -100,7 +99,7 @@ class TestGreedyPlan:
     def test_inflation_is_conservative(self, rng):
         for _ in range(20):
             ranges = rng.uniform(0.2, 10.0, CFG.beam_count)
-            safe = _inflate_returns(ranges, float(OFFSETS[1] - OFFSETS[0]), 0.35, 10.0)
+            safe = _inflate_returns(ranges, float(OFFSETS[1] - OFFSETS[0]), 0.35)
             assert np.all(safe <= ranges + 1e-12)
 
     def test_twist_within_platform_limits(self, rng):
@@ -118,8 +117,8 @@ def delta_theta(beams):
 
 
 def assert_inflation_matches_reference(ranges, dtheta, radius=0.35):
-    got = _inflate_returns(ranges, dtheta, radius, RANGE_MAX)
-    want = reference_inflate_returns(ranges, dtheta, radius, RANGE_MAX)
+    got = _inflate_returns(ranges, dtheta, radius)
+    want = reference_inflate_returns(ranges, dtheta, radius)
     assert got.tobytes() == want.tobytes()
 
 
@@ -165,7 +164,7 @@ class TestInflateReturnsExact:
     def test_no_returns_and_all_returns(self, rng, beams):
         dtheta = delta_theta(beams)
         free = np.full(beams, RANGE_MAX)
-        assert _inflate_returns(free, dtheta, 0.35, RANGE_MAX).tobytes() == free.tobytes()
+        assert _inflate_returns(free, dtheta, 0.35).tobytes() == free.tobytes()
         assert_inflation_matches_reference(rng.uniform(RANGE_MIN, 9.0, beams), dtheta)
 
     @pytest.mark.parametrize("beams", [2, 3, 180, 1080])

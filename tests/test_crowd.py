@@ -36,6 +36,8 @@ from conftest import (
     unpack,
 )
 
+NO_DISCS = obstacle_discs([])
+
 
 def ped(pid, pos, vel, goal, speed=1.0, radius=0.3):
     return Pedestrian(
@@ -125,7 +127,7 @@ class TestOrcaMatchesReference:
         with pytest.raises(ValueError):
             reference_orca_velocity(peds[0], peds, [], 0.05)
         with pytest.raises(ValueError):
-            step_crowd(pack(peds), cfg, 0.05, np.random.default_rng(0))
+            step_crowd(pack(peds), cfg, 0.05, np.random.default_rng(0), NO_DISCS)
 
 
 class TestOrcaVelocity:
@@ -187,7 +189,7 @@ class TestOrcaVelocity:
     def test_rejects_bad_dt(self):
         p = ped(0, (0, 0), (0, 0), (1, 0))
         with pytest.raises(ValueError):
-            orca_lines(pack([p]), None, dt=0.0)
+            orca_lines(pack([p]), NO_DISCS, dt=0.0)
 
 
 class TestStepCrowd:
@@ -195,7 +197,7 @@ class TestStepCrowd:
         cfg = CrowdConfig(count=0, walk_in_probability=0.0)
         peds = pack([])
         for _ in range(50):
-            peds = step_crowd(peds, cfg, 0.05, rng)
+            peds = step_crowd(peds, cfg, 0.05, rng, NO_DISCS)
         assert unpack(peds) == []
 
     def test_straight_shot_arrival_time(self, rng):
@@ -204,7 +206,7 @@ class TestStepCrowd:
         peds = pack([p])
         t = 0.0
         for _ in range(300):
-            peds = step_crowd(peds, cfg, 0.05, rng)
+            peds = step_crowd(peds, cfg, 0.05, rng, NO_DISCS)
             t += 0.05
             if (unpack(peds)[0].position - Vec2(4, 0)).norm() < 0.35:
                 break
@@ -216,8 +218,8 @@ class TestStepCrowd:
         b = spawn_crowd(cfg, np.random.default_rng(3))
         rng_a, rng_b = np.random.default_rng(7), np.random.default_rng(7)
         for _ in range(120):
-            a = step_crowd(a, cfg, 0.05, rng_a)
-            b = step_crowd(b, cfg, 0.05, rng_b)
+            a = step_crowd(a, cfg, 0.05, rng_a, NO_DISCS)
+            b = step_crowd(b, cfg, 0.05, rng_b, NO_DISCS)
         assert len(a) == len(b)
         for pa, pb in zip(unpack(a), unpack(b)):
             assert pa.position == pb.position and pa.velocity == pb.velocity
@@ -226,7 +228,7 @@ class TestStepCrowd:
         cfg = CrowdConfig(count=8, stop_go_probability=0.02)
         peds = spawn_crowd(cfg, rng)
         for _ in range(400):
-            peds = step_crowd(peds, cfg, 0.05, rng)
+            peds = step_crowd(peds, cfg, 0.05, rng, NO_DISCS)
             for p in unpack(peds):
                 assert p.velocity.norm() <= p.pref_speed + 1e-9
 
@@ -236,7 +238,7 @@ class TestStepCrowd:
         steps = 2_000
         bad = 0
         for _ in range(steps):
-            peds = step_crowd(peds, cfg, 0.05, rng)
+            peds = step_crowd(peds, cfg, 0.05, rng, NO_DISCS)
             worst = 0.0
             listed = unpack(peds)
             for i, a in enumerate(listed):
@@ -250,7 +252,7 @@ class TestStepCrowd:
         cfg = CrowdConfig(count=0, walk_in_probability=0.3, max_count=5)
         peds = pack([])
         for _ in range(100):
-            peds = step_crowd(peds, cfg, 0.05, rng)
+            peds = step_crowd(peds, cfg, 0.05, rng, NO_DISCS)
         assert 1 <= len(peds) <= 5
 
     def test_stop_and_go_pauses(self, rng):
@@ -258,7 +260,7 @@ class TestStepCrowd:
         peds = pack([ped(0, (0, 0), (1, 0), (20, 0))])
         stopped_seen = 0
         for _ in range(200):
-            peds = step_crowd(peds, cfg, 0.05, rng)
+            peds = step_crowd(peds, cfg, 0.05, rng, NO_DISCS)
             stopped_seen += not unpack(peds)[0].walking
         assert stopped_seen > 0
 
@@ -267,7 +269,7 @@ class TestStepCrowd:
         peds = pack([ped(0, (0, 0), (0, 0), (0.2, 0))])
         first_goal = unpack(peds)[0].goal
         for _ in range(40):
-            peds = step_crowd(peds, cfg, 0.05, rng)
+            peds = step_crowd(peds, cfg, 0.05, rng, NO_DISCS)
         assert unpack(peds)[0].goal != first_goal
 
 

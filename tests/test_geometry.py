@@ -43,8 +43,12 @@ class TestConstruction:
             Circle(Vec2(0, 0), -1.0)
 
     def test_segment_rejects_degenerate(self):
+        """Equal endpoints, or a squared length that rounds to 0, which the
+        distance code would divide by."""
         with pytest.raises(ValueError):
             Segment(Vec2(1, 2), Vec2(1, 2))
+        with pytest.raises(ValueError):
+            Segment(Vec2(0, 0), Vec2(0, 5e-324))
 
     def test_rect_normalizes_heading(self):
         r = OrientedRect(Vec2(0, 0), 3 * math.pi, 0.5, 1.0)

@@ -6,12 +6,15 @@ import pytest
 from socnavsim.geometry import Circle, Segment, Vec2, pack_shapes, takes_windows
 from socnavsim.lidar import (
     HISTORY_LEN,
+    RANGE_MAX,
+    RANGE_MIN,
     LidarConfig,
     Scan,
     build_motion_feature,
     cast_sweep,
     simulate_scan,
 )
+from socnavsim.networks import featurize
 from socnavsim.world import arena_walls
 
 from conftest import (
@@ -27,14 +30,38 @@ from conftest import (
 CFG = LidarConfig(beam_count=181)
 
 
-def scan_at(shapes, x, y, heading, cfg=CFG, t=0, noise_rng=None):
-    return simulate_scan(cast_sweep(pack_shapes(shapes), (x, y), heading, cfg), heading, t, cfg, noise_rng)
+def scan_at(shapes, x, y, heading, cfg=CFG, t=0, seed=0):
+    sweep = cast_sweep(pack_shapes(shapes), (x, y), heading, cfg)
+    return simulate_scan(sweep, heading, t, cfg, np.random.default_rng(seed))
 
 
 class TestSimulateScan:
     def test_empty_world_all_max(self):
-        s = scan_at([], 0, 0, 0.0)
-        assert np.all(s.ranges == 10.0)
+        """Open space reads the sensor bound RANGE_MAX in the sweep, its
+        scan and the motion-feature beams shifted in from outside the fan,
+        and 1.0 once featurized."""
+        sweep = cast_sweep(pack_shapes([]), (0.0, 0.0), 0.0, CFG)
+        assert np.all(sweep == RANGE_MAX)
+        s = simulate_scan(sweep, 0.0, 0, CFG, np.random.default_rng(0))
+        assert np.all(s.ranges == RANGE_MAX)
+        near = Scan(np.full(CFG.beam_count, 1.0), -3 * CFG.angle_increment, 0)
+        mf = build_motion_feature([near] * HISTORY_LEN, 0.0, 1.0, 0.0, CFG)
+        assert np.all(mf.matrix[:, :-3] == 1.0) and np.all(mf.matrix[:, -3:] == RANGE_MAX)
+        feat, _ = featurize(build_motion_feature([s] * HISTORY_LEN, 0.0, 1.0, 0.0, CFG), 1.0)
+        assert feat.dtype == np.float32 and np.all(feat == 1.0)
+
+    def test_noisy_scan_needs_its_generator(self):
+        """A noisy config cannot be scanned without a generator, and draws
+        its noise from the one it is given."""
+        cfg = LidarConfig(beam_count=64, noise_sigma=0.05)
+        sweep = cast_sweep(pack_shapes([Circle(Vec2(2.0, 0.5), 0.4)]), (0.0, 0.0), 0.1, cfg)
+        with pytest.raises(TypeError):
+            simulate_scan(sweep, 0.1, 0, cfg)
+        rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+        got = simulate_scan(sweep, 0.1, 0, cfg, rng).ranges
+        noise = ref.normal(0.0, 0.05, sweep.shape)
+        assert got.tobytes() == np.clip(sweep + noise, RANGE_MIN, RANGE_MAX).tobytes()
+        assert rng.random() == ref.random()  # the scan consumed exactly its noise
 
     def test_wall_ahead_center_beam(self):
         wall = Segment(Vec2(3, -5), Vec2(3, 5))
@@ -67,7 +94,7 @@ class TestSimulateScan:
 
     def test_noise_flag(self, rng):
         cfg = LidarConfig(beam_count=64, noise_sigma=0.05)
-        a = scan_at([], 0, 0, 0.0, cfg, noise_rng=np.random.default_rng(1))
+        a = scan_at([], 0, 0, 0.0, cfg, seed=1)
         assert not np.all(a.ranges == 10.0)  # noise pushed some below the cap
         assert a.ranges.max() <= 10.0
 
@@ -215,7 +242,7 @@ class TestMotionFeature:
 
     def test_shifts_past_the_sweep_fill_range_max(self, rng):
         """Sweeps shorter than the configured fan see shifts of at least
-        B and at most -B; those rows read range_max everywhere."""
+        B and at most -B; those rows read RANGE_MAX everywhere."""
         b = 4
         dtheta = CFG.angle_increment
         shifts = np.arange(HISTORY_LEN) - HISTORY_LEN // 2  # -20 .. 19
@@ -227,7 +254,7 @@ class TestMotionFeature:
         assert mf.matrix.tobytes() == reference_motion_matrix(history, 0.0, CFG).tobytes()
         outside = np.abs(shifts) >= b
         assert outside.sum() > 30 and shifts.min() <= -b and shifts.max() >= b
-        assert np.all(mf.matrix[outside] == CFG.range_max)
+        assert np.all(mf.matrix[outside] == RANGE_MAX)
 
     def test_goal_bearing_wrapped(self):
         s = Scan(np.full(CFG.beam_count, 10.0), 0.0, 0)

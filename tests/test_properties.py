@@ -41,6 +41,7 @@ from conftest import (
     reference_cast_fan,
     reference_closest_distance,
     reference_inflate_returns,
+    segment_ok,
     social_zone,
 )
 
@@ -54,7 +55,7 @@ circles = st.builds(Circle, points, st.floats(0.05, 2.0))
 rects = st.builds(
     OrientedRect, points, coords(math.pi), st.floats(0.0, 1.0), st.floats(0.0, 2.0)
 )
-segments = st.tuples(points, points).filter(lambda ab: ab[0] != ab[1]).map(lambda ab: Segment(*ab))
+segments = st.tuples(points, points).filter(lambda ab: segment_ok(*ab)).map(lambda ab: Segment(*ab))
 beams = st.lists(coords(2.0 * math.pi), min_size=1, max_size=40).map(np.array)
 
 
@@ -105,7 +106,7 @@ def placed_shape(draw, origin, heading):
     else:  # exactly on origin's horizontal or vertical line
         axis = draw(st.sampled_from([Vec2(1.0, 0.0), Vec2(0.0, 1.0)]))
         a, b = origin + axis * u, origin + axis * v
-    assume(a != b)
+    assume(segment_ok(a, b))
     return Segment(a, b)
 
 
@@ -291,8 +292,8 @@ def test_inflate_returns_equals_reference(beams, radius, data):
     )
     offsets = LidarConfig(beam_count=beams).beam_offsets()
     dtheta = float(offsets[1] - offsets[0])
-    got = _inflate_returns(ranges, dtheta, radius, RANGE_MAX)
-    assert got.tobytes() == reference_inflate_returns(ranges, dtheta, radius, RANGE_MAX).tobytes()
+    got = _inflate_returns(ranges, dtheta, radius)
+    assert got.tobytes() == reference_inflate_returns(ranges, dtheta, radius).tobytes()
 
 
 pedestrians = st.builds(
@@ -333,7 +334,7 @@ def test_orca_head_on_mirror_symmetry(distance, heading, speed, pref_speed, radi
     v = Vec2.from_angle(heading, speed)
     a = Pedestrian(0, p * -1.0, v, pref_speed, radius, p * 2.0)
     b = Pedestrian(1, p, v * -1.0, pref_speed, radius, p * -2.0)
-    lines, num_fixed = orca_lines(pack([a, b]), None, 0.05)
+    lines, num_fixed = orca_lines(pack([a, b]), obstacle_discs([]), 0.05)
     va = orca_solve(a, lines[0], num_fixed)
     vb = orca_solve(b, lines[1], num_fixed)
     assert abs(va.x + vb.x) <= 1e-9 and abs(va.y + vb.y) <= 1e-9

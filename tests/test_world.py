@@ -4,7 +4,9 @@ import pathlib
 
 import numpy as np
 import pytest
+import yaml
 
+from socnavsim import world
 from socnavsim.crowd import CrowdConfig
 from socnavsim.geometry import Circle, OrientedRect, Segment, Vec2, closest_distance, pack_distance_scene
 from socnavsim.rewards import ego_reward
@@ -117,10 +119,20 @@ class TestRandomizeMap:
             obstacles = randomize_map(np.random.default_rng(seed), cfg)
             assert corridor_exists(obstacles, cfg)
 
-    def test_overdense_raises(self):
+    def test_overdense_raises(self, monkeypatch):
+        """An overdense config fails after MAP_ATTEMPTS corridor checks."""
         cfg = small_cfg(obstacle_count_range=(220, 240), obstacle_size_range=(1.2, 1.6))
-        with pytest.raises(RuntimeError):
-            randomize_map(np.random.default_rng(0), cfg, max_attempts=3)
+        checks = []
+
+        def counted(obstacles, config):
+            checks.append(len(obstacles))
+            return corridor_exists(obstacles, config)
+
+        monkeypatch.setattr(world, "MAP_ATTEMPTS", 3)
+        monkeypatch.setattr(world, "corridor_exists", counted)
+        with pytest.raises(RuntimeError, match="no connected map found in 3 attempts"):
+            randomize_map(np.random.default_rng(0), cfg)
+        assert len(checks) == 3
 
 
 class TestStaticClearance:
@@ -177,7 +189,7 @@ class TestGridConnected:
         found = set()
         for _ in range(30):
             obstacles = [_sample_obstacle(rng, cfg) for _ in range(int(rng.integers(4, 60)))]
-            free, _, _ = _grid_free(obstacles, cfg)
+            free, _ = _grid_free(obstacles, cfg)
             cells = np.argwhere(free)
             for _ in range(3):
                 start, goal = (tuple(int(v) for v in cells[rng.integers(len(cells))]) for _ in range(2))
@@ -445,7 +457,7 @@ class TestScanOncePerPose:
     def rollout(self, env_cls, cfg, actions, monkeypatch):
         """Outcomes of one episode, with the casts and control ticks counted
         per call (the reset first, then each step)."""
-        from socnavsim import lidar, world
+        from socnavsim import lidar
 
         counts = collections.Counter()
         with monkeypatch.context() as m:
@@ -616,6 +628,14 @@ class TestConfigIO:
     def test_start_heading_must_be_finite(self, value):
         with pytest.raises(ValueError, match="start_heading"):
             EnvConfig(start_heading=value)
+
+    def test_readme_defaults_match(self):
+        """The YAML block under "Environment config" in the README lists
+        every key at its default."""
+        readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+        section = readme.split("## Environment config", 1)[1]
+        block = section.split("```yaml\n", 1)[1].split("```", 1)[0]
+        assert yaml.safe_load(block) == EnvConfig().to_dict()
 
     def test_shipped_and_wall_free_configs_load(self, tmp_path):
         root = pathlib.Path(__file__).parent.parent / "configs"
