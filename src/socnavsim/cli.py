@@ -29,14 +29,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help="permit the social stage without an ego warm start")
     p_train.add_argument("--out", required=True, help="output directory")
     p_train.add_argument("--seed", type=int, default=0)
-    p_train.add_argument("--budget", type=int, default=300_000, help="environment steps")
-    p_train.add_argument("--update-every", type=int, default=2)
-    p_train.add_argument("--batch-size", type=int, default=128)
-    p_train.add_argument("--buffer-capacity", type=int, default=200_000)
-    p_train.add_argument("--warmup-steps", type=int, default=1_000)
-    p_train.add_argument("--eval-every", type=int, default=10_000)
-    p_train.add_argument("--early-stop-success", type=float, default=None)
-    p_train.add_argument("--checkpoint-every", type=int, default=50_000)
+    # no defaults here: an unset flag leaves TrainConfig's / DDPGConfig's own
+    p_train.add_argument("--budget", type=int, help="environment steps")
+    for flag in ("--update-every", "--batch-size", "--buffer-capacity", "--warmup-steps",
+                 "--eval-every", "--checkpoint-every"):
+        p_train.add_argument(flag, type=int)
+    p_train.add_argument("--early-stop-success", type=float)
     p_train.add_argument("--scenarios", default=None,
                          help="comma list of crowd kinds cycled per episode")
 
@@ -81,19 +79,23 @@ def _build_policy(desc: str, env_cfg, parser):
         return StraightLinePolicy()
     if not os.path.exists(desc):
         parser.error(f"policy {desc!r} is neither a known baseline nor a checkpoint file")
-    policy = LearnedPolicy(desc)
+    from .lidar import HISTORY_LEN
+    from .networks import actor_from_checkpoint, default_network_spec
+
+    try:
+        actor, meta = actor_from_checkpoint(desc)
+    except ValueError as exc:
+        parser.error(f"checkpoint {desc}: {exc}")
+    policy = LearnedPolicy(actor, f"learned-{meta.get('stage', 'policy')}")
     if policy.beam_count != env_cfg.beam_count:
         parser.error(
             f"checkpoint was trained with {policy.beam_count} beams but the "
             f"environment uses {env_cfg.beam_count}"
         )
-    from .lidar import HISTORY_LEN
-    from .networks import default_network_spec
-
     expected = default_network_spec(HISTORY_LEN, env_cfg.beam_count).config_hash()
-    if policy.meta.get("config_hash") not in (None, expected):
+    if meta.get("config_hash") not in (None, expected):
         print(
-            f"warning: checkpoint network hash {policy.meta['config_hash']} differs "
+            f"warning: checkpoint network hash {meta['config_hash']} differs "
             f"from the default for this config ({expected})",
             file=sys.stderr,
         )
@@ -101,6 +103,7 @@ def _build_policy(desc: str, env_cfg, parser):
 
 
 def cmd_train(args, parser) -> int:
+    from .crowd import SCENARIO_KINDS
     from .ddpg import DDPGConfig, TrainConfig, TrainingDiverged, train
     from .networks import load_checkpoint
 
@@ -115,20 +118,25 @@ def cmd_train(args, parser) -> int:
     if args.scenarios:
         cycle = tuple(k.strip() for k in args.scenarios.split(","))
     elif args.stage == "social":
-        cycle = ("crossing", "towards", "ahead", "random")
+        cycle = SCENARIO_KINDS
     else:
         cycle = (None,)
 
+    def given(**values):
+        return {k: v for k, v in values.items() if v is not None}
+
     try:
         tc = TrainConfig(
-            total_env_steps=args.budget,
-            warmup_steps=args.warmup_steps,
-            update_every=args.update_every,
-            eval_every=args.eval_every,
-            early_stop_success=args.early_stop_success,
-            checkpoint_every=args.checkpoint_every,
             scenario_cycle=cycle,
-            ddpg=DDPGConfig(batch_size=args.batch_size, buffer_capacity=args.buffer_capacity),
+            ddpg=DDPGConfig(**given(batch_size=args.batch_size, buffer_capacity=args.buffer_capacity)),
+            **given(
+                total_env_steps=args.budget,
+                warmup_steps=args.warmup_steps,
+                update_every=args.update_every,
+                eval_every=args.eval_every,
+                early_stop_success=args.early_stop_success,
+                checkpoint_every=args.checkpoint_every,
+            ),
         )
         train(
             args.stage,

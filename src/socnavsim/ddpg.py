@@ -26,9 +26,9 @@ from .networks import (
     Actor,
     Critic,
     NetworkSpec,
-    copy_params,
     default_network_spec,
     featurize,
+    load_params,
     save_checkpoint,
     soft_update,
 )
@@ -164,8 +164,8 @@ class DDPG:
         self.critic = Critic(spec, rng, dtype)
         self.target_actor = Actor(spec, rng, dtype)
         self.target_critic = Critic(spec, rng, dtype)
-        copy_params(self.actor, self.target_actor)
-        copy_params(self.critic, self.target_critic)
+        load_params(self.target_actor, self.actor.params())
+        load_params(self.target_critic, self.critic.params())
         self.opt_actor = Adam(self.actor.params(), config.lr_actor)
         self.opt_critic = Adam(self.critic.params(), config.lr_critic)
         self.updates = 0
@@ -203,7 +203,8 @@ class DDPG:
         del cache, cgrads  # free the critic's caches before the actor pass
 
         a, acache = self.actor.forward(feat, goal, conv1_out=conv1_actor)
-        q_pi, ccache = self.critic.forward(feat, goal, a, cols)
+        conv1_critic = self.critic.trunk.conv1.forward(self.critic.trunk.conv1_input(feat), cols)
+        q_pi, ccache = self.critic.forward(feat, goal, a, conv1_out=conv1_critic)
         dq_da, _ = self.critic.backward(np.full(n, -1.0 / n, dtype=q_pi.dtype), ccache, param_grads=False)
         logit_grad = (2.0 * cfg.logit_penalty / n) * self.actor.logits(acache)
         agrads = self.actor.backward(dq_da, acache, logit_grad=logit_grad)
@@ -255,11 +256,8 @@ class DDPG:
             ("target_actor", self.target_actor),
             ("target_critic", self.target_critic),
         ):
-            if name not in parts:
-                continue
-            ps = net.params()
-            for k, v in parts[name].items():
-                ps[k][...] = v
+            if name in parts:
+                load_params(net, parts[name])
         if not networks_only:
             if "opt_actor" in parts:
                 self.opt_actor.load_state_dict(parts["opt_actor"])
@@ -333,7 +331,7 @@ class BehaviourPolicy:
         self.obs = None
 
     def begin_episode(self, obs) -> None:
-        self.initial_distance = max(obs.goal_vector[0], 1e-6)
+        self.initial_distance = obs.goal_vector[0]
         self.features(obs)
 
     def features(self, obs) -> tuple[np.ndarray, np.ndarray]:
@@ -456,7 +454,7 @@ def train(
             if env_steps - last_eval_at >= tc.eval_every:
                 last_eval_at = env_steps
                 probe_cfg = tc.eval_env_config if tc.eval_env_config is not None else env_config
-                probe = LearnedPolicy.from_actor(learner.actor, f"learned-{stage}")
+                probe = LearnedPolicy(learner.actor, f"learned-{stage}")
                 logs = (evaluation.run_episode(probe, probe_cfg, "probe", *seeds)
                         for seeds in episode_seeds(eval_seed, tc.eval_episodes))
                 reached = sum(log.outcome == Status.REACHED.value for log in logs)

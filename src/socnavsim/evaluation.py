@@ -120,6 +120,8 @@ def suite_config(suite: str, base: EnvConfig | None = None) -> EnvConfig:
                 raise ValueError(f"crowd suite spec must be crowd:<kind>:<count>, got {suite!r}")
             kind, count, obstacles = parts[1], int(parts[2]), (0, 0)
         else:  # combined: static obstacles plus a random crowd
+            if len(parts) > 2:
+                raise ValueError(f"combined suite spec must be combined[:<count>], got {suite!r}")
             kind, count = "random", int(parts[1]) if len(parts) > 1 else 8
             obstacles = base.obstacle_count_range
         crowd = replace(

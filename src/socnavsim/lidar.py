@@ -31,7 +31,9 @@ class LidarConfig:
 
     def __post_init__(self):
         if self.beam_count < 2:
-            raise ValueError("need at least two beams")
+            raise ValueError(f"beam_count must be at least 2, got {self.beam_count}")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0.0):
+            raise ValueError(f"noise_sigma must be finite and nonnegative, got {self.noise_sigma}")
         # built once: the scanner adds them to the heading on every tick
         offsets = np.linspace(-FAN_ANGLE / 2.0, FAN_ANGLE / 2.0, self.beam_count)
         offsets.flags.writeable = False

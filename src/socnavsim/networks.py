@@ -110,6 +110,34 @@ def trunk_reach(spec: NetworkSpec) -> int:
     return w
 
 
+def forward_layers(layers, x):
+    """Run x through (name, layer) pairs in order; returns (output, caches)."""
+    caches = []
+    for _, layer in layers:
+        x, cache = layer.forward(x)
+        caches.append(cache)
+    return x, caches
+
+
+def backward_layers(layers, dy, caches, grads, prefix, input_grad=True):
+    """Backprop dy through (name, layer) pairs in reverse.
+
+    Each parameter gradient lands in grads as prefix + 'name.key'.  The
+    first layer's input gradient is computed only when input_grad; the
+    return value is that gradient, or None.
+    """
+    for i in range(len(layers) - 1, -1, -1):
+        name, layer = layers[i]
+        dy, lgrads = layer.backward(dy, caches[i], need_input_grad=input_grad or i > 0)
+        for k, g in lgrads.items():
+            grads[f"{prefix}{name}.{k}"] = g
+    return dy
+
+
+def layer_params(layers, prefix):
+    return {f"{prefix}{name}.{k}": p for name, layer in layers for k, p in layer.params().items()}
+
+
 class Trunk:
     """The conv stack.  conv1 reads only beams [0, self.beams), the ones
     that can reach the output (trunk_reach), and so computes only the
@@ -145,131 +173,84 @@ class Trunk:
         """conv1 width patches of feat; reusable by any same-spec trunk."""
         return self.conv1.im2col(self.conv1_input(feat))
 
-    def forward(self, feat, cols1=None, conv1_out=None):
+    def forward(self, feat, conv1_out=None):
         """conv1_out, when given, is this trunk's (output, cache) of conv1,
         computed elsewhere (see nn.shared_forward)."""
-        x = self.conv1_input(feat)
         if conv1_out is None:
-            conv1_out = self.conv1.forward(x, cols1)
+            conv1_out = self.conv1.forward(self.conv1_input(feat))
         x, cache = conv1_out
-        caches = [cache]
-        for _, layer in self.layers[1:]:
-            x, cache = layer.forward(x)
-            caches.append(cache)
-        n = x.shape[0]
-        flat_shape = x.shape
-        return x.reshape(n, -1), (caches, flat_shape)
-
-    def backward(self, dflat, cache):
-        caches, flat_shape = cache
-        dx = dflat.reshape(flat_shape)
-        grads = {}
-        for (name, layer), lcache in zip(reversed(self.layers), reversed(caches)):
-            first = layer is self.conv1
-            dx, lgrads = layer.backward(dx, lcache, need_input_grad=not first)
-            for k, g in lgrads.items():
-                grads[f"{name}.{k}"] = g
-        return grads
-
-    def params(self):
-        out = {}
-        for name, layer in self.layers:
-            for k, p in layer.params().items():
-                out[f"{name}.{k}"] = p
-        return out
+        x, caches = forward_layers(self.layers[1:], x)
+        return x.reshape(x.shape[0], -1), ([cache, *caches], x.shape)
 
 
-class _MLP:
-    def __init__(self, dims, rng, dtype=np.float32):
-        self.hidden = [Dense(dims[i], dims[i + 1], rng, dtype) for i in range(len(dims) - 2)]
+class TrunkHead:
+    """The trunk, then a dense head over its flat output joined with
+    extra inputs.  Parameters are named 'trunk.<layer>.<key>' and
+    'mlp.<layer>.<key>'; the head's layers are fc1, fc2, ... and out."""
+
+    def __init__(self, spec: NetworkSpec, extra_dim: int, out_dim: int, rng, dtype):
+        self.spec = spec
+        self.trunk = Trunk(spec, rng, dtype)
+        dims = (self.trunk.flat_dim + extra_dim, *spec.dense, out_dim)
+        head = []
+        for i in range(len(dims) - 2):
+            head += [(f"fc{i + 1}", Dense(dims[i], dims[i + 1], rng, dtype)), (f"relu{i + 1}", ReLU())]
         out = Dense(dims[-2], dims[-1], rng, dtype)
         # small uniform output init keeps early value estimates near zero
         out.W = rng.uniform(-OUT_INIT, OUT_INIT, out.W.shape).astype(dtype)
-        self.out = out
-        self.relu = ReLU()
+        self.head = [*head, ("out", out)]
 
-    def forward(self, x):
-        caches = []
-        for layer in self.hidden:
-            x, c1 = layer.forward(x)
-            x, c2 = self.relu.forward(x)
-            caches.append((c1, c2))
-        y, c_out = self.out.forward(x)
-        return y, (caches, c_out)
+    def run(self, feat, extras, conv1_out):
+        """(head output, cache) of the trunk output joined with extras."""
+        flat, tcache = self.trunk.forward(feat, conv1_out)
+        y, hcache = forward_layers(self.head, np.concatenate([flat, *extras], axis=1))
+        return y, (tcache, hcache)
 
-    def backward(self, dy, cache):
-        caches, c_out = cache
+    def backprop(self, dy, cache, trunk_grads=True):
+        """Head, then (when trunk_grads) trunk; returns (d head input, grads)."""
+        (tcaches, flat_shape), hcache = cache
         grads = {}
-        dx, g = self.out.backward(dy, c_out)
-        grads["out.W"] = g["W"]
-        grads["out.b"] = g["b"]
-        for i in range(len(self.hidden) - 1, -1, -1):
-            c1, c2 = caches[i]
-            dx, _ = self.relu.backward(dx, c2)
-            dx, g = self.hidden[i].backward(dx, c1)
-            grads[f"fc{i + 1}.W"] = g["W"]
-            grads[f"fc{i + 1}.b"] = g["b"]
+        dx = backward_layers(self.head, dy, hcache, grads, "mlp.")
+        if trunk_grads:
+            dflat = np.ascontiguousarray(dx[:, : self.trunk.flat_dim]).reshape(flat_shape)
+            backward_layers(self.trunk.layers, dflat, tcaches, grads, "trunk.", input_grad=False)
         return dx, grads
 
     def params(self):
-        out = {}
-        for i, layer in enumerate(self.hidden):
-            out[f"fc{i + 1}.W"] = layer.W
-            out[f"fc{i + 1}.b"] = layer.b
-        out["out.W"] = self.out.W
-        out["out.b"] = self.out.b
-        return out
+        return {**layer_params(self.trunk.layers, "trunk."), **layer_params(self.head, "mlp.")}
 
 
-class Actor:
+class Actor(TrunkHead):
     def __init__(self, spec: NetworkSpec, rng, dtype=np.float32):
-        self.spec = spec
-        self.trunk = Trunk(spec, rng, dtype)
-        self.mlp = _MLP((self.trunk.flat_dim + GOAL_DIM, *spec.dense, ACTION_DIM), rng, dtype)
+        super().__init__(spec, GOAL_DIM, ACTION_DIM, rng, dtype)
         self.tanh = Tanh()
 
-    def forward(self, feat, goal, cols1=None, conv1_out=None):
-        flat, tcache = self.trunk.forward(feat, cols1, conv1_out)
-        x = np.concatenate([flat, goal], axis=1)
-        y, mcache = self.mlp.forward(x)
+    def forward(self, feat, goal, conv1_out=None):
+        y, cache = self.run(feat, (goal,), conv1_out)
         a, acache = self.tanh.forward(y)
-        return ACTION_SCALE * a, (tcache, mcache, acache, y)
+        return ACTION_SCALE * a, (cache, acache, y)
 
     def backward(self, da, cache, logit_grad=None):
         """logit_grad, when given, is added to the pre-squash gradient;
         the learner uses it to keep logits out of tanh saturation."""
-        tcache, mcache, acache, _logits = cache
+        cache, acache, _ = cache
         dy, _ = self.tanh.backward(da * ACTION_SCALE, acache)
         if logit_grad is not None:
             dy = dy + logit_grad
-        dx, grads = self.mlp.backward(dy, mcache)
-        flat_dim = self.trunk.flat_dim
-        tgrads = self.trunk.backward(np.ascontiguousarray(dx[:, :flat_dim]), tcache)
-        out = {f"mlp.{k}": v for k, v in grads.items()}
-        out.update({f"trunk.{k}": v for k, v in tgrads.items()})
-        return out
+        return self.backprop(dy, cache)[1]
 
     @staticmethod
     def logits(cache):
-        return cache[3]
-
-    def params(self):
-        out = {f"trunk.{k}": v for k, v in self.trunk.params().items()}
-        out.update({f"mlp.{k}": v for k, v in self.mlp.params().items()})
-        return out
+        return cache[2]
 
 
-class Critic:
+class Critic(TrunkHead):
     def __init__(self, spec: NetworkSpec, rng, dtype=np.float32):
-        self.spec = spec
-        self.trunk = Trunk(spec, rng, dtype)
-        self.mlp = _MLP((self.trunk.flat_dim + GOAL_DIM + ACTION_DIM, *spec.dense, 1), rng, dtype)
+        super().__init__(spec, GOAL_DIM + ACTION_DIM, 1, rng, dtype)
 
-    def forward(self, feat, goal, action, cols1=None, conv1_out=None):
-        flat, tcache = self.trunk.forward(feat, cols1, conv1_out)
-        x = np.concatenate([flat, goal, action / ACTION_SCALE], axis=1)
-        q, mcache = self.mlp.forward(x)
-        return q[:, 0], (tcache, mcache)
+    def forward(self, feat, goal, action, conv1_out=None):
+        q, cache = self.run(feat, (goal, action / ACTION_SCALE), conv1_out)
+        return q[:, 0], cache
 
     def backward(self, dq, cache, param_grads=True):
         """Returns (dQ/daction, param grads).
@@ -277,27 +258,24 @@ class Critic:
         With param_grads=False only the head is traversed, which is all
         the actor update needs: the action joins after the trunk.
         """
-        tcache, mcache = cache
-        dx, grads = self.mlp.backward(dq[:, None], mcache)
-        daction = dx[:, -ACTION_DIM:] / ACTION_SCALE
-        if not param_grads:
-            return daction, {}
-        flat_dim = self.trunk.flat_dim
-        tgrads = self.trunk.backward(np.ascontiguousarray(dx[:, :flat_dim]), tcache)
-        out = {f"mlp.{k}": v for k, v in grads.items()}
-        out.update({f"trunk.{k}": v for k, v in tgrads.items()})
-        return daction, out
-
-    def params(self):
-        out = {f"trunk.{k}": v for k, v in self.trunk.params().items()}
-        out.update({f"mlp.{k}": v for k, v in self.mlp.params().items()})
-        return out
+        dx, grads = self.backprop(dq[:, None], cache, trunk_grads=param_grads)
+        return dx[:, -ACTION_DIM:] / ACTION_SCALE, grads if param_grads else {}
 
 
-def copy_params(src, dst) -> None:
-    sp, dp = src.params(), dst.params()
-    for k in sp:
-        dp[k][...] = sp[k]
+def load_params(net, arrays: dict) -> None:
+    """Copy named arrays into net.params() in place, cast to each
+    parameter's dtype.  Raises ValueError naming the parameter when the
+    names or shapes differ; nothing is copied then."""
+    params = net.params()
+    missing = [k for k in params if k not in arrays]
+    extra = [k for k in arrays if k not in params]
+    if missing or extra:
+        raise ValueError(f"parameter names differ: missing {missing}, unexpected {extra}")
+    for k, p in params.items():
+        if np.shape(arrays[k]) != p.shape:
+            raise ValueError(f"parameter {k} has shape {np.shape(arrays[k])}, expected {p.shape}")
+    for k, p in params.items():
+        p[...] = arrays[k]
 
 
 def soft_update(target, online, tau: float) -> None:
@@ -340,7 +318,5 @@ def actor_from_checkpoint(path, dtype=np.float32) -> tuple["Actor", dict]:
     parts, meta = load_checkpoint(path)
     spec = NetworkSpec.from_dict(meta["network_spec"])
     actor = Actor(spec, np.random.default_rng(0), dtype)
-    ap = actor.params()
-    for k, v in parts["actor"].items():
-        ap[k][...] = v.astype(dtype)
+    load_params(actor, parts["actor"])
     return actor, meta

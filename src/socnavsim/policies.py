@@ -1,50 +1,20 @@
-"""Common policy interface shared by learned and scripted controllers."""
+"""Learned and scripted controllers; evaluation.episode_steps calls
+begin_episode after each reset, then act once per policy step."""
 
 from __future__ import annotations
-
-from typing import Protocol, runtime_checkable
 
 import numpy as np
 
 from .lidar import MotionFeature
-from .networks import Actor, actor_from_checkpoint, featurize
-
-
-@runtime_checkable
-class Policy(Protocol):
-    """Maps observations to 2-D actions, one episode at a time.
-
-    The episode stepper (evaluation.episode_steps) calls begin_episode
-    once with the observation after reset, then act once per policy
-    step with the latest observation, and sends the action to
-    NavEnv.step.  A policy that sets `wants_state = True` must also
-    define observe_state(robot, goal, pedestrians); the stepper calls
-    it with the simulator's ground truth before each act().
-    """
-
-    name: str
-
-    def begin_episode(self, obs: MotionFeature) -> None: ...
-
-    def act(self, obs: MotionFeature) -> tuple[float, float]: ...
+from .networks import Actor, featurize
 
 
 class LearnedPolicy:
-    """Deterministic actor loaded from a checkpoint file."""
+    """A deterministic actor, e.g. from networks.actor_from_checkpoint."""
 
-    def __init__(self, checkpoint_path, name: str | None = None):
-        self.actor, self.meta = actor_from_checkpoint(checkpoint_path)
-        self.name = name or f"learned-{self.meta.get('stage', 'policy')}"
-        self._initial_distance = 1.0
-
-    @classmethod
-    def from_actor(cls, actor: Actor, name: str) -> "LearnedPolicy":
-        obj = cls.__new__(cls)
-        obj.actor = actor
-        obj.meta = {}
-        obj.name = name
-        obj._initial_distance = 1.0
-        return obj
+    def __init__(self, actor: Actor, name: str):
+        self.actor = actor
+        self.name = name
 
     @property
     def beam_count(self) -> int:
@@ -55,7 +25,7 @@ class LearnedPolicy:
             raise ValueError(
                 f"checkpoint expects {self.beam_count} beams, observation has {obs.matrix.shape[1]}"
             )
-        self._initial_distance = max(obs.goal_vector[0], 1e-6)
+        self._initial_distance = obs.goal_vector[0]
 
     def act(self, obs: MotionFeature) -> tuple[float, float]:
         feat, goal = featurize(obs, self._initial_distance)

@@ -103,8 +103,7 @@ class EnvConfig:
             raise ValueError("start must differ from goal")
         if self.max_steps <= 0:
             raise ValueError(f"max_steps must be positive, got {self.max_steps}")
-        if self.beam_count < 2:
-            raise ValueError(f"beam_count must be at least 2, got {self.beam_count}")
+        self.lidar()  # checks beam_count and noise_sigma
         for name in ("obstacle_count_range", "obstacle_size_range"):
             lo, hi = getattr(self, name)
             if lo > hi:
@@ -121,8 +120,6 @@ class EnvConfig:
                 raise ValueError(f"{name} must be finite and positive, got {value}")
         if self.start_heading is not None and not math.isfinite(self.start_heading):
             raise ValueError(f"start_heading must be finite, got {self.start_heading}")
-        if not self.noise_sigma >= 0.0:
-            raise ValueError(f"noise_sigma must be nonnegative, got {self.noise_sigma}")
         if self.scenario is not None and self.scenario not in SCENARIO_KINDS:
             raise ValueError(f"unknown scenario {self.scenario!r}; expected one of {SCENARIO_KINDS}")
         if self.walls:

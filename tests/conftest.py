@@ -838,25 +838,33 @@ def reference_update(learner, batch):
     it bit for bit."""
     from socnavsim.networks import soft_update
 
+    def conv1(net, feat, cols):
+        return net.trunk.conv1.forward(net.trunk.conv1_input(feat), cols)
+
     cfg = learner.config
     n = batch["feat"].shape[0]
-    cols_o = learner.critic.trunk.im2col1(batch["feat"])
-    cols_next = learner.target_critic.trunk.im2col1(batch["next_feat"])
+    feat, nfeat = batch["feat"], batch["next_feat"]
+    cols_o = learner.critic.trunk.im2col1(feat)
+    cols_next = learner.target_critic.trunk.im2col1(nfeat)
 
-    a_next, _ = learner.target_actor.forward(batch["next_feat"], batch["next_goal"], cols_next)
+    a_next, _ = learner.target_actor.forward(
+        nfeat, batch["next_goal"], conv1(learner.target_actor, nfeat, cols_next)
+    )
     q_next, _ = learner.target_critic.forward(
-        batch["next_feat"], batch["next_goal"], a_next, cols_next
+        nfeat, batch["next_goal"], a_next, conv1(learner.target_critic, nfeat, cols_next)
     )
     y = batch["reward"] + cfg.gamma * (1.0 - batch["done"]) * q_next
 
-    q, cache = learner.critic.forward(batch["feat"], batch["goal"], batch["action"], cols_o)
+    q, cache = learner.critic.forward(
+        feat, batch["goal"], batch["action"], conv1(learner.critic, feat, cols_o)
+    )
     diff = q - y
     critic_loss = float(np.mean(diff * diff))
     _, cgrads = learner.critic.backward((2.0 / n) * diff, cache, param_grads=True)
     learner.opt_critic.step(cgrads)
 
-    a, acache = learner.actor.forward(batch["feat"], batch["goal"], cols_o)
-    q_pi, ccache = learner.critic.forward(batch["feat"], batch["goal"], a, cols_o)
+    a, acache = learner.actor.forward(feat, batch["goal"], conv1(learner.actor, feat, cols_o))
+    q_pi, ccache = learner.critic.forward(feat, batch["goal"], a, conv1(learner.critic, feat, cols_o))
     dq_da, _ = learner.critic.backward(np.full(n, -1.0 / n, dtype=q_pi.dtype), ccache, param_grads=False)
     logit_grad = (2.0 * cfg.logit_penalty / n) * learner.actor.logits(acache)
     agrads = learner.actor.backward(dq_da, acache, logit_grad=logit_grad)

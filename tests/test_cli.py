@@ -130,6 +130,20 @@ class TestEval:
             main(["eval", "--policy", str(ck), "--suite", "mapless",
                   "--config", env_yaml, "--out", str(tmp_path / "x")])
 
+    def test_checkpoint_missing_parameter_usage_error(self, tmp_path, env_yaml, capsys):
+        from socnavsim.networks import Actor, default_network_spec, save_checkpoint
+
+        spec = default_network_spec(40, 64)
+        params = Actor(spec, np.random.default_rng(0)).params()
+        del params["mlp.out.b"]
+        ck = tmp_path / "ck.npz"
+        save_checkpoint(ck, {"actor": params}, {"stage": "ego", "network_spec": spec.to_dict()})
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--policy", str(ck), "--suite", "mapless",
+                  "--config", env_yaml, "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert "missing ['mlp.out.b']" in capsys.readouterr().err
+
 
 class TestTrain:
     def test_budget_zero_writes_initial_checkpoint(self, tmp_path, env_yaml):
@@ -177,6 +191,31 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("error: update_every must be at least 1")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("stage, extra", [("ego", []), ("social", ["--allow-cold-social"])])
+    def test_bare_train_uses_config_defaults(self, tmp_path, monkeypatch, stage, extra):
+        from socnavsim.crowd import SCENARIO_KINDS
+        from socnavsim.ddpg import TrainConfig
+
+        seen = []
+        monkeypatch.setattr("socnavsim.ddpg.train", lambda *args, **kwargs: seen.append(args))
+        assert main(["train", "--stage", stage, *extra, "--out", str(tmp_path / "x")]) == 0
+        (_, _, tc), = seen
+        cycle = SCENARIO_KINDS if stage == "social" else (None,)
+        assert tc == TrainConfig(scenario_cycle=cycle)
+
+    def test_warm_start_shape_mismatch_names_parameter(self, tmp_path, capsys):
+        from socnavsim.networks import Actor, default_network_spec, save_checkpoint
+
+        ck = tmp_path / "ck1080.npz"
+        actor = Actor(default_network_spec(40, 1080), np.random.default_rng(0))
+        save_checkpoint(ck, {"actor": actor.params()}, {"stage": "ego"})
+        cfg = tmp_path / "env180.yaml"
+        save_config(EnvConfig(beam_count=180, crowd=CrowdConfig(count=0)), cfg)
+        rc = main(["train", "--stage", "social", "--warm-start", str(ck), "--config", str(cfg),
+                   "--out", str(tmp_path / "x"), "--budget", "0"])
+        assert rc == 1
+        assert "trunk.conv2.W" in capsys.readouterr().err
 
     def test_short_training_deterministic_curves(self, tmp_path, env_yaml):
         curves = []

@@ -88,6 +88,11 @@ class TestSuiteConfig:
         with pytest.raises(ValueError):
             suite_config("crowd:crossing", base_cfg())
 
+    def test_extra_combined_parts_rejected(self):
+        assert suite_config("combined:8", base_cfg()).crowd.count == 8
+        with pytest.raises(ValueError, match="combined"):
+            suite_config("combined:8:junk", base_cfg())
+
 
 class TestRunSuite:
     def test_straight_policy_on_empty_maps_all_succeed(self):

@@ -98,6 +98,12 @@ class TestSimulateScan:
         assert not np.all(a.ranges == 10.0)  # noise pushed some below the cap
         assert a.ranges.max() <= 10.0
 
+    @pytest.mark.parametrize("sigma", [-1.0, -0.01, math.inf, math.nan])
+    def test_bad_noise_sigma_rejected(self, sigma):
+        # a negative sigma would scan noiselessly, an infinite one on noise alone
+        with pytest.raises(ValueError, match="noise_sigma"):
+            LidarConfig(beam_count=64, noise_sigma=sigma)
+
     @pytest.mark.parametrize("sigma", [0.0, 0.05])
     def test_sweep_read_only_and_scans_fresh(self, sigma):
         """A scan is a fresh array: writing into it leaves the sweep, and

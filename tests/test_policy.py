@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import math
 from dataclasses import replace
 
@@ -19,6 +20,7 @@ from socnavsim.networks import (
     actor_from_checkpoint,
     default_network_spec,
     featurize,
+    load_params,
     soft_update,
 )
 from socnavsim.policies import LearnedPolicy
@@ -134,10 +136,16 @@ class TestSharedCols:
         critic = Critic(TINY, rng, dtype=np.float64)
         feat = rng.random((4, 4, 16))
         goal = rng.random((4, 2))
+        action = rng.uniform(-1.5, 1.5, (4, 2))
         cols = critic.trunk.im2col1(feat)
-        a1, _ = actor.forward(feat, goal)
-        a2, _ = actor.forward(feat, goal, cols)
-        assert np.array_equal(a1, a2)
+
+        def conv1_out(net):
+            return net.trunk.conv1.forward(net.trunk.conv1_input(feat), cols)
+
+        assert np.array_equal(actor.forward(feat, goal)[0],
+                              actor.forward(feat, goal, conv1_out(actor))[0])
+        assert np.array_equal(critic.forward(feat, goal, action)[0],
+                              critic.forward(feat, goal, action, conv1_out(critic))[0])
 
 
 def full_width_trunk(trunk, feat):
@@ -382,6 +390,44 @@ class TestCheckpoint:
         assert l1 == l2
 
 
+class TestParameters:
+    # sha256 over every "part/name" and its bytes in named_parts() of a
+    # fresh seed-0 DDPG at 180 beams: pins the init draw order, the
+    # parameter names and their order
+    INIT_SHA256 = "235444f8ddb2f00a79da66318c039b8faa89c02f20668cce405a6b34b8d746c5"
+
+    def test_init_pinned(self):
+        learner = DDPG(default_network_spec(40, 180), DDPGConfig(), np.random.default_rng(0))
+        h = hashlib.sha256()
+        for part, params in learner.named_parts().items():
+            for name, arr in params.items():
+                h.update(f"{part}/{name}".encode())
+                h.update(arr.tobytes())
+        assert h.hexdigest() == self.INIT_SHA256
+
+    def test_load_params_copies_and_casts(self, rng):
+        actor = Actor(TINY, rng)
+        arrays = {k: rng.normal(size=v.shape) for k, v in actor.params().items()}
+        load_params(actor, arrays)
+        for k, v in actor.params().items():
+            assert v.dtype == np.float32 and np.array_equal(v, arrays[k].astype(np.float32))
+
+    @pytest.mark.parametrize("change, match", [
+        (lambda a: a.pop("mlp.fc2.b"), r"missing \['mlp.fc2.b'\]"),
+        (lambda a: a.update({"mlp.fc3.W": np.zeros((8, 8))}), r"unexpected \['mlp.fc3.W'\]"),
+        (lambda a: a.update({"trunk.conv2.W": np.zeros((5, 4))}), r"parameter trunk.conv2.W has shape \(5, 4\)"),
+    ])
+    def test_load_params_rejects_mismatch(self, rng, change, match):
+        actor = Actor(TINY, rng)
+        kept = {k: v.copy() for k, v in actor.params().items()}
+        arrays = {k: np.ones_like(v) for k, v in kept.items()}
+        change(arrays)
+        with pytest.raises(ValueError, match=match):
+            load_params(actor, arrays)
+        for k, v in actor.params().items():
+            assert np.array_equal(v, kept[k])  # nothing copied
+
+
 class TestFeaturize:
     def test_normalization(self):
         mat = np.full((40, 16), 5.0)
@@ -502,7 +548,7 @@ class TestTrainLoop:
             batch = calls[k * n:(k + 1) * n]
             assert [s for _, s in batch] == seeds
             actor = batch[0][0]
-            replay = LearnedPolicy.from_actor(actor, "replay")
+            replay = LearnedPolicy(actor, "replay")
             reached = sum(
                 run_episode(replay, probe_cfg, "replay", *s).outcome == "reached" for s in seeds
             )

@@ -629,6 +629,11 @@ class TestConfigIO:
         with pytest.raises(ValueError, match="start_heading"):
             EnvConfig(start_heading=value)
 
+    @pytest.mark.parametrize("value", [-0.01, math.nan, math.inf])
+    def test_noise_sigma_must_be_finite_and_nonnegative(self, value):
+        with pytest.raises(ValueError, match="noise_sigma"):
+            EnvConfig(noise_sigma=value)
+
     def test_readme_defaults_match(self):
         """The YAML block under "Environment config" in the README lists
         every key at its default."""
@@ -651,6 +656,8 @@ class TestConfigIO:
             "robot_radius: 0.0\n",  # the robot's Circle would only raise once a step ran
             "goal_tolerance: 0.0\n",
             "noise_sigma: -0.01\n",  # would silently turn the noise off
+            "noise_sigma: .inf\n",  # every beam would read a bound
+            "noise_sigma: .nan\n",
             "scenario: zigzag\n",
             "obstacle_count_range: [-1, 3]\n",
             "obstacle_size_range: [0.0, 0.5]\n",
