@@ -17,6 +17,8 @@ def _pin_single_thread() -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .evaluation import EXPORT_FORMATS  # imports numpy: main pins the BLAS threads first
+
     parser = argparse.ArgumentParser(prog="socnavsim")
     parser.add_argument("--single-thread", action="store_true", help="pin BLAS to one thread")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -56,8 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rep = sub.add_parser("replay-export", help="convert episode logs to tables")
     p_rep.add_argument("--log", nargs="+", required=True, help="episode log JSON files")
-    p_rep.add_argument("--format", required=True,
-                       choices=("trajectory-table", "metrics-table", "curve-series"))
+    p_rep.add_argument("--format", required=True, choices=EXPORT_FORMATS)
     p_rep.add_argument("--out", required=True)
 
     return parser
@@ -157,7 +158,7 @@ def cmd_train(args, parser) -> int:
 
 
 def cmd_eval(args, parser) -> int:
-    from .evaluation import episode_seeds, export, run_episode, suite_config
+    from .evaluation import EXPORT_FORMATS, episode_seeds, export, run_episode, suite_config
 
     env_cfg = _load_env_config(args.config)
     try:
@@ -180,9 +181,8 @@ def cmd_eval(args, parser) -> int:
     for log in logs:
         name = f"log__{args.suite.replace(':', '-')}__{log.policy}__{log.seed}.json"
         log.save(os.path.join(args.out, name))
-    export(logs, "trajectory-table", args.out)
-    export(logs, "metrics-table", args.out)
-    export(logs, "curve-series", args.out)
+    for fmt in EXPORT_FORMATS:
+        export(logs, fmt, args.out)
     return 0
 
 
@@ -190,7 +190,6 @@ def cmd_scenario_gen(args, parser) -> int:
     import yaml
 
     from .evaluation import episode_seeds, suite_config
-    from .geometry import Circle, OrientedRect
     from .world import NavEnv
 
     env_cfg = _load_env_config(args.config)
@@ -202,23 +201,8 @@ def cmd_scenario_gen(args, parser) -> int:
     env = NavEnv(cfg)
     env.reset(map_seed=map_seed, crowd_seed=crowd_seed)
 
-    obstacles = []
-    for shape in env.obstacles:
-        if isinstance(shape, Circle):
-            obstacles.append(
-                {"kind": "circle", "x": shape.center.x, "y": shape.center.y, "radius": shape.radius}
-            )
-        elif isinstance(shape, OrientedRect):
-            obstacles.append(
-                {
-                    "kind": "rect",
-                    "x": shape.anchor.x,
-                    "y": shape.anchor.y,
-                    "heading": shape.heading,
-                    "half_width": shape.half_width,
-                    "length": shape.length,
-                }
-            )
+    keys = {"circle": ("x", "y", "radius"), "rect": ("x", "y", "heading", "half_width", "length")}
+    obstacles = [{"kind": kind, **dict(zip(keys[kind], row))} for kind, row in env.static_map.placements()]
     doc = {
         "suite": args.suite,
         "seed": args.seed,

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (Circle, OrientedRect, Scene, Segment, Shape, Vec2, elementwise, rect_edges,
-                       wrap_angle)
+from .geometry import Scene, elementwise, wrap_angle
 
 ORCA_EPSILON = 1e-5
 AGENT_TIME_HORIZON = 2.0
@@ -64,16 +63,15 @@ class Crowd:
         return elementwise(math.hypot, x - self.position[:, 0], y - self.position[:, 1])
 
     def lidar_scene(self) -> Scene:
-        """The scanner's view, bitwise pack_shapes': a round pedestrian's circle (radius**2
-        by Python's pow) or a rect one's inscribed square, anchored along the raw motion
-        heading and turned by the wrapped one."""
+        """The scanner's view, packed as a StaticMap's: a round pedestrian's circle
+        or a rect one's inscribed square, anchored along the raw motion heading and
+        turned by the wrapped one."""
         r, rect = self.radius, self.rect
-        circles = np.column_stack([self.position[~rect], [x**2 for x in r[~rect].tolist()]])
         heading, side = self.motion_heading[rect], r[rect] / math.sqrt(2.0)
         fwd = np.column_stack([elementwise(math.cos, heading), elementwise(math.sin, heading)])
         anchor = self.position[rect] - fwd * side[:, None]
         squares = np.column_stack([anchor, elementwise(wrap_angle, heading), side, 2.0 * side])
-        return Scene(circles, rect_edges(squares), len(self))
+        return Scene.pack(np.column_stack([self.position[~rect], r[~rect]]), squares, np.empty((0, 4)))
 
 
 @dataclass(frozen=True)
@@ -98,8 +96,10 @@ class CrowdConfig:
         for name in ("walk_in_probability", "stop_go_probability", "rect_shape_probability"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
-        if not (self.area[0] > 0.0 and self.area[1] > 0.0):
-            raise ValueError(f"area sides must be positive, got {self.area}")
+        if not all(0.0 < side < math.inf for side in self.area):
+            raise ValueError(f"area sides must be finite and positive, got {self.area}")
+        if not all(map(math.isfinite, self.center)):
+            raise ValueError(f"center must be finite, got {self.center}")
 
 
 def _normalized(x: float, y: float) -> tuple[float, float]:
@@ -201,24 +201,6 @@ def _linear_program3(lines, num_fixed, begin_line, radius, result):
     return result
 
 
-def obstacle_discs(obstacles: list[Shape]) -> np.ndarray:
-    """Static obstacles as (center x, center y, radius) rows of bounding discs."""
-    discs = []
-    for shape in obstacles:
-        if isinstance(shape, Circle):
-            discs.append((shape.center.x, shape.center.y, shape.radius))
-        elif isinstance(shape, OrientedRect):
-            fwd, _ = shape.axes()
-            center = shape.anchor + fwd * (shape.length / 2.0)
-            radius = math.hypot(shape.length / 2.0, shape.half_width)
-            discs.append((center.x, center.y, max(radius, 1e-3)))
-        elif isinstance(shape, Segment):
-            continue  # boundary walls: pedestrians are goal-confined instead
-        else:
-            raise TypeError(f"unsupported shape {type(shape).__name__}")
-    return np.array(discs, dtype=float).reshape(-1, 3)
-
-
 def preferred_velocity(x, y, goal_x, goal_y, pref_speed) -> tuple[float, float]:
     """Unit vector to the goal scaled by the preferred speed."""
     to_x, to_y = goal_x - x, goal_y - y
@@ -237,11 +219,11 @@ def orca_lines(crowd: Crowd, discs: np.ndarray, dt: float) -> tuple[np.ndarray, 
     obstacle disc (num_fixed of them, full responsibility, obstacle time
     horizon), then one per other pedestrian in row order (half
     responsibility, agent time horizon).  discs holds the (k, 3)
-    obstacle_discs rows, k = 0 for none.  The permitted velocities lie
-    left of each directed line.
+    StaticMap.bounding_discs rows, k = 0 for none.  The permitted
+    velocities lie left of each directed line.
 
     The arithmetic is that of the scalar reference formulation, operation
-    by operation, so the lines are bitwise those of per-pair Vec2 code.
+    by operation, so the lines are bitwise those of per-pair scalar code.
     Rows are not checked for finiteness here; step_crowd rejects the
     non-finite ones of the pedestrians it moves.
     """
@@ -384,10 +366,11 @@ def spawn_scenario(
     count: int,
     config: CrowdConfig,
     rng: np.random.Generator,
-    robot_start: Vec2,
-    robot_goal: Vec2,
+    robot_start: tuple[float, float],
+    robot_goal: tuple[float, float],
 ) -> Crowd:
-    """Structured crowd start states relative to the robot's route.
+    """Structured crowd start states relative to the robot's route, given
+    as (x, y) points.
 
     crossing: flow perpendicular to the robot-goal axis; towards: walking
     at the robot's start; ahead: walking in the robot's goal direction at
@@ -395,8 +378,8 @@ def spawn_scenario(
     """
     if kind not in SCENARIO_KINDS:
         raise ValueError(f"unknown scenario kind {kind!r}; expected one of {SCENARIO_KINDS}")
-    axis = (robot_goal - robot_start).normalized()
-    perp = Vec2(-axis.y, axis.x)
+    (sx, sy), (gx, gy) = robot_start, robot_goal
+    ax, ay = _normalized(gx - sx, gy - sy)  # the route's axis, and left of it (-ay, ax)
     x0, x1, y0, y1 = _area_bounds(config)
     span = max(x1 - x0, y1 - y0)
     speed_range = config.speed_range
@@ -407,22 +390,23 @@ def spawn_scenario(
     rows: list[tuple] = []
     for i in range(count):
         for _ in range(200):
-            pos = Vec2(*_random_point(config, rng))
-            if (pos - robot_start).norm() < 1.0:
+            x, y = _random_point(config, rng)
+            if math.hypot(x - sx, y - sy) < 1.0:
                 continue
-            if any((pos - Vec2(row[1], row[2])).norm() < 0.9 for row in rows):
+            if any(math.hypot(x - row[1], y - row[2]) < 0.9 for row in rows):
                 continue
             break
         if kind == "crossing":
             sign = 1.0 if rng.random() < 0.5 else -1.0
-            goal = pos + perp * (sign * span)
+            goal = (x + -ay * (sign * span), y + ax * (sign * span))
         elif kind == "towards":
-            goal = robot_start - axis * (0.5 * span) + perp * float(rng.uniform(-1.0, 1.0))
+            u = float(rng.uniform(-1.0, 1.0))
+            goal = (sx - ax * (0.5 * span) + -ay * u, sy - ay * (0.5 * span) + ax * u)
         elif kind == "ahead":
-            goal = pos + axis * span
+            goal = (x + ax * span, y + ay * span)
         else:
-            goal = Vec2(*_random_point(config, rng))
-        rows.append(_sample_ped(i, (pos.x, pos.y), (goal.x, goal.y), speed_range, config, rng))
+            goal = _random_point(config, rng)
+        rows.append(_sample_ped(i, (x, y), goal, speed_range, config, rng))
     return Crowd.from_rows(rows)
 
 
@@ -436,16 +420,16 @@ def step_crowd(
     """Advance all pedestrians by one step of dt seconds.
 
     New velocities are computed from the previous snapshot and committed
-    together; discs are the (k, 3) obstacle_discs rows to avoid.  Handles
-    stop-and-go pauses, goal renewal, and walk-ins; fully deterministic
-    under a fixed generator state.
+    together; discs are the (k, 3) StaticMap.bounding_discs rows to
+    avoid.  Handles stop-and-go pauses, goal renewal, and walk-ins; fully
+    deterministic under a fixed generator state.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     rows: list[tuple] = []
     if len(crowd):  # an empty crowd has no constraints to build
         lines, num_fixed = orca_lines(crowd, discs, dt)
-        # the per-operation checks of Vec2 code, done once per step
+        # the finiteness checks of per-pair scalar code, done once per step
         finite = np.isfinite(lines).all(axis=(1, 2))
 
         for i, row in enumerate(crowd.rows()):

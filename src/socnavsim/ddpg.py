@@ -435,10 +435,12 @@ def train(
         for outcome in episode_steps(behaviour, cfg, map_seed, crowd_seed):
             feat_goal = behaviour.feat_goal  # of the observation the action answered
             next_feat_goal = behaviour.features(outcome.observation)
-            action = (outcome.record.a_x, outcome.record.a_y)
+            record = outcome.record
+            action = (record.a_x, record.a_y)
+            reward_parts = (record.r_ego, record.r_social, record.r_goal)
             terminal = outcome.done in (Status.REACHED, Status.COLLIDED)
-            buffer.add(*feat_goal, action, outcome.reward_parts, *next_feat_goal, terminal)
-            ep_return += float(np.dot(weights, outcome.reward_parts))
+            buffer.add(*feat_goal, action, reward_parts, *next_feat_goal, terminal)
+            ep_return += float(np.dot(weights, reward_parts))
             env_steps += 1
 
             if env_steps >= tc.warmup_steps and env_steps % tc.update_every == 0 and buffer.size >= tc.ddpg.batch_size:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -231,30 +231,20 @@ def _reduce(summaries: list[EpisodeSummary]) -> Metrics:
 # ---------------------------------------------------------------------------
 # Export
 
-TRAJECTORY_COLUMNS = [
-    "step",
-    "t",
-    "x",
-    "y",
-    "heading",
-    "v_l",
-    "omega",
-    "a_x",
-    "a_y",
-    "r_ego",
-    "r_social",
-    "r_goal",
-    "ego_violation",
-    "social_violations",
-    "outcome",
-    "pedestrians",
-]
-
-EXPORT_FORMATS = ("trajectory-table", "metrics-table", "curve-series")
-
 
 def _fmt(x: float) -> str:
     return FLOAT_FMT % x
+
+
+# each StepRecord field but the pedestrians, with its format by declared type
+_RECORD_COLUMNS = [
+    (f.name, {"int": str, "float": _fmt, "bool": lambda b: str(int(b))}[f.type])
+    for f in fields(StepRecord)
+    if f.name != "pedestrians"
+]
+TRAJECTORY_COLUMNS = [name for name, _ in _RECORD_COLUMNS] + ["outcome", "pedestrians"]
+
+EXPORT_FORMATS = ("trajectory-table", "metrics-table", "curve-series")
 
 
 def _traj_filename(log: EpisodeLog) -> str:
@@ -267,24 +257,7 @@ def export_trajectory_table(log: EpisodeLog, out_dir) -> str:
     lines = [",".join(TRAJECTORY_COLUMNS)]
     for r in log.records:
         peds = ";".join(":".join(_fmt(v) for v in p) for p in r.pedestrians)
-        row = [
-            str(r.step),
-            _fmt(r.t),
-            _fmt(r.x),
-            _fmt(r.y),
-            _fmt(r.heading),
-            _fmt(r.v_l),
-            _fmt(r.omega),
-            _fmt(r.a_x),
-            _fmt(r.a_y),
-            _fmt(r.r_ego),
-            _fmt(r.r_social),
-            _fmt(r.r_goal),
-            str(int(r.ego_violation)),
-            str(r.social_violations),
-            log.outcome,
-            peds,
-        ]
+        row = [fmt(getattr(r, name)) for name, fmt in _RECORD_COLUMNS] + [log.outcome, peds]
         lines.append(",".join(row))
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")

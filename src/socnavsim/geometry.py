@@ -1,8 +1,9 @@
-"""Exact 2D primitives: vectors, circles, segments, oriented rectangles.
+"""2D shapes as float rows: circles, segments and oriented rectangles.
 
-Provides the raycasting and overlap tests used by the lidar simulation,
-the safety rewards, and the crowd module.  All shapes use closed-set
-semantics: boundary contact counts as intersection / zero distance.
+Provides the raycasting, distance and overlap tests used by the lidar
+simulation, the safety rewards, the map sampler and the crowd module.
+All shapes use closed-set semantics: boundary contact counts as
+intersection / zero distance.
 """
 
 from __future__ import annotations
@@ -29,109 +30,12 @@ def elementwise(fn, *arrays: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, *(a.tolist() for a in arrays)), float, len(arrays[0]))
 
 
-@dataclass(frozen=True)
-class Vec2:
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"non-finite Vec2 components ({self.x}, {self.y})")
-
-    def __add__(self, other: "Vec2") -> "Vec2":
-        return Vec2(self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other: "Vec2") -> "Vec2":
-        return Vec2(self.x - other.x, self.y - other.y)
-
-    def __mul__(self, s: float) -> "Vec2":
-        return Vec2(self.x * s, self.y * s)
-
-    __rmul__ = __mul__
-
-    def dot(self, other: "Vec2") -> float:
-        return self.x * other.x + self.y * other.y
-
-    def norm(self) -> float:
-        return math.hypot(self.x, self.y)
-
-    def normalized(self) -> "Vec2":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize zero vector")
-        return Vec2(self.x / n, self.y / n)
-
-    def angle(self) -> float:
-        return math.atan2(self.y, self.x)
-
-    @staticmethod
-    def from_angle(angle: float, length: float = 1.0) -> "Vec2":
-        return Vec2(length * math.cos(angle), length * math.sin(angle))
-
-
-@dataclass(frozen=True)
-class Circle:
-    center: Vec2
-    radius: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.radius) and self.radius > 0.0):
-            raise ValueError(f"circle radius must be strictly positive, got {self.radius}")
-
-
-@dataclass(frozen=True)
-class Segment:
-    a: Vec2
-    b: Vec2
-
-    def __post_init__(self):
-        # distance code divides by the squared length, so it must not round to 0
-        ex, ey = self.b.x - self.a.x, self.b.y - self.a.y
-        if not ex * ex + ey * ey > 0.0:
-            raise ValueError(f"degenerate segment {self.a} -> {self.b}: squared length not positive")
-
-
-@dataclass(frozen=True)
-class OrientedRect:
-    """Rectangle anchored at one end, extending `length` along `heading`.
-
-    The anchor sits at the middle of the rear edge; the rect spans
-    laterally +-half_width.  Degenerate extents (zero length or width)
-    are allowed and collapse to a segment or point.  Their corners
-    anchor +- w can project a rounding off the anchor onto the other
-    rectangle's axis, so rects_overlap counts projections within
-    CONTACT_SLACK of each other as contact.
-    """
-
-    anchor: Vec2
-    heading: float
-    half_width: float
-    length: float
-
-    def __post_init__(self):
-        if self.half_width < 0.0 or self.length < 0.0:
-            raise ValueError("rect extents must be nonnegative")
-        object.__setattr__(self, "heading", wrap_angle(self.heading))
-
-    def axes(self) -> tuple[Vec2, Vec2]:
-        """Forward and left unit axes."""
-        fwd = Vec2.from_angle(self.heading)
-        return fwd, Vec2(-fwd.y, fwd.x)
-
-    def corners(self) -> tuple[Vec2, Vec2, Vec2, Vec2]:
-        """Counter-clockwise corners starting at the rear-right."""
-        fwd, left = self.axes()
-        rear = self.anchor
-        front = rear + fwd * self.length
-        w = left * self.half_width
-        return (rear - w, front - w, front + w, rear + w)
-
-
-Shape = Circle | Segment | OrientedRect
-
-
 # ---------------------------------------------------------------------------
-# Packed shapes; a rectangle row is (anchor x, anchor y, wrapped heading, half_width, length)
+# Shape rows.  A circle row is (centre x, centre y, radius), a segment row
+# (ax, ay, bx, by) and a rectangle row (anchor x, anchor y, wrapped heading,
+# half_width, length): the rectangle extends `length` along its heading from
+# the anchor, the middle of its rear edge, and spans +-half_width laterally.
+# Zero length or width is allowed and collapses it to a segment or a point.
 
 
 # rects_overlap's separating-axis test counts projections this close (m) as
@@ -141,8 +45,8 @@ CONTACT_SLACK = 1e-12
 
 
 def rect_frames(rects: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Forward axes (fx, fy) and (n, 4) corner coordinates (xs, ys) of rectangle rows,
-    bitwise those of OrientedRect.axes() and corners(), which they order alike."""
+    """Forward axes (fx, fy) and (n, 4) corner coordinates (xs, ys) of rectangle
+    rows, counter-clockwise from the rear-right; cos and sin come from math."""
     ax, ay, heading, half_width, length = rects.T
     fx, fy = elementwise(math.cos, heading), elementwise(math.sin, heading)
     front_x, front_y = ax + fx * length, ay + fy * length
@@ -151,11 +55,6 @@ def rect_frames(rects: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     xs = np.array([ax, front_x, front_x, ax]).T + wx[:, None] * side
     ys = np.array([ay, front_y, front_y, ay]).T + wy[:, None] * side
     return fx, fy, xs, ys
-
-
-def rect_rows(rects: list[OrientedRect]) -> np.ndarray:
-    rows = [(r.anchor.x, r.anchor.y, r.heading, r.half_width, r.length) for r in rects]
-    return np.array(rows, dtype=float).reshape(-1, 5)
 
 
 def rect_edges(rects: np.ndarray) -> np.ndarray:
@@ -167,7 +66,9 @@ def rect_edges(rects: np.ndarray) -> np.ndarray:
 
 def rects_overlap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Closed-set overlap of rectangle rows a and b, broadcast row by row: the
-    separating-axis test on the four face normals, projected as the Vec2 one."""
+    separating-axis test on the four face normals.  A degenerate rectangle's
+    corners anchor +- w can project a rounding off the anchor, so projections
+    within CONTACT_SLACK of each other count as contact."""
     afx, afy, axs, ays = rect_frames(a)
     bfx, bfy, bxs, bys = rect_frames(b)
     (n,) = np.broadcast_shapes(len(a), len(b))
@@ -196,19 +97,13 @@ class Scene:
         circles = np.concatenate([self.circles, other.circles])
         return Scene(circles, np.concatenate([self.segments, other.segments]), self.count + other.count)
 
-
-def pack_shapes(shapes: list[Shape]) -> Scene:
-    circles, segments = [], []
-    for shape in shapes:
-        if isinstance(shape, Circle):
-            circles.append((shape.center.x, shape.center.y, shape.radius**2))
-        elif isinstance(shape, Segment):
-            segments.append((shape.a.x, shape.a.y, shape.b.x, shape.b.y))
-        elif isinstance(shape, OrientedRect):
-            segments.extend(rect_edges(rect_rows([shape])).tolist())
-        else:
-            raise TypeError(f"unsupported shape {type(shape).__name__}")
-    return Scene(np.array(circles).reshape(-1, 3), np.array(segments).reshape(-1, 4), len(shapes))
+    @staticmethod
+    def pack(circles: np.ndarray, rects: np.ndarray, segments: np.ndarray) -> "Scene":
+        """From circle, rectangle and segment rows: radius**2 by Python's pow,
+        then each rectangle's four edges, zero-length ones kept, before the segments."""
+        r_sq = [r**2 for r in circles[:, 2].tolist()]
+        edges = np.concatenate([rect_edges(rects), segments])
+        return Scene(np.column_stack([circles[:, :2], r_sq]), edges, len(circles) + len(rects) + len(segments))
 
 
 # cast_fan tests every (shape row, beam) lane in one broadcast below this many
@@ -365,13 +260,27 @@ def cast_fan(origin: tuple[float, float], angles: np.ndarray, scene: Scene, max_
 
 @dataclass(frozen=True)
 class DistanceScene:
-    """Shapes packed once as float rows for the surface distance of a disc;
-    pack_distance_scene builds it.  A loop over these rows beats an array
-    pass at the 4-12 static shapes of a map."""
+    """Shapes packed once as float rows for the surface distance of a disc.
+    A loop over these rows beats an array pass at the 4-12 static shapes of
+    a map."""
 
     circles: tuple[tuple[float, ...], ...]  # centre x, centre y, radius
     segments: tuple[tuple[float, ...], ...]  # ax, ay, ex, ey, ex*ex + ey*ey with e = b - a
     rects: tuple[tuple[float, ...], ...]  # anchor x, anchor y, cos and sin of heading, half_width, length / 2
+
+    @staticmethod
+    def pack(circles, rects, segments) -> "DistanceScene":
+        """From circle, rectangle and segment rows of Python floats."""
+
+        def segment(ax, ay, bx, by):
+            ex, ey = bx - ax, by - ay
+            return ax, ay, ex, ey, ex * ex + ey * ey
+
+        return DistanceScene(
+            tuple(tuple(c) for c in circles),
+            tuple(segment(*s) for s in segments),
+            tuple((ax, ay, math.cos(h), math.sin(h), w, length / 2.0) for ax, ay, h, w, length in rects),
+        )
 
     def closest_distance(self, px: float, py: float, r: float) -> float:
         """Smallest surface-to-surface distance from the disc of radius r
@@ -389,28 +298,69 @@ class DistanceScene:
         return min(gaps, default=math.inf)
 
 
-def pack_distance_scene(shapes: list[Shape]) -> DistanceScene:
-    circles, segments, rects = [], [], []
-    for shape in shapes:
-        if isinstance(shape, Circle):
-            circles.append((shape.center.x, shape.center.y, shape.radius))
-        elif isinstance(shape, Segment):
-            ex, ey = shape.b.x - shape.a.x, shape.b.y - shape.a.y
-            segments.append((shape.a.x, shape.a.y, ex, ey, ex * ex + ey * ey))
-        elif isinstance(shape, OrientedRect):
-            fx, fy = math.cos(shape.heading), math.sin(shape.heading)  # the forward axis
-            rects.append((shape.anchor.x, shape.anchor.y, fx, fy, shape.half_width, shape.length / 2.0))
-        else:
-            raise TypeError(f"unsupported shape {type(shape).__name__}")
-    return DistanceScene(tuple(circles), tuple(segments), tuple(rects))
+def closest_distance(disc: tuple[float, float, float], shapes: DistanceScene) -> float:
+    """shapes.closest_distance of the disc (centre x, centre y, radius).
 
-
-def closest_distance(robot: Circle, shapes: list[Shape]) -> float:
-    """DistanceScene.closest_distance of the robot disc over shapes.
-
-    Raises on an empty shape list: the no-neighbor case is the caller's
+    Raises when there are no shapes: the no-neighbor case is the caller's
     to handle.
     """
-    if not shapes:
+    if not (shapes.circles or shapes.segments or shapes.rects):
         raise ValueError("closest_distance requires at least one shape")
-    return pack_distance_scene(shapes).closest_distance(robot.center.x, robot.center.y, robot.radius)
+    return shapes.closest_distance(*disc)
+
+
+# ---------------------------------------------------------------------------
+# Static maps
+
+
+@dataclass(frozen=True, eq=False)
+class StaticMap:
+    """A map's static shapes as rows, packed once per map: the circles and
+    the rectangles, each kind in placement order, the wall segments, and
+    is_rect, the placement order of the circles and rectangles (True for a
+    rectangle).  The scanner, the clearance, ORCA, the corridor check and
+    scenario-gen all read it.  Any sequences of rows are taken; a wall whose
+    squared length is not positive, which the distance code would divide
+    by, is refused."""
+
+    circles: np.ndarray = ()  # (c, 3)
+    rects: np.ndarray = ()  # (r, 5)
+    walls: np.ndarray = ()  # (s, 4)
+    is_rect: np.ndarray = ()  # (c + r,) bool
+
+    def __post_init__(self):
+        for name, width in (("circles", 3), ("rects", 5), ("walls", 4)):
+            object.__setattr__(self, name, np.array(getattr(self, name), dtype=float).reshape(-1, width))
+        object.__setattr__(self, "is_rect", np.array(self.is_rect, dtype=bool).reshape(-1))
+        if len(self.is_rect) != len(self.circles) + len(self.rects) or self.is_rect.sum() != len(self.rects):
+            raise ValueError("is_rect must hold one flag per circle and rectangle, True for each rectangle")
+        ax, ay, bx, by = self.walls.T
+        ex, ey = bx - ax, by - ay
+        bad = np.flatnonzero(~(ex * ex + ey * ey > 0.0))
+        if len(bad):
+            raise ValueError(f"degenerate wall {self.walls[bad[0]].tolist()}: squared length not positive")
+
+    def scene(self) -> Scene:
+        return Scene.pack(self.circles, self.rects, self.walls)
+
+    def distances(self) -> DistanceScene:
+        return DistanceScene.pack(self.circles.tolist(), self.rects.tolist(), self.walls.tolist())
+
+    def placements(self) -> list[tuple[str, list[float]]]:
+        """("circle", row) or ("rect", row) of every obstacle, in placement order."""
+        rows = (iter(self.circles.tolist()), iter(self.rects.tolist()))
+        return [(("circle", "rect")[k], next(rows[k])) for k in self.is_rect.tolist()]
+
+    def bounding_discs(self) -> np.ndarray:
+        """(centre x, centre y, radius) rows in placement order, walls left
+        out: a circle's own, and the disc through a rectangle's corners, its
+        radius from math.hypot and at least 1e-3."""
+        ax, ay, heading, half_width, length = self.rects.T
+        half = length / 2.0
+        fx, fy = elementwise(math.cos, heading), elementwise(math.sin, heading)
+        discs = np.empty((len(self.is_rect), 3))
+        discs[~self.is_rect] = self.circles
+        discs[self.is_rect] = np.column_stack(
+            [ax + fx * half, ay + fy * half, np.maximum(elementwise(math.hypot, half, half_width), 1e-3)]
+        )
+        return discs

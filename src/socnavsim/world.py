@@ -15,16 +15,14 @@ from __future__ import annotations
 import enum
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import yaml
 
 from . import rewards
-from .crowd import (SCENARIO_KINDS, STILL_SPEED, Crowd, CrowdConfig, obstacle_discs, spawn_crowd,
-                    spawn_scenario, step_crowd)
-from .geometry import (Circle, OrientedRect, Segment, Shape, Vec2, closest_distance, pack_distance_scene,
-                       pack_shapes, wrap_angle)
+from .crowd import SCENARIO_KINDS, STILL_SPEED, Crowd, CrowdConfig, spawn_crowd, spawn_scenario, step_crowd
+from .geometry import DistanceScene, StaticMap, closest_distance, wrap_angle
 from .lidar import (HISTORY_LEN, LidarConfig, MotionFeature, Scan, build_motion_feature, cast_sweep,
                     simulate_scan)
 
@@ -63,8 +61,6 @@ class StepRecord:  # what an episode log keeps of one policy step
 @dataclass(frozen=True)
 class StepOutcome:
     observation: MotionFeature
-    reward: float
-    reward_parts: tuple[float, float, float]  # (ego, social, goal)
     done: Status
     record: StepRecord
 
@@ -110,8 +106,8 @@ class EnvConfig:
                 raise ValueError(f"{name} must have lo <= hi, got {(lo, hi)}")
         if self.obstacle_count_range[0] < 0:
             raise ValueError(f"obstacle_count_range must be nonnegative, got {self.obstacle_count_range}")
-        if self.obstacle_size_range[0] <= 0.0:
-            raise ValueError(f"obstacle_size_range must be positive, got {self.obstacle_size_range}")
+        if not (self.obstacle_size_range[0] > 0.0 and math.isfinite(self.obstacle_size_range[1])):
+            raise ValueError(f"obstacle_size_range must be finite and positive, got {self.obstacle_size_range}")
         if not (self.robot_radius > 0.0 and self.goal_tolerance > 0.0):
             raise ValueError("robot_radius and goal_tolerance must be positive")
         for name in ("arena_half", "heading_gain", "turn_rate_cap"):
@@ -214,49 +210,45 @@ def integrate(x: float, y: float, heading: float, v_l: float, omega: float,
 # Map randomization
 
 
-def arena_walls(half: float) -> list[Segment]:
-    c = [Vec2(-half, -half), Vec2(half, -half), Vec2(half, half), Vec2(-half, half)]
-    return [Segment(c[i], c[(i + 1) % 4]) for i in range(4)]
+def arena_walls(half: float) -> np.ndarray:
+    """The boundary walls as segment rows (ax, ay, bx, by), counter-clockwise."""
+    c = [(-half, -half), (half, -half), (half, half), (-half, half)]
+    return np.array([(*c[i], *c[(i + 1) % 4]) for i in range(4)])
 
 
-def _sample_obstacle(rng: np.random.Generator, config: EnvConfig) -> Shape:
+def _sample_obstacle(rng: np.random.Generator, config: EnvConfig) -> tuple[list, list]:
+    """One obstacle as StaticMap rows: ([circle row], []) or ([], [rectangle row]).
+    A rectangle's anchor comes from the sampled heading, its row holds it wrapped."""
     lo, hi = config.obstacle_size_range
     margin = 0.5
     x = float(rng.uniform(-config.arena_half + margin, config.arena_half - margin))
     y = float(rng.uniform(-config.arena_half + margin, config.arena_half - margin))
     if rng.random() < 0.5:
-        return Circle(Vec2(x, y), float(rng.uniform(lo, hi)) / 2.0)
+        return [(x, y, float(rng.uniform(lo, hi)) / 2.0)], []
     length = float(rng.uniform(lo, hi))
     half_width = float(rng.uniform(lo, hi)) / 2.0
     heading = float(rng.uniform(-math.pi, math.pi))
-    anchor = Vec2(x, y) - Vec2.from_angle(heading) * (length / 2.0)
-    return OrientedRect(anchor, heading, half_width=half_width, length=length)
+    ax, ay = x - math.cos(heading) * (length / 2.0), y - math.sin(heading) * (length / 2.0)
+    return [], [(ax, ay, wrap_angle(heading), half_width, length)]
 
 
-def _grid_free(obstacles: list[Shape], config: EnvConfig) -> tuple[np.ndarray, float]:
+def _grid_free(static_map: StaticMap, config: EnvConfig) -> tuple[np.ndarray, float]:
     """Occupancy grid of GRID_RESOLUTION cells a robot disc can stand on,
-    and the coordinate of the first cell's centre."""
+    and the coordinate of the first cell's centre; the walls are left to
+    the grid's bounds."""
     half = config.arena_half
     inflate = config.robot_radius
     coords = np.arange(-half + GRID_RESOLUTION / 2.0, half, GRID_RESOLUTION)
     xs, ys = np.meshgrid(coords, coords, indexing="ij")
     free = (np.abs(xs) < half - inflate) & (np.abs(ys) < half - inflate)
-    for shape in obstacles:
-        if isinstance(shape, Circle):
-            d = np.hypot(xs - shape.center.x, ys - shape.center.y) - shape.radius
-        elif isinstance(shape, OrientedRect):
-            fwd, left = shape.axes()
-            dx = xs - shape.anchor.x
-            dy = ys - shape.anchor.y
-            lx = dx * fwd.x + dy * fwd.y - shape.length / 2.0
-            ly = dx * left.x + dy * left.y
-            qx = np.abs(lx) - shape.length / 2.0
-            qy = np.abs(ly) - shape.half_width
-            d = np.hypot(np.maximum(qx, 0.0), np.maximum(qy, 0.0)) + np.minimum(
-                np.maximum(qx, qy), 0.0
-            )
-        else:
-            continue
+    shapes = static_map.distances()  # the rows of DistanceScene.closest_distance, over the grid
+    for x, y, radius in shapes.circles:
+        free &= np.hypot(xs - x, ys - y) - radius > inflate
+    for ax, ay, fx, fy, half_width, half_length in shapes.rects:
+        dx, dy = xs - ax, ys - ay
+        qx = np.abs(dx * fx + dy * fy - half_length) - half_length
+        qy = np.abs(dx * -fy + dy * fx) - half_width
+        d = np.hypot(np.maximum(qx, 0.0), np.maximum(qy, 0.0)) + np.minimum(np.maximum(qx, qy), 0.0)
         free &= d > inflate
     return free, -half + GRID_RESOLUTION / 2.0
 
@@ -283,9 +275,9 @@ def _grid_connected(free: np.ndarray, start_ij, goal_ij) -> bool:
     return True
 
 
-def corridor_exists(obstacles: list[Shape], config: EnvConfig) -> bool:
+def corridor_exists(static_map: StaticMap, config: EnvConfig) -> bool:
     """Coarse grid flood fill between start and goal with inflated obstacles."""
-    free, origin = _grid_free(obstacles, config)
+    free, origin = _grid_free(static_map, config)
 
     def cell(p):
         i = int(round((p[0] - origin) / GRID_RESOLUTION))
@@ -296,30 +288,34 @@ def corridor_exists(obstacles: list[Shape], config: EnvConfig) -> bool:
     return _grid_connected(free, cell(config.start), cell(config.goal))
 
 
-def randomize_map(rng: np.random.Generator, config: EnvConfig) -> list[Shape]:
-    """Sample static obstacles leaving a start-to-goal corridor.
+def randomize_map(rng: np.random.Generator, config: EnvConfig) -> StaticMap:
+    """Sample static obstacles leaving a start-to-goal corridor; the map
+    has no walls.
 
     Placements overlapping the 0.8 m discs around start or goal are
     rejected; whole maps failing the corridor check are resampled, up to
     MAP_ATTEMPTS maps in all.
     """
     lo, hi = config.obstacle_count_range
-    start_disc = Circle(Vec2(*config.start), 0.8)
-    goal_disc = Circle(Vec2(*config.goal), 0.8)
+    start_disc, goal_disc = (*config.start, 0.8), (*config.goal, 0.8)
     for _ in range(MAP_ATTEMPTS):
         count = int(rng.integers(lo, hi + 1))
-        obstacles: list[Shape] = []
+        circles, rects, is_rect = [], [], []
         for _ in range(count):
             for _ in range(50):
-                shape = _sample_obstacle(rng, config)
-                if closest_distance(start_disc, [shape]) <= 0.0:
+                circle, rect = _sample_obstacle(rng, config)
+                shape = DistanceScene.pack(circle, rect, ())
+                if closest_distance(start_disc, shape) <= 0.0:
                     continue
-                if closest_distance(goal_disc, [shape]) <= 0.0:
+                if closest_distance(goal_disc, shape) <= 0.0:
                     continue
-                obstacles.append(shape)
+                circles += circle
+                rects += rect
+                is_rect.append(bool(rect))
                 break
-        if corridor_exists(obstacles, config):
-            return obstacles
+        static_map = StaticMap(circles, rects, is_rect=is_rect)
+        if corridor_exists(static_map, config):
+            return static_map
     raise RuntimeError(
         f"no connected map found in {MAP_ATTEMPTS} attempts; configuration too dense"
     )
@@ -353,14 +349,12 @@ class NavEnv:
         self.crowd_rng = np.random.default_rng(crowd_ss)
         self.noise_rng = np.random.default_rng(crowd_ss.spawn(1)[0])
 
-        self.obstacles: list[Shape] = []
-        if cfg.obstacle_count_range[1] > 0:
-            self.obstacles = randomize_map(self.map_rng, cfg)
-        # the static scene, packed once per episode
-        self.static_shapes = self.obstacles + (arena_walls(cfg.arena_half) if cfg.walls else [])
-        self._static_scene = pack_shapes(self.static_shapes)
-        self._static_distances = pack_distance_scene(self.static_shapes)
-        self._discs = obstacle_discs(self.obstacles)
+        obstacles = randomize_map(self.map_rng, cfg) if cfg.obstacle_count_range[1] > 0 else StaticMap()
+        self.static_map = replace(obstacles, walls=arena_walls(cfg.arena_half) if cfg.walls else ())
+        # what the scanner, the clearance and ORCA read of it, packed once per episode
+        self._static_scene = self.static_map.scene()
+        self._static_distances = self.static_map.distances()
+        self._discs = self.static_map.bounding_discs()
 
         # the robot pose, speed and turn rate
         self.x, self.y = cfg.start
@@ -375,8 +369,7 @@ class NavEnv:
         self.initial_goal_distance = self._goal_distance
 
         if cfg.scenario is not None:
-            crowd = spawn_scenario(cfg.scenario, cfg.crowd.count, cfg.crowd, self.crowd_rng,
-                                   Vec2(*cfg.start), Vec2(*cfg.goal))
+            crowd = spawn_scenario(cfg.scenario, cfg.crowd.count, cfg.crowd, self.crowd_rng, cfg.start, cfg.goal)
         else:
             crowd = spawn_crowd(cfg.crowd, self.crowd_rng)
         self._set_crowd(crowd)
@@ -479,8 +472,6 @@ class NavEnv:
         )
         return StepOutcome(
             observation=self._observation(),
-            reward=assessment.total,
-            reward_parts=(assessment.r_ego, assessment.r_social, assessment.r_goal),
             done=self.status,
             record=StepRecord(
                 step=self.steps,

@@ -14,20 +14,9 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from socnavsim import crowd, rewards
+from socnavsim import crowd, rewards, world
 from socnavsim.crowd import Crowd
-from socnavsim.geometry import (
-    CONTACT_SLACK,
-    Circle,
-    OrientedRect,
-    Segment,
-    Vec2,
-    cast_fan,
-    pack_shapes,
-    rect_rows,
-    rects_overlap,
-    wrap_angle,
-)
+from socnavsim.geometry import CONTACT_SLACK, StaticMap, cast_fan, closest_distance, rects_overlap, wrap_angle
 from socnavsim.lidar import RANGE_MAX, Scan, cast_sweep, simulate_scan
 from socnavsim.world import NavEnv
 
@@ -37,6 +26,122 @@ from socnavsim.world import NavEnv
 settings.register_profile("repeatable", derandomize=True, database=None, deadline=None)
 settings.register_profile("thorough", settings.get_profile("repeatable"), max_examples=1000)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "repeatable"))
+
+
+# ---------------------------------------------------------------------------
+# Shape objects: validating Vec2 dataclasses that the oracles below read;
+# to_map packs them as the library's StaticMap rows.
+
+
+@dataclass(frozen=True)
+class Vec2:
+    x: float
+    y: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+            raise ValueError(f"non-finite Vec2 components ({self.x}, {self.y})")
+
+    def __add__(self, other: "Vec2") -> "Vec2":
+        return Vec2(self.x + other.x, self.y + other.y)
+
+    def __sub__(self, other: "Vec2") -> "Vec2":
+        return Vec2(self.x - other.x, self.y - other.y)
+
+    def __mul__(self, s: float) -> "Vec2":
+        return Vec2(self.x * s, self.y * s)
+
+    __rmul__ = __mul__
+
+    def dot(self, other: "Vec2") -> float:
+        return self.x * other.x + self.y * other.y
+
+    def norm(self) -> float:
+        return math.hypot(self.x, self.y)
+
+    def normalized(self) -> "Vec2":
+        n = self.norm()
+        if n == 0.0:
+            raise ValueError("cannot normalize zero vector")
+        return Vec2(self.x / n, self.y / n)
+
+    def angle(self) -> float:
+        return math.atan2(self.y, self.x)
+
+    @staticmethod
+    def from_angle(angle: float, length: float = 1.0) -> "Vec2":
+        return Vec2(length * math.cos(angle), length * math.sin(angle))
+
+
+@dataclass(frozen=True)
+class Circle:
+    center: Vec2
+    radius: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.radius) and self.radius > 0.0):
+            raise ValueError(f"circle radius must be strictly positive, got {self.radius}")
+
+
+@dataclass(frozen=True)
+class Segment:
+    a: Vec2
+    b: Vec2
+
+    def __post_init__(self):
+        # distance code divides by the squared length, so it must not round to 0
+        ex, ey = self.b.x - self.a.x, self.b.y - self.a.y
+        if not ex * ex + ey * ey > 0.0:
+            raise ValueError(f"degenerate segment {self.a} -> {self.b}: squared length not positive")
+
+
+@dataclass(frozen=True)
+class OrientedRect:
+    """Rectangle anchored at the middle of its rear edge, extending `length`
+    along `heading` (wrapped on construction) and +-half_width laterally."""
+
+    anchor: Vec2
+    heading: float
+    half_width: float
+    length: float
+
+    def __post_init__(self):
+        if self.half_width < 0.0 or self.length < 0.0:
+            raise ValueError("rect extents must be nonnegative")
+        object.__setattr__(self, "heading", wrap_angle(self.heading))
+
+    def axes(self) -> tuple[Vec2, Vec2]:
+        """Forward and left unit axes."""
+        fwd = Vec2.from_angle(self.heading)
+        return fwd, Vec2(-fwd.y, fwd.x)
+
+    def corners(self) -> tuple[Vec2, Vec2, Vec2, Vec2]:
+        """Counter-clockwise corners starting at the rear-right."""
+        fwd, left = self.axes()
+        rear = self.anchor
+        front = rear + fwd * self.length
+        w = left * self.half_width
+        return (rear - w, front - w, front + w, rear + w)
+
+
+Shape = Circle | Segment | OrientedRect
+
+
+def to_map(shapes) -> StaticMap:
+    """The shapes as one StaticMap: circles and rectangles in list order,
+    segments as its walls.  The only test of a shape's class outside the
+    oracles."""
+    circles, rects, walls, is_rect = [], [], [], []
+    for s in shapes:
+        if isinstance(s, Circle):
+            circles.append((s.center.x, s.center.y, s.radius))
+            is_rect.append(False)
+        elif isinstance(s, OrientedRect):
+            rects.append((s.anchor.x, s.anchor.y, s.heading, s.half_width, s.length))
+            is_rect.append(True)
+        else:
+            walls.append((s.a.x, s.a.y, s.b.x, s.b.y))
+    return StaticMap(circles, rects, walls, is_rect)
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +207,7 @@ def marching_ray(origin, angle, shapes, max_range, step=1e-4):
 
 def cast_fan_of(origin: Vec2, angles, shapes, max_range):
     """The production raycaster, cast_fan, from a Vec2 origin over a shape list."""
-    return cast_fan((origin.x, origin.y), angles, pack_shapes(shapes), max_range)
+    return cast_fan((origin.x, origin.y), angles, to_map(shapes).scene(), max_range)
 
 
 def cast_one(origin, angle, shapes, max_range):
@@ -193,6 +298,11 @@ def point_rect_signed_distance(p: Vec2, rect: OrientedRect) -> float:
     return outside + inside
 
 
+def closest_distance_of(robot: Circle, shapes) -> float:
+    """The production geometry.closest_distance of the robot disc over a shape list."""
+    return closest_distance((robot.center.x, robot.center.y, robot.radius), to_map(shapes).distances())
+
+
 def reference_closest_distance(robot: Circle, shapes) -> float:
     """Smallest surface-to-surface distance from the robot to any shape,
     negative on penetration, as one loop over the shape objects."""
@@ -214,7 +324,7 @@ def reference_closest_distance(robot: Circle, shapes) -> float:
 
 # ---------------------------------------------------------------------------
 # Social zone oracle: one OrientedRect per agent, the zone that
-# rewards.zone_rows replaced; its rect_rows row must match zone_rows bit for bit
+# rewards.zone_rows replaced; its to_map row must match zone_rows bit for bit
 
 
 def social_zone(position: Vec2, motion_heading: float, radius: float, speed: float) -> OrientedRect:
@@ -315,7 +425,7 @@ def rects_intersect(a: OrientedRect, b: OrientedRect) -> bool:
 
 def overlaps(a: OrientedRect, b: OrientedRect) -> bool:
     """geometry.rects_overlap on a single pair of OrientedRects."""
-    return bool(rects_overlap(rect_rows([a]), rect_rows([b]))[0])
+    return bool(rects_overlap(to_map([a]).rects, to_map([b]).rects)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +530,7 @@ def ego_reward_of(robot: Circle, peds, obstacles):
 def social_reward_of(robot_zone: OrientedRect, robot_position: Vec2, peds):
     """rewards.social_reward of the robot zone among Pedestrians."""
     c = pack(peds)
-    return rewards.social_reward(rect_rows([robot_zone]), c.distances(robot_position.x, robot_position.y), c)
+    return rewards.social_reward(to_map([robot_zone]).rects, c.distances(robot_position.x, robot_position.y), c)
 
 
 def assess_of(robot: Circle, heading, speed, peds, obstacles, p_star, p_0, reached):
@@ -592,7 +702,7 @@ def reference_orca_lines(ped, neighbors, obstacles, dt, hits=None):
         raise ValueError("dt must be positive")
     lines = []
     inv_dt = 1.0 / dt
-    for x, y, radius in crowd.obstacle_discs(obstacles).tolist():
+    for x, y, radius in reference_obstacle_discs(obstacles).tolist():
         _hit(hits, "obstacle")
         lines.append(
             _avoidance_line(
@@ -628,7 +738,7 @@ def reference_orca_velocity(ped, neighbors, obstacles, dt, hits=None):
     """orca_velocity as per-pair Vec2 code; orca_lines + orca_velocity
     must match it bit for bit."""
     lines = reference_orca_lines(ped, neighbors, obstacles, dt, hits)
-    num_fixed = len(crowd.obstacle_discs(obstacles))
+    num_fixed = len(reference_obstacle_discs(obstacles))
     pref = reference_preferred_velocity(ped)
     result, fail = _linear_program2(lines, ped.pref_speed, pref, False, hits)
     if fail < len(lines):
@@ -751,7 +861,153 @@ def reference_inflate_returns(ranges, delta_theta, radius):
 
 
 # ---------------------------------------------------------------------------
-# Map and scanner oracles
+# Map and spawn oracles: the object-based sampler, grid fill, disc packer
+# and scenario spawn that StaticMap rows and float pairs replaced; the row
+# code must match them bit for bit, draws from the generator included
+
+
+def reference_arena_walls(half: float) -> list[Segment]:
+    c = [Vec2(-half, -half), Vec2(half, -half), Vec2(half, half), Vec2(-half, half)]
+    return [Segment(c[i], c[(i + 1) % 4]) for i in range(4)]
+
+
+def reference_sample_obstacle(rng, config) -> Shape:
+    lo, hi = config.obstacle_size_range
+    margin = 0.5
+    x = float(rng.uniform(-config.arena_half + margin, config.arena_half - margin))
+    y = float(rng.uniform(-config.arena_half + margin, config.arena_half - margin))
+    if rng.random() < 0.5:
+        return Circle(Vec2(x, y), float(rng.uniform(lo, hi)) / 2.0)
+    length = float(rng.uniform(lo, hi))
+    half_width = float(rng.uniform(lo, hi)) / 2.0
+    heading = float(rng.uniform(-math.pi, math.pi))
+    anchor = Vec2(x, y) - Vec2.from_angle(heading) * (length / 2.0)
+    return OrientedRect(anchor, heading, half_width=half_width, length=length)
+
+
+def reference_grid_free(obstacles, config) -> tuple[np.ndarray, float]:
+    """world._grid_free as one pass per shape object."""
+    half = config.arena_half
+    inflate = config.robot_radius
+    coords = np.arange(-half + world.GRID_RESOLUTION / 2.0, half, world.GRID_RESOLUTION)
+    xs, ys = np.meshgrid(coords, coords, indexing="ij")
+    free = (np.abs(xs) < half - inflate) & (np.abs(ys) < half - inflate)
+    for shape in obstacles:
+        if isinstance(shape, Circle):
+            d = np.hypot(xs - shape.center.x, ys - shape.center.y) - shape.radius
+        elif isinstance(shape, OrientedRect):
+            fwd, left = shape.axes()
+            dx = xs - shape.anchor.x
+            dy = ys - shape.anchor.y
+            lx = dx * fwd.x + dy * fwd.y - shape.length / 2.0
+            ly = dx * left.x + dy * left.y
+            qx = np.abs(lx) - shape.length / 2.0
+            qy = np.abs(ly) - shape.half_width
+            d = np.hypot(np.maximum(qx, 0.0), np.maximum(qy, 0.0)) + np.minimum(
+                np.maximum(qx, qy), 0.0
+            )
+        else:
+            continue
+        free &= d > inflate
+    return free, -half + world.GRID_RESOLUTION / 2.0
+
+
+def reference_corridor_exists(obstacles, config) -> bool:
+    free, origin = reference_grid_free(obstacles, config)
+
+    def cell(p):
+        i = int(round((p[0] - origin) / world.GRID_RESOLUTION))
+        j = int(round((p[1] - origin) / world.GRID_RESOLUTION))
+        n, m = free.shape
+        return min(max(i, 0), n - 1), min(max(j, 0), m - 1)
+
+    return reference_grid_connected(free, cell(config.start), cell(config.goal))
+
+
+def reference_randomize_map(rng, config) -> list:
+    """world.randomize_map as a list of shape objects in placement order."""
+    lo, hi = config.obstacle_count_range
+    start_disc = Circle(Vec2(*config.start), 0.8)
+    goal_disc = Circle(Vec2(*config.goal), 0.8)
+    for _ in range(world.MAP_ATTEMPTS):
+        count = int(rng.integers(lo, hi + 1))
+        obstacles = []
+        for _ in range(count):
+            for _ in range(50):
+                shape = reference_sample_obstacle(rng, config)
+                if reference_closest_distance(start_disc, [shape]) <= 0.0:
+                    continue
+                if reference_closest_distance(goal_disc, [shape]) <= 0.0:
+                    continue
+                obstacles.append(shape)
+                break
+        if reference_corridor_exists(obstacles, config):
+            return obstacles
+    raise RuntimeError(f"no connected map found in {world.MAP_ATTEMPTS} attempts")
+
+
+def reference_static_shapes(config, map_seed) -> list:
+    """The static shapes of NavEnv.reset(map_seed): the obstacles, then the walls."""
+    rng = np.random.default_rng(np.random.SeedSequence(map_seed))
+    obstacles = reference_randomize_map(rng, config) if config.obstacle_count_range[1] > 0 else []
+    return obstacles + (reference_arena_walls(config.arena_half) if config.walls else [])
+
+
+def reference_obstacle_discs(obstacles) -> np.ndarray:
+    """Static obstacles as (center x, center y, radius) rows of bounding discs."""
+    discs = []
+    for shape in obstacles:
+        if isinstance(shape, Circle):
+            discs.append((shape.center.x, shape.center.y, shape.radius))
+        elif isinstance(shape, OrientedRect):
+            fwd, _ = shape.axes()
+            center = shape.anchor + fwd * (shape.length / 2.0)
+            radius = math.hypot(shape.length / 2.0, shape.half_width)
+            discs.append((center.x, center.y, max(radius, 1e-3)))
+        elif isinstance(shape, Segment):
+            continue  # boundary walls: pedestrians are goal-confined instead
+        else:
+            raise TypeError(f"unsupported shape {type(shape).__name__}")
+    return np.array(discs, dtype=float).reshape(-1, 3)
+
+
+def reference_spawn_scenario(kind, count, config, rng, robot_start: Vec2, robot_goal: Vec2) -> Crowd:
+    """crowd.spawn_scenario with Vec2 points and checks."""
+    if kind not in crowd.SCENARIO_KINDS:
+        raise ValueError(f"unknown scenario kind {kind!r}")
+    axis = (robot_goal - robot_start).normalized()
+    perp = Vec2(-axis.y, axis.x)
+    x0, x1, y0, y1 = crowd._area_bounds(config)
+    span = max(x1 - x0, y1 - y0)
+    speed_range = config.speed_range
+    if kind == "ahead":
+        lo, hi = config.speed_range
+        speed_range = (lo * 0.6, max(lo * 0.6 + 1e-3, hi * 0.6))
+
+    rows = []
+    for i in range(count):
+        for _ in range(200):
+            pos = Vec2(*crowd._random_point(config, rng))
+            if (pos - robot_start).norm() < 1.0:
+                continue
+            if any((pos - Vec2(row[1], row[2])).norm() < 0.9 for row in rows):
+                continue
+            break
+        if kind == "crossing":
+            sign = 1.0 if rng.random() < 0.5 else -1.0
+            goal = pos + perp * (sign * span)
+        elif kind == "towards":
+            goal = robot_start - axis * (0.5 * span) + perp * float(rng.uniform(-1.0, 1.0))
+        elif kind == "ahead":
+            goal = pos + axis * span
+        else:
+            goal = Vec2(*crowd._random_point(config, rng))
+        rows.append(crowd._sample_ped(i, (pos.x, pos.y), (goal.x, goal.y), speed_range, config, rng))
+    return Crowd.from_rows(rows)
+
+
+# ---------------------------------------------------------------------------
+# Grid and scanner oracles
 
 
 def reference_grid_connected(free, start_ij, goal_ij) -> bool:

@@ -14,12 +14,11 @@ import pytest
 
 from socnavsim.crowd import (
     CrowdConfig,
-    obstacle_discs,
     orca_lines,
     spawn_crowd,
     step_crowd,
 )
-from socnavsim.geometry import Circle, Vec2, pack_shapes, rect_rows, rects_overlap
+from socnavsim.geometry import rects_overlap
 from socnavsim.lidar import (
     HISTORY_LEN,
     LidarConfig,
@@ -35,7 +34,9 @@ from socnavsim.rewards import (
 )
 
 from conftest import (
+    Circle,
     Pedestrian,
+    Vec2,
     assess_of,
     calibration_shift,
     cast_one,
@@ -51,6 +52,7 @@ from conftest import (
     reference_closest_distance,
     social_reward_of,
     social_zone,
+    to_map,
     unpack,
 )
 
@@ -159,7 +161,7 @@ class TestCriterion2GeometryOracles:
         overlap_cases = 0
         for _ in range(100):
             a, b = random_rect(rng, span=2.0), random_rect(rng, span=2.0)
-            got = bool(rects_overlap(rect_rows([a]), rect_rows([b]))[0])
+            got = bool(rects_overlap(to_map([a]).rects, to_map([b]).rects)[0])
             assert got == rect_overlap_oracle(a, b)
             if got and rects_share_sampled_point(a, b, rng, samples=100_000):
                 overlap_cases += 1
@@ -194,7 +196,7 @@ class TestCriterion3CalibrationInvariant:
             shapes = [random_shape(rng, span=3.0) for _ in range(int(rng.integers(2, 6)))]
             headings = np.cumsum(rng.integers(-5, 6, HISTORY_LEN)) * cfg.angle_increment
             history = [
-                simulate_scan(cast_sweep(pack_shapes(shapes), (0.0, 0.0), float(h), cfg), float(h), i, cfg, rng)
+                simulate_scan(cast_sweep(to_map(shapes).scene(), (0.0, 0.0), float(h), cfg), float(h), i, cfg, rng)
                 for i, h in enumerate(headings)
             ]
             current = float(headings[-1])
@@ -218,7 +220,7 @@ class TestCriterion4OrcaSanity:
         from dataclasses import replace
 
         for _ in range(500):
-            lines, num_fixed = orca_lines(pack([a, b]), obstacle_discs([]), dt)
+            lines, num_fixed = orca_lines(pack([a, b]), to_map([]).bounding_discs(), dt)
             va = orca_solve(a, lines[0], num_fixed)
             vb = orca_solve(b, lines[1], num_fixed)
             assert va.x == pytest.approx(-vb.x, abs=1e-9)
@@ -232,7 +234,7 @@ class TestCriterion4OrcaSanity:
         rng = np.random.default_rng(404)
         cfg = CrowdConfig(count=8, area=(5.0, 5.0))
         peds = spawn_crowd(cfg, rng)
-        no_discs = obstacle_discs([])
+        no_discs = to_map([]).bounding_discs()
         steps = 10_000
         bad = 0
         for _ in range(steps):

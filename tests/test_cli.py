@@ -255,7 +255,52 @@ class TestScenarioGen:
         assert outs[0] == outs[1]
 
 
+    def test_obstacles_in_placement_order(self, tmp_path, env_yaml):
+        """On a suite with obstacles, every obstacle appears once, in the
+        order the sampler placed it, with the keys of its kind."""
+        from conftest import Circle, reference_randomize_map
+        from socnavsim.evaluation import suite_config
+        from socnavsim.world import load_config
+
+        cfg = suite_config("combined:8", load_config(env_yaml))
+        kinds, interleaved = [], False
+        for seed in (1, 2, 3):
+            out = tmp_path / f"s{seed}"
+            assert main(["scenario-gen", "--suite", "combined:8", "--seed", str(seed),
+                         "--config", env_yaml, "--out", str(out)]) == 0
+            doc = yaml.safe_load((out / os.listdir(out)[0]).read_text())
+            rng = np.random.default_rng(np.random.SeedSequence(doc["map_seed"]))
+            want = []
+            for s in reference_randomize_map(rng, cfg):
+                if isinstance(s, Circle):
+                    want.append({"kind": "circle", "x": s.center.x, "y": s.center.y, "radius": s.radius})
+                else:
+                    want.append({"kind": "rect", "x": s.anchor.x, "y": s.anchor.y, "heading": s.heading,
+                                 "half_width": s.half_width, "length": s.length})
+            assert doc["obstacles"] == want
+            kinds += [o["kind"] for o in want]
+            interleaved |= [o["kind"] for o in want] != sorted(o["kind"] for o in want)
+        assert kinds.count("circle") > 1 and kinds.count("rect") > 1 and interleaved
+
+
 class TestReplayExport:
+    def test_format_choices_are_the_export_formats(self, tmp_path, env_yaml, capsys):
+        from socnavsim.evaluation import EXPORT_FORMATS
+
+        run_out = tmp_path / "run"
+        main(["--single-thread", "eval", "--policy", "greedy", "--suite", "mapless",
+              "--runs", "1", "--seed", "4", "--config", env_yaml, "--out", str(run_out)])
+        log_file = next(str(run_out / n) for n in os.listdir(run_out) if n.startswith("log__"))
+        evaluated = read_tree(run_out)
+        for fmt in EXPORT_FORMATS:  # each re-exports what eval wrote, byte for byte
+            assert main(["replay-export", "--log", log_file, "--format", fmt, "--out", str(tmp_path / fmt)]) == 0
+            exported = read_tree(tmp_path / fmt)
+            assert exported and all(data == evaluated[name] for name, data in exported.items())
+        with pytest.raises(SystemExit):
+            main(["replay-export", "--log", log_file, "--format", "bogus", "--out", str(tmp_path / "x")])
+        assert "invalid choice" in capsys.readouterr().err
+
+
     def test_log_to_table(self, tmp_path, env_yaml):
         run_out = tmp_path / "run"
         main(["--single-thread", "eval", "--policy", "greedy", "--suite", "mapless",

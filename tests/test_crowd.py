@@ -6,7 +6,6 @@ import pytest
 
 from socnavsim.crowd import (
     CrowdConfig,
-    obstacle_discs,
     orca_lines,
     orca_velocity,
     preferred_velocity,
@@ -14,17 +13,14 @@ from socnavsim.crowd import (
     spawn_scenario,
     step_crowd,
 )
-from socnavsim.geometry import (
-    Circle,
-    OrientedRect,
-    Segment,
-    Vec2,
-    cast_fan,
-    pack_shapes,
-)
+from socnavsim.geometry import cast_fan
 
 from conftest import (
+    Circle,
+    OrientedRect,
     Pedestrian,
+    Segment,
+    Vec2,
     edge_case_peds,
     orca_solve,
     pack,
@@ -33,10 +29,11 @@ from conftest import (
     reference_orca_lines,
     reference_orca_velocity,
     reference_step_crowd,
+    to_map,
     unpack,
 )
 
-NO_DISCS = obstacle_discs([])
+NO_DISCS = to_map([]).bounding_discs()
 
 
 def ped(pid, pos, vel, goal, speed=1.0, radius=0.3):
@@ -52,7 +49,7 @@ def ped(pid, pos, vel, goal, speed=1.0, radius=0.3):
 
 def solve(p, neighbors, obstacles, dt):
     """orca_velocity for p among the given neighbors, through orca_lines."""
-    lines, num_fixed = orca_lines(pack([p, *neighbors]), obstacle_discs(obstacles), dt)
+    lines, num_fixed = orca_lines(pack([p, *neighbors]), to_map(obstacles).bounding_discs(), dt)
     return orca_solve(p, lines[0], num_fixed)
 
 
@@ -107,7 +104,7 @@ class TestOrcaMatchesReference:
             peds, obstacles = random_snapshot(rng)
             dt = float(rng.choice([0.05, 0.025, 0.1, 1.0 / 3.0]))
             kinds.update(type(s).__name__ for s in obstacles)
-            lines, num_fixed = orca_lines(pack(peds), obstacle_discs(obstacles), dt)
+            lines, num_fixed = orca_lines(pack(peds), to_map(obstacles).bounding_discs(), dt)
             for i, p in enumerate(peds):
                 ref = reference_orca_lines(p, peds, obstacles, dt)
                 expected = [[r.point.x, r.point.y, r.direction.x, r.direction.y] for r in ref]
@@ -279,38 +276,38 @@ class TestSpawnScenario:
         return CrowdConfig(count=4, area=(5.0, 5.0))
 
     def test_ahead_moves_along_goal_direction(self, cfg, rng):
-        peds = spawn_scenario("ahead", 4, cfg, rng, Vec2(-3, 0), Vec2(3, 0))
+        peds = spawn_scenario("ahead", 4, cfg, rng, (-3.0, 0.0), (3.0, 0.0))
         for p in unpack(peds):
             assert p.velocity.dot(Vec2(1, 0)) > 0
 
     def test_towards_moves_against_goal_direction(self, cfg, rng):
-        peds = spawn_scenario("towards", 4, cfg, rng, Vec2(-3, 0), Vec2(3, 0))
+        peds = spawn_scenario("towards", 4, cfg, rng, (-3.0, 0.0), (3.0, 0.0))
         for p in unpack(peds):
             assert p.velocity.dot(Vec2(1, 0)) < 0
 
     def test_crossing_dominantly_perpendicular(self, cfg, rng):
-        peds = spawn_scenario("crossing", 8, cfg, rng, Vec2(-3, 0), Vec2(3, 0))
+        peds = spawn_scenario("crossing", 8, cfg, rng, (-3.0, 0.0), (3.0, 0.0))
         for p in unpack(peds):
             v = p.velocity
             assert abs(v.y) > abs(v.x)
 
     def test_random_deterministic_under_seed(self, cfg):
-        a = spawn_scenario("random", 6, cfg, np.random.default_rng(5), Vec2(-3, 0), Vec2(3, 0))
-        b = spawn_scenario("random", 6, cfg, np.random.default_rng(5), Vec2(-3, 0), Vec2(3, 0))
+        a = spawn_scenario("random", 6, cfg, np.random.default_rng(5), (-3.0, 0.0), (3.0, 0.0))
+        b = spawn_scenario("random", 6, cfg, np.random.default_rng(5), (-3.0, 0.0), (3.0, 0.0))
         for pa, pb in zip(unpack(a), unpack(b)):
             assert pa.position == pb.position and pa.goal == pb.goal
 
     def test_counts_supported(self, cfg, rng):
         for n in (4, 8, 12):
-            peds = spawn_scenario("crossing", n, cfg, rng, Vec2(-3, 0), Vec2(3, 0))
+            peds = spawn_scenario("crossing", n, cfg, rng, (-3.0, 0.0), (3.0, 0.0))
             assert len(peds) == n
 
     def test_unknown_kind_rejected(self, cfg, rng):
         with pytest.raises(ValueError):
-            spawn_scenario("zigzag", 4, cfg, rng, Vec2(-3, 0), Vec2(3, 0))
+            spawn_scenario("zigzag", 4, cfg, rng, (-3.0, 0.0), (3.0, 0.0))
 
     def test_inside_area(self, cfg, rng):
-        peds = spawn_scenario("random", 12, cfg, rng, Vec2(-3, 0), Vec2(3, 0))
+        peds = spawn_scenario("random", 12, cfg, rng, (-3.0, 0.0), (3.0, 0.0))
         for p in unpack(peds):
             assert abs(p.position.x) <= 2.5 + 1e-9
             assert abs(p.position.y) <= 2.5 + 1e-9
@@ -343,7 +340,7 @@ class TestCrowdRowsMatchPedestrians:
     def test_lidar_rows_equal_shape_rows(self, rng):
         peds = edge_case_peds(rng, n=2000)
         scene = pack(peds).lidar_scene()
-        shapes = pack_shapes([p.lidar_shape() for p in peds])
+        shapes = to_map([p.lidar_shape() for p in peds]).scene()
         assert np.array_equal(scene.circles, shapes.circles)
         assert np.array_equal(scene.segments, shapes.segments)
         assert len(scene) == len(shapes) == len(peds)
@@ -355,7 +352,7 @@ class TestCrowdRowsMatchPedestrians:
                   OrientedRect(Vec2(-2.0, 2.0), 0.3, 0.2, 0.8)]
         angles = np.linspace(-math.pi, math.pi, 361)
         origin = Vec2(0.1, -0.2)
-        got = cast_fan((origin.x, origin.y), angles, pack_shapes(static) + pack(peds).lidar_scene(), 10.0)
+        got = cast_fan((origin.x, origin.y), angles, to_map(static).scene() + pack(peds).lidar_scene(), 10.0)
         want = reference_cast_fan(origin, angles, static + [p.lidar_shape() for p in peds], 10.0)
         assert np.array_equal(got, want)
 
@@ -385,10 +382,9 @@ class TestStepMatchesReference:
         obstacles = [Circle(Vec2(1.5, -1.0), 0.3), OrientedRect(Vec2(-1.0, 1.0), 2.5, 0.2, 0.6),
                      Segment(Vec2(-5, 5), Vec2(5, 5))]
         rng_a, rng_b = np.random.default_rng(8), np.random.default_rng(8)
-        crowd = spawn_scenario("random", 20, cfg, np.random.default_rng(4), Vec2(-3.5, 0),
-                               Vec2(3.5, 0))
+        crowd = spawn_scenario("random", 20, cfg, np.random.default_rng(4), (-3.5, 0.0), (3.5, 0.0))
         peds = unpack(crowd)
-        discs = obstacle_discs(obstacles)
+        discs = to_map(obstacles).bounding_discs()
         stops = 0
         for _ in range(200):
             crowd = step_crowd(crowd, cfg, 0.05, rng_a, discs)
@@ -409,7 +405,7 @@ class TestStepMatchesReference:
         crowd = spawn_crowd(cfg, np.random.default_rng(1))
         peds = unpack(crowd)
         for _ in range(6):
-            stepped = step_crowd(crowd, cfg, 0.05, rng_a, obstacle_discs(obstacles))
+            stepped = step_crowd(crowd, cfg, 0.05, rng_a, to_map(obstacles).bounding_discs())
             peds = reference_step_crowd(peds, cfg, 0.05, rng_b, obstacles)
             assert unpack(stepped) == peds
             assert rng_a.bit_generator.state == rng_b.bit_generator.state

@@ -182,6 +182,21 @@ class TestExport:
             rows = list(csv.DictReader(f))
         assert float(rows[3]["x"]) == pytest.approx(0.3, abs=1e-9)
 
+    def test_trajectory_table_text(self, tmp_path):
+        """The table's exact text: one column per StepRecord field, the
+        outcome before the pedestrians, floats at nine significant digits,
+        flags and counts as integers."""
+        log = synthetic_log(steps=2, k=1, m=1)
+        log.records[1] = replace(log.records[1], x=1.0 / 3.0, r_goal=10, r_ego=-0.0)
+        (path,) = export([log], "trajectory-table", tmp_path)
+        with open(path) as f:
+            assert f.read() == (
+                "step,t,x,y,heading,v_l,omega,a_x,a_y,r_ego,r_social,r_goal,ego_violation,"
+                "social_violations,outcome,pedestrians\n"
+                "1,0.1,0,0,0,1,0,1,0,0,0,-0.01,1,1,reached,1:2:0.5\n"
+                "2,0.2,0.333333333,0,0,1,0,1,0,-0,0,10,0,0,reached,1:2:0.5\n"
+            )
+
     def test_table_summary_matches_log_summary(self, tmp_path):
         logs = [
             synthetic_log(steps=10, k=1, seed=1),

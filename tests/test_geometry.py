@@ -3,19 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from socnavsim.geometry import (
+from socnavsim.geometry import StaticMap, wrap_angle
+from socnavsim.world import arena_walls
+
+from conftest import (
     Circle,
     OrientedRect,
     Segment,
     Vec2,
-    closest_distance,
-    pack_distance_scene,
-    wrap_angle,
-)
-
-from conftest import (
     cast_fan_of,
     cast_one,
+    closest_distance_of,
     marching_ray,
     overlaps,
     random_rect,
@@ -25,7 +23,9 @@ from conftest import (
     point_rect_signed_distance,
     rect_overlap_oracle,
     reference_cast_fan,
+    reference_obstacle_discs,
     rotated,
+    to_map,
 )
 
 
@@ -49,6 +49,11 @@ class TestConstruction:
             Segment(Vec2(1, 2), Vec2(1, 2))
         with pytest.raises(ValueError):
             Segment(Vec2(0, 0), Vec2(0, 5e-324))
+        for wall in ((1.0, 2.0, 1.0, 2.0), (0.0, 0.0, 0.0, 5e-324)):
+            with pytest.raises(ValueError, match="degenerate wall"):
+                StaticMap(walls=[(-1.0, 0.0, 1.0, 0.0), wall])
+        with pytest.raises(ValueError, match="degenerate wall"):
+            StaticMap(walls=arena_walls(1e-170))  # (2e-170)**2 rounds to 0
 
     def test_rect_normalizes_heading(self):
         r = OrientedRect(Vec2(0, 0), 3 * math.pi, 0.5, 1.0)
@@ -129,7 +134,7 @@ class TestRayCast:
             shapes = [random_shape(rng) for _ in range(int(rng.integers(1, 5)))]
             origin = Vec2(float(rng.uniform(-5, 5)), float(rng.uniform(-5, 5)))
             if any(
-                closest_distance(Circle(origin, 0.05), [s]) <= 0.0 for s in shapes
+                closest_distance_of(Circle(origin, 0.05), [s]) <= 0.0 for s in shapes
             ):
                 continue  # keep the origin outside every shape
             angle = float(rng.uniform(-math.pi, math.pi))
@@ -145,7 +150,7 @@ class TestRayCast:
         while scenes < 4:
             shapes = [random_shape(rng) for _ in range(4)]
             origin = Vec2(float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)))
-            if closest_distance(Circle(origin, 0.05), shapes) <= 0.0:
+            if closest_distance_of(Circle(origin, 0.05), shapes) <= 0.0:
                 continue  # keep the origin outside every shape
             scenes += 1
             fan = cast_fan_of(origin, angles, shapes, 10.0)
@@ -252,28 +257,28 @@ class TestRectsIntersect:
 
 class TestClosestDistance:
     def test_circle_circle(self):
-        d = closest_distance(
+        d = closest_distance_of(
             Circle(Vec2(0, 0), 0.3), [Circle(Vec2(2, 0), 0.3)]
         )
         assert d == pytest.approx(1.4, abs=1e-12)
 
     def test_touching_is_zero(self):
-        d = closest_distance(Circle(Vec2(0, 0), 0.3), [Circle(Vec2(0.6, 0), 0.3)])
+        d = closest_distance_of(Circle(Vec2(0, 0), 0.3), [Circle(Vec2(0.6, 0), 0.3)])
         assert d == pytest.approx(0.0, abs=1e-12)
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
-            closest_distance(Circle(Vec2(0, 0), 0.3), [])
+            closest_distance_of(Circle(Vec2(0, 0), 0.3), [])
 
     def test_penetration_is_negative(self):
-        d = closest_distance(Circle(Vec2(0, 0), 0.3), [Circle(Vec2(0.4, 0), 0.3)])
+        d = closest_distance_of(Circle(Vec2(0, 0), 0.3), [Circle(Vec2(0.4, 0), 0.3)])
         assert d == pytest.approx(-0.2, abs=1e-12)
 
     def test_rect_distance_matches_boundary_sampling(self, rng):
         for _ in range(20):
             rect = random_rect(rng)
             robot = Circle(Vec2(float(rng.uniform(-5, 5)), float(rng.uniform(-5, 5))), 0.3)
-            d = closest_distance(robot, [rect])
+            d = closest_distance_of(robot, [rect])
             # dense boundary sampling of the rect perimeter
             ts = np.linspace(0.0, 1.0, 4001)
             best = math.inf
@@ -290,19 +295,60 @@ class TestClosestDistance:
         for _ in range(100):
             p = Vec2(float(rng.uniform(-5, 5)), float(rng.uniform(-5, 5)))
             delta = Vec2(float(rng.uniform(-0.2, 0.2)), float(rng.uniform(-0.2, 0.2)))
-            d1 = closest_distance(Circle(p, 0.3), shapes)
-            d2 = closest_distance(Circle(p + delta, 0.3), shapes)
+            d1 = closest_distance_of(Circle(p, 0.3), shapes)
+            d2 = closest_distance_of(Circle(p + delta, 0.3), shapes)
             assert abs(d1 - d2) <= delta.norm() + 1e-9
 
     def test_segment_distance(self):
         seg = Segment(Vec2(2, -1), Vec2(2, 1))
-        assert closest_distance(Circle(Vec2(0, 0), 0.5), [seg]) == pytest.approx(1.5)
+        assert closest_distance_of(Circle(Vec2(0, 0), 0.5), [seg]) == pytest.approx(1.5)
 
 
 def test_point_rect_signed_distance_sign():
     """The packed rectangle distance and its Vec2 oracle: negative inside."""
     rect = OrientedRect(Vec2(0, 0), 0.0, 0.5, 2.0)
-    scene = pack_distance_scene([rect])
+    scene = to_map([rect]).distances()
     for (x, y), want in (((1.0, 0.0), -0.5), ((1.0, 2.0), 1.5), ((-1.0, 0.0), 1.0)):
         assert scene.closest_distance(x, y, 0.0) == pytest.approx(want)
         assert point_rect_signed_distance(Vec2(x, y), rect) == pytest.approx(want)
+
+
+class TestStaticMap:
+    def test_rows_and_placement_order(self):
+        shapes = [OrientedRect(Vec2(1, 2), 3 * math.pi, 0.5, 1.0), Circle(Vec2(0, 1), 0.4),
+                  Segment(Vec2(-5, -5), Vec2(5, -5)), OrientedRect(Vec2(0, 0), 0.2, 0.0, 0.0)]
+        m = to_map(shapes)
+        assert m.circles.shape == (1, 3) and m.rects.shape == (2, 5) and m.walls.shape == (1, 4)
+        assert m.is_rect.tolist() == [True, False, True]
+        assert [kind for kind, _ in m.placements()] == ["rect", "circle", "rect"]
+        assert m.placements()[0][1] == [1.0, 2.0, shapes[0].heading, 0.5, 1.0]
+        with pytest.raises(ValueError, match="is_rect"):
+            StaticMap(circles=[(0.0, 0.0, 1.0)], is_rect=[True])
+        with pytest.raises(ValueError, match="is_rect"):
+            StaticMap(circles=[(0.0, 0.0, 1.0)])
+
+    def test_scene_counts_a_rectangle_once(self):
+        """len(Scene) counts shapes, not rows: a rectangle packs four edge
+        rows, zero-length ones kept, and counts once."""
+        shapes = [Circle(Vec2(2, 0), 0.3), OrientedRect(Vec2(0, 0), 0.0, 0.0, 0.0),
+                  Segment(Vec2(-5, -5), Vec2(5, -5)), OrientedRect(Vec2(0, 3), 1.0, 0.2, 0.5)]
+        scene = to_map(shapes).scene()
+        assert (len(scene.circles), len(scene.segments), len(scene)) == (1, 9, 4)
+        assert len(scene + scene) == 8
+        assert scene.segments[-1].tolist() == [-5.0, -5.0, 5.0, -5.0]  # walls after the edges
+
+    def test_scan_radius_squared_by_python_pow(self, rng):
+        radii = rng.uniform(0.05, 2.0, 500).tolist()
+        scene = to_map([Circle(Vec2(0, 0), r) for r in radii]).scene()
+        assert scene.circles[:, 2].tolist() == [r**2 for r in radii]
+
+    def test_bounding_discs_equal_object_discs(self, rng):
+        """Over many rectangles, where numpy's hypot and libm's differ in
+        the last bit for some: the discs in placement order, their radii
+        from math.hypot, degenerate rectangles' floored at 1e-3."""
+        shapes = [random_shape(rng) for _ in range(4000)]
+        shapes += [OrientedRect(Vec2(1, 2), 0.5, 0.0, 0.0), OrientedRect(Vec2(1, 2), 0.5, 0.0, 1e-3)]
+        shapes.append(Segment(Vec2(-5, -5), Vec2(5, -5)))
+        discs = to_map(shapes).bounding_discs()
+        assert discs.tobytes() == reference_obstacle_discs(shapes).tobytes()
+        assert discs[-2:, 2].tolist() == [1e-3, 1e-3]

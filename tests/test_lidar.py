@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from socnavsim.geometry import Circle, Segment, Vec2, pack_shapes, takes_windows
+from socnavsim.geometry import takes_windows
 from socnavsim.lidar import (
     HISTORY_LEN,
     RANGE_MAX,
@@ -15,23 +15,27 @@ from socnavsim.lidar import (
     simulate_scan,
 )
 from socnavsim.networks import featurize
-from socnavsim.world import arena_walls
 
 from conftest import (
+    Circle,
+    Segment,
+    Vec2,
     calibrate,
     calibration_shift,
     marching_ray,
     random_circle,
     random_rect,
     random_shape,
+    reference_arena_walls,
     reference_motion_matrix,
+    to_map,
 )
 
 CFG = LidarConfig(beam_count=181)
 
 
 def scan_at(shapes, x, y, heading, cfg=CFG, t=0, seed=0):
-    sweep = cast_sweep(pack_shapes(shapes), (x, y), heading, cfg)
+    sweep = cast_sweep(to_map(shapes).scene(), (x, y), heading, cfg)
     return simulate_scan(sweep, heading, t, cfg, np.random.default_rng(seed))
 
 
@@ -40,7 +44,7 @@ class TestSimulateScan:
         """Open space reads the sensor bound RANGE_MAX in the sweep, its
         scan and the motion-feature beams shifted in from outside the fan,
         and 1.0 once featurized."""
-        sweep = cast_sweep(pack_shapes([]), (0.0, 0.0), 0.0, CFG)
+        sweep = cast_sweep(to_map([]).scene(), (0.0, 0.0), 0.0, CFG)
         assert np.all(sweep == RANGE_MAX)
         s = simulate_scan(sweep, 0.0, 0, CFG, np.random.default_rng(0))
         assert np.all(s.ranges == RANGE_MAX)
@@ -54,7 +58,7 @@ class TestSimulateScan:
         """A noisy config cannot be scanned without a generator, and draws
         its noise from the one it is given."""
         cfg = LidarConfig(beam_count=64, noise_sigma=0.05)
-        sweep = cast_sweep(pack_shapes([Circle(Vec2(2.0, 0.5), 0.4)]), (0.0, 0.0), 0.1, cfg)
+        sweep = cast_sweep(to_map([Circle(Vec2(2.0, 0.5), 0.4)]).scene(), (0.0, 0.0), 0.1, cfg)
         with pytest.raises(TypeError):
             simulate_scan(sweep, 0.1, 0, cfg)
         rng, ref = np.random.default_rng(4), np.random.default_rng(4)
@@ -109,7 +113,7 @@ class TestSimulateScan:
         """A scan is a fresh array: writing into it leaves the sweep, and
         every later scan of it, as they were."""
         cfg = LidarConfig(beam_count=64, noise_sigma=sigma)
-        sweep = cast_sweep(pack_shapes([Circle(Vec2(2.0, 0.5), 0.4)]), (0.0, 0.0), 0.1, cfg)
+        sweep = cast_sweep(to_map([Circle(Vec2(2.0, 0.5), 0.4)]).scene(), (0.0, 0.0), 0.1, cfg)
         kept = sweep.copy()
         assert not sweep.flags.writeable
         with pytest.raises(ValueError):
@@ -128,11 +132,11 @@ def test_benchmark_sized_scenes_pick_their_cast_path(rng):
     smallest eval-mapless1080 one seen (4 walls, 3 circles and a rectangle:
     11 rows at 1080 beams) takes the beam windows, unless its fan is not
     ascending."""
-    walls = arena_walls(5.0)
+    walls = reference_arena_walls(5.0)
     crowd = [random_circle(rng) for _ in range(16)] + [random_rect(rng) for _ in range(4)]
     obstacles = [random_circle(rng) for _ in range(3)] + [random_rect(rng)]
     for shapes, beams, windows in ((walls + crowd, 180, False), (walls + obstacles, 1080, True)):
-        scene = pack_shapes(shapes)
+        scene = to_map(shapes).scene()
         fan = float(rng.uniform(-math.pi, math.pi)) + LidarConfig(beam_count=beams).beam_offsets()
         assert takes_windows(fan, scene) is windows
         assert not takes_windows(fan[::-1], scene)

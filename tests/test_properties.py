@@ -1,6 +1,7 @@
 """Property tests for the raycaster, the static distance, the social
-zones, the rectangle overlap test, the greedy planner's scan erosion and
-the ORCA solver."""
+zones, the rectangle overlap test, the greedy planner's scan erosion,
+the ORCA solver, and the map sampler, grid fill, obstacle discs and
+scenario spawns against their object-based oracles."""
 
 import math
 
@@ -11,25 +12,18 @@ from hypothesis.extra.numpy import arrays
 
 from socnavsim import geometry
 from socnavsim.baselines import _inflate_returns
-from socnavsim.crowd import obstacle_discs, orca_lines
-from socnavsim.geometry import (
-    Circle,
-    OrientedRect,
-    Segment,
-    Vec2,
-    beam_arcs,
-    pack_distance_scene,
-    pack_shapes,
-    rect_rows,
-    rects_overlap,
-    row_terms,
-    takes_windows,
-)
+from socnavsim.crowd import SCENARIO_KINDS, CrowdConfig, orca_lines, spawn_scenario
+from socnavsim.geometry import beam_arcs, rects_overlap, row_terms, takes_windows
 from socnavsim.lidar import RANGE_MAX, RANGE_MIN, LidarConfig
 from socnavsim.rewards import zone_rows
+from socnavsim.world import EnvConfig, _grid_free, _sample_obstacle, randomize_map
 
 from conftest import (
+    Circle,
+    OrientedRect,
     Pedestrian,
+    Segment,
+    Vec2,
     cast_fan_of,
     marching_ray,
     orca_solve,
@@ -40,9 +34,15 @@ from conftest import (
     rects_intersect,
     reference_cast_fan,
     reference_closest_distance,
+    reference_grid_free,
     reference_inflate_returns,
+    reference_obstacle_discs,
+    reference_randomize_map,
+    reference_sample_obstacle,
+    reference_spawn_scenario,
     segment_ok,
     social_zone,
+    to_map,
 )
 
 
@@ -120,7 +120,7 @@ def windowed_casts(draw):
                              st.floats(-math.pi, -math.pi + 1e-3)))
     shapes = draw(st.lists(st.one_of(circles, rects, segments, placed_shape(origin, heading)),
                            min_size=1, max_size=6))
-    scene = pack_shapes(shapes)
+    scene = to_map(shapes).scene()
     rows = len(scene.circles) + len(scene.segments)
     beams = -(-geometry.WINDOW_MIN_LANES // rows) + draw(st.integers(0, 300))
     fan = heading + LidarConfig(beam_count=beams).beam_offsets()
@@ -147,7 +147,7 @@ def windowed_casts(draw):
 def test_beam_windows_equal_reference(case):
     """cast_fan over the beam windows equals the per-shape loop bit for bit."""
     origin, angles, shapes = case
-    assert takes_windows(angles, pack_shapes(shapes))
+    assert takes_windows(angles, to_map(shapes).scene())
     fan = cast_fan_of(origin, angles, shapes, 10.0)
     assert fan.tobytes() == reference_cast_fan(origin, angles, shapes, 10.0).tobytes()
 
@@ -200,7 +200,7 @@ def test_distance_scene_equals_vec2_loop(case):
     Vec2 loop over the shape objects bit for bit."""
     robot, shapes = case
     p = robot.center
-    got = pack_distance_scene(shapes).closest_distance(p.x, p.y, robot.radius)
+    got = to_map(shapes).distances().closest_distance(p.x, p.y, robot.radius)
     assert got.hex() == reference_closest_distance(robot, shapes).hex()
 
 
@@ -212,9 +212,9 @@ def test_distance_scene_equals_vec2_loop(case):
 )
 def test_robot_zone_row_equals_social_zone(position, heading, radius, speed):
     """The robot's zone_rows row, built as rewards.assess builds it, equals
-    the OrientedRect social zone packed by rect_rows bit for bit."""
+    the OrientedRect social zone packed by to_map bit for bit."""
     row = zone_rows(np.array([[position.x, position.y]]), np.array([heading]), radius, speed)
-    assert row.tobytes() == rect_rows([social_zone(position, heading, radius, speed)]).tobytes()
+    assert row.tobytes() == to_map([social_zone(position, heading, radius, speed)]).rects.tobytes()
 
 
 # Overlap cases: corners on a 1/16 m grid, so that rectangles do not come
@@ -266,7 +266,7 @@ def test_touching_rects_intersect(pair):
 def test_rects_overlap_equals_pairwise_sat(rs):
     """One rects_overlap pass over every ordered pair equals the Vec2
     separating-axis test of each pair on its own, degenerate rects too."""
-    rows = rect_rows(rs)
+    rows = to_map(rs).rects
     n = len(rs)
     got = rects_overlap(np.repeat(rows, n, axis=0), np.tile(rows, (n, 1)))
     assert got.tolist() == [rects_intersect(a, b) for a in rs for b in rs]
@@ -315,7 +315,7 @@ pedestrians = st.builds(
 def test_orca_speed_within_preferred(crowd, discs):
     crowd = [Pedestrian(i, p.position, p.velocity, p.pref_speed, p.radius, p.goal)
              for i, p in enumerate(crowd)]
-    lines, num_fixed = orca_lines(pack(crowd), obstacle_discs(discs), 0.05)
+    lines, num_fixed = orca_lines(pack(crowd), to_map(discs).bounding_discs(), 0.05)
     for p, rows in zip(crowd, lines):
         assert orca_solve(p, rows, num_fixed).norm() <= p.pref_speed + 1e-9
 
@@ -334,7 +334,80 @@ def test_orca_head_on_mirror_symmetry(distance, heading, speed, pref_speed, radi
     v = Vec2.from_angle(heading, speed)
     a = Pedestrian(0, p * -1.0, v, pref_speed, radius, p * 2.0)
     b = Pedestrian(1, p, v * -1.0, pref_speed, radius, p * -2.0)
-    lines, num_fixed = orca_lines(pack([a, b]), obstacle_discs([]), 0.05)
+    lines, num_fixed = orca_lines(pack([a, b]), to_map([]).bounding_discs(), 0.05)
     va = orca_solve(a, lines[0], num_fixed)
     vb = orca_solve(b, lines[1], num_fixed)
     assert abs(va.x + vb.x) <= 1e-9 and abs(va.y + vb.y) <= 1e-9
+
+
+# Map and spawn cases: the row code against the object code it replaced,
+# bit for bit, draws from the generator included.
+seeds = st.integers(0, 2**32 - 1)
+map_configs = st.builds(
+    lambda counts, sizes: EnvConfig(beam_count=64, obstacle_count_range=counts, obstacle_size_range=sizes),
+    st.sampled_from([(4, 8), (1, 12)]),
+    st.sampled_from([(0.3, 1.2), (0.8, 2.0)]),
+)
+
+
+def same_rows(static_map, shapes) -> bool:
+    want = to_map(shapes)
+    return all(getattr(static_map, f).tobytes() == getattr(want, f).tobytes()
+               for f in ("circles", "rects", "walls", "is_rect"))
+
+
+@given(seed=seeds, config=map_configs)
+def test_sampled_obstacles_equal_object_sampler(seed, config):
+    """Each obstacle's rows: a rectangle's anchor from the sampled heading,
+    its row's heading wrapped."""
+    rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+    circles, rects, is_rect = [], [], []
+    for _ in range(40):
+        circle, rect = _sample_obstacle(rng_a, config)
+        circles += circle
+        rects += rect
+        is_rect.append(bool(rect))
+    shapes = [reference_sample_obstacle(rng_b, config) for _ in range(40)]
+    assert same_rows(geometry.StaticMap(circles, rects, is_rect=is_rect), shapes)
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+@given(seed=seeds, config=map_configs)
+def test_randomize_map_equals_object_sampler(seed, config):
+    """A whole map, circles and rectangles mixed, in placement order."""
+    rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert same_rows(randomize_map(rng_a, config), reference_randomize_map(rng_b, config))
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+@given(shapes=st.lists(st.one_of(circles, rects, segments), max_size=12))
+def test_grid_fill_equals_object_grid(shapes):
+    config = EnvConfig(beam_count=64)
+    free, origin = _grid_free(to_map(shapes), config)
+    want, want_origin = reference_grid_free(shapes, config)
+    assert free.tobytes() == want.tobytes() and origin == want_origin
+
+
+@given(shapes=st.lists(st.one_of(circles, rects, segments), max_size=12))
+def test_bounding_discs_equal_object_discs(shapes):
+    """ORCA's obstacle discs in placement order, degenerate rectangles'
+    floored at 1e-3, walls left out."""
+    assert to_map(shapes).bounding_discs().tobytes() == reference_obstacle_discs(shapes).tobytes()
+
+
+@given(
+    kind=st.sampled_from(SCENARIO_KINDS),
+    count=st.integers(0, 20),
+    seed=seeds,
+    start=st.builds(Vec2, coords(4.0), coords(4.0)),
+    goal=st.builds(Vec2, coords(4.0), coords(4.0)),
+    side=st.floats(1.0, 8.0),
+)
+def test_spawn_scenario_equals_object_spawn(kind, count, seed, start, goal, side):
+    assume(start != goal)
+    config = CrowdConfig(count=count, area=(side, side))
+    rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = spawn_scenario(kind, count, config, rng_a, (start.x, start.y), (goal.x, goal.y))
+    want = reference_spawn_scenario(kind, count, config, rng_b, start, goal)
+    assert repr(list(got.rows())) == repr(list(want.rows()))
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state

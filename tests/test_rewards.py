@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from socnavsim.geometry import Circle, Vec2, rect_rows, wrap_angle
+from socnavsim.geometry import wrap_angle
 from socnavsim.rewards import (
     COLLISION_PENALTY,
     GOAL_BONUS,
@@ -13,7 +13,9 @@ from socnavsim.rewards import (
 )
 
 from conftest import (
+    Circle,
     Pedestrian,
+    Vec2,
     assess_of,
     edge_case_peds,
     ego_reward_of,
@@ -23,6 +25,7 @@ from conftest import (
     rotated,
     social_reward_of,
     social_zone,
+    to_map,
 )
 
 
@@ -206,7 +209,7 @@ class TestZonesMatchPedestrians:
 
     def test_zone_rows_equal_oracle_zones(self, rng):
         peds = edge_case_peds(rng, n=2000)
-        assert np.array_equal(pedestrian_zones(pack(peds)), rect_rows([p.zone() for p in peds]))
+        assert np.array_equal(pedestrian_zones(pack(peds)), to_map([p.zone() for p in peds]).rects)
 
     def test_violations_equal_pairwise_sat(self, rng):
         for _ in range(200):

@@ -8,7 +8,8 @@ import yaml
 
 from socnavsim import world
 from socnavsim.crowd import CrowdConfig
-from socnavsim.geometry import Circle, OrientedRect, Segment, Vec2, closest_distance, pack_distance_scene
+from socnavsim import rewards
+from socnavsim.geometry import closest_distance, wrap_angle
 from socnavsim.rewards import ego_reward
 from socnavsim.world import (
     EnvConfig,
@@ -16,7 +17,6 @@ from socnavsim.world import (
     Status,
     _grid_connected,
     _grid_free,
-    _sample_obstacle,
     action_to_twist,
     arena_walls,
     corridor_exists,
@@ -26,8 +26,11 @@ from socnavsim.world import (
     save_config,
 )
 
-from conftest import (CastEveryTickEnv, clearance, point_rect_signed_distance, reference_closest_distance,
-                      reference_grid_connected, rects_intersect, social_zone, unpack)
+from conftest import (Circle, OrientedRect, Segment, Vec2, CastEveryTickEnv, clearance, closest_distance_of,
+                      point_rect_signed_distance, reference_arena_walls, reference_closest_distance,
+                      reference_grid_connected, reference_grid_free, reference_randomize_map,
+                      reference_sample_obstacle, reference_static_shapes, rects_intersect, social_zone, to_map,
+                      unpack)
 
 
 def small_cfg(**kw):
@@ -96,22 +99,45 @@ class TestIntegrate:
 class TestRandomizeMap:
     def test_zero_range_empty(self):
         cfg = small_cfg(obstacle_count_range=(0, 0))
-        assert randomize_map(np.random.default_rng(0), cfg) == []
+        m = randomize_map(np.random.default_rng(0), cfg)
+        assert m.is_rect.size == m.circles.size == m.rects.size == m.walls.size == 0
 
     def test_same_seed_same_map(self):
         cfg = small_cfg()
         a = randomize_map(np.random.default_rng(42), cfg)
         b = randomize_map(np.random.default_rng(42), cfg)
-        assert a == b
+        fields = ("circles", "rects", "walls", "is_rect")
+        assert [getattr(a, f).tobytes() for f in fields] == [getattr(b, f).tobytes() for f in fields]
 
     def test_start_goal_discs_respected(self):
         cfg = small_cfg()
         for seed in range(20):
             for disc_center in (cfg.start, cfg.goal):
-                disc = Circle(Vec2(*disc_center), 0.8)
                 obstacles = randomize_map(np.random.default_rng(seed), cfg)
-                if obstacles:
-                    assert closest_distance(disc, obstacles) > 0.0
+                if len(obstacles.is_rect):
+                    assert closest_distance((*disc_center, 0.8), obstacles.distances()) > 0.0
+
+    def test_rect_anchor_from_raw_heading(self):
+        """A rectangle's anchor is set back along the heading as drawn, and
+        its row keeps the heading wrapped, as the OrientedRect oracle does;
+        the scripted heading is one that wrap_angle moves by an ulp."""
+
+        class Scripted:  # the generator's draws, in order
+            def __init__(self, draws):
+                self.draws = iter(draws)
+
+            def uniform(self, *bounds):
+                return next(self.draws)
+
+            random = uniform
+
+        heading = 1.2345678912345
+        assert wrap_angle(heading) != heading
+        draws = (0.3, -1.1, 0.9, 0.8, 0.6, heading)
+        _, (row,) = world._sample_obstacle(Scripted(draws), small_cfg())
+        want = reference_sample_obstacle(Scripted(draws), small_cfg())
+        assert row == (want.anchor.x, want.anchor.y, want.heading, want.half_width, want.length)
+        assert row[0] == 0.3 - math.cos(heading) * 0.4 != 0.3 - math.cos(row[2]) * 0.4
 
     def test_connectivity_oracle(self):
         cfg = small_cfg()
@@ -125,7 +151,7 @@ class TestRandomizeMap:
         checks = []
 
         def counted(obstacles, config):
-            checks.append(len(obstacles))
+            checks.append(len(obstacles.is_rect))
             return corridor_exists(obstacles, config)
 
         monkeypatch.setattr(world, "MAP_ATTEMPTS", 3)
@@ -144,7 +170,7 @@ class TestStaticClearance:
         cfg = small_cfg(obstacle_count_range=(4, 10))
         inside = 0
         for seed in range(25):
-            shapes = randomize_map(np.random.default_rng(seed), cfg) + arena_walls(cfg.arena_half)
+            shapes = reference_randomize_map(np.random.default_rng(seed), cfg) + reference_arena_walls(cfg.arena_half)
             shapes += [Segment(Vec2(*rng.uniform(-5, 5, 2)), Vec2(*rng.uniform(-5, 5, 2))) for _ in range(3)]
             poses = [Vec2(*rng.uniform(-cfg.arena_half - 0.5, cfg.arena_half + 0.5, 2)) for _ in range(40)]
             for rect in (s for s in shapes if isinstance(s, OrientedRect)):
@@ -153,12 +179,12 @@ class TestStaticClearance:
                     p = rect.anchor + fwd * (rect.length * (u + 1.0) / 2.0) + left * (rect.half_width * v)
                     inside += point_rect_signed_distance(p, rect) < 0.0
                     poses.append(p)
-            packed = pack_distance_scene(shapes)
+            packed = to_map(shapes).distances()
             for p in poses:
                 robot = Circle(p, float(rng.uniform(0.1, 0.5)))
                 want = reference_closest_distance(robot, shapes).hex()
                 assert packed.closest_distance(p.x, p.y, robot.radius).hex() == want
-                assert closest_distance(robot, shapes).hex() == want
+                assert closest_distance_of(robot, shapes).hex() == want
         assert inside > 100
 
     def test_env_clearance_uses_every_static_shape(self):
@@ -166,7 +192,7 @@ class TestStaticClearance:
         env.reset(map_seed=3)
         env._check_terminal()
         robot = Circle(Vec2(env.x, env.y), env.config.robot_radius)
-        assert env._clearance == reference_closest_distance(robot, env.static_shapes)
+        assert env._clearance == reference_closest_distance(robot, reference_static_shapes(env.config, 3))
 
 
 class TestGridConnected:
@@ -188,8 +214,9 @@ class TestGridConnected:
         cfg = small_cfg(obstacle_size_range=(0.8, 2.5))
         found = set()
         for _ in range(30):
-            obstacles = [_sample_obstacle(rng, cfg) for _ in range(int(rng.integers(4, 60)))]
-            free, _ = _grid_free(obstacles, cfg)
+            obstacles = [reference_sample_obstacle(rng, cfg) for _ in range(int(rng.integers(4, 60)))]
+            free, _ = _grid_free(to_map(obstacles), cfg)
+            assert np.array_equal(free, reference_grid_free(obstacles, cfg)[0])
             cells = np.argwhere(free)
             for _ in range(3):
                 start, goal = (tuple(int(v) for v in cells[rng.integers(len(cells))]) for _ in range(2))
@@ -232,13 +259,25 @@ class TestGridConnected:
 
 
 class TestEnvStep:
-    def test_reward_parts_sum(self):
+    def test_reward_parts_sum(self, monkeypatch):
+        """Each step's record keeps the three parts of its assessment, whose
+        total they sum to."""
+        assessments = []
+
+        def kept(*args, _original=rewards.assess, **kwargs):
+            assessments.append(_original(*args, **kwargs))
+            return assessments[-1]
+
+        monkeypatch.setattr(rewards, "assess", kept)
         env = NavEnv(small_cfg(map_seed=5))
         env.reset()
         for _ in range(20):
-            out = env.step((1.0, 0.2))
-            assert out.reward == out.reward_parts[0] + out.reward_parts[1] + out.reward_parts[2]
-            if out.done is not Status.RUNNING:
+            r = env.step((1.0, 0.2)).record
+            (a,) = assessments
+            assessments.clear()
+            assert (r.r_ego, r.r_social, r.r_goal) == (a.r_ego, a.r_social, a.r_goal)
+            assert a.total == r.r_ego + r.r_social + r.r_goal
+            if env.status is not Status.RUNNING:
                 break
 
     def test_on_goal_reports_reached(self):
@@ -247,7 +286,7 @@ class TestEnvStep:
         env.reset()
         out = env.step((0.0, 0.0))
         assert out.done is Status.REACHED
-        assert out.reward_parts[2] == 10.0
+        assert out.record.r_goal == 10.0
 
     def test_wall_crash_terminates_with_minus_ten(self):
         cfg = small_cfg(obstacle_count_range=(0, 0), start=(4.0, 0.0), goal=(-4.0, 0.0),
@@ -261,7 +300,7 @@ class TestEnvStep:
                 done = out
                 break
         assert done is not None and done.done is Status.COLLIDED
-        assert done.reward_parts[0] == -10.0
+        assert done.record.r_ego == -10.0
 
     def test_empty_map_straight_run_timing(self):
         cfg = small_cfg(obstacle_count_range=(0, 0), start=(-1.5, 0.0), goal=(1.5, 0.0))
@@ -317,7 +356,7 @@ class TestEnvStep:
             trace = []
             for a in actions:
                 out = env.step(a)
-                trace.append((out.reward, env.x, env.y, env.heading))
+                trace.append((out.record, env.x, env.y, env.heading))
                 if out.done is not Status.RUNNING:
                     break
             return trace
@@ -350,7 +389,7 @@ class TestEnvStep:
                 with pytest.raises(ValueError, match="NaN"):
                     env.step(bad)
             outs += [env.step((0.5, -0.4)) for _ in range(3)]
-            return [(repr((o.reward, o.done, o.record, o.observation.goal_vector)),
+            return [(repr((o.done, o.record, o.observation.goal_vector)),
                      o.observation.matrix.tobytes()) for o in outs]
 
         assert rollout(action) == rollout(None)
@@ -383,13 +422,14 @@ class TestStepAgainstOracles:
         for suite, seed in (("crowd:random:20", 1), ("combined:8", 2), ("crowd:towards:8", 3)):
             env = NavEnv(suite_config(suite, small_cfg(max_steps=80)))
             env.reset(map_seed=seed, crowd_seed=seed + 10)
+            static = reference_static_shapes(env.config, seed)
             rng = np.random.default_rng(seed)
             for _ in range(80):
                 out = env.step((1.2, float(rng.uniform(-0.6, 0.6))))
                 robot = Circle(Vec2(env.x, env.y), env.config.robot_radius)
                 peds = unpack(env.crowd)
-                r_ego, _ = ego_reward(clearance(robot, peds, env.static_shapes), robot.radius)
-                assert out.reward_parts[0] == r_ego
+                r_ego, _ = ego_reward(clearance(robot, peds, static), robot.radius)
+                assert out.record.r_ego == r_ego
                 zone = social_zone(robot.center, env.robot_motion_heading, robot.radius, env.v_l)
                 near = [p for p in peds if (p.position - robot.center).norm() <= 5.0]
                 assert out.record.social_violations == sum(rects_intersect(zone, p.zone()) for p in near)
@@ -400,18 +440,17 @@ class TestStepAgainstOracles:
         assert violations > 0 and ego_steps > 0
 
     def test_step_builds_no_objects_per_pedestrian(self, monkeypatch):
-        """NavEnv.step builds no Vec2, Circle or OrientedRect object and
-        makes no dataclasses.replace copy, with 20 pedestrians or with
-        none; the reset that builds the walls does build Vec2s, and the
-        config copies below are counted, so both counters are live."""
+        """NavEnv.step builds no Vec2, Circle, Segment or OrientedRect object
+        and makes no dataclasses.replace copy, with 20 pedestrians or with
+        none; the config copies below are counted, so the replace counter
+        is live."""
         import dataclasses
         import sys
 
-        from socnavsim import geometry
         from socnavsim.evaluation import suite_config
 
         built = collections.Counter()
-        for cls in (geometry.Vec2, geometry.Circle, geometry.OrientedRect):
+        for cls in (Vec2, Circle, Segment, OrientedRect):
             def counting(self, original=cls.__post_init__, name=cls.__name__):
                 built[name] += 1
                 original(self)
@@ -431,7 +470,6 @@ class TestStepAgainstOracles:
             env = NavEnv(cfg)
             built.clear()
             env.reset(map_seed=4, crowd_seed=9)
-            assert built["Vec2"] > 0
             counts = []
             for _ in range(6):
                 built.clear()
@@ -487,8 +525,7 @@ class TestScanOncePerPose:
         for a, b in zip(got[1:], want[1:]):
             assert a.observation.matrix.tobytes() == b.observation.matrix.tobytes()
             assert a.observation.goal_vector == b.observation.goal_vector
-            assert repr((a.reward, a.reward_parts, a.done, a.record)) == repr(
-                (b.reward, b.reward_parts, b.done, b.record))
+            assert repr((a.done, a.record)) == repr((b.done, b.record))
         assert tallies[0] == {"cast_fan": 1}
         for tally in tallies[1:]:
             assert tally["cast_fan"] == tally["step_crowd"]
@@ -568,7 +605,7 @@ class TestBenchmarkProbes:
                 assert counts["peds"] == len(unpack(crowd)) == 20
                 walking += int((result.stopped[: len(crowd)] == 0).sum())
             assert len(calls["crowd.orca_velocity"]) == walking > 0
-            shapes = len(env.static_shapes) + len(unpack(env.crowd))
+            shapes = len(reference_static_shapes(env.config, 4)) + len(unpack(env.crowd))
             for args, _, counts in calls["geometry.cast_fan"]:
                 assert counts["beam_shape_pairs"] == len(args[1]) * shapes
             ((args, _, counts),) = calls["rewards.assess"]
@@ -661,11 +698,14 @@ class TestConfigIO:
             "scenario: zigzag\n",
             "obstacle_count_range: [-1, 3]\n",
             "obstacle_size_range: [0.0, 0.5]\n",
+            "obstacle_size_range: [0.3, .inf]\n",  # sampled shapes would be infinite
             "crowd: {walk_in_probability: -0.1}\n",
             "crowd: {stop_go_probability: 1.5}\n",
             "crowd: {rect_shape_probability: 1.01}\n",
             "crowd: {area: [0.0, 5.0]}\n",
             "crowd: {area: [5.0, -1.0]}\n",
+            "crowd: {area: [.inf, 5.0]}\n",  # spawn points would be NaN
+            "crowd: {center: [.nan, 0.0]}\n",
         ],
     )
     def test_out_of_range_values_rejected(self, tmp_path, text):
