@@ -7,7 +7,6 @@ goal-deviation penalty and steers proportionally toward the winner.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import repeat
 from typing import Protocol
 
@@ -17,15 +16,13 @@ from .lidar import RANGE_MAX, LidarConfig, MotionFeature
 from .world import V_MAX
 
 
-@dataclass(frozen=True)
-class GreedyParams:
-    window_beams_at_180: int = 21  # scaled proportionally with beam count
-    goal_bias: float = 2.0  # meters of clearance per radian of deviation
-    heading_gain: float = 1.5
-    stop_clearance: float = 0.5
-    speed_per_clearance: float = 0.5
-    hull_margin: float = 0.45  # stand-off subtracted from the winning range
-    inflate_radius: float = 0.35  # hull radius eroding each return angularly
+WINDOW_BEAMS_AT_180 = 21  # scaled proportionally with beam count
+GOAL_BIAS = 2.0  # meters of clearance per radian of deviation
+HEADING_GAIN = 1.5
+STOP_CLEARANCE = 0.5
+SPEED_PER_CLEARANCE = 0.5
+HULL_MARGIN = 0.45  # stand-off subtracted from the winning range
+INFLATE_RADIUS = 0.35  # hull radius eroding each return angularly
 
 
 def _window_means(ranges: np.ndarray, window: int) -> np.ndarray:
@@ -85,8 +82,7 @@ def greedy_plan(
     ranges: np.ndarray,
     beam_offsets: np.ndarray,
     goal_bearing: float,
-    goal_distance: float = 10.0,
-    params: GreedyParams = GreedyParams(),
+    goal_distance: float,
 ) -> tuple[float, float]:
     """Pick the best beam and return (v_l, heading offset).
 
@@ -99,13 +95,13 @@ def greedy_plan(
     windowed clearance falls under the stop threshold the planner halts
     forward motion and keeps turning.
     """
-    window = max(3, int(round(params.window_beams_at_180 * ranges.size / 180.0)) | 1)
+    window = max(3, int(round(WINDOW_BEAMS_AT_180 * ranges.size / 180.0)) | 1)
     ranges = np.asarray(ranges, dtype=float)
     delta_theta = float(beam_offsets[1] - beam_offsets[0])
-    safe = _inflate_returns(ranges, delta_theta, params.inflate_radius)
+    safe = _inflate_returns(ranges, delta_theta, INFLATE_RADIUS)
     clearance = _window_means(safe, window)
-    useful = np.minimum(clearance, goal_distance + params.stop_clearance)
-    bias = params.goal_bias * useful.max() / RANGE_MAX
+    useful = np.minimum(clearance, goal_distance + STOP_CLEARANCE)
+    bias = GOAL_BIAS * useful.max() / RANGE_MAX
     score = useful - bias * np.abs(beam_offsets - goal_bearing)
     best_score = score.max()
     tied = np.flatnonzero(score >= best_score - 1e-12)
@@ -115,10 +111,10 @@ def greedy_plan(
     best = int(tied[0])
 
     angle = float(beam_offsets[best])
-    v_w = float(np.clip(params.heading_gain * angle, -math.pi, math.pi))
-    if clearance.max() < params.stop_clearance:
+    v_w = float(np.clip(HEADING_GAIN * angle, -math.pi, math.pi))
+    if clearance.max() < STOP_CLEARANCE:
         return 0.0, v_w
-    v_l = params.speed_per_clearance * (float(safe[best]) - params.hull_margin)
+    v_l = SPEED_PER_CLEARANCE * (float(safe[best]) - HULL_MARGIN)
     # turn mostly in place when the winner sits far off the nose
     v_l *= max(0.1, math.cos(min(abs(angle), math.pi / 2.0)))
     v_l = float(np.clip(v_l, 0.0, V_MAX))
@@ -133,9 +129,8 @@ class GreedyPolicy:
     mapping cannot combine with a turn command.
     """
 
-    def __init__(self, lidar_config: LidarConfig, params: GreedyParams = GreedyParams()):
+    def __init__(self, lidar_config: LidarConfig):
         self.name = "greedy"
-        self.params = params
         self._offsets = lidar_config.beam_offsets()
 
     def begin_episode(self, obs: MotionFeature) -> None:
@@ -144,9 +139,7 @@ class GreedyPolicy:
 
     def act(self, obs: MotionFeature) -> tuple[float, float]:
         distance, bearing = obs.goal_vector
-        v_l, v_w = greedy_plan(
-            obs.current_scan_ranges, self._offsets, bearing, distance, self.params
-        )
+        v_l, v_w = greedy_plan(obs.current_scan_ranges, self._offsets, bearing, distance)
         return v_l * math.cos(v_w), v_l * math.sin(v_w)
 
 

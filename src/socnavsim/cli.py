@@ -64,10 +64,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_env_config(path):
+def _load_env_config(path, parser):
+    """The --config file's EnvConfig, or the default one; a missing or
+    malformed file is a usage error."""
+    import yaml
+
     from .world import EnvConfig, load_config
 
-    return load_config(path) if path else EnvConfig()
+    if not path:
+        return EnvConfig()
+    try:
+        return load_config(path)
+    except (OSError, ValueError, yaml.YAMLError) as exc:
+        parser.error(f"config {path}: {exc}")
 
 
 def _build_policy(desc: str, env_cfg, parser):
@@ -111,7 +120,7 @@ def cmd_train(args, parser) -> int:
     if args.stage == "social" and not args.warm_start and not args.allow_cold_social:
         parser.error("--stage social requires --warm-start (or --allow-cold-social)")
 
-    env_cfg = _load_env_config(args.config)
+    env_cfg = _load_env_config(args.config, parser)
     warm = None
     if args.warm_start:
         warm, _meta = load_checkpoint(args.warm_start)
@@ -160,7 +169,7 @@ def cmd_train(args, parser) -> int:
 def cmd_eval(args, parser) -> int:
     from .evaluation import EXPORT_FORMATS, episode_seeds, export, run_episode, suite_config
 
-    env_cfg = _load_env_config(args.config)
+    env_cfg = _load_env_config(args.config, parser)
     try:
         cfg = suite_config(args.suite, env_cfg)
     except ValueError as exc:
@@ -192,7 +201,7 @@ def cmd_scenario_gen(args, parser) -> int:
     from .evaluation import episode_seeds, suite_config
     from .world import NavEnv
 
-    env_cfg = _load_env_config(args.config)
+    env_cfg = _load_env_config(args.config, parser)
     try:
         cfg = suite_config(args.suite, env_cfg)
     except ValueError as exc:
@@ -200,6 +209,7 @@ def cmd_scenario_gen(args, parser) -> int:
     (_, map_seed, crowd_seed), = episode_seeds(args.seed, 1)
     env = NavEnv(cfg)
     env.reset(map_seed=map_seed, crowd_seed=crowd_seed)
+    crowd = env.crowd
 
     keys = {"circle": ("x", "y", "radius"), "rect": ("x", "y", "heading", "half_width", "length")}
     obstacles = [{"kind": kind, **dict(zip(keys[kind], row))} for kind, row in env.static_map.placements()]
@@ -212,8 +222,11 @@ def cmd_scenario_gen(args, parser) -> int:
         "goal": list(cfg.goal),
         "obstacles": obstacles,
         "pedestrians": [
-            {"id": i, "x": x, "y": y, "vx": vx, "vy": vy, "radius": r, "pref_speed": s, "goal": [gx, gy]}
-            for i, x, y, vx, vy, gx, gy, s, r, *_ in env.crowd.rows()
+            {"id": i, "x": x, "y": y, "vx": vx, "vy": vy, "radius": r, "pref_speed": s, "goal": goal}
+            for i, (x, y), (vx, vy), r, s, goal in zip(
+                *(a.tolist() for a in (crowd.ids, crowd.position, crowd.velocity, crowd.radius,
+                                       crowd.pref_speed, crowd.goal))
+            )
         ],
     }
     os.makedirs(args.out, exist_ok=True)

@@ -331,13 +331,12 @@ class BehaviourPolicy:
         self.obs = None
 
     def begin_episode(self, obs) -> None:
-        self.initial_distance = obs.goal_vector[0]
         self.features(obs)
 
     def features(self, obs) -> tuple[np.ndarray, np.ndarray]:
-        """featurize(obs) at this episode's initial goal distance, cached."""
+        """featurize(obs), cached for the last observation."""
         if obs is not self.obs:
-            self.obs, self.feat_goal = obs, featurize(obs, self.initial_distance)
+            self.obs, self.feat_goal = obs, featurize(obs)
         return self.feat_goal
 
     def act(self, obs) -> np.ndarray:

@@ -40,14 +40,7 @@ class EpisodeLog:
         return len(self.records)
 
     def summary(self) -> "EpisodeSummary":
-        return EpisodeSummary(
-            outcome=self.outcome,
-            steps=self.steps,
-            arriving_time=self.arriving_time,
-            ego_violation_steps=sum(1 for r in self.records if r.ego_violation),
-            social_violation_steps=sum(1 for r in self.records if r.social_violations >= 1),
-            reward_sum=sum(r.r_ego + r.r_social + r.r_goal for r in self.records),
-        )
+        return summarize(self.records, self.outcome, self.arriving_time)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -88,6 +81,18 @@ class EpisodeSummary:
 
     def _score(self, violation_steps: int) -> float:
         return (1.0 - violation_steps / max(self.steps, 1)) * 100.0
+
+
+def summarize(records: list[StepRecord], outcome: str, arriving_time: float | None) -> EpisodeSummary:
+    """The violation-step counts and reward sum of one episode's records."""
+    return EpisodeSummary(
+        outcome=outcome,
+        steps=len(records),
+        arriving_time=arriving_time,
+        ego_violation_steps=sum(1 for r in records if r.ego_violation),
+        social_violation_steps=sum(1 for r in records if r.social_violations >= 1),
+        reward_sum=sum(r.r_ego + r.r_social + r.r_goal for r in records),
+    )
 
 
 @dataclass(frozen=True)
@@ -151,10 +156,11 @@ def episode_steps(policy, env_config: EnvConfig, map_seed: int, crowd_seed: int)
     wants_state = getattr(policy, "wants_state", False)
     while True:
         if wants_state:
+            crowd = env.crowd
             policy.observe_state(
                 (env.x, env.y, env.heading),
                 env_config.goal,
-                [row[1:5] + row[8:9] for row in env.crowd.rows()],  # (x, y, vx, vy, radius)
+                list(zip(*crowd.position.T.tolist(), *crowd.velocity.T.tolist(), crowd.radius.tolist())),
             )
         outcome = env.step(policy.act(obs))
         yield outcome
@@ -236,15 +242,15 @@ def _fmt(x: float) -> str:
     return FLOAT_FMT % x
 
 
-# each StepRecord field but the pedestrians, with its format by declared type
-_RECORD_COLUMNS = [
-    (f.name, {"int": str, "float": _fmt, "bool": lambda b: str(int(b))}[f.type])
-    for f in fields(StepRecord)
-    if f.name != "pedestrians"
-]
-TRAJECTORY_COLUMNS = [name for name, _ in _RECORD_COLUMNS] + ["outcome", "pedestrians"]
-
-EXPORT_FORMATS = ("trajectory-table", "metrics-table", "curve-series")
+# (format, parse) of a table cell, by the declared type of its StepRecord field
+_CELL_TYPES = {
+    "int": (str, int),
+    "float": (_fmt, float),
+    "bool": (lambda b: str(int(b)), lambda s: bool(int(s))),
+}
+# each StepRecord field but the pedestrians, with its format and its parse
+_RECORD_COLUMNS = [(f.name, *_CELL_TYPES[f.type]) for f in fields(StepRecord) if f.name != "pedestrians"]
+TRAJECTORY_COLUMNS = [name for name, *_ in _RECORD_COLUMNS] + ["outcome", "pedestrians"]
 
 
 def _traj_filename(log: EpisodeLog) -> str:
@@ -257,7 +263,7 @@ def export_trajectory_table(log: EpisodeLog, out_dir) -> str:
     lines = [",".join(TRAJECTORY_COLUMNS)]
     for r in log.records:
         peds = ";".join(":".join(_fmt(v) for v in p) for p in r.pedestrians)
-        row = [fmt(getattr(r, name)) for name, fmt in _RECORD_COLUMNS] + [log.outcome, peds]
+        row = [fmt(getattr(r, name)) for name, fmt, _ in _RECORD_COLUMNS] + [log.outcome, peds]
         lines.append(",".join(row))
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
@@ -274,19 +280,15 @@ def parse_trajectory_table(path) -> EpisodeSummary:
     if not rows:
         # every episode takes at least one step: a table without rows is truncated
         raise ValueError(f"trajectory table {path} has no rows")
-    cols = {name: i for i, name in enumerate(TRAJECTORY_COLUMNS)}
-    outcome = rows[-1][cols["outcome"]]
-    return EpisodeSummary(
-        outcome=outcome,
-        steps=len(rows),
-        arriving_time=float(rows[-1][cols["t"]]) if outcome == "reached" else None,
-        ego_violation_steps=sum(int(r[cols["ego_violation"]]) for r in rows),
-        social_violation_steps=sum(1 for r in rows if int(r[cols["social_violations"]]) >= 1),
-        reward_sum=sum(
-            float(r[cols["r_ego"]]) + float(r[cols["r_social"]]) + float(r[cols["r_goal"]])
-            for r in rows
-        ),
-    )
+    records = []
+    for row in rows:
+        if len(row) != len(TRAJECTORY_COLUMNS):
+            raise ValueError(f"trajectory table {path} has a row of {len(row)} cells: {row}")
+        *cells, outcome, peds = row
+        values = {name: parse(cell) for (name, _, parse), cell in zip(_RECORD_COLUMNS, cells)}
+        pedestrians = [tuple(map(float, p.split(":"))) for p in peds.split(";") if p]
+        records.append(StepRecord(**values, pedestrians=pedestrians))
+    return summarize(records, outcome, records[-1].t if outcome == Status.REACHED.value else None)
 
 
 def metrics_from_tables(paths) -> Metrics:
@@ -350,14 +352,19 @@ def export_curve_series(logs: list[EpisodeLog], out_dir) -> str:
     return path
 
 
+# each export format's writer, from the episode logs and the output directory to the files written
+_EXPORTERS = {
+    "trajectory-table": lambda logs, out_dir: [export_trajectory_table(log, out_dir) for log in logs],
+    "metrics-table": lambda logs, out_dir: [export_metrics_table(logs, out_dir)],
+    "curve-series": lambda logs, out_dir: [export_curve_series(logs, out_dir)],
+}
+EXPORT_FORMATS = tuple(_EXPORTERS)
+
+
 def export(logs: list[EpisodeLog], fmt: str, out_dir) -> list[str]:
     if not logs:
         raise ValueError("nothing to export")
+    if fmt not in _EXPORTERS:
+        raise ValueError(f"unknown export format {fmt!r}; expected one of {EXPORT_FORMATS}")
     os.makedirs(out_dir, exist_ok=True)
-    if fmt == "trajectory-table":
-        return [export_trajectory_table(log, out_dir) for log in logs]
-    if fmt == "metrics-table":
-        return [export_metrics_table(logs, out_dir)]
-    if fmt == "curve-series":
-        return [export_curve_series(logs, out_dir)]
-    raise ValueError(f"unknown export format {fmt!r}; expected one of {EXPORT_FORMATS}")
+    return _EXPORTERS[fmt](logs, out_dir)

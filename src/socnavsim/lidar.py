@@ -10,6 +10,7 @@ is deliberately left in).
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,24 +51,10 @@ class LidarConfig:
 
 
 @dataclass(frozen=True)
-class Scan:
-    ranges: np.ndarray
-    heading_at_capture: float
-    timestamp: int
-
-    def __post_init__(self):
-        r = np.asarray(self.ranges, dtype=float)
-        if r.ndim != 1:
-            raise ValueError("ranges must be a 1-D array")
-        if r.size and (r.min() < RANGE_MIN - 1e-12 or r.max() > RANGE_MAX + 1e-12):
-            raise ValueError("scan ranges outside sensor bounds")
-        object.__setattr__(self, "ranges", r)
-
-
-@dataclass(frozen=True)
 class MotionFeature:
     matrix: np.ndarray  # (K, B), rows oldest -> newest
     goal_vector: tuple[float, float]  # (distance m, bearing rad in [-pi, pi])
+    initial_goal_distance: float  # the goal distance at the episode's reset
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -94,50 +81,45 @@ def cast_sweep(scene: Scene, position: tuple[float, float], heading: float,
     return ranges
 
 
-def simulate_scan(
-    sweep: np.ndarray,
-    heading: float,
-    timestamp: int,
-    config: LidarConfig,
-    noise_rng: np.random.Generator,
-) -> Scan:
+def simulate_scan(sweep: np.ndarray, config: LidarConfig, noise_rng: np.random.Generator) -> np.ndarray:
     """One reading of a sweep: range noise drawn from noise_rng, then the
     clamp to the sensor bounds, into a fresh array."""
     ranges = sweep
     if config.noise_sigma > 0.0:
         ranges = sweep + noise_rng.normal(0.0, config.noise_sigma, sweep.shape)
-    ranges = np.clip(ranges, RANGE_MIN, RANGE_MAX)
-    return Scan(ranges=ranges, heading_at_capture=heading, timestamp=timestamp)
+    return np.clip(ranges, RANGE_MIN, RANGE_MAX)
 
 
 def build_motion_feature(
-    history: list[Scan] | tuple[Scan, ...],
+    history: Sequence[tuple[float, np.ndarray]],
     current_heading: float,
     goal_distance: float,
     goal_bearing: float,
+    initial_goal_distance: float,
     config: LidarConfig,
 ) -> MotionFeature:
     """Stack the last K sweeps, each calibrated to the current heading.
 
-    Row k, beam i takes the value sweep k held at beam i + shift, where
-    shift = round(wrap(current_heading - heading_at_capture) /
-    angle_increment); beams shifted in from outside that sweep's fan
-    read RANGE_MAX.  The history must hold exactly K scans ordered
-    oldest to newest; at episode start the caller pre-fills it by
-    repeating the first scan.
+    history holds (heading at capture, ranges) pairs.  Row k, beam i
+    takes the value sweep k held at beam i + shift, where shift =
+    round(wrap(current_heading - heading at capture) / angle_increment);
+    beams shifted in from outside that sweep's fan read RANGE_MAX.  The
+    history must hold exactly K sweeps ordered oldest to newest; at
+    episode start the caller pre-fills it by repeating the first one.
     """
     if len(history) != HISTORY_LEN:
         raise ValueError(f"need exactly {HISTORY_LEN} scans, got {len(history)}")
-    b = history[-1].ranges.size
+    b = history[-1][1].size
     inc = config.angle_increment
     matrix = np.full((HISTORY_LEN, b), RANGE_MAX)
-    for row, scan in zip(matrix, history):
-        shift = int(round(wrap_angle(current_heading - scan.heading_at_capture) / inc))
+    for row, (heading, ranges) in zip(matrix, history):
+        shift = int(round(wrap_angle(current_heading - heading) / inc))
         if 0 <= shift < b:
-            row[: b - shift] = scan.ranges[shift:]
+            row[: b - shift] = ranges[shift:]
         elif -b < shift < 0:
-            row[-shift:] = scan.ranges[: b + shift]
+            row[-shift:] = ranges[: b + shift]
     return MotionFeature(
         matrix=matrix,
         goal_vector=(goal_distance, wrap_angle(goal_bearing)),
+        initial_goal_distance=initial_goal_distance,
     )

@@ -79,11 +79,13 @@ def default_network_spec(time_rows: int, beams: int) -> NetworkSpec:
     return NetworkSpec(feature_shape=(time_rows, beams))
 
 
-def featurize(obs: MotionFeature, initial_goal_distance: float):
-    """Normalize an observation into float32 network inputs."""
+def featurize(obs: MotionFeature):
+    """Normalize an observation into float32 network inputs: ranges over
+    RANGE_MAX, the goal distance over its value at the episode's reset and
+    the bearing over pi."""
     feat = (obs.matrix / RANGE_MAX).astype(np.float32)
     dist, bearing = obs.goal_vector
-    denom = max(initial_goal_distance, 1e-6)
+    denom = max(obs.initial_goal_distance, 1e-6)
     goal = np.array([dist / denom, bearing / math.pi], dtype=np.float32)
     return feat, goal
 

@@ -25,10 +25,9 @@ class LearnedPolicy:
             raise ValueError(
                 f"checkpoint expects {self.beam_count} beams, observation has {obs.matrix.shape[1]}"
             )
-        self._initial_distance = obs.goal_vector[0]
 
     def act(self, obs: MotionFeature) -> tuple[float, float]:
-        feat, goal = featurize(obs, self._initial_distance)
+        feat, goal = featurize(obs)
         a, _ = self.actor.forward(feat[None], goal[None])
         return float(a[0, 0]), float(a[0, 1])
 

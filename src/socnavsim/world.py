@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 import yaml
@@ -23,8 +23,7 @@ import yaml
 from . import rewards
 from .crowd import SCENARIO_KINDS, STILL_SPEED, Crowd, CrowdConfig, spawn_crowd, spawn_scenario, step_crowd
 from .geometry import DistanceScene, StaticMap, closest_distance, wrap_angle
-from .lidar import (HISTORY_LEN, LidarConfig, MotionFeature, Scan, build_motion_feature, cast_sweep,
-                    simulate_scan)
+from .lidar import HISTORY_LEN, LidarConfig, MotionFeature, build_motion_feature, cast_sweep, simulate_scan
 
 ACTION_LIMIT = 1.5
 V_MAX = 1.5
@@ -144,22 +143,49 @@ class EnvConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "EnvConfig":
-        d = dict(d)
-        crowd_d = d.pop("crowd", {})
-        crowd_fields = {f for f in CrowdConfig.__dataclass_fields__}
-        unknown = set(crowd_d) - crowd_fields
-        if unknown:
-            raise ValueError(f"unknown crowd config keys: {sorted(unknown)}")
-        crowd_kwargs = {
-            k: tuple(v) if isinstance(v, list) else v for k, v in crowd_d.items()
-        }
-        env_fields = {f for f in EnvConfig.__dataclass_fields__}
-        unknown = set(d) - env_fields
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in d.items()}
-        kwargs["crowd"] = CrowdConfig(**crowd_kwargs)
+        """From a to_dict() or YAML mapping; raises ValueError naming the key
+        of any entry that cannot be the field it names."""
+        kwargs = _field_kwargs(EnvConfig, d, "config")
+        kwargs["crowd"] = CrowdConfig(**_field_kwargs(CrowdConfig, kwargs.get("crowd", {}), "crowd config"))
         return EnvConfig(**kwargs)
+
+
+_NUMBER_TYPES = {"int": (int,), "float": (int, float)}  # a bool is neither
+
+
+def _is_number(kind: str, value) -> bool:
+    """Whether value can be a field of type kind; any type but int and float can."""
+    allowed = _NUMBER_TYPES.get(kind)
+    return allowed is None or (isinstance(value, allowed) and not isinstance(value, bool))
+
+
+def _field_kwargs(cls, d, section: str) -> dict:
+    """The entries of mapping d as keyword arguments of dataclass cls,
+    lists turned into tuples.  Checks what the field types alone decide:
+    every key is a field, a tuple field gets a list of its length, and an
+    int (float) field an int (an int or a float), never a bool or a string."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{section} must be a mapping, got {d!r}")
+    types = {f.name: f.type for f in fields(cls)}
+    unknown = set(d) - set(types)
+    if unknown:
+        raise ValueError(f"unknown {section} keys: {sorted(unknown)}")
+    kwargs = {}
+    for key, value in d.items():
+        kind = types[key]
+        if kind.startswith("tuple["):
+            items = kind[len("tuple["):-1].split(", ")
+            if not (isinstance(value, (list, tuple)) and len(value) == len(items)
+                    and all(map(_is_number, items, value))):
+                raise ValueError(f"{section} key {key} must be a list of {len(items)} {items[0]}s, got {value!r}")
+            value = tuple(value)
+        elif not (value is None and kind.endswith(" | None")):
+            kind = kind.removesuffix(" | None")
+            if not _is_number(kind, value):
+                raise ValueError(f"{section} key {key} must be {'an int' if kind == 'int' else 'a number'}, "
+                                 f"got {value!r}")
+        kwargs[key] = value
+    return kwargs
 
 
 def load_config(path) -> EnvConfig:
@@ -376,11 +402,10 @@ class NavEnv:
 
         self.status = Status.RUNNING
         self.steps = 0
-        self.tick = 0
         self.sim_time = 0.0
         self._cast()
-        first = self._scan()
-        self.scan_history: deque[Scan] = deque([first] * HISTORY_LEN, maxlen=HISTORY_LEN)
+        # (heading at capture, ranges) of the last HISTORY_LEN scans
+        self.scan_history = deque([self._scan()] * HISTORY_LEN, maxlen=HISTORY_LEN)
         self._needs_reset = False
         return self._observation()
 
@@ -394,8 +419,8 @@ class NavEnv:
         """Cast the sweep that every scan reads until the robot or the crowd moves."""
         self._sweep = cast_sweep(self._scene, (self.x, self.y), self.heading, self.lidar_config)
 
-    def _scan(self) -> Scan:
-        return simulate_scan(self._sweep, self.heading, self.tick, self.lidar_config, self.noise_rng)
+    def _scan(self) -> tuple[float, np.ndarray]:
+        return self.heading, simulate_scan(self._sweep, self.lidar_config, self.noise_rng)
 
     def _measure_goal(self) -> None:
         """The goal distance of the current pose, which the arrival check,
@@ -406,9 +431,8 @@ class NavEnv:
     def _observation(self) -> MotionFeature:
         gx, gy = self.config.goal
         bearing = wrap_angle(math.atan2(gy - self.y, gx - self.x) - self.heading)
-        return build_motion_feature(
-            list(self.scan_history), self.heading, self._goal_distance, bearing, self.lidar_config
-        )
+        return build_motion_feature(self.scan_history, self.heading, self._goal_distance, bearing,
+                                    self.initial_goal_distance, self.lidar_config)
 
     def _check_terminal(self) -> None:
         """Collision and arrival; keeps the clearance and pedestrian distances for the reward."""
@@ -451,7 +475,6 @@ class NavEnv:
                 self._set_crowd(crowd)
                 self._cast()
                 self._check_terminal()
-            self.tick += 1
             self.sim_time += self.tick_dt
             self.scan_history.append(self._scan())
 

@@ -17,7 +17,7 @@ from hypothesis import settings
 from socnavsim import crowd, rewards, world
 from socnavsim.crowd import Crowd
 from socnavsim.geometry import CONTACT_SLACK, StaticMap, cast_fan, closest_distance, rects_overlap, wrap_angle
-from socnavsim.lidar import RANGE_MAX, Scan, cast_sweep, simulate_scan
+from socnavsim.lidar import RANGE_MAX, cast_sweep, simulate_scan
 from socnavsim.world import NavEnv
 
 
@@ -807,7 +807,7 @@ def reference_step_crowd(peds, config, dt, rng, obstacles=()):
 
 
 # ---------------------------------------------------------------------------
-# Calibration oracle: one shifted Scan per history row
+# Calibration oracle: one shifted (heading, ranges) scan per history row
 
 
 def calibration_shift(prev_heading, current_heading, config) -> int:
@@ -815,30 +815,32 @@ def calibration_shift(prev_heading, current_heading, config) -> int:
     return int(round(wrap_angle(current_heading - prev_heading) / config.angle_increment))
 
 
-def calibrate(prev: Scan, current_heading: float, config) -> Scan:
-    """Shift a past sweep into the current heading frame.
+def calibrate(prev: tuple, current_heading: float, config) -> tuple:
+    """Shift a past (heading at capture, ranges) scan into the current
+    heading frame; the result is the pair as if captured at current_heading.
 
     Beam i of the result takes the value previously at i + shift, where
     shift = round(delta_heading / angle_increment); beams shifted in
     from outside the previous fan read RANGE_MAX.
     """
-    delta = wrap_angle(current_heading - prev.heading_at_capture)
+    heading, ranges = prev
+    delta = wrap_angle(current_heading - heading)
     shift = int(round(delta / config.angle_increment))
-    b = prev.ranges.size
+    b = ranges.size
     out = np.full(b, RANGE_MAX)
     if shift >= 0:
         if shift < b:
-            out[: b - shift] = prev.ranges[shift:]
+            out[: b - shift] = ranges[shift:]
     else:
         if -shift < b:
-            out[-shift:] = prev.ranges[: b + shift]
-    return Scan(ranges=out, heading_at_capture=current_heading, timestamp=prev.timestamp)
+            out[-shift:] = ranges[: b + shift]
+    return current_heading, out
 
 
 def reference_motion_matrix(history, current_heading, config) -> np.ndarray:
-    """The motion feature as a stack of calibrated Scans;
+    """The motion feature as a stack of calibrated scans;
     lidar.build_motion_feature must match it bit for bit."""
-    return np.stack([calibrate(s, current_heading, config).ranges for s in history])
+    return np.stack([calibrate(s, current_heading, config)[1] for s in history])
 
 
 # ---------------------------------------------------------------------------
@@ -1035,9 +1037,9 @@ class CastEveryTickEnv(NavEnv):
     """NavEnv whose scanner casts a fresh sweep at every scan tick; the
     env that casts once per pose must step bit for bit like it."""
 
-    def _scan(self) -> Scan:
+    def _scan(self) -> tuple:
         sweep = cast_sweep(self._scene, (self.x, self.y), self.heading, self.lidar_config)
-        return simulate_scan(sweep, self.heading, self.tick, self.lidar_config, self.noise_rng)
+        return self.heading, simulate_scan(sweep, self.lidar_config, self.noise_rng)
 
 
 # ---------------------------------------------------------------------------

@@ -196,11 +196,11 @@ class TestCriterion3CalibrationInvariant:
             shapes = [random_shape(rng, span=3.0) for _ in range(int(rng.integers(2, 6)))]
             headings = np.cumsum(rng.integers(-5, 6, HISTORY_LEN)) * cfg.angle_increment
             history = [
-                simulate_scan(cast_sweep(to_map(shapes).scene(), (0.0, 0.0), float(h), cfg), float(h), i, cfg, rng)
-                for i, h in enumerate(headings)
+                (float(h), simulate_scan(cast_sweep(to_map(shapes).scene(), (0.0, 0.0), float(h), cfg), cfg, rng))
+                for h in headings
             ]
             current = float(headings[-1])
-            mf = build_motion_feature(history, current, 1.0, 0.0, cfg)
+            mf = build_motion_feature(history, current, 1.0, 0.0, 1.0, cfg)
             for i, h in enumerate(headings):
                 s = calibration_shift(float(h), current, cfg)
                 lo, hi = max(0, -s), cfg.beam_count - max(0, s)

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from socnavsim import baselines
 from socnavsim.baselines import (
     FullStatePolicyAdapter,
-    GreedyParams,
     GreedyPolicy,
     _inflate_returns,
     greedy_plan,
@@ -21,7 +21,7 @@ OFFSETS = CFG.beam_offsets()
 
 def make_obs(ranges, goal=(5.0, 0.0)):
     mat = np.tile(ranges, (HISTORY_LEN, 1))
-    return MotionFeature(matrix=mat, goal_vector=goal)
+    return MotionFeature(matrix=mat, goal_vector=goal, initial_goal_distance=goal[0])
 
 
 class TestGreedyPlan:
@@ -39,12 +39,11 @@ class TestGreedyPlan:
 
     def test_blocked_goal_free_sector_wins_argmax_oracle(self, rng):
         """Exhaustive score recomputation confirms the chosen index."""
-        params = GreedyParams()
         for _ in range(30):
             ranges = np.clip(rng.uniform(0.3, 10.0, CFG.beam_count), 0.1, 10.0)
             bearing = float(rng.uniform(-1.0, 1.0))
             dist = float(rng.uniform(1.0, 8.0))
-            v_l, v_w = greedy_plan(ranges, OFFSETS, bearing, dist, params)
+            v_l, v_w = greedy_plan(ranges, OFFSETS, bearing, dist)
             # independent recomputation of the full scoring array
             window = max(3, int(round(21 * ranges.size / 180.0)) | 1)
             half = window // 2
@@ -54,19 +53,19 @@ class TestGreedyPlan:
                     for i in range(ranges.size)
                 ]
             )
-            safe = reference_inflate_returns(ranges, float(OFFSETS[1] - OFFSETS[0]), params.inflate_radius)
+            safe = reference_inflate_returns(ranges, float(OFFSETS[1] - OFFSETS[0]), baselines.INFLATE_RADIUS)
             clear = np.array(
                 [
                     safe[max(0, i - half) : min(safe.size, i + half + 1)].mean()
                     for i in range(safe.size)
                 ]
             )
-            useful = np.minimum(clear, dist + params.stop_clearance)
-            bias = params.goal_bias * useful.max() / 10.0
+            useful = np.minimum(clear, dist + baselines.STOP_CLEARANCE)
+            bias = baselines.GOAL_BIAS * useful.max() / 10.0
             score = useful - bias * np.abs(OFFSETS - bearing)
             best = int(np.argmax(score))
             expected_v_w = float(
-                np.clip(params.heading_gain * OFFSETS[best], -math.pi, math.pi)
+                np.clip(baselines.HEADING_GAIN * OFFSETS[best], -math.pi, math.pi)
             )
             assert v_w == pytest.approx(expected_v_w, abs=1e-9)
 
@@ -83,17 +82,17 @@ class TestGreedyPlan:
         v_l, v_w = greedy_plan(ranges, OFFSETS, goal_bearing=0.0, goal_distance=5.0)
         assert v_l == 0.0
 
-    def test_scale_invariance_of_argmax(self, rng):
+    def test_scale_invariance_of_argmax(self, rng, monkeypatch):
         """Scaling all ranges never changes the scoring winner when
         nothing saturates.  Hull inflation is range-dependent by design
         (gaps subtend smaller angles at distance), so the property is
         checked on the scoring stage with inflation disabled."""
-        params = GreedyParams(inflate_radius=0.0)
+        monkeypatch.setattr(baselines, "INFLATE_RADIUS", 0.0)
         for _ in range(40):
             ranges = rng.uniform(0.5, 3.0, CFG.beam_count)
             bearing = float(rng.uniform(-1.5, 1.5))
-            _, v_w1 = greedy_plan(ranges, OFFSETS, bearing, 100.0, params)
-            _, v_w2 = greedy_plan(ranges * 2.5, OFFSETS, bearing, 250.0, params)
+            _, v_w1 = greedy_plan(ranges, OFFSETS, bearing, 100.0)
+            _, v_w2 = greedy_plan(ranges * 2.5, OFFSETS, bearing, 250.0)
             assert v_w1 == pytest.approx(v_w2, abs=1e-12)
 
     def test_inflation_is_conservative(self, rng):
@@ -209,15 +208,13 @@ class TestGreedyPolicy:
         obs = make_obs(np.full(CFG.beam_count, 10.0), goal=(5.0, 0.4))
         a_x, a_y = pol.act(obs)
         v_l, v_w = action_to_twist(a_x, a_y)
-        expect_vl, expect_vw = greedy_plan(
-            obs.current_scan_ranges, OFFSETS, 0.4, 5.0, pol.params
-        )
+        expect_vl, expect_vw = greedy_plan(obs.current_scan_ranges, OFFSETS, 0.4, 5.0)
         assert v_l == pytest.approx(expect_vl, abs=1e-9)
         assert v_w == pytest.approx(expect_vw, abs=1e-9)
 
     def test_beam_count_mismatch_rejected(self):
         pol = GreedyPolicy(CFG)
-        obs = MotionFeature(matrix=np.full((HISTORY_LEN, 64), 10.0), goal_vector=(1, 0))
+        obs = make_obs(np.full(64, 10.0), goal=(1, 0))
         with pytest.raises(ValueError):
             pol.begin_episode(obs)
 

@@ -232,6 +232,28 @@ class TestTrain:
         assert curves[0] == curves[1]
 
 
+@pytest.mark.parametrize("command", [
+    ["train", "--stage", "ego", "--budget", "0"],
+    ["eval", "--policy", "greedy", "--suite", "mapless"],
+    ["scenario-gen", "--suite", "mapless"],
+])
+@pytest.mark.parametrize("text, key", [("crowd:\n", "crowd config"), ("start: 3\n", "start"),
+                                       ("max_steps: 2.5\n", "max_steps"), ("beam_count: [\n", ""),
+                                       (None, "No such file")])
+def test_malformed_config_is_a_usage_error(tmp_path, capsys, command, text, key):
+    """Every command that reads --config reports a malformed or missing
+    file as one usage error naming the file and the key, without a traceback."""
+    path = tmp_path / "bad.yaml"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--config", str(path), "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"config {path}: " in err and key in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 class TestScenarioGen:
     def test_writes_snapshot(self, tmp_path, env_yaml):
         out = tmp_path / "scen"

@@ -240,6 +240,18 @@ class TestExport:
         with pytest.raises(ValueError, match="no rows"):
             metrics_from_tables(paths)
 
+    def test_short_row_rejected(self, tmp_path):
+        """A row that lost cells fails by name instead of parsing its
+        pedestrians, or its outcome, from the wrong column."""
+        (path,) = export([synthetic_log(steps=3)], "trajectory-table", tmp_path)
+        with open(path) as f:
+            lines = f.read().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0]  # the last cell of the second row is gone
+        with open(path, "w") as f:
+            f.write("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="row of 15 cells"):
+            parse_trajectory_table(path)
+
     def test_metrics_table_has_exactly_four_metrics(self, tmp_path):
         (path,) = export([synthetic_log()], "metrics-table", tmp_path)
         doc = json.loads(open(path).read())

@@ -1,4 +1,5 @@
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from socnavsim.lidar import (
     RANGE_MAX,
     RANGE_MIN,
     LidarConfig,
-    Scan,
     build_motion_feature,
     cast_sweep,
     simulate_scan,
@@ -34,9 +34,14 @@ from conftest import (
 CFG = LidarConfig(beam_count=181)
 
 
-def scan_at(shapes, x, y, heading, cfg=CFG, t=0, seed=0):
+def scan_at(shapes, x, y, heading, cfg=CFG, seed=0):
+    """The (heading at capture, ranges) scan from pose (x, y, heading)."""
     sweep = cast_sweep(to_map(shapes).scene(), (x, y), heading, cfg)
-    return simulate_scan(sweep, heading, t, cfg, np.random.default_rng(seed))
+    return heading, simulate_scan(sweep, cfg, np.random.default_rng(seed))
+
+
+def feature(history, current_heading, cfg=CFG, goal_distance=1.0, goal_bearing=0.0):
+    return build_motion_feature(history, current_heading, goal_distance, goal_bearing, 1.0, cfg)
 
 
 class TestSimulateScan:
@@ -46,12 +51,12 @@ class TestSimulateScan:
         and 1.0 once featurized."""
         sweep = cast_sweep(to_map([]).scene(), (0.0, 0.0), 0.0, CFG)
         assert np.all(sweep == RANGE_MAX)
-        s = simulate_scan(sweep, 0.0, 0, CFG, np.random.default_rng(0))
-        assert np.all(s.ranges == RANGE_MAX)
-        near = Scan(np.full(CFG.beam_count, 1.0), -3 * CFG.angle_increment, 0)
-        mf = build_motion_feature([near] * HISTORY_LEN, 0.0, 1.0, 0.0, CFG)
+        s = simulate_scan(sweep, CFG, np.random.default_rng(0))
+        assert np.all(s == RANGE_MAX)
+        near = (-3 * CFG.angle_increment, np.full(CFG.beam_count, 1.0))
+        mf = feature([near] * HISTORY_LEN, 0.0)
         assert np.all(mf.matrix[:, :-3] == 1.0) and np.all(mf.matrix[:, -3:] == RANGE_MAX)
-        feat, _ = featurize(build_motion_feature([s] * HISTORY_LEN, 0.0, 1.0, 0.0, CFG), 1.0)
+        feat, _ = featurize(feature([(0.0, s)] * HISTORY_LEN, 0.0))
         assert feat.dtype == np.float32 and np.all(feat == 1.0)
 
     def test_noisy_scan_needs_its_generator(self):
@@ -60,34 +65,34 @@ class TestSimulateScan:
         cfg = LidarConfig(beam_count=64, noise_sigma=0.05)
         sweep = cast_sweep(to_map([Circle(Vec2(2.0, 0.5), 0.4)]).scene(), (0.0, 0.0), 0.1, cfg)
         with pytest.raises(TypeError):
-            simulate_scan(sweep, 0.1, 0, cfg)
+            simulate_scan(sweep, cfg)
         rng, ref = np.random.default_rng(4), np.random.default_rng(4)
-        got = simulate_scan(sweep, 0.1, 0, cfg, rng).ranges
+        got = simulate_scan(sweep, cfg, rng)
         noise = ref.normal(0.0, 0.05, sweep.shape)
         assert got.tobytes() == np.clip(sweep + noise, RANGE_MIN, RANGE_MAX).tobytes()
         assert rng.random() == ref.random()  # the scan consumed exactly its noise
 
     def test_wall_ahead_center_beam(self):
         wall = Segment(Vec2(3, -5), Vec2(3, 5))
-        s = scan_at([wall], 0, 0, 0.0)
+        _, s = scan_at([wall], 0, 0, 0.0)
         center = CFG.beam_count // 2  # odd beam count puts a beam at 0 offset
-        assert s.ranges[center] == pytest.approx(3.0, abs=1e-9)
+        assert s[center] == pytest.approx(3.0, abs=1e-9)
 
     def test_clamped_bounds(self):
         near = Circle(Vec2(0.12, 0.0), 0.05)
-        s = scan_at([near], 0, 0, 0.0)
-        assert s.ranges.min() >= 0.1
-        assert s.ranges.max() <= 10.0
+        _, s = scan_at([near], 0, 0, 0.0)
+        assert s.min() >= 0.1
+        assert s.max() <= 10.0
 
     def test_matches_marching_oracle(self, rng):
         shapes = [random_shape(rng, span=3.0) for _ in range(3)]
         pos = Vec2(0.1, -0.4)
         heading = 0.7
-        s = scan_at(shapes, pos.x, pos.y, heading)
+        _, s = scan_at(shapes, pos.x, pos.y, heading)
         offsets = CFG.beam_offsets()
         for i in range(0, CFG.beam_count, 17):
             oracle = marching_ray(pos, heading + float(offsets[i]), shapes, 10.0)
-            assert abs(s.ranges[i] - np.clip(oracle, 0.1, 10.0)) <= 1e-3
+            assert abs(s[i] - np.clip(oracle, 0.1, 10.0)) <= 1e-3
 
     def test_beam_offsets_built_once(self):
         offsets = CFG.beam_offsets()
@@ -98,9 +103,9 @@ class TestSimulateScan:
 
     def test_noise_flag(self, rng):
         cfg = LidarConfig(beam_count=64, noise_sigma=0.05)
-        a = scan_at([], 0, 0, 0.0, cfg, seed=1)
-        assert not np.all(a.ranges == 10.0)  # noise pushed some below the cap
-        assert a.ranges.max() <= 10.0
+        _, a = scan_at([], 0, 0, 0.0, cfg, seed=1)
+        assert not np.all(a == 10.0)  # noise pushed some below the cap
+        assert a.max() <= 10.0
 
     @pytest.mark.parametrize("sigma", [-1.0, -0.01, math.inf, math.nan])
     def test_bad_noise_sigma_rejected(self, sigma):
@@ -118,12 +123,12 @@ class TestSimulateScan:
         assert not sweep.flags.writeable
         with pytest.raises(ValueError):
             sweep[0] = 1.0
-        want = simulate_scan(sweep, 0.1, 0, cfg, np.random.default_rng(2)).ranges.tobytes()
-        a = simulate_scan(sweep, 0.1, 0, cfg, np.random.default_rng(2))
-        assert a.ranges.flags.writeable and not np.shares_memory(a.ranges, sweep)
-        a.ranges[:] = 0.5
+        want = simulate_scan(sweep, cfg, np.random.default_rng(2)).tobytes()
+        a = simulate_scan(sweep, cfg, np.random.default_rng(2))
+        assert a.flags.writeable and not np.shares_memory(a, sweep)
+        a[:] = 0.5
         assert sweep.tobytes() == kept.tobytes()
-        assert simulate_scan(sweep, 0.1, 1, cfg, np.random.default_rng(2)).ranges.tobytes() == want
+        assert simulate_scan(sweep, cfg, np.random.default_rng(2)).tobytes() == want
 
 
 def test_benchmark_sized_scenes_pick_their_cast_path(rng):
@@ -144,23 +149,23 @@ def test_benchmark_sized_scenes_pick_their_cast_path(rng):
 
 class TestCalibrate:
     def test_zero_shift_identity(self):
-        s = Scan(np.linspace(0.5, 9.5, CFG.beam_count), 0.3, 0)
-        out = calibrate(s, 0.3, CFG)
-        assert np.array_equal(out.ranges, s.ranges)
+        ranges = np.linspace(0.5, 9.5, CFG.beam_count)
+        heading, out = calibrate((0.3, ranges), 0.3, CFG)
+        assert heading == 0.3 and np.array_equal(out, ranges)
 
     def test_plus_one_increment_shifts_by_one(self):
-        s = Scan(np.linspace(0.5, 9.5, CFG.beam_count), 0.0, 0)
-        out = calibrate(s, CFG.angle_increment, CFG)
-        assert np.array_equal(out.ranges[:-1], s.ranges[1:])
-        assert out.ranges[-1] == 10.0  # filled-in beam reads max range
+        ranges = np.linspace(0.5, 9.5, CFG.beam_count)
+        _, out = calibrate((0.0, ranges), CFG.angle_increment, CFG)
+        assert np.array_equal(out[:-1], ranges[1:])
+        assert out[-1] == 10.0  # filled-in beam reads max range
 
     def test_inverse_shift_recovers_untouched_beams(self):
-        s = Scan(np.linspace(0.5, 9.5, CFG.beam_count), 0.0, 0)
+        ranges = np.linspace(0.5, 9.5, CFG.beam_count)
         dtheta = CFG.angle_increment
-        down = calibrate(s, -2 * dtheta, CFG)
-        back = calibrate(down, 0.0, CFG)
+        down = calibrate((0.0, ranges), -2 * dtheta, CFG)
+        _, back = calibrate(down, 0.0, CFG)
         b = CFG.beam_count
-        assert np.array_equal(back.ranges[2 : b - 2], s.ranges[2 : b - 2])
+        assert np.array_equal(back[2 : b - 2], ranges[2 : b - 2])
 
     def test_shift_rounding(self):
         assert calibration_shift(0.0, 2.4 * CFG.angle_increment, CFG) == 2
@@ -168,25 +173,24 @@ class TestCalibrate:
 
     def test_pure_permutation_plus_fill(self):
         values = np.linspace(0.5, 9.5, CFG.beam_count)
-        s = Scan(values, 0.0, 0)
-        out = calibrate(s, 5 * CFG.angle_increment, CFG)
-        kept = out.ranges[: CFG.beam_count - 5]
+        _, out = calibrate((0.0, values), 5 * CFG.angle_increment, CFG)
+        kept = out[: CFG.beam_count - 5]
         assert np.array_equal(np.sort(kept), np.sort(values[5:]))
-        assert np.all(out.ranges[CFG.beam_count - 5 :] == 10.0)
+        assert np.all(out[CFG.beam_count - 5 :] == 10.0)
 
 
 class TestMotionFeature:
     def test_requires_full_history(self):
-        s = Scan(np.full(CFG.beam_count, 10.0), 0.0, 0)
+        s = (0.0, np.full(CFG.beam_count, 10.0))
         with pytest.raises(ValueError):
-            build_motion_feature([s] * 39, 0.0, 1.0, 0.0, CFG)
+            feature([s] * 39, 0.0)
 
     def test_last_row_is_current_scan(self, rng):
         shapes = [random_shape(rng, span=3.0) for _ in range(3)]
-        history = [scan_at(shapes, 0, 0, 0.0, t=i) for i in range(HISTORY_LEN)]
-        mf = build_motion_feature(history, 0.0, 2.0, 0.1, CFG)
-        assert np.array_equal(mf.matrix[-1], history[-1].ranges)
-        assert np.array_equal(mf.current_scan_ranges, history[-1].ranges)
+        history = [scan_at(shapes, 0, 0, 0.0) for _ in range(HISTORY_LEN)]
+        mf = feature(history, 0.0, goal_distance=2.0, goal_bearing=0.1)
+        assert np.array_equal(mf.matrix[-1], history[-1][1])
+        assert np.array_equal(mf.current_scan_ranges, history[-1][1])
 
     def test_rotation_only_rows_equal_on_valid_beams(self, rng):
         """A rotating robot in a static world leaves only fill-in beams.
@@ -197,9 +201,9 @@ class TestMotionFeature:
         shapes = [random_shape(rng, span=3.0) for _ in range(4)]
         dtheta = CFG.angle_increment
         headings = np.cumsum(rng.integers(-4, 5, HISTORY_LEN)) * dtheta
-        history = [scan_at(shapes, 0, 0, float(h), t=i) for i, h in enumerate(headings)]
+        history = [scan_at(shapes, 0, 0, float(h)) for h in headings]
         current = float(headings[-1])
-        mf = build_motion_feature(history, current, 1.0, 0.0, CFG)
+        mf = feature(history, current)
         for i, h in enumerate(headings):
             shift = calibration_shift(float(h), current, CFG)
             lo, hi = max(0, -shift), CFG.beam_count - max(0, shift)
@@ -209,29 +213,26 @@ class TestMotionFeature:
 
     def test_translation_changes_rows(self, rng):
         shapes = [Circle(Vec2(3, 0.5), 0.5)]
-        history = [scan_at(shapes, 0.05 * i, 0, 0.0, t=i) for i in range(HISTORY_LEN)]
-        mf = build_motion_feature(history, 0.0, 1.0, 0.0, CFG)
+        history = [scan_at(shapes, 0.05 * i, 0, 0.0) for i in range(HISTORY_LEN)]
+        mf = feature(history, 0.0)
         assert not np.array_equal(mf.matrix[0], mf.matrix[-1])
 
     def test_moving_pedestrian_stripe_matches_rerender(self, rng):
         """Re-render each historical frame from scratch and compare."""
         ped_xs = np.linspace(-1.0, 1.0, HISTORY_LEN)
-        history = [
-            scan_at([Circle(Vec2(2.0, float(px)), 0.3)], 0, 0, 0.0, t=i)
-            for i, px in enumerate(ped_xs)
-        ]
-        mf = build_motion_feature(history, 0.0, 1.0, 0.0, CFG)
+        history = [scan_at([Circle(Vec2(2.0, float(px)), 0.3)], 0, 0, 0.0) for px in ped_xs]
+        mf = feature(history, 0.0)
         for i, px in enumerate(ped_xs):
-            again = scan_at([Circle(Vec2(2.0, float(px)), 0.3)], 0, 0, 0.0)
-            assert np.array_equal(mf.matrix[i], again.ranges)
+            _, again = scan_at([Circle(Vec2(2.0, float(px)), 0.3)], 0, 0, 0.0)
+            assert np.array_equal(mf.matrix[i], again)
         # the stripe moves: rows are not all identical
         assert not np.array_equal(mf.matrix[0], mf.matrix[-1])
 
     def test_deterministic(self, rng):
         shapes = [random_shape(rng, span=3.0) for _ in range(3)]
-        history = [scan_at(shapes, 0, 0, 0.1 * i, t=i) for i in range(HISTORY_LEN)]
-        a = build_motion_feature(history, 1.0, 2.0, 0.3, CFG)
-        b = build_motion_feature(history, 1.0, 2.0, 0.3, CFG)
+        history = [scan_at(shapes, 0, 0, 0.1 * i) for i in range(HISTORY_LEN)]
+        a = feature(history, 1.0, goal_distance=2.0, goal_bearing=0.3)
+        b = feature(history, 1.0, goal_distance=2.0, goal_bearing=0.3)
         assert np.array_equal(a.matrix, b.matrix)
         assert a.goal_vector == b.goal_vector
 
@@ -242,11 +243,9 @@ class TestMotionFeature:
         cfg = LidarConfig(beam_count=beams)
         for _ in range(5):
             headings = rng.uniform(-math.pi, math.pi, HISTORY_LEN)
-            history = [
-                Scan(rng.uniform(0.1, 10.0, beams), float(h), i) for i, h in enumerate(headings)
-            ]
+            history = [(float(h), rng.uniform(0.1, 10.0, beams)) for h in headings]
             current = float(rng.uniform(-4.0, 4.0))
-            mf = build_motion_feature(history, current, 1.0, 0.0, cfg)
+            mf = feature(history, current, cfg)
             want = reference_motion_matrix(history, current, cfg)
             assert mf.matrix.tobytes() == want.tobytes()
 
@@ -256,24 +255,24 @@ class TestMotionFeature:
         b = 4
         dtheta = CFG.angle_increment
         shifts = np.arange(HISTORY_LEN) - HISTORY_LEN // 2  # -20 .. 19
-        history = [
-            Scan(rng.uniform(0.1, 10.0, b), float(-k * dtheta), i) for i, k in enumerate(shifts)
-        ]
-        assert [calibration_shift(s.heading_at_capture, 0.0, CFG) for s in history] == list(shifts)
-        mf = build_motion_feature(history, 0.0, 1.0, 0.0, CFG)
+        history = [(float(-k * dtheta), rng.uniform(0.1, 10.0, b)) for k in shifts]
+        assert [calibration_shift(heading, 0.0, CFG) for heading, _ in history] == list(shifts)
+        mf = feature(history, 0.0)
         assert mf.matrix.tobytes() == reference_motion_matrix(history, 0.0, CFG).tobytes()
         outside = np.abs(shifts) >= b
         assert outside.sum() > 30 and shifts.min() <= -b and shifts.max() >= b
         assert np.all(mf.matrix[outside] == RANGE_MAX)
 
     def test_goal_bearing_wrapped(self):
-        s = Scan(np.full(CFG.beam_count, 10.0), 0.0, 0)
-        mf = build_motion_feature([s] * HISTORY_LEN, 0.0, 1.0, 4.0, CFG)
+        s = (0.0, np.full(CFG.beam_count, 10.0))
+        mf = feature([s] * HISTORY_LEN, 0.0, goal_bearing=4.0)
         assert -math.pi <= mf.goal_vector[1] <= math.pi
 
-
-def test_scan_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        Scan(np.array([0.05, 5.0]), 0.0, 0)
-    with pytest.raises(ValueError):
-        Scan(np.array([5.0, 10.5]), 0.0, 0)
+    def test_reads_history_deque_and_carries_initial_goal_distance(self, rng):
+        """The history may be the env's deque of (heading, ranges) pairs,
+        read in place; the feature carries the initial goal distance as given."""
+        history = deque([(0.1 * i, rng.uniform(0.1, 10.0, CFG.beam_count)) for i in range(HISTORY_LEN)],
+                        maxlen=HISTORY_LEN)
+        mf = build_motion_feature(history, 0.5, 2.0, 0.3, 6.5, CFG)
+        assert mf.matrix.tobytes() == feature(list(history), 0.5).matrix.tobytes()
+        assert mf.goal_vector[0] == 2.0 and mf.initial_goal_distance == 6.5

@@ -431,8 +431,8 @@ class TestParameters:
 class TestFeaturize:
     def test_normalization(self):
         mat = np.full((40, 16), 5.0)
-        mf = MotionFeature(matrix=mat, goal_vector=(3.0, math.pi / 2))
-        feat, goal = featurize(mf, initial_goal_distance=6.0)
+        mf = MotionFeature(matrix=mat, goal_vector=(3.0, math.pi / 2), initial_goal_distance=6.0)
+        feat, goal = featurize(mf)
         assert np.all(feat == pytest.approx(0.5))
         assert goal[0] == pytest.approx(0.5)
         assert goal[1] == pytest.approx(0.5)

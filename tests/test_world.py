@@ -404,11 +404,15 @@ class TestEnvStep:
         assert pose((math.inf, -math.inf)) == pose((1.5, -1.5))
 
     def test_scans_advance_four_per_step(self):
+        """A step appends four (heading, ranges) scans to the history, which
+        the reset filled with forty copies of its one scan."""
         env = NavEnv(small_cfg())
         env.reset()
-        t0 = env.scan_history[-1].timestamp
+        first = env.scan_history[-1]
+        assert all(scan is first for scan in env.scan_history)
         env.step((0.0, 0.0))
-        assert env.scan_history[-1].timestamp == t0 + 4
+        assert [scan is first for scan in env.scan_history] == [True] * 36 + [False] * 4
+        assert all(heading == env.heading for heading, _ in list(env.scan_history)[-4:])
 
 
 class TestStepAgainstOracles:
@@ -440,22 +444,31 @@ class TestStepAgainstOracles:
         assert violations > 0 and ego_steps > 0
 
     def test_step_builds_no_objects_per_pedestrian(self, monkeypatch):
-        """NavEnv.step builds no Vec2, Circle, Segment or OrientedRect object
-        and makes no dataclasses.replace copy, with 20 pedestrians or with
-        none; the config copies below are counted, so the replace counter
-        is live."""
+        """NavEnv.step builds a pinned tally of dataclass instances per step,
+        whatever the crowd size: counted are every dataclass defined under
+        socnavsim and the test-side Vec2, Circle, Segment and OrientedRect,
+        and dataclasses.replace copies.  The config copies below are
+        counted, so the replace counter is live."""
         import dataclasses
+        import inspect
         import sys
 
         from socnavsim.evaluation import suite_config
 
-        built = collections.Counter()
-        for cls in (Vec2, Circle, Segment, OrientedRect):
-            def counting(self, original=cls.__post_init__, name=cls.__name__):
-                built[name] += 1
-                original(self)
+        classes = {Vec2, Circle, Segment, OrientedRect}
+        for name, module in list(sys.modules.items()):
+            if name.startswith("socnavsim"):
+                classes |= {cls for _, cls in inspect.getmembers(module, inspect.isclass)
+                            if dataclasses.is_dataclass(cls) and cls.__module__ == name}
+        assert {"MotionFeature", "StepRecord", "Scene", "Crowd", "EnvConfig"} <= {c.__name__ for c in classes}
 
-            monkeypatch.setattr(cls, "__post_init__", counting)
+        built = collections.Counter()
+        for cls in classes:
+            def counting(self, *args, _original=cls.__init__, _name=cls.__name__, **kwargs):
+                built[_name] += 1
+                _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
 
         def counting_replace(*args, _original=dataclasses.replace, **kwargs):
             built["replace"] += 1
@@ -468,15 +481,14 @@ class TestStepAgainstOracles:
 
         def per_step(cfg):
             env = NavEnv(cfg)
-            built.clear()
             env.reset(map_seed=4, crowd_seed=9)
-            counts = []
+            tallies = []
             for _ in range(6):
                 built.clear()
                 out = env.step((0.6, 0.1))
-                counts.append(sum(built.values()))
+                tallies.append(dict(built))
                 assert out.done is Status.RUNNING
-            return counts, len(env.crowd)
+            return tallies, len(env.crowd)
 
         crowded = suite_config("combined:20", small_cfg())
         built.clear()
@@ -485,7 +497,11 @@ class TestStepAgainstOracles:
         assert built["replace"] == 2
         (with_crowd, n), (without, m) = per_step(crowded), per_step(empty)
         assert (n, m) == (20, 0)
-        assert with_crowd == without == [0] * 6
+        # one of each per policy step; per control tick (two a step), the
+        # stepped Crowd and two Scenes: its scanner view and that joined to the map's
+        outputs = {"MotionFeature": 1, "StepOutcome": 1, "StepRecord": 1, "SafetyAssessment": 1}
+        assert with_crowd == [{**outputs, "Crowd": 2, "Scene": 4}] * 6
+        assert without == [outputs] * 6
 
 
 class TestScanOncePerPose:
@@ -525,6 +541,7 @@ class TestScanOncePerPose:
         for a, b in zip(got[1:], want[1:]):
             assert a.observation.matrix.tobytes() == b.observation.matrix.tobytes()
             assert a.observation.goal_vector == b.observation.goal_vector
+            assert a.observation.initial_goal_distance == b.observation.initial_goal_distance
             assert repr((a.done, a.record)) == repr((b.done, b.record))
         assert tallies[0] == {"cast_fan": 1}
         for tally in tallies[1:]:
@@ -563,11 +580,11 @@ class TestScanOncePerPose:
         assert not env._sweep.flags.writeable
         with pytest.raises(ValueError):
             env._sweep[0] = 1.0
-        first = env._scan()
-        want = first.ranges.copy()
-        first.ranges[:] = 0.5
-        assert env._scan().ranges.tobytes() == want.tobytes()
-        assert not np.shares_memory(env.scan_history[-1].ranges, env._sweep)
+        _, first = env._scan()
+        want = first.copy()
+        first[:] = 0.5
+        assert env._scan()[1].tobytes() == want.tobytes()
+        assert not np.shares_memory(env.scan_history[-1][1], env._sweep)
 
 
 class TestBenchmarkProbes:
@@ -625,6 +642,32 @@ class TestConfigIO:
         save_config(cfg, path)
         loaded = load_config(path)
         assert loaded == cfg
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("crowd:\n", "crowd config must be a mapping"),
+            ("crowd: [1, 2]\n", "crowd config must be a mapping"),
+            ("- 1\n- 2\n", "config must be a mapping"),
+            ("start: 3\n", "config key start must be a list of 2"),
+            ("goal: [1.0, 0.0, 0.0]\n", "config key goal must be a list of 2"),
+            ("crowd: {area: 5}\n", "crowd config key area must be a list of 2"),
+            ("obstacle_count_range: [1.5, 3]\n", "config key obstacle_count_range must be a list of 2 ints"),
+            ("max_steps: 2.5\n", "config key max_steps must be an int"),
+            ("beam_count: true\n", "config key beam_count must be an int"),
+            ("map_seed: '3'\n", "config key map_seed must be an int"),
+            ("crowd: {count: 8.0}\n", "crowd config key count must be an int"),
+            ("arena_half: '5'\n", "config key arena_half must be a number"),
+        ],
+    )
+    def test_malformed_entries_name_their_key(self, tmp_path, text, message):
+        """An entry that cannot be the field it names fails on load with a
+        ValueError naming the key, not a TypeError from deep inside (or, for
+        a float where an int belongs, a run that rounds it somewhere)."""
+        path = tmp_path / "bad.yaml"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            load_config(path)
 
     def test_unknown_keys_rejected(self, tmp_path):
         path = tmp_path / "bad.yaml"
