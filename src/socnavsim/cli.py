@@ -240,7 +240,12 @@ def cmd_scenario_gen(args, parser) -> int:
 def cmd_replay_export(args, parser) -> int:
     from .evaluation import EpisodeLog, export
 
-    logs = [EpisodeLog.load(p) for p in args.log]
+    logs = []
+    for path in args.log:
+        try:
+            logs.append(EpisodeLog.load(path))
+        except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
+            parser.error(f"log {path}: {exc}")
     paths = export(logs, args.format, args.out)
     for p in paths:
         print(p)

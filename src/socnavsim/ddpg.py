@@ -28,11 +28,12 @@ from .networks import (
     NetworkSpec,
     default_network_spec,
     featurize,
+    fronts,
     load_params,
     save_checkpoint,
     soft_update,
 )
-from .nn import Adam, shared_forward
+from .nn import Adam
 from .policies import LearnedPolicy
 from .world import EnvConfig, Status
 
@@ -70,6 +71,8 @@ class ReplayBuffer:
     buffer larger than the available memory is refused up front instead
     of being killed for memory mid-training.
     """
+
+    SAMPLED = ("feat", "goal", "action", "next_feat", "next_goal", "done")  # as stored
 
     def __init__(self, capacity: int, feature_shape: tuple[int, int]):
         if capacity <= 0:
@@ -120,20 +123,25 @@ class ReplayBuffer:
         self.pos = (i + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
 
-    def sample(self, batch_size: int, rng: np.random.Generator, reward_weights) -> dict:
+    def sample(self, batch_size: int, rng: np.random.Generator, reward_weights, out=None) -> dict:
+        """batch_size transitions drawn uniformly, with the reward parts
+        combined by reward_weights.  Observations stay float16; conv1
+        widens them block by block (nn.conv_pool).  out, a batch an
+        earlier call returned for the same batch_size, is refilled in
+        place and returned, so a training loop allocates its batch once.
+        """
         if batch_size > self.size:
             raise ValueError("batch size exceeds buffer occupancy")
         idx = rng.integers(0, self.size, batch_size)
-        w = np.asarray(reward_weights, np.float32)
-        return {
-            "feat": self.feat[idx].astype(np.float32),
-            "goal": self.goal[idx],
-            "action": self.action[idx],
-            "reward": self.reward_parts[idx] @ w,
-            "next_feat": self.next_feat[idx].astype(np.float32),
-            "next_goal": self.next_goal[idx],
-            "done": self.done[idx],
-        }
+        reward = self.reward_parts[idx] @ np.asarray(reward_weights, np.float32)
+        if out is None:
+            out = {name: getattr(self, name)[idx] for name in self.SAMPLED}
+        else:
+            for name in self.SAMPLED:
+                # indices are in range; mode="clip" skips take's buffered copy
+                np.take(getattr(self, name), idx, axis=0, out=out[name], mode="clip")
+        out["reward"] = reward
+        return out
 
 
 @dataclass(frozen=True)
@@ -177,37 +185,41 @@ class DDPG:
     def update(self, batch: dict) -> tuple[float, float]:
         """One critic step, one actor step, then soft target updates.
 
-        conv1 runs as one GEMM per time tap over width patches that hold
-        each scan row once (nn.Conv2d); each batch of observations gets
-        one patch array.  Networks whose conv1 weights are current at
-        the same moment share each tap's GEMM (nn.shared_forward): the
-        target actor and target critic on the next observations, the
-        critic (before its Adam step) and the actor on the current ones.
-        The critic's second pass follows its step, so it runs its own
-        tap GEMMs on the same patches.
+        conv1 and its pool run one block of samples at a time in reused
+        scratch (nn.conv_pool), casting the batch's float16 observations
+        to float32 as each block's patches are copied; only the pooled
+        output outlives a block.  Networks whose conv1 weights are
+        current at the same moment share each block's patches and tap
+        GEMMs (networks.fronts): the target actor and target critic on
+        the next observations, and, after the critic's step, the actor
+        and the critic's second pass on the current ones.  Only the
+        passes that backprop into their trunks (the critic's first, the
+        actor's) keep the pool's winner offsets and their layer caches;
+        the actor step needs only the critic head's input gradient.
         """
         cfg = self.config
         n = batch["feat"].shape[0]
         y = self._target_values(batch)
 
         feat, goal = batch["feat"], batch["goal"]
-        cols = self.critic.trunk.im2col1(feat)
-        conv1_critic, conv1_actor = shared_forward(
-            (self.critic.trunk.conv1, self.actor.trunk.conv1), cols
-        )
-        q, cache = self.critic.forward(feat, goal, batch["action"], conv1_out=conv1_critic)
+        q, cache = self.critic.forward(feat, goal, batch["action"])
         diff = q - y
         critic_loss = float(np.mean(diff * diff))
-        _, cgrads = self.critic.backward((2.0 / n) * diff, cache, param_grads=True)
+        # each del frees what the rest of the update no longer reads
+        # before the next pass allocates: it keeps the working set small
+        cgrads = self.critic.backward((2.0 / n) * diff, cache, param_grads=True)[1]
+        del cache
         self.opt_critic.step(cgrads)
-        del cache, cgrads  # free the critic's caches before the actor pass
+        del cgrads
 
-        a, acache = self.actor.forward(feat, goal, conv1_out=conv1_actor)
-        conv1_critic = self.critic.trunk.conv1.forward(self.critic.trunk.conv1_input(feat), cols)
-        q_pi, ccache = self.critic.forward(feat, goal, a, conv1_out=conv1_critic)
-        dq_da, _ = self.critic.backward(np.full(n, -1.0 / n, dtype=q_pi.dtype), ccache, param_grads=False)
+        front_actor, front_critic = fronts((self.actor.trunk, self.critic.trunk), feat, (True, False))
+        a, acache = self.actor.forward(feat, goal, front_actor)
+        q_pi, ccache = self.critic.forward(feat, goal, a, front_critic)
+        dq_da = self.critic.backward(np.full(n, -1.0 / n, dtype=q_pi.dtype), ccache, param_grads=False)[0]
+        del front_actor, front_critic, ccache
         logit_grad = (2.0 * cfg.logit_penalty / n) * self.actor.logits(acache)
         agrads = self.actor.backward(dq_da, acache, logit_grad=logit_grad)
+        del acache
         self.opt_actor.step(agrads)
 
         soft_update(self.target_actor, self.actor, cfg.tau)
@@ -218,17 +230,15 @@ class DDPG:
     def _target_values(self, batch: dict) -> np.ndarray:
         """Critic targets y = r + gamma * (1 - done) * Q'(o', mu'(o')).
 
-        A scope of its own: the next-observation patches and the
-        target networks' caches are freed before the online passes
-        allocate theirs.
+        The target networks share one front on the next observations and
+        never backprop, so they keep no caches.
         """
         feat, goal = batch["next_feat"], batch["next_goal"]
-        cols = self.target_critic.trunk.im2col1(feat)
-        conv1_actor, conv1_critic = shared_forward(
-            (self.target_actor.trunk.conv1, self.target_critic.trunk.conv1), cols
-        )
-        a_next, _ = self.target_actor.forward(feat, goal, conv1_out=conv1_actor)
-        q_next, _ = self.target_critic.forward(feat, goal, a_next, conv1_out=conv1_critic)
+        trunks = (self.target_actor.trunk, self.target_critic.trunk)
+        front_actor, front_critic = fronts(trunks, feat, (False, False))
+        a_next = self.target_actor.forward(feat, goal, front_actor)[0]
+        del front_actor
+        q_next = self.target_critic.forward(feat, goal, a_next, front_critic)[0]
         return batch["reward"] + self.config.gamma * (1.0 - batch["done"]) * q_next
 
     # -- persistence
@@ -417,6 +427,7 @@ def train(
     last_ckpt_at = 0
     stop = tc.total_env_steps <= 0
     best_eval = -1.0
+    batch = None
 
     while not stop:
         kind = tc.scenario_cycle[episode % len(tc.scenario_cycle)]
@@ -443,7 +454,8 @@ def train(
             env_steps += 1
 
             if env_steps >= tc.warmup_steps and env_steps % tc.update_every == 0 and buffer.size >= tc.ddpg.batch_size:
-                closs, aobj = learner.update(buffer.sample(tc.ddpg.batch_size, buffer_rng, weights))
+                batch = buffer.sample(tc.ddpg.batch_size, buffer_rng, weights, out=batch)
+                closs, aobj = learner.update(batch)
                 ep_closs = closs
                 if not math.isfinite(closs) or closs > tc.divergence_threshold:
                     checkpoint("diverged", env_steps)

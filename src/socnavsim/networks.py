@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lidar import RANGE_MAX, MotionFeature
-from .nn import Conv2d, Dense, MaxPoolW, ReLU, Tanh
+from .nn import Conv2d, Dense, MaxPoolW, ReLU, Tanh, conv_pool, conv_pool_backward
 
 ACTION_DIM = 2
 GOAL_DIM = 2
@@ -112,27 +112,33 @@ def trunk_reach(spec: NetworkSpec) -> int:
     return w
 
 
-def forward_layers(layers, x):
-    """Run x through (name, layer) pairs in order; returns (output, caches)."""
+def forward_layers(layers, x, keep=True):
+    """Run x through (name, layer) pairs in order; returns (output,
+    caches), or (output, None) when not keep."""
     caches = []
     for _, layer in layers:
         x, cache = layer.forward(x)
-        caches.append(cache)
-    return x, caches
+        if keep:
+            caches.append(cache)
+    return x, caches if keep else None
 
 
-def backward_layers(layers, dy, caches, grads, prefix, input_grad=True):
-    """Backprop dy through (name, layer) pairs in reverse.
-
-    Each parameter gradient lands in grads as prefix + 'name.key'.  The
-    first layer's input gradient is computed only when input_grad; the
-    return value is that gradient, or None.
-    """
-    for i in range(len(layers) - 1, -1, -1):
-        name, layer = layers[i]
-        dy, lgrads = layer.backward(dy, caches[i], need_input_grad=input_grad or i > 0)
+def backward_layers(layers, dy, caches, grads, prefix):
+    """Backprop dy through (name, layer) pairs in reverse; returns the
+    first layer's input gradient.  Each parameter gradient lands in
+    grads as prefix + 'name.key'."""
+    for (name, layer), cache in zip(reversed(layers), reversed(caches)):
+        dy, lgrads = layer.backward(dy, cache)
         for k, g in lgrads.items():
             grads[f"{prefix}{name}.{k}"] = g
+    return dy
+
+
+def input_grad_layers(layers, dy, caches):
+    """dy backpropagated to the input of (name, layer) pairs, computing
+    no parameter gradients."""
+    for (_, layer), cache in zip(reversed(layers), reversed(caches)):
+        dy = layer.input_grad(dy, cache)
     return dy
 
 
@@ -141,9 +147,11 @@ def layer_params(layers, prefix):
 
 
 class Trunk:
-    """The conv stack.  conv1 reads only beams [0, self.beams), the ones
+    """The conv stack.  conv1 and the pool run fused, over sample blocks
+    (nn.conv_pool); conv1 reads only beams [0, self.beams), the ones
     that can reach the output (trunk_reach), and so computes only the
-    columns the pool keeps."""
+    columns the pool keeps.  The layers after the pool run as a
+    (name, layer) loop."""
 
     def __init__(self, spec: NetworkSpec, rng, dtype=np.float32):
         k = spec.feature_shape[0]
@@ -164,25 +172,38 @@ class Trunk:
                 hw = (hw[0], pool.out_width(hw[1]))
             layers.append((f"relu{i + 1}", ReLU()))
         self.layers = layers
-        self.conv1 = layers[0][1]
+        self.conv1, self.pool = layers[0][1], layers[1][1]
+        self.rest = layers[2:]
         self.flat_dim = in_ch * hw[0] * hw[1]
 
-    def conv1_input(self, feat):
-        """The (N, H, beams, 1) channels-last view conv1 reads."""
-        return feat[:, :, : self.beams, None]
+    def forward(self, feat, front=None):
+        """front, when given, is this trunk's entry of a fronts() call
+        made together with other trunks.  The trunk keeps its layer
+        caches only when that front was made for backprop; the cache is
+        None otherwise."""
+        if front is None:
+            front = fronts((self,), feat, (True,))[0]
+        x, fcache = front
+        x, caches = forward_layers(self.rest, x, keep=fcache is not None)
+        return x.reshape(x.shape[0], -1), None if fcache is None else (fcache, caches, x.shape)
 
-    def im2col1(self, feat):
-        """conv1 width patches of feat; reusable by any same-spec trunk."""
-        return self.conv1.im2col(self.conv1_input(feat))
+    def backward(self, dflat, cache, grads) -> None:
+        """Parameter gradients into grads as 'trunk.<layer>.<key>'."""
+        fcache, caches, shape = cache
+        dx = backward_layers(self.rest, dflat.reshape(shape), caches, grads, "trunk.")
+        for k, g in conv_pool_backward(self.conv1, self.pool, dx, fcache).items():
+            grads[f"trunk.conv1.{k}"] = g
 
-    def forward(self, feat, conv1_out=None):
-        """conv1_out, when given, is this trunk's (output, cache) of conv1,
-        computed elsewhere (see nn.shared_forward)."""
-        if conv1_out is None:
-            conv1_out = self.conv1.forward(self.conv1_input(feat))
-        x, cache = conv1_out
-        x, caches = forward_layers(self.layers[1:], x)
-        return x.reshape(x.shape[0], -1), ([cache, *caches], x.shape)
+
+def fronts(trunks, feat, backprop):
+    """(output, cache) of conv1 and the pool of each of trunks (one
+    spec) on feat (N, H, W), float16 or float32; the trunks share the
+    patches and each tap's GEMM (nn.conv_pool).  backprop has one flag
+    per trunk: only a front made with it can be backpropagated, and
+    only its pass keeps caches (Trunk.forward)."""
+    trunk = trunks[0]
+    x = feat[:, :, : trunk.beams, None]
+    return conv_pool([t.conv1 for t in trunks], trunk.pool, x, backprop)
 
 
 class TrunkHead:
@@ -202,20 +223,18 @@ class TrunkHead:
         out.W = rng.uniform(-OUT_INIT, OUT_INIT, out.W.shape).astype(dtype)
         self.head = [*head, ("out", out)]
 
-    def run(self, feat, extras, conv1_out):
+    def run(self, feat, extras, front):
         """(head output, cache) of the trunk output joined with extras."""
-        flat, tcache = self.trunk.forward(feat, conv1_out)
+        flat, tcache = self.trunk.forward(feat, front)
         y, hcache = forward_layers(self.head, np.concatenate([flat, *extras], axis=1))
         return y, (tcache, hcache)
 
-    def backprop(self, dy, cache, trunk_grads=True):
-        """Head, then (when trunk_grads) trunk; returns (d head input, grads)."""
-        (tcaches, flat_shape), hcache = cache
+    def backprop(self, dy, cache):
+        """Head, then trunk; returns (d head input, parameter grads)."""
+        tcache, hcache = cache
         grads = {}
         dx = backward_layers(self.head, dy, hcache, grads, "mlp.")
-        if trunk_grads:
-            dflat = np.ascontiguousarray(dx[:, : self.trunk.flat_dim]).reshape(flat_shape)
-            backward_layers(self.trunk.layers, dflat, tcaches, grads, "trunk.", input_grad=False)
+        self.trunk.backward(np.ascontiguousarray(dx[:, : self.trunk.flat_dim]), tcache, grads)
         return dx, grads
 
     def params(self):
@@ -227,8 +246,8 @@ class Actor(TrunkHead):
         super().__init__(spec, GOAL_DIM, ACTION_DIM, rng, dtype)
         self.tanh = Tanh()
 
-    def forward(self, feat, goal, conv1_out=None):
-        y, cache = self.run(feat, (goal,), conv1_out)
+    def forward(self, feat, goal, front=None):
+        y, cache = self.run(feat, (goal,), front)
         a, acache = self.tanh.forward(y)
         return ACTION_SCALE * a, (cache, acache, y)
 
@@ -250,18 +269,22 @@ class Critic(TrunkHead):
     def __init__(self, spec: NetworkSpec, rng, dtype=np.float32):
         super().__init__(spec, GOAL_DIM + ACTION_DIM, 1, rng, dtype)
 
-    def forward(self, feat, goal, action, conv1_out=None):
-        q, cache = self.run(feat, (goal, action / ACTION_SCALE), conv1_out)
+    def forward(self, feat, goal, action, front=None):
+        q, cache = self.run(feat, (goal, action / ACTION_SCALE), front)
         return q[:, 0], cache
 
     def backward(self, dq, cache, param_grads=True):
         """Returns (dQ/daction, param grads).
 
-        With param_grads=False only the head is traversed, which is all
-        the actor update needs: the action joins after the trunk.
+        With param_grads=False only input gradients are computed, through
+        the head alone, which is all the actor update needs: the action
+        joins after the trunk.
         """
-        dx, grads = self.backprop(dq[:, None], cache, trunk_grads=param_grads)
-        return dx[:, -ACTION_DIM:] / ACTION_SCALE, grads if param_grads else {}
+        if param_grads:
+            dx, grads = self.backprop(dq[:, None], cache)
+        else:
+            dx, grads = input_grad_layers(self.head, dq[:, None], cache[1]), {}
+        return dx[:, -ACTION_DIM:] / ACTION_SCALE, grads
 
 
 def load_params(net, arrays: dict) -> None:

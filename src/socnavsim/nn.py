@@ -1,9 +1,18 @@
 """Minimal numpy neural-network layers with hand-written backprop.
 
 Layers are functional: forward returns (output, cache) and backward
-takes (grad_out, cache) so one layer instance can serve several passes
+takes (grad_out, cache), so one layer instance can serve several passes
 per update without cache aliasing.  float32 for training speed; tests
 rebuild the same layers in float64 for finite-difference checks.
+
+A convolution followed by a width pool (the trunk's first two layers)
+runs fused over blocks of BLOCK samples: conv_pool and
+conv_pool_backward.  A block's patches, conv output and output gradient
+live in scratch buffers (scratch_array) that every call reuses, and only
+the pooled output and each window's winner offset are kept for the
+batch, so the working set is a few blocks of conv output, not a few
+batches of it (the memory-efficient lowering of MEC, Cho & Brand,
+arXiv 1706.06873).
 """
 
 from __future__ import annotations
@@ -17,6 +26,31 @@ BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
 
+# samples per conv_pool block.  In batch-128 updates (2-core x86, one
+# BLAS thread) 8 and 16 tied as fastest; 4 was 9% slower at 180 beams
+# and 32 18% slower at 1080.  8 keeps the scratch smaller.
+BLOCK = 8
+
+
+# Scratch arrays that calls reuse, so that steady-state calls touch no
+# new pages: one flat buffer per (name, dtype), which only grows.  Each
+# scratch array is used only within a single forward, backward,
+# conv_pool or conv_pool_backward call, so every layer in the process
+# shares them.
+_SCRATCH = {}
+
+
+def scratch_array(name, shape, dtype):
+    """An array of the given shape, cut from the buffer kept under
+    (name, dtype).  Its contents are undefined, and it is valid until the
+    next scratch_array call with the same name."""
+    size = math.prod(shape)
+    key = (name, np.dtype(dtype))
+    buf = _SCRATCH.get(key)
+    if buf is None or buf.size < size:
+        buf = _SCRATCH[key] = np.empty(size, dtype)
+    return buf[:size].reshape(shape)
+
 
 class Dense:
     def __init__(self, in_dim, out_dim, rng, dtype=np.float32):
@@ -26,11 +60,13 @@ class Dense:
     def forward(self, x):
         return x @ self.W + self.b, x
 
-    def backward(self, dy, cache, need_input_grad=True):
+    def backward(self, dy, cache):
         x = cache
-        grads = {"W": x.T @ dy, "b": dy.sum(axis=0)}
-        dx = dy @ self.W.T if need_input_grad else None
-        return dx, grads
+        return self.input_grad(dy, cache), {"W": x.T @ dy, "b": dy.sum(axis=0)}
+
+    def input_grad(self, dy, cache):
+        """backward's input gradient alone, without the parameter gradients."""
+        return dy @ self.W.T
 
     def params(self):
         return {"W": self.W, "b": self.b}
@@ -48,6 +84,12 @@ class Conv2d:
     im2col GEMM, the layout checkpoints store; taps() reorders it.
     Kernel extents wider than the input are clamped at construction so
     one architecture spec serves any beam count.
+
+    The patches live in a scratch buffer: the cache is the input,
+    and backward rebuilds them from it.  The same methods serve a whole
+    batch (conv2) and one sample block of conv_pool (conv1), where
+    backward adds each block's gradients to the totals of the blocks
+    before it.
     """
 
     def __init__(self, in_ch, out_ch, kernel, stride, in_hw, rng, dtype=np.float32):
@@ -67,21 +109,30 @@ class Conv2d:
         self.b = np.zeros(out_ch, dtype=dtype)
 
     def im2col(self, x):
-        """Width patches (N, H, OW, kw*C) of an (N, H, W, C) input.
+        """Width patches (N, H, OW, kw*C) of an (N, H, W, C) input, in the
+        'cols' scratch buffer and the layer's dtype (float16 rows widen
+        exactly).
 
         Patch [n, h, o] is row h's columns o*sw .. o*sw + kw - 1, one
-        contiguous kw*C run of a channels-last row.  It depends only on
-        the input, so networks built from the same spec can share it.
+        contiguous kw*C run of a channels-last row.
         """
+        if x.dtype != self.W.dtype:
+            # widen the rows first: casting while copying windows is slower
+            rows = scratch_array("rows", x.shape, self.W.dtype)
+            np.copyto(rows, x)
+            x = rows
         kw, sw = self.kernel[1], self.stride[1]
         win = np.lib.stride_tricks.sliding_window_view(x, kw, axis=2)[:, :, ::sw]
         win = win.transpose(0, 1, 2, 4, 3)  # (N, H, OW, kw, C)
-        return np.ascontiguousarray(win).reshape(*x.shape[:2], self.out_hw[1], kw * self.in_ch)
+        cols = scratch_array("cols", (*x.shape[:2], self.out_hw[1], kw * self.in_ch), self.W.dtype)
+        np.copyto(cols.reshape(win.shape), win)
+        return cols
 
-    def taps(self):
-        """The weights as (kh, kw*C, out); tap i multiplies input row r*sh + i."""
+    def taps(self, W=None):
+        """W (by default the layer's) as (kh, kw*C, out); tap i multiplies
+        input row r*sh + i."""
         kh, kw = self.kernel
-        w = self.W.reshape(self.in_ch, kh, kw, -1).transpose(1, 2, 0, 3)
+        w = (self.W if W is None else W).reshape(self.in_ch, kh, kw, -1).transpose(1, 2, 0, 3)
         return w.reshape(kh, kw * self.in_ch, -1)
 
     def tap_rows(self, cols, i):
@@ -91,39 +142,68 @@ class Conv2d:
         sh = self.stride[0]
         return cols[:, i : i + oh * sh : sh].reshape(cols.shape[0], oh * ow, -1)
 
-    def tap_sum(self, cols, taps, b):
-        """(N, OH*OW, out): sum_i tap_rows(cols, i) @ taps[i] in tap order, + b."""
-        y = np.matmul(self.tap_rows(cols, 0), taps[0])
+    def forward(self, x, others=(), scratch=False):
+        """Returns (output (N, OH, OW, channels), cache = x).
+
+        others are layers of the same geometry computed in the same
+        GEMMs: each tap multiplies the patches once by the tap weights of
+        this layer and of others, concatenated by column, and the output
+        holds this layer's channels, then each of others'.  OpenBLAS
+        computes each output element as the same dot product whichever
+        other columns ride along, and the taps are summed in the same
+        order, so each channel slice equals that layer's own forward bit
+        for bit.  With scratch the output is the 'conv' scratch buffer.
+        """
+        cols = self.im2col(x)
+        convs = (self, *others)
+        taps = np.concatenate([c.taps() for c in convs], axis=2)
+        rows = cols.shape[0], self.out_hw[0] * self.out_hw[1], taps.shape[2]
+        out = scratch_array("conv", rows, self.W.dtype) if scratch else None
+        y = np.matmul(self.tap_rows(cols, 0), taps[0], out=out)
+        prod = scratch_array("tap", rows, self.W.dtype)
         for i in range(1, len(taps)):
-            y += np.matmul(self.tap_rows(cols, i), taps[i])
-        y += b
-        return y
+            y += np.matmul(self.tap_rows(cols, i), taps[i], out=prod)
+        y += np.concatenate([c.b for c in convs])
+        return y.reshape(x.shape[0], *self.out_hw, -1), x
 
-    def forward(self, x, cols=None):
-        if cols is None:
-            cols = self.im2col(x)
-        y = self.tap_sum(cols, self.taps(), self.b)
-        return y.reshape(x.shape[0], *self.out_hw, self.out_ch), cols
+    def backward(self, dy, cache, need_input_grad=True, grads=None):
+        """Returns (input gradient or None, {"W", "b"} gradients).
 
-    def backward(self, dy, cache, need_input_grad=True):
-        cols = cache
+        grads, when given, is this layer's gradients over the samples of
+        the same batch before dy's (conv_pool_backward's earlier blocks).
+        Each sample's weight and bias gradients are then added to those
+        totals one after another, in sample order, which is how a
+        whole-batch call sums them, so a batch run block by block gets
+        the same bits.
+        """
+        cols = self.im2col(cache)
         n = dy.shape[0]
         kh, kw = self.kernel
         sh, sw = self.stride
         oh, ow = self.out_hw
         dy_rows = dy.reshape(n, oh * ow, self.out_ch)
-        dtaps = np.stack([
-            np.matmul(self.tap_rows(cols, i).transpose(0, 2, 1), dy_rows).sum(axis=0)
-            for i in range(kh)
-        ])
+        lead = 0 if grads is None else 1  # a leading row for the running total
+        prods = scratch_array("dW", (lead + n, kw * self.in_ch, self.out_ch), dy.dtype)
+        dtaps = np.empty((kh, *prods.shape[1:]), dy.dtype)
+        for i in range(kh):
+            if grads is not None:
+                prods[0] = self.taps(grads["W"])[i]
+            np.matmul(self.tap_rows(cols, i).transpose(0, 2, 1), dy_rows, out=prods[lead:])
+            prods.sum(axis=0, out=dtaps[i])
         # (kh, kw, C) rows back to the (C, kh, kw) order of W
         dW = dtaps.reshape(kh, kw, self.in_ch, -1).transpose(2, 0, 1, 3)
-        grads = {"W": dW.reshape(self.W.shape), "b": dy_rows.sum(axis=(0, 1))}
+        db_rows = dy_rows.reshape(n * oh * ow, self.out_ch)
+        if grads is not None:
+            rows = scratch_array("db", (1 + len(db_rows), self.out_ch), dy.dtype)
+            db_rows = np.concatenate((grads["b"][None], db_rows), out=rows)
+        grads = {"W": dW.reshape(self.W.shape), "b": db_rows.sum(axis=0)}
         if not need_input_grad:
             return None, grads
-        dcols = np.zeros(cols.shape, dtype=dy.dtype)
+        dcols = scratch_array("dcols", cols.shape, dy.dtype)
+        dcols.fill(0.0)
+        prod = scratch_array("tap", (n, oh * ow, cols.shape[3]), dy.dtype)
         for i, w in enumerate(self.taps()):
-            dcols[:, i : i + oh * sh : sh] += np.matmul(dy_rows, w.T).reshape(n, oh, ow, -1)
+            dcols[:, i : i + oh * sh : sh] += np.matmul(dy_rows, w.T, out=prod).reshape(n, oh, ow, -1)
         dcols = dcols.reshape(*cols.shape[:3], kw, self.in_ch)
         dx = np.zeros((n, *self.in_hw, self.in_ch), dtype=dy.dtype)
         for j in range(kw):
@@ -134,34 +214,16 @@ class Conv2d:
         return {"W": self.W, "b": self.b}
 
 
-def shared_forward(convs, cols):
-    """``[conv.forward(x, cols) for conv in convs]`` with one GEMM per tap.
-
-    Each time tap multiplies the patches once by the column-concatenated
-    tap weights of all the layers.  OpenBLAS computes each output
-    element as the same dot product whichever other columns ride along,
-    and the taps are summed in the same order, so each column slice
-    equals the separate forward call bit for bit (tests/test_policy.py
-    gates this).  The outputs are strided views into one shared array.
-    """
-    taps = np.concatenate([conv.taps() for conv in convs], axis=2)
-    prod = convs[0].tap_sum(cols, taps, np.concatenate([conv.b for conv in convs]))
-    outs, lo = [], 0
-    for conv in convs:
-        y = prod[:, :, lo : lo + conv.out_ch].reshape(cols.shape[0], *conv.out_hw, conv.out_ch)
-        outs.append((y, cols))
-        lo += conv.out_ch
-    return outs
-
-
 class MaxPoolW:
     """Max pooling along the width axis (N, H, W, C), window = stride.
 
-    The forward pass is a running ``np.maximum`` over the window offsets
-    and stores no winner index; its cache is the window view of the input
-    plus the output.  backward recovers the winners from those, so only
-    passes that backprop pay for them.  Ties go to the lowest offset, the
-    rule of a plain argmax.  Trailing columns that fill no window are
+    The forward pass is a running ``np.maximum`` over the window offsets,
+    written into given destinations.  Unless told otherwise it also
+    records each window's winner as an int8 offset: the lowest offset
+    holding the maximum (the rule of a plain argmax), or -1 when the
+    maximum is NaN, so such a window sends no gradient.  The cache is
+    those offsets and the input shape; backward sends each output
+    gradient to its winner.  Trailing columns that fill no window are
     dropped and get zero gradient; so do the non-winning inputs, as a
     zero carrying the sign of the output gradient, which changes no sum
     it enters.
@@ -173,40 +235,106 @@ class MaxPoolW:
     def out_width(self, w):
         return max(1, w // self.width)
 
-    def forward(self, x):
+    def forward(self, x, out):
+        """Returns (y, cache).  out is a (y, offsets) pair of
+        destinations; with offsets None no winners are recorded and the
+        cache is None."""
         n, h, w, c = x.shape
         pw = min(self.width, w)
         ow = w // pw
         v = x[:, :, : ow * pw, :].reshape(n, h, ow, pw, c)
-        y = v[:, :, :, 0, :].copy()
+        y, offsets = out
+        y[...] = v[:, :, :, 0, :]
         for k in range(1, pw):
             np.maximum(y, v[:, :, :, k, :], out=y)
-        return y, (v, y, x.shape)
-
-    def backward(self, dy, cache, need_input_grad=True):
-        v, y, x_shape = cache
-        covered = v.shape[2] * v.shape[3]
-        dx = np.empty(x_shape, dtype=dy.dtype)
-        dx[:, :, covered:, :] = 0.0
-        dv = dx[:, :, :covered, :].reshape(v.shape)  # a view: writes land in dx
+        if offsets is None:
+            return y, None
+        offsets.fill(-1)
         open_ = np.ones(y.shape, dtype=bool)  # windows whose winner is not found yet
-        for k in range(v.shape[3]):
+        for k in range(pw):
             hit = v[:, :, :, k, :] == y
             hit &= open_
-            np.multiply(dy, hit, out=dv[:, :, :, k, :])
             open_ ^= hit
+            offsets += hit * np.int8(k + 1)  # -1 becomes k at the first hit
+        return y, (offsets, x.shape)
+
+    def backward(self, dy, cache):
+        """The input gradient is the 'dpool' scratch buffer."""
+        offsets, x_shape = cache
+        n, h, ow, c = offsets.shape
+        pw = min(self.width, x_shape[2])
+        dx = scratch_array("dpool", x_shape, dy.dtype)
+        dx[:, :, ow * pw :, :] = 0.0
+        dv = dx[:, :, : ow * pw, :].reshape(n, h, ow, pw, c)  # a view: writes land in dx
+        for k in range(pw):
+            np.multiply(dy, offsets == k, out=dv[:, :, :, k, :])
         return dx, {}
 
     def params(self):
         return {}
 
 
-class ReLU:
-    def forward(self, x):
-        return np.maximum(x, 0.0), x
+def conv_pool(convs, pool, x, winners):
+    """Each conv of convs, then pool, on the same input x, one block of
+    BLOCK samples at a time.
 
-    def backward(self, dy, cache, need_input_grad=True):
-        return dy * (cache > 0), {}
+    The layers in convs share one geometry and read the same input
+    (N, H, W, C), which may be float16: each block's patches are cast
+    to the layers' dtype as im2col copies them.  Per block the layers
+    share each tap's GEMM (Conv2d.forward's others) and the pool runs at
+    once, in scratch, so only the pooled outputs are kept.  winners has
+    one flag per layer: whether its pass will backprop, so that its
+    cache must hold the input and the winner offsets.  Returns one
+    (pooled output, cache) per layer; the cache is None without winners.
+    """
+    lead = convs[0]
+    oh, ow = lead.out_hw
+    shape = (x.shape[0], oh, pool.out_width(ow))
+    ys = [np.empty((*shape, c.out_ch), lead.W.dtype) for c in convs]
+    offsets = [np.empty(y.shape, np.int8) if keep else None for y, keep in zip(ys, winners)]
+    for lo in range(0, x.shape[0], BLOCK):
+        block = slice(lo, lo + BLOCK)
+        z, _ = lead.forward(x[block], convs[1:], scratch=True)
+        c0 = 0
+        for conv, y, off in zip(convs, ys, offsets):
+            pool.forward(z[..., c0 : c0 + conv.out_ch], out=(y[block], None if off is None else off[block]))
+            c0 += conv.out_ch
+    return [(y, None if off is None else (x, off)) for y, off in zip(ys, offsets)]
+
+
+def conv_pool_backward(conv, pool, dy, cache):
+    """conv's {"W", "b"} gradients from the gradient dy of its conv_pool
+    output (no input gradient; the cache must hold winner offsets).
+
+    Each block's patches are rebuilt from the input, dy goes to the
+    winners, and the block's gradients join the running totals in
+    sample order (Conv2d.backward's grads), equal to a whole-batch
+    backward's bit for bit.
+    """
+    x, offsets = cache
+    z_shape = (*conv.out_hw, conv.out_ch)
+    grads = None
+    for lo in range(0, x.shape[0], BLOCK):
+        block = slice(lo, lo + BLOCK)
+        xb = x[block]
+        dz, _ = pool.backward(dy[block], (offsets[block], (len(xb), *z_shape)))
+        _, grads = conv.backward(dz, xb, need_input_grad=False, grads=grads)
+    return grads
+
+
+class ReLU:
+    """The cache is the output, which is > 0 exactly where the input is
+    (NaN included), so the input can be freed after the forward pass."""
+
+    def forward(self, x):
+        y = np.maximum(x, 0.0)
+        return y, y
+
+    def backward(self, dy, cache):
+        return self.input_grad(dy, cache), {}
+
+    def input_grad(self, dy, cache):
+        return dy * (cache > 0)
 
     def params(self):
         return {}
@@ -217,7 +345,7 @@ class Tanh:
         y = np.tanh(x)
         return y, y
 
-    def backward(self, dy, cache, need_input_grad=True):
+    def backward(self, dy, cache):
         return dy * (1.0 - cache * cache), {}
 
     def params(self):

@@ -18,6 +18,7 @@ from socnavsim import crowd, rewards, world
 from socnavsim.crowd import Crowd
 from socnavsim.geometry import CONTACT_SLACK, StaticMap, cast_fan, closest_distance, rects_overlap, wrap_angle
 from socnavsim.lidar import RANGE_MAX, cast_sweep, simulate_scan
+from socnavsim.nn import MaxPoolW
 from socnavsim.world import NavEnv
 
 
@@ -1085,48 +1086,120 @@ def reference_conv2d(x, W, b, kernel, stride):
     return y
 
 
+class StandalonePool:
+    """nn.MaxPoolW as a plain layer: forward allocates the output and the
+    winner offsets that the library's conv_pool passes in, and backward
+    returns a copy of the scratch gradient, so two results can be
+    compared."""
+
+    def __init__(self, width):
+        self.pool = MaxPoolW(width)
+
+    def forward(self, x):
+        n, h, w, c = x.shape
+        shape = (n, h, self.pool.out_width(w), c)
+        return self.pool.forward(x, out=(np.empty(shape, x.dtype), np.empty(shape, np.int8)))
+
+    def backward(self, dy, cache):
+        dx, grads = self.pool.backward(dy, cache)
+        return dx.copy(), grads
+
+    def params(self):
+        return {}
+
+
 # ---------------------------------------------------------------------------
-# Learner oracle: DDPG.update with per-network forward passes
+# conv1 oracle: the whole-batch conv1 and pool, one layer at a time
+
+
+def whole_batch_conv_pool(convs, pool, x, winners=True):
+    """nn.conv_pool as each layer's own pass over the whole batch: the
+    float32 batch's width patches, the layer's tap GEMMs summed in tap
+    order plus the bias, then a running-max pool.  No blocks, no shared
+    GEMMs, no winner offsets: whole_batch_conv_pool_backward finds the
+    winners again from the cached conv output and pooled output."""
+    x = np.asarray(x, dtype=convs[0].W.dtype)
+    n, h = x.shape[:2]
+    outs = []
+    for conv in convs:
+        kh, kw = conv.kernel
+        sh, sw = conv.stride
+        oh, ow = conv.out_hw
+        win = np.lib.stride_tricks.sliding_window_view(x, kw, axis=2)[:, :, ::sw]
+        cols = np.ascontiguousarray(win.transpose(0, 1, 2, 4, 3)).reshape(n, h, ow, kw * conv.in_ch)
+        # W rows in (C, kh, kw) order to one (kw*C, out) matrix per tap
+        taps = conv.W.reshape(conv.in_ch, kh, kw, -1).transpose(1, 2, 0, 3).reshape(kh, kw * conv.in_ch, -1)
+        rows = [cols[:, i : i + oh * sh : sh].reshape(n, oh * ow, -1) for i in range(kh)]
+        z = np.matmul(rows[0], taps[0])
+        for i in range(1, kh):
+            z += np.matmul(rows[i], taps[i])
+        z += conv.b
+        z = z.reshape(n, oh, ow, conv.out_ch)
+        pw = min(pool.width, ow)
+        v = z[:, :, : ow // pw * pw].reshape(n, oh, ow // pw, pw, conv.out_ch)
+        y = v[:, :, :, 0].copy()
+        for k in range(1, pw):
+            np.maximum(y, v[:, :, :, k], out=y)
+        outs.append((y, (rows, z, v, y)))
+    return outs
+
+
+def whole_batch_conv_pool_backward(conv, pool, dy, cache):
+    """conv's gradients from whole_batch_conv_pool's cache: each output
+    gradient goes to the lowest offset equal to its window's maximum
+    (none for a NaN window), and the weight gradient of each tap is the
+    batch sum of per-sample GEMMs."""
+    rows, z, v, y = cache
+    n = dy.shape[0]
+    kh, kw = conv.kernel
+    dz = np.zeros(z.shape, dtype=dy.dtype)
+    dv = dz[:, :, : v.shape[2] * v.shape[3]].reshape(v.shape)
+    open_ = np.ones(y.shape, dtype=bool)
+    for k in range(v.shape[3]):
+        hit = (v[:, :, :, k] == y) & open_
+        np.multiply(dy, hit, out=dv[:, :, :, k])
+        open_ ^= hit
+    dz_rows = dz.reshape(n, -1, conv.out_ch)
+    dtaps = np.stack([np.matmul(r.transpose(0, 2, 1), dz_rows).sum(axis=0) for r in rows])
+    dW = dtaps.reshape(kh, kw, conv.in_ch, -1).transpose(2, 0, 1, 3).reshape(conv.W.shape)
+    return {"W": dW, "b": dz_rows.sum(axis=(0, 1))}
+
+
+# ---------------------------------------------------------------------------
+# Learner oracle: DDPG.update as whole-batch, per-network passes
 
 
 def reference_update(learner, batch):
-    """One DDPG update as separate per-network passes: every network runs
-    its own conv1 tap GEMMs on patches shared only per input, and both
-    patch arrays stay live for the whole update.  DDPG.update must match
-    it bit for bit."""
-    from socnavsim.networks import soft_update
+    """One DDPG update as separate passes of each network over the whole
+    batch, with conv1 and the pool run by the whole-batch oracle above
+    (patched in for nn.conv_pool): no blocks, no shared GEMMs, and every
+    pass keeps what its backward needs.  DDPG.update must match it bit
+    for bit."""
+    from unittest import mock
 
-    def conv1(net, feat, cols):
-        return net.trunk.conv1.forward(net.trunk.conv1_input(feat), cols)
+    from socnavsim.networks import soft_update
 
     cfg = learner.config
     n = batch["feat"].shape[0]
     feat, nfeat = batch["feat"], batch["next_feat"]
-    cols_o = learner.critic.trunk.im2col1(feat)
-    cols_next = learner.target_critic.trunk.im2col1(nfeat)
+    with mock.patch("socnavsim.networks.conv_pool", whole_batch_conv_pool), \
+            mock.patch("socnavsim.networks.conv_pool_backward", whole_batch_conv_pool_backward):
+        a_next, _ = learner.target_actor.forward(nfeat, batch["next_goal"])
+        q_next, _ = learner.target_critic.forward(nfeat, batch["next_goal"], a_next)
+        y = batch["reward"] + cfg.gamma * (1.0 - batch["done"]) * q_next
 
-    a_next, _ = learner.target_actor.forward(
-        nfeat, batch["next_goal"], conv1(learner.target_actor, nfeat, cols_next)
-    )
-    q_next, _ = learner.target_critic.forward(
-        nfeat, batch["next_goal"], a_next, conv1(learner.target_critic, nfeat, cols_next)
-    )
-    y = batch["reward"] + cfg.gamma * (1.0 - batch["done"]) * q_next
+        q, cache = learner.critic.forward(feat, batch["goal"], batch["action"])
+        diff = q - y
+        critic_loss = float(np.mean(diff * diff))
+        _, cgrads = learner.critic.backward((2.0 / n) * diff, cache, param_grads=True)
+        learner.opt_critic.step(cgrads)
 
-    q, cache = learner.critic.forward(
-        feat, batch["goal"], batch["action"], conv1(learner.critic, feat, cols_o)
-    )
-    diff = q - y
-    critic_loss = float(np.mean(diff * diff))
-    _, cgrads = learner.critic.backward((2.0 / n) * diff, cache, param_grads=True)
-    learner.opt_critic.step(cgrads)
-
-    a, acache = learner.actor.forward(feat, batch["goal"], conv1(learner.actor, feat, cols_o))
-    q_pi, ccache = learner.critic.forward(feat, batch["goal"], a, conv1(learner.critic, feat, cols_o))
-    dq_da, _ = learner.critic.backward(np.full(n, -1.0 / n, dtype=q_pi.dtype), ccache, param_grads=False)
-    logit_grad = (2.0 * cfg.logit_penalty / n) * learner.actor.logits(acache)
-    agrads = learner.actor.backward(dq_da, acache, logit_grad=logit_grad)
-    learner.opt_actor.step(agrads)
+        a, acache = learner.actor.forward(feat, batch["goal"])
+        q_pi, ccache = learner.critic.forward(feat, batch["goal"], a)
+        dq_da, _ = learner.critic.backward(np.full(n, -1.0 / n, dtype=q_pi.dtype), ccache, param_grads=False)
+        logit_grad = (2.0 * cfg.logit_penalty / n) * learner.actor.logits(acache)
+        agrads = learner.actor.backward(dq_da, acache, logit_grad=logit_grad)
+        learner.opt_actor.step(agrads)
 
     soft_update(learner.target_actor, learner.actor, cfg.tau)
     soft_update(learner.target_critic, learner.critic, cfg.tau)

