@@ -124,7 +124,8 @@ def greedy_plan(
 class GreedyPolicy:
     """Greedy planner adapted to the shared policy interface.
 
-    Reads the raw current sweep (last feature row) plus the goal vector.
+    Reads the raw current sweep (last feature row) plus the goal vector,
+    so it never builds the feature's stacked matrix.
     The v_l = 0 stop case encodes as the zero action, which the twist
     mapping cannot combine with a turn command.
     """
@@ -134,7 +135,7 @@ class GreedyPolicy:
         self._offsets = lidar_config.beam_offsets()
 
     def begin_episode(self, obs: MotionFeature) -> None:
-        if obs.matrix.shape[1] != self._offsets.size:
+        if obs.beam_count != self._offsets.size:
             raise ValueError("beam count mismatch between planner and observation")
 
     def act(self, obs: MotionFeature) -> tuple[float, float]:

@@ -9,6 +9,7 @@ from ego parameters.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import os
@@ -26,10 +27,13 @@ from .networks import (
     Actor,
     Critic,
     NetworkSpec,
+    Stacks,
     default_network_spec,
     featurize,
     fronts,
+    goal_input,
     load_params,
+    normalize,
     save_checkpoint,
     soft_update,
 )
@@ -62,71 +66,142 @@ def mem_available_bytes() -> int | None:
 
 
 class ReplayBuffer:
-    """Uniform-sampling FIFO ring buffer of transitions.
+    """Uniform-sampling FIFO ring buffer of transitions that stores each
+    scan once.
 
-    Observations are stored at half precision (ranges are normalized to
-    [0.01, 1] so the quantization error is far below sensor resolution);
-    reward parts are kept separate so either stage can recombine them.
-    The arrays are committed lazily, page by page as they fill, so a
-    buffer larger than the available memory is refused up front instead
-    of being killed for memory mid-training.
+    Consecutive observations share all but scans_per_step of their K
+    sweeps (lidar.MotionFeature), so the buffer keeps a ring of
+    normalized sweeps, float16(float32(r / RANGE_MAX)), and writes a
+    sweep only when a stored observation does not already hold it (the
+    frame-stack deduplication of DQN replays, Mnih et al., Nature 2015).
+    Per transition it keeps the ring slots and shifts of the K rows of
+    the observation and of the next one, the goal, action, reward parts
+    (separate, so either stage can recombine them), next goal and done
+    flag.  A sampled batch holds indices only: conv1 gathers each
+    block's rows from the ring (networks.Stacks), to the bits the stored
+    float16 feature stacks used to have.
+
+    The ring holds the sweeps of capacity transitions of
+    scans_per_step new sweeps each, the K sweeps of the oldest
+    observation, and one reset sweep per RESET_SHARE transitions.  When
+    episodes average fewer steps than that it grows by half, so no live
+    sweep is ever overwritten.  The arrays are committed lazily, page by
+    page as they fill, so a buffer larger than the available memory is
+    refused up front instead of being killed for memory mid-training.
     """
 
-    SAMPLED = ("feat", "goal", "action", "next_feat", "next_goal", "done")  # as stored
+    RESET_SHARE = 4
+    SAMPLED = ("goal", "action", "next_goal", "done", "feat_slots", "feat_shifts", "next_slots", "next_shifts")
 
-    def __init__(self, capacity: int, feature_shape: tuple[int, int]):
+    def __init__(self, capacity: int, feature_shape: tuple[int, int], scans_per_step: int = 4):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
-        per = self.bytes_per_transition(feature_shape)
+        need = self.footprint(capacity, feature_shape, scans_per_step)
         available = mem_available_bytes()
-        if available is not None and capacity * per > available:
+        if available is not None and need > available:
+            fits = bisect.bisect_right(range(capacity), available,
+                                       key=lambda c: self.footprint(c, feature_shape, scans_per_step)) - 1
             raise ValueError(
-                f"replay buffer of {capacity} transitions needs {capacity * per} bytes "
-                f"({per} per transition) but only {available} bytes are available; "
-                f"the largest capacity that fits is {available // per}"
+                f"replay buffer of {capacity} transitions needs {need} bytes "
+                f"({self.bytes_per_transition(feature_shape, scans_per_step)} per transition) but only "
+                f"{available} bytes are available; the largest capacity that fits is {fits}"
             )
         self.capacity = capacity
-        for name, (shape, dtype) in self.layout(feature_shape).items():
-            setattr(self, name, np.zeros((capacity, *shape), dtype))
+        for name, (shape, dtype) in self.layout(capacity, feature_shape, scans_per_step).items():
+            setattr(self, name, np.zeros(shape, dtype))
         self.pos = 0
         self.size = 0
+        self.head = 0  # the ring slot the next sweep goes to
+        self._tail = None  # the oldest ring slot that the transition being added must keep
+        self._known = {}  # scan number -> (sweep, ring slot) of the last stored observation's rows
 
-    @staticmethod
-    def layout(feature_shape: tuple[int, int]) -> dict:
-        """Per-transition (shape, dtype) of every stored array."""
+    @classmethod
+    def layout(cls, capacity: int, feature_shape: tuple[int, int], scans_per_step: int) -> dict:
+        """(shape, dtype) of every stored array."""
+        k, b = feature_shape
+        ring = capacity * scans_per_step + -(-capacity // cls.RESET_SHARE) + k
         return {
-            "feat": (feature_shape, np.float16),
-            "goal": ((2,), np.float32),
-            "action": ((ACTION_DIM,), np.float32),
-            "reward_parts": ((3,), np.float32),
-            "next_feat": (feature_shape, np.float16),
-            "next_goal": ((2,), np.float32),
-            "done": ((), np.float32),
+            "sweeps": ((ring, b), np.float16),
+            "feat_slots": ((capacity, k), np.int32),
+            "feat_shifts": ((capacity, k), np.int16),
+            "goal": ((capacity, 2), np.float32),
+            "action": ((capacity, ACTION_DIM), np.float32),
+            "reward_parts": ((capacity, 3), np.float32),
+            "next_slots": ((capacity, k), np.int32),
+            "next_shifts": ((capacity, k), np.int16),
+            "next_goal": ((capacity, 2), np.float32),
+            "done": ((capacity,), np.float32),
         }
 
     @classmethod
-    def bytes_per_transition(cls, feature_shape: tuple[int, int]) -> int:
-        return sum(
-            math.prod(shape) * np.dtype(dtype).itemsize
-            for shape, dtype in cls.layout(feature_shape).values()
-        )
+    def footprint(cls, capacity: int, feature_shape: tuple[int, int], scans_per_step: int = 4) -> int:
+        """Bytes of all arrays of a buffer of capacity transitions."""
+        return sum(math.prod(shape) * np.dtype(dtype).itemsize
+                   for shape, dtype in cls.layout(capacity, feature_shape, scans_per_step).values())
 
-    def add(self, feat, goal, action, reward_parts, next_feat, next_goal, done: bool):
+    @classmethod
+    def bytes_per_transition(cls, feature_shape: tuple[int, int], scans_per_step: int = 4) -> int:
+        """Bytes each transition adds to the footprint (a multiple of
+        RESET_SHARE transitions adds exactly RESET_SHARE times this)."""
+        step = cls.footprint(2 * cls.RESET_SHARE, feature_shape, scans_per_step)
+        return (step - cls.footprint(cls.RESET_SHARE, feature_shape, scans_per_step)) // cls.RESET_SHARE
+
+    def add(self, obs, action, reward_parts, next_obs, done: bool):
+        """Store a transition between two MotionFeatures, writing into
+        the ring only the sweeps that no stored observation holds."""
         i = self.pos
-        self.feat[i] = feat
-        self.goal[i] = goal
+        full = self.size == self.capacity
+        if self.size > full:  # transitions stay besides the one replaced: keep the oldest one's sweeps
+            self._tail = self.feat_slots[(i + 1) % self.capacity if full else 0, 0]
+        else:  # keep obs's sweeps, if they are stored
+            hit = self._known.get(obs.scans[0])
+            self._tail = hit[1] if hit is not None and hit[0] is obs.rows[0] else None
+        self._store(obs, self.feat_slots[i], self.feat_shifts[i])
+        self._store(next_obs, self.next_slots[i], self.next_shifts[i])
+        self._known = {scan: self._known[scan] for scan in next_obs.scans}
+        self.goal[i] = goal_input(obs)
         self.action[i] = action
         self.reward_parts[i] = reward_parts
-        self.next_feat[i] = next_feat
-        self.next_goal[i] = next_goal
+        self.next_goal[i] = goal_input(next_obs)
         self.done[i] = float(done)
         self.pos = (i + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
 
+    def _store(self, obs, slots, shifts) -> None:
+        """The ring slots of obs's rows into slots, writing the sweeps that
+        are not in the ring yet, and its shifts into shifts."""
+        for k, (scan, sweep) in enumerate(zip(obs.scans, obs.rows)):
+            hit = self._known.get(scan)
+            if hit is None or hit[0] is not sweep:
+                hit = self._known[scan] = (sweep, self._write(sweep))
+            slots[k] = hit[1]
+        shifts[:] = obs.shifts
+
+    def _write(self, sweep) -> int:
+        if self.head == self._tail:
+            self._grow()
+        slot = self.head
+        self.sweeps[slot] = normalize(sweep)
+        self.head = (slot + 1) % len(self.sweeps)
+        if self._tail is None:
+            self._tail = slot
+        return slot
+
+    def _grow(self) -> None:
+        """A ring half as large again, oldest live sweep first: every
+        slot moves back by the tail's."""
+        ring, tail = len(self.sweeps), self._tail
+        sweeps = np.zeros((ring + ring // 2, self.sweeps.shape[1]), self.sweeps.dtype)
+        sweeps[:ring] = np.roll(self.sweeps, -tail, axis=0)
+        for slots in (self.feat_slots, self.next_slots):
+            slots[...] = (slots - tail) % ring
+        self._known = {scan: (sweep, (slot - tail) % ring) for scan, (sweep, slot) in self._known.items()}
+        self.sweeps, self.head, self._tail = sweeps, ring, 0
+
     def sample(self, batch_size: int, rng: np.random.Generator, reward_weights, out=None) -> dict:
         """batch_size transitions drawn uniformly, with the reward parts
-        combined by reward_weights.  Observations stay float16; conv1
-        widens them block by block (nn.conv_pool).  out, a batch an
+        combined by reward_weights.  The observations are Stacks of ring
+        sweeps, which conv1 gathers block by block.  out, a batch an
         earlier call returned for the same batch_size, is refilled in
         place and returned, so a training loop allocates its batch once.
         """
@@ -141,6 +216,8 @@ class ReplayBuffer:
                 # indices are in range; mode="clip" skips take's buffered copy
                 np.take(getattr(self, name), idx, axis=0, out=out[name], mode="clip")
         out["reward"] = reward
+        out["feat"] = Stacks(self.sweeps, out["feat_slots"], out["feat_shifts"], 1.0)
+        out["next_feat"] = Stacks(self.sweeps, out["next_slots"], out["next_shifts"], 1.0)
         return out
 
 
@@ -185,17 +262,19 @@ class DDPG:
     def update(self, batch: dict) -> tuple[float, float]:
         """One critic step, one actor step, then soft target updates.
 
-        conv1 and its pool run one block of samples at a time in reused
-        scratch (nn.conv_pool), casting the batch's float16 observations
-        to float32 as each block's patches are copied; only the pooled
-        output outlives a block.  Networks whose conv1 weights are
-        current at the same moment share each block's patches and tap
-        GEMMs (networks.fronts): the target actor and target critic on
-        the next observations, and, after the critic's step, the actor
-        and the critic's second pass on the current ones.  Only the
-        passes that backprop into their trunks (the critic's first, the
-        actor's) keep the pool's winner offsets and their layer caches;
-        the actor step needs only the critic head's input gradient.
+        batch["feat"] and batch["next_feat"] are Stacks (a replay batch)
+        or (N, K, B) arrays.  Each trunk runs over blocks of samples in
+        reused scratch (nn.conv_stack): conv1 gathers a block's rows,
+        casting them to float32, then its pool, relu1, conv2 and relu2
+        run on that block, and only the trunk's output and what its
+        backward reads outlive the block.  Networks whose conv1 weights
+        are current at the same moment share each block's rows, patches
+        and tap GEMMs (networks.fronts): the target actor and target
+        critic on the next observations, and, after the critic's step,
+        the actor and the critic's second pass on the current ones.  Only
+        the passes that backprop into their trunks (the critic's first,
+        the actor's) keep caches; the actor step needs only the critic
+        head's input gradient.
         """
         cfg = self.config
         n = batch["feat"].shape[0]
@@ -329,8 +408,8 @@ class BehaviourPolicy:
 
     A uniform draw through the warm-up and, after it, with probability
     random_action_prob; else the actor's action plus Gaussian noise of
-    the annealed sigma, clipped to the action box.  `features` featurizes
-    each observation once, for act() and the replay alike.
+    the annealed sigma, clipped to the action box.  obs is the
+    observation the last action answered.
     """
 
     name = "behaviour"
@@ -341,20 +420,15 @@ class BehaviourPolicy:
         self.obs = None
 
     def begin_episode(self, obs) -> None:
-        self.features(obs)
-
-    def features(self, obs) -> tuple[np.ndarray, np.ndarray]:
-        """featurize(obs), cached for the last observation."""
-        if obs is not self.obs:
-            self.obs, self.feat_goal = obs, featurize(obs)
-        return self.feat_goal
+        self.obs = obs
 
     def act(self, obs) -> np.ndarray:
         tc, step = self.config, self.actions
         self.actions += 1
+        self.obs = obs
         if step < tc.warmup_steps or self.rng.random() < tc.random_action_prob:
             return self.rng.uniform(-ACTION_SCALE, ACTION_SCALE, ACTION_DIM)
-        action = self.learner.act(*self.features(obs))
+        action = self.learner.act(*featurize(obs))
         noise = self.rng.normal(0.0, tc.noise_sigma(step), ACTION_DIM)
         return np.clip(action + noise, -ACTION_SCALE, ACTION_SCALE)
 
@@ -390,7 +464,8 @@ def train(
     if warm_start_parts is not None:
         learner.load_parts(warm_start_parts, networks_only=True)
 
-    buffer = ReplayBuffer(min(tc.ddpg.buffer_capacity, max(tc.total_env_steps, 1)), spec.feature_shape)
+    buffer = ReplayBuffer(min(tc.ddpg.buffer_capacity, max(tc.total_env_steps, 1)), spec.feature_shape,
+                          env_config.scan_hz // env_config.policy_hz)
     curve: list[dict] = []
     curve_path = None
     if out_dir is not None:
@@ -443,13 +518,11 @@ def train(
         ep_closs = math.nan
 
         for outcome in episode_steps(behaviour, cfg, map_seed, crowd_seed):
-            feat_goal = behaviour.feat_goal  # of the observation the action answered
-            next_feat_goal = behaviour.features(outcome.observation)
             record = outcome.record
             action = (record.a_x, record.a_y)
             reward_parts = (record.r_ego, record.r_social, record.r_goal)
             terminal = outcome.done in (Status.REACHED, Status.COLLIDED)
-            buffer.add(*feat_goal, action, reward_parts, *next_feat_goal, terminal)
+            buffer.add(behaviour.obs, action, reward_parts, outcome.observation, terminal)
             ep_return += float(np.dot(weights, reward_parts))
             env_steps += 1
 

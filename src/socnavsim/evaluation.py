@@ -240,18 +240,6 @@ def episode_seeds(root_seed: int, runs: int) -> list[tuple[int, int, int]]:
     return [(root_seed + r, int(state[2 * r]), int(state[2 * r + 1])) for r in range(runs)]
 
 
-def run_suite(
-    policy,
-    suite: str,
-    runs: int = 10,
-    root_seed: int = 0,
-    base_config: EnvConfig | None = None,
-) -> list[EpisodeLog]:
-    """One log per run; failures are logged, never raised."""
-    cfg = suite_config(suite, base_config)
-    return [run_episode(policy, cfg, suite, *seeds) for seeds in episode_seeds(root_seed, runs)]
-
-
 # ---------------------------------------------------------------------------
 # Metrics
 

@@ -4,7 +4,8 @@ The scanner sweeps a 270 degree fan at a fixed rate; the motion feature
 stacks the last K scans after rotating each historical sweep into the
 current heading frame by an index shift, so that the stacked matrix
 varies over time only where the surroundings moved (robot translation
-is deliberately left in).
+is deliberately left in).  A feature holds its sweeps by reference, with
+their shifts; the stacked matrix is built only when something reads it.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -52,20 +54,49 @@ class LidarConfig:
 
 @dataclass(frozen=True)
 class MotionFeature:
-    matrix: np.ndarray  # (K, B), rows oldest -> newest
+    """The last K sweeps, held by reference, and the goal.
+
+    Row k is sweep rows[k] calibrated to the current heading: beam i
+    reads rows[k][i + shifts[k]], and beams shifted in from outside that
+    sweep's fan read RANGE_MAX.  scans[k] is the sweep's episode-local
+    scan number, 0 for the reset scan that fills the history at episode
+    start, so two observations of one episode share a sweep exactly
+    where they share a scan number.  The sweeps are those of the scan
+    history, never copied: a feature costs K references and K shifts.
+    """
+
+    rows: tuple  # K sweeps (B,), oldest -> newest
+    shifts: tuple  # K ints
+    scans: tuple  # K ints, nondecreasing
     goal_vector: tuple[float, float]  # (distance m, bearing rad in [-pi, pi])
     initial_goal_distance: float  # the goal distance at the episode's reset
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2:
-            raise ValueError("feature matrix must be 2-D")
-        object.__setattr__(self, "matrix", m)
+        if not len(self.rows) == len(self.shifts) == len(self.scans):
+            raise ValueError("a feature needs one shift and one scan number per row")
+
+    @property
+    def beam_count(self) -> int:
+        return self.rows[-1].size
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The (K, B) float64 stack, rows oldest -> newest; built once, on
+        first read."""
+        b = self.beam_count
+        matrix = np.full((len(self.rows), b), RANGE_MAX)
+        for row, shift, ranges in zip(matrix, self.shifts, self.rows):
+            if 0 <= shift < b:
+                row[: b - shift] = ranges[shift:]
+            elif -b < shift < 0:
+                row[-shift:] = ranges[: b + shift]
+        return matrix
 
     @property
     def current_scan_ranges(self) -> np.ndarray:
-        """Last row: the current sweep, uncalibrated."""
-        return self.matrix[-1]
+        """Last row: the current sweep, whose shift is 0 when the history
+        ends at the current heading, as NavEnv's always does."""
+        return self.rows[-1] if self.shifts[-1] == 0 else self.matrix[-1]
 
 
 def cast_sweep(scene: Scene, position: tuple[float, float], heading: float,
@@ -97,29 +128,35 @@ def build_motion_feature(
     goal_bearing: float,
     initial_goal_distance: float,
     config: LidarConfig,
+    newest_scan: int = HISTORY_LEN - 1,
 ) -> MotionFeature:
-    """Stack the last K sweeps, each calibrated to the current heading.
+    """The last K sweeps, each calibrated to the current heading.
 
     history holds (heading at capture, ranges) pairs.  Row k, beam i
     takes the value sweep k held at beam i + shift, where shift =
     round(wrap(current_heading - heading at capture) / angle_increment);
     beams shifted in from outside that sweep's fan read RANGE_MAX.  The
     history must hold exactly K sweeps ordered oldest to newest; at
-    episode start the caller pre-fills it by repeating the first one.
+    episode start the caller pre-fills it by repeating the first one, so
+    with newest_scan the number of the last scan, row k is scan
+    max(0, newest_scan - (K - 1 - k)).  Only the shifts are computed
+    here: the feature keeps the history's sweeps by reference
+    (MotionFeature).
     """
     if len(history) != HISTORY_LEN:
         raise ValueError(f"need exactly {HISTORY_LEN} scans, got {len(history)}")
-    b = history[-1][1].size
     inc = config.angle_increment
-    matrix = np.full((HISTORY_LEN, b), RANGE_MAX)
-    for row, (heading, ranges) in zip(matrix, history):
-        shift = int(round(wrap_angle(current_heading - heading) / inc))
-        if 0 <= shift < b:
-            row[: b - shift] = ranges[shift:]
-        elif -b < shift < 0:
-            row[-shift:] = ranges[: b + shift]
+    headings, rows = zip(*history)
+    shift_of = {}  # scans between two control ticks share a heading
+    for heading in headings:
+        if heading not in shift_of:
+            shift_of[heading] = int(round(wrap_angle(current_heading - heading) / inc))
+    shifts = tuple(map(shift_of.__getitem__, headings))
+    first = newest_scan - (HISTORY_LEN - 1)
     return MotionFeature(
-        matrix=matrix,
+        rows=rows,
+        shifts=shifts,
+        scans=tuple(max(0, scan) for scan in range(first, newest_scan + 1)),
         goal_vector=(goal_distance, wrap_angle(goal_bearing)),
         initial_goal_distance=initial_goal_distance,
     )

@@ -23,6 +23,9 @@ those of the full-width network; tests/test_policy.py::TestBeamReach
 checks that against a float64 full-width oracle and by perturbing the
 beams on each side of the cut.  Changing the receptive field changes the
 network, so it is left as is.
+
+The inputs reach conv1 as Stacks: sweeps held by reference, gathered
+block by block as the trunk runs over sample blocks.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lidar import RANGE_MAX, MotionFeature
-from .nn import Conv2d, Dense, MaxPoolW, ReLU, Tanh, conv_pool, conv_pool_backward
+from .nn import Conv2d, Dense, MaxPoolW, ReLU, Tanh, conv_stack, conv_stack_backward, scratch_array
 
 ACTION_DIM = 2
 GOAL_DIM = 2
@@ -79,15 +82,97 @@ def default_network_spec(time_rows: int, beams: int) -> NetworkSpec:
     return NetworkSpec(feature_shape=(time_rows, beams))
 
 
-def featurize(obs: MotionFeature):
-    """Normalize an observation into float32 network inputs: ranges over
-    RANGE_MAX, the goal distance over its value at the episode's reset and
-    the bearing over pi."""
-    feat = (obs.matrix / RANGE_MAX).astype(np.float32)
+def normalize(ranges) -> np.ndarray:
+    """Ranges over RANGE_MAX, as the float32 network input."""
+    return (ranges / RANGE_MAX).astype(np.float32)
+
+
+def goal_input(obs: MotionFeature) -> np.ndarray:
+    """The goal distance over its value at the episode's reset and the
+    bearing over pi, as float32."""
     dist, bearing = obs.goal_vector
     denom = max(obs.initial_goal_distance, 1e-6)
-    goal = np.array([dist / denom, bearing / math.pi], dtype=np.float32)
-    return feat, goal
+    return np.array([dist / denom, bearing / math.pi], dtype=np.float32)
+
+
+def featurize(obs: MotionFeature):
+    """Normalize an observation into float32 network inputs: the stacked
+    matrix (normalize) and the goal (goal_input)."""
+    return normalize(obs.matrix), goal_input(obs)
+
+
+@dataclass(frozen=True, eq=False)
+class Stacks:
+    """N stacks of K shifted sweeps, held by reference: the network
+    input of a replay batch (ddpg.ReplayBuffer.sample) or of a plain
+    (N, K, B) array (Stacks.of).
+
+    Row k of stack n is sweep sweeps[slots[n, k]] calibrated the way
+    lidar.MotionFeature's rows are: beam i reads beam i + shifts[n, k]
+    of the sweep, and beams outside it read fill.  Slicing takes a block
+    of stacks; copy_to gathers a block's rows into conv1's input buffer
+    (nn.Conv2d.im2col), so no array of the whole batch's features is
+    ever built.
+    """
+
+    sweeps: np.ndarray  # (S, B)
+    slots: np.ndarray  # (N, K) rows of sweeps
+    shifts: np.ndarray  # (N, K)
+    fill: float
+
+    @staticmethod
+    def of(feat) -> "Stacks":
+        """The (N, K, B) array feat as stacks of unshifted rows."""
+        n, k, b = feat.shape
+        return Stacks(np.reshape(feat, (n * k, b)), np.arange(n * k).reshape(n, k), np.zeros((n, k), np.int64), 0.0)
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        return (*self.slots.shape, self.sweeps.shape[1])
+
+    def __len__(self) -> int:
+        return len(self.slots)
+
+    def __getitem__(self, block: slice) -> "Stacks":
+        return Stacks(self.sweeps, self.slots[block], self.shifts[block], self.fill)
+
+    def copy_to(self, out) -> None:
+        """Rows [n, k, :W] of every stack into out (n, K, W[, 1]), cast to
+        out's dtype.
+
+        Each row's sweep goes into a 'gather' scratch row with as many
+        fill values on each side as the widest shift needs (a shift is
+        clamped to [-W, B], past which a row is all fill), so every
+        shifted window of W beams lies inside its row, and one fancy
+        index reads all the windows.
+        """
+        w = out.shape[2]
+        b = self.sweeps.shape[1]
+        shifts = self.shifts.reshape(-1)
+        lo, hi = int(shifts.min()), int(shifts.max())
+        if lo < -w or hi > b:
+            shifts = np.maximum(np.minimum(shifts, b), -w)
+            lo, hi = max(lo, -w), min(hi, b)
+        left = max(0, -lo)
+        width = left + b + max(0, hi + w - b)
+        pad = scratch_array("gather", (len(shifts), width), self.sweeps.dtype)
+        pad[:, :left] = self.fill
+        pad[:, left + b :] = self.fill
+        np.take(self.sweeps, self.slots.reshape(-1), axis=0, out=pad[:, left : left + b], mode="clip")
+        size = pad.itemsize
+        windows = np.ndarray((pad.size - w + 1, w), pad.dtype, pad, strides=(size, size))
+        starts = np.arange(left, pad.size, width) + shifts  # each window's first element
+        rows, dest = windows[starts], out.reshape(len(shifts), w)
+        half = rows.view(np.uint16) if rows.dtype == np.float16 and dest.dtype == np.float32 else None
+        if half is not None and half.min() >= 0x0400 and half.max() < 0x7C00:
+            # positive normal halves, as every normalized range is: the float32
+            # of equal value holds the half's exponent and mantissa bits 13
+            # places up, its exponent bias 112 higher; 5x faster than a cast
+            bits = dest.view(np.uint32)
+            np.left_shift(half, 13, out=bits, dtype=np.uint32)
+            bits += np.uint32(112 << 23)
+        else:
+            np.copyto(dest, rows)
 
 
 def trunk_reach(spec: NetworkSpec) -> int:
@@ -112,15 +197,14 @@ def trunk_reach(spec: NetworkSpec) -> int:
     return w
 
 
-def forward_layers(layers, x, keep=True):
+def forward_layers(layers, x):
     """Run x through (name, layer) pairs in order; returns (output,
-    caches), or (output, None) when not keep."""
+    caches)."""
     caches = []
     for _, layer in layers:
         x, cache = layer.forward(x)
-        if keep:
-            caches.append(cache)
-    return x, caches if keep else None
+        caches.append(cache)
+    return x, caches
 
 
 def backward_layers(layers, dy, caches, grads, prefix):
@@ -147,11 +231,11 @@ def layer_params(layers, prefix):
 
 
 class Trunk:
-    """The conv stack.  conv1 and the pool run fused, over sample blocks
-    (nn.conv_pool); conv1 reads only beams [0, self.beams), the ones
-    that can reach the output (trunk_reach), and so computes only the
-    columns the pool keeps.  The layers after the pool run as a
-    (name, layer) loop."""
+    """The conv stack: conv1, the pool, then the (name, layer) pairs of
+    rest (relu1, conv2, relu2 with the default spec), all run over
+    sample blocks (nn.conv_stack, through fronts).  conv1 reads only
+    beams [0, self.beams), the ones that can reach the output
+    (trunk_reach), and so computes only the columns the pool keeps."""
 
     def __init__(self, spec: NetworkSpec, rng, dtype=np.float32):
         k = spec.feature_shape[0]
@@ -176,34 +260,26 @@ class Trunk:
         self.rest = layers[2:]
         self.flat_dim = in_ch * hw[0] * hw[1]
 
-    def forward(self, feat, front=None):
-        """front, when given, is this trunk's entry of a fronts() call
-        made together with other trunks.  The trunk keeps its layer
-        caches only when that front was made for backprop; the cache is
-        None otherwise."""
-        if front is None:
-            front = fronts((self,), feat, (True,))[0]
-        x, fcache = front
-        x, caches = forward_layers(self.rest, x, keep=fcache is not None)
-        return x.reshape(x.shape[0], -1), None if fcache is None else (fcache, caches, x.shape)
-
     def backward(self, dflat, cache, grads) -> None:
-        """Parameter gradients into grads as 'trunk.<layer>.<key>'."""
-        fcache, caches, shape = cache
-        dx = backward_layers(self.rest, dflat.reshape(shape), caches, grads, "trunk.")
-        for k, g in conv_pool_backward(self.conv1, self.pool, dx, fcache).items():
-            grads[f"trunk.conv1.{k}"] = g
+        """Parameter gradients into grads as 'trunk.<layer>.<key>', from
+        the gradient of the flat output of a front made for backprop."""
+        out_shape, cache = cache
+        conv1, rest = conv_stack_backward(self.conv1, self.pool, self.rest, dflat.reshape(out_shape), cache)
+        for name, layer_grads in (("conv1", conv1), *rest.items()):
+            for k, g in layer_grads.items():
+                grads[f"trunk.{name}.{k}"] = g
 
 
 def fronts(trunks, feat, backprop):
-    """(output, cache) of conv1 and the pool of each of trunks (one
-    spec) on feat (N, H, W), float16 or float32; the trunks share the
-    patches and each tap's GEMM (nn.conv_pool).  backprop has one flag
-    per trunk: only a front made with it can be backpropagated, and
-    only its pass keeps caches (Trunk.forward)."""
-    trunk = trunks[0]
-    x = feat[:, :, : trunk.beams, None]
-    return conv_pool([t.conv1 for t in trunks], trunk.pool, x, backprop)
+    """(flat output (N, flat_dim), cache) of each of trunks (one spec) on
+    feat: a Stacks, or an (N, K, B) array.  The whole stack runs over
+    sample blocks (nn.conv_stack), and the trunks share each block's
+    conv1 input, patches and tap GEMMs.  backprop has one flag per
+    trunk: only a front made with it can be backpropagated (its cache
+    is None otherwise)."""
+    stacks = feat if isinstance(feat, Stacks) else Stacks.of(feat)
+    outs = conv_stack([t.conv1 for t in trunks], trunks[0].pool, [t.rest for t in trunks], stacks, backprop)
+    return [(y.reshape(len(y), -1), None if cache is None else (y.shape, cache)) for y, cache in outs]
 
 
 class TrunkHead:
@@ -224,8 +300,11 @@ class TrunkHead:
         self.head = [*head, ("out", out)]
 
     def run(self, feat, extras, front):
-        """(head output, cache) of the trunk output joined with extras."""
-        flat, tcache = self.trunk.forward(feat, front)
+        """(head output, cache) of the trunk output joined with extras.
+        front, when given, is this trunk's entry of a fronts() call made
+        together with other trunks; else the trunk runs alone, for
+        backprop."""
+        flat, tcache = front if front is not None else fronts((self.trunk,), feat, (True,))[0]
         y, hcache = forward_layers(self.head, np.concatenate([flat, *extras], axis=1))
         return y, (tcache, hcache)
 

@@ -5,14 +5,17 @@ takes (grad_out, cache), so one layer instance can serve several passes
 per update without cache aliasing.  float32 for training speed; tests
 rebuild the same layers in float64 for finite-difference checks.
 
-A convolution followed by a width pool (the trunk's first two layers)
-runs fused over blocks of BLOCK samples: conv_pool and
-conv_pool_backward.  A block's patches, conv output and output gradient
-live in scratch buffers (scratch_array) that every call reuses, and only
-the pooled output and each window's winner offset are kept for the
-batch, so the working set is a few blocks of conv output, not a few
-batches of it (the memory-efficient lowering of MEC, Cho & Brand,
-arXiv 1706.06873).
+A convolution stack (the trunk: conv1, a width pool, then more layers)
+runs over blocks of BLOCK samples: conv_stack and conv_stack_backward.
+A block's input rows, patches, conv outputs and their gradients live in
+scratch buffers (scratch_array) that every call reuses, and only the
+stack's output, each pool window's winner offset and the activations
+that backward reads are kept for the batch.  So no scratch buffer grows
+with the batch: the working set is a few blocks of conv output, not a
+few batches of it (the memory-efficient lowering of MEC, Cho & Brand,
+arXiv 1706.06873, applied to every layer of the stack).  Weight and bias
+gradients are summed per sample in sample order across the blocks,
+equal to a whole-batch backward's bit for bit.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
 
-# samples per conv_pool block.  In batch-128 updates (2-core x86, one
+# samples per conv_stack block.  In batch-128 updates (2-core x86, one
 # BLAS thread) 8 and 16 tied as fastest; 4 was 9% slower at 180 beams
 # and 32 18% slower at 1080.  8 keeps the scratch smaller.
 BLOCK = 8
@@ -34,9 +37,9 @@ BLOCK = 8
 
 # Scratch arrays that calls reuse, so that steady-state calls touch no
 # new pages: one flat buffer per (name, dtype), which only grows.  Each
-# scratch array is used only within a single forward, backward,
-# conv_pool or conv_pool_backward call, so every layer in the process
-# shares them.
+# scratch array is used only within a single forward, backward or
+# block of a conv_stack or conv_stack_backward call, so every layer in
+# the process shares them.
 _SCRATCH = {}
 
 
@@ -87,9 +90,8 @@ class Conv2d:
 
     The patches live in a scratch buffer: the cache is the input,
     and backward rebuilds them from it.  The same methods serve a whole
-    batch (conv2) and one sample block of conv_pool (conv1), where
-    backward adds each block's gradients to the totals of the blocks
-    before it.
+    batch and one sample block of conv_stack, where backward adds each
+    block's gradients to the totals of the blocks before it.
     """
 
     def __init__(self, in_ch, out_ch, kernel, stride, in_hw, rng, dtype=np.float32):
@@ -110,22 +112,26 @@ class Conv2d:
 
     def im2col(self, x):
         """Width patches (N, H, OW, kw*C) of an (N, H, W, C) input, in the
-        'cols' scratch buffer and the layer's dtype (float16 rows widen
-        exactly).
+        'cols' scratch buffer and the layer's dtype.
 
-        Patch [n, h, o] is row h's columns o*sw .. o*sw + kw - 1, one
-        contiguous kw*C run of a channels-last row.
+        x is an array or a block source: anything with len() and a
+        copy_to(out) that writes its (N, H, W, C) rows, cast to out's
+        dtype, into the 'rows' scratch buffer (networks.Stacks, which
+        gathers a replay batch's sweeps there).  Patch [n, h, o] is row
+        h's columns o*sw .. o*sw + kw - 1, one contiguous kw*C run of a
+        channels-last row.
         """
-        if x.dtype != self.W.dtype:
-            # widen the rows first: casting while copying windows is slower
-            rows = scratch_array("rows", x.shape, self.W.dtype)
-            np.copyto(rows, x)
+        if not isinstance(x, np.ndarray):
+            rows = scratch_array("rows", (len(x), *self.in_hw, self.in_ch), self.W.dtype)
+            x.copy_to(rows)
             x = rows
+        x = np.ascontiguousarray(x)
         kw, sw = self.kernel[1], self.stride[1]
-        win = np.lib.stride_tricks.sliding_window_view(x, kw, axis=2)[:, :, ::sw]
-        win = win.transpose(0, 1, 2, 4, 3)  # (N, H, OW, kw, C)
-        cols = scratch_array("cols", (*x.shape[:2], self.out_hw[1], kw * self.in_ch), self.W.dtype)
-        np.copyto(cols.reshape(win.shape), win)
+        shape = (*x.shape[:2], self.out_hw[1], kw * self.in_ch)
+        step = x.strides[2] * sw
+        win = np.ndarray(shape, x.dtype, x, strides=(*x.strides[:2], step, x.itemsize))
+        cols = scratch_array("cols", shape, self.W.dtype)
+        np.copyto(cols, win)
         return cols
 
     def taps(self, W=None):
@@ -156,21 +162,21 @@ class Conv2d:
         """
         cols = self.im2col(x)
         convs = (self, *others)
-        taps = np.concatenate([c.taps() for c in convs], axis=2)
+        taps = np.concatenate([c.taps() for c in convs], axis=2) if others else self.taps()
         rows = cols.shape[0], self.out_hw[0] * self.out_hw[1], taps.shape[2]
         out = scratch_array("conv", rows, self.W.dtype) if scratch else None
         y = np.matmul(self.tap_rows(cols, 0), taps[0], out=out)
         prod = scratch_array("tap", rows, self.W.dtype)
         for i in range(1, len(taps)):
             y += np.matmul(self.tap_rows(cols, i), taps[i], out=prod)
-        y += np.concatenate([c.b for c in convs])
+        y += np.concatenate([c.b for c in convs]) if others else self.b
         return y.reshape(x.shape[0], *self.out_hw, -1), x
 
     def backward(self, dy, cache, need_input_grad=True, grads=None):
         """Returns (input gradient or None, {"W", "b"} gradients).
 
         grads, when given, is this layer's gradients over the samples of
-        the same batch before dy's (conv_pool_backward's earlier blocks).
+        the same batch before dy's (conv_stack_backward's earlier blocks).
         Each sample's weight and bias gradients are then added to those
         totals one after another, in sample order, which is how a
         whole-batch call sums them, so a batch run block by block gets
@@ -185,9 +191,10 @@ class Conv2d:
         lead = 0 if grads is None else 1  # a leading row for the running total
         prods = scratch_array("dW", (lead + n, kw * self.in_ch, self.out_ch), dy.dtype)
         dtaps = np.empty((kh, *prods.shape[1:]), dy.dtype)
+        totals = None if grads is None else self.taps(grads["W"])
         for i in range(kh):
             if grads is not None:
-                prods[0] = self.taps(grads["W"])[i]
+                prods[0] = totals[i]
             np.matmul(self.tap_rows(cols, i).transpose(0, 2, 1), dy_rows, out=prods[lead:])
             prods.sum(axis=0, out=dtaps[i])
         # (kh, kw, C) rows back to the (C, kh, kw) order of W
@@ -274,52 +281,71 @@ class MaxPoolW:
         return {}
 
 
-def conv_pool(convs, pool, x, winners):
-    """Each conv of convs, then pool, on the same input x, one block of
-    BLOCK samples at a time.
+def conv_stack(convs, pool, rests, x, keep):
+    """Each conv of convs, then pool, then that conv's rest layers, on
+    the same input x, one block of BLOCK samples at a time.
 
     The layers in convs share one geometry and read the same input
-    (N, H, W, C), which may be float16: each block's patches are cast
-    to the layers' dtype as im2col copies them.  Per block the layers
-    share each tap's GEMM (Conv2d.forward's others) and the pool runs at
-    once, in scratch, so only the pooled outputs are kept.  winners has
-    one flag per layer: whether its pass will backprop, so that its
-    cache must hold the input and the winner offsets.  Returns one
-    (pooled output, cache) per layer; the cache is None without winners.
+    (N, H, W, C): an array or a block source (Conv2d.im2col).  Per block
+    they share each tap's GEMM (Conv2d.forward's others), and each
+    conv's pool and rest layers ((name, layer) pairs, e.g. a ReLU, a
+    second conv and its ReLU) run at once on its slice of the output.
+    keep has one flag per conv: whether its pass will backprop, so that
+    its cache must hold, per block, the input, the pool's winner
+    offsets and the rest layers' caches.  Returns one (output (N, ...),
+    cache or None) per conv.
     """
     lead = convs[0]
     oh, ow = lead.out_hw
-    shape = (x.shape[0], oh, pool.out_width(ow))
-    ys = [np.empty((*shape, c.out_ch), lead.W.dtype) for c in convs]
-    offsets = [np.empty(y.shape, np.int8) if keep else None for y, keep in zip(ys, winners)]
-    for lo in range(0, x.shape[0], BLOCK):
-        block = slice(lo, lo + BLOCK)
-        z, _ = lead.forward(x[block], convs[1:], scratch=True)
-        c0 = 0
-        for conv, y, off in zip(convs, ys, offsets):
-            pool.forward(z[..., c0 : c0 + conv.out_ch], out=(y[block], None if off is None else off[block]))
-            c0 += conv.out_ch
-    return [(y, None if off is None else (x, off)) for y, off in zip(ys, offsets)]
-
-
-def conv_pool_backward(conv, pool, dy, cache):
-    """conv's {"W", "b"} gradients from the gradient dy of its conv_pool
-    output (no input gradient; the cache must hold winner offsets).
-
-    Each block's patches are rebuilt from the input, dy goes to the
-    winners, and the block's gradients join the running totals in
-    sample order (Conv2d.backward's grads), equal to a whole-batch
-    backward's bit for bit.
-    """
-    x, offsets = cache
-    z_shape = (*conv.out_hw, conv.out_ch)
-    grads = None
-    for lo in range(0, x.shape[0], BLOCK):
+    pooled = (oh, pool.out_width(ow))
+    outs = [None] * len(convs)
+    caches = [[] if k else None for k in keep]
+    for lo in range(0, len(x), BLOCK):
         block = slice(lo, lo + BLOCK)
         xb = x[block]
-        dz, _ = pool.backward(dy[block], (offsets[block], (len(xb), *z_shape)))
+        z, _ = lead.forward(xb, convs[1:], scratch=True)
+        c0 = 0
+        for j, (conv, rest) in enumerate(zip(convs, rests)):
+            shape = (len(z), *pooled, conv.out_ch)
+            offsets = np.empty(shape, np.int8) if keep[j] else None
+            y, pcache = pool.forward(z[..., c0 : c0 + conv.out_ch],
+                                     out=(scratch_array("pool", shape, z.dtype), offsets))
+            c0 += conv.out_ch
+            rcaches = []
+            for _, layer in rest:
+                y, cache = layer.forward(y)
+                rcaches.append(cache)
+            if outs[j] is None:
+                outs[j] = np.empty((len(x), *y.shape[1:]), y.dtype)
+            outs[j][block] = y
+            if keep[j]:
+                caches[j].append((xb, pcache, rcaches))
+    return list(zip(outs, caches))
+
+
+def conv_stack_backward(conv, pool, rest, dy, cache):
+    """Gradients of conv and of its rest layers from the gradient dy of
+    its conv_stack output (whose cache must have been kept); no input
+    gradient.  Returns (conv's {"W", "b"}, {name: {"W", "b"}} of the
+    rest layers that have parameters).
+
+    Per block, dy runs back through the rest layers and the pool, and
+    the conv's patches are rebuilt from the block's input.  Each block's
+    parameter gradients join the running totals in sample order
+    (Conv2d.backward's grads), equal to a whole-batch backward's bit for
+    bit.
+    """
+    grads, totals = None, {}
+    for lo, (xb, pcache, rcaches) in zip(range(0, len(dy), BLOCK), cache):
+        d = dy[lo : lo + BLOCK]
+        for (name, layer), c in zip(reversed(rest), reversed(rcaches)):
+            if layer.params():
+                d, totals[name] = layer.backward(d, c, grads=totals.get(name))
+            else:
+                d = layer.input_grad(d, c)
+        dz, _ = pool.backward(d, pcache)
         _, grads = conv.backward(dz, xb, need_input_grad=False, grads=grads)
-    return grads
+    return grads, totals
 
 
 class ReLU:

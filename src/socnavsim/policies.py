@@ -21,9 +21,9 @@ class LearnedPolicy:
         return self.actor.spec.feature_shape[1]
 
     def begin_episode(self, obs: MotionFeature) -> None:
-        if obs.matrix.shape[1] != self.beam_count:
+        if obs.beam_count != self.beam_count:
             raise ValueError(
-                f"checkpoint expects {self.beam_count} beams, observation has {obs.matrix.shape[1]}"
+                f"checkpoint expects {self.beam_count} beams, observation has {obs.beam_count}"
             )
 
     def act(self, obs: MotionFeature) -> tuple[float, float]:

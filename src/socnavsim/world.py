@@ -194,11 +194,6 @@ def load_config(path) -> EnvConfig:
     return EnvConfig.from_dict(data)
 
 
-def save_config(config: EnvConfig, path) -> None:
-    with open(path, "w") as f:
-        yaml.safe_dump(config.to_dict(), f, sort_keys=True)
-
-
 # ---------------------------------------------------------------------------
 # Kinematics
 
@@ -261,44 +256,78 @@ def _sample_obstacle(rng: np.random.Generator, config: EnvConfig) -> tuple[list,
 def _grid_free(static_map: StaticMap, config: EnvConfig) -> tuple[np.ndarray, float]:
     """Occupancy grid of GRID_RESOLUTION cells a robot disc can stand on,
     and the coordinate of the first cell's centre; the walls are left to
-    the grid's bounds."""
+    the grid's bounds.
+
+    A shape can only block cells within its bounding disc's radius plus
+    the robot's: each shape's distance is computed on that window of
+    cells, one cell wider.  Past it a cell's distance exceeds the
+    inflation by more than that cell, far beyond the rounding of the
+    distance formula, so the grid is the one a full-grid pass per shape
+    gives, bit for bit.
+    """
     half = config.arena_half
     inflate = config.robot_radius
     coords = np.arange(-half + GRID_RESOLUTION / 2.0, half, GRID_RESOLUTION)
-    xs, ys = np.meshgrid(coords, coords, indexing="ij")
-    free = (np.abs(xs) < half - inflate) & (np.abs(ys) < half - inflate)
+    inside = np.abs(coords) < half - inflate
+    free = inside[:, None] & inside[None, :]
     shapes = static_map.distances()  # the rows of DistanceScene.closest_distance, over the grid
+
+    def window(cx, cy, radius):
+        """(x column, y row, cells) of the cells within reach of a disc."""
+        reach = radius + inflate + GRID_RESOLUTION
+        i0, i1 = np.searchsorted(coords, (cx - reach, cx + reach))
+        j0, j1 = np.searchsorted(coords, (cy - reach, cy + reach))
+        return coords[i0:i1, None], coords[None, j0:j1], free[i0:i1, j0:j1]
+
     for x, y, radius in shapes.circles:
-        free &= np.hypot(xs - x, ys - y) - radius > inflate
+        xs, ys, cells = window(x, y, radius)
+        cells &= np.hypot(xs - x, ys - y) - radius > inflate
     for ax, ay, fx, fy, half_width, half_length in shapes.rects:
+        xs, ys, cells = window(ax + fx * half_length, ay + fy * half_length, math.hypot(half_length, half_width))
         dx, dy = xs - ax, ys - ay
         qx = np.abs(dx * fx + dy * fy - half_length) - half_length
         qy = np.abs(dx * -fy + dy * fx) - half_width
         d = np.hypot(np.maximum(qx, 0.0), np.maximum(qy, 0.0)) + np.minimum(np.maximum(qx, qy), 0.0)
-        free &= d > inflate
+        cells &= d > inflate
     return free, -half + GRID_RESOLUTION / 2.0
 
 
+def _run_labels(free: np.ndarray) -> np.ndarray:
+    """Run numbers along the rows of free: the cells of one unbroken free
+    stretch of a row share a number, counting from 1; blocked cells get 0."""
+    start = free.copy()
+    start[:, 1:] &= ~free[:, :-1]
+    labels = np.cumsum(start).reshape(free.shape)
+    labels[~free] = 0
+    return labels
+
+
 def _grid_connected(free: np.ndarray, start_ij, goal_ij) -> bool:
-    """Flood fill from start through 4-neighbour free cells, until it reaches
-    goal or stops growing."""
+    """Whether goal is reachable from start through 4-neighbour free cells.
+
+    The reached cells grow by whole runs: a row sweep adds every free
+    stretch of a row that holds a reached cell, a column sweep every
+    free stretch of a column, alternating until goal is reached or a
+    row and a column sweep add nothing.  The fixpoint is start's
+    4-connected component.
+    """
     if not (free[start_ij] and free[goal_ij]):
         return False
-    reached = np.zeros_like(free)
+    sweeps = [(labels, np.zeros(labels.max() + 1, bool)) for labels in (_run_labels(free), _run_labels(free.T).T)]
+    reached = np.zeros(free.shape, bool)
     reached[start_ij] = True
     size = 1
-    while not reached[goal_ij]:
-        grown = reached.copy()
-        grown[1:] |= reached[:-1]
-        grown[:-1] |= reached[1:]
-        grown[:, 1:] |= reached[:, :-1]
-        grown[:, :-1] |= reached[:, 1:]
-        grown &= free
-        grown_size = int(np.count_nonzero(grown))
-        if grown_size == size:
+    while True:
+        for labels, hit in sweeps:
+            hit[labels[reached]] = True
+            hit[0] = False
+            reached = hit[labels]
+            if reached[goal_ij]:
+                return True
+        grown = int(np.count_nonzero(reached))
+        if grown == size:
             return False
-        reached, size = grown, grown_size
-    return True
+        size = grown
 
 
 def corridor_exists(static_map: StaticMap, config: EnvConfig) -> bool:
@@ -404,8 +433,10 @@ class NavEnv:
         self.steps = 0
         self.sim_time = 0.0
         self._cast()
-        # (heading at capture, ranges) of the last HISTORY_LEN scans
-        self.scan_history = deque([self._scan()] * HISTORY_LEN, maxlen=HISTORY_LEN)
+        # (heading at capture, ranges) of the last HISTORY_LEN scans, and
+        # the number of the newest: the reset scan is number 0
+        self.scan_history = deque([self._kept_scan()] * HISTORY_LEN, maxlen=HISTORY_LEN)
+        self.scans = 0
         self._needs_reset = False
         return self._observation()
 
@@ -422,6 +453,13 @@ class NavEnv:
     def _scan(self) -> tuple[float, np.ndarray]:
         return self.heading, simulate_scan(self._sweep, self.lidar_config, self.noise_rng)
 
+    def _kept_scan(self) -> tuple[float, np.ndarray]:
+        """A scan for the history, made read-only: observations keep its
+        ranges by reference."""
+        heading, ranges = self._scan()
+        ranges.flags.writeable = False
+        return heading, ranges
+
     def _measure_goal(self) -> None:
         """The goal distance of the current pose, which the arrival check,
         the observation and the goal reward read until the robot moves."""
@@ -432,7 +470,7 @@ class NavEnv:
         gx, gy = self.config.goal
         bearing = wrap_angle(math.atan2(gy - self.y, gx - self.x) - self.heading)
         return build_motion_feature(self.scan_history, self.heading, self._goal_distance, bearing,
-                                    self.initial_goal_distance, self.lidar_config)
+                                    self.initial_goal_distance, self.lidar_config, self.scans)
 
     def _check_terminal(self) -> None:
         """Collision and arrival; keeps the clearance and pedestrian distances for the reward."""
@@ -476,7 +514,8 @@ class NavEnv:
                 self._cast()
                 self._check_terminal()
             self.sim_time += self.tick_dt
-            self.scan_history.append(self._scan())
+            self.scan_history.append(self._kept_scan())
+            self.scans += 1
 
         self.steps += 1
         if self.status is Status.RUNNING and self.steps >= self.config.max_steps:

@@ -12,14 +12,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import settings
 
-from socnavsim import crowd, rewards, world
+from socnavsim import crowd, evaluation, rewards, world
 from socnavsim.crowd import Crowd
 from socnavsim.geometry import CONTACT_SLACK, StaticMap, cast_fan, closest_distance, rects_overlap, wrap_angle
-from socnavsim.lidar import RANGE_MAX, cast_sweep, simulate_scan
+from socnavsim.lidar import HISTORY_LEN, RANGE_MAX, MotionFeature, cast_sweep, simulate_scan
+from socnavsim.networks import Stacks
 from socnavsim.nn import MaxPoolW
-from socnavsim.world import NavEnv
+from socnavsim.world import EnvConfig, NavEnv
 
 
 # property tests draw the same examples on every run and keep no example file;
@@ -839,9 +841,49 @@ def calibrate(prev: tuple, current_heading: float, config) -> tuple:
 
 
 def reference_motion_matrix(history, current_heading, config) -> np.ndarray:
-    """The motion feature as a stack of calibrated scans;
-    lidar.build_motion_feature must match it bit for bit."""
+    """The motion feature as a stack of calibrated (heading, ranges)
+    scans; lidar.build_motion_feature must match it bit for bit."""
     return np.stack([calibrate(s, current_heading, config)[1] for s in history])
+
+
+def eager_motion_matrix(history, current_heading, config) -> np.ndarray:
+    """The (K, B) matrix that build_motion_feature built eagerly from
+    (heading, ranges) pairs; a MotionFeature's lazily built matrix must
+    equal it bit for bit."""
+    if len(history) != HISTORY_LEN:
+        raise ValueError(f"need exactly {HISTORY_LEN} scans, got {len(history)}")
+    b = history[-1][1].size
+    inc = config.angle_increment
+    matrix = np.full((HISTORY_LEN, b), RANGE_MAX)
+    for row, (heading, ranges) in zip(matrix, history):
+        shift = int(round(wrap_angle(current_heading - heading) / inc))
+        if 0 <= shift < b:
+            row[: b - shift] = ranges[shift:]
+        elif -b < shift < 0:
+            row[-shift:] = ranges[: b + shift]
+    return matrix
+
+
+def feature_of(matrix, goal_vector, initial_goal_distance) -> MotionFeature:
+    """A MotionFeature whose rows are matrix's rows, unshifted."""
+    rows = tuple(np.asarray(matrix, dtype=float))
+    return MotionFeature(rows, (0,) * len(rows), tuple(range(len(rows))), goal_vector, initial_goal_distance)
+
+
+def stacks_array(stacks: Stacks) -> np.ndarray:
+    """The (N, K, B) array that stacks describe, in the sweeps' dtype,
+    one row at a time by the rule of calibrate()."""
+    n, k, b = stacks.shape
+    out = np.full((n, k, b), stacks.fill, stacks.sweeps.dtype)
+    for i in range(n):
+        for j in range(k):
+            shift = int(stacks.shifts[i, j])
+            sweep = stacks.sweeps[stacks.slots[i, j]]
+            if 0 <= shift < b:
+                out[i, j, : b - shift] = sweep[shift:]
+            elif -b < shift < 0:
+                out[i, j, -shift:] = sweep[: b + shift]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -911,6 +953,26 @@ def reference_grid_free(obstacles, config) -> tuple[np.ndarray, float]:
             )
         else:
             continue
+        free &= d > inflate
+    return free, -half + world.GRID_RESOLUTION / 2.0
+
+
+def rows_grid_free(static_map: StaticMap, config) -> tuple[np.ndarray, float]:
+    """world._grid_free as full-grid passes over the StaticMap's distance
+    rows, one per shape; the windowed fill must match it bit for bit."""
+    half = config.arena_half
+    inflate = config.robot_radius
+    coords = np.arange(-half + world.GRID_RESOLUTION / 2.0, half, world.GRID_RESOLUTION)
+    xs, ys = np.meshgrid(coords, coords, indexing="ij")
+    free = (np.abs(xs) < half - inflate) & (np.abs(ys) < half - inflate)
+    shapes = static_map.distances()
+    for x, y, radius in shapes.circles:
+        free &= np.hypot(xs - x, ys - y) - radius > inflate
+    for ax, ay, fx, fy, half_width, half_length in shapes.rects:
+        dx, dy = xs - ax, ys - ay
+        qx = np.abs(dx * fx + dy * fy - half_length) - half_length
+        qy = np.abs(dx * -fy + dy * fx) - half_width
+        d = np.hypot(np.maximum(qx, 0.0), np.maximum(qy, 0.0)) + np.minimum(np.maximum(qx, qy), 0.0)
         free &= d > inflate
     return free, -half + world.GRID_RESOLUTION / 2.0
 
@@ -1088,7 +1150,7 @@ def reference_conv2d(x, W, b, kernel, stride):
 
 class StandalonePool:
     """nn.MaxPoolW as a plain layer: forward allocates the output and the
-    winner offsets that the library's conv_pool passes in, and backward
+    winner offsets that the library's conv_stack passes in, and backward
     returns a copy of the scratch gradient, so two results can be
     compared."""
 
@@ -1113,11 +1175,12 @@ class StandalonePool:
 
 
 def whole_batch_conv_pool(convs, pool, x, winners=True):
-    """nn.conv_pool as each layer's own pass over the whole batch: the
-    float32 batch's width patches, the layer's tap GEMMs summed in tap
-    order plus the bias, then a running-max pool.  No blocks, no shared
-    GEMMs, no winner offsets: whole_batch_conv_pool_backward finds the
-    winners again from the cached conv output and pooled output."""
+    """conv1 and the pool of nn.conv_stack as each layer's own pass over
+    the whole batch: the float32 batch's width patches, the layer's tap
+    GEMMs summed in tap order plus the bias, then a running-max pool.  No
+    blocks, no shared GEMMs, no winner offsets:
+    whole_batch_conv_pool_backward finds the winners again from the
+    cached conv output and pooled output."""
     x = np.asarray(x, dtype=convs[0].W.dtype)
     n, h = x.shape[:2]
     outs = []
@@ -1169,12 +1232,39 @@ def whole_batch_conv_pool_backward(conv, pool, dy, cache):
 # Learner oracle: DDPG.update as whole-batch, per-network passes
 
 
+def whole_batch_conv_stack(convs, pool, rests, x, keep):
+    """nn.conv_stack as each trunk's own whole-batch pass: the input
+    materialized (stacks_array), conv1 and the pool by
+    whole_batch_conv_pool, then each rest layer on the whole batch."""
+    dense = stacks_array(x)[:, :, : convs[0].in_hw[1], None]
+    outs = []
+    for (y, front), rest in zip(whole_batch_conv_pool(convs, pool, dense), rests):
+        caches = []
+        for _, layer in rest:
+            y, cache = layer.forward(y)
+            caches.append(cache)
+        outs.append((y, (front, caches)))
+    return outs
+
+
+def whole_batch_conv_stack_backward(conv, pool, rest, dy, cache):
+    """nn.conv_stack_backward on whole_batch_conv_stack's cache: each rest
+    layer's whole-batch backward, then whole_batch_conv_pool_backward."""
+    front, caches = cache
+    totals = {}
+    for (name, layer), c in zip(reversed(rest), reversed(caches)):
+        dy, grads = layer.backward(dy, c)
+        if grads:
+            totals[name] = grads
+    return whole_batch_conv_pool_backward(conv, pool, dy, front), totals
+
+
 def reference_update(learner, batch):
     """One DDPG update as separate passes of each network over the whole
-    batch, with conv1 and the pool run by the whole-batch oracle above
-    (patched in for nn.conv_pool): no blocks, no shared GEMMs, and every
-    pass keeps what its backward needs.  DDPG.update must match it bit
-    for bit."""
+    batch, with the trunk run by the whole-batch oracle above (patched in
+    for nn.conv_stack): no blocks, no shared GEMMs, a materialized input,
+    and every pass keeps what its backward needs.  batch may be a replay
+    batch or plain arrays.  DDPG.update must match it bit for bit."""
     from unittest import mock
 
     from socnavsim.networks import soft_update
@@ -1182,8 +1272,8 @@ def reference_update(learner, batch):
     cfg = learner.config
     n = batch["feat"].shape[0]
     feat, nfeat = batch["feat"], batch["next_feat"]
-    with mock.patch("socnavsim.networks.conv_pool", whole_batch_conv_pool), \
-            mock.patch("socnavsim.networks.conv_pool_backward", whole_batch_conv_pool_backward):
+    with mock.patch("socnavsim.networks.conv_stack", whole_batch_conv_stack), \
+            mock.patch("socnavsim.networks.conv_stack_backward", whole_batch_conv_stack_backward):
         a_next, _ = learner.target_actor.forward(nfeat, batch["next_goal"])
         q_next, _ = learner.target_critic.forward(nfeat, batch["next_goal"], a_next)
         y = batch["reward"] + cfg.gamma * (1.0 - batch["done"]) * q_next
@@ -1205,6 +1295,24 @@ def reference_update(learner, batch):
     soft_update(learner.target_critic, learner.critic, cfg.tau)
     learner.updates += 1
     return critic_loss, float(np.mean(q_pi))
+
+
+# ---------------------------------------------------------------------------
+# Test-only helpers that the library has no caller for
+
+
+def run_suite(policy, suite: str, runs: int = 10, root_seed: int = 0,
+              base_config: EnvConfig | None = None) -> list:
+    """One evaluation.EpisodeLog per run; failures are logged, never raised."""
+    cfg = evaluation.suite_config(suite, base_config)
+    return [evaluation.run_episode(policy, cfg, suite, *seeds)
+            for seeds in evaluation.episode_seeds(root_seed, runs)]
+
+
+def save_config(config: EnvConfig, path) -> None:
+    """Write config as the YAML that world.load_config reads back."""
+    with open(path, "w") as f:
+        yaml.safe_dump(config.to_dict(), f, sort_keys=True)
 
 
 @pytest.fixture

@@ -349,7 +349,8 @@ class TestCriterion5LearningMachinery:
 class TestCriterion8Determinism:
     def test_cmd_eval_byte_identical(self, tmp_path):
         from socnavsim.cli import main
-        from socnavsim.world import EnvConfig, save_config
+        from conftest import save_config
+        from socnavsim.world import EnvConfig
 
         cfg_path = tmp_path / "env.yaml"
         save_config(EnvConfig(beam_count=64, max_steps=60, crowd=CrowdConfig(count=2)), cfg_path)

@@ -10,10 +10,10 @@ from socnavsim.baselines import (
     _inflate_returns,
     greedy_plan,
 )
-from socnavsim.lidar import HISTORY_LEN, RANGE_MAX, RANGE_MIN, LidarConfig, MotionFeature
+from socnavsim.lidar import HISTORY_LEN, RANGE_MAX, RANGE_MIN, LidarConfig
 from socnavsim.world import action_to_twist
 
-from conftest import reference_inflate_returns
+from conftest import feature_of, reference_inflate_returns
 
 CFG = LidarConfig(beam_count=181)
 OFFSETS = CFG.beam_offsets()
@@ -21,7 +21,7 @@ OFFSETS = CFG.beam_offsets()
 
 def make_obs(ranges, goal=(5.0, 0.0)):
     mat = np.tile(ranges, (HISTORY_LEN, 1))
-    return MotionFeature(matrix=mat, goal_vector=goal, initial_goal_distance=goal[0])
+    return feature_of(mat, goal, goal[0])
 
 
 class TestGreedyPlan:

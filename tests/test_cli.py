@@ -7,7 +7,9 @@ import yaml
 
 from socnavsim.cli import main
 from socnavsim.crowd import CrowdConfig
-from socnavsim.world import EnvConfig, save_config
+from socnavsim.world import EnvConfig
+
+from conftest import save_config
 
 
 @pytest.fixture

@@ -16,11 +16,12 @@ from socnavsim.evaluation import (
     export,
     metrics_from_tables,
     parse_trajectory_table,
-    run_suite,
     suite_config,
 )
 from socnavsim.policies import StraightLinePolicy
 from socnavsim.world import EnvConfig
+
+from conftest import run_suite
 
 
 def base_cfg(**kw):

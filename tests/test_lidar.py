@@ -26,6 +26,7 @@ from conftest import (
     random_circle,
     random_rect,
     random_shape,
+    eager_motion_matrix,
     reference_arena_walls,
     reference_motion_matrix,
     to_map,
@@ -276,3 +277,54 @@ class TestMotionFeature:
         mf = build_motion_feature(history, 0.5, 2.0, 0.3, 6.5, CFG)
         assert mf.matrix.tobytes() == feature(list(history), 0.5).matrix.tobytes()
         assert mf.goal_vector[0] == 2.0 and mf.initial_goal_distance == 6.5
+
+
+class TestFeatureByReference:
+    """build_motion_feature keeps the history's sweeps and computes only
+    shifts; the matrix is built on first read, equal to the eager one."""
+
+    def test_every_shift_case_equals_eager(self, rng):
+        """Shifts of both signs, at least B in size (a sweep shorter than
+        the configured fan), headings that wrap at +-pi, and the repeated
+        reset row."""
+        cfg = LidarConfig(beam_count=1080)
+        b = 50
+        inc = cfg.angle_increment
+        reset = (math.pi - 0.5 * inc, rng.uniform(0.1, 10.0, b))
+        offsets = np.concatenate([np.arange(-60, 60, 4), [-b, b, -b - 1, b + 1, -1, 1, 0, 0]])
+        current = -math.pi + 0.25 * inc
+        history = [reset] * 2 + [(current - k * inc, rng.uniform(0.1, 10.0, b)) for k in offsets]
+        mf = build_motion_feature(history, current, 2.0, 0.1, 3.0, cfg, newest_scan=38)
+        assert min(mf.shifts) <= -b and max(mf.shifts) >= b and mf.shifts[0] != 0
+        assert mf.scans == (0, 0, *range(1, 39))
+        assert all(row is ranges for row, (_, ranges) in zip(mf.rows, history))
+        assert "matrix" not in vars(mf)  # nothing built yet
+        assert mf.matrix.tobytes() == eager_motion_matrix(history, current, cfg).tobytes()
+        assert mf.matrix is mf.matrix
+
+    def test_current_scan_ranges_is_the_last_row(self, rng):
+        """Over a seeded episode that turns, current_scan_ranges is the
+        newest sweep itself, unshifted, and equals matrix[-1]."""
+        from socnavsim.world import EnvConfig, NavEnv
+
+        env = NavEnv(EnvConfig(beam_count=90, max_steps=40))
+        obs = env.reset(map_seed=4, crowd_seed=5)
+        steps = 0
+        while True:
+            assert obs.shifts[-1] == 0 and obs.current_scan_ranges is obs.rows[-1]
+            assert obs.current_scan_ranges is env.scan_history[-1][1]
+            assert np.array_equal(obs.current_scan_ranges, obs.matrix[-1])
+            out = env.step(rng.uniform(-1.5, 1.5, 2))
+            obs, steps = out.observation, steps + 1
+            if out.done.value != "running":
+                break
+        assert steps > 5 and any(s != 0 for s in obs.shifts)
+
+    def test_greedy_policy_builds_no_matrix(self):
+        from socnavsim.baselines import GreedyPolicy
+        from socnavsim.evaluation import episode_steps
+        from socnavsim.world import EnvConfig
+
+        cfg = EnvConfig(beam_count=90, max_steps=30, obstacle_count_range=(0, 0))
+        seen = [out.observation for out in episode_steps(GreedyPolicy(cfg.lidar()), cfg, 1, 2)]
+        assert len(seen) == 30 and all("matrix" not in vars(obs) for obs in seen)

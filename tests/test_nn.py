@@ -4,15 +4,16 @@ import numpy as np
 
 import pytest
 
-from socnavsim.networks import Trunk, default_network_spec
-from socnavsim.nn import Adam, Conv2d, Dense, MaxPoolW, ReLU, Tanh, conv_pool, conv_pool_backward
+from socnavsim.networks import Stacks, Trunk, default_network_spec
+from socnavsim.nn import Adam, Conv2d, Dense, MaxPoolW, ReLU, Tanh, conv_stack, conv_stack_backward
 
 from conftest import (
     StandalonePool,
     numeric_gradient,
     reference_conv2d,
-    whole_batch_conv_pool,
-    whole_batch_conv_pool_backward,
+    stacks_array,
+    whole_batch_conv_stack,
+    whole_batch_conv_stack_backward,
 )
 
 
@@ -131,37 +132,90 @@ class TestConvOracle:
         self.check(layer, rng)
 
 
+def ring_stacks(rng, n, k, beams):
+    """Stacks over a float16 ring of normalized sweeps, as a replay batch
+    holds them: rows drawn from the ring, shifts of both signs and some
+    of at least the sweep's length."""
+    ring = rng.uniform(0.01, 1.0, (3 * n * k, beams)).astype(np.float16)
+    shifts = rng.integers(-beams // 2, beams // 2, (n, k), dtype=np.int16)
+    shifts[:, ::7] = rng.choice([-beams - 3, -beams, beams, beams + 5], (n, len(range(0, k, 7))))
+    return Stacks(ring, rng.integers(0, len(ring), (n, k), dtype=np.int32), shifts, 1.0)
+
+
 class TestBlockedConvPool:
-    """nn.conv_pool and conv_pool_backward (sample blocks, shared tap
-    GEMMs, int8 winner offsets) against the whole-batch, one-layer-at-a-
-    time oracle in conftest, bit for bit."""
+    """nn.conv_stack and conv_stack_backward (conv1, the pool, relu1,
+    conv2 and relu2 in sample blocks, shared conv1 tap GEMMs, int8 winner
+    offsets) against the whole-batch, one-layer-at-a-time oracle in
+    conftest, bit for bit: on a float16 ring of shifted sweeps and on a
+    plain float32 array."""
 
     @pytest.mark.parametrize("beams, n", [(180, 1), (180, 7), (180, 17), (180, 128), (1080, 7)])
     @pytest.mark.parametrize("dtype", [np.float16, np.float32])
     def test_matches_whole_batch(self, rng, beams, n, dtype):
         spec = default_network_spec(40, beams)
         trunks = [Trunk(spec, rng) for _ in range(2)]
-        convs = [t.conv1 for t in trunks]
-        for conv in convs:
-            conv.b[...] = rng.normal(0.0, 0.1, conv.b.shape)
-        pool = trunks[0].pool
-        x = rng.uniform(0.01, 1.0, (n, 40, beams)).astype(dtype)[:, :, : trunks[0].beams, None]
-        got = conv_pool(convs, pool, x, (True, True))
-        want = whole_batch_conv_pool(convs, pool, x)
-        for conv, (y, cache), (y_ref, cache_ref) in zip(convs, got, want):
+        for trunk in trunks:
+            for _, layer in trunk.layers:
+                if isinstance(layer, Conv2d):
+                    layer.b[...] = rng.normal(0.0, 0.1, layer.b.shape)
+        if dtype == np.float16:
+            x = ring_stacks(rng, n, 40, beams)
+        else:
+            x = Stacks.of(rng.uniform(0.01, 1.0, (n, 40, beams)).astype(dtype))
+        args = ([t.conv1 for t in trunks], trunks[0].pool, [t.rest for t in trunks], x, (True, True))
+        got = conv_stack(*args)
+        want = whole_batch_conv_stack(*args)
+        for trunk, (y, cache), (y_ref, cache_ref) in zip(trunks, got, want):
             assert y.dtype == np.float32 and y.tobytes() == y_ref.tobytes()
             dy = rng.normal(size=y.shape).astype(np.float32)
-            grads = conv_pool_backward(conv, pool, dy, cache)
-            ref = whole_batch_conv_pool_backward(conv, pool, dy, cache_ref)
-            for k in ("W", "b"):
-                assert grads[k].shape == ref[k].shape and grads[k].tobytes() == ref[k].tobytes(), k
+            grads, rest = conv_stack_backward(trunk.conv1, trunk.pool, trunk.rest, dy, cache)
+            ref, rest_ref = whole_batch_conv_stack_backward(trunk.conv1, trunk.pool, trunk.rest, dy, cache_ref)
+            assert rest.keys() == rest_ref.keys() == {"conv2"}
+            for got_grads, ref_grads in ((grads, ref), (rest["conv2"], rest_ref["conv2"])):
+                for k in ("W", "b"):
+                    assert got_grads[k].shape == ref_grads[k].shape
+                    assert got_grads[k].tobytes() == ref_grads[k].tobytes(), k
 
     def test_no_winners_no_cache(self, rng):
         trunk = Trunk(default_network_spec(40, 180), rng)
-        x = rng.random((9, 40, trunk.beams, 1)).astype(np.float16)
-        (y, cache), = conv_pool([trunk.conv1], trunk.pool, x, (False,))
-        (y_ref, _), = conv_pool([trunk.conv1], trunk.pool, x, (True,))
+        x = ring_stacks(rng, 9, 40, 180)
+        (y, cache), = conv_stack([trunk.conv1], trunk.pool, [trunk.rest], x, (False,))
+        (y_ref, _), = conv_stack([trunk.conv1], trunk.pool, [trunk.rest], x, (True,))
         assert cache is None and y.tobytes() == y_ref.tobytes()
+
+
+class TestStacks:
+    """networks.Stacks.copy_to, the gather conv1's blocks read, against
+    the row-by-row oracle conftest.stacks_array, bit for bit."""
+
+    @pytest.mark.parametrize("beams, width", [(180, 161), (180, 180), (7, 5), (1080, 1025)])
+    def test_gather_equals_rows(self, rng, beams, width):
+        x = ring_stacks(rng, 5, 40, beams)
+        want = stacks_array(x)[:, :, :width].astype(np.float32)
+        for dtype in (np.float32, np.float64):
+            out = np.full((5, 40, width, 1), -1.0, dtype)
+            x.copy_to(out)
+            assert out[..., 0].tobytes() == want.astype(dtype).tobytes()
+
+    def test_blocks_of_a_plain_array(self, rng):
+        feat = rng.random((11, 4, 16))
+        stacks = Stacks.of(feat)
+        assert stacks.shape == feat.shape and len(stacks) == 11
+        out = np.empty((3, 4, 12, 1), np.float32)
+        stacks[8:11].copy_to(out)
+        assert out[..., 0].tobytes() == feat[8:11, :, :12].astype(np.float32).tobytes()
+
+    @pytest.mark.parametrize("first, last", [(0, 1 << 16), (0x0400, 0x7C00)])
+    def test_halves_widen_exactly(self, first, last):
+        """Every float16 widens to its float32 value: through numpy's cast
+        (all 65,536 bit patterns, NaNs, infinities, zeros, subnormals and
+        negatives included) and through the bit shift that blocks of
+        positive normal halves take."""
+        halves = np.arange(first, last).astype(np.uint16).view(np.float16).reshape(1, -1)
+        stacks = Stacks(halves, np.zeros((1, 1), np.int64), np.zeros((1, 1), np.int64), 0.0)
+        out = np.empty((1, 1, halves.size), np.float32)
+        stacks.copy_to(out)
+        assert out.tobytes() == halves.astype(np.float32).tobytes()
 
 
 class TestAdam:
@@ -266,7 +320,7 @@ class TestMaxPoolTies:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_lowest_offset_wins_in_blocks(self, rng, dtype):
-        """The same rule through nn.conv_pool's sample blocks, after a 1x1
+        """The same rule through nn.conv_stack's sample blocks, after a 1x1
         identity convolution: 12 samples make a full block and a partial
         one.  A window holding NaN records no winner and sends no
         gradient."""
@@ -275,8 +329,8 @@ class TestMaxPoolTies:
         conv = Conv2d(5, 5, (1, 1), (1, 1), (2, 18), rng, dtype=dtype)
         conv.W[...] = np.eye(5)
         pool = MaxPoolW(4)
-        (y, cache), = conv_pool([conv], pool, x, (True,))
-        offsets = cache[1]
+        (y, cache), = conv_stack([conv], pool, [[]], x, (True,))
+        offsets = np.concatenate([pcache[0] for _, pcache, _ in cache])
         nan_window = np.zeros(y.shape, bool)
         nan_window[5, 1, 2, :] = True
 
@@ -288,6 +342,6 @@ class TestMaxPoolTies:
         assert np.array_equal(offsets[~nan_window], winners[~nan_window])
 
         dy = rng.normal(size=y.shape).astype(dtype)
-        grads = conv_pool_backward(conv, pool, dy, cache)
+        grads, _ = conv_stack_backward(conv, pool, [], dy, cache)
         # the bias gradient sums the output gradient of every window but the NaN one
         np.testing.assert_allclose(grads["b"], dy[~nan_window.any(axis=3)].sum(axis=0), rtol=1e-5)

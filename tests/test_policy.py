@@ -2,22 +2,25 @@ import copy
 import hashlib
 import math
 import tracemalloc
+from collections import deque
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import numeric_gradient, reference_conv2d, reference_update
+from conftest import feature_of, numeric_gradient, reference_conv2d, reference_update, stacks_array
 from socnavsim import ddpg as ddpg_module
 from socnavsim import evaluation as evaluation_module
+from socnavsim import nn
 from socnavsim.crowd import CrowdConfig
 from socnavsim.ddpg import DDPG, DDPGConfig, ReplayBuffer, TrainConfig, train
 from socnavsim.evaluation import episode_seeds, run_episode
-from socnavsim.lidar import MotionFeature
+from socnavsim.lidar import HISTORY_LEN, LidarConfig, build_motion_feature
 from socnavsim.networks import (
     Actor,
     Critic,
     NetworkSpec,
+    Stacks,
     actor_from_checkpoint,
     default_network_spec,
     featurize,
@@ -175,7 +178,7 @@ class TestBeamReach:
         trunk = Actor(default_network_spec(40, beams), rng, dtype=np.float64).trunk
         assert trunk.beams == self.REACH[beams]
         feat = rng.random((2, 40, beams))
-        flat, _ = trunk.forward(feat)
+        (flat, _), = fronts((trunk,), feat, (False,))
         np.testing.assert_allclose(flat, full_width_trunk(trunk, feat), rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("beams", [180, 1080])
@@ -231,20 +234,78 @@ class TestSoftUpdate:
             assert g1 == pytest.approx(g0 * (1 - tau) ** 2, rel=1e-9)
 
 
+def episode(rng, steps, beams, scans_per_step=4):
+    """The observations of one episode as NavEnv makes them, from random
+    sweeps and headings: the reset scan repeated, then scans_per_step new
+    scans per step, with heading changes that wrap at +-pi."""
+    cfg = LidarConfig(beam_count=beams)
+    heading = float(rng.uniform(-math.pi, math.pi))
+    history = deque([(heading, rng.uniform(0.1, 10.0, beams))] * HISTORY_LEN, maxlen=HISTORY_LEN)
+    obs = []
+    for step in range(steps + 1):
+        if step:
+            for _ in range(scans_per_step):
+                heading = math.remainder(heading + float(rng.normal(0.0, 0.3)), 2 * math.pi)
+                history.append((heading, rng.uniform(0.1, 10.0, beams)))
+        obs.append(build_motion_feature(history, heading, float(rng.uniform(0.5, 7.0)),
+                                        float(rng.uniform(-4.0, 4.0)), 7.0, cfg, step * scans_per_step))
+    return obs
+
+
+def fill(buf, rng, episodes, beams):
+    """Add the transitions of episodes (their step counts) to buf; returns
+    each transition's (obs, next_obs), in the order added."""
+    added = []
+    for steps in episodes:
+        obs = episode(rng, steps, beams)
+        for t in range(steps):
+            buf.add(obs[t], rng.uniform(-1.5, 1.5, 2), rng.normal(size=3), obs[t + 1], t == steps - 1)
+            added.append((obs[t], obs[t + 1]))
+    return added
+
+
+def stored_features(buf, i):
+    """Transition i's observations rebuilt from the ring: (feat, next_feat)."""
+    out = []
+    for slots, shifts in ((buf.feat_slots, buf.feat_shifts), (buf.next_slots, buf.next_shifts)):
+        stacks = Stacks(buf.sweeps, slots[i : i + 1], shifts[i : i + 1], 1.0)
+        feat = np.empty((1, *stacks.shape[1:]), np.float32)
+        stacks.copy_to(feat)
+        out.append(feat[0])
+    return out
+
+
+def assert_stored(buf, added):
+    """The buffer's transitions rebuild, bit for bit, to the float16
+    feature stacks of the last capacity observation pairs added."""
+    live = added[-buf.capacity :]
+    assert buf.size == len(live)
+    first = (len(added) - len(live)) % buf.capacity  # slot of the oldest live transition
+    for j, (obs, next_obs) in enumerate(live):
+        i = (first + j) % buf.capacity
+        feat, next_feat = stored_features(buf, i)
+        for got, o in ((feat, obs), (next_feat, next_obs)):
+            want, goal = featurize(o)
+            assert got.tobytes() == want.astype(np.float16).astype(np.float32).tobytes(), i
+        assert buf.goal[i].tobytes() == featurize(obs)[1].tobytes()
+        assert buf.next_goal[i].tobytes() == featurize(next_obs)[1].tobytes()
+
+
 class TestReplayBuffer:
     def test_fifo_eviction(self, rng):
-        buf = ReplayBuffer(5, (4, 16))
-        f = np.zeros((4, 16), np.float16)
+        buf = ReplayBuffer(5, (HISTORY_LEN, 16))
+        obs = episode(rng, 8, 16)
         for i in range(8):
-            buf.add(f + i % 3, [i, 0], [0, 0], [float(i), 0, 0], f, [0, 0], False)
+            buf.add(obs[i], [0, 0], [float(i), 0, 0], obs[i + 1], False)
         assert buf.size == 5
         # oldest three were overwritten: remaining rewards are 3..7
         assert sorted(buf.reward_parts[:, 0].tolist()) == [3.0, 4.0, 5.0, 6.0, 7.0]
+        assert_stored(buf, list(zip(obs, obs[1:])))
 
     def test_sample_weights_combine_parts(self, rng):
-        buf = ReplayBuffer(10, (4, 16))
-        f = np.zeros((4, 16), np.float16)
-        buf.add(f, [0, 0], [0, 0], [1.0, 2.0, 3.0], f, [0, 0], True)
+        buf = ReplayBuffer(10, (HISTORY_LEN, 16))
+        obs = episode(rng, 1, 16)
+        buf.add(obs[0], [0, 0], [1.0, 2.0, 3.0], obs[1], True)
         batch = buf.sample(1, rng, (1.0, 0.0, 1.0))
         assert batch["reward"][0] == pytest.approx(4.0)
         batch = buf.sample(1, rng, (1.0, 1.0, 1.0))
@@ -253,20 +314,20 @@ class TestReplayBuffer:
     def test_sample_into_earlier_batch(self):
         """sample(out=) refills an earlier batch in place with the bytes a
         fresh sample would hold, given the same random draws."""
-        buf = ReplayBuffer(20, (4, 16))
-        fill = np.random.default_rng(5)
-        for i in range(13):
-            buf.add(fill.random((4, 16)).astype(np.float16), fill.random(2), fill.random(2), fill.random(3),
-                    fill.random((4, 16)).astype(np.float16), fill.random(2), i % 4 == 0)
+        buf = ReplayBuffer(20, (HISTORY_LEN, 16))
+        fill(buf, np.random.default_rng(5), (4, 9), 16)
         weights = (1.0, 0.5, 2.0)
         earlier = buf.sample(6, np.random.default_rng(9), weights)
-        arrays = {k: v for k, v in earlier.items() if k != "reward"}
+        arrays = {k: v for k, v in earlier.items() if isinstance(v, np.ndarray) and k != "reward"}
         refilled = buf.sample(6, np.random.default_rng(11), weights, out=earlier)
         fresh = buf.sample(6, np.random.default_rng(11), weights)
         assert refilled is earlier
         assert refilled.keys() == fresh.keys()
         for k, v in fresh.items():
-            assert refilled[k].dtype == v.dtype and refilled[k].tobytes() == v.tobytes(), k
+            if isinstance(v, Stacks):
+                assert stacks_array(refilled[k]).tobytes() == stacks_array(v).tobytes(), k
+            else:
+                assert refilled[k].dtype == v.dtype and refilled[k].tobytes() == v.tobytes(), k
         assert all(refilled[k] is v for k, v in arrays.items())
 
     def test_oversample_rejected(self, rng):
@@ -275,20 +336,30 @@ class TestReplayBuffer:
             buf.sample(1, rng, (1, 1, 1))
 
     def test_bytes_per_transition_matches_arrays(self):
+        """Each sweep is stored once: about 4.25 sweeps and 80 row slots
+        and shifts per transition, against two float16 stacks of 40
+        sweeps (28,840 B at 180 beams, 172,840 at 1080)."""
         buf = ReplayBuffer(7, (40, 180))
         total = sum(v.nbytes for v in vars(buf).values() if isinstance(v, np.ndarray))
-        assert total == 7 * ReplayBuffer.bytes_per_transition((40, 180))
-        assert ReplayBuffer.bytes_per_transition((40, 1080)) == 4 * 40 * 1080 + 40
+        assert total == ReplayBuffer.footprint(7, (40, 180))
+        assert ReplayBuffer.bytes_per_transition((40, 180)) == 2050
+        assert ReplayBuffer.bytes_per_transition((40, 1080)) == 9700
+        # train-desk's buffer, and a paper-scale one: 200k transitions in 1.94 GB
+        assert ReplayBuffer.footprint(174, (40, 180)) / 174 <= 2500
+        assert ReplayBuffer.footprint(200_000, (40, 1080)) == 1_940_086_400
+        per = ReplayBuffer.bytes_per_transition((40, 180))
+        assert ReplayBuffer.footprint(8, (40, 180)) - ReplayBuffer.footprint(4, (40, 180)) == 4 * per
 
     def test_refuses_capacity_beyond_available_memory(self, monkeypatch):
         per = ReplayBuffer.bytes_per_transition((40, 180))
-        monkeypatch.setattr(ddpg_module, "mem_available_bytes", lambda: 1000 * per + 5)
+        need = ReplayBuffer.footprint(1000, (40, 180))
+        monkeypatch.setattr(ddpg_module, "mem_available_bytes", lambda: need + 5)
         ReplayBuffer(1000, (40, 180))
         with pytest.raises(ValueError) as err:
             ReplayBuffer(1001, (40, 180))
         msg = str(err.value)
-        assert f"needs {1001 * per} bytes" in msg
-        assert f"only {1000 * per + 5} bytes are available" in msg
+        assert f"needs {ReplayBuffer.footprint(1001, (40, 180))} bytes ({per} per transition)" in msg
+        assert f"only {need + 5} bytes are available" in msg
         assert "largest capacity that fits is 1000" in msg
 
     def test_unreadable_probe_skips_check(self, monkeypatch):
@@ -306,8 +377,51 @@ class TestReplayBuffer:
         monkeypatch.setattr(ddpg_module, "mem_available_bytes", lambda: 10**6)
         monkeypatch.setattr(ddpg_module, "episode_steps", no_episode)
         env_cfg = EnvConfig(beam_count=180, crowd=CrowdConfig(count=0))
-        with pytest.raises(ValueError, match="largest capacity that fits is 34"):
+        with pytest.raises(ValueError, match="largest capacity that fits is 480"):
             train("ego", env_cfg, TrainConfig(total_env_steps=1000), seed=0)
+
+    def test_short_episodes_grow_the_ring(self, rng):
+        """Episodes of one or two steps bring a reset sweep each, more than
+        the ring keeps room for: it grows, and every transition still
+        rebuilds bit for bit, through the wrap and after it."""
+        buf = ReplayBuffer(80, (HISTORY_LEN, 16))
+        ring = len(buf.sweeps)
+        added = fill(buf, rng, [1, 2] * 5 + [1] * 70 + [3, 1, 2, 1], 16)
+        assert len(buf.sweeps) > ring
+        assert_stored(buf, added)
+
+    def test_shared_sweeps_stored_once(self, rng):
+        """A transition within an episode writes only its new scans; one
+        that starts an episode also writes the reset scan."""
+        buf = ReplayBuffer(50, (HISTORY_LEN, 16), scans_per_step=4)
+        fill(buf, rng, (12,), 16)
+        assert buf.head == 1 + 12 * 4
+        fill(buf, rng, (3,), 16)
+        assert buf.head == 1 + 12 * 4 + 1 + 3 * 4
+
+    @pytest.mark.parametrize("beams", [16, 180])
+    def test_training_stores_every_transition_bitwise(self, monkeypatch, beams):
+        """Training with a buffer small enough to wrap and episodes short
+        enough to end: every stored transition rebuilds to float16 of
+        featurize() of the observations train() gave it."""
+        added, buffers = [], []
+        real_add = ReplayBuffer.add
+
+        def add(buf, obs, action, reward_parts, next_obs, done):
+            buffers.append(buf)
+            added.append((obs, next_obs))
+            return real_add(buf, obs, action, reward_parts, next_obs, done)
+
+        monkeypatch.setattr(ReplayBuffer, "add", add)
+        env_cfg = EnvConfig(beam_count=beams, max_steps=9, obstacle_count_range=(0, 2),
+                            crowd=CrowdConfig(count=0))
+        tc = TrainConfig(total_env_steps=70, warmup_steps=20, update_every=5, eval_every=10**9,
+                         checkpoint_every=10**9, ddpg=DDPGConfig(batch_size=8, buffer_capacity=25))
+        train("ego", env_cfg, tc, seed=2)
+        buf = buffers[0]
+        assert len(added) == 70 and buf.capacity == 25
+        assert sum(next_obs.scans[-1] == 4 for _, next_obs in added) >= 7  # episodes
+        assert_stored(buf, added)
 
 
 def make_batch(rng, n=16, done=None, reward=None, shape=(4, 16)):
@@ -368,6 +482,42 @@ class TestDDPGUpdate:
     def test_matches_reference_bitwise_partial_block(self, rng, beams, n, feat_dtype):
         self.check_reference(rng, beams, n, feat_dtype)
 
+    @pytest.mark.parametrize("beams, n", [(180, 128), (1080, 11)])
+    def test_matches_reference_bitwise_replay(self, rng, beams, n):
+        """The same on replay batches: Stacks of ring sweeps with shifts of
+        both signs, over episodes that end and a ring that wraps, which the
+        oracle materializes whole."""
+        spec = default_network_spec(HISTORY_LEN, beams)
+        fast = DDPG(spec, DDPGConfig(), np.random.default_rng(3))
+        ref = DDPG(spec, DDPGConfig(), np.random.default_rng(3))
+        buf = ReplayBuffer(n + 20, spec.feature_shape)
+        added = fill(buf, rng, (n // 2, 9, n // 2 + 1, 14, 30), beams)
+        assert 4 * len(added) > len(buf.sweeps)
+        for seed in range(2):
+            batch = buf.sample(n, np.random.default_rng(seed), (1.0, 0.0, 1.0))
+            assert isinstance(batch["feat"], Stacks) and np.any(batch["feat"].shifts < 0)
+            assert fast.update(batch) == reference_update(ref, batch)
+        for part, params in fast.named_parts().items():
+            for k, v in params.items():
+                assert np.array_equal(v, ref.named_parts()[part][k]), f"{part}/{k}"
+
+    def test_scratch_does_not_grow_with_the_batch(self):
+        """nn's scratch buffers hold a block of samples, never a batch: at
+        1080 beams their total after steady-state updates at batch 16 is
+        the total at batch 64."""
+        spec = default_network_spec(HISTORY_LEN, 1080)
+        learner = DDPG(spec, DDPGConfig(), np.random.default_rng(3))
+        buf = ReplayBuffer(80, spec.feature_shape)
+        fill(buf, np.random.default_rng(4), (30, 50), 1080)
+        nn._SCRATCH.clear()
+        totals = []
+        for n in (16, 64):
+            batch = buf.sample(n, np.random.default_rng(n), (1.0, 0.0, 1.0))
+            learner.update(batch)
+            learner.update(batch)
+            totals.append(sum(v.nbytes for v in nn._SCRATCH.values()))
+        assert totals[0] == totals[1]
+
     @staticmethod
     def check_reference(rng, beams, n, feat_dtype):
         spec = default_network_spec(40, beams)
@@ -388,8 +538,9 @@ class TestDDPGUpdate:
 
     def test_working_set(self, rng):
         """A steady-state batch-128 update at 180 beams allocates at most
-        24 MB above its live batch (tracemalloc peak; 46 MB when conv1 and
-        the pool ran on the whole batch)."""
+        7 MB above its live batch (tracemalloc peak: 5.9 MB with the whole
+        trunk in sample blocks, 8.3 MB when conv2 ran on the whole batch,
+        46 MB when conv1 and the pool did too)."""
         spec = default_network_spec(40, 180)
         learner = DDPG(spec, DDPGConfig(), np.random.default_rng(3))
         batch = make_batch(rng, 128, shape=spec.feature_shape)
@@ -403,7 +554,7 @@ class TestDDPGUpdate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - base <= 24e6
+        assert peak - base <= 7e6
 
     def test_divergence_detection_fields(self):
         from socnavsim.ddpg import TrainingDiverged
@@ -485,7 +636,7 @@ class TestParameters:
 class TestFeaturize:
     def test_normalization(self):
         mat = np.full((40, 16), 5.0)
-        mf = MotionFeature(matrix=mat, goal_vector=(3.0, math.pi / 2), initial_goal_distance=6.0)
+        mf = feature_of(mat, (3.0, math.pi / 2), 6.0)
         feat, goal = featurize(mf)
         assert np.all(feat == pytest.approx(0.5))
         assert goal[0] == pytest.approx(0.5)

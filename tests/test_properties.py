@@ -1,7 +1,8 @@
 """Property tests for the raycaster, the static distance, the social
 zones, the rectangle overlap test, the greedy planner's scan erosion,
-the ORCA solver, and the map sampler, grid fill, obstacle discs and
-scenario spawns against their object-based oracles."""
+the ORCA solver, the map sampler, grid fill, corridor check, obstacle
+discs and scenario spawns against their object-based oracles, and the
+motion feature's lazily built matrix against the eager one."""
 
 import math
 
@@ -14,9 +15,9 @@ from socnavsim import geometry
 from socnavsim.baselines import _inflate_returns
 from socnavsim.crowd import SCENARIO_KINDS, CrowdConfig, orca_lines, spawn_scenario
 from socnavsim.geometry import beam_arcs, rects_overlap, row_terms, takes_windows
-from socnavsim.lidar import RANGE_MAX, RANGE_MIN, LidarConfig
+from socnavsim.lidar import HISTORY_LEN, RANGE_MAX, RANGE_MIN, LidarConfig, build_motion_feature
 from socnavsim.rewards import zone_rows
-from socnavsim.world import EnvConfig, _grid_free, _sample_obstacle, randomize_map
+from socnavsim.world import EnvConfig, _grid_connected, _grid_free, _sample_obstacle, randomize_map
 
 from conftest import (
     Circle,
@@ -25,6 +26,7 @@ from conftest import (
     Segment,
     Vec2,
     cast_fan_of,
+    eager_motion_matrix,
     marching_ray,
     orca_solve,
     overlaps,
@@ -34,6 +36,7 @@ from conftest import (
     rects_intersect,
     reference_cast_fan,
     reference_closest_distance,
+    reference_grid_connected,
     reference_grid_free,
     reference_inflate_returns,
     reference_obstacle_discs,
@@ -411,3 +414,46 @@ def test_spawn_scenario_equals_object_spawn(kind, count, seed, start, goal, side
     want = reference_spawn_scenario(kind, count, config, rng_b, start, goal)
     assert repr(list(got.rows())) == repr(list(want.rows()))
     assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+# headings anywhere on the circle, with extra weight just inside +-pi,
+# where wrap() turns a small difference into one of nearly 2 pi
+headings = st.one_of(coords(math.pi), st.sampled_from([math.pi, -math.pi]),
+                     st.floats(math.pi - 1e-3, math.pi).map(lambda h: h * (1 if h > 3.0 else -1)))
+
+
+@given(
+    beams=st.integers(2, 40),
+    config_beams=st.sampled_from([None, 181, 1080]),
+    reset_rows=st.integers(1, HISTORY_LEN),
+    data=st.data(),
+)
+def test_lazy_matrix_equals_eager(beams, config_beams, reset_rows, data):
+    """MotionFeature.matrix, built on first read from the rows held by
+    reference, equals the eager build bit for bit.  A configured fan
+    wider than the sweeps gives shifts of at least B of either sign; the
+    first reset_rows rows repeat one reset scan, as NavEnv's history does
+    at episode start."""
+    cfg = LidarConfig(beam_count=config_beams or beams)
+    reset = (data.draw(headings), data.draw(arrays(np.float64, beams, elements=st.floats(RANGE_MIN, RANGE_MAX))))
+    rest = [(data.draw(headings), np.full(beams, float(k))) for k in range(HISTORY_LEN - reset_rows)]
+    history = [reset] * reset_rows + rest
+    current = data.draw(headings)
+    mf = build_motion_feature(history, current, 1.0, 0.0, 1.0, cfg, newest_scan=len(rest))
+    assert mf.scans == (0,) * reset_rows + tuple(range(1, len(rest) + 1))
+    assert all(row is ranges for row, (_, ranges) in zip(mf.rows, history))
+    assert mf.matrix.tobytes() == eager_motion_matrix(history, current, cfg).tobytes()
+
+
+@given(
+    free=st.tuples(st.integers(1, 16), st.integers(1, 16)).flatmap(
+        lambda shape: arrays(bool, shape, elements=st.booleans())),
+    data=st.data(),
+)
+def test_grid_connected_equals_bfs(free, data):
+    """The run-sweep corridor check answers as a breadth-first search of
+    4-neighbour free cells, on any grid and pair of cells."""
+    n, m = free.shape
+    cell = st.tuples(st.integers(0, n - 1), st.integers(0, m - 1))
+    start, goal = data.draw(cell), data.draw(cell)
+    assert _grid_connected(free, start, goal) == reference_grid_connected(free, start, goal)

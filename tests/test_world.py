@@ -9,24 +9,25 @@ import yaml
 from socnavsim import world
 from socnavsim.crowd import CrowdConfig
 from socnavsim import rewards
-from socnavsim.geometry import closest_distance, wrap_angle
+from socnavsim.geometry import StaticMap, closest_distance, wrap_angle
 from socnavsim.rewards import ego_reward
 from socnavsim.world import (
+    GRID_RESOLUTION,
     EnvConfig,
     NavEnv,
     Status,
     _grid_connected,
     _grid_free,
+    _sample_obstacle,
     action_to_twist,
     arena_walls,
     corridor_exists,
     integrate,
     load_config,
     randomize_map,
-    save_config,
 )
 
-from conftest import (Circle, OrientedRect, Segment, Vec2, CastEveryTickEnv, clearance, closest_distance_of,
+from conftest import (Circle, rows_grid_free, save_config, OrientedRect, Segment, Vec2, CastEveryTickEnv, clearance, closest_distance_of,
                       point_rect_signed_distance, reference_arena_walls, reference_closest_distance,
                       reference_grid_connected, reference_grid_free, reference_randomize_map,
                       reference_sample_obstacle, reference_static_shapes, rects_intersect, social_zone, to_map,
@@ -222,6 +223,28 @@ class TestGridConnected:
                 start, goal = (tuple(int(v) for v in cells[rng.integers(len(cells))]) for _ in range(2))
                 found.add(self.check(free, start, goal))
         assert found == {True, False}
+
+    def test_seeded_maps_match_full_grid_oracles(self):
+        """Over 320 seeded maps, at the default and at a dense obstacle
+        range: the windowed grid fill equals one full-grid pass per shape
+        (conftest.rows_grid_free) bit for bit, and the corridor answer
+        equals a breadth-first search of that grid."""
+        answers = []
+        for seed in range(320):
+            rng = np.random.default_rng(seed)
+            cfg = EnvConfig() if seed % 2 else EnvConfig(obstacle_count_range=(10, 30),
+                                                         obstacle_size_range=(0.8, 2.5))
+            rows = [_sample_obstacle(rng, cfg) for _ in range(int(rng.integers(*cfg.obstacle_count_range)))]
+            static_map = StaticMap([c for cs, _ in rows for c in cs], [r for _, rs in rows for r in rs],
+                                   is_rect=[bool(rs) for _, rs in rows])
+            free, origin = _grid_free(static_map, cfg)
+            want, want_origin = rows_grid_free(static_map, cfg)
+            assert free.tobytes() == want.tobytes() and origin == want_origin
+            cell = lambda p: tuple(int(round((v - origin) / GRID_RESOLUTION)) for v in p)  # noqa: E731
+            answer = corridor_exists(static_map, cfg)
+            assert answer == reference_grid_connected(want, cell(cfg.start), cell(cfg.goal))
+            answers.append(answer)
+        assert 20 < sum(answers) < 300
 
     def test_blocked_start_or_goal(self):
         free = np.ones((6, 7), dtype=bool)
