@@ -81,16 +81,17 @@ class ReplayBuffer:
     block's rows from the ring (networks.Stacks), to the bits the stored
     float16 feature stacks used to have.
 
-    The ring holds the sweeps of capacity transitions of
-    scans_per_step new sweeps each, the K sweeps of the oldest
-    observation, and one reset sweep per RESET_SHARE transitions.  When
-    episodes average fewer steps than that it grows by half, so no live
-    sweep is ever overwritten.  The arrays are committed lazily, page by
-    page as they fill, so a buffer larger than the available memory is
-    refused up front instead of being killed for memory mid-training.
+    Transitions come in episode order: each obs is the previous
+    next_obs, or an episode's reset observation.  So a transition writes
+    at most scans_per_step + 1 sweeps, the reset sweep only when it opens
+    an episode, and the ring of capacity * (scans_per_step + 1) + K
+    sweeps, which also holds the K sweeps of the oldest observation,
+    never overwrites a live one.  Its size is fixed, and the arrays are
+    committed lazily, page by page as they fill, so a buffer larger than
+    the available memory is refused up front instead of being killed
+    for memory mid-training.
     """
 
-    RESET_SHARE = 4
     SAMPLED = ("goal", "action", "next_goal", "done", "feat_slots", "feat_shifts", "next_slots", "next_shifts")
 
     def __init__(self, capacity: int, feature_shape: tuple[int, int], scans_per_step: int = 4):
@@ -112,14 +113,13 @@ class ReplayBuffer:
         self.pos = 0
         self.size = 0
         self.head = 0  # the ring slot the next sweep goes to
-        self._tail = None  # the oldest ring slot that the transition being added must keep
         self._known = {}  # scan number -> (sweep, ring slot) of the last stored observation's rows
 
     @classmethod
     def layout(cls, capacity: int, feature_shape: tuple[int, int], scans_per_step: int) -> dict:
         """(shape, dtype) of every stored array."""
         k, b = feature_shape
-        ring = capacity * scans_per_step + -(-capacity // cls.RESET_SHARE) + k
+        ring = capacity * (scans_per_step + 1) + k
         return {
             "sweeps": ((ring, b), np.float16),
             "feat_slots": ((capacity, k), np.int32),
@@ -141,21 +141,13 @@ class ReplayBuffer:
 
     @classmethod
     def bytes_per_transition(cls, feature_shape: tuple[int, int], scans_per_step: int = 4) -> int:
-        """Bytes each transition adds to the footprint (a multiple of
-        RESET_SHARE transitions adds exactly RESET_SHARE times this)."""
-        step = cls.footprint(2 * cls.RESET_SHARE, feature_shape, scans_per_step)
-        return (step - cls.footprint(cls.RESET_SHARE, feature_shape, scans_per_step)) // cls.RESET_SHARE
+        """Bytes each transition adds to the footprint."""
+        return cls.footprint(2, feature_shape, scans_per_step) - cls.footprint(1, feature_shape, scans_per_step)
 
     def add(self, obs, action, reward_parts, next_obs, done: bool):
         """Store a transition between two MotionFeatures, writing into
         the ring only the sweeps that no stored observation holds."""
         i = self.pos
-        full = self.size == self.capacity
-        if self.size > full:  # transitions stay besides the one replaced: keep the oldest one's sweeps
-            self._tail = self.feat_slots[(i + 1) % self.capacity if full else 0, 0]
-        else:  # keep obs's sweeps, if they are stored
-            hit = self._known.get(obs.scans[0])
-            self._tail = hit[1] if hit is not None and hit[0] is obs.rows[0] else None
         self._store(obs, self.feat_slots[i], self.feat_shifts[i])
         self._store(next_obs, self.next_slots[i], self.next_shifts[i])
         self._known = {scan: self._known[scan] for scan in next_obs.scans}
@@ -178,25 +170,10 @@ class ReplayBuffer:
         shifts[:] = obs.shifts
 
     def _write(self, sweep) -> int:
-        if self.head == self._tail:
-            self._grow()
         slot = self.head
         self.sweeps[slot] = normalize(sweep)
         self.head = (slot + 1) % len(self.sweeps)
-        if self._tail is None:
-            self._tail = slot
         return slot
-
-    def _grow(self) -> None:
-        """A ring half as large again, oldest live sweep first: every
-        slot moves back by the tail's."""
-        ring, tail = len(self.sweeps), self._tail
-        sweeps = np.zeros((ring + ring // 2, self.sweeps.shape[1]), self.sweeps.dtype)
-        sweeps[:ring] = np.roll(self.sweeps, -tail, axis=0)
-        for slots in (self.feat_slots, self.next_slots):
-            slots[...] = (slots - tail) % ring
-        self._known = {scan: (sweep, (slot - tail) % ring) for scan, (sweep, slot) in self._known.items()}
-        self.sweeps, self.head, self._tail = sweeps, ring, 0
 
     def sample(self, batch_size: int, rng: np.random.Generator, reward_weights, out=None) -> dict:
         """batch_size transitions drawn uniformly, with the reward parts

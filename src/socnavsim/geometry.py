@@ -106,13 +106,6 @@ class Scene:
         return Scene(np.column_stack([circles[:, :2], r_sq]), edges, len(circles) + len(rects) + len(segments))
 
 
-# cast_fan tests every (shape row, beam) lane in one broadcast below this many
-# lanes, beams x (circle rows + segment rows), and from it on only the lanes
-# inside each row's beam window.  Timed over captured seed-0 greedy casts
-# (2-core x86, numpy 2.4, min of 9): at 180 beams the windows took 0.97 of the
-# broadcast time at 6-7k lanes, 0.95 at 7-8k and 0.88 at 8-9k; eval-mapless1080
-# casts (12k-36k lanes) took about 0.6.
-WINDOW_MIN_LANES = 8000
 # Every window is widened by this angle (rad), then by one beam on each side.
 # Outside the exact arc of its row, a lane reports a hit only through rounding,
 # within about 1e-7 rad of the arc, while the origin keeps clear of the row:
@@ -170,17 +163,6 @@ def _segment_lanes(wx, wy, ex, ey, cross, dx, dy):
     return t
 
 
-def takes_windows(angles: np.ndarray, scene: Scene) -> bool:
-    """Whether cast_fan casts each row only against its beam window: enough
-    lanes, and an ascending fan narrower than one turn."""
-    lanes = len(angles) * (len(scene.circles) + len(scene.segments))
-    return bool(
-        lanes >= WINDOW_MIN_LANES
-        and np.all(angles[1:] >= angles[:-1])
-        and angles[-1] - angles[0] < TWO_PI
-    )
-
-
 def beam_arcs(origin: tuple[float, float], scene: Scene,
               terms: tuple[tuple, tuple]) -> tuple[np.ndarray, np.ndarray]:
     """Per packed row (circles, then segments), the arc of bearings from origin
@@ -219,38 +201,33 @@ def beam_windows(angles: np.ndarray, first: np.ndarray, width: np.ndarray) -> tu
     return start, np.minimum(stop + n * wraps - start, n)
 
 
-def cast_fan(origin: tuple[float, float], angles: np.ndarray, scene: Scene, max_range: float) -> np.ndarray:
-    """Vectorized raycast from origin (x, y) over an array of world-frame beam
-    angles: every circle and segment row against every beam at once, or, over
-    enough lanes (takes_windows), against the beams of its window only
-    (beam_windows)."""
-    dx = np.cos(angles)
-    dy = np.sin(angles)
-    best = np.full(angles.shape, max_range)
-    terms = circles, segments = row_terms(origin, scene)
-    n_circles = len(scene.circles)
-    if not takes_windows(angles, scene):
-        if n_circles:
-            t = _circle_lanes(*(a[:, None] for a in circles), dx, dy)
-            np.minimum(best, t.min(axis=0), out=best)
-        if len(scene.segments):
-            t = _segment_lanes(*(a[:, None] for a in segments), dx, dy)
-            np.minimum(best, t.min(axis=0), out=best)
+def cast_fan(origin: tuple[float, float], angles: np.ndarray, scene: Scene) -> np.ndarray:
+    """Range from origin (x, y) to the nearest row along each beam of an
+    ascending fan of world-frame angles narrower than one turn, inf where a
+    beam meets no row: each row is cast only against the beams of its window
+    (beam_windows).  A zero range reads +0.0."""
+    if not (np.all(angles[1:] >= angles[:-1]) and angles[-1] - angles[0] < TWO_PI):
+        raise ValueError("cast_fan needs an ascending fan narrower than one turn")
+    best = np.full(angles.shape, np.inf)
+    if len(scene.circles) + len(scene.segments) == 0:
         return best
+    terms = circles, segments = row_terms(origin, scene)
     start, count = beam_windows(angles, *beam_arcs(origin, scene, terms))
     ends = np.cumsum(count)
     row = np.repeat(np.arange(len(count)), count)
     beam = np.arange(ends[-1]) + np.repeat(start - ends + count, count)
     beam %= len(angles)
-    dx, dy = dx[beam], dy[beam]
+    dx, dy = np.cos(angles)[beam], np.sin(angles)[beam]
+    n_circles = len(scene.circles)
     split = ends[n_circles - 1] if n_circles else 0  # circle lanes come first
     rc, rs = row[:split], row[split:] - n_circles
     t = np.concatenate([
         _circle_lanes(*(a[rc] for a in circles), dx[:split], dy[:split]),
         _segment_lanes(*(a[rs] for a in segments), dx[split:], dy[split:]),
     ])
-    hit = t < max_range
+    hit = t < np.inf
     np.minimum.at(best, beam[hit], t[hit])
+    best += 0.0  # -0.0, from an origin on a row, reads +0.0 whatever the row order
     return best
 
 

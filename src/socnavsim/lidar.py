@@ -101,13 +101,14 @@ class MotionFeature:
 
 def cast_sweep(scene: Scene, position: tuple[float, float], heading: float,
                config: LidarConfig) -> np.ndarray:
-    """The noiseless, unclipped ranges of the fan from position (x, y),
-    centered on heading.
+    """The noiseless ranges of the fan from position (x, y), centered on
+    heading, RANGE_MAX where a beam meets nothing nearer (cast_fan).
 
     Read-only: every scan taken from one pose into one scene reads the
     same sweep.
     """
-    ranges = cast_fan(position, heading + config.beam_offsets(), scene, RANGE_MAX)
+    ranges = cast_fan(position, heading + config.beam_offsets(), scene)
+    np.minimum(ranges, RANGE_MAX, out=ranges)
     ranges.flags.writeable = False
     return ranges
 

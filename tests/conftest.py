@@ -194,28 +194,30 @@ def points_in_shape(xs, ys, shape):
     raise TypeError(f"no containment test for {type(shape).__name__}")
 
 
-def marching_ray(origin, angle, shapes, max_range, step=1e-4):
-    """First sample point inside any shape along the ray; independent of
-    the analytic intersection code."""
-    ts = np.arange(0.0, max_range + step, step)
+def marching_ray(origin, angle, shapes, reach=RANGE_MAX, step=1e-4):
+    """First sample point inside any shape along the ray, reach if none is
+    within reach; independent of the analytic intersection code."""
+    ts = np.arange(0.0, reach + step, step)
     xs = origin.x + ts * math.cos(angle)
     ys = origin.y + ts * math.sin(angle)
     inside = np.zeros(ts.shape, dtype=bool)
     for shape in shapes:
         inside |= points_in_shape(xs, ys, shape)
     if not inside.any():
-        return max_range
-    return min(float(ts[int(np.argmax(inside))]), max_range)
+        return reach
+    return min(float(ts[int(np.argmax(inside))]), reach)
 
 
-def cast_fan_of(origin: Vec2, angles, shapes, max_range):
-    """The production raycaster, cast_fan, from a Vec2 origin over a shape list."""
-    return cast_fan((origin.x, origin.y), angles, to_map(shapes).scene(), max_range)
+def cast_fan_of(origin: Vec2, angles, shapes):
+    """The production raycaster, cast_fan, from a Vec2 origin over a shape
+    list: inf where a beam meets no shape."""
+    return cast_fan((origin.x, origin.y), angles, to_map(shapes).scene())
 
 
-def cast_one(origin, angle, shapes, max_range):
-    """cast_fan_of over a single beam."""
-    return float(cast_fan_of(origin, np.array([angle]), shapes, max_range)[0])
+def cast_one(origin, angle, shapes):
+    """cast_fan_of over a single beam, at most RANGE_MAX as the scanner
+    reads it."""
+    return min(float(cast_fan_of(origin, np.array([angle]), shapes)[0]), RANGE_MAX)
 
 
 def rect_edges(rect: OrientedRect) -> list[Segment]:
@@ -231,12 +233,12 @@ def segment_ok(a: Vec2, b: Vec2) -> bool:
     return d.x * d.x + d.y * d.y > 0.0
 
 
-def reference_cast_fan(origin, angles, shapes, max_range):
-    """cast_fan as one loop over shapes and rectangle edges; the packed
-    broadcast must match it bit for bit."""
+def reference_cast_fan(origin, angles, shapes):
+    """cast_fan as one loop over shapes and rectangle edges, every row
+    against every beam; the beam windows must match it bit for bit."""
     dx = np.cos(angles)
     dy = np.sin(angles)
-    best = np.full(angles.shape, max_range)
+    best = np.full(angles.shape, np.inf)
     for shape in shapes:
         if isinstance(shape, Circle):
             fx = origin.x - shape.center.x
@@ -271,7 +273,7 @@ def reference_cast_fan(origin, angles, shapes, max_range):
             on_line = ~ok & (np.abs(wx * dy - wy * dx) <= CONTACT_SLACK) & (np.maximum(near, far) >= 0.0)
             t = np.where(on_line, np.maximum(np.minimum(near, far), 0.0), np.where(valid, t, np.inf))
             np.minimum(best, t, out=best)
-    return best
+    return best + 0.0  # a zero range reads +0.0, whichever row gave it
 
 
 # ---------------------------------------------------------------------------

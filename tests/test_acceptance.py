@@ -152,8 +152,8 @@ class TestCriterion2GeometryOracles:
             if reference_closest_distance(Circle(origin, 0.05), shapes) <= 0.0:
                 continue
             angle = float(rng.uniform(-math.pi, math.pi))
-            d = cast_one(origin, angle, shapes, 10.0)
-            oracle = marching_ray(origin, angle, shapes, 10.0)
+            d = cast_one(origin, angle, shapes)
+            oracle = marching_ray(origin, angle, shapes)
             assert abs(d - oracle) <= 1e-3
             checked += 1
 

@@ -350,10 +350,10 @@ class TestCrowdRowsMatchPedestrians:
         peds = edge_case_peds(rng, n=12)
         static = [Circle(Vec2(1.0, 1.0), 0.4), Segment(Vec2(-5, -5), Vec2(5, -5)),
                   OrientedRect(Vec2(-2.0, 2.0), 0.3, 0.2, 0.8)]
-        angles = np.linspace(-math.pi, math.pi, 361)
+        angles = np.linspace(-math.pi, math.pi, 360, endpoint=False)
         origin = Vec2(0.1, -0.2)
-        got = cast_fan((origin.x, origin.y), angles, to_map(static).scene() + pack(peds).lidar_scene(), 10.0)
-        want = reference_cast_fan(origin, angles, static + [p.lidar_shape() for p in peds], 10.0)
+        got = cast_fan((origin.x, origin.y), angles, to_map(static).scene() + pack(peds).lidar_scene())
+        want = reference_cast_fan(origin, angles, static + [p.lidar_shape() for p in peds])
         assert np.array_equal(got, want)
 
     def test_body_gaps_equal_closest_distance(self, rng):

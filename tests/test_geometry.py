@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from socnavsim.geometry import StaticMap, wrap_angle
+from socnavsim.geometry import StaticMap, cast_fan, wrap_angle
+from socnavsim.lidar import RANGE_MAX, LidarConfig, cast_sweep
 from socnavsim.world import arena_walls
 
 from conftest import (
@@ -72,22 +73,22 @@ class TestConstruction:
 
 class TestRayCast:
     def test_axis_aligned_circle(self):
-        d = cast_one(Vec2(0, 0), 0.0, [Circle(Vec2(5, 0), 1.0)], 10.0)
+        d = cast_one(Vec2(0, 0), 0.0, [Circle(Vec2(5, 0), 1.0)])
         assert d == pytest.approx(4.0, abs=1e-12)
 
-    def test_miss_returns_max_range(self):
-        assert cast_one(Vec2(0, 0), 0.0, [], 10.0) == 10.0
+    def test_miss_returns_range_max(self):
+        assert cast_one(Vec2(0, 0), 0.0, []) == 10.0
 
     def test_oblique_circle_matches_marching_oracle(self):
         shapes = [Circle(Vec2(4, 1), 0.5)]
         angle = 0.3
-        d = cast_one(Vec2(0, 0), angle, shapes, 10.0)
-        oracle = marching_ray(Vec2(0, 0), angle, shapes, 10.0)
+        d = cast_one(Vec2(0, 0), angle, shapes)
+        oracle = marching_ray(Vec2(0, 0), angle, shapes)
         assert d == pytest.approx(oracle, abs=1e-3)
 
     def test_segment_hit(self):
         seg = Segment(Vec2(3, -1), Vec2(3, 1))
-        assert cast_one(Vec2(0, 0), 0.0, [seg], 10.0) == pytest.approx(3.0)
+        assert cast_one(Vec2(0, 0), 0.0, [seg]) == pytest.approx(3.0)
 
     @pytest.mark.parametrize(
         "shape, origin, angle, expected",
@@ -104,19 +105,19 @@ class TestRayCast:
     def test_parallel_contact_counts(self, shape, origin, angle, expected):
         """A beam that runs along a zero-area rectangle, a segment or an edge
         meets it at its nearer end, as the closed-set contact of the module."""
-        assert cast_one(origin, angle, [shape], 10.0) == pytest.approx(expected, abs=1e-12)
+        assert cast_one(origin, angle, [shape]) == pytest.approx(expected, abs=1e-12)
 
     def test_beam_beside_a_point_misses(self):
         point = OrientedRect(Vec2(0, 0), 0.0, 0.0, 0.0)
-        assert cast_one(Vec2(-1, 0), 1e-9, [point], 10.0) == 10.0
+        assert cast_one(Vec2(-1, 0), 1e-9, [point]) == 10.0
 
     def test_rect_equals_min_over_edges(self, rng):
         for _ in range(50):
             rect = random_rect(rng)
             angle = float(rng.uniform(-math.pi, math.pi))
             origin = Vec2(float(rng.uniform(-5, 5)), float(rng.uniform(-5, 5)))
-            d = cast_one(origin, angle, [rect], 10.0)
-            d_edges = min([cast_one(origin, angle, [e], 10.0) for e in rect_edges(rect)])
+            d = cast_one(origin, angle, [rect])
+            d_edges = min([cast_one(origin, angle, [e]) for e in rect_edges(rect)])
             assert d == pytest.approx(d_edges, abs=1e-12)
 
     def test_monotone_in_shapes(self, rng):
@@ -124,8 +125,8 @@ class TestRayCast:
             shapes = [random_shape(rng) for _ in range(3)]
             origin = Vec2(float(rng.uniform(-5, 5)), float(rng.uniform(-5, 5)))
             angle = float(rng.uniform(-math.pi, math.pi))
-            d_all = cast_one(origin, angle, shapes, 10.0)
-            d_some = cast_one(origin, angle, shapes[:2], 10.0)
+            d_all = cast_one(origin, angle, shapes)
+            d_some = cast_one(origin, angle, shapes[:2])
             assert d_all <= d_some + 1e-12
 
     def test_against_marching_oracle_random_scenes(self, rng):
@@ -138,14 +139,14 @@ class TestRayCast:
             ):
                 continue  # keep the origin outside every shape
             angle = float(rng.uniform(-math.pi, math.pi))
-            d = cast_one(origin, angle, shapes, 10.0)
-            oracle = marching_ray(origin, angle, shapes, 10.0)
+            d = cast_one(origin, angle, shapes)
+            oracle = marching_ray(origin, angle, shapes)
             assert abs(d - oracle) <= 1e-3
             hits += d < 10.0
         assert hits > 20  # the sampling actually exercised hits
 
     def test_cast_fan_matches_marching_oracle_per_beam(self, rng):
-        angles = np.linspace(-math.pi, math.pi, 91)
+        angles = np.linspace(-math.pi, math.pi, 90, endpoint=False)
         scenes = 0
         while scenes < 4:
             shapes = [random_shape(rng) for _ in range(4)]
@@ -153,15 +154,15 @@ class TestRayCast:
             if closest_distance_of(Circle(origin, 0.05), shapes) <= 0.0:
                 continue  # keep the origin outside every shape
             scenes += 1
-            fan = cast_fan_of(origin, angles, shapes, 10.0)
+            fan = np.minimum(cast_fan_of(origin, angles, shapes), RANGE_MAX)
             assert np.sum(fan < 10.0) > 10  # the fan actually hit something
             for a, d in zip(angles, fan):
                 # each beam of the fan is the same cast made on its own
-                assert d == pytest.approx(cast_one(origin, float(a), shapes, 10.0), abs=1e-9)
-                assert abs(d - marching_ray(origin, float(a), shapes, 10.0)) <= 1e-3
+                assert d == pytest.approx(cast_one(origin, float(a), shapes), abs=1e-9)
+                assert abs(d - marching_ray(origin, float(a), shapes)) <= 1e-3
 
     def test_origin_inside_circle_returns_exit(self):
-        d = cast_one(Vec2(0, 0), 0.0, [Circle(Vec2(0, 0), 2.0)], 10.0)
+        d = cast_one(Vec2(0, 0), 0.0, [Circle(Vec2(0, 0), 2.0)])
         assert d == pytest.approx(2.0)
 
     @pytest.mark.parametrize("depth", [1e-4, 5e-3])
@@ -169,18 +170,18 @@ class TestRayCast:
         # the entry point lies `depth` behind the origin; the beam reads the exit
         origin = Vec2(2.0 - depth, 0.0)
         circle = Circle(Vec2(0, 0), 2.0)
-        assert cast_one(origin, math.pi, [circle], 10.0) == pytest.approx(4.0 - depth, abs=1e-9)
+        assert cast_one(origin, math.pi, [circle]) == pytest.approx(4.0 - depth, abs=1e-9)
         angles = np.array([math.pi - 0.5, math.pi + 0.5])
-        for a, d in zip(angles, cast_fan_of(origin, angles, [circle], 10.0)):
+        for a, d in zip(angles, cast_fan_of(origin, angles, [circle])):
             exit_x, exit_y = origin.x + d * math.cos(a), origin.y + d * math.sin(a)
             assert math.hypot(exit_x, exit_y) == pytest.approx(2.0, abs=1e-9)
             assert d > 1.0
 
     def test_cast_fan_matches_reference_bitwise(self, rng):
-        """One broadcast per shape kind equals the per-shape loop exactly,
-        degenerate rectangles and walls included."""
+        """The beam windows equal the per-shape loop exactly, degenerate
+        rectangles and walls included."""
         for beams in (180, 1080):
-            angles = np.linspace(-math.pi, math.pi, beams) + float(rng.uniform(-1, 1))
+            angles = np.linspace(-math.pi, math.pi, beams, endpoint=False) + float(rng.uniform(-1, 1))
             for _ in range(40):
                 shapes = [random_shape(rng) for _ in range(int(rng.integers(0, 8)))]
                 for _ in range(int(rng.integers(0, 3))):
@@ -194,9 +195,44 @@ class TestRayCast:
                     shapes.append(Segment(Vec2(-5, -5), Vec2(5, -5)))
                 shapes = [shapes[i] for i in rng.permutation(len(shapes))]
                 origin = Vec2(float(rng.uniform(-5, 5)), float(rng.uniform(-5, 5)))
-                fan = cast_fan_of(origin, angles, shapes, 10.0)
-                assert np.array_equal(fan, reference_cast_fan(origin, angles, shapes, 10.0))
+                fan = cast_fan_of(origin, angles, shapes)
+                assert np.array_equal(fan, reference_cast_fan(origin, angles, shapes))
 
+
+    @pytest.mark.parametrize("angles", [
+        np.array([0.5, 0.2, -0.1]),  # descending
+        np.array([-0.1, 0.4, 0.2, 0.9]),  # unsorted
+        np.array([-math.pi, 0.0, math.pi]),  # one full turn
+        np.array([0.0, 7.0]),  # more than a turn
+    ])
+    def test_refuses_bad_fans(self, angles):
+        with pytest.raises(ValueError, match="ascending fan narrower than one turn"):
+            cast_fan_of(Vec2(0, 0), angles, [Circle(Vec2(3, 0), 1.0)])
+
+    def test_empty_scene_reads_full_range(self):
+        fan = LidarConfig(beam_count=180).beam_offsets()
+        assert np.all(cast_fan((0.0, 0.0), fan, StaticMap().scene()) == np.inf)
+        sweep = cast_sweep(StaticMap().scene(), (0.0, 0.0), 0.3, LidarConfig(beam_count=180))
+        assert np.all(sweep == RANGE_MAX)
+
+    def test_one_beam_fan_matches_reference(self, rng):
+        for _ in range(50):
+            shapes = [random_shape(rng) for _ in range(int(rng.integers(1, 5)))]
+            origin = Vec2(float(rng.uniform(-5, 5)), float(rng.uniform(-5, 5)))
+            angle = np.array([rng.uniform(-math.pi, math.pi)])
+            assert cast_fan_of(origin, angle, shapes).tobytes() == reference_cast_fan(origin, angle, shapes).tobytes()
+
+    @pytest.mark.parametrize("beams", [180, 1080])
+    def test_zero_range_is_positive_zero_in_any_row_order(self, beams):
+        """From a point on a segment and a zero-size rectangle, beams read a
+        range of zero; it is +0.0 whichever row comes first."""
+        segment = Segment(Vec2(0, 0), Vec2(6e-17, -1))
+        point = OrientedRect(Vec2(0, 0), 0.0, 0.0, 0.0)
+        angles = LidarConfig(beam_count=beams).beam_offsets()
+        for shapes in ([segment, point], [point, segment], [segment]):
+            fan = cast_fan_of(Vec2(0, 0), angles, shapes)
+            assert fan.tobytes() == reference_cast_fan(Vec2(0, 0), angles, shapes).tobytes()
+            assert np.any(fan == 0.0) and not np.any(np.signbit(fan))
 
 class TestRectsIntersect:
     def test_identical(self):

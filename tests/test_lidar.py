@@ -4,7 +4,6 @@ from collections import deque
 import numpy as np
 import pytest
 
-from socnavsim.geometry import takes_windows
 from socnavsim.lidar import (
     HISTORY_LEN,
     RANGE_MAX,
@@ -23,11 +22,8 @@ from conftest import (
     calibrate,
     calibration_shift,
     marching_ray,
-    random_circle,
-    random_rect,
     random_shape,
     eager_motion_matrix,
-    reference_arena_walls,
     reference_motion_matrix,
     to_map,
 )
@@ -92,7 +88,7 @@ class TestSimulateScan:
         _, s = scan_at(shapes, pos.x, pos.y, heading)
         offsets = CFG.beam_offsets()
         for i in range(0, CFG.beam_count, 17):
-            oracle = marching_ray(pos, heading + float(offsets[i]), shapes, 10.0)
+            oracle = marching_ray(pos, heading + float(offsets[i]), shapes)
             assert abs(s[i] - np.clip(oracle, 0.1, 10.0)) <= 1e-3
 
     def test_beam_offsets_built_once(self):
@@ -130,22 +126,6 @@ class TestSimulateScan:
         a[:] = 0.5
         assert sweep.tobytes() == kept.tobytes()
         assert simulate_scan(sweep, cfg, np.random.default_rng(2)).tobytes() == want
-
-
-def test_benchmark_sized_scenes_pick_their_cast_path(rng):
-    """A scene the size of a typical eval-crowd20 one (4 walls, 16 round and
-    4 square pedestrians: 36 rows at 180 beams) stays on the broadcast; the
-    smallest eval-mapless1080 one seen (4 walls, 3 circles and a rectangle:
-    11 rows at 1080 beams) takes the beam windows, unless its fan is not
-    ascending."""
-    walls = reference_arena_walls(5.0)
-    crowd = [random_circle(rng) for _ in range(16)] + [random_rect(rng) for _ in range(4)]
-    obstacles = [random_circle(rng) for _ in range(3)] + [random_rect(rng)]
-    for shapes, beams, windows in ((walls + crowd, 180, False), (walls + obstacles, 1080, True)):
-        scene = to_map(shapes).scene()
-        fan = float(rng.uniform(-math.pi, math.pi)) + LidarConfig(beam_count=beams).beam_offsets()
-        assert takes_windows(fan, scene) is windows
-        assert not takes_windows(fan[::-1], scene)
 
 
 class TestCalibrate:

@@ -336,19 +336,19 @@ class TestReplayBuffer:
             buf.sample(1, rng, (1, 1, 1))
 
     def test_bytes_per_transition_matches_arrays(self):
-        """Each sweep is stored once: about 4.25 sweeps and 80 row slots
+        """Each sweep is stored once: at most 5 sweeps and 80 row slots
         and shifts per transition, against two float16 stacks of 40
         sweeps (28,840 B at 180 beams, 172,840 at 1080)."""
         buf = ReplayBuffer(7, (40, 180))
         total = sum(v.nbytes for v in vars(buf).values() if isinstance(v, np.ndarray))
         assert total == ReplayBuffer.footprint(7, (40, 180))
-        assert ReplayBuffer.bytes_per_transition((40, 180)) == 2050
-        assert ReplayBuffer.bytes_per_transition((40, 1080)) == 9700
-        # train-desk's buffer, and a paper-scale one: 200k transitions in 1.94 GB
+        assert ReplayBuffer.bytes_per_transition((40, 180)) == 2320
+        assert ReplayBuffer.bytes_per_transition((40, 1080)) == 11320
+        # train-desk's buffer, and a paper-scale one: 200k transitions in 2.26 GB
         assert ReplayBuffer.footprint(174, (40, 180)) / 174 <= 2500
-        assert ReplayBuffer.footprint(200_000, (40, 1080)) == 1_940_086_400
+        assert ReplayBuffer.footprint(200_000, (40, 1080)) == 2_264_086_400
         per = ReplayBuffer.bytes_per_transition((40, 180))
-        assert ReplayBuffer.footprint(8, (40, 180)) - ReplayBuffer.footprint(4, (40, 180)) == 4 * per
+        assert ReplayBuffer.footprint(8, (40, 180)) - ReplayBuffer.footprint(5, (40, 180)) == 3 * per
 
     def test_refuses_capacity_beyond_available_memory(self, monkeypatch):
         per = ReplayBuffer.bytes_per_transition((40, 180))
@@ -377,18 +377,21 @@ class TestReplayBuffer:
         monkeypatch.setattr(ddpg_module, "mem_available_bytes", lambda: 10**6)
         monkeypatch.setattr(ddpg_module, "episode_steps", no_episode)
         env_cfg = EnvConfig(beam_count=180, crowd=CrowdConfig(count=0))
-        with pytest.raises(ValueError, match="largest capacity that fits is 480"):
+        with pytest.raises(ValueError, match="largest capacity that fits is 424"):
             train("ego", env_cfg, TrainConfig(total_env_steps=1000), seed=0)
 
-    def test_short_episodes_grow_the_ring(self, rng):
-        """Episodes of one or two steps bring a reset sweep each, more than
-        the ring keeps room for: it grows, and every transition still
-        rebuilds bit for bit, through the wrap and after it."""
+    def test_short_episodes_fit_the_ring(self, rng):
+        """Episodes of one or two steps bring a reset sweep each, the most
+        sweeps a transition writes: the ring keeps its size, and every
+        transition rebuilds bit for bit, through the wrap and after it."""
         buf = ReplayBuffer(80, (HISTORY_LEN, 16))
-        ring = len(buf.sweeps)
-        added = fill(buf, rng, [1, 2] * 5 + [1] * 70 + [3, 1, 2, 1], 16)
-        assert len(buf.sweeps) > ring
-        assert_stored(buf, added)
+        sweeps, added = buf.sweeps, []
+        runs = ([1, 2] * 5, [1] * 70, [3, 1, 2, 1], [1] * 100)
+        assert sum(1 + 4 * steps for run in runs for steps in run) > 2 * len(sweeps)  # it wraps twice
+        for run in runs:
+            added += fill(buf, rng, run, 16)
+            assert buf.sweeps is sweeps and sweeps.shape == (80 * 5 + HISTORY_LEN, 16)
+            assert_stored(buf, added)
 
     def test_shared_sweeps_stored_once(self, rng):
         """A transition within an episode writes only its new scans; one
@@ -491,7 +494,7 @@ class TestDDPGUpdate:
         fast = DDPG(spec, DDPGConfig(), np.random.default_rng(3))
         ref = DDPG(spec, DDPGConfig(), np.random.default_rng(3))
         buf = ReplayBuffer(n + 20, spec.feature_shape)
-        added = fill(buf, rng, (n // 2, 9, n // 2 + 1, 14, 30), beams)
+        added = fill(buf, rng, (n // 2, 9, n // 2 + 1, 14, 30, n // 2), beams)
         assert 4 * len(added) > len(buf.sweeps)
         for seed in range(2):
             batch = buf.sample(n, np.random.default_rng(seed), (1.0, 0.0, 1.0))
