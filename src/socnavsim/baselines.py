@@ -1,4 +1,4 @@
-"""Scripted baselines: a greedy scan-window planner and an external hook.
+"""Scripted baselines: a greedy scan-window planner.
 
 The greedy planner scores every beam by windowed clearance minus a
 goal-deviation penalty and steers proportionally toward the winner.
@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from itertools import repeat
-from typing import Protocol
 
 import numpy as np
 
@@ -124,8 +123,8 @@ def greedy_plan(
 class GreedyPolicy:
     """Greedy planner adapted to the shared policy interface.
 
-    Reads the raw current sweep (last feature row) plus the goal vector,
-    so it never builds the feature's stacked matrix.
+    Reads the raw current sweep (MotionFeature.current_scan_ranges) plus
+    the goal vector, never the shifted stack the networks gather.
     The v_l = 0 stop case encodes as the zero action, which the twist
     mapping cannot combine with a turn command.
     """
@@ -143,47 +142,3 @@ class GreedyPolicy:
         v_l, v_w = greedy_plan(obs.current_scan_ranges, self._offsets, bearing, distance)
         return v_l * math.cos(v_w), v_l * math.sin(v_w)
 
-
-class ExternalCrowdPolicy(Protocol):
-    """Hook for planners that consume full pedestrian states.
-
-    Implementations receive the robot pose tuple (x, y, heading), the
-    goal position, and per-pedestrian (x, y, vx, vy, radius) tuples, and
-    return a (v_l, heading offset) twist.  No model ships with this
-    package; the evaluation runner feeds simulator ground truth to any
-    object satisfying this protocol.
-    """
-
-    def plan(
-        self,
-        robot: tuple[float, float, float],
-        goal: tuple[float, float],
-        pedestrians: list[tuple[float, float, float, float, float]],
-    ) -> tuple[float, float]: ...
-
-
-class FullStatePolicyAdapter:
-    """Adapts an ExternalCrowdPolicy to the shared interface.
-
-    The episode stepper (evaluation.episode_steps) recognizes `wants_state` and calls
-    `observe_state` with simulator ground truth before each act().
-    """
-
-    wants_state = True
-
-    def __init__(self, planner: ExternalCrowdPolicy, name: str = "external"):
-        self.planner = planner
-        self.name = name
-        self._state = None
-
-    def begin_episode(self, obs: MotionFeature) -> None:
-        self._state = None
-
-    def observe_state(self, robot, goal, pedestrians) -> None:
-        self._state = (robot, goal, pedestrians)
-
-    def act(self, obs: MotionFeature) -> tuple[float, float]:
-        if self._state is None:
-            raise RuntimeError("observe_state() was not called before act()")
-        v_l, v_w = self.planner.plan(*self._state)
-        return v_l * math.cos(v_w), v_l * math.sin(v_w)

@@ -233,25 +233,26 @@ class DDPG:
         self.updates = 0
 
     def act(self, feat, goal) -> np.ndarray:
-        a, _ = self.actor.forward(feat[None], goal[None])
+        """The action for one observation's featurize() inputs."""
+        a, _ = self.actor.forward(feat, goal[None])
         return a[0]
 
     def update(self, batch: dict) -> tuple[float, float]:
         """One critic step, one actor step, then soft target updates.
 
-        batch["feat"] and batch["next_feat"] are Stacks (a replay batch)
-        or (N, K, B) arrays.  Each trunk runs over blocks of samples in
-        reused scratch (nn.conv_stack): conv1 gathers a block's rows,
-        casting them to float32, then its pool, relu1, conv2 and relu2
-        run on that block, and only the trunk's output and what its
-        backward reads outlive the block.  Networks whose conv1 weights
-        are current at the same moment share each block's rows, patches
-        and tap GEMMs (networks.fronts): the target actor and target
-        critic on the next observations, and, after the critic's step,
-        the actor and the critic's second pass on the current ones.  Only
-        the passes that backprop into their trunks (the critic's first,
-        the actor's) keep caches; the actor step needs only the critic
-        head's input gradient.
+        batch["feat"] and batch["next_feat"] are Stacks, as a replay
+        batch's and featurize()'s are, or (N, K, B) arrays.  Each trunk
+        runs over blocks of samples in reused scratch (nn.conv_stack):
+        conv1 gathers a block's rows, casting them to float32, then its
+        pool, relu1, conv2 and relu2 run on that block, and only the
+        trunk's output and what its backward reads outlive the block.
+        Networks whose conv1 weights are current at the same moment share
+        each block's rows, patches and tap GEMMs (networks.fronts): the
+        target actor and target critic on the next observations, and,
+        after the critic's step, the actor and the critic's second pass
+        on the current ones.  Only the passes that backprop into their
+        trunks (the critic's first, the actor's) keep caches; the actor
+        step needs only the critic head's input gradient.
         """
         cfg = self.config
         n = batch["feat"].shape[0]

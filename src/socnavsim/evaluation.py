@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import MISSING, asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .world import EnvConfig, NavEnv, Status, StepRecord
+from .world import EnvConfig, NavEnv, Status, StepRecord, field_kwargs, fits
 
 FLOAT_FMT = "%.9g"
 
@@ -50,15 +50,15 @@ class EpisodeLog:
         """From a to_dict() mapping; raises ValueError naming the first
         missing, unknown or mistyped key, of the log or of one of its
         records."""
-        _check_fields(EpisodeLog, d, "episode log")
+        kwargs = field_kwargs(EpisodeLog, d, "episode log")
         records = []
-        for i, r in enumerate(d["records"]):
-            _check_fields(StepRecord, r, f"record {i}")
-            peds = r.get("pedestrians", [])
-            if not all(isinstance(p, list) and len(p) == 3 and all(map(_is_number, p)) for p in peds):
+        for i, r in enumerate(kwargs["records"]):
+            rec = field_kwargs(StepRecord, r, f"record {i}")
+            peds = rec.get("pedestrians", [])
+            if not all(isinstance(p, list) and len(p) == 3 and all(fits("float", v) for v in p) for p in peds):
                 raise ValueError(f"record {i} key 'pedestrians' must hold (x, y, heading) triples")
-            records.append(StepRecord(**{**r, "pedestrians": [tuple(p) for p in peds]}))
-        return EpisodeLog(**{**d, "records": records})
+            records.append(StepRecord(**{**rec, "pedestrians": [tuple(p) for p in peds]}))
+        return EpisodeLog(**{**kwargs, "records": records})
 
     def save(self, path) -> None:
         with open(path, "w") as f:
@@ -68,36 +68,6 @@ class EpisodeLog:
     def load(path) -> "EpisodeLog":
         with open(path) as f:
             return EpisodeLog.from_dict(json.load(f))
-
-
-# the JSON value types of the field annotations of EpisodeLog and StepRecord
-_JSON_TYPES = {"str": str, "int": int, "float": (int, float), "bool": bool, "dict": dict, "list": list}
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _check_fields(cls, d, what: str) -> None:
-    """Raises ValueError unless d is a mapping holding every field of
-    dataclass cls that has no default, no other key, and values of the
-    JSON types the field annotations name (no bool for a number)."""
-    if not isinstance(d, dict):
-        raise ValueError(f"{what} must be a mapping, got {type(d).__name__}")
-    for f in fields(cls):
-        if f.name not in d:
-            if f.default is MISSING and f.default_factory is MISSING:
-                raise ValueError(f"{what} has no key {f.name!r}")
-            continue
-        value = d[f.name]
-        kind = f.type.removesuffix(" | None").split("[")[0]
-        if value is None and f.type.endswith(" | None"):
-            continue
-        if not isinstance(value, _JSON_TYPES[kind]) or (isinstance(value, bool) and kind != "bool"):
-            raise ValueError(f"{what} key {f.name!r} must be {kind}, got {value!r}")
-    unknown = set(d) - {f.name for f in fields(cls)}
-    if unknown:
-        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
 
 
 @dataclass(frozen=True)
@@ -187,21 +157,12 @@ def episode_steps(policy, env_config: EnvConfig, map_seed: int, crowd_seed: int)
     """Build, reset and step one NavEnv under a policy; yield each StepOutcome.
 
     The generator ends after the terminal step; a caller may stop it
-    earlier.  A policy with `wants_state` is handed the simulator's
-    ground truth before each act().
+    earlier.
     """
     env = NavEnv(env_config)
     obs = env.reset(map_seed=map_seed, crowd_seed=crowd_seed)
     policy.begin_episode(obs)
-    wants_state = getattr(policy, "wants_state", False)
     while True:
-        if wants_state:
-            crowd = env.crowd
-            policy.observe_state(
-                (env.x, env.y, env.heading),
-                env_config.goal,
-                list(zip(*crowd.position.T.tolist(), *crowd.velocity.T.tolist(), crowd.radius.tolist())),
-            )
         outcome = env.step(policy.act(obs))
         yield outcome
         if outcome.done is not Status.RUNNING:

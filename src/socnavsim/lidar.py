@@ -2,10 +2,11 @@
 
 The scanner sweeps a 270 degree fan at a fixed rate; the motion feature
 stacks the last K scans after rotating each historical sweep into the
-current heading frame by an index shift, so that the stacked matrix
-varies over time only where the surroundings moved (robot translation
-is deliberately left in).  A feature holds its sweeps by reference, with
-their shifts; the stacked matrix is built only when something reads it.
+current heading frame by an index shift, so that the stack varies over
+time only where the surroundings moved (robot translation is
+deliberately left in).  A feature holds its sweeps by reference, with
+their shifts; the networks gather the shifted stack from them
+(networks.featurize and networks.Stacks).
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -58,10 +58,11 @@ class MotionFeature:
 
     Row k is sweep rows[k] calibrated to the current heading: beam i
     reads rows[k][i + shifts[k]], and beams shifted in from outside that
-    sweep's fan read RANGE_MAX.  scans[k] is the sweep's episode-local
-    scan number, 0 for the reset scan that fills the history at episode
-    start, so two observations of one episode share a sweep exactly
-    where they share a scan number.  The sweeps are those of the scan
+    sweep's fan read RANGE_MAX (networks.Stacks.copy_to gathers the rows
+    by this rule).  scans[k] is the sweep's episode-local scan number, 0
+    for the reset scan that fills the history at episode start, so two
+    observations of one episode share a sweep exactly where they share a
+    scan number.  The sweeps are those of the scan
     history, never copied: a feature costs K references and K shifts.
     """
 
@@ -79,24 +80,13 @@ class MotionFeature:
     def beam_count(self) -> int:
         return self.rows[-1].size
 
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """The (K, B) float64 stack, rows oldest -> newest; built once, on
-        first read."""
-        b = self.beam_count
-        matrix = np.full((len(self.rows), b), RANGE_MAX)
-        for row, shift, ranges in zip(matrix, self.shifts, self.rows):
-            if 0 <= shift < b:
-                row[: b - shift] = ranges[shift:]
-            elif -b < shift < 0:
-                row[-shift:] = ranges[: b + shift]
-        return matrix
-
     @property
     def current_scan_ranges(self) -> np.ndarray:
-        """Last row: the current sweep, whose shift is 0 when the history
-        ends at the current heading, as NavEnv's always does."""
-        return self.rows[-1] if self.shifts[-1] == 0 else self.matrix[-1]
+        """The newest sweep, which must have shift 0: a history that ends
+        at the current heading, as NavEnv's always does."""
+        if self.shifts[-1] != 0:
+            raise ValueError(f"the newest sweep has shift {self.shifts[-1]}, not 0")
+        return self.rows[-1]
 
 
 def cast_sweep(scene: Scene, position: tuple[float, float], heading: float,

@@ -24,8 +24,9 @@ checks that against a float64 full-width oracle and by perturbing the
 beams on each side of the cut.  Changing the receptive field changes the
 network, so it is left as is.
 
-The inputs reach conv1 as Stacks: sweeps held by reference, gathered
-block by block as the trunk runs over sample blocks.
+The inputs reach conv1 as Stacks, an observation's (featurize) or a
+replay batch's: sweeps held by reference, gathered block by block as
+the trunk runs over sample blocks.
 """
 
 from __future__ import annotations
@@ -83,8 +84,10 @@ def default_network_spec(time_rows: int, beams: int) -> NetworkSpec:
 
 
 def normalize(ranges) -> np.ndarray:
-    """Ranges over RANGE_MAX, as the float32 network input."""
-    return (ranges / RANGE_MAX).astype(np.float32)
+    """Ranges over RANGE_MAX, as the float32 network input: each
+    quotient taken in float64, then rounded to float32, written straight
+    into the result without a float64 temporary."""
+    return np.divide(ranges, RANGE_MAX, out=np.empty(np.shape(ranges), np.float32), casting="same_kind")
 
 
 def goal_input(obs: MotionFeature) -> np.ndarray:
@@ -95,22 +98,18 @@ def goal_input(obs: MotionFeature) -> np.ndarray:
     return np.array([dist / denom, bearing / math.pi], dtype=np.float32)
 
 
-def featurize(obs: MotionFeature):
-    """Normalize an observation into float32 network inputs: the stacked
-    matrix (normalize) and the goal (goal_input)."""
-    return normalize(obs.matrix), goal_input(obs)
-
-
 @dataclass(frozen=True, eq=False)
 class Stacks:
     """N stacks of K shifted sweeps, held by reference: the network
-    input of a replay batch (ddpg.ReplayBuffer.sample) or of a plain
-    (N, K, B) array (Stacks.of).
+    input of an observation (featurize), of a replay batch
+    (ddpg.ReplayBuffer.sample) or of a plain (N, K, B) array
+    (Stacks.of).
 
     Row k of stack n is sweep sweeps[slots[n, k]] calibrated the way
     lidar.MotionFeature's rows are: beam i reads beam i + shifts[n, k]
-    of the sweep, and beams outside it read fill.  Slicing takes a block
-    of stacks; copy_to gathers a block's rows into conv1's input buffer
+    of the sweep, and beams outside it read fill.  copy_to is the one
+    place that applies this rule.  Slicing takes a block of stacks;
+    copy_to gathers a block's rows into conv1's input buffer
     (nn.Conv2d.im2col), so no array of the whole batch's features is
     ever built.
     """
@@ -173,6 +172,15 @@ class Stacks:
             bits += np.uint32(112 << 23)
         else:
             np.copyto(dest, rows)
+
+
+def featurize(obs: MotionFeature):
+    """An observation as network inputs: a one-sample Stacks of its
+    normalized sweeps and its shifts, with the fill 1.0 (RANGE_MAX
+    normalized) that a replay batch's Stacks have, and the goal
+    (goal_input)."""
+    rows = normalize(np.stack(obs.rows))
+    return Stacks(rows, np.arange(len(rows))[None], np.array(obs.shifts)[None], 1.0), goal_input(obs)
 
 
 def trunk_reach(spec: NetworkSpec) -> int:

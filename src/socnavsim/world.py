@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 import math
 from collections import deque
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 import yaml
@@ -145,46 +145,53 @@ class EnvConfig:
     def from_dict(d: dict) -> "EnvConfig":
         """From a to_dict() or YAML mapping; raises ValueError naming the key
         of any entry that cannot be the field it names."""
-        kwargs = _field_kwargs(EnvConfig, d, "config")
-        kwargs["crowd"] = CrowdConfig(**_field_kwargs(CrowdConfig, kwargs.get("crowd", {}), "crowd config"))
+        kwargs = field_kwargs(EnvConfig, d, "config")
+        kwargs["crowd"] = CrowdConfig(**field_kwargs(CrowdConfig, kwargs.get("crowd", {}), "crowd config"))
         return EnvConfig(**kwargs)
 
 
-_NUMBER_TYPES = {"int": (int,), "float": (int, float)}  # a bool is neither
+# the types a value of each field annotation may take; a bool is no number
+_FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str, "dict": dict, "list": list}
 
 
-def _is_number(kind: str, value) -> bool:
-    """Whether value can be a field of type kind; any type but int and float can."""
-    allowed = _NUMBER_TYPES.get(kind)
-    return allowed is None or (isinstance(value, allowed) and not isinstance(value, bool))
+def fits(kind: str, value) -> bool:
+    """Whether value can be a field annotated kind ('int', 'float',
+    'bool', 'str', 'dict' or 'list[...]'); a field of any other type (a
+    nested dataclass) is its caller's to check."""
+    allowed = _FIELD_TYPES.get(kind.split("[")[0])
+    return allowed is None or (isinstance(value, allowed) and (kind == "bool" or not isinstance(value, bool)))
 
 
-def _field_kwargs(cls, d, section: str) -> dict:
-    """The entries of mapping d as keyword arguments of dataclass cls,
-    lists turned into tuples.  Checks what the field types alone decide:
-    every key is a field, a tuple field gets a list of its length, and an
-    int (float) field an int (an int or a float), never a bool or a string."""
+def field_kwargs(cls, d, what: str) -> dict:
+    """The entries of a JSON or YAML mapping d as keyword arguments of
+    dataclass cls.  Raises ValueError naming the key unless d holds every
+    field that has no default, no other key, and values the field
+    annotations allow (fits), None where they end in '| None'; a
+    tuple[...] field takes a list of its length, whose items fit theirs,
+    and gets it as a tuple."""
     if not isinstance(d, dict):
-        raise ValueError(f"{section} must be a mapping, got {d!r}")
-    types = {f.name: f.type for f in fields(cls)}
-    unknown = set(d) - set(types)
+        raise ValueError(f"{what} must be a mapping, got {d!r}")
+    unknown = set(d) - {f.name for f in fields(cls)}
     if unknown:
-        raise ValueError(f"unknown {section} keys: {sorted(unknown)}")
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
     kwargs = {}
-    for key, value in d.items():
-        kind = types[key]
+    for f in fields(cls):
+        if f.name not in d:
+            if f.default is MISSING and f.default_factory is MISSING:
+                raise ValueError(f"{what} has no key {f.name!r}")
+            continue
+        value, kind = d[f.name], f.type.removesuffix(" | None")
+        if value is None and kind != f.type:
+            kwargs[f.name] = None
+            continue
         if kind.startswith("tuple["):
             items = kind[len("tuple["):-1].split(", ")
-            if not (isinstance(value, (list, tuple)) and len(value) == len(items)
-                    and all(map(_is_number, items, value))):
-                raise ValueError(f"{section} key {key} must be a list of {len(items)} {items[0]}s, got {value!r}")
+            if not (isinstance(value, (list, tuple)) and len(value) == len(items) and all(map(fits, items, value))):
+                raise ValueError(f"{what} key {f.name!r} must be a list of {len(items)} {items[0]}s, got {value!r}")
             value = tuple(value)
-        elif not (value is None and kind.endswith(" | None")):
-            kind = kind.removesuffix(" | None")
-            if not _is_number(kind, value):
-                raise ValueError(f"{section} key {key} must be {'an int' if kind == 'int' else 'a number'}, "
-                                 f"got {value!r}")
-        kwargs[key] = value
+        elif not fits(kind, value):
+            raise ValueError(f"{what} key {f.name!r} must be {kind.split('[')[0]}, got {value!r}")
+        kwargs[f.name] = value
     return kwargs
 
 

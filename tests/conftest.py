@@ -19,7 +19,7 @@ from socnavsim import crowd, evaluation, rewards, world
 from socnavsim.crowd import Crowd
 from socnavsim.geometry import CONTACT_SLACK, StaticMap, cast_fan, closest_distance, rects_overlap, wrap_angle
 from socnavsim.lidar import HISTORY_LEN, RANGE_MAX, MotionFeature, cast_sweep, simulate_scan
-from socnavsim.networks import Stacks
+from socnavsim.networks import Stacks, featurize
 from socnavsim.nn import MaxPoolW
 from socnavsim.world import EnvConfig, NavEnv
 
@@ -849,9 +849,9 @@ def reference_motion_matrix(history, current_heading, config) -> np.ndarray:
 
 
 def eager_motion_matrix(history, current_heading, config) -> np.ndarray:
-    """The (K, B) matrix that build_motion_feature built eagerly from
-    (heading, ranges) pairs; a MotionFeature's lazily built matrix must
-    equal it bit for bit."""
+    """The (K, B) matrix of calibrated (heading, ranges) pairs, as
+    build_motion_feature once built it eagerly; the stack that
+    networks.featurize gathers must equal it, normalized, bit for bit."""
     if len(history) != HISTORY_LEN:
         raise ValueError(f"need exactly {HISTORY_LEN} scans, got {len(history)}")
     b = history[-1][1].size
@@ -870,6 +870,16 @@ def feature_of(matrix, goal_vector, initial_goal_distance) -> MotionFeature:
     """A MotionFeature whose rows are matrix's rows, unshifted."""
     rows = tuple(np.asarray(matrix, dtype=float))
     return MotionFeature(rows, (0,) * len(rows), tuple(range(len(rows))), goal_vector, initial_goal_distance)
+
+
+def gathered(obs: MotionFeature) -> np.ndarray:
+    """The (K, B) float32 stack the networks read for observation obs:
+    featurize's one-sample Stacks, gathered full width by the library's
+    Stacks.copy_to."""
+    stacks, _ = featurize(obs)
+    out = np.empty(stacks.shape, np.float32)
+    stacks.copy_to(out)
+    return out[0]
 
 
 def stacks_array(stacks: Stacks) -> np.ndarray:

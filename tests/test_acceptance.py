@@ -42,6 +42,7 @@ from conftest import (
     calibration_shift,
     cast_one,
     ego_reward_of,
+    gathered,
     marching_ray,
     numeric_gradient,
     orca_solve,
@@ -191,6 +192,9 @@ class TestCriterion2GeometryOracles:
 
 class TestCriterion3CalibrationInvariant:
     def test_pure_rotation_rows_equal(self):
+        """Under pure rotation every row of the stack the networks read
+        (featurize, gathered by Stacks.copy_to) equals the newest row on
+        the beams both sweeps cover."""
         rng = np.random.default_rng(303)
         cfg = LidarConfig(beam_count=180)
         for _ in range(100):
@@ -201,12 +205,12 @@ class TestCriterion3CalibrationInvariant:
                 for h in headings
             ]
             current = float(headings[-1])
-            mf = build_motion_feature(history, current, 1.0, 0.0, 1.0, cfg)
+            feat = gathered(build_motion_feature(history, current, 1.0, 0.0, 1.0, cfg))
             for i, h in enumerate(headings):
                 s = calibration_shift(float(h), current, cfg)
                 lo, hi = max(0, -s), cfg.beam_count - max(0, s)
                 np.testing.assert_allclose(
-                    mf.matrix[i, lo:hi], mf.matrix[-1, lo:hi], rtol=0.0, atol=1e-9
+                    feat[i, lo:hi], feat[-1, lo:hi], rtol=0.0, atol=1e-9
                 )
         report(3, "rotation disentangled over 100 randomized sequences")
 

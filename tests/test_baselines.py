@@ -5,7 +5,6 @@ import pytest
 
 from socnavsim import baselines
 from socnavsim.baselines import (
-    FullStatePolicyAdapter,
     GreedyPolicy,
     _inflate_returns,
     greedy_plan,
@@ -218,29 +217,3 @@ class TestGreedyPolicy:
         with pytest.raises(ValueError):
             pol.begin_episode(obs)
 
-
-class TestExternalHook:
-    def test_adapter_feeds_full_state(self):
-        calls = []
-
-        class Recorder:
-            def plan(self, robot, goal, pedestrians):
-                calls.append((robot, goal, pedestrians))
-                return 1.0, 0.5
-
-        pol = FullStatePolicyAdapter(Recorder(), name="recorder")
-        assert pol.wants_state
-        obs = make_obs(np.full(CFG.beam_count, 10.0))
-        pol.begin_episode(obs)
-        pol.observe_state((0.0, 0.0, 0.0), (3.0, 0.0), [(1.0, 1.0, 0.1, 0.0, 0.3)])
-        a_x, a_y = pol.act(obs)
-        assert calls and calls[0][1] == (3.0, 0.0)
-        v_l, v_w = action_to_twist(a_x, a_y)
-        assert v_l == pytest.approx(1.0)
-        assert v_w == pytest.approx(0.5)
-
-    def test_act_without_state_rejected(self):
-        pol = FullStatePolicyAdapter(object(), name="x")
-        pol.begin_episode(make_obs(np.full(CFG.beam_count, 10.0)))
-        with pytest.raises(RuntimeError):
-            pol.act(make_obs(np.full(CFG.beam_count, 10.0)))

@@ -241,7 +241,7 @@ class TestTrain:
 ])
 @pytest.mark.parametrize("text, key", [("crowd:\n", "crowd config"), ("start: 3\n", "start"),
                                        ("max_steps: 2.5\n", "max_steps"), ("beam_count: [\n", ""),
-                                       (None, "No such file")])
+                                       ("walls: 'false'\n", "walls"), (None, "No such file")])
 def test_malformed_config_is_a_usage_error(tmp_path, capsys, command, text, key):
     """Every command that reads --config reports a malformed or missing
     file as one usage error naming the file and the key, without a traceback."""

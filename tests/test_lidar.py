@@ -13,7 +13,7 @@ from socnavsim.lidar import (
     cast_sweep,
     simulate_scan,
 )
-from socnavsim.networks import featurize
+from socnavsim.networks import featurize, normalize
 
 from conftest import (
     Circle,
@@ -24,7 +24,9 @@ from conftest import (
     marching_ray,
     random_shape,
     eager_motion_matrix,
+    gathered,
     reference_motion_matrix,
+    stacks_array,
     to_map,
 )
 
@@ -51,10 +53,10 @@ class TestSimulateScan:
         s = simulate_scan(sweep, CFG, np.random.default_rng(0))
         assert np.all(s == RANGE_MAX)
         near = (-3 * CFG.angle_increment, np.full(CFG.beam_count, 1.0))
-        mf = feature([near] * HISTORY_LEN, 0.0)
-        assert np.all(mf.matrix[:, :-3] == 1.0) and np.all(mf.matrix[:, -3:] == RANGE_MAX)
-        feat, _ = featurize(feature([(0.0, s)] * HISTORY_LEN, 0.0))
-        assert feat.dtype == np.float32 and np.all(feat == 1.0)
+        feat = gathered(feature([near] * HISTORY_LEN, 0.0))
+        assert np.all(feat[:, :-3] == np.float32(1.0 / RANGE_MAX)) and np.all(feat[:, -3:] == 1.0)
+        stacks, _ = featurize(feature([(0.0, s)] * HISTORY_LEN, 0.0))
+        assert stacks.sweeps.dtype == np.float32 and np.all(stacks.sweeps == 1.0) and stacks.fill == 1.0
 
     def test_noisy_scan_needs_its_generator(self):
         """A noisy config cannot be scanned without a generator, and draws
@@ -170,7 +172,7 @@ class TestMotionFeature:
         shapes = [random_shape(rng, span=3.0) for _ in range(3)]
         history = [scan_at(shapes, 0, 0, 0.0) for _ in range(HISTORY_LEN)]
         mf = feature(history, 0.0, goal_distance=2.0, goal_bearing=0.1)
-        assert np.array_equal(mf.matrix[-1], history[-1][1])
+        assert np.array_equal(gathered(mf)[-1], normalize(history[-1][1]))
         assert np.array_equal(mf.current_scan_ranges, history[-1][1])
 
     def test_rotation_only_rows_equal_on_valid_beams(self, rng):
@@ -184,43 +186,44 @@ class TestMotionFeature:
         headings = np.cumsum(rng.integers(-4, 5, HISTORY_LEN)) * dtheta
         history = [scan_at(shapes, 0, 0, float(h)) for h in headings]
         current = float(headings[-1])
-        mf = feature(history, current)
+        feat = gathered(feature(history, current))
         for i, h in enumerate(headings):
             shift = calibration_shift(float(h), current, CFG)
             lo, hi = max(0, -shift), CFG.beam_count - max(0, shift)
             np.testing.assert_allclose(
-                mf.matrix[i, lo:hi], mf.matrix[-1, lo:hi], rtol=0.0, atol=1e-9
+                feat[i, lo:hi], feat[-1, lo:hi], rtol=0.0, atol=1e-9
             )
 
     def test_translation_changes_rows(self, rng):
         shapes = [Circle(Vec2(3, 0.5), 0.5)]
         history = [scan_at(shapes, 0.05 * i, 0, 0.0) for i in range(HISTORY_LEN)]
-        mf = feature(history, 0.0)
-        assert not np.array_equal(mf.matrix[0], mf.matrix[-1])
+        feat = gathered(feature(history, 0.0))
+        assert not np.array_equal(feat[0], feat[-1])
 
     def test_moving_pedestrian_stripe_matches_rerender(self, rng):
         """Re-render each historical frame from scratch and compare."""
         ped_xs = np.linspace(-1.0, 1.0, HISTORY_LEN)
         history = [scan_at([Circle(Vec2(2.0, float(px)), 0.3)], 0, 0, 0.0) for px in ped_xs]
-        mf = feature(history, 0.0)
+        feat = gathered(feature(history, 0.0))
         for i, px in enumerate(ped_xs):
             _, again = scan_at([Circle(Vec2(2.0, float(px)), 0.3)], 0, 0, 0.0)
-            assert np.array_equal(mf.matrix[i], again)
+            assert np.array_equal(feat[i], normalize(again))
         # the stripe moves: rows are not all identical
-        assert not np.array_equal(mf.matrix[0], mf.matrix[-1])
+        assert not np.array_equal(feat[0], feat[-1])
 
     def test_deterministic(self, rng):
         shapes = [random_shape(rng, span=3.0) for _ in range(3)]
         history = [scan_at(shapes, 0, 0, 0.1 * i) for i in range(HISTORY_LEN)]
         a = feature(history, 1.0, goal_distance=2.0, goal_bearing=0.3)
         b = feature(history, 1.0, goal_distance=2.0, goal_bearing=0.3)
-        assert np.array_equal(a.matrix, b.matrix)
+        assert np.array_equal(gathered(a), gathered(b))
         assert a.goal_vector == b.goal_vector
 
     @pytest.mark.parametrize("beams", [2, 181, 1080])
     def test_equals_calibrated_stack(self, rng, beams):
-        """Bit for bit the stack of calibrate() rows, over headings spread
-        around the circle, so that shifts reach about +-2(B - 1)/3."""
+        """The gathered stack is bit for bit the normalized stack of
+        calibrate() rows, over headings spread around the circle, so that
+        shifts reach about +-2(B - 1)/3."""
         cfg = LidarConfig(beam_count=beams)
         for _ in range(5):
             headings = rng.uniform(-math.pi, math.pi, HISTORY_LEN)
@@ -228,21 +231,22 @@ class TestMotionFeature:
             current = float(rng.uniform(-4.0, 4.0))
             mf = feature(history, current, cfg)
             want = reference_motion_matrix(history, current, cfg)
-            assert mf.matrix.tobytes() == want.tobytes()
+            assert gathered(mf).tobytes() == normalize(want).tobytes()
 
     def test_shifts_past_the_sweep_fill_range_max(self, rng):
         """Sweeps shorter than the configured fan see shifts of at least
-        B and at most -B; those rows read RANGE_MAX everywhere."""
+        B and at most -B; those rows read RANGE_MAX (1.0 normalized)
+        everywhere."""
         b = 4
         dtheta = CFG.angle_increment
         shifts = np.arange(HISTORY_LEN) - HISTORY_LEN // 2  # -20 .. 19
         history = [(float(-k * dtheta), rng.uniform(0.1, 10.0, b)) for k in shifts]
         assert [calibration_shift(heading, 0.0, CFG) for heading, _ in history] == list(shifts)
-        mf = feature(history, 0.0)
-        assert mf.matrix.tobytes() == reference_motion_matrix(history, 0.0, CFG).tobytes()
+        feat = gathered(feature(history, 0.0))
+        assert feat.tobytes() == normalize(reference_motion_matrix(history, 0.0, CFG)).tobytes()
         outside = np.abs(shifts) >= b
         assert outside.sum() > 30 and shifts.min() <= -b and shifts.max() >= b
-        assert np.all(mf.matrix[outside] == RANGE_MAX)
+        assert np.all(feat[outside] == 1.0)
 
     def test_goal_bearing_wrapped(self):
         s = (0.0, np.full(CFG.beam_count, 10.0))
@@ -255,13 +259,13 @@ class TestMotionFeature:
         history = deque([(0.1 * i, rng.uniform(0.1, 10.0, CFG.beam_count)) for i in range(HISTORY_LEN)],
                         maxlen=HISTORY_LEN)
         mf = build_motion_feature(history, 0.5, 2.0, 0.3, 6.5, CFG)
-        assert mf.matrix.tobytes() == feature(list(history), 0.5).matrix.tobytes()
+        assert gathered(mf).tobytes() == gathered(feature(list(history), 0.5)).tobytes()
         assert mf.goal_vector[0] == 2.0 and mf.initial_goal_distance == 6.5
 
 
 class TestFeatureByReference:
     """build_motion_feature keeps the history's sweeps and computes only
-    shifts; the matrix is built on first read, equal to the eager one."""
+    shifts; the stack the networks gather from them equals the eager one."""
 
     def test_every_shift_case_equals_eager(self, rng):
         """Shifts of both signs, at least B in size (a sweep shorter than
@@ -278,13 +282,13 @@ class TestFeatureByReference:
         assert min(mf.shifts) <= -b and max(mf.shifts) >= b and mf.shifts[0] != 0
         assert mf.scans == (0, 0, *range(1, 39))
         assert all(row is ranges for row, (_, ranges) in zip(mf.rows, history))
-        assert "matrix" not in vars(mf)  # nothing built yet
-        assert mf.matrix.tobytes() == eager_motion_matrix(history, current, cfg).tobytes()
-        assert mf.matrix is mf.matrix
+        want = normalize(eager_motion_matrix(history, current, cfg))
+        assert gathered(mf).tobytes() == want.tobytes()
+        assert stacks_array(featurize(mf)[0])[0].tobytes() == want.tobytes()
 
     def test_current_scan_ranges_is_the_last_row(self, rng):
         """Over a seeded episode that turns, current_scan_ranges is the
-        newest sweep itself, unshifted, and equals matrix[-1]."""
+        newest sweep itself, unshifted, and the gathered stack's last row."""
         from socnavsim.world import EnvConfig, NavEnv
 
         env = NavEnv(EnvConfig(beam_count=90, max_steps=40))
@@ -293,18 +297,34 @@ class TestFeatureByReference:
         while True:
             assert obs.shifts[-1] == 0 and obs.current_scan_ranges is obs.rows[-1]
             assert obs.current_scan_ranges is env.scan_history[-1][1]
-            assert np.array_equal(obs.current_scan_ranges, obs.matrix[-1])
+            assert np.array_equal(normalize(obs.current_scan_ranges), gathered(obs)[-1])
             out = env.step(rng.uniform(-1.5, 1.5, 2))
             obs, steps = out.observation, steps + 1
             if out.done.value != "running":
                 break
         assert steps > 5 and any(s != 0 for s in obs.shifts)
 
-    def test_greedy_policy_builds_no_matrix(self):
+    def test_current_scan_ranges_needs_an_unshifted_newest_sweep(self, rng):
+        """A feature whose newest sweep is shifted has no current sweep to
+        give: current_scan_ranges raises instead of shifting one."""
+        history = [(0.1 * i, rng.uniform(0.1, 10.0, CFG.beam_count)) for i in range(HISTORY_LEN)]
+        mf = feature(history, 0.1 * HISTORY_LEN)
+        assert mf.shifts[-1] != 0
+        with pytest.raises(ValueError, match="newest sweep has shift"):
+            mf.current_scan_ranges
+
+    def test_greedy_policy_builds_no_matrix(self, monkeypatch):
+        """A greedy episode reads only the newest sweep: it never gathers
+        a shifted stack (Stacks.copy_to)."""
+        from socnavsim import networks
         from socnavsim.baselines import GreedyPolicy
         from socnavsim.evaluation import episode_steps
         from socnavsim.world import EnvConfig
 
+        def gather(stacks, out):
+            raise AssertionError("a greedy episode gathered a stack")
+
+        monkeypatch.setattr(networks.Stacks, "copy_to", gather)
         cfg = EnvConfig(beam_count=90, max_steps=30, obstacle_count_range=(0, 0))
         seen = [out.observation for out in episode_steps(GreedyPolicy(cfg.lidar()), cfg, 1, 2)]
-        assert len(seen) == 30 and all("matrix" not in vars(obs) for obs in seen)
+        assert len(seen) == 30

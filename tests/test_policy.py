@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import feature_of, numeric_gradient, reference_conv2d, reference_update, stacks_array
+from conftest import feature_of, gathered, numeric_gradient, reference_conv2d, reference_update, stacks_array
 from socnavsim import ddpg as ddpg_module
 from socnavsim import evaluation as evaluation_module
 from socnavsim import nn
@@ -285,8 +285,7 @@ def assert_stored(buf, added):
         i = (first + j) % buf.capacity
         feat, next_feat = stored_features(buf, i)
         for got, o in ((feat, obs), (next_feat, next_obs)):
-            want, goal = featurize(o)
-            assert got.tobytes() == want.astype(np.float16).astype(np.float32).tobytes(), i
+            assert got.tobytes() == gathered(o).astype(np.float16).astype(np.float32).tobytes(), i
         assert buf.goal[i].tobytes() == featurize(obs)[1].tobytes()
         assert buf.next_goal[i].tobytes() == featurize(next_obs)[1].tobytes()
 
@@ -640,8 +639,9 @@ class TestFeaturize:
     def test_normalization(self):
         mat = np.full((40, 16), 5.0)
         mf = feature_of(mat, (3.0, math.pi / 2), 6.0)
-        feat, goal = featurize(mf)
-        assert np.all(feat == pytest.approx(0.5))
+        stacks, goal = featurize(mf)
+        assert stacks.shape == (1, 40, 16) and stacks.fill == 1.0
+        assert np.all(gathered(mf) == pytest.approx(0.5))
         assert goal[0] == pytest.approx(0.5)
         assert goal[1] == pytest.approx(0.5)
 

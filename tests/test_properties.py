@@ -2,7 +2,7 @@
 zones, the rectangle overlap test, the greedy planner's scan erosion,
 the ORCA solver, the map sampler, grid fill, corridor check, obstacle
 discs and scenario spawns against their object-based oracles, and the
-motion feature's lazily built matrix against the eager one."""
+motion feature's stack, as the networks gather it, against the eager one."""
 
 import math
 
@@ -16,6 +16,7 @@ from socnavsim.baselines import _inflate_returns
 from socnavsim.crowd import SCENARIO_KINDS, CrowdConfig, orca_lines, spawn_scenario
 from socnavsim.geometry import beam_arcs, rects_overlap, row_terms
 from socnavsim.lidar import HISTORY_LEN, RANGE_MAX, RANGE_MIN, LidarConfig, build_motion_feature
+from socnavsim.networks import normalize
 from socnavsim.rewards import zone_rows
 from socnavsim.world import EnvConfig, _grid_connected, _grid_free, _sample_obstacle, randomize_map
 
@@ -28,6 +29,7 @@ from conftest import (
     cast_fan_of,
     cast_one,
     eager_motion_matrix,
+    gathered,
     marching_ray,
     orca_solve,
     overlaps,
@@ -435,8 +437,9 @@ headings = st.one_of(coords(math.pi), st.sampled_from([math.pi, -math.pi]),
     data=st.data(),
 )
 def test_lazy_matrix_equals_eager(beams, config_beams, reset_rows, data):
-    """MotionFeature.matrix, built on first read from the rows held by
-    reference, equals the eager build bit for bit.  A configured fan
+    """The stack the networks read, gathered on demand from the rows
+    held by reference (featurize, then Stacks.copy_to at full width),
+    equals the normalized eager build bit for bit.  A configured fan
     wider than the sweeps gives shifts of at least B of either sign; the
     first reset_rows rows repeat one reset scan, as NavEnv's history does
     at episode start."""
@@ -448,7 +451,7 @@ def test_lazy_matrix_equals_eager(beams, config_beams, reset_rows, data):
     mf = build_motion_feature(history, current, 1.0, 0.0, 1.0, cfg, newest_scan=len(rest))
     assert mf.scans == (0,) * reset_rows + tuple(range(1, len(rest) + 1))
     assert all(row is ranges for row, (_, ranges) in zip(mf.rows, history))
-    assert mf.matrix.tobytes() == eager_motion_matrix(history, current, cfg).tobytes()
+    assert gathered(mf).tobytes() == normalize(eager_motion_matrix(history, current, cfg)).tobytes()
 
 
 @given(

@@ -27,7 +27,7 @@ from socnavsim.world import (
     randomize_map,
 )
 
-from conftest import (Circle, rows_grid_free, save_config, OrientedRect, Segment, Vec2, CastEveryTickEnv, clearance, closest_distance_of,
+from conftest import (Circle, rows_grid_free, save_config, OrientedRect, Segment, Vec2, CastEveryTickEnv, clearance, closest_distance_of, gathered,
                       point_rect_signed_distance, reference_arena_walls, reference_closest_distance,
                       reference_grid_connected, reference_grid_free, reference_randomize_map,
                       reference_sample_obstacle, reference_static_shapes, rects_intersect, social_zone, to_map,
@@ -364,10 +364,11 @@ class TestEnvStep:
         cfg = small_cfg()
         env = NavEnv(cfg)
         obs = env.reset()
-        assert obs.matrix.shape == (40, 64)
-        assert obs.matrix.min() >= 0.1 and obs.matrix.max() <= 10.0
+        feat = gathered(obs)
+        assert feat.shape == (40, 64)
+        assert feat.min() >= np.float32(0.01) and feat.max() <= 1.0
         out = env.step((0.5, 0.5))
-        assert out.observation.matrix.shape == (40, 64)
+        assert gathered(out.observation).shape == (40, 64)
 
     def test_episode_determinism(self):
         cfg = small_cfg(crowd=CrowdConfig(count=3, walk_in_probability=0.05))
@@ -413,7 +414,7 @@ class TestEnvStep:
                     env.step(bad)
             outs += [env.step((0.5, -0.4)) for _ in range(3)]
             return [(repr((o.done, o.record, o.observation.goal_vector)),
-                     o.observation.matrix.tobytes()) for o in outs]
+                     gathered(o.observation).tobytes()) for o in outs]
 
         assert rollout(action) == rollout(None)
 
@@ -560,9 +561,9 @@ class TestScanOncePerPose:
         got, tallies = self.rollout(NavEnv, cfg, actions, monkeypatch)
         want, _ = self.rollout(CastEveryTickEnv, cfg, actions, monkeypatch)
         assert len(got) == len(want)
-        assert got[0].matrix.tobytes() == want[0].matrix.tobytes()
+        assert gathered(got[0]).tobytes() == gathered(want[0]).tobytes()
         for a, b in zip(got[1:], want[1:]):
-            assert a.observation.matrix.tobytes() == b.observation.matrix.tobytes()
+            assert gathered(a.observation).tobytes() == gathered(b.observation).tobytes()
             assert a.observation.goal_vector == b.observation.goal_vector
             assert a.observation.initial_goal_distance == b.observation.initial_goal_distance
             assert repr((a.done, a.record)) == repr((b.done, b.record))
@@ -672,15 +673,18 @@ class TestConfigIO:
             ("crowd:\n", "crowd config must be a mapping"),
             ("crowd: [1, 2]\n", "crowd config must be a mapping"),
             ("- 1\n- 2\n", "config must be a mapping"),
-            ("start: 3\n", "config key start must be a list of 2"),
-            ("goal: [1.0, 0.0, 0.0]\n", "config key goal must be a list of 2"),
-            ("crowd: {area: 5}\n", "crowd config key area must be a list of 2"),
-            ("obstacle_count_range: [1.5, 3]\n", "config key obstacle_count_range must be a list of 2 ints"),
-            ("max_steps: 2.5\n", "config key max_steps must be an int"),
-            ("beam_count: true\n", "config key beam_count must be an int"),
-            ("map_seed: '3'\n", "config key map_seed must be an int"),
-            ("crowd: {count: 8.0}\n", "crowd config key count must be an int"),
-            ("arena_half: '5'\n", "config key arena_half must be a number"),
+            ("start: 3\n", "config key 'start' must be a list of 2"),
+            ("goal: [1.0, 0.0, 0.0]\n", "config key 'goal' must be a list of 2"),
+            ("crowd: {area: 5}\n", "crowd config key 'area' must be a list of 2"),
+            ("obstacle_count_range: [1.5, 3]\n", "config key 'obstacle_count_range' must be a list of 2 ints"),
+            ("max_steps: 2.5\n", "config key 'max_steps' must be int"),
+            ("beam_count: true\n", "config key 'beam_count' must be int"),
+            ("map_seed: '3'\n", "config key 'map_seed' must be int"),
+            ("crowd: {count: 8.0}\n", "crowd config key 'count' must be int"),
+            ("arena_half: '5'\n", "config key 'arena_half' must be float"),
+            ("walls: 'false'\n", "config key 'walls' must be bool"),
+            ("walls: 1\n", "config key 'walls' must be bool"),
+            ("scenario: 5\n", "config key 'scenario' must be str"),
         ],
     )
     def test_malformed_entries_name_their_key(self, tmp_path, text, message):
