@@ -72,8 +72,10 @@ class ReplayBuffer:
     Consecutive observations share all but scans_per_step of their K
     sweeps (lidar.MotionFeature), so the buffer keeps a ring of
     normalized sweeps, float16(float32(r / RANGE_MAX)), and writes a
-    sweep only when a stored observation does not already hold it (the
-    frame-stack deduplication of DQN replays, Mnih et al., Nature 2015).
+    sweep only when the last stored observation does not already hold
+    that array (the frame-stack deduplication of DQN replays, Mnih et
+    al., Nature 2015).  Sweeps are read-only, so one array always holds
+    the same ranges: the buffer knows a stored sweep by the array itself.
     Per transition it keeps the ring slots and shifts of the K rows of
     the observation and of the next one, the goal, action, reward parts
     (separate, so either stage can recombine them), next goal and done
@@ -113,7 +115,9 @@ class ReplayBuffer:
         self.pos = 0
         self.size = 0
         self.head = 0  # the ring slot the next sweep goes to
-        self._known = {}  # scan number -> (sweep, ring slot) of the last stored observation's rows
+        # id(sweep) -> (sweep, ring slot) of the last stored observation's
+        # rows; the entry holds the sweep, so no other live array has its id
+        self._known = {}
 
     @classmethod
     def layout(cls, capacity: int, feature_shape: tuple[int, int], scans_per_step: int) -> dict:
@@ -150,7 +154,7 @@ class ReplayBuffer:
         i = self.pos
         self._store(obs, self.feat_slots[i], self.feat_shifts[i])
         self._store(next_obs, self.next_slots[i], self.next_shifts[i])
-        self._known = {scan: self._known[scan] for scan in next_obs.scans}
+        self._known = {id(sweep): self._known[id(sweep)] for sweep in next_obs.rows}
         self.goal[i] = goal_input(obs)
         self.action[i] = action
         self.reward_parts[i] = reward_parts
@@ -162,10 +166,10 @@ class ReplayBuffer:
     def _store(self, obs, slots, shifts) -> None:
         """The ring slots of obs's rows into slots, writing the sweeps that
         are not in the ring yet, and its shifts into shifts."""
-        for k, (scan, sweep) in enumerate(zip(obs.scans, obs.rows)):
-            hit = self._known.get(scan)
-            if hit is None or hit[0] is not sweep:
-                hit = self._known[scan] = (sweep, self._write(sweep))
+        for k, sweep in enumerate(obs.rows):
+            hit = self._known.get(id(sweep))
+            if hit is None:
+                hit = self._known[id(sweep)] = (sweep, self._write(sweep))
             slots[k] = hit[1]
         shifts[:] = obs.shifts
 
@@ -306,8 +310,6 @@ class DDPG:
             "critic": self.critic.params(),
             "target_actor": self.target_actor.params(),
             "target_critic": self.target_critic.params(),
-            "opt_actor": self.opt_actor.state_dict(),
-            "opt_critic": self.opt_critic.state_dict(),
         }
 
     def save(self, path, meta: dict) -> None:
@@ -316,7 +318,7 @@ class DDPG:
         meta["config_hash"] = self.spec.config_hash()
         save_checkpoint(path, self.named_parts(), meta)
 
-    def load_parts(self, parts: dict, networks_only: bool = False) -> None:
+    def load_parts(self, parts: dict) -> None:
         for name, net in (
             ("actor", self.actor),
             ("critic", self.critic),
@@ -325,11 +327,6 @@ class DDPG:
         ):
             if name in parts:
                 load_params(net, parts[name])
-        if not networks_only:
-            if "opt_actor" in parts:
-                self.opt_actor.load_state_dict(parts["opt_actor"])
-            if "opt_critic" in parts:
-                self.opt_critic.load_state_dict(parts["opt_critic"])
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +437,7 @@ def train(
     spec = default_network_spec(HISTORY_LEN, env_config.beam_count)
     learner = DDPG(spec, tc.ddpg, init_rng)
     if warm_start_parts is not None:
-        learner.load_parts(warm_start_parts, networks_only=True)
+        learner.load_parts(warm_start_parts)
 
     buffer = ReplayBuffer(min(tc.ddpg.buffer_capacity, max(tc.total_env_steps, 1)), spec.feature_shape,
                           env_config.scan_hz // env_config.policy_hz)
@@ -476,8 +473,6 @@ def train(
     behaviour = BehaviourPolicy(learner, tc, noise_rng)
     env_steps = 0
     episode = 0
-    last_eval_at = 0
-    last_ckpt_at = 0
     stop = tc.total_env_steps <= 0
     best_eval = -1.0
     batch = None
@@ -493,7 +488,7 @@ def train(
         map_seed = int(env_seed_rng.integers(2**31))
         crowd_seed = int(env_seed_rng.integers(2**31))
         ep_return = 0.0
-        ep_closs = math.nan
+        ep_closs = None
 
         for outcome in episode_steps(behaviour, cfg, map_seed, crowd_seed):
             record = outcome.record
@@ -515,8 +510,7 @@ def train(
                         {"env_steps": env_steps, "updates": learner.updates, "critic_loss": closs},
                     )
 
-            if env_steps - last_eval_at >= tc.eval_every:
-                last_eval_at = env_steps
+            if env_steps % tc.eval_every == 0:
                 probe_cfg = tc.eval_env_config if tc.eval_env_config is not None else env_config
                 probe = LearnedPolicy(learner.actor, f"learned-{stage}")
                 logs = (evaluation.run_episode(probe, probe_cfg, "probe", *seeds)
@@ -529,8 +523,7 @@ def train(
                 emit({"kind": "eval", "env_steps": env_steps, "success_rate": success})
                 if tc.early_stop_success is not None and success >= tc.early_stop_success:
                     stop = True
-            if env_steps - last_ckpt_at >= tc.checkpoint_every:
-                last_ckpt_at = env_steps
+            if env_steps % tc.checkpoint_every == 0:
                 checkpoint(f"step{env_steps}", env_steps)
             if env_steps >= tc.total_env_steps:
                 stop = True
@@ -545,7 +538,7 @@ def train(
                 "return": ep_return,
                 "outcome": outcome.done.value,
                 "steps": outcome.record.step,
-                "critic_loss": None if math.isnan(ep_closs) else ep_closs,
+                "critic_loss": ep_closs,
                 "noise_sigma": tc.noise_sigma(env_steps - 1),
             }
         )

@@ -59,22 +59,18 @@ class MotionFeature:
     Row k is sweep rows[k] calibrated to the current heading: beam i
     reads rows[k][i + shifts[k]], and beams shifted in from outside that
     sweep's fan read RANGE_MAX (networks.Stacks.copy_to gathers the rows
-    by this rule).  scans[k] is the sweep's episode-local scan number, 0
-    for the reset scan that fills the history at episode start, so two
-    observations of one episode share a sweep exactly where they share a
-    scan number.  The sweeps are those of the scan
-    history, never copied: a feature costs K references and K shifts.
+    by this rule).  The sweeps are those of the scan history, never
+    copied: a feature costs K references and K shifts.
     """
 
     rows: tuple  # K sweeps (B,), oldest -> newest
     shifts: tuple  # K ints
-    scans: tuple  # K ints, nondecreasing
     goal_vector: tuple[float, float]  # (distance m, bearing rad in [-pi, pi])
     initial_goal_distance: float  # the goal distance at the episode's reset
 
     def __post_init__(self):
-        if not len(self.rows) == len(self.shifts) == len(self.scans):
-            raise ValueError("a feature needs one shift and one scan number per row")
+        if len(self.rows) != len(self.shifts):
+            raise ValueError("a feature needs one shift per row")
 
     @property
     def beam_count(self) -> int:
@@ -119,7 +115,6 @@ def build_motion_feature(
     goal_bearing: float,
     initial_goal_distance: float,
     config: LidarConfig,
-    newest_scan: int = HISTORY_LEN - 1,
 ) -> MotionFeature:
     """The last K sweeps, each calibrated to the current heading.
 
@@ -128,11 +123,9 @@ def build_motion_feature(
     round(wrap(current_heading - heading at capture) / angle_increment);
     beams shifted in from outside that sweep's fan read RANGE_MAX.  The
     history must hold exactly K sweeps ordered oldest to newest; at
-    episode start the caller pre-fills it by repeating the first one, so
-    with newest_scan the number of the last scan, row k is scan
-    max(0, newest_scan - (K - 1 - k)).  Only the shifts are computed
-    here: the feature keeps the history's sweeps by reference
-    (MotionFeature).
+    episode start the caller pre-fills it by repeating the first one.
+    Only the shifts are computed here: the feature keeps the history's
+    sweeps by reference (MotionFeature).
     """
     if len(history) != HISTORY_LEN:
         raise ValueError(f"need exactly {HISTORY_LEN} scans, got {len(history)}")
@@ -143,11 +136,9 @@ def build_motion_feature(
         if heading not in shift_of:
             shift_of[heading] = int(round(wrap_angle(current_heading - heading) / inc))
     shifts = tuple(map(shift_of.__getitem__, headings))
-    first = newest_scan - (HISTORY_LEN - 1)
     return MotionFeature(
         rows=rows,
         shifts=shifts,
-        scans=tuple(max(0, scan) for scan in range(first, newest_scan + 1)),
         goal_vector=(goal_distance, wrap_angle(goal_bearing)),
         initial_goal_distance=initial_goal_distance,
     )

@@ -402,16 +402,3 @@ class Adam:
             v *= BETA2
             v += (1.0 - BETA2) * (g * g)
             p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + EPS)
-
-    def state_dict(self):
-        out = {"t": np.array(self.t)}
-        for k in self.params:
-            out[f"m.{k}"] = self.m[k]
-            out[f"v.{k}"] = self.v[k]
-        return out
-
-    def load_state_dict(self, state):
-        self.t = int(state["t"])
-        for k in self.params:
-            self.m[k] = state[f"m.{k}"].copy()
-            self.v[k] = state[f"v.{k}"].copy()

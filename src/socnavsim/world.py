@@ -440,10 +440,8 @@ class NavEnv:
         self.steps = 0
         self.sim_time = 0.0
         self._cast()
-        # (heading at capture, ranges) of the last HISTORY_LEN scans, and
-        # the number of the newest: the reset scan is number 0
+        # (heading at capture, ranges) of the last HISTORY_LEN scans
         self.scan_history = deque([self._kept_scan()] * HISTORY_LEN, maxlen=HISTORY_LEN)
-        self.scans = 0
         self._needs_reset = False
         return self._observation()
 
@@ -477,7 +475,7 @@ class NavEnv:
         gx, gy = self.config.goal
         bearing = wrap_angle(math.atan2(gy - self.y, gx - self.x) - self.heading)
         return build_motion_feature(self.scan_history, self.heading, self._goal_distance, bearing,
-                                    self.initial_goal_distance, self.lidar_config, self.scans)
+                                    self.initial_goal_distance, self.lidar_config)
 
     def _check_terminal(self) -> None:
         """Collision and arrival; keeps the clearance and pedestrian distances for the reward."""
@@ -522,7 +520,6 @@ class NavEnv:
                 self._check_terminal()
             self.sim_time += self.tick_dt
             self.scan_history.append(self._kept_scan())
-            self.scans += 1
 
         self.steps += 1
         if self.status is Status.RUNNING and self.steps >= self.config.max_steps:

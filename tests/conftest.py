@@ -869,7 +869,7 @@ def eager_motion_matrix(history, current_heading, config) -> np.ndarray:
 def feature_of(matrix, goal_vector, initial_goal_distance) -> MotionFeature:
     """A MotionFeature whose rows are matrix's rows, unshifted."""
     rows = tuple(np.asarray(matrix, dtype=float))
-    return MotionFeature(rows, (0,) * len(rows), tuple(range(len(rows))), goal_vector, initial_goal_distance)
+    return MotionFeature(rows, (0,) * len(rows), goal_vector, initial_goal_distance)
 
 
 def gathered(obs: MotionFeature) -> np.ndarray:

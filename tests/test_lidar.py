@@ -278,9 +278,8 @@ class TestFeatureByReference:
         offsets = np.concatenate([np.arange(-60, 60, 4), [-b, b, -b - 1, b + 1, -1, 1, 0, 0]])
         current = -math.pi + 0.25 * inc
         history = [reset] * 2 + [(current - k * inc, rng.uniform(0.1, 10.0, b)) for k in offsets]
-        mf = build_motion_feature(history, current, 2.0, 0.1, 3.0, cfg, newest_scan=38)
+        mf = build_motion_feature(history, current, 2.0, 0.1, 3.0, cfg)
         assert min(mf.shifts) <= -b and max(mf.shifts) >= b and mf.shifts[0] != 0
-        assert mf.scans == (0, 0, *range(1, 39))
         assert all(row is ranges for row, (_, ranges) in zip(mf.rows, history))
         want = normalize(eager_motion_matrix(history, current, cfg))
         assert gathered(mf).tobytes() == want.tobytes()

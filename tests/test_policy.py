@@ -25,6 +25,7 @@ from socnavsim.networks import (
     default_network_spec,
     featurize,
     fronts,
+    load_checkpoint,
     load_params,
     soft_update,
 )
@@ -248,7 +249,7 @@ def episode(rng, steps, beams, scans_per_step=4):
                 heading = math.remainder(heading + float(rng.normal(0.0, 0.3)), 2 * math.pi)
                 history.append((heading, rng.uniform(0.1, 10.0, beams)))
         obs.append(build_motion_feature(history, heading, float(rng.uniform(0.5, 7.0)),
-                                        float(rng.uniform(-4.0, 4.0)), 7.0, cfg, step * scans_per_step))
+                                        float(rng.uniform(-4.0, 4.0)), 7.0, cfg))
     return obs
 
 
@@ -401,6 +402,25 @@ class TestReplayBuffer:
         fill(buf, rng, (3,), 16)
         assert buf.head == 1 + 12 * 4 + 1 + 3 * 4
 
+    def test_one_array_is_one_stored_sweep(self, rng):
+        """The buffer knows a stored sweep by the array: one read-only
+        sweep at two non-reset positions of a history is written once,
+        both rows read its slot, and the transition rebuilds bit for bit."""
+        cfg = LidarConfig(beam_count=16)
+        reset, kept, a, b = (rng.uniform(0.1, 10.0, 16) for _ in range(4))
+        for sweep in (reset, kept, a, b):
+            sweep.flags.writeable = False
+        history = deque([(0.0, reset)] * HISTORY_LEN, maxlen=HISTORY_LEN)
+        obs = build_motion_feature(history, 0.0, 2.0, 0.1, 3.0, cfg)
+        history.extend([(0.0, kept), (0.1, a), (0.1, kept), (0.2, b)])
+        next_obs = build_motion_feature(history, 0.2, 1.9, 0.1, 3.0, cfg)
+        buf = ReplayBuffer(4, (HISTORY_LEN, 16))
+        buf.add(obs, [0.0, 0.0], [0.0, 0.0, 0.0], next_obs, False)
+        assert buf.head == 4  # reset, kept, a and b
+        slots = buf.next_slots[0, -4:]
+        assert slots[0] == slots[2] and len(set(slots)) == 3
+        assert_stored(buf, [(obs, next_obs)])
+
     @pytest.mark.parametrize("beams", [16, 180])
     def test_training_stores_every_transition_bitwise(self, monkeypatch, beams):
         """Training with a buffer small enough to wrap and episodes short
@@ -422,7 +442,7 @@ class TestReplayBuffer:
         train("ego", env_cfg, tc, seed=2)
         buf = buffers[0]
         assert len(added) == 70 and buf.capacity == 25
-        assert sum(next_obs.scans[-1] == 4 for _, next_obs in added) >= 7  # episodes
+        assert sum(obs.rows[0] is obs.rows[-1] for obs, _ in added) >= 7  # reset observations: episodes
         assert_stored(buf, added)
 
 
@@ -581,27 +601,31 @@ class TestCheckpoint:
         assert meta["stage"] == "ego"
         assert meta["network_spec"]["feature_shape"] == [4, 16]
 
-    def test_optimizer_state_round_trip(self, rng, tmp_path):
-        from socnavsim.networks import load_checkpoint
-
+    def test_holds_the_four_networks(self, rng, tmp_path):
+        """A checkpoint holds the four networks and the metadata, nothing
+        else, and load_parts of it restores all four bit for bit."""
         learner = DDPG(TINY, DDPGConfig(batch_size=8), rng)
         learner.update(make_batch(rng, 8))
         path = tmp_path / "ck.npz"
-        learner.save(path, {})
-        parts, _ = load_checkpoint(path)
+        learner.save(path, {"stage": "ego"})
+        parts = learner.named_parts()
+        with np.load(path) as data:
+            keys = set(data.files)
+        assert keys == {"__meta__"} | {f"{part}/{k}" for part, params in parts.items() for k in params}
+        assert {key.split("/")[0] for key in keys} == {"actor", "critic", "target_actor", "target_critic",
+                                                       "__meta__"}
         twin = DDPG(TINY, DDPGConfig(batch_size=8), np.random.default_rng(999))
-        twin.load_parts(parts)
-        batch = make_batch(rng, 8)
-        l1 = learner.update(batch)
-        l2 = twin.update(batch)
-        assert l1 == l2
+        twin.load_parts(load_checkpoint(path)[0])
+        for part, params in twin.named_parts().items():
+            for k, v in params.items():
+                assert v.dtype == parts[part][k].dtype and v.tobytes() == parts[part][k].tobytes(), f"{part}/{k}"
 
 
 class TestParameters:
     # sha256 over every "part/name" and its bytes in named_parts() of a
     # fresh seed-0 DDPG at 180 beams: pins the init draw order, the
     # parameter names and their order
-    INIT_SHA256 = "235444f8ddb2f00a79da66318c039b8faa89c02f20668cce405a6b34b8d746c5"
+    INIT_SHA256 = "ee9a68fa6f188e4d8915428fd9cf6c3d22e616a9086d10b25bd65e1466731208"
 
     def test_init_pinned(self):
         learner = DDPG(default_network_spec(40, 180), DDPGConfig(), np.random.default_rng(0))

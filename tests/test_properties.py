@@ -448,8 +448,7 @@ def test_lazy_matrix_equals_eager(beams, config_beams, reset_rows, data):
     rest = [(data.draw(headings), np.full(beams, float(k))) for k in range(HISTORY_LEN - reset_rows)]
     history = [reset] * reset_rows + rest
     current = data.draw(headings)
-    mf = build_motion_feature(history, current, 1.0, 0.0, 1.0, cfg, newest_scan=len(rest))
-    assert mf.scans == (0,) * reset_rows + tuple(range(1, len(rest) + 1))
+    mf = build_motion_feature(history, current, 1.0, 0.0, 1.0, cfg)
     assert all(row is ranges for row, (_, ranges) in zip(mf.rows, history))
     assert gathered(mf).tobytes() == normalize(eager_motion_matrix(history, current, cfg)).tobytes()
 
