@@ -7,12 +7,11 @@ goal-deviation penalty and steers proportionally toward the winner.
 from __future__ import annotations
 
 import math
-from itertools import repeat
 
 import numpy as np
 
 from .lidar import RANGE_MAX, LidarConfig, MotionFeature
-from .world import V_MAX
+from .world import V_MAX, clamp
 
 
 WINDOW_BEAMS_AT_180 = 21  # scaled proportionally with beam count
@@ -48,17 +47,19 @@ def _inflate_returns(ranges: np.ndarray, delta_theta: float, radius: float) -> n
     table of power-of-two blocks twice, and each level of the table is
     pushed down into the two halves below it.  A minimum does not
     depend on the order it is taken in, so the result is exact.  `half`
-    comes from the scalar libm atan2, which rounds the same on every
-    host (numpy's vectorized arctan2 differs from it by an ulp on some
-    inputs, and truncation can turn that into a different window).
+    is exact too: numpy's vectorized arctan2 can differ from the scalar
+    libm atan2 by an ulp, which moves a quotient by about 1e-16 of its
+    size, so every quotient farther than a relative 1e-9 from a whole
+    number truncates the same under either, and those nearer are
+    recomputed with libm, which rounds the same on every host.
     """
     n = ranges.size
     hits = np.flatnonzero(ranges < RANGE_MAX - 1e-9)
     values = ranges[hits]
-    angles = np.fromiter(
-        map(math.atan2, repeat(radius, hits.size), values.tolist()), float, hits.size
-    )
-    half = np.maximum(angles / delta_theta, 0.0).astype(np.intp)  # int() of each, floored at 0
+    ratio = np.arctan2(radius, values) / delta_theta
+    for i in np.flatnonzero(np.abs(ratio - np.rint(ratio)) <= 1e-9 * ratio):
+        ratio[i] = math.atan2(radius, values[i]) / delta_theta
+    half = np.maximum(ratio, 0.0).astype(np.intp)  # int() of each, floored at 0
     lo = np.maximum(hits - half, 0)
     hi = np.minimum(hits + half + 1, n)
     level = np.frexp(hi - lo)[1] - 1  # floor(log2(window length))
@@ -110,13 +111,13 @@ def greedy_plan(
     best = int(tied[0])
 
     angle = float(beam_offsets[best])
-    v_w = float(np.clip(HEADING_GAIN * angle, -math.pi, math.pi))
+    v_w = clamp(HEADING_GAIN * angle, -math.pi, math.pi)
     if clearance.max() < STOP_CLEARANCE:
         return 0.0, v_w
     v_l = SPEED_PER_CLEARANCE * (float(safe[best]) - HULL_MARGIN)
     # turn mostly in place when the winner sits far off the nose
     v_l *= max(0.1, math.cos(min(abs(angle), math.pi / 2.0)))
-    v_l = float(np.clip(v_l, 0.0, V_MAX))
+    v_l = clamp(v_l, 0.0, V_MAX)
     return v_l, v_w
 
 

@@ -218,6 +218,8 @@ class DDPGConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+        if self.buffer_capacity < self.batch_size:
+            raise ValueError(f"buffer_capacity {self.buffer_capacity} can never fill a batch of {self.batch_size}")
 
 
 class DDPG:

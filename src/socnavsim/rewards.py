@@ -73,9 +73,10 @@ def pedestrian_zones(crowd: Crowd) -> np.ndarray:
     return zone_rows(crowd.position, heading, crowd.radius, speed)
 
 
-def social_reward(robot_zone: np.ndarray, distances, crowd: Crowd) -> tuple[float, int, int]:
-    """Zone-intersection penalty of the robot's zone_rows row; returns
-    (reward, violations, considered).
+def social_reward(robot_zone: np.ndarray | None, distances, crowd: Crowd) -> tuple[float, int, int]:
+    """Zone-intersection penalty of the robot's zone_rows row (None for
+    an empty crowd, which never reads it); returns (reward, violations,
+    considered).
 
     distances holds each pedestrian's center distance from the robot.
     Only pedestrians within 5 m take part in the intersection checks,
@@ -120,7 +121,9 @@ def assess(
     distances and goal distance the collision and arrival checks measured."""
     x, y, radius = robot
     r_ego, ego_violation = ego_reward(clearance, radius)
-    zone = zone_rows(np.array([[x, y]]), np.array([robot_motion_heading]), radius, robot_speed)
+    zone = None
+    if len(crowd):
+        zone = zone_rows(np.array([[x, y]]), np.array([robot_motion_heading]), radius, robot_speed)
     r_social, violations, considered = social_reward(zone, distances, crowd)
     r_goal = goal_reward(goal_distance, initial_goal_distance, reached)
     return SafetyAssessment(

@@ -201,6 +201,23 @@ class TestInflateReturnsExact:
             assert_inflation_matches_reference(ranges, dtheta)
 
 
+class TestArctangentGuard:
+    """On a host whose vectorized arctan2 agrees with libm the guard is
+    rarely taken; an arctan2 one ulp off on every value takes it at each
+    truncation edge, and the erosion must not change."""
+
+    @pytest.mark.parametrize("toward", [-math.inf, math.inf])
+    @pytest.mark.parametrize("beams", [180, 1080])
+    def test_one_ulp_off_arctan2_matches_reference(self, monkeypatch, beams, toward):
+        exact = np.arctan2
+        monkeypatch.setattr(np, "arctan2", lambda y, x: np.nextafter(exact(y, x), toward))
+        dtheta = delta_theta(beams)
+        ranges = np.full(beams, RANGE_MAX)
+        for r in half_boundaries(dtheta):
+            ranges[beams // 2] = r
+            assert_inflation_matches_reference(ranges, dtheta)
+
+
 class TestGreedyPolicy:
     def test_action_encoding_round_trip(self):
         pol = GreedyPolicy(CFG)

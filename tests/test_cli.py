@@ -184,6 +184,16 @@ class TestTrain:
         assert err.startswith("error: replay buffer of 100 transitions needs ")
         assert err.count("\n") == 1
 
+    def test_replay_smaller_than_batch_is_one_line(self, tmp_path, env_yaml, capsys):
+        rc = main([
+            "train", "--stage", "ego", "--config", env_yaml, "--out", str(tmp_path / "x"),
+            "--batch-size", "16", "--buffer-capacity", "10", "--budget", "0",
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: buffer_capacity 10 can never fill a batch of 16")
+        assert err.count("\n") == 1
+
     def test_bad_train_config_is_one_line(self, tmp_path, env_yaml, capsys):
         rc = main([
             "train", "--stage", "ego", "--config", env_yaml, "--out", str(tmp_path / "x"),

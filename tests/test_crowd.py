@@ -176,6 +176,22 @@ class TestOrcaVelocity:
         v = solve(target, crowd, [], dt=0.05)
         assert v.norm() <= 0.9 + 1e-9
 
+    @pytest.mark.xfail(strict=True, reason="the LP's projection onto the speed circle overshoots "
+                       "by rounding when constraint lines nearly coincide")
+    def test_speed_capped_among_coincident_neighbors(self):
+        """Four pedestrians at rest on one point and a fifth 1e-5 m away
+        walking across them: every output speed stays within the
+        preferred one, whatever the goal direction."""
+        worst = 0.0
+        for angle in np.linspace(-math.pi, math.pi, 73):
+            gx, gy = 3.0 * math.cos(angle), 3.0 * math.sin(angle)
+            peds = [ped(i, (0.0, 0.0), (0.0, 0.0), (gx, gy), radius=0.25) for i in range(4)]
+            peds.append(ped(4, (0.0, 1e-5), (1.0, 0.0), (gx, gy + 1e-5), radius=0.25))
+            lines, num_fixed = orca_lines(pack(peds), NO_DISCS, 0.05)
+            for p, rows in zip(peds, lines):
+                worst = max(worst, orca_solve(p, rows, num_fixed).norm() - p.pref_speed)
+        assert worst <= 1e-9
+
     def test_static_obstacle_constraint(self):
         p = ped(0, (0, 0), (1, 0), (5, 0))
         wall = Circle(Vec2(1.2, 0.0), 0.5)

@@ -693,6 +693,13 @@ class TestTrainConfigValidation:
         with pytest.raises(ValueError, match="batch_size"):
             DDPGConfig(batch_size=0)
 
+    def test_replay_smaller_than_batch_rejected(self):
+        """A replay that holds fewer transitions than a batch would make
+        no update at all; a replay of exactly one batch is accepted."""
+        with pytest.raises(ValueError, match="buffer_capacity 10 can never fill a batch of 16"):
+            DDPGConfig(batch_size=16, buffer_capacity=10)
+        DDPGConfig(batch_size=16, buffer_capacity=16)
+
     def test_boundary_values_accepted(self):
         TrainConfig(update_every=1, eval_every=1, eval_episodes=1, checkpoint_every=1,
                     warmup_steps=0, scenario_cycle=(None, "crossing"),

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from socnavsim import rewards
 from socnavsim.geometry import wrap_angle
 from socnavsim.rewards import (
     COLLISION_PENALTY,
@@ -282,3 +283,14 @@ class TestAssess:
             assert -0.1 <= a.r_social <= 0.0
             assert a.r_goal == GOAL_BONUS or -0.01 <= a.r_goal <= 0.0
             assert a.violations <= a.considered_pedestrians
+
+    def test_empty_crowd_builds_no_zone(self, monkeypatch):
+        """With no pedestrians the social part is zero and the robot's
+        zone is never built."""
+        def no_zone(*args):
+            raise AssertionError("zone_rows called for an empty crowd")
+
+        monkeypatch.setattr(rewards, "zone_rows", no_zone)
+        a = assess_of(Circle(Vec2(0.0, 0.0), 0.3), 0.0, 1.0, [], [], Vec2(4, 4), Vec2(-4, -4),
+                      reached=False)
+        assert (a.r_social, a.violations, a.considered_pedestrians) == (0.0, 0, 0)

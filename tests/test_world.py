@@ -62,6 +62,18 @@ class TestActionToTwist:
         v_l, v_w = action_to_twist(99.0, 0.0)
         assert v_l == 1.5 and v_w == 0.0
 
+    def test_clamp_is_np_clip(self):
+        """clamp returns the very float np.clip does, signed zeros, NaNs,
+        infinities and the bounds themselves included."""
+        xs = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 1e-300, -1e-300, 0.7, -0.7,
+              1.5, -1.5, math.nextafter(1.5, 2.0), math.nextafter(-1.5, -2.0), math.pi, -math.pi,
+              math.nextafter(math.pi, 4.0), math.nextafter(-math.pi, -4.0), 99.0, -99.0]
+        bounds = [(0.0, 1.5), (-0.0, 1.5), (-1.5, 1.5), (-math.pi, math.pi)]
+        for lo, hi in bounds:
+            for x in xs:
+                got = np.float64(world.clamp(x, lo, hi)).tobytes()
+                assert got == np.float64(np.clip(x, lo, hi)).tobytes(), (x, lo, hi)
+
     def test_action_type_clamps(self):
         # both components clamp to the 1.5 limit before the twist is formed
         v_l, v_w = action_to_twist(2.0, -7.0)
