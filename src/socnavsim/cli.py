@@ -94,7 +94,7 @@ def _build_policy(desc: str, env_cfg, parser):
 
     try:
         actor, meta = actor_from_checkpoint(desc)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         parser.error(f"checkpoint {desc}: {exc}")
     policy = LearnedPolicy(actor, f"learned-{meta.get('stage', 'policy')}")
     if policy.beam_count != env_cfg.beam_count:
@@ -123,7 +123,10 @@ def cmd_train(args, parser) -> int:
     env_cfg = _load_env_config(args.config, parser)
     warm = None
     if args.warm_start:
-        warm, _meta = load_checkpoint(args.warm_start)
+        try:
+            warm, _meta = load_checkpoint(args.warm_start)
+        except (OSError, ValueError) as exc:
+            parser.error(f"checkpoint {args.warm_start}: {exc}")
 
     if args.scenarios:
         cycle = tuple(k.strip() for k in args.scenarios.split(","))
@@ -169,6 +172,8 @@ def cmd_train(args, parser) -> int:
 def cmd_eval(args, parser) -> int:
     from .evaluation import EXPORT_FORMATS, episode_seeds, export, run_episode, suite_config
 
+    if args.runs < 1:
+        parser.error(f"--runs must be at least 1, got {args.runs}")
     env_cfg = _load_env_config(args.config, parser)
     try:
         cfg = suite_config(args.suite, env_cfg)
@@ -246,7 +251,10 @@ def cmd_replay_export(args, parser) -> int:
             logs.append(EpisodeLog.load(path))
         except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
             parser.error(f"log {path}: {exc}")
-    paths = export(logs, args.format, args.out)
+    try:
+        paths = export(logs, args.format, args.out)
+    except ValueError as exc:
+        parser.error(str(exc))
     for p in paths:
         print(p)
     return 0

@@ -197,8 +197,8 @@ class ReplayBuffer:
                 # indices are in range; mode="clip" skips take's buffered copy
                 np.take(getattr(self, name), idx, axis=0, out=out[name], mode="clip")
         out["reward"] = reward
-        out["feat"] = Stacks(self.sweeps, out["feat_slots"], out["feat_shifts"], 1.0)
-        out["next_feat"] = Stacks(self.sweeps, out["next_slots"], out["next_shifts"], 1.0)
+        out["feat"] = Stacks(self.sweeps, out["feat_slots"], out["feat_shifts"])
+        out["next_feat"] = Stacks(self.sweeps, out["next_slots"], out["next_shifts"])
         return out
 
 
@@ -280,8 +280,7 @@ class DDPG:
         q_pi, ccache = self.critic.forward(feat, goal, a, front_critic)
         dq_da = self.critic.backward(np.full(n, -1.0 / n, dtype=q_pi.dtype), ccache, param_grads=False)[0]
         del front_actor, front_critic, ccache
-        logit_grad = (2.0 * cfg.logit_penalty / n) * self.actor.logits(acache)
-        agrads = self.actor.backward(dq_da, acache, logit_grad=logit_grad)
+        agrads = self.actor.backward(dq_da, acache, cfg.logit_penalty)
         del acache
         self.opt_actor.step(agrads)
 
@@ -359,8 +358,9 @@ class TrainConfig:
         for name in ("update_every", "eval_every", "eval_episodes", "checkpoint_every"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if self.warmup_steps < 0:
-            raise ValueError(f"warmup_steps must be non-negative, got {self.warmup_steps}")
+        for name in ("total_env_steps", "warmup_steps"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
         if not self.scenario_cycle:
             raise ValueError("scenario_cycle must name at least one scenario (None for uniform)")
         for kind in self.scenario_cycle:
@@ -380,10 +380,15 @@ class TrainConfig:
         )
 
 
-class BehaviourPolicy:
-    """Training-time actions for episode_steps, drawn from one noise stream.
+class Training:
+    """One stage's training state, and its behaviour policy.
 
-    A uniform draw through the warm-up and, after it, with probability
+    It holds the learner, the replay, the five random streams of
+    SeedSequence(seed).spawn(5) (initialization, noise, replay sampling,
+    episode seeds, and the one draw of the probe seed), the counters and
+    the curve.  run() drives episodes through evaluation.episode_steps
+    with the object itself as the policy: a uniform draw of the noise
+    stream through the warm-up and, after it, with probability
     random_action_prob; else the actor's action plus Gaussian noise of
     the annealed sigma, clipped to the action box.  obs is the
     observation the last action answered.
@@ -391,23 +396,133 @@ class BehaviourPolicy:
 
     name = "behaviour"
 
-    def __init__(self, learner: DDPG, config: TrainConfig, rng: np.random.Generator):
-        self.learner, self.config, self.rng = learner, config, rng
-        self.actions = 0  # over all episodes: one per environment step
+    def __init__(self, stage: str, env_config: EnvConfig, config: TrainConfig, seed: int,
+                 warm_start_parts: dict | None, out_dir: str | None):
+        self.stage, self.env_config, self.config, self.out_dir = stage, env_config, config, out_dir
+        self.weights = STAGE_REWARD_WEIGHTS[stage]
+        streams = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(5))
+        init_rng, self.noise_rng, self.buffer_rng, self.env_seed_rng, eval_rng = streams
+        self.eval_seed = int(eval_rng.integers(2**31))
+
+        spec = default_network_spec(HISTORY_LEN, env_config.beam_count)
+        self.learner = DDPG(spec, config.ddpg, init_rng)
+        if warm_start_parts is not None:
+            self.learner.load_parts(warm_start_parts)
+        self.replay = ReplayBuffer(min(config.ddpg.buffer_capacity, max(config.total_env_steps, 1)),
+                                   spec.feature_shape, env_config.scan_hz // env_config.policy_hz)
+        self.curve: list[dict] = []
+        self.curve_path = None
+        if out_dir is not None:
+            os.makedirs(out_dir, exist_ok=True)
+            self.curve_path = os.path.join(out_dir, f"curve_{stage}.jsonl")
+            open(self.curve_path, "w").close()
+        self.env_steps = self.episode = 0
+        self.best_eval = -1.0
+        self.batch = None  # the replay batch, refilled in place by each update
         self.obs = None
 
     def begin_episode(self, obs) -> None:
         self.obs = obs
 
     def act(self, obs) -> np.ndarray:
-        tc, step = self.config, self.actions
-        self.actions += 1
+        tc, rng = self.config, self.noise_rng
         self.obs = obs
-        if step < tc.warmup_steps or self.rng.random() < tc.random_action_prob:
-            return self.rng.uniform(-ACTION_SCALE, ACTION_SCALE, ACTION_DIM)
+        if self.env_steps < tc.warmup_steps or rng.random() < tc.random_action_prob:
+            return rng.uniform(-ACTION_SCALE, ACTION_SCALE, ACTION_DIM)
         action = self.learner.act(*featurize(obs))
-        noise = self.rng.normal(0.0, tc.noise_sigma(step), ACTION_DIM)
+        noise = rng.normal(0.0, tc.noise_sigma(self.env_steps), ACTION_DIM)
         return np.clip(action + noise, -ACTION_SCALE, ACTION_SCALE)
+
+    def run(self) -> None:
+        """Episodes until the budget or early stop, between the init and final checkpoints."""
+        self.checkpoint("init")
+        stop = self.config.total_env_steps == 0
+        while not stop:
+            stop = self.run_episode()
+        final_path = self.checkpoint("final")
+        self.emit({"kind": "done", "env_steps": self.env_steps, "episodes": self.episode,
+                   "final_checkpoint": os.path.basename(final_path) if final_path else None})
+
+    def run_episode(self) -> bool:
+        """One episode, cut short when training stops; returns whether it did."""
+        tc = self.config
+        cfg = replace(self.env_config, scenario=tc.scenario_cycle[self.episode % len(tc.scenario_cycle)])
+        if tc.start_distance_fractions is not None:
+            frac = float(self.env_seed_rng.uniform(*tc.start_distance_fractions))
+            (gx, gy), (sx, sy) = cfg.goal, cfg.start
+            cfg = replace(cfg, start=(gx + (sx - gx) * frac, gy + (sy - gy) * frac))
+        map_seed = int(self.env_seed_rng.integers(2**31))
+        crowd_seed = int(self.env_seed_rng.integers(2**31))
+        ep_return, ep_closs, stop = 0.0, None, False
+
+        for outcome in episode_steps(self, cfg, map_seed, crowd_seed):
+            record = outcome.record
+            reward_parts = (record.r_ego, record.r_social, record.r_goal)
+            terminal = outcome.done in (Status.REACHED, Status.COLLIDED)
+            self.replay.add(self.obs, (record.a_x, record.a_y), reward_parts, outcome.observation, terminal)
+            ep_return += float(np.dot(self.weights, reward_parts))
+            self.env_steps += 1
+            steps = self.env_steps
+            if steps >= tc.warmup_steps and steps % tc.update_every == 0 and self.replay.size >= tc.ddpg.batch_size:
+                ep_closs = self.update()
+            if steps % tc.eval_every == 0:
+                stop = self.probe()
+            if steps % tc.checkpoint_every == 0:
+                self.checkpoint(f"step{steps}")
+            if stop or steps >= tc.total_env_steps:
+                stop = True
+                break
+
+        self.emit({"kind": "episode", "episode": self.episode, "env_steps": self.env_steps, "return": ep_return,
+                   "outcome": outcome.done.value, "steps": outcome.record.step, "critic_loss": ep_closs,
+                   "noise_sigma": tc.noise_sigma(self.env_steps - 1)})
+        self.episode += 1
+        return stop
+
+    def update(self) -> float:
+        """One learner update on a replay batch; returns the critic loss,
+        or raises TrainingDiverged after a diverged checkpoint."""
+        tc = self.config
+        self.batch = self.replay.sample(tc.ddpg.batch_size, self.buffer_rng, self.weights, out=self.batch)
+        closs, _ = self.learner.update(self.batch)
+        if not math.isfinite(closs) or closs > tc.divergence_threshold:
+            self.checkpoint("diverged")
+            raise TrainingDiverged(
+                f"critic loss {closs:.3e} exceeded {tc.divergence_threshold:.1e}",
+                {"env_steps": self.env_steps, "updates": self.learner.updates, "critic_loss": closs},
+            )
+        return closs
+
+    def probe(self) -> bool:
+        """Records the deterministic actor's success rate over the probe
+        episodes, the same seeds each time, with a best checkpoint when
+        it is a new best; returns whether it meets early_stop_success."""
+        tc = self.config
+        cfg = tc.eval_env_config if tc.eval_env_config is not None else self.env_config
+        policy = LearnedPolicy(self.learner.actor, f"learned-{self.stage}")
+        logs = (evaluation.run_episode(policy, cfg, "probe", *seeds)
+                for seeds in episode_seeds(self.eval_seed, tc.eval_episodes))
+        success = sum(log.outcome == Status.REACHED.value for log in logs) / tc.eval_episodes
+        if success > self.best_eval:
+            self.best_eval = success
+            self.checkpoint("best")
+        self.emit({"kind": "eval", "env_steps": self.env_steps, "success_rate": success})
+        return tc.early_stop_success is not None and success >= tc.early_stop_success
+
+    def emit(self, record: dict) -> None:
+        self.curve.append(record)
+        if self.curve_path is not None:
+            with open(self.curve_path, "a") as f:
+                f.write(json.dumps(record, sort_keys=True) + "\n")
+
+    def checkpoint(self, tag: str) -> str | None:
+        if self.out_dir is None:
+            return None
+        path = os.path.join(self.out_dir, f"checkpoint_{self.stage}_{tag}.npz")
+        meta = {"stage": self.stage, "env_steps": self.env_steps, "updates": self.learner.updates,
+                "beam_count": self.env_config.beam_count}
+        self.learner.save(path, meta)
+        return path
 
 
 def train(
@@ -429,130 +544,6 @@ def train(
         raise ValueError(f"unknown stage {stage!r}")
     if stage == "social" and warm_start_parts is None and not allow_cold_social:
         raise ValueError("social stage requires an ego warm start (or an explicit override)")
-
-    weights = STAGE_REWARD_WEIGHTS[stage]
-    tc = train_config
-    streams = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(5))
-    init_rng, noise_rng, buffer_rng, env_seed_rng, eval_rng = streams
-    eval_seed = int(eval_rng.integers(2**31))
-
-    spec = default_network_spec(HISTORY_LEN, env_config.beam_count)
-    learner = DDPG(spec, tc.ddpg, init_rng)
-    if warm_start_parts is not None:
-        learner.load_parts(warm_start_parts)
-
-    buffer = ReplayBuffer(min(tc.ddpg.buffer_capacity, max(tc.total_env_steps, 1)), spec.feature_shape,
-                          env_config.scan_hz // env_config.policy_hz)
-    curve: list[dict] = []
-    curve_path = None
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        curve_path = os.path.join(out_dir, f"curve_{stage}.jsonl")
-        open(curve_path, "w").close()
-
-    def emit(record: dict):
-        curve.append(record)
-        if curve_path is not None:
-            with open(curve_path, "a") as f:
-                f.write(json.dumps(record, sort_keys=True) + "\n")
-
-    def checkpoint(tag: str, env_steps: int):
-        if out_dir is None:
-            return None
-        path = os.path.join(out_dir, f"checkpoint_{stage}_{tag}.npz")
-        learner.save(
-            path,
-            {
-                "stage": stage,
-                "env_steps": env_steps,
-                "updates": learner.updates,
-                "beam_count": env_config.beam_count,
-            },
-        )
-        return path
-
-    checkpoint("init", 0)
-    behaviour = BehaviourPolicy(learner, tc, noise_rng)
-    env_steps = 0
-    episode = 0
-    stop = tc.total_env_steps <= 0
-    best_eval = -1.0
-    batch = None
-
-    while not stop:
-        kind = tc.scenario_cycle[episode % len(tc.scenario_cycle)]
-        cfg = replace(env_config, scenario=kind)
-        if tc.start_distance_fractions is not None:
-            frac = float(env_seed_rng.uniform(*tc.start_distance_fractions))
-            gx, gy = cfg.goal
-            sx, sy = cfg.start
-            cfg = replace(cfg, start=(gx + (sx - gx) * frac, gy + (sy - gy) * frac))
-        map_seed = int(env_seed_rng.integers(2**31))
-        crowd_seed = int(env_seed_rng.integers(2**31))
-        ep_return = 0.0
-        ep_closs = None
-
-        for outcome in episode_steps(behaviour, cfg, map_seed, crowd_seed):
-            record = outcome.record
-            action = (record.a_x, record.a_y)
-            reward_parts = (record.r_ego, record.r_social, record.r_goal)
-            terminal = outcome.done in (Status.REACHED, Status.COLLIDED)
-            buffer.add(behaviour.obs, action, reward_parts, outcome.observation, terminal)
-            ep_return += float(np.dot(weights, reward_parts))
-            env_steps += 1
-
-            if env_steps >= tc.warmup_steps and env_steps % tc.update_every == 0 and buffer.size >= tc.ddpg.batch_size:
-                batch = buffer.sample(tc.ddpg.batch_size, buffer_rng, weights, out=batch)
-                closs, aobj = learner.update(batch)
-                ep_closs = closs
-                if not math.isfinite(closs) or closs > tc.divergence_threshold:
-                    checkpoint("diverged", env_steps)
-                    raise TrainingDiverged(
-                        f"critic loss {closs:.3e} exceeded {tc.divergence_threshold:.1e}",
-                        {"env_steps": env_steps, "updates": learner.updates, "critic_loss": closs},
-                    )
-
-            if env_steps % tc.eval_every == 0:
-                probe_cfg = tc.eval_env_config if tc.eval_env_config is not None else env_config
-                probe = LearnedPolicy(learner.actor, f"learned-{stage}")
-                logs = (evaluation.run_episode(probe, probe_cfg, "probe", *seeds)
-                        for seeds in episode_seeds(eval_seed, tc.eval_episodes))
-                reached = sum(log.outcome == Status.REACHED.value for log in logs)
-                success = reached / tc.eval_episodes
-                if success > best_eval:
-                    best_eval = success
-                    checkpoint("best", env_steps)
-                emit({"kind": "eval", "env_steps": env_steps, "success_rate": success})
-                if tc.early_stop_success is not None and success >= tc.early_stop_success:
-                    stop = True
-            if env_steps % tc.checkpoint_every == 0:
-                checkpoint(f"step{env_steps}", env_steps)
-            if env_steps >= tc.total_env_steps:
-                stop = True
-            if stop:
-                break
-
-        emit(
-            {
-                "kind": "episode",
-                "episode": episode,
-                "env_steps": env_steps,
-                "return": ep_return,
-                "outcome": outcome.done.value,
-                "steps": outcome.record.step,
-                "critic_loss": ep_closs,
-                "noise_sigma": tc.noise_sigma(env_steps - 1),
-            }
-        )
-        episode += 1
-
-    final_path = checkpoint("final", env_steps)
-    emit(
-        {
-            "kind": "done",
-            "env_steps": env_steps,
-            "episodes": episode,
-            "final_checkpoint": os.path.basename(final_path) if final_path else None,
-        }
-    )
-    return learner, curve
+    training = Training(stage, env_config, train_config, seed, warm_start_parts, out_dir)
+    training.run()
+    return training.learner, training.curve

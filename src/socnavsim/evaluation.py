@@ -355,5 +355,8 @@ def export(logs: list[EpisodeLog], fmt: str, out_dir) -> list[str]:
         raise ValueError("nothing to export")
     if fmt not in _EXPORTERS:
         raise ValueError(f"unknown export format {fmt!r}; expected one of {EXPORT_FORMATS}")
+    pairs = sorted({(log.suite, log.policy) for log in logs})
+    if len(pairs) > 1 and fmt != "trajectory-table":  # the one format that writes a file per log
+        raise ValueError(f"{fmt} writes one file, named after one suite and policy, but the logs hold {pairs}")
     os.makedirs(out_dir, exist_ok=True)
     return _EXPORTERS[fmt](logs, out_dir)

@@ -34,6 +34,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,29 +102,22 @@ def goal_input(obs: MotionFeature) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class Stacks:
     """N stacks of K shifted sweeps, held by reference: the network
-    input of an observation (featurize), of a replay batch
-    (ddpg.ReplayBuffer.sample) or of a plain (N, K, B) array
-    (Stacks.of).
+    input of an observation (featurize) or of a replay batch
+    (ddpg.ReplayBuffer.sample).
 
     Row k of stack n is sweep sweeps[slots[n, k]] calibrated the way
     lidar.MotionFeature's rows are: beam i reads beam i + shifts[n, k]
-    of the sweep, and beams outside it read fill.  copy_to is the one
-    place that applies this rule.  Slicing takes a block of stacks;
-    copy_to gathers a block's rows into conv1's input buffer
-    (nn.Conv2d.im2col), so no array of the whole batch's features is
-    ever built.
+    of the sweep, and beams outside it read fill (RANGE_MAX
+    normalized).  copy_to is the one place that applies this rule.
+    Slicing takes a block of stacks; copy_to gathers a block's rows into
+    conv1's input buffer (nn.Conv2d.im2col), so no array of the whole
+    batch's features is ever built.
     """
 
     sweeps: np.ndarray  # (S, B)
     slots: np.ndarray  # (N, K) rows of sweeps
     shifts: np.ndarray  # (N, K)
-    fill: float
-
-    @staticmethod
-    def of(feat) -> "Stacks":
-        """The (N, K, B) array feat as stacks of unshifted rows."""
-        n, k, b = feat.shape
-        return Stacks(np.reshape(feat, (n * k, b)), np.arange(n * k).reshape(n, k), np.zeros((n, k), np.int64), 0.0)
+    fill = 1.0
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -133,7 +127,7 @@ class Stacks:
         return len(self.slots)
 
     def __getitem__(self, block: slice) -> "Stacks":
-        return Stacks(self.sweeps, self.slots[block], self.shifts[block], self.fill)
+        return Stacks(self.sweeps, self.slots[block], self.shifts[block])
 
     def copy_to(self, out) -> None:
         """Rows [n, k, :W] of every stack into out (n, K, W[, 1]), cast to
@@ -176,11 +170,9 @@ class Stacks:
 
 def featurize(obs: MotionFeature):
     """An observation as network inputs: a one-sample Stacks of its
-    normalized sweeps and its shifts, with the fill 1.0 (RANGE_MAX
-    normalized) that a replay batch's Stacks have, and the goal
-    (goal_input)."""
+    normalized sweeps and its shifts, and the goal (goal_input)."""
     rows = normalize(np.stack(obs.rows))
-    return Stacks(rows, np.arange(len(rows))[None], np.array(obs.shifts)[None], 1.0), goal_input(obs)
+    return Stacks(rows, np.arange(len(rows))[None], np.array(obs.shifts)[None]), goal_input(obs)
 
 
 def trunk_reach(spec: NetworkSpec) -> int:
@@ -280,13 +272,12 @@ class Trunk:
 
 def fronts(trunks, feat, backprop):
     """(flat output (N, flat_dim), cache) of each of trunks (one spec) on
-    feat: a Stacks, or an (N, K, B) array.  The whole stack runs over
-    sample blocks (nn.conv_stack), and the trunks share each block's
-    conv1 input, patches and tap GEMMs.  backprop has one flag per
-    trunk: only a front made with it can be backpropagated (its cache
-    is None otherwise)."""
-    stacks = feat if isinstance(feat, Stacks) else Stacks.of(feat)
-    outs = conv_stack([t.conv1 for t in trunks], trunks[0].pool, [t.rest for t in trunks], stacks, backprop)
+    feat: a Stacks (or an (N, K, B) array, which Conv2d.im2col also
+    reads).  The whole stack runs over sample blocks (nn.conv_stack),
+    and the trunks share each block's conv1 input, patches and tap
+    GEMMs.  backprop has one flag per trunk: only a front made with it
+    can be backpropagated (its cache is None otherwise)."""
+    outs = conv_stack([t.conv1 for t in trunks], trunks[0].pool, [t.rest for t in trunks], feat, backprop)
     return [(y.reshape(len(y), -1), None if cache is None else (y.shape, cache)) for y, cache in outs]
 
 
@@ -338,18 +329,14 @@ class Actor(TrunkHead):
         a, acache = self.tanh.forward(y)
         return ACTION_SCALE * a, (cache, acache, y)
 
-    def backward(self, da, cache, logit_grad=None):
-        """logit_grad, when given, is added to the pre-squash gradient;
-        the learner uses it to keep logits out of tanh saturation."""
-        cache, acache, _ = cache
+    def backward(self, da, cache, logit_penalty):
+        """Parameter gradients from da, the actions' gradient, plus the
+        pull of logit_penalty * sum(y**2) / N on the N samples'
+        pre-squash logits y, which keeps them out of tanh saturation."""
+        cache, acache, y = cache
         dy, _ = self.tanh.backward(da * ACTION_SCALE, acache)
-        if logit_grad is not None:
-            dy = dy + logit_grad
+        dy = dy + (2.0 * logit_penalty / len(da)) * y
         return self.backprop(dy, cache)[1]
-
-    @staticmethod
-    def logits(cache):
-        return cache[2]
 
 
 class Critic(TrunkHead):
@@ -414,21 +401,30 @@ def save_checkpoint(path, named_parts: dict, meta: dict) -> None:
 
 
 def load_checkpoint(path) -> tuple[dict, dict]:
-    """Returns ({part: {name: array}}, meta)."""
-    data = np.load(path)
-    meta = json.loads(bytes(data["__meta__"]).decode())
-    parts: dict = {}
-    for key in data.files:
-        if key == "__meta__":
-            continue
-        part, name = key.split("/", 1)
-        parts.setdefault(part, {})[name] = data[key]
+    """Returns ({part: {name: array}}, meta).  Raises ValueError for a
+    file that is not a checkpoint, OSError for one that cannot be read."""
+    try:
+        data = np.load(path)
+    except (ValueError, zipfile.BadZipFile) as exc:  # ValueError: not a numpy file
+        raise ValueError(f"not a checkpoint: {exc}") from exc
+    if not isinstance(data, np.lib.npyio.NpzFile) or "__meta__" not in data.files:
+        raise ValueError("not a checkpoint: it has no __meta__ entry")
+    with data:
+        meta = json.loads(bytes(data["__meta__"]).decode())
+        parts: dict = {}
+        for key in data.files:
+            if key == "__meta__":
+                continue
+            part, name = key.split("/", 1)
+            parts.setdefault(part, {})[name] = data[key]
     return parts, meta
 
 
-def actor_from_checkpoint(path, dtype=np.float32) -> tuple["Actor", dict]:
+def actor_from_checkpoint(path) -> tuple["Actor", dict]:
     parts, meta = load_checkpoint(path)
+    if "network_spec" not in meta or "actor" not in parts:
+        raise ValueError("not an actor checkpoint: it needs a network_spec and actor parameters")
     spec = NetworkSpec.from_dict(meta["network_spec"])
-    actor = Actor(spec, np.random.default_rng(0), dtype)
+    actor = Actor(spec, np.random.default_rng(0))
     load_params(actor, parts["actor"])
     return actor, meta

@@ -1246,9 +1246,9 @@ def whole_batch_conv_pool_backward(conv, pool, dy, cache):
 
 def whole_batch_conv_stack(convs, pool, rests, x, keep):
     """nn.conv_stack as each trunk's own whole-batch pass: the input
-    materialized (stacks_array), conv1 and the pool by
-    whole_batch_conv_pool, then each rest layer on the whole batch."""
-    dense = stacks_array(x)[:, :, : convs[0].in_hw[1], None]
+    materialized (stacks_array) when it is a Stacks, conv1 and the pool
+    by whole_batch_conv_pool, then each rest layer on the whole batch."""
+    dense = (stacks_array(x) if isinstance(x, Stacks) else x)[:, :, : convs[0].in_hw[1], None]
     outs = []
     for (y, front), rest in zip(whole_batch_conv_pool(convs, pool, dense), rests):
         caches = []
@@ -1299,8 +1299,7 @@ def reference_update(learner, batch):
         a, acache = learner.actor.forward(feat, batch["goal"])
         q_pi, ccache = learner.critic.forward(feat, batch["goal"], a)
         dq_da, _ = learner.critic.backward(np.full(n, -1.0 / n, dtype=q_pi.dtype), ccache, param_grads=False)
-        logit_grad = (2.0 * cfg.logit_penalty / n) * learner.actor.logits(acache)
-        agrads = learner.actor.backward(dq_da, acache, logit_grad=logit_grad)
+        agrads = learner.actor.backward(dq_da, acache, cfg.logit_penalty)
         learner.opt_actor.step(agrads)
 
     soft_update(learner.target_actor, learner.actor, cfg.tau)

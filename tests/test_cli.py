@@ -116,6 +116,15 @@ class TestEval:
         assert main([*common, "--jobs", "4", "--out", str(default)]) == 0
         assert read_tree(default) == read_tree(serial)
 
+    @pytest.mark.parametrize("runs", ["0", "-2"])
+    def test_runs_below_one_usage_error(self, tmp_path, env_yaml, capsys, runs):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--policy", "greedy", "--suite", "mapless", "--runs", runs,
+                  "--config", env_yaml, "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert f"--runs must be at least 1, got {runs}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_unknown_policy_usage_error(self, tmp_path, env_yaml):
         with pytest.raises(SystemExit):
             main(["eval", "--policy", "/nonexistent.npz", "--suite", "mapless",
@@ -145,6 +154,44 @@ class TestEval:
                   "--config", env_yaml, "--out", str(tmp_path / "x")])
         assert exc.value.code == 2
         assert "missing ['mlp.out.b']" in capsys.readouterr().err
+
+    def test_checkpoint_without_actor_usage_error(self, tmp_path, env_yaml, capsys):
+        from socnavsim.networks import Critic, default_network_spec, save_checkpoint
+
+        spec = default_network_spec(40, 64)
+        ck = tmp_path / "ck.npz"
+        critic = Critic(spec, np.random.default_rng(0))
+        save_checkpoint(ck, {"critic": critic.params()}, {"stage": "ego", "network_spec": spec.to_dict()})
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--policy", str(ck), "--suite", "mapless",
+                  "--config", env_yaml, "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert f"checkpoint {ck}: not an actor checkpoint" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["eval", "--suite", "mapless", "--runs", "1", "--policy"],
+    ["train", "--stage", "ego", "--budget", "0", "--warm-start"],
+], ids=["policy", "warm-start"])
+@pytest.mark.parametrize("damage", ["missing", "truncated", "no meta"])
+def test_unreadable_checkpoint_is_a_usage_error(tmp_path, env_yaml, capsys, command, damage):
+    """A checkpoint that is missing, cut short or without its metadata is
+    one usage error naming the file, without a traceback."""
+    from socnavsim.ddpg import DDPG, DDPGConfig
+    from socnavsim.networks import default_network_spec
+
+    ck = tmp_path / "ck.npz"
+    if damage == "truncated":
+        DDPG(default_network_spec(40, 64), DDPGConfig(), np.random.default_rng(0)).save(ck, {"stage": "ego"})
+        ck.write_bytes(ck.read_bytes()[:4096])
+    elif damage == "no meta":
+        np.savez(ck, **{"actor/mlp.out.b": np.zeros(2, np.float32)})
+    with pytest.raises(SystemExit) as exc:
+        main([*command, str(ck), "--config", env_yaml, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert str(ck) in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 class TestTrain:
@@ -203,6 +250,14 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("error: update_every must be at least 1")
         assert err.count("\n") == 1
+
+    def test_negative_budget_is_one_line(self, tmp_path, env_yaml, capsys):
+        rc = main(["train", "--stage", "ego", "--config", env_yaml, "--out", str(tmp_path / "x"),
+                   "--budget", "-5"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "error: total_env_steps must be non-negative, got -5\n"
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("stage, extra", [("ego", []), ("social", ["--allow-cold-social"])])
     def test_bare_train_uses_config_defaults(self, tmp_path, monkeypatch, stage, extra):
@@ -382,6 +437,27 @@ class TestReplayExport:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
+
+    def test_one_file_formats_refuse_mixed_logs(self, tmp_path, env_yaml, capsys):
+        """metrics-table and curve-series write one file named after one
+        suite and policy, so logs of two suites or policies are a usage
+        error; trajectory-table writes a file per log and takes them."""
+        logs = []
+        for policy, suite in (("greedy", "mapless"), ("straight", "crowd:random:4")):
+            out = tmp_path / suite.replace(":", "-")
+            assert main(["--single-thread", "eval", "--policy", policy, "--suite", suite, "--runs", "2",
+                         "--seed", "4", "--config", env_yaml, "--out", str(out)]) == 0
+            logs += sorted(str(out / n) for n in os.listdir(out) if n.startswith("log__"))
+        for fmt in ("metrics-table", "curve-series"):
+            with pytest.raises(SystemExit) as exc:
+                main(["replay-export", "--log", *logs, "--format", fmt, "--out", str(tmp_path / fmt)])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert "('crowd:random:4', 'straight'), ('mapless', 'greedy')" in err and "Traceback" not in err
+            assert not (tmp_path / fmt).exists()
+        assert main(["replay-export", "--log", *logs, "--format", "trajectory-table",
+                     "--out", str(tmp_path / "traj")]) == 0
+        assert len(os.listdir(tmp_path / "traj")) == 4
 
     def test_log_to_table(self, tmp_path, env_yaml):
         run_out = tmp_path / "run"

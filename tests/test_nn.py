@@ -139,7 +139,7 @@ def ring_stacks(rng, n, k, beams):
     ring = rng.uniform(0.01, 1.0, (3 * n * k, beams)).astype(np.float16)
     shifts = rng.integers(-beams // 2, beams // 2, (n, k), dtype=np.int16)
     shifts[:, ::7] = rng.choice([-beams - 3, -beams, beams, beams + 5], (n, len(range(0, k, 7))))
-    return Stacks(ring, rng.integers(0, len(ring), (n, k), dtype=np.int32), shifts, 1.0)
+    return Stacks(ring, rng.integers(0, len(ring), (n, k), dtype=np.int32), shifts)
 
 
 class TestBlockedConvPool:
@@ -161,7 +161,7 @@ class TestBlockedConvPool:
         if dtype == np.float16:
             x = ring_stacks(rng, n, 40, beams)
         else:
-            x = Stacks.of(rng.uniform(0.01, 1.0, (n, 40, beams)).astype(dtype))
+            x = rng.uniform(0.01, 1.0, (n, 40, beams)).astype(dtype)
         args = ([t.conv1 for t in trunks], trunks[0].pool, [t.rest for t in trunks], x, (True, True))
         got = conv_stack(*args)
         want = whole_batch_conv_stack(*args)
@@ -197,13 +197,12 @@ class TestStacks:
             x.copy_to(out)
             assert out[..., 0].tobytes() == want.astype(dtype).tobytes()
 
-    def test_blocks_of_a_plain_array(self, rng):
-        feat = rng.random((11, 4, 16))
-        stacks = Stacks.of(feat)
-        assert stacks.shape == feat.shape and len(stacks) == 11
+    def test_a_block_gathers_its_stacks(self, rng):
+        x = ring_stacks(rng, 11, 4, 16)
+        assert x.shape == (11, 4, 16) and len(x) == 11 and len(x[8:11]) == 3
         out = np.empty((3, 4, 12, 1), np.float32)
-        stacks[8:11].copy_to(out)
-        assert out[..., 0].tobytes() == feat[8:11, :, :12].astype(np.float32).tobytes()
+        x[8:11].copy_to(out)
+        assert out[..., 0].tobytes() == stacks_array(x)[8:11, :, :12].astype(np.float32).tobytes()
 
     @pytest.mark.parametrize("first, last", [(0, 1 << 16), (0x0400, 0x7C00)])
     def test_halves_widen_exactly(self, first, last):
@@ -212,7 +211,7 @@ class TestStacks:
         negatives included) and through the bit shift that blocks of
         positive normal halves take."""
         halves = np.arange(first, last).astype(np.uint16).view(np.float16).reshape(1, -1)
-        stacks = Stacks(halves, np.zeros((1, 1), np.int64), np.zeros((1, 1), np.int64), 0.0)
+        stacks = Stacks(halves, np.zeros((1, 1), np.int64), np.zeros((1, 1), np.int64))
         out = np.empty((1, 1, halves.size), np.float32)
         stacks.copy_to(out)
         assert out.tobytes() == halves.astype(np.float32).tobytes()

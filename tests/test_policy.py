@@ -115,7 +115,7 @@ class TestActorCritic:
             return float(np.sum(a * r))
 
         a, cache = actor.forward(feat, goal)
-        grads = actor.backward(r, cache)
+        grads = actor.backward(r, cache, 0.0)
         params = actor.params()
         for name in ("trunk.conv1.W", "trunk.conv1.b", "mlp.fc1.b", "mlp.out.W"):
             num = numeric_gradient(loss, params[name])
@@ -269,7 +269,7 @@ def stored_features(buf, i):
     """Transition i's observations rebuilt from the ring: (feat, next_feat)."""
     out = []
     for slots, shifts in ((buf.feat_slots, buf.feat_shifts), (buf.next_slots, buf.next_shifts)):
-        stacks = Stacks(buf.sweeps, slots[i : i + 1], shifts[i : i + 1], 1.0)
+        stacks = Stacks(buf.sweeps, slots[i : i + 1], shifts[i : i + 1])
         feat = np.empty((1, *stacks.shape[1:]), np.float32)
         stacks.copy_to(feat)
         out.append(feat[0])
@@ -677,6 +677,7 @@ class TestTrainConfigValidation:
         ({"eval_episodes": 0}, "eval_episodes"),
         ({"checkpoint_every": 0}, "checkpoint_every"),
         ({"warmup_steps": -1}, "warmup_steps"),
+        ({"total_env_steps": -5}, "total_env_steps must be non-negative, got -5"),
         ({"scenario_cycle": ()}, "scenario_cycle"),
         ({"scenario_cycle": (None, "stampede")}, "stampede"),
         ({"start_distance_fractions": (0.0, 0.5)}, "start_distance_fractions"),
@@ -833,6 +834,45 @@ class TestTrainLoop:
             assert start == (gx + (sx - gx) * frac, gy + (sy - gy) * frac)
             assert map_seed == int(env_rng.integers(2**31))
             assert crowd_seed == int(env_rng.integers(2**31))
+
+    def test_noisy_actions_pinned(self, monkeypatch):
+        """After the warm-up, each action reaching NavEnv.step is the next
+        uniform draw of the noise stream when its coin falls under
+        random_action_prob, else the clip of DDPG.act's action plus a
+        normal draw of sigma noise_sigma(step), step being the number of
+        environment steps before it."""
+        actions, acted = [], []
+        real_step, real_act = NavEnv.step, DDPG.act
+
+        def step(env, action):
+            actions.append(np.array(action, dtype=float))
+            return real_step(env, action)
+
+        def act(learner, feat, goal):
+            acted.append(real_act(learner, feat, goal))
+            return acted[-1]
+
+        monkeypatch.setattr(NavEnv, "step", step)
+        monkeypatch.setattr(DDPG, "act", act)
+        warmup, budget, seed = 20, 90, 17
+        tc = TrainConfig(total_env_steps=budget, warmup_steps=warmup, update_every=5, random_action_prob=0.3,
+                         noise_sigma_start=0.6, noise_sigma_end=0.1, eval_every=10**9, checkpoint_every=10**9,
+                         ddpg=DDPGConfig(batch_size=8, buffer_capacity=100))
+        train("ego", replace(self._env_cfg(), max_steps=25), tc, seed=seed)
+
+        noise_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(5)[1])
+        assert len(actions) == budget
+        noisy = iter(acted)
+        uniform = 0
+        for k, action in enumerate(actions):
+            if k < warmup or noise_rng.random() < tc.random_action_prob:
+                want = noise_rng.uniform(-1.5, 1.5, 2)
+                uniform += k >= warmup
+            else:
+                want = np.clip(next(noisy) + noise_rng.normal(0.0, tc.noise_sigma(k), 2), -1.5, 1.5)
+            assert action.tobytes() == want.tobytes(), k
+        assert next(noisy, None) is None and 0 < uniform < budget - warmup
+        assert len(acted) == budget - warmup - uniform
 
     def test_warm_start_applied(self, tmp_path):
         learner, _ = train("ego", self._env_cfg(), self._train_cfg(60), seed=3,
