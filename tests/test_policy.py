@@ -677,7 +677,6 @@ class TestTrainConfigValidation:
         ({"eval_episodes": 0}, "eval_episodes"),
         ({"checkpoint_every": 0}, "checkpoint_every"),
         ({"warmup_steps": -1}, "warmup_steps"),
-        ({"total_env_steps": -5}, "total_env_steps must be non-negative, got -5"),
         ({"scenario_cycle": ()}, "scenario_cycle"),
         ({"scenario_cycle": (None, "stampede")}, "stampede"),
         ({"start_distance_fractions": (0.0, 0.5)}, "start_distance_fractions"),
@@ -685,6 +684,7 @@ class TestTrainConfigValidation:
         ({"start_distance_fractions": (0.5, 1.2)}, "start_distance_fractions"),
         ({"random_action_prob": -0.1}, "random_action_prob"),
         ({"random_action_prob": 1.5}, "random_action_prob"),
+        ({"total_env_steps": -5}, "total_env_steps must be non-negative, got -5"),
     ])
     def test_bad_value_rejected(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
