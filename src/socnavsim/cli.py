@@ -114,7 +114,7 @@ def _build_policy(desc: str, env_cfg, parser):
 
 def cmd_train(args, parser) -> int:
     from .crowd import SCENARIO_KINDS
-    from .ddpg import DDPGConfig, TrainConfig, TrainingDiverged, train
+    from .ddpg import NETWORK_PARTS, DDPGConfig, TrainConfig, TrainingDiverged, train
     from .networks import load_checkpoint
 
     if args.stage == "social" and not args.warm_start and not args.allow_cold_social:
@@ -127,6 +127,10 @@ def cmd_train(args, parser) -> int:
             warm, _meta = load_checkpoint(args.warm_start)
         except (OSError, ValueError) as exc:
             parser.error(f"checkpoint {args.warm_start}: {exc}")
+        missing = [part for part in NETWORK_PARTS if part not in warm]
+        if missing:
+            parser.error(f"checkpoint {args.warm_start}: a warm start needs all four networks, "
+                         f"it lacks {', '.join(missing)}")
 
     if args.scenarios:
         cycle = tuple(k.strip() for k in args.scenarios.split(","))

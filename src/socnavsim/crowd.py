@@ -26,11 +26,13 @@ OBSTACLE_TIME_HORIZON = 1.0
 GOAL_REACHED_DIST = 0.3
 MEAN_STOP_SECONDS = 1.0
 STILL_SPEED = 0.05
+SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True, eq=False)
 class Crowd:
-    """Every pedestrian's state as parallel arrays, one row per pedestrian."""
+    """Every pedestrian's state as parallel arrays, one row per pedestrian,
+    and the scanner's view of them."""
 
     ids: np.ndarray  # (n,) int, unique
     position: np.ndarray  # (n, 2)
@@ -41,6 +43,7 @@ class Crowd:
     rect: np.ndarray  # (n,) bool: scanned as an oriented square
     stopped: np.ndarray  # (n,) int, >0 while in a stop-and-go pause
     motion_heading: np.ndarray  # (n,) last heading of actual motion
+    scene: Scene  # what the scanner sees, packed as a StaticMap's (see _scan_rows)
 
     @staticmethod
     def from_rows(rows) -> "Crowd":
@@ -48,7 +51,8 @@ class Crowd:
         stopped, motion_heading); rows() gives them back as Python scalars."""
         t = np.array(rows, dtype=float).reshape(-1, 12)
         ids, stopped = t[:, 0].astype(np.int64), t[:, 10].astype(np.int64)
-        return Crowd(ids, t[:, 1:3], t[:, 3:5], t[:, 5:7], t[:, 7], t[:, 8], t[:, 9] != 0.0, stopped, t[:, 11])
+        return Crowd(ids, t[:, 1:3], t[:, 3:5], t[:, 5:7], t[:, 7], t[:, 8], t[:, 9] != 0.0, stopped,
+                     t[:, 11], _scan_rows(t.tolist()))
 
     def rows(self):
         columns = (self.ids, *self.position.T, *self.velocity.T, *self.goal.T, self.pref_speed,
@@ -62,16 +66,31 @@ class Crowd:
         """Every pedestrian's center distance from the point (x, y)."""
         return elementwise(math.hypot, x - self.position[:, 0], y - self.position[:, 1])
 
-    def lidar_scene(self) -> Scene:
-        """The scanner's view, packed as a StaticMap's: a round pedestrian's circle
-        or a rect one's inscribed square, anchored along the raw motion heading and
-        turned by the wrapped one."""
-        r, rect = self.radius, self.rect
-        heading, side = self.motion_heading[rect], r[rect] / math.sqrt(2.0)
-        fwd = np.column_stack([elementwise(math.cos, heading), elementwise(math.sin, heading)])
-        anchor = self.position[rect] - fwd * side[:, None]
-        squares = np.column_stack([anchor, elementwise(wrap_angle, heading), side, 2.0 * side])
-        return Scene.pack(np.column_stack([self.position[~rect], r[~rect]]), squares, np.empty((0, 4)))
+
+def _scan_rows(rows: list) -> Scene:
+    """The scanner's view of Crowd rows of floats, packed as Scene.pack packs a
+    StaticMap's: a round pedestrian's circle, or a rect one's inscribed square
+    anchored along the raw motion heading and turned by the wrapped one, its
+    edges as rect_edges gives them.  Scalar code with the operations of
+    Scene.pack and rect_frames, so the rows are bitwise theirs."""
+    circles, edges = [], []
+    for _, x, y, _, _, _, _, _, r, rect, _, heading in rows:
+        if rect == 0.0:
+            circles.append((x, y, r**2))
+            continue
+        side = r / SQRT2
+        ax, ay = x - math.cos(heading) * side, y - math.sin(heading) * side
+        wrapped = wrap_angle(heading)
+        fx, fy = math.cos(wrapped), math.sin(wrapped)
+        length = 2.0 * side
+        front_x, front_y = ax + fx * length, ay + fy * length
+        wx, wy = -fy * side, fx * side
+        # corners counter-clockwise from the rear-right: rear - w, front - w, front + w, rear + w
+        xs = (ax - wx, front_x - wx, front_x + wx, ax + wx)
+        ys = (ay - wy, front_y - wy, front_y + wy, ay + wy)
+        edges += zip(xs, ys, xs[1:] + xs[:1], ys[1:] + ys[:1])  # each corner to the next
+    return Scene(np.array(circles, dtype=float).reshape(-1, 3), np.array(edges, dtype=float).reshape(-1, 4),
+                 len(rows))
 
 
 @dataclass(frozen=True)
@@ -109,8 +128,9 @@ def _normalized(x: float, y: float) -> tuple[float, float]:
     return x / n, y / n
 
 
-# The LP works on constraint lines (point_x, point_y, dir_x, dir_y) as
-# plain floats; det(a, b) = a.x * b.y - a.y * b.x is written out inline.
+# The LP works on lists of constraint lines [point_x, point_y, dir_x, dir_y]
+# of plain floats; det(a, b) = a.x * b.y - a.y * b.x is written out inline,
+# and min/max as comparisons that keep the same operand on ties.
 
 
 def _linear_program1(lines, line_no, radius, opt_x, opt_y, direction_opt):
@@ -124,8 +144,7 @@ def _linear_program1(lines, line_no, radius, opt_x, opt_y, direction_opt):
     t_left = -dot - sqrt_disc
     t_right = -dot + sqrt_disc
 
-    for i in range(line_no):
-        qx, qy, ex, ey = lines[i]
+    for qx, qy, ex, ey in lines[:line_no]:
         denominator = dx * ey - dy * ex
         numerator = ex * (py - qy) - ey * (px - qx)
         if abs(denominator) <= ORCA_EPSILON:
@@ -134,44 +153,44 @@ def _linear_program1(lines, line_no, radius, opt_x, opt_y, direction_opt):
             continue
         t = numerator / denominator
         if denominator >= 0.0:
-            t_right = min(t_right, t)
-        else:
-            t_left = max(t_left, t)
+            if t < t_right:
+                t_right = t
+        elif t > t_left:
+            t_left = t
         if t_left > t_right:
             return None
 
     if direction_opt:
-        if opt_x * dx + opt_y * dy > 0.0:
-            t = t_right
-        else:
-            t = t_left
+        t = t_right if opt_x * dx + opt_y * dy > 0.0 else t_left
     else:
         t = dx * (opt_x - px) + dy * (opt_y - py)
-        t = min(t_right, max(t_left, t))
+        t = t if t > t_left else t_left
+        t = t if t < t_right else t_right
     return px + dx * t, py + dy * t
 
 
 def _linear_program2(lines, radius, opt_x, opt_y, direction_opt):
     """Sequential 2D LP; returns (result, index of first failing line or len)."""
     if direction_opt:
-        result = (opt_x * radius, opt_y * radius)
+        rx, ry = opt_x * radius, opt_y * radius
     elif opt_x * opt_x + opt_y * opt_y > radius * radius:
         ux, uy = _normalized(opt_x, opt_y)
-        result = (ux * radius, uy * radius)
+        rx, ry = ux * radius, uy * radius
     else:
-        result = (opt_x, opt_y)
+        rx, ry = opt_x, opt_y
 
     for i, (px, py, dx, dy) in enumerate(lines):
-        if dx * (py - result[1]) - dy * (px - result[0]) > 0.0:
-            new_result = _linear_program1(lines, i, radius, opt_x, opt_y, direction_opt)
-            if new_result is None:
-                return result, i
-            result = new_result
-    return result, len(lines)
+        if dx * (py - ry) - dy * (px - rx) > 0.0:
+            result = _linear_program1(lines, i, radius, opt_x, opt_y, direction_opt)
+            if result is None:
+                return (rx, ry), i
+            rx, ry = result
+    return (rx, ry), len(lines)
 
 
-def _linear_program3(lines, num_fixed, begin_line, radius, result):
-    """Minimize the maximum constraint violation when the 2D LP failed.
+def _linear_program3(lines, num_fixed, begin_line, radius, rx, ry):
+    """Minimize the maximum constraint violation when the 2D LP failed at
+    (rx, ry).
 
     The first num_fixed lines (static obstacles) stay hard; the rest are
     relaxed uniformly, equivalent to the 3D program of the reference
@@ -180,25 +199,24 @@ def _linear_program3(lines, num_fixed, begin_line, radius, result):
     distance = 0.0
     for i in range(begin_line, len(lines)):
         px, py, dx, dy = lines[i]
-        if dx * (py - result[1]) - dy * (px - result[0]) > distance:
-            proj_lines = list(lines[:num_fixed])
-            for j in range(num_fixed, i):
-                qx, qy, ex, ey = lines[j]
+        if dx * (py - ry) - dy * (px - rx) > distance:
+            proj_lines = lines[:num_fixed]
+            for qx, qy, ex, ey in lines[num_fixed:i]:
                 determinant = dx * ey - dy * ex
                 if abs(determinant) <= ORCA_EPSILON:
                     if dx * ex + dy * ey > 0.0:
                         continue  # parallel, same direction
-                    point = ((px + qx) * 0.5, (py + qy) * 0.5)
+                    point_x, point_y = (px + qx) * 0.5, (py + qy) * 0.5
                 else:
                     t = (ex * (py - qy) - ey * (px - qx)) / determinant
-                    point = (px + dx * t, py + dy * t)
-                proj_lines.append(point + _normalized(ex - dx, ey - dy))
+                    point_x, point_y = px + dx * t, py + dy * t
+                proj_lines.append((point_x, point_y, *_normalized(ex - dx, ey - dy)))
 
             new_result, fail = _linear_program2(proj_lines, radius, -dy, dx, True)
             if fail >= len(proj_lines):
-                result = new_result
-            distance = dx * (py - result[1]) - dy * (px - result[0])
-    return result
+                rx, ry = new_result
+            distance = dx * (py - ry) - dy * (px - rx)
+    return rx, ry
 
 
 def preferred_velocity(x, y, goal_x, goal_y, pref_speed) -> tuple[float, float]:
@@ -233,23 +251,22 @@ def orca_lines(crowd: Crowd, discs: np.ndarray, dt: float) -> tuple[np.ndarray, 
         return np.empty((0, 0, 4)), 0
     inv_dt = 1.0 / dt
     k, n = len(discs), len(crowd)
-
-    # (x, y, vx, vy, radius) of each pedestrian, then of everything it avoids
-    me = np.column_stack([crowd.position, crowd.velocity, crowd.radius])
-    them = np.concatenate(
-        [np.column_stack([discs[:, :2], np.zeros((k, 2)), discs[:, 2]]), me]
-    )
-    keep = np.ones((n, k + n), dtype=bool)
-    keep[np.arange(n), k + np.arange(n)] = False  # a pedestrian does not avoid itself
     m = k + n - 1
+    keep = ~np.eye(n, k + n, k, dtype=bool)  # a pedestrian does not avoid itself
 
     def pairs(a):
         return a[keep].reshape(n, m)
 
-    x, y, vx, vy, r = me.T[:, :, None]
+    # (x, y, vx, vy, radius) of each pedestrian, then of everything it avoids
+    x, y = crowd.position.T[:, :, None]
+    vx, vy = crowd.velocity.T[:, :, None]
+    r = crowd.radius[:, None]
+    them = np.zeros((k + n, 5))
+    them[:k, :2], them[:k, 4] = discs[:, :2], discs[:, 2]
+    them[k:, :2], them[k:, 2:4], them[k:, 4] = crowd.position, crowd.velocity, crowd.radius
     ox, oy, ovx, ovy, orad = them.T[:, None, :]
-    inv_horizon = np.repeat((1.0 / OBSTACLE_TIME_HORIZON, 1.0 / AGENT_TIME_HORIZON), (k, n - 1))
-    responsibility = np.repeat((1.0, 0.5), (k, n - 1))
+    inv_horizon, responsibility = np.full((2, m), [[1.0 / AGENT_TIME_HORIZON], [0.5]])
+    inv_horizon[:k], responsibility[:k] = 1.0 / OBSTACLE_TIME_HORIZON, 1.0
 
     # Every branch runs on every lane and the masks pick each lane's own
     # branch, so the other lanes may divide by zero or take a negative
@@ -295,20 +312,20 @@ def orca_lines(crowd: Crowd, discs: np.ndarray, dt: float) -> tuple[np.ndarray, 
             dir_x[i, j], dir_y[i, j] = uy, -ux
             u_x[i, j], u_y[i, j] = ux * c_scale, uy * c_scale
 
-        lines = np.stack(
-            [vx + u_x * responsibility, vy + u_y * responsibility, dir_x, dir_y], axis=-1
-        )
+        lines = np.empty((n, m, 4))
+        lines[..., 0], lines[..., 1] = vx + u_x * responsibility, vy + u_y * responsibility
+        lines[..., 2], lines[..., 3] = dir_x, dir_y
     return lines, k
 
 
-def orca_velocity(pref_x, pref_y, pref_speed, lines: np.ndarray, num_fixed: int) -> tuple[float, float]:
+def orca_velocity(pref_x, pref_y, pref_speed, lines: list, num_fixed: int) -> tuple[float, float]:
     """New velocity closest to the preferred one under one pedestrian's
-    row of orca_lines.  The robot is never among the neighbors."""
-    rows = lines.tolist()
-    result, fail = _linear_program2(rows, pref_speed, pref_x, pref_y, False)
-    if fail < len(rows):
-        result = _linear_program3(rows, num_fixed, fail, pref_speed, result)
-    return result
+    row of orca_lines, given as a list of [point_x, point_y, dir_x, dir_y]
+    lists.  The robot is never among the neighbors."""
+    (x, y), fail = _linear_program2(lines, pref_speed, pref_x, pref_y, False)
+    if fail < len(lines):
+        return _linear_program3(lines, num_fixed, fail, pref_speed, x, y)
+    return x, y
 
 
 def _sample_ped(ped_id, position, goal, speed_range, config: CrowdConfig, rng) -> tuple:
@@ -430,7 +447,8 @@ def step_crowd(
     if len(crowd):  # an empty crowd has no constraints to build
         lines, num_fixed = orca_lines(crowd, discs, dt)
         # the finiteness checks of per-pair scalar code, done once per step
-        finite = np.isfinite(lines).all(axis=(1, 2))
+        finite = np.isfinite(lines).all(axis=(1, 2)).tolist()
+        line_rows = lines.tolist()
 
         for i, row in enumerate(crowd.rows()):
             ped_id, x, y, vx, vy, goal_x, goal_y, speed, radius, rect, stopped, heading = row
@@ -447,7 +465,7 @@ def step_crowd(
             if not finite[i]:
                 raise ValueError(f"non-finite ORCA constraint for pedestrian {ped_id}")
             pref_x, pref_y = preferred_velocity(x, y, goal_x, goal_y, speed)
-            vx, vy = orca_velocity(pref_x, pref_y, speed, lines[i], num_fixed)
+            vx, vy = orca_velocity(pref_x, pref_y, speed, line_rows[i], num_fixed)
             x, y = x + vx * dt, y + vy * dt
             if math.hypot(x - goal_x, y - goal_y) < GOAL_REACHED_DIST:
                 goal_x, goal_y = _random_point(config, rng)

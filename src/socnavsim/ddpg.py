@@ -41,6 +41,9 @@ from .nn import Adam
 from .policies import LearnedPolicy
 from .world import EnvConfig, Status
 
+# a checkpoint's networks, by part name: each is the DDPG attribute of that name
+NETWORK_PARTS = ("actor", "critic", "target_actor", "target_critic")
+
 STAGE_REWARD_WEIGHTS = {
     "ego": (1.0, 0.0, 1.0),
     "social": (1.0, 1.0, 1.0),
@@ -306,12 +309,7 @@ class DDPG:
     # -- persistence
 
     def named_parts(self) -> dict:
-        return {
-            "actor": self.actor.params(),
-            "critic": self.critic.params(),
-            "target_actor": self.target_actor.params(),
-            "target_critic": self.target_critic.params(),
-        }
+        return {name: getattr(self, name).params() for name in NETWORK_PARTS}
 
     def save(self, path, meta: dict) -> None:
         meta = dict(meta)
@@ -320,14 +318,9 @@ class DDPG:
         save_checkpoint(path, self.named_parts(), meta)
 
     def load_parts(self, parts: dict) -> None:
-        for name, net in (
-            ("actor", self.actor),
-            ("critic", self.critic),
-            ("target_actor", self.target_actor),
-            ("target_critic", self.target_critic),
-        ):
+        for name in NETWORK_PARTS:
             if name in parts:
-                load_params(net, parts[name])
+                load_params(getattr(self, name), parts[name])
 
 
 # ---------------------------------------------------------------------------

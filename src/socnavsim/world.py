@@ -455,7 +455,7 @@ class NavEnv:
 
     def _set_crowd(self, crowd: Crowd) -> None:
         self.crowd = crowd
-        self._scene = self._static_scene + crowd.lidar_scene() if len(crowd) else self._static_scene
+        self._scene = self._static_scene + crowd.scene if len(crowd) else self._static_scene
 
     def _cast(self) -> None:
         """Cast the sweep that every scan reads until the robot or the crowd moves."""

@@ -17,7 +17,9 @@ from hypothesis import settings
 
 from socnavsim import crowd, evaluation, rewards, world
 from socnavsim.crowd import Crowd
-from socnavsim.geometry import CONTACT_SLACK, StaticMap, cast_fan, closest_distance, rects_overlap, wrap_angle
+from socnavsim.geometry import (
+    CONTACT_SLACK, Scene, StaticMap, cast_fan, closest_distance, elementwise, rects_overlap, wrap_angle,
+)
 from socnavsim.lidar import HISTORY_LEN, RANGE_MAX, MotionFeature, cast_sweep, simulate_scan
 from socnavsim.networks import Stacks, featurize
 from socnavsim.nn import MaxPoolW
@@ -518,6 +520,18 @@ def unpack(c: Crowd) -> list:
     ]
 
 
+def lidar_scene(c: Crowd) -> Scene:
+    """Crowd.scene as numpy column code: a round pedestrian's circle or a rect
+    one's inscribed square, anchored along the raw motion heading and turned by
+    the wrapped one, packed by Scene.pack."""
+    r, rect = c.radius, c.rect
+    heading, side = c.motion_heading[rect], r[rect] / math.sqrt(2.0)
+    fwd = np.column_stack([elementwise(math.cos, heading), elementwise(math.sin, heading)])
+    anchor = c.position[rect] - fwd * side[:, None]
+    squares = np.column_stack([anchor, elementwise(wrap_angle, heading), side, 2.0 * side])
+    return Scene.pack(np.column_stack([c.position[~rect], r[~rect]]), squares, np.empty((0, 4)))
+
+
 def clearance(robot: Circle, peds, obstacles) -> float:
     """Surface distance from the robot to the nearest Pedestrian body or
     obstacle, inf for none: what NavEnv's collision check keeps."""
@@ -587,6 +601,7 @@ def _linear_program1(lines, line_no, radius, opt_velocity, direction_opt, hits=N
         if abs(denominator) <= crowd.ORCA_EPSILON:
             _hit(hits, "lp1_parallel")
             if numerator < 0.0:
+                _hit(hits, "lp1_parallel_infeasible")
                 return None
             continue
         t = numerator / denominator
@@ -595,6 +610,7 @@ def _linear_program1(lines, line_no, radius, opt_velocity, direction_opt, hits=N
         else:
             t_left = max(t_left, t)
         if t_left > t_right:
+            _hit(hits, "lp1_empty")
             return None
 
     if direction_opt:
@@ -744,10 +760,20 @@ def reference_orca_velocity(ped, neighbors, obstacles, dt, hits=None):
     must match it bit for bit."""
     lines = reference_orca_lines(ped, neighbors, obstacles, dt, hits)
     num_fixed = len(reference_obstacle_discs(obstacles))
-    pref = reference_preferred_velocity(ped)
-    result, fail = _linear_program2(lines, ped.pref_speed, pref, False, hits)
+    return reference_lp(lines, num_fixed, reference_preferred_velocity(ped), ped.pref_speed, hits)
+
+
+def lines_of(rows) -> list:
+    """Rows (point_x, point_y, dir_x, dir_y) as the oracle's _Lines."""
+    return [_Line(Vec2(px, py), Vec2(dx, dy)) for px, py, dx, dy in rows]
+
+
+def reference_lp(lines, num_fixed, pref, speed, hits=None) -> Vec2:
+    """The Vec2 LP of one pedestrian: from its preferred velocity pref under
+    _Lines whose first num_fixed are obstacles'; LP3 runs when LP2 fails."""
+    result, fail = _linear_program2(lines, speed, pref, False, hits)
     if fail < len(lines):
-        result = _linear_program3(lines, num_fixed, fail, ped.pref_speed, result, hits)
+        result = _linear_program3(lines, num_fixed, fail, speed, result, hits)
     return result
 
 
@@ -764,7 +790,7 @@ def orca_solve(ped, lines, num_fixed) -> Vec2:
     """crowd.orca_velocity for one Pedestrian and its row of orca_lines."""
     pref = crowd.preferred_velocity(ped.position.x, ped.position.y, ped.goal.x, ped.goal.y,
                                     ped.pref_speed)
-    return Vec2(*crowd.orca_velocity(*pref, ped.pref_speed, lines, num_fixed))
+    return Vec2(*crowd.orca_velocity(*pref, ped.pref_speed, lines.tolist(), num_fixed))
 
 
 # ---------------------------------------------------------------------------

@@ -272,17 +272,36 @@ class TestTrain:
         assert tc == TrainConfig(scenario_cycle=cycle)
 
     def test_warm_start_shape_mismatch_names_parameter(self, tmp_path, capsys):
-        from socnavsim.networks import Actor, default_network_spec, save_checkpoint
+        from socnavsim.ddpg import DDPG, DDPGConfig
+        from socnavsim.networks import default_network_spec
 
         ck = tmp_path / "ck1080.npz"
-        actor = Actor(default_network_spec(40, 1080), np.random.default_rng(0))
-        save_checkpoint(ck, {"actor": actor.params()}, {"stage": "ego"})
+        DDPG(default_network_spec(40, 1080), DDPGConfig(), np.random.default_rng(0)).save(ck, {"stage": "ego"})
         cfg = tmp_path / "env180.yaml"
         save_config(EnvConfig(beam_count=180, crowd=CrowdConfig(count=0)), cfg)
         rc = main(["train", "--stage", "social", "--warm-start", str(ck), "--config", str(cfg),
                    "--out", str(tmp_path / "x"), "--budget", "0"])
         assert rc == 1
         assert "trunk.conv2.W" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kept", [(), ("actor",), ("actor", "critic", "target_actor")])
+    def test_warm_start_lacking_a_network_is_usage_error(self, tmp_path, env_yaml, capsys, kept):
+        """A checkpoint that lacks any of the four networks would warm-start
+        only part of the learner, or none of it, without a word."""
+        from socnavsim.ddpg import DDPG, DDPGConfig
+        from socnavsim.networks import default_network_spec, save_checkpoint
+
+        learner = DDPG(default_network_spec(40, 64), DDPGConfig(), np.random.default_rng(0))
+        ck = tmp_path / "partial.npz"
+        save_checkpoint(ck, {k: v for k, v in learner.named_parts().items() if k in kept}, {"stage": "ego"})
+        with pytest.raises(SystemExit) as exc:
+            main(["--single-thread", "train", "--stage", "social", "--config", env_yaml,
+                  "--warm-start", str(ck), "--out", str(tmp_path / "x"), "--budget", "0"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        missing = [k for k in ("actor", "critic", "target_actor", "target_critic") if k not in kept]
+        assert str(ck) in err and f"lacks {', '.join(missing)}" in err
+        assert not (tmp_path / "x").exists()
 
     def test_short_training_deterministic_curves(self, tmp_path, env_yaml):
         curves = []

@@ -1,5 +1,6 @@
 import collections
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,10 +23,13 @@ from conftest import (
     Segment,
     Vec2,
     edge_case_peds,
+    lidar_scene,
+    lines_of,
     orca_solve,
     pack,
     reference_cast_fan,
     reference_closest_distance,
+    reference_lp,
     reference_orca_lines,
     reference_orca_velocity,
     reference_step_crowd,
@@ -205,6 +209,61 @@ class TestOrcaVelocity:
             orca_lines(pack([p]), NO_DISCS, dt=0.0)
 
 
+def lp_both(pref, speed, rows, num_fixed=0):
+    """orca_velocity on constraint rows against the Vec2 LP on the same
+    lines, bit for bit; returns the result and the oracle's branch hits."""
+    hits = collections.Counter()
+    want = reference_lp(lines_of(rows), num_fixed, Vec2(*pref), speed, hits)
+    got = orca_velocity(*pref, speed, [list(r) for r in rows], num_fixed)
+    assert [v.hex() for v in got] == [want.x.hex(), want.y.hex()]
+    return got, hits
+
+
+class TestLinearProgramBranches:
+    """Hand-made constraint rows (point, direction; the permitted side is
+    left of the direction) that reach one branch of the LP each."""
+
+    # y > -2, x > -3 and y < 2, none violated by (1, 0)
+    LOOSE = [(0.0, -2.0, 1.0, 0.0), (-3.0, 0.0, 0.0, -1.0), (2.0, 2.0, -1.0, 0.0)]
+    ABOVE = (0.0, 0.5, 1.0, 0.0)  # y > 0.5
+    BELOW = (0.0, 0.2, -1.0, 0.0)  # y < 0.2
+
+    def test_no_violated_line_keeps_the_clamped_preference(self):
+        got, hits = lp_both((1.5, 0.0), 1.0, self.LOOSE)
+        assert got == (1.0, 0.0) and not hits
+
+    def test_first_violation_at_the_last_line(self):
+        got, hits = lp_both((1.5, 0.0), 1.0, [*self.LOOSE, (0.5, 0.0, 0.0, 1.0)])  # x < 0.5
+        assert got == (0.5, 0.0) and not hits["lp3"]
+
+    def test_line_missing_the_speed_circle(self):
+        got, hits = lp_both((1.0, 0.0), 1.0, [(2.0, 0.0, 0.0, -1.0)])  # x > 2
+        assert hits["lp1_misses_circle"] and hits["lp3"] == 1
+        assert got == (1.0, 0.0)
+
+    def test_interval_emptied_by_an_earlier_line(self):
+        s = math.sqrt(0.5)
+        _, hits = lp_both((1.0, 0.0), 1.0, [self.ABOVE, (-0.5, -0.5, -s, s)])  # and x + y < -1
+        assert hits["lp1_empty"] and not hits["lp1_misses_circle"] and hits["lp3"] == 1
+
+    def test_near_parallel_line_on_the_wrong_side(self):
+        turn = 3e-6  # |det| of the two directions, under ORCA_EPSILON
+        below = (0.0, 0.2, -math.cos(turn), math.sin(turn))
+        _, hits = lp_both((1.0, 0.0), 1.0, [self.ABOVE, below])
+        assert hits["lp1_parallel_infeasible"] and hits["lp3_parallel_opposite"]
+
+    def test_relaxed_program_keeps_obstacle_lines_hard(self):
+        """Two pedestrian lines in conflict beside an obstacle line x > 0.5:
+        the relaxed program splits the conflict and meets the obstacle's
+        line, which it leaves when the line is not there."""
+        obstacle = (0.5, 0.0, 0.0, -1.0)
+        got, hits = lp_both((1.0, 0.0), 1.0, [obstacle, self.ABOVE, self.BELOW], num_fixed=1)
+        assert hits["lp3"] == 1 and hits["lp1_parallel_infeasible"]
+        assert got == (0.5, 0.35)
+        free, _ = lp_both((1.0, 0.0), 1.0, [self.ABOVE, self.BELOW])
+        assert free[0] < 0.5 and free[1] == 0.35
+
+
 class TestStepCrowd:
     def test_empty_stays_empty(self, rng):
         cfg = CrowdConfig(count=0, walk_in_probability=0.0)
@@ -355,7 +414,7 @@ class TestCrowdRowsMatchPedestrians:
 
     def test_lidar_rows_equal_shape_rows(self, rng):
         peds = edge_case_peds(rng, n=2000)
-        scene = pack(peds).lidar_scene()
+        scene = pack(peds).scene
         shapes = to_map([p.lidar_shape() for p in peds]).scene()
         assert np.array_equal(scene.circles, shapes.circles)
         assert np.array_equal(scene.segments, shapes.segments)
@@ -368,9 +427,28 @@ class TestCrowdRowsMatchPedestrians:
                   OrientedRect(Vec2(-2.0, 2.0), 0.3, 0.2, 0.8)]
         angles = np.linspace(-math.pi, math.pi, 360, endpoint=False)
         origin = Vec2(0.1, -0.2)
-        got = cast_fan((origin.x, origin.y), angles, to_map(static).scene() + pack(peds).lidar_scene())
+        got = cast_fan((origin.x, origin.y), angles, to_map(static).scene() + pack(peds).scene)
         want = reference_cast_fan(origin, angles, static + [p.lidar_shape() for p in peds])
         assert np.array_equal(got, want)
+
+    def test_scan_rows_equal_column_oracle(self, rng):
+        """Crowd.scene, built from scalar rows, against the numpy column code
+        it replaced, byte for byte: round and square pedestrians whose motion
+        headings lie on, next to and well past +-pi, at signed zeros and at
+        random."""
+        edges = [math.pi, -math.pi, 0.0, -0.0]
+        edges += [float(np.nextafter(h, s)) for h in (math.pi, -math.pi) for s in (0.0, 4.0, -4.0)]
+        edges += [3.0 * math.pi, -3.0 * math.pi, 2.0 * math.pi, -2.0 * math.pi]
+        peds = [replace(p, motion_heading=edges[i] if i < len(edges) else float(rng.uniform(-10.0, 10.0)))
+                for i, p in enumerate(edge_case_peds(rng, n=400))]
+        c = pack(peds)
+        got, want = c.scene, lidar_scene(c)
+        assert got.circles.tobytes() == want.circles.tobytes()
+        assert got.segments.tobytes() == want.segments.tobytes()
+        assert len(got) == len(want) == len(peds)
+        assert 0 < len(got.circles) < len(peds)
+        empty = pack([]).scene
+        assert empty.circles.shape == (0, 3) and empty.segments.shape == (0, 4) and len(empty) == 0
 
     def test_body_gaps_equal_closest_distance(self, rng):
         peds = edge_case_peds(rng, n=500)
@@ -388,8 +466,6 @@ class TestStepMatchesReference:
         stop-and-go and walk-ins (max_count raised so that walk-ins can
         happen), against the Pedestrian-list step; the generators end in
         the same state."""
-        from dataclasses import replace
-
         from socnavsim.evaluation import suite_config
         from socnavsim.world import EnvConfig
 
