@@ -124,8 +124,9 @@ def greedy_plan(
 class GreedyPolicy:
     """Greedy planner adapted to the shared policy interface.
 
-    Reads the raw current sweep (MotionFeature.current_scan_ranges) plus
-    the goal vector, never the shifted stack the networks gather.
+    Reads the raw current scan (MotionFeature.current_scan_ranges) plus
+    the goal vector, never the shifted stack the networks gather, so the
+    env casts only the sweep of each step's newest scan.
     The v_l = 0 stop case encodes as the zero action, which the twist
     mapping cannot combine with a turn command.
     """

@@ -33,7 +33,6 @@ from .networks import (
     fronts,
     goal_input,
     load_params,
-    normalize,
     save_checkpoint,
     soft_update,
 )
@@ -73,12 +72,13 @@ class ReplayBuffer:
     scan once.
 
     Consecutive observations share all but scans_per_step of their K
-    sweeps (lidar.MotionFeature), so the buffer keeps a ring of
-    normalized sweeps, float16(float32(r / RANGE_MAX)), and writes a
-    sweep only when the last stored observation does not already hold
-    that array (the frame-stack deduplication of DQN replays, Mnih et
-    al., Nature 2015).  Sweeps are read-only, so one array always holds
-    the same ranges: the buffer knows a stored sweep by the array itself.
+    scans (lidar.MotionFeature), so the buffer keeps a ring of
+    normalized sweeps, float16 of each scan's normalized row
+    (float32(r / RANGE_MAX)), and writes a sweep only when the last
+    stored observation does not already hold that scan (the frame-stack
+    deduplication of DQN replays, Mnih et al., Nature 2015).  A scan
+    always reads the one read-only array, so the buffer knows a stored
+    sweep by the scan itself.
     Per transition it keeps the ring slots and shifts of the K rows of
     the observation and of the next one, the goal, action, reward parts
     (separate, so either stage can recombine them), next goal and done
@@ -118,8 +118,8 @@ class ReplayBuffer:
         self.pos = 0
         self.size = 0
         self.head = 0  # the ring slot the next sweep goes to
-        # id(sweep) -> (sweep, ring slot) of the last stored observation's
-        # rows; the entry holds the sweep, so no other live array has its id
+        # id(scan) -> (scan, ring slot) of the last stored observation's
+        # scans; the entry holds the scan, so no other live object has its id
         self._known = {}
 
     @classmethod
@@ -153,11 +153,11 @@ class ReplayBuffer:
 
     def add(self, obs, action, reward_parts, next_obs, done: bool):
         """Store a transition between two MotionFeatures, writing into
-        the ring only the sweeps that no stored observation holds."""
+        the ring only the sweeps of scans that no stored observation holds."""
         i = self.pos
         self._store(obs, self.feat_slots[i], self.feat_shifts[i])
         self._store(next_obs, self.next_slots[i], self.next_shifts[i])
-        self._known = {id(sweep): self._known[id(sweep)] for sweep in next_obs.rows}
+        self._known = {id(scan): self._known[id(scan)] for scan in next_obs.scans}
         self.goal[i] = goal_input(obs)
         self.action[i] = action
         self.reward_parts[i] = reward_parts
@@ -167,18 +167,18 @@ class ReplayBuffer:
         self.size = min(self.size + 1, self.capacity)
 
     def _store(self, obs, slots, shifts) -> None:
-        """The ring slots of obs's rows into slots, writing the sweeps that
-        are not in the ring yet, and its shifts into shifts."""
-        for k, sweep in enumerate(obs.rows):
-            hit = self._known.get(id(sweep))
+        """The ring slots of obs's scans into slots, writing the sweeps
+        that are not in the ring yet, and its shifts into shifts."""
+        for k, scan in enumerate(obs.scans):
+            hit = self._known.get(id(scan))
             if hit is None:
-                hit = self._known[id(sweep)] = (sweep, self._write(sweep))
+                hit = self._known[id(scan)] = (scan, self._write(scan))
             slots[k] = hit[1]
         shifts[:] = obs.shifts
 
-    def _write(self, sweep) -> int:
+    def _write(self, scan) -> int:
         slot = self.head
-        self.sweeps[slot] = normalize(sweep)
+        self.sweeps[slot] = scan.normalized
         self.head = (slot + 1) % len(self.sweeps)
         return slot
 

@@ -4,9 +4,12 @@ The scanner sweeps a 270 degree fan at a fixed rate; the motion feature
 stacks the last K scans after rotating each historical sweep into the
 current heading frame by an index shift, so that the stack varies over
 time only where the surroundings moved (robot translation is
-deliberately left in).  A feature holds its sweeps by reference, with
-their shifts; the networks gather the shifted stack from them
-(networks.featurize and networks.Stacks).
+deliberately left in).  A scan's range noise is drawn at its tick
+(draw_noise), but its sweep is cast, and the scan read, only the first
+time something reads its ranges (Scan), which are then kept.  A
+feature holds its scans by reference, with their shifts; the networks
+gather the shifted stack from them (networks.featurize and
+networks.Stacks).
 """
 
 from __future__ import annotations
@@ -52,37 +55,88 @@ class LidarConfig:
         return self._beam_offsets
 
 
-@dataclass(frozen=True)
-class MotionFeature:
-    """The last K sweeps, held by reference, and the goal.
+def normalize(ranges) -> np.ndarray:
+    """Ranges over RANGE_MAX, as the float32 network input: each
+    quotient taken in float64, then rounded to float32, written straight
+    into the result without a float64 temporary."""
+    return np.divide(ranges, RANGE_MAX, out=np.empty(np.shape(ranges), np.float32), casting="same_kind")
 
-    Row k is sweep rows[k] calibrated to the current heading: beam i
-    reads rows[k][i + shifts[k]], and beams shifted in from outside that
-    sweep's fan read RANGE_MAX (networks.Stacks.copy_to gathers the rows
-    by this rule).  The sweeps are those of the scan history, never
-    copied: a feature costs K references and K shifts.
+
+class Scan:
+    """Ranges made the first time they are read: read(*args), once.
+
+    The ranges are then kept, read-only, and read and args dropped, so
+    every read returns the one array; an unread scan costs nothing but
+    its arguments.  NavEnv makes two kinds: a control tick's noiseless
+    sweep, Scan(cast_sweep, scene, position, heading, config), and a
+    scan tick's reading of that sweep with the noise drawn at the tick
+    (draw_noise, simulate_scan).  normalized is the float32 network
+    input of the ranges (normalize), made and kept the same way.
     """
 
-    rows: tuple  # K sweeps (B,), oldest -> newest
+    __slots__ = ("_source", "_ranges", "_normalized")
+
+    def __init__(self, read, *args):
+        self._source = (read, args)
+        self._ranges = self._normalized = None
+
+    @property
+    def ranges(self) -> np.ndarray:
+        ranges = self._ranges
+        if ranges is None:
+            read, args = self._source
+            ranges = self._ranges = read(*args)
+            ranges.flags.writeable = False
+            self._source = None
+        return ranges
+
+    @property
+    def normalized(self) -> np.ndarray:
+        row = self._normalized
+        if row is None:
+            row = self._normalized = normalize(self.ranges)
+            row.flags.writeable = False
+        return row
+
+
+@dataclass(frozen=True)
+class MotionFeature:
+    """The last K scans, held by reference, and the goal.
+
+    Row k is the ranges of scans[k] calibrated to the current heading:
+    beam i reads rows[k][i + shifts[k]], and beams shifted in from
+    outside that sweep's fan read RANGE_MAX (networks.Stacks.copy_to
+    gathers the rows by this rule).  The scans are those of the scan
+    history, never copied: a feature costs K references and K shifts,
+    and reads a scan only when rows, current_scan_ranges or
+    beam_count first asks for its ranges.
+    """
+
+    scans: tuple  # K Scans, oldest -> newest
     shifts: tuple  # K ints
     goal_vector: tuple[float, float]  # (distance m, bearing rad in [-pi, pi])
     initial_goal_distance: float  # the goal distance at the episode's reset
 
     def __post_init__(self):
-        if len(self.rows) != len(self.shifts):
-            raise ValueError("a feature needs one shift per row")
+        if len(self.scans) != len(self.shifts):
+            raise ValueError("a feature needs one shift per scan")
+
+    @property
+    def rows(self) -> tuple:
+        """The K scans' ranges (B,), oldest -> newest."""
+        return tuple(scan.ranges for scan in self.scans)
 
     @property
     def beam_count(self) -> int:
-        return self.rows[-1].size
+        return self.scans[-1].ranges.size
 
     @property
     def current_scan_ranges(self) -> np.ndarray:
-        """The newest sweep, which must have shift 0: a history that ends
-        at the current heading, as NavEnv's always does."""
+        """The newest scan's ranges, which must have shift 0: a history
+        that ends at the current heading, as NavEnv's always does."""
         if self.shifts[-1] != 0:
             raise ValueError(f"the newest sweep has shift {self.shifts[-1]}, not 0")
-        return self.rows[-1]
+        return self.scans[-1].ranges
 
 
 def cast_sweep(scene: Scene, position: tuple[float, float], heading: float,
@@ -99,45 +153,51 @@ def cast_sweep(scene: Scene, position: tuple[float, float], heading: float,
     return ranges
 
 
-def simulate_scan(sweep: np.ndarray, config: LidarConfig, noise_rng: np.random.Generator) -> np.ndarray:
-    """One reading of a sweep: range noise drawn from noise_rng, then the
-    clamp to the sensor bounds, into a fresh array."""
-    ranges = sweep
+def draw_noise(config: LidarConfig, noise_rng: np.random.Generator) -> np.ndarray | None:
+    """One scan tick's range noise, drawn from noise_rng now, or None
+    when config has no noise; simulate_scan adds it when the scan is read."""
     if config.noise_sigma > 0.0:
-        ranges = sweep + noise_rng.normal(0.0, config.noise_sigma, sweep.shape)
+        return noise_rng.normal(0.0, config.noise_sigma, config.beam_count)
+    return None
+
+
+def simulate_scan(sweep: np.ndarray, noise: np.ndarray | None) -> np.ndarray:
+    """One reading of a sweep: its tick's range noise (draw_noise) added,
+    then the clamp to the sensor bounds, into a fresh array."""
+    ranges = sweep if noise is None else sweep + noise
     return np.clip(ranges, RANGE_MIN, RANGE_MAX)
 
 
 def build_motion_feature(
-    history: Sequence[tuple[float, np.ndarray]],
+    history: Sequence[tuple[float, Scan]],
     current_heading: float,
     goal_distance: float,
     goal_bearing: float,
     initial_goal_distance: float,
     config: LidarConfig,
 ) -> MotionFeature:
-    """The last K sweeps, each calibrated to the current heading.
+    """The last K scans, each calibrated to the current heading.
 
-    history holds (heading at capture, ranges) pairs.  Row k, beam i
-    takes the value sweep k held at beam i + shift, where shift =
+    history holds (heading at capture, Scan) pairs.  Row k, beam i
+    takes the value scan k held at beam i + shift, where shift =
     round(wrap(current_heading - heading at capture) / angle_increment);
     beams shifted in from outside that sweep's fan read RANGE_MAX.  The
-    history must hold exactly K sweeps ordered oldest to newest; at
+    history must hold exactly K scans ordered oldest to newest; at
     episode start the caller pre-fills it by repeating the first one.
     Only the shifts are computed here: the feature keeps the history's
-    sweeps by reference (MotionFeature).
+    scans by reference, unread (MotionFeature).
     """
     if len(history) != HISTORY_LEN:
         raise ValueError(f"need exactly {HISTORY_LEN} scans, got {len(history)}")
     inc = config.angle_increment
-    headings, rows = zip(*history)
+    headings, scans = zip(*history)
     shift_of = {}  # scans between two control ticks share a heading
     for heading in headings:
         if heading not in shift_of:
             shift_of[heading] = int(round(wrap_angle(current_heading - heading) / inc))
     shifts = tuple(map(shift_of.__getitem__, headings))
     return MotionFeature(
-        rows=rows,
+        scans=scans,
         shifts=shifts,
         goal_vector=(goal_distance, wrap_angle(goal_bearing)),
         initial_goal_distance=initial_goal_distance,

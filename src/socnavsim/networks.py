@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lidar import RANGE_MAX, MotionFeature
+from .lidar import MotionFeature
 from .nn import Conv2d, Dense, MaxPoolW, ReLU, Tanh, conv_stack, conv_stack_backward, scratch_array
 
 ACTION_DIM = 2
@@ -82,13 +82,6 @@ class NetworkSpec:
 
 def default_network_spec(time_rows: int, beams: int) -> NetworkSpec:
     return NetworkSpec(feature_shape=(time_rows, beams))
-
-
-def normalize(ranges) -> np.ndarray:
-    """Ranges over RANGE_MAX, as the float32 network input: each
-    quotient taken in float64, then rounded to float32, written straight
-    into the result without a float64 temporary."""
-    return np.divide(ranges, RANGE_MAX, out=np.empty(np.shape(ranges), np.float32), casting="same_kind")
 
 
 def goal_input(obs: MotionFeature) -> np.ndarray:
@@ -170,8 +163,9 @@ class Stacks:
 
 def featurize(obs: MotionFeature):
     """An observation as network inputs: a one-sample Stacks of its
-    normalized sweeps and its shifts, and the goal (goal_input)."""
-    rows = normalize(np.stack(obs.rows))
+    scans' normalized rows (each made once per scan, lidar.Scan) and its
+    shifts, and the goal (goal_input)."""
+    rows = np.stack([scan.normalized for scan in obs.scans])
     return Stacks(rows, np.arange(len(rows))[None], np.array(obs.shifts)[None]), goal_input(obs)
 
 

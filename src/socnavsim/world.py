@@ -4,10 +4,13 @@ The scanner, controller, and policy run at separate rates (40/20/10 Hz
 by default).  One call to step() covers a full policy period: the inner
 controller tracks the commanded heading offset, the crowd advances, the
 scanner captures sweeps, and the reward is assessed on the final state.
-The robot and the crowd move only on control ticks, so the scanner
-casts once per reset and once per control tick; every scan tick in
-between reads that sweep, adding its own range noise.  The robot pose
-is kept as floats, and its goal distance is measured once per move.
+The robot and the crowd move only on control ticks, so each reset and
+each control tick records one sweep of the pose into that tick's scene,
+and every scan tick records a scan of it with its own range noise,
+drawn at the tick.  A sweep is cast, and a scan read, the first time
+something reads its ranges (lidar.Scan): a policy that reads only the
+newest scan casts once per step.  The robot pose is kept as floats, and
+its goal distance is measured once per move.
 """
 
 from __future__ import annotations
@@ -23,7 +26,16 @@ import yaml
 from . import rewards
 from .crowd import SCENARIO_KINDS, STILL_SPEED, Crowd, CrowdConfig, spawn_crowd, spawn_scenario, step_crowd
 from .geometry import DistanceScene, StaticMap, closest_distance, wrap_angle
-from .lidar import HISTORY_LEN, LidarConfig, MotionFeature, build_motion_feature, cast_sweep, simulate_scan
+from .lidar import (
+    HISTORY_LEN,
+    LidarConfig,
+    MotionFeature,
+    Scan,
+    build_motion_feature,
+    cast_sweep,
+    draw_noise,
+    simulate_scan,
+)
 
 ACTION_LIMIT = 1.5
 V_MAX = 1.5
@@ -393,6 +405,12 @@ def randomize_map(rng: np.random.Generator, config: EnvConfig) -> StaticMap:
 # Episode engine
 
 
+def _read_scan(sweep: Scan, noise: np.ndarray | None) -> np.ndarray:
+    """The ranges of a scan: its sweep's, cast now if no scan read them
+    yet, read with the noise drawn at its tick (simulate_scan)."""
+    return simulate_scan(sweep.ranges, noise)
+
+
 class NavEnv:
     """Single-episode navigation environment; one instance per thread."""
 
@@ -445,9 +463,9 @@ class NavEnv:
         self.status = Status.RUNNING
         self.steps = 0
         self.sim_time = 0.0
-        self._cast()
-        # (heading at capture, ranges) of the last HISTORY_LEN scans
-        self.scan_history = deque([self._kept_scan()] * HISTORY_LEN, maxlen=HISTORY_LEN)
+        self._record_sweep()
+        # (heading at capture, Scan) of the last HISTORY_LEN scans
+        self.scan_history = deque([self._scan()] * HISTORY_LEN, maxlen=HISTORY_LEN)
         self._needs_reset = False
         return self._observation()
 
@@ -457,19 +475,15 @@ class NavEnv:
         self.crowd = crowd
         self._scene = self._static_scene + crowd.scene if len(crowd) else self._static_scene
 
-    def _cast(self) -> None:
-        """Cast the sweep that every scan reads until the robot or the crowd moves."""
-        self._sweep = cast_sweep(self._scene, (self.x, self.y), self.heading, self.lidar_config)
+    def _record_sweep(self) -> None:
+        """Record the sweep that every scan reads until the robot or the
+        crowd moves; it is cast when a scan of it is first read."""
+        self._sweep = Scan(cast_sweep, self._scene, (self.x, self.y), self.heading, self.lidar_config)
 
-    def _scan(self) -> tuple[float, np.ndarray]:
-        return self.heading, simulate_scan(self._sweep, self.lidar_config, self.noise_rng)
-
-    def _kept_scan(self) -> tuple[float, np.ndarray]:
-        """A scan for the history, made read-only: observations keep its
-        ranges by reference."""
-        heading, ranges = self._scan()
-        ranges.flags.writeable = False
-        return heading, ranges
+    def _scan(self) -> tuple[float, Scan]:
+        """A scan for the history: its noise drawn now, its ranges read
+        from the sweep when first needed."""
+        return self.heading, Scan(_read_scan, self._sweep, draw_noise(self.lidar_config, self.noise_rng))
 
     def _measure_goal(self) -> None:
         """The goal distance of the current pose, which the arrival check,
@@ -522,10 +536,10 @@ class NavEnv:
                     self.robot_motion_heading = self.heading
                 crowd = step_crowd(self.crowd, self.config.crowd, self.control_dt, self.crowd_rng, self._discs)
                 self._set_crowd(crowd)
-                self._cast()
+                self._record_sweep()
                 self._check_terminal()
             self.sim_time += self.tick_dt
-            self.scan_history.append(self._kept_scan())
+            self.scan_history.append(self._scan())
 
         self.steps += 1
         if self.status is Status.RUNNING and self.steps >= self.config.max_steps:

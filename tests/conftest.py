@@ -20,7 +20,7 @@ from socnavsim.crowd import Crowd
 from socnavsim.geometry import (
     CONTACT_SLACK, Scene, StaticMap, cast_fan, closest_distance, elementwise, rects_overlap, wrap_angle,
 )
-from socnavsim.lidar import HISTORY_LEN, RANGE_MAX, MotionFeature, cast_sweep, simulate_scan
+from socnavsim.lidar import HISTORY_LEN, RANGE_MAX, RANGE_MIN, MotionFeature, Scan, cast_sweep
 from socnavsim.networks import Stacks, featurize
 from socnavsim.nn import MaxPoolW
 from socnavsim.world import EnvConfig, NavEnv
@@ -892,10 +892,23 @@ def eager_motion_matrix(history, current_heading, config) -> np.ndarray:
     return matrix
 
 
+def scanned(history) -> list:
+    """(heading, ranges) pairs as the (heading, Scan) pairs of a scan
+    history, one Scan per distinct array, which reads that very array."""
+    scans = {}  # id(ranges) -> its Scan; history keeps every array alive
+    out = []
+    for heading, ranges in history:
+        scan = scans.get(id(ranges))
+        if scan is None:
+            scan = scans[id(ranges)] = Scan(lambda ranges=ranges: ranges)
+        out.append((heading, scan))
+    return out
+
+
 def feature_of(matrix, goal_vector, initial_goal_distance) -> MotionFeature:
     """A MotionFeature whose rows are matrix's rows, unshifted."""
-    rows = tuple(np.asarray(matrix, dtype=float))
-    return MotionFeature(rows, (0,) * len(rows), goal_vector, initial_goal_distance)
+    scans = tuple(scan for _, scan in scanned((0.0, row) for row in np.asarray(matrix, dtype=float)))
+    return MotionFeature(scans, (0,) * len(scans), goal_vector, initial_goal_distance)
 
 
 def gathered(obs: MotionFeature) -> np.ndarray:
@@ -1135,12 +1148,16 @@ def reference_grid_connected(free, start_ij, goal_ij) -> bool:
 
 
 class CastEveryTickEnv(NavEnv):
-    """NavEnv whose scanner casts a fresh sweep at every scan tick; the
-    env that casts once per pose must step bit for bit like it."""
+    """NavEnv whose scanner casts a fresh sweep and reads it, noise and
+    all, at every scan tick; the env that casts a sweep once per pose,
+    when a scan of it is first read, must step bit for bit like it."""
 
     def _scan(self) -> tuple:
-        sweep = cast_sweep(self._scene, (self.x, self.y), self.heading, self.lidar_config)
-        return self.heading, simulate_scan(sweep, self.lidar_config, self.noise_rng)
+        cfg = self.lidar_config
+        ranges = cast_sweep(self._scene, (self.x, self.y), self.heading, cfg)
+        if cfg.noise_sigma > 0.0:
+            ranges = ranges + self.noise_rng.normal(0.0, cfg.noise_sigma, ranges.shape)
+        return scanned([(self.heading, np.clip(ranges, RANGE_MIN, RANGE_MAX))])[0]
 
 
 # ---------------------------------------------------------------------------

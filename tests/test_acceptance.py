@@ -24,6 +24,7 @@ from socnavsim.lidar import (
     LidarConfig,
     build_motion_feature,
     cast_sweep,
+    draw_noise,
     simulate_scan,
 )
 from socnavsim.rewards import (
@@ -52,6 +53,7 @@ from conftest import (
     rect_overlap_oracle,
     rects_share_sampled_point,
     reference_closest_distance,
+    scanned,
     social_reward_of,
     social_zone,
     to_map,
@@ -201,11 +203,11 @@ class TestCriterion3CalibrationInvariant:
             shapes = [random_shape(rng, span=3.0) for _ in range(int(rng.integers(2, 6)))]
             headings = np.cumsum(rng.integers(-5, 6, HISTORY_LEN)) * cfg.angle_increment
             history = [
-                (float(h), simulate_scan(cast_sweep(to_map(shapes).scene(), (0.0, 0.0), float(h), cfg), cfg, rng))
+                (float(h), simulate_scan(cast_sweep(to_map(shapes).scene(), (0.0, 0.0), float(h), cfg), draw_noise(cfg, rng)))
                 for h in headings
             ]
             current = float(headings[-1])
-            feat = gathered(build_motion_feature(history, current, 1.0, 0.0, 1.0, cfg))
+            feat = gathered(build_motion_feature(scanned(history), current, 1.0, 0.0, 1.0, cfg))
             for i, h in enumerate(headings):
                 s = calibration_shift(float(h), current, cfg)
                 lo, hi = max(0, -s), cfg.beam_count - max(0, s)

@@ -9,11 +9,14 @@ from socnavsim.lidar import (
     RANGE_MAX,
     RANGE_MIN,
     LidarConfig,
+    Scan,
     build_motion_feature,
     cast_sweep,
+    draw_noise,
+    normalize,
     simulate_scan,
 )
-from socnavsim.networks import featurize, normalize
+from socnavsim.networks import featurize
 
 from conftest import (
     Circle,
@@ -26,6 +29,7 @@ from conftest import (
     eager_motion_matrix,
     gathered,
     reference_motion_matrix,
+    scanned,
     stacks_array,
     to_map,
 )
@@ -36,11 +40,12 @@ CFG = LidarConfig(beam_count=181)
 def scan_at(shapes, x, y, heading, cfg=CFG, seed=0):
     """The (heading at capture, ranges) scan from pose (x, y, heading)."""
     sweep = cast_sweep(to_map(shapes).scene(), (x, y), heading, cfg)
-    return heading, simulate_scan(sweep, cfg, np.random.default_rng(seed))
+    return heading, simulate_scan(sweep, draw_noise(cfg, np.random.default_rng(seed)))
 
 
 def feature(history, current_heading, cfg=CFG, goal_distance=1.0, goal_bearing=0.0):
-    return build_motion_feature(history, current_heading, goal_distance, goal_bearing, 1.0, cfg)
+    """The feature of a history of (heading, ranges) pairs."""
+    return build_motion_feature(scanned(history), current_heading, goal_distance, goal_bearing, 1.0, cfg)
 
 
 class TestSimulateScan:
@@ -50,7 +55,7 @@ class TestSimulateScan:
         and 1.0 once featurized."""
         sweep = cast_sweep(to_map([]).scene(), (0.0, 0.0), 0.0, CFG)
         assert np.all(sweep == RANGE_MAX)
-        s = simulate_scan(sweep, CFG, np.random.default_rng(0))
+        s = simulate_scan(sweep, draw_noise(CFG, np.random.default_rng(0)))
         assert np.all(s == RANGE_MAX)
         near = (-3 * CFG.angle_increment, np.full(CFG.beam_count, 1.0))
         feat = gathered(feature([near] * HISTORY_LEN, 0.0))
@@ -59,17 +64,22 @@ class TestSimulateScan:
         assert stacks.sweeps.dtype == np.float32 and np.all(stacks.sweeps == 1.0) and stacks.fill == 1.0
 
     def test_noisy_scan_needs_its_generator(self):
-        """A noisy config cannot be scanned without a generator, and draws
-        its noise from the one it is given."""
+        """A tick's noise cannot be drawn without a generator; a noisy
+        config draws it from the one it is given, exactly one normal per
+        beam, and the scan adds it before the clamp; a noiseless config
+        draws nothing."""
         cfg = LidarConfig(beam_count=64, noise_sigma=0.05)
         sweep = cast_sweep(to_map([Circle(Vec2(2.0, 0.5), 0.4)]).scene(), (0.0, 0.0), 0.1, cfg)
         with pytest.raises(TypeError):
-            simulate_scan(sweep, cfg)
+            draw_noise(cfg)
         rng, ref = np.random.default_rng(4), np.random.default_rng(4)
-        got = simulate_scan(sweep, cfg, rng)
+        got = simulate_scan(sweep, draw_noise(cfg, rng))
         noise = ref.normal(0.0, 0.05, sweep.shape)
         assert got.tobytes() == np.clip(sweep + noise, RANGE_MIN, RANGE_MAX).tobytes()
-        assert rng.random() == ref.random()  # the scan consumed exactly its noise
+        assert rng.random() == ref.random()  # the tick consumed exactly its noise
+        quiet = np.random.default_rng(4)
+        assert draw_noise(LidarConfig(beam_count=64), quiet) is None
+        assert quiet.random() == np.random.default_rng(4).random()
 
     def test_wall_ahead_center_beam(self):
         wall = Segment(Vec2(3, -5), Vec2(3, 5))
@@ -122,12 +132,54 @@ class TestSimulateScan:
         assert not sweep.flags.writeable
         with pytest.raises(ValueError):
             sweep[0] = 1.0
-        want = simulate_scan(sweep, cfg, np.random.default_rng(2)).tobytes()
-        a = simulate_scan(sweep, cfg, np.random.default_rng(2))
+        want = simulate_scan(sweep, draw_noise(cfg, np.random.default_rng(2))).tobytes()
+        a = simulate_scan(sweep, draw_noise(cfg, np.random.default_rng(2)))
         assert a.flags.writeable and not np.shares_memory(a, sweep)
         a[:] = 0.5
         assert sweep.tobytes() == kept.tobytes()
-        assert simulate_scan(sweep, cfg, np.random.default_rng(2)).tobytes() == want
+        assert simulate_scan(sweep, draw_noise(cfg, np.random.default_rng(2))).tobytes() == want
+
+
+class TestScan:
+    def test_read_once_then_kept(self):
+        """A scan makes its ranges at the first read and never again:
+        reading it twice returns the one read-only array, and its
+        normalized row, normalize of those ranges, is made and kept the
+        same way."""
+        made = []
+
+        def read(value):
+            made.append(value)
+            return np.full(CFG.beam_count, value)
+
+        scan = Scan(read, 2.5)
+        assert made == []
+        first = scan.ranges
+        assert scan.ranges is first and made == [2.5]
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0] = 1.0
+        row = scan.normalized
+        assert scan.normalized is row and not row.flags.writeable
+        assert row.dtype == np.float32 and row.tobytes() == normalize(first).tobytes()
+        assert made == [2.5]
+
+    def test_feature_reads_nothing_until_asked(self):
+        """Building a feature reads no scan; current_scan_ranges reads only
+        the newest, and rows reads each distinct scan once."""
+        made = []
+
+        def read(i):
+            made.append(i)
+            return np.full(CFG.beam_count, 1.0 + i)
+
+        reset = Scan(read, 0)
+        history = [(0.0, reset)] * 36 + [(0.0, Scan(read, i)) for i in range(1, 5)]
+        mf = build_motion_feature(history, 0.0, 1.0, 0.0, 1.0, CFG)
+        assert made == []
+        assert mf.current_scan_ranges[0] == 5.0 and made == [4]
+        assert [row[0] for row in mf.rows] == [1.0] * 36 + [2.0, 3.0, 4.0, 5.0]
+        assert made == [4, 0, 1, 2, 3]
 
 
 class TestCalibrate:
@@ -256,10 +308,11 @@ class TestMotionFeature:
     def test_reads_history_deque_and_carries_initial_goal_distance(self, rng):
         """The history may be the env's deque of (heading, ranges) pairs,
         read in place; the feature carries the initial goal distance as given."""
-        history = deque([(0.1 * i, rng.uniform(0.1, 10.0, CFG.beam_count)) for i in range(HISTORY_LEN)],
-                        maxlen=HISTORY_LEN)
+        pairs = [(0.1 * i, rng.uniform(0.1, 10.0, CFG.beam_count)) for i in range(HISTORY_LEN)]
+        history = deque(scanned(pairs), maxlen=HISTORY_LEN)
         mf = build_motion_feature(history, 0.5, 2.0, 0.3, 6.5, CFG)
-        assert gathered(mf).tobytes() == gathered(feature(list(history), 0.5)).tobytes()
+        assert mf.scans == tuple(scan for _, scan in history)
+        assert gathered(mf).tobytes() == gathered(feature(pairs, 0.5)).tobytes()
         assert mf.goal_vector[0] == 2.0 and mf.initial_goal_distance == 6.5
 
 
@@ -278,7 +331,7 @@ class TestFeatureByReference:
         offsets = np.concatenate([np.arange(-60, 60, 4), [-b, b, -b - 1, b + 1, -1, 1, 0, 0]])
         current = -math.pi + 0.25 * inc
         history = [reset] * 2 + [(current - k * inc, rng.uniform(0.1, 10.0, b)) for k in offsets]
-        mf = build_motion_feature(history, current, 2.0, 0.1, 3.0, cfg)
+        mf = build_motion_feature(scanned(history), current, 2.0, 0.1, 3.0, cfg)
         assert min(mf.shifts) <= -b and max(mf.shifts) >= b and mf.shifts[0] != 0
         assert all(row is ranges for row, (_, ranges) in zip(mf.rows, history))
         want = normalize(eager_motion_matrix(history, current, cfg))
@@ -295,7 +348,7 @@ class TestFeatureByReference:
         steps = 0
         while True:
             assert obs.shifts[-1] == 0 and obs.current_scan_ranges is obs.rows[-1]
-            assert obs.current_scan_ranges is env.scan_history[-1][1]
+            assert obs.current_scan_ranges is env.scan_history[-1][1].ranges
             assert np.array_equal(normalize(obs.current_scan_ranges), gathered(obs)[-1])
             out = env.step(rng.uniform(-1.5, 1.5, 2))
             obs, steps = out.observation, steps + 1
@@ -327,3 +380,17 @@ class TestFeatureByReference:
         cfg = EnvConfig(beam_count=90, max_steps=30, obstacle_count_range=(0, 0))
         seen = [out.observation for out in episode_steps(GreedyPolicy(cfg.lidar()), cfg, 1, 2)]
         assert len(seen) == 30
+
+    def test_greedy_episode_casts_once_per_act(self, monkeypatch):
+        """A greedy episode casts only the sweeps of the scans it reads:
+        one per act, none for the episode's final observation."""
+        from socnavsim import lidar
+        from socnavsim.baselines import GreedyPolicy
+        from socnavsim.evaluation import episode_steps
+        from socnavsim.world import EnvConfig
+
+        casts, cast_fan = [], lidar.cast_fan
+        monkeypatch.setattr(lidar, "cast_fan", lambda *args: casts.append(args) or cast_fan(*args))
+        cfg = EnvConfig(beam_count=90, max_steps=30, obstacle_count_range=(1, 3), noise_sigma=0.02)
+        steps = list(episode_steps(GreedyPolicy(cfg.lidar()), cfg, 1, 2))
+        assert len(steps) > 5 and len(casts) == len(steps)

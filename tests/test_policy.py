@@ -8,7 +8,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import feature_of, gathered, numeric_gradient, reference_conv2d, reference_update, stacks_array
+from conftest import (feature_of, gathered, numeric_gradient, reference_conv2d, reference_update, scanned,
+                      stacks_array)
 from socnavsim import ddpg as ddpg_module
 from socnavsim import evaluation as evaluation_module
 from socnavsim import nn
@@ -241,13 +242,13 @@ def episode(rng, steps, beams, scans_per_step=4):
     scans per step, with heading changes that wrap at +-pi."""
     cfg = LidarConfig(beam_count=beams)
     heading = float(rng.uniform(-math.pi, math.pi))
-    history = deque([(heading, rng.uniform(0.1, 10.0, beams))] * HISTORY_LEN, maxlen=HISTORY_LEN)
+    history = deque(scanned([(heading, rng.uniform(0.1, 10.0, beams))]) * HISTORY_LEN, maxlen=HISTORY_LEN)
     obs = []
     for step in range(steps + 1):
         if step:
             for _ in range(scans_per_step):
                 heading = math.remainder(heading + float(rng.normal(0.0, 0.3)), 2 * math.pi)
-                history.append((heading, rng.uniform(0.1, 10.0, beams)))
+                history.extend(scanned([(heading, rng.uniform(0.1, 10.0, beams))]))
         obs.append(build_motion_feature(history, heading, float(rng.uniform(0.5, 7.0)),
                                         float(rng.uniform(-4.0, 4.0)), 7.0, cfg))
     return obs
@@ -403,16 +404,17 @@ class TestReplayBuffer:
         assert buf.head == 1 + 12 * 4 + 1 + 3 * 4
 
     def test_one_array_is_one_stored_sweep(self, rng):
-        """The buffer knows a stored sweep by the array: one read-only
-        sweep at two non-reset positions of a history is written once,
-        both rows read its slot, and the transition rebuilds bit for bit."""
+        """The buffer knows a stored sweep by its scan, which reads one
+        array: one scan at two non-reset positions of a history is written
+        once, both rows read its slot, and the transition rebuilds bit for
+        bit."""
         cfg = LidarConfig(beam_count=16)
         reset, kept, a, b = (rng.uniform(0.1, 10.0, 16) for _ in range(4))
-        for sweep in (reset, kept, a, b):
-            sweep.flags.writeable = False
-        history = deque([(0.0, reset)] * HISTORY_LEN, maxlen=HISTORY_LEN)
+        scans = scanned([(0.0, reset), (0.0, kept), (0.1, a), (0.1, kept), (0.2, b)])
+        assert scans[1][1] is scans[3][1]
+        history = deque(scans[:1] * HISTORY_LEN, maxlen=HISTORY_LEN)
         obs = build_motion_feature(history, 0.0, 2.0, 0.1, 3.0, cfg)
-        history.extend([(0.0, kept), (0.1, a), (0.1, kept), (0.2, b)])
+        history.extend(scans[1:])
         next_obs = build_motion_feature(history, 0.2, 1.9, 0.1, 3.0, cfg)
         buf = ReplayBuffer(4, (HISTORY_LEN, 16))
         buf.add(obs, [0.0, 0.0], [0.0, 0.0, 0.0], next_obs, False)
@@ -444,6 +446,9 @@ class TestReplayBuffer:
         assert len(added) == 70 and buf.capacity == 25
         assert sum(obs.rows[0] is obs.rows[-1] for obs, _ in added) >= 7  # reset observations: episodes
         assert_stored(buf, added)
+        # each distinct scan went into the ring once
+        distinct = {id(scan) for pair in added for obs in pair for scan in obs.scans}
+        assert buf.head == len(distinct) % len(buf.sweeps)
 
 
 def make_batch(rng, n=16, done=None, reward=None, shape=(4, 16)):

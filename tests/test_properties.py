@@ -15,8 +15,7 @@ from socnavsim import geometry
 from socnavsim.baselines import _inflate_returns
 from socnavsim.crowd import SCENARIO_KINDS, CrowdConfig, orca_lines, spawn_scenario
 from socnavsim.geometry import beam_arcs, rects_overlap, row_terms
-from socnavsim.lidar import HISTORY_LEN, RANGE_MAX, RANGE_MIN, LidarConfig, build_motion_feature
-from socnavsim.networks import normalize
+from socnavsim.lidar import HISTORY_LEN, RANGE_MAX, RANGE_MIN, LidarConfig, build_motion_feature, normalize
 from socnavsim.rewards import zone_rows
 from socnavsim.world import EnvConfig, _grid_connected, _grid_free, _sample_obstacle, randomize_map
 
@@ -46,6 +45,7 @@ from conftest import (
     reference_randomize_map,
     reference_sample_obstacle,
     reference_spawn_scenario,
+    scanned,
     segment_ok,
     social_zone,
     to_map,
@@ -448,7 +448,7 @@ def test_lazy_matrix_equals_eager(beams, config_beams, reset_rows, data):
     rest = [(data.draw(headings), np.full(beams, float(k))) for k in range(HISTORY_LEN - reset_rows)]
     history = [reset] * reset_rows + rest
     current = data.draw(headings)
-    mf = build_motion_feature(history, current, 1.0, 0.0, 1.0, cfg)
+    mf = build_motion_feature(scanned(history), current, 1.0, 0.0, 1.0, cfg)
     assert all(row is ranges for row, (_, ranges) in zip(mf.rows, history))
     assert gathered(mf).tobytes() == normalize(eager_motion_matrix(history, current, cfg)).tobytes()
 

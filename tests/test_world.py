@@ -440,7 +440,7 @@ class TestEnvStep:
         assert pose((math.inf, -math.inf)) == pose((1.5, -1.5))
 
     def test_scans_advance_four_per_step(self):
-        """A step appends four (heading, ranges) scans to the history, which
+        """A step appends four (heading, Scan) scans to the history, which
         the reset filled with forty copies of its one scan."""
         env = NavEnv(small_cfg())
         env.reset()
@@ -541,12 +541,17 @@ class TestStepAgainstOracles:
 
 
 class TestScanOncePerPose:
-    """The scanner casts once per reset and once per control tick; every
-    other scan tick reads the kept sweep."""
+    """Each reset and control tick records one sweep and each scan tick a
+    scan of it, with its noise drawn at the tick; a sweep is cast, and a
+    scan read, the first time something reads its ranges.
+    CastEveryTickEnv, which casts and reads every scan at its tick, is
+    the oracle."""
 
-    def rollout(self, env_cls, cfg, actions, monkeypatch):
-        """Outcomes of one episode, with the casts and control ticks counted
-        per call (the reset first, then each step)."""
+    def rollout(self, env_cls, cfg, actions, monkeypatch, read):
+        """One episode: its observations (the reset's first), its step
+        outcomes, the noise_rng state as each call returned, and the casts
+        and control ticks of each call (the reset first, then each step)
+        counted with read(observation, terminal) of its observation."""
         from socnavsim import lidar
 
         counts = collections.Counter()
@@ -558,44 +563,77 @@ class TestScanOncePerPose:
 
                 m.setattr(module, name, counted)
             env = env_cls(cfg)
-            outs, tallies = [env.reset(map_seed=4, crowd_seed=9)], [dict(counts)]
-            for a in actions:
-                counts.clear()
-                outs.append(env.step(a))
+            seen, outs, states, tallies = [env.reset(map_seed=4, crowd_seed=9)], [], [], []
+            while True:
+                states.append(repr(env.noise_rng.bit_generator.state))
+                done = bool(outs) and outs[-1].done is not Status.RUNNING
+                read(seen[-1], done)
                 tallies.append(dict(counts))
-                if outs[-1].done is not Status.RUNNING:
-                    break
-        return outs, tallies
+                if done or len(outs) == len(actions):
+                    return seen, outs, states, tallies
+                counts.clear()
+                outs.append(env.step(actions[len(outs)]))
+                seen.append(outs[-1].observation)
 
-    def check_parity(self, cfg, monkeypatch, actions=None):
+    @staticmethod
+    def every_row(obs, terminal):
+        gathered(obs)
+
+    @staticmethod
+    def newest(obs, terminal):
+        """What a greedy episode reads: the newest scan, but not of the
+        terminal observation, which no policy acts on."""
+        if not terminal:
+            obs.current_scan_ranges
+
+    def check_parity(self, cfg, actions, monkeypatch, every_row=True):
+        """The env steps bit for bit like the oracle, draws the same noise
+        by each step's end, and casts once per reset and per control tick
+        when every row is read, or once per step, and never for a
+        terminal observation, when only the newest scan is."""
+        read = self.every_row if every_row else self.newest
         if actions is None:
             actions = np.random.default_rng(1).uniform(-1.5, 1.5, (40, 2))
-        got, tallies = self.rollout(NavEnv, cfg, actions, monkeypatch)
-        want, _ = self.rollout(CastEveryTickEnv, cfg, actions, monkeypatch)
-        assert len(got) == len(want)
-        assert gathered(got[0]).tobytes() == gathered(want[0]).tobytes()
-        for a, b in zip(got[1:], want[1:]):
-            assert gathered(a.observation).tobytes() == gathered(b.observation).tobytes()
-            assert a.observation.goal_vector == b.observation.goal_vector
-            assert a.observation.initial_goal_distance == b.observation.initial_goal_distance
-            assert repr((a.done, a.record)) == repr((b.done, b.record))
+        seen, outs, states, tallies = self.rollout(NavEnv, cfg, actions, monkeypatch, read)
+        want_seen, want_outs, want_states, _ = self.rollout(CastEveryTickEnv, cfg, actions, monkeypatch,
+                                                            self.every_row)
+        assert states == want_states
+        assert len(seen) == len(want_seen)
+        for a, b in zip(seen, want_seen):
+            assert a.current_scan_ranges.tobytes() == b.current_scan_ranges.tobytes()
+            assert gathered(a).tobytes() == gathered(b).tobytes()
+            assert a.goal_vector == b.goal_vector
+            assert a.initial_goal_distance == b.initial_goal_distance
+        assert [repr((o.done, o.record)) for o in outs] == [repr((o.done, o.record)) for o in want_outs]
         assert tallies[0] == {"cast_fan": 1}
-        for tally in tallies[1:]:
-            assert tally["cast_fan"] == tally["step_crowd"]
-        return got, tallies
+        terminal = outs[-1].done is not Status.RUNNING
+        for i, tally in enumerate(tallies[1:], 1):
+            if every_row:
+                assert tally.get("cast_fan", 0) == tally["step_crowd"]
+            else:
+                assert tally.get("cast_fan", 0) == (0 if terminal and i == len(outs) else 1)
+        return outs, tallies
 
-    def test_noisy_combined_8(self, monkeypatch):
+    @staticmethod
+    def case(name):
+        """(config, actions) of a parity case; None actions: 40 random ones."""
         from socnavsim.evaluation import suite_config
 
-        cfg = suite_config("combined:8", small_cfg(noise_sigma=0.05))
-        got, _ = self.check_parity(cfg, monkeypatch)
+        if name == "noisy combined:8":
+            return suite_config("combined:8", small_cfg(noise_sigma=0.05)), None
+        if name in ("crowd:random:20", "noisy crowd:random:20"):
+            return suite_config("crowd:random:20", small_cfg(noise_sigma=0.05 if "noisy" in name else 0.0)), None
+        # "wall <start x>": full speed into the wall at x = 5
+        cfg = small_cfg(obstacle_count_range=(0, 0), start=(float(name.split()[1]), 0.0), goal=(-4.0, 0.0),
+                        start_heading=0.0, noise_sigma=0.05)
+        return cfg, [(1.5, 0.0)] * 10
+
+    def test_noisy_combined_8(self, monkeypatch):
+        got, _ = self.check_parity(*self.case("noisy combined:8"), monkeypatch)
         assert len(got) > 10
 
     def test_crowd_random_20(self, monkeypatch):
-        from socnavsim.evaluation import suite_config
-
-        cfg = suite_config("crowd:random:20", small_cfg())
-        got, _ = self.check_parity(cfg, monkeypatch)
+        got, _ = self.check_parity(*self.case("crowd:random:20"), monkeypatch)
         assert len(got) > 10
 
     @pytest.mark.parametrize("start_x, last_controls", [(4.0, 2), (4.0375, 1)])
@@ -603,24 +641,38 @@ class TestScanOncePerPose:
         """Driving into the wall at x = 5: the robot collides on the second
         control tick of a step, or on the first, after which the step runs
         no control tick and its remaining scans read the kept sweep."""
-        cfg = small_cfg(obstacle_count_range=(0, 0), start=(start_x, 0.0), goal=(-4.0, 0.0),
-                        start_heading=0.0, noise_sigma=0.05)
-        got, tallies = self.check_parity(cfg, monkeypatch, actions=[(1.5, 0.0)] * 10)
+        got, tallies = self.check_parity(*self.case(f"wall {start_x}"), monkeypatch)
         assert got[-1].done is Status.COLLIDED
-        assert tallies[-1]["step_crowd"] == last_controls
+        assert tallies[-1] == {"step_crowd": last_controls, "cast_fan": last_controls}
+
+    @pytest.mark.parametrize("name", ["noisy combined:8", "noisy crowd:random:20", "wall 4.0", "wall 4.0375"])
+    def test_newest_scan_only(self, monkeypatch, name):
+        """Read as a greedy episode reads, the env casts once per step and
+        not at all for a terminal observation, and still steps bit for
+        bit like the oracle."""
+        got, tallies = self.check_parity(*self.case(name), monkeypatch, every_row=False)
+        assert len(got) > 10 or got[-1].done is Status.COLLIDED
+        if name.startswith("wall"):
+            assert tallies[-1].get("cast_fan", 0) == 0
 
     def test_kept_sweep_is_read_only_and_scans_are_fresh(self):
+        """Reading a scan twice returns the one read-only array; the two
+        scans of a control tick read its one read-only sweep, each into a
+        fresh array of its own, and nothing is cast before a read."""
         env = NavEnv(small_cfg(map_seed=3))
         env.reset()
         env.step((0.8, 0.3))
-        assert not env._sweep.flags.writeable
+        sweep = env._sweep
+        (_, a), (_, b) = list(env.scan_history)[-2:]
+        assert a._ranges is None and b._ranges is None and sweep._ranges is None
+        first = a.ranges
+        assert a.ranges is first and not first.flags.writeable
         with pytest.raises(ValueError):
-            env._sweep[0] = 1.0
-        _, first = env._scan()
-        want = first.copy()
-        first[:] = 0.5
-        assert env._scan()[1].tobytes() == want.tobytes()
-        assert not np.shares_memory(env.scan_history[-1][1], env._sweep)
+            first[0] = 1.0
+        assert not sweep.ranges.flags.writeable
+        assert b.ranges is not first and b.ranges.tobytes() == first.tobytes()
+        assert not np.shares_memory(first, sweep.ranges) and not np.shares_memory(b.ranges, sweep.ranges)
+        assert a.normalized is a.normalized and not a.normalized.flags.writeable
 
 
 class TestBenchmarkProbes:
