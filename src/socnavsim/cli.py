@@ -218,7 +218,6 @@ def cmd_scenario_gen(args, parser) -> int:
     (_, map_seed, crowd_seed), = episode_seeds(args.seed, 1)
     env = NavEnv(cfg)
     env.reset(map_seed=map_seed, crowd_seed=crowd_seed)
-    crowd = env.crowd
 
     keys = {"circle": ("x", "y", "radius"), "rect": ("x", "y", "heading", "half_width", "length")}
     obstacles = [{"kind": kind, **dict(zip(keys[kind], row))} for kind, row in env.static_map.placements()]
@@ -231,11 +230,8 @@ def cmd_scenario_gen(args, parser) -> int:
         "goal": list(cfg.goal),
         "obstacles": obstacles,
         "pedestrians": [
-            {"id": i, "x": x, "y": y, "vx": vx, "vy": vy, "radius": r, "pref_speed": s, "goal": goal}
-            for i, (x, y), (vx, vy), r, s, goal in zip(
-                *(a.tolist() for a in (crowd.ids, crowd.position, crowd.velocity, crowd.radius,
-                                       crowd.pref_speed, crowd.goal))
-            )
+            {"id": i, "x": x, "y": y, "vx": vx, "vy": vy, "radius": r, "pref_speed": s, "goal": [gx, gy]}
+            for i, x, y, vx, vy, gx, gy, s, r, *_ in env.crowd.rows
         ],
     }
     os.makedirs(args.out, exist_ok=True)

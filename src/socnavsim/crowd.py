@@ -6,9 +6,11 @@ constraints (2D linear program, with a fallback that minimizes the worst
 violation when the constraints are infeasible).  Pedestrians avoid each
 other and static obstacles but never see the robot.
 
-The crowd is one Crowd of arrays.  Each step builds every pedestrian's
-half-planes in one numpy pass over it (orca_lines); only the small
-per-pedestrian LP runs as scalar code on floats (orca_velocity).
+A Crowd is its pedestrians' rows of Python scalars, which the step reads
+and writes, with array views of their positions, velocities, radii and
+motion headings.  Each step builds every pedestrian's half-planes in one
+numpy pass over those arrays (orca_lines); only the small per-pedestrian
+LP runs as scalar code on floats (orca_velocity).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Scene, elementwise, wrap_angle
+from .geometry import Scene, elementwise, rect_row
 
 ORCA_EPSILON = 1e-5
 AGENT_TIME_HORIZON = 2.0
@@ -31,66 +33,39 @@ SQRT2 = math.sqrt(2.0)
 
 @dataclass(frozen=True, eq=False)
 class Crowd:
-    """Every pedestrian's state as parallel arrays, one row per pedestrian,
-    and the scanner's view of them."""
+    """Every pedestrian's state as one row of Python scalars, the arrays
+    that array code reads of the rows, and the scanner's view of them."""
 
-    ids: np.ndarray  # (n,) int, unique
+    # (id, x, y, vx, vy, goal x, goal y, pref_speed, radius, rect, stopped, motion_heading):
+    # an int id, unique; a bool rect, True when scanned as an oriented square; an int stopped,
+    # > 0 while in a stop-and-go pause; floats elsewhere
+    rows: tuple
     position: np.ndarray  # (n, 2)
     velocity: np.ndarray  # (n, 2)
-    goal: np.ndarray  # (n, 2)
-    pref_speed: np.ndarray  # (n,)
     radius: np.ndarray  # (n,) bounding circle used by avoidance and collision checks
-    rect: np.ndarray  # (n,) bool: scanned as an oriented square
-    stopped: np.ndarray  # (n,) int, >0 while in a stop-and-go pause
     motion_heading: np.ndarray  # (n,) last heading of actual motion
-    scene: Scene  # what the scanner sees, packed as a StaticMap's (see _scan_rows)
+    scene: Scene  # a round pedestrian's circle, a rect one's inscribed square along its motion heading
 
     @staticmethod
     def from_rows(rows) -> "Crowd":
-        """From rows (id, x, y, vx, vy, goal x, goal y, pref_speed, radius, rect,
-        stopped, motion_heading); rows() gives them back as Python scalars."""
+        """The crowd of these rows, which it keeps as they are."""
+        rows = tuple(rows)
         t = np.array(rows, dtype=float).reshape(-1, 12)
-        ids, stopped = t[:, 0].astype(np.int64), t[:, 10].astype(np.int64)
-        return Crowd(ids, t[:, 1:3], t[:, 3:5], t[:, 5:7], t[:, 7], t[:, 8], t[:, 9] != 0.0, stopped,
-                     t[:, 11], _scan_rows(t.tolist()))
-
-    def rows(self):
-        columns = (self.ids, *self.position.T, *self.velocity.T, *self.goal.T, self.pref_speed,
-                   self.radius, self.rect, self.stopped, self.motion_heading)
-        return zip(*(c.tolist() for c in columns))
+        circles, squares = [], []
+        for _, x, y, _, _, _, _, _, r, rect, _, heading in rows:
+            if rect:
+                side = r / SQRT2
+                squares.append(rect_row(x, y, heading, side, 2.0 * side))
+            else:
+                circles.append((x, y, r))
+        return Crowd(rows, t[:, 1:3], t[:, 3:5], t[:, 8], t[:, 11], Scene.pack(circles, squares, ()))
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return len(self.rows)
 
     def distances(self, x: float, y: float) -> np.ndarray:
         """Every pedestrian's center distance from the point (x, y)."""
         return elementwise(math.hypot, x - self.position[:, 0], y - self.position[:, 1])
-
-
-def _scan_rows(rows: list) -> Scene:
-    """The scanner's view of Crowd rows of floats, packed as Scene.pack packs a
-    StaticMap's: a round pedestrian's circle, or a rect one's inscribed square
-    anchored along the raw motion heading and turned by the wrapped one, its
-    edges as rect_edges gives them.  Scalar code with the operations of
-    Scene.pack and rect_frames, so the rows are bitwise theirs."""
-    circles, edges = [], []
-    for _, x, y, _, _, _, _, _, r, rect, _, heading in rows:
-        if rect == 0.0:
-            circles.append((x, y, r**2))
-            continue
-        side = r / SQRT2
-        ax, ay = x - math.cos(heading) * side, y - math.sin(heading) * side
-        wrapped = wrap_angle(heading)
-        fx, fy = math.cos(wrapped), math.sin(wrapped)
-        length = 2.0 * side
-        front_x, front_y = ax + fx * length, ay + fy * length
-        wx, wy = -fy * side, fx * side
-        # corners counter-clockwise from the rear-right: rear - w, front - w, front + w, rear + w
-        xs = (ax - wx, front_x - wx, front_x + wx, ax + wx)
-        ys = (ay - wy, front_y - wy, front_y + wy, ay + wy)
-        edges += zip(xs, ys, xs[1:] + xs[:1], ys[1:] + ys[:1])  # each corner to the next
-    return Scene(np.array(circles, dtype=float).reshape(-1, 3), np.array(edges, dtype=float).reshape(-1, 4),
-                 len(rows))
 
 
 @dataclass(frozen=True)
@@ -450,7 +425,7 @@ def step_crowd(
         finite = np.isfinite(lines).all(axis=(1, 2)).tolist()
         line_rows = lines.tolist()
 
-        for i, row in enumerate(crowd.rows()):
+        for i, row in enumerate(crowd.rows):
             ped_id, x, y, vx, vy, goal_x, goal_y, speed, radius, rect, stopped, heading = row
             if stopped > 0:
                 stopped -= 1
@@ -475,7 +450,7 @@ def step_crowd(
 
     if config.walk_in_probability > 0.0 and len(rows) < config.max_count:
         if rng.random() < config.walk_in_probability:
-            next_id = max(crowd.ids.tolist(), default=-1) + 1
+            next_id = max((row[0] for row in crowd.rows), default=-1) + 1
             pos = _boundary_point(config, rng)
             goal = _random_point(config, rng)
             rows.append(_sample_ped(next_id, pos, goal, config.speed_range, config, rng))

@@ -223,6 +223,15 @@ class DDPGConfig:
             raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
         if self.buffer_capacity < self.batch_size:
             raise ValueError(f"buffer_capacity {self.buffer_capacity} can never fill a batch of {self.batch_size}")
+        if not 0.0 < self.tau <= 1.0:
+            raise ValueError(f"tau must lie in (0, 1], got {self.tau}")
+        if not 0.0 <= self.gamma <= 1.0:
+            raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
+        for name in ("lr_actor", "lr_critic"):
+            if not (math.isfinite(getattr(self, name)) and getattr(self, name) > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
+        if not self.logit_penalty >= 0.0:
+            raise ValueError(f"logit_penalty must be non-negative, got {self.logit_penalty}")
 
 
 class DDPG:
@@ -365,6 +374,13 @@ class TrainConfig:
                 raise ValueError(f"start_distance_fractions must satisfy 0 < lo <= hi <= 1, got {(lo, hi)}")
         if not 0.0 <= self.random_action_prob <= 1.0:
             raise ValueError(f"random_action_prob must lie in [0, 1], got {self.random_action_prob}")
+        for name in ("noise_sigma_start", "noise_sigma_end"):
+            if not (math.isfinite(getattr(self, name)) and getattr(self, name) >= 0.0):
+                raise ValueError(f"{name} must be finite and non-negative, got {getattr(self, name)}")
+        if self.early_stop_success is not None and not 0.0 <= self.early_stop_success <= 1.0:
+            raise ValueError(f"early_stop_success must lie in [0, 1], got {self.early_stop_success}")
+        if not self.divergence_threshold > 0.0:
+            raise ValueError(f"divergence_threshold must be positive, got {self.divergence_threshold}")
 
     def noise_sigma(self, env_steps: int) -> float:
         """Exploration sigma after env_steps steps, linear from start to end over the budget."""

@@ -57,11 +57,11 @@ def rect_frames(rects: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     return fx, fy, xs, ys
 
 
-def rect_edges(rects: np.ndarray) -> np.ndarray:
-    """Rows (ax, ay, bx, by) of each rectangle's four edges, zero-length ones kept."""
-    _, _, xs, ys = rect_frames(rects)
-    nxt = [1, 2, 3, 0]
-    return np.stack([xs, ys, xs[:, nxt], ys[:, nxt]], axis=-1).reshape(-1, 4)
+def rect_row(x: float, y: float, heading: float, half_width: float, length: float) -> tuple:
+    """The rectangle row centred on (x, y): its anchor half its length back
+    along the raw heading, its heading wrapped."""
+    half = length / 2.0
+    return x - math.cos(heading) * half, y - math.sin(heading) * half, wrap_angle(heading), half_width, length
 
 
 def rects_overlap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -98,12 +98,22 @@ class Scene:
         return Scene(circles, np.concatenate([self.segments, other.segments]), self.count + other.count)
 
     @staticmethod
-    def pack(circles: np.ndarray, rects: np.ndarray, segments: np.ndarray) -> "Scene":
-        """From circle, rectangle and segment rows: radius**2 by Python's pow,
-        then each rectangle's four edges, zero-length ones kept, before the segments."""
-        r_sq = [r**2 for r in circles[:, 2].tolist()]
-        edges = np.concatenate([rect_edges(rects), segments])
-        return Scene(np.column_stack([circles[:, :2], r_sq]), edges, len(circles) + len(rects) + len(segments))
+    def pack(circles, rects, segments) -> "Scene":
+        """From circle, rectangle and segment rows of Python floats: radius**2
+        by Python's pow, then each rectangle's four edges, counter-clockwise
+        from the rear-right corner as rect_frames gives them, zero-length
+        ones kept, before the segments."""
+        edges = []
+        for ax, ay, heading, half_width, length in rects:
+            fx, fy = math.cos(heading), math.sin(heading)
+            front_x, front_y = ax + fx * length, ay + fy * length
+            wx, wy = -fy * half_width, fx * half_width
+            xs = (ax - wx, front_x - wx, front_x + wx, ax + wx)
+            ys = (ay - wy, front_y - wy, front_y + wy, ay + wy)
+            edges += zip(xs, ys, xs[1:] + xs[:1], ys[1:] + ys[:1])  # each corner to the next
+        edges += segments
+        return Scene(np.array([(x, y, r**2) for x, y, r in circles], dtype=float).reshape(-1, 3),
+                     np.array(edges, dtype=float).reshape(-1, 4), len(circles) + len(rects) + len(segments))
 
 
 # Every window is widened by this angle (rad), then by one beam on each side.
@@ -318,7 +328,7 @@ class StaticMap:
             raise ValueError(f"degenerate wall {self.walls[bad[0]].tolist()}: squared length not positive")
 
     def scene(self) -> Scene:
-        return Scene.pack(self.circles, self.rects, self.walls)
+        return Scene.pack(self.circles.tolist(), self.rects.tolist(), self.walls.tolist())
 
     def distances(self) -> DistanceScene:
         return DistanceScene.pack(self.circles.tolist(), self.rects.tolist(), self.walls.tolist())

@@ -25,7 +25,7 @@ import yaml
 
 from . import rewards
 from .crowd import SCENARIO_KINDS, STILL_SPEED, Crowd, CrowdConfig, spawn_crowd, spawn_scenario, step_crowd
-from .geometry import DistanceScene, StaticMap, closest_distance, wrap_angle
+from .geometry import DistanceScene, StaticMap, closest_distance, rect_row, wrap_angle
 from .lidar import (
     HISTORY_LEN,
     LidarConfig,
@@ -263,8 +263,8 @@ def arena_walls(half: float) -> np.ndarray:
 
 
 def _sample_obstacle(rng: np.random.Generator, config: EnvConfig) -> tuple[list, list]:
-    """One obstacle as StaticMap rows: ([circle row], []) or ([], [rectangle row]).
-    A rectangle's anchor comes from the sampled heading, its row holds it wrapped."""
+    """One obstacle as StaticMap rows: ([circle row], []) or ([], [rectangle row]),
+    the rectangle centred on the sampled point (rect_row)."""
     lo, hi = config.obstacle_size_range
     margin = 0.5
     x = float(rng.uniform(-config.arena_half + margin, config.arena_half - margin))
@@ -273,9 +273,7 @@ def _sample_obstacle(rng: np.random.Generator, config: EnvConfig) -> tuple[list,
         return [(x, y, float(rng.uniform(lo, hi)) / 2.0)], []
     length = float(rng.uniform(lo, hi))
     half_width = float(rng.uniform(lo, hi)) / 2.0
-    heading = float(rng.uniform(-math.pi, math.pi))
-    ax, ay = x - math.cos(heading) * (length / 2.0), y - math.sin(heading) * (length / 2.0)
-    return [], [(ax, ay, wrap_angle(heading), half_width, length)]
+    return [], [rect_row(x, y, float(rng.uniform(-math.pi, math.pi)), half_width, length)]
 
 
 def _grid_free(static_map: StaticMap, config: EnvConfig) -> tuple[np.ndarray, float]:
@@ -574,6 +572,6 @@ class NavEnv:
                 r_goal=assessment.r_goal,
                 ego_violation=assessment.ego_violation,
                 social_violations=assessment.violations,
-                pedestrians=list(zip(*self.crowd.position.T.tolist(), self.crowd.motion_heading.tolist())),
+                pedestrians=[(x, y, heading) for _, x, y, *_, heading in self.crowd.rows],
             ),
         )

@@ -18,7 +18,8 @@ from hypothesis import settings
 from socnavsim import crowd, evaluation, rewards, world
 from socnavsim.crowd import Crowd
 from socnavsim.geometry import (
-    CONTACT_SLACK, Scene, StaticMap, cast_fan, closest_distance, elementwise, rects_overlap, wrap_angle,
+    CONTACT_SLACK, Scene, StaticMap, cast_fan, closest_distance, elementwise, rect_frames, rects_overlap,
+    wrap_angle,
 )
 from socnavsim.lidar import HISTORY_LEN, RANGE_MAX, RANGE_MIN, MotionFeature, Scan, cast_sweep
 from socnavsim.networks import Stacks, featurize
@@ -502,11 +503,13 @@ def edge_case_peds(rng, n=40):
 
 
 def pack(peds) -> Crowd:
-    """A list of Pedestrians as a Crowd."""
+    """A list of Pedestrians as a Crowd: an int id and stop counter, a bool
+    rect flag and floats elsewhere, as the library's rows hold them."""
     return Crowd.from_rows(
         [
-            (p.id, p.position.x, p.position.y, p.velocity.x, p.velocity.y, p.goal.x, p.goal.y,
-             p.pref_speed, p.radius, p.rect_shape, p.stopped_steps, p.motion_heading)
+            (p.id, *map(float, (p.position.x, p.position.y, p.velocity.x, p.velocity.y, p.goal.x, p.goal.y,
+                                p.pref_speed, p.radius)),
+             p.rect_shape, p.stopped_steps, float(p.motion_heading))
             for p in peds
         ]
     )
@@ -516,20 +519,32 @@ def unpack(c: Crowd) -> list:
     """A Crowd as a list of Pedestrians."""
     return [
         Pedestrian(pid, Vec2(x, y), Vec2(vx, vy), speed, radius, Vec2(gx, gy), rect, stopped, h)
-        for pid, x, y, vx, vy, gx, gy, speed, radius, rect, stopped, h in c.rows()
+        for pid, x, y, vx, vy, gx, gy, speed, radius, rect, stopped, h in c.rows
     ]
+
+
+def column_scene(circles: np.ndarray, rects: np.ndarray, segments: np.ndarray) -> Scene:
+    """Scene.pack as numpy column code over (c, 3), (r, 5) and (s, 4) arrays:
+    radius**2 by Python's pow, then each rectangle's four edges from
+    rect_frames, zero-length ones kept, before the segments."""
+    _, _, xs, ys = rect_frames(rects)
+    nxt = [1, 2, 3, 0]
+    edges = np.stack([xs, ys, xs[:, nxt], ys[:, nxt]], axis=-1).reshape(-1, 4)
+    r_sq = [r**2 for r in circles[:, 2].tolist()]
+    return Scene(np.column_stack([circles[:, :2], r_sq]), np.concatenate([edges, segments]),
+                 len(circles) + len(rects) + len(segments))
 
 
 def lidar_scene(c: Crowd) -> Scene:
     """Crowd.scene as numpy column code: a round pedestrian's circle or a rect
     one's inscribed square, anchored along the raw motion heading and turned by
-    the wrapped one, packed by Scene.pack."""
-    r, rect = c.radius, c.rect
+    the wrapped one, packed by column_scene."""
+    r, rect = c.radius, np.array([row[9] for row in c.rows], dtype=bool)
     heading, side = c.motion_heading[rect], r[rect] / math.sqrt(2.0)
     fwd = np.column_stack([elementwise(math.cos, heading), elementwise(math.sin, heading)])
     anchor = c.position[rect] - fwd * side[:, None]
     squares = np.column_stack([anchor, elementwise(wrap_angle, heading), side, 2.0 * side])
-    return Scene.pack(np.column_stack([c.position[~rect], r[~rect]]), squares, np.empty((0, 4)))
+    return column_scene(np.column_stack([c.position[~rect], r[~rect]]), squares, np.empty((0, 4)))
 
 
 def clearance(robot: Circle, peds, obstacles) -> float:

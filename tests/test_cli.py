@@ -363,6 +363,29 @@ class TestScenarioGen:
         assert outs[0] == outs[1]
 
 
+    @pytest.mark.parametrize("suite", ["crowd:crossing:6", "combined:8"])
+    def test_pedestrians_equal_reference_spawn(self, tmp_path, env_yaml, suite):
+        """Every pedestrian's fields in the snapshot, against the object
+        spawn of the snapshot's crowd seed."""
+        from conftest import Vec2, reference_spawn_scenario, unpack
+        from socnavsim.evaluation import suite_config
+        from socnavsim.world import load_config
+
+        cfg = suite_config(suite, load_config(env_yaml))
+        out = tmp_path / "scen"
+        assert main(["scenario-gen", "--suite", suite, "--seed", "5", "--config", env_yaml,
+                     "--out", str(out)]) == 0
+        doc = yaml.safe_load((out / os.listdir(out)[0]).read_text())
+        rng = np.random.default_rng(np.random.SeedSequence(doc["crowd_seed"]))
+        want = reference_spawn_scenario(cfg.scenario, cfg.crowd.count, cfg.crowd, rng, Vec2(*cfg.start),
+                                        Vec2(*cfg.goal))
+        assert doc["pedestrians"] == [
+            {"id": p.id, "x": p.position.x, "y": p.position.y, "vx": p.velocity.x, "vy": p.velocity.y,
+             "radius": p.radius, "pref_speed": p.pref_speed, "goal": [p.goal.x, p.goal.y]}
+            for p in unpack(want)
+        ]
+        assert len(doc["pedestrians"]) == cfg.crowd.count > 0
+
     def test_obstacles_in_placement_order(self, tmp_path, env_yaml):
         """On a suite with obstacles, every obstacle appears once, in the
         order the sampler placed it, with the keys of its kind."""

@@ -690,10 +690,33 @@ class TestTrainConfigValidation:
         ({"random_action_prob": -0.1}, "random_action_prob"),
         ({"random_action_prob": 1.5}, "random_action_prob"),
         ({"total_env_steps": -5}, "total_env_steps must be non-negative, got -5"),
+        ({"noise_sigma_end": -0.5}, "noise_sigma_end"),
+        ({"noise_sigma_start": float("nan")}, "noise_sigma_start"),
+        ({"noise_sigma_start": float("inf")}, "noise_sigma_start"),
+        ({"early_stop_success": 1.5}, "early_stop_success"),
+        ({"early_stop_success": -0.1}, "early_stop_success"),
+        ({"divergence_threshold": 0.0}, "divergence_threshold"),
+        ({"divergence_threshold": -1.0}, "divergence_threshold"),
     ])
     def test_bad_value_rejected(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
             TrainConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"tau": 0.0}, "tau"),
+        ({"tau": 2.0}, "tau"),
+        ({"tau": float("nan")}, "tau"),
+        ({"gamma": -1.0}, "gamma"),
+        ({"gamma": 1.5}, "gamma"),
+        ({"lr_actor": -1e-4}, "lr_actor"),
+        ({"lr_actor": 0.0}, "lr_actor"),
+        ({"lr_critic": float("nan")}, "lr_critic"),
+        ({"lr_critic": float("inf")}, "lr_critic"),
+        ({"logit_penalty": -1e-3}, "logit_penalty"),
+    ])
+    def test_bad_learner_value_rejected(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            DDPGConfig(**kwargs)
 
     def test_zero_batch_size_rejected(self):
         with pytest.raises(ValueError, match="batch_size"):
@@ -712,6 +735,10 @@ class TestTrainConfigValidation:
                     start_distance_fractions=(1.0, 1.0), random_action_prob=1.0,
                     ddpg=DDPGConfig(batch_size=1))
         TrainConfig(start_distance_fractions=(0.01, 0.5), random_action_prob=0.0)
+        TrainConfig(noise_sigma_start=0.0, noise_sigma_end=0.0, early_stop_success=0.0,
+                    divergence_threshold=math.inf,
+                    ddpg=DDPGConfig(tau=1.0, gamma=0.0, logit_penalty=0.0))
+        TrainConfig(early_stop_success=1.0, ddpg=DDPGConfig(gamma=1.0))
 
 
 class TestTrainLoop:

@@ -708,7 +708,7 @@ class TestBenchmarkProbes:
             walking = 0
             for (crowd, *_), result, counts in calls["crowd.step_crowd"]:
                 assert counts["peds"] == len(unpack(crowd)) == 20
-                walking += int((result.stopped[: len(crowd)] == 0).sum())
+                walking += sum(row[10] == 0 for row in result.rows[: len(crowd)])
             assert len(calls["crowd.orca_velocity"]) == walking > 0
             shapes = len(reference_static_shapes(env.config, 4)) + len(unpack(env.crowd))
             for args, _, counts in calls["geometry.cast_fan"]:
