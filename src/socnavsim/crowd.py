@@ -6,11 +6,11 @@ constraints (2D linear program, with a fallback that minimizes the worst
 violation when the constraints are infeasible).  Pedestrians avoid each
 other and static obstacles but never see the robot.
 
-A Crowd is its pedestrians' rows of Python scalars, which the step reads
-and writes, with array views of their positions, velocities, radii and
-motion headings.  Each step builds every pedestrian's half-planes in one
-numpy pass over those arrays (orca_lines); only the small per-pedestrian
-LP runs as scalar code on floats (orca_velocity).
+A Crowd is its pedestrians' rows of Python scalars, which the step, the
+collision check and the social reward read.  Each step builds every
+pedestrian's half-planes in one numpy pass over the columns of those rows
+(orca_lines), the crowd's one array code; the small per-pedestrian LP
+runs as scalar code on floats (orca_velocity).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Scene, elementwise, rect_row
+from .geometry import Scene, rect_row
 
 ORCA_EPSILON = 1e-5
 AGENT_TIME_HORIZON = 2.0
@@ -33,24 +33,21 @@ SQRT2 = math.sqrt(2.0)
 
 @dataclass(frozen=True, eq=False)
 class Crowd:
-    """Every pedestrian's state as one row of Python scalars, the arrays
-    that array code reads of the rows, and the scanner's view of them."""
+    """Every pedestrian's state as one row of Python scalars, and the
+    scanner's view of them."""
 
     # (id, x, y, vx, vy, goal x, goal y, pref_speed, radius, rect, stopped, motion_heading):
     # an int id, unique; a bool rect, True when scanned as an oriented square; an int stopped,
     # > 0 while in a stop-and-go pause; floats elsewhere
+    # radius is the bounding circle of avoidance and collision checks, motion_heading the
+    # last heading of actual motion
     rows: tuple
-    position: np.ndarray  # (n, 2)
-    velocity: np.ndarray  # (n, 2)
-    radius: np.ndarray  # (n,) bounding circle used by avoidance and collision checks
-    motion_heading: np.ndarray  # (n,) last heading of actual motion
     scene: Scene  # a round pedestrian's circle, a rect one's inscribed square along its motion heading
 
     @staticmethod
     def from_rows(rows) -> "Crowd":
         """The crowd of these rows, which it keeps as they are."""
         rows = tuple(rows)
-        t = np.array(rows, dtype=float).reshape(-1, 12)
         circles, squares = [], []
         for _, x, y, _, _, _, _, _, r, rect, _, heading in rows:
             if rect:
@@ -58,14 +55,14 @@ class Crowd:
                 squares.append(rect_row(x, y, heading, side, 2.0 * side))
             else:
                 circles.append((x, y, r))
-        return Crowd(rows, t[:, 1:3], t[:, 3:5], t[:, 8], t[:, 11], Scene.pack(circles, squares, ()))
+        return Crowd(rows, Scene.pack(circles, squares, ()))
 
     def __len__(self) -> int:
         return len(self.rows)
 
-    def distances(self, x: float, y: float) -> np.ndarray:
-        """Every pedestrian's center distance from the point (x, y)."""
-        return elementwise(math.hypot, x - self.position[:, 0], y - self.position[:, 1])
+    def distances(self, x: float, y: float) -> list[float]:
+        """Every pedestrian's center distance from the point (x, y), in row order."""
+        return [math.hypot(x - row[1], y - row[2]) for row in self.rows]
 
 
 @dataclass(frozen=True)
@@ -84,9 +81,12 @@ class CrowdConfig:
     def __post_init__(self):
         if self.count < 0:
             raise ValueError("count must be nonnegative")
-        for lo, hi in (self.speed_range, self.radius_range):
-            if not 0.0 < lo <= hi:
-                raise ValueError("ranges must be positive and nonempty")
+        for name in ("speed_range", "radius_range"):
+            lo, hi = getattr(self, name)
+            if not 0.0 < lo <= hi < math.inf:
+                raise ValueError(f"{name} must be finite, positive and nonempty, got {getattr(self, name)}")
+        if self.max_count < 0:
+            raise ValueError(f"max_count must be nonnegative, got {self.max_count}")
         for name in ("walk_in_probability", "stop_go_probability", "rect_shape_probability"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
@@ -233,12 +233,14 @@ def orca_lines(crowd: Crowd, discs: np.ndarray, dt: float) -> tuple[np.ndarray, 
         return a[keep].reshape(n, m)
 
     # (x, y, vx, vy, radius) of each pedestrian, then of everything it avoids
-    x, y = crowd.position.T[:, :, None]
-    vx, vy = crowd.velocity.T[:, :, None]
-    r = crowd.radius[:, None]
+    t = np.array(crowd.rows, dtype=float)
+    position, velocity, radius = t[:, 1:3], t[:, 3:5], t[:, 8]
+    x, y = position.T[:, :, None]
+    vx, vy = velocity.T[:, :, None]
+    r = radius[:, None]
     them = np.zeros((k + n, 5))
     them[:k, :2], them[:k, 4] = discs[:, :2], discs[:, 2]
-    them[k:, :2], them[k:, 2:4], them[k:, 4] = crowd.position, crowd.velocity, crowd.radius
+    them[k:, :2], them[k:, 2:4], them[k:, 4] = position, velocity, radius
     ox, oy, ovx, ovy, orad = them.T[:, None, :]
     inv_horizon, responsibility = np.full((2, m), [[1.0 / AGENT_TIME_HORIZON], [0.5]])
     inv_horizon[:k], responsibility[:k] = 1.0 / OBSTACLE_TIME_HORIZON, 1.0

@@ -24,12 +24,6 @@ def wrap_angle(angle: float) -> float:
     return a - math.pi
 
 
-def elementwise(fn, *arrays: np.ndarray) -> np.ndarray:
-    """fn mapped over equal-length 1-D arrays, one scalar call per element:
-    numpy's vectorized transcendentals round differently from libm's."""
-    return np.fromiter(map(fn, *(a.tolist() for a in arrays)), float, len(arrays[0]))
-
-
 # ---------------------------------------------------------------------------
 # Shape rows.  A circle row is (centre x, centre y, radius), a segment row
 # (ax, ay, bx, by) and a rectangle row (anchor x, anchor y, wrapped heading,
@@ -44,16 +38,15 @@ def elementwise(fn, *arrays: np.ndarray) -> np.ndarray:
 CONTACT_SLACK = 1e-12
 
 
-def rect_frames(rects: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Forward axes (fx, fy) and (n, 4) corner coordinates (xs, ys) of rectangle
-    rows, counter-clockwise from the rear-right; cos and sin come from math."""
-    ax, ay, heading, half_width, length = rects.T
-    fx, fy = elementwise(math.cos, heading), elementwise(math.sin, heading)
+def rect_corners(row) -> tuple[float, float, tuple, tuple]:
+    """Forward axis (fx, fy) and corner coordinates (xs, ys) of one rectangle
+    row, counter-clockwise from the rear-right; cos and sin come from math."""
+    ax, ay, heading, half_width, length = row
+    fx, fy = math.cos(heading), math.sin(heading)
     front_x, front_y = ax + fx * length, ay + fy * length
     wx, wy = -fy * half_width, fx * half_width
-    side = np.array([-1.0, -1.0, 1.0, 1.0])  # rear - w, front - w, front + w, rear + w
-    xs = np.array([ax, front_x, front_x, ax]).T + wx[:, None] * side
-    ys = np.array([ay, front_y, front_y, ay]).T + wy[:, None] * side
+    xs = (ax - wx, front_x - wx, front_x + wx, ax + wx)
+    ys = (ay - wy, front_y - wy, front_y + wy, ay + wy)
     return fx, fy, xs, ys
 
 
@@ -64,22 +57,19 @@ def rect_row(x: float, y: float, heading: float, half_width: float, length: floa
     return x - math.cos(heading) * half, y - math.sin(heading) * half, wrap_angle(heading), half_width, length
 
 
-def rects_overlap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Closed-set overlap of rectangle rows a and b, broadcast row by row: the
-    separating-axis test on the four face normals.  A degenerate rectangle's
-    corners anchor +- w can project a rounding off the anchor, so projections
-    within CONTACT_SLACK of each other count as contact."""
-    afx, afy, axs, ays = rect_frames(a)
-    bfx, bfy, bxs, bys = rect_frames(b)
-    (n,) = np.broadcast_shapes(len(a), len(b))
-    ux, uy = np.empty((2, 4, 1, n))  # a's forward and left axes, then b's
-    ux[0, 0], ux[1, 0], ux[2, 0], ux[3, 0] = afx, -afy, bfx, -bfy
-    uy[0, 0], uy[1, 0], uy[2, 0], uy[3, 0] = afy, afx, bfy, bfx
-    pa = axs.T * ux + ays.T * uy  # (4 axes, 4 corners, n)
-    pb = bxs.T * ux + bys.T * uy
-    slack = CONTACT_SLACK
-    apart = (pa.max(axis=1) < pb.min(axis=1) - slack) | (pb.max(axis=1) < pa.min(axis=1) - slack)
-    return ~apart.any(axis=0)
+def rects_overlap(a, b) -> bool:
+    """Closed-set overlap of rectangle rows a and b: the separating-axis test
+    on the four face normals.  A degenerate rectangle's corners anchor +- w
+    can project a rounding off the anchor, so projections within
+    CONTACT_SLACK of each other count as contact."""
+    afx, afy, axs, ays = rect_corners(a)
+    bfx, bfy, bxs, bys = rect_corners(b)
+    for ux, uy in ((afx, afy), (-afy, afx), (bfx, bfy), (-bfy, bfx)):
+        pa = [x * ux + y * uy for x, y in zip(axs, ays)]
+        pb = [x * ux + y * uy for x, y in zip(bxs, bys)]
+        if max(pa) < min(pb) - CONTACT_SLACK or max(pb) < min(pa) - CONTACT_SLACK:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -100,16 +90,12 @@ class Scene:
     @staticmethod
     def pack(circles, rects, segments) -> "Scene":
         """From circle, rectangle and segment rows of Python floats: radius**2
-        by Python's pow, then each rectangle's four edges, counter-clockwise
-        from the rear-right corner as rect_frames gives them, zero-length
-        ones kept, before the segments."""
+        by Python's pow, then each rectangle's four edges, from corner to
+        corner as rect_corners gives them, zero-length ones kept, before the
+        segments."""
         edges = []
-        for ax, ay, heading, half_width, length in rects:
-            fx, fy = math.cos(heading), math.sin(heading)
-            front_x, front_y = ax + fx * length, ay + fy * length
-            wx, wy = -fy * half_width, fx * half_width
-            xs = (ax - wx, front_x - wx, front_x + wx, ax + wx)
-            ys = (ay - wy, front_y - wy, front_y + wy, ay + wy)
+        for row in rects:
+            _, _, xs, ys = rect_corners(row)
             edges += zip(xs, ys, xs[1:] + xs[:1], ys[1:] + ys[:1])  # each corner to the next
         edges += segments
         return Scene(np.array([(x, y, r**2) for x, y, r in circles], dtype=float).reshape(-1, 3),
@@ -342,12 +328,10 @@ class StaticMap:
         """(centre x, centre y, radius) rows in placement order, walls left
         out: a circle's own, and the disc through a rectangle's corners, its
         radius from math.hypot and at least 1e-3."""
-        ax, ay, heading, half_width, length = self.rects.T
-        half = length / 2.0
-        fx, fy = elementwise(math.cos, heading), elementwise(math.sin, heading)
         discs = np.empty((len(self.is_rect), 3))
         discs[~self.is_rect] = self.circles
-        discs[self.is_rect] = np.column_stack(
-            [ax + fx * half, ay + fy * half, np.maximum(elementwise(math.hypot, half, half_width), 1e-3)]
-        )
+        for i, (ax, ay, heading, half_width, length) in zip(np.flatnonzero(self.is_rect), self.rects.tolist()):
+            half = length / 2.0
+            radius = max(math.hypot(half, half_width), 1e-3)
+            discs[i] = ax + math.cos(heading) * half, ay + math.sin(heading) * half, radius
         return discs

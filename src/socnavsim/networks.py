@@ -68,12 +68,18 @@ class NetworkSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "NetworkSpec":
-        return NetworkSpec(
-            feature_shape=tuple(d["feature_shape"]),
-            conv=tuple(tuple(c) for c in d["conv"]),
-            pool_width=int(d["pool_width"]),
-            dense=tuple(d["dense"]),
-        )
+        """The spec of a to_dict dict; ValueError for a missing or malformed entry."""
+        try:
+            return NetworkSpec(
+                feature_shape=tuple(d["feature_shape"]),
+                conv=tuple(tuple(c) for c in d["conv"]),
+                pool_width=int(d["pool_width"]),
+                dense=tuple(d["dense"]),
+            )
+        except KeyError as exc:
+            raise ValueError(f"network_spec lacks {exc}") from exc
+        except TypeError as exc:
+            raise ValueError(f"malformed network_spec: {exc}") from exc
 
     def config_hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()

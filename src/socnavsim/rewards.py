@@ -11,10 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .crowd import STILL_SPEED, Crowd
-from .geometry import elementwise, rects_overlap, wrap_angle
+from .geometry import rects_overlap, wrap_angle
 
 EGO_MARGIN = 0.4  # ego-safety circle radius is robot radius + this
 COLLISION_PENALTY = -10.0
@@ -52,43 +50,44 @@ def ego_reward(d_t: float, robot_radius: float) -> tuple[float, bool]:
     return 0.0, False
 
 
-def zone_rows(position, heading, radius, speed) -> np.ndarray:
-    """Forward interaction rectangles as rect_rows rows, one per agent.
+def zone_row(x: float, y: float, heading: float, radius: float, speed: float) -> tuple:
+    """An agent's forward interaction rectangle as a rectangle row.
 
-    Each extends from the agent centre (a row of position) along its
-    motion heading by radius/2 + MIN_HEADWAY + LOOKAHEAD_DT * speed and
-    spans one bounding diameter laterally.  Callers pass the last motion
-    heading for near-stationary agents (speed below STILL_SPEED).
+    It extends from the agent centre (x, y) along its motion heading by
+    radius/2 + MIN_HEADWAY + LOOKAHEAD_DT * speed and spans one bounding
+    diameter laterally.  Callers pass the last motion heading for
+    near-stationary agents (speed below STILL_SPEED).
     """
-    length = radius / 2.0 + MIN_HEADWAY + LOOKAHEAD_DT * speed
-    return np.column_stack([position, elementwise(wrap_angle, heading), radius, length])
+    return x, y, wrap_angle(heading), radius, radius / 2.0 + MIN_HEADWAY + LOOKAHEAD_DT * speed
 
 
-def pedestrian_zones(crowd: Crowd) -> np.ndarray:
-    """Every pedestrian's zone_rows row, headed along its velocity, or its
+def pedestrian_zone(row) -> tuple:
+    """The zone_row of one Crowd row, headed along its velocity, or its
     last motion heading below STILL_SPEED."""
-    vx, vy = crowd.velocity.T
-    speed = elementwise(math.hypot, vx, vy)
-    heading = np.where(speed >= STILL_SPEED, elementwise(math.atan2, vy, vx), crowd.motion_heading)
-    return zone_rows(crowd.position, heading, crowd.radius, speed)
+    _, x, y, vx, vy, _, _, _, radius, _, _, motion_heading = row
+    speed = math.hypot(vx, vy)
+    heading = math.atan2(vy, vx) if speed >= STILL_SPEED else motion_heading
+    return zone_row(x, y, heading, radius, speed)
 
 
-def social_reward(robot_zone: np.ndarray | None, distances, crowd: Crowd) -> tuple[float, int, int]:
-    """Zone-intersection penalty of the robot's zone_rows row (None for
-    an empty crowd, which never reads it); returns (reward, violations,
+def social_reward(robot_zone: tuple | None, distances, crowd: Crowd) -> tuple[float, int, int]:
+    """Zone-intersection penalty of the robot's zone_row (None for an
+    empty crowd, which never reads it); returns (reward, violations,
     considered).
 
-    distances holds each pedestrian's center distance from the robot.
-    Only pedestrians within 5 m take part in the intersection checks,
-    but the penalty is normalized by the total number of pedestrians in
-    the scene; an empty scene yields zero.
+    distances holds each pedestrian's center distance from the robot, in
+    row order.  Only pedestrians within 5 m take part in the intersection
+    checks, but the penalty is normalized by the total number of
+    pedestrians in the scene; an empty scene yields zero.
     """
     if not len(crowd):
         return 0.0, 0, 0
-    near = distances <= SOCIAL_RANGE
-    hit = rects_overlap(robot_zone, pedestrian_zones(crowd))
-    violations = int(np.count_nonzero(hit & near))
-    return SOCIAL_SCALE * violations / len(crowd), violations, int(np.count_nonzero(near))
+    violations = considered = 0
+    for d, row in zip(distances, crowd.rows):
+        if d <= SOCIAL_RANGE:
+            considered += 1
+            violations += rects_overlap(robot_zone, pedestrian_zone(row))
+    return SOCIAL_SCALE * violations / len(crowd), violations, considered
 
 
 def goal_reward(distance: float, initial_distance: float, reached: bool) -> float:
@@ -110,7 +109,7 @@ def assess(
     robot_motion_heading: float,
     robot_speed: float,
     clearance: float,
-    distances: np.ndarray,
+    distances: list[float],
     crowd: Crowd,
     goal_distance: float,
     initial_goal_distance: float,
@@ -121,9 +120,7 @@ def assess(
     distances and goal distance the collision and arrival checks measured."""
     x, y, radius = robot
     r_ego, ego_violation = ego_reward(clearance, radius)
-    zone = None
-    if len(crowd):
-        zone = zone_rows(np.array([[x, y]]), np.array([robot_motion_heading]), radius, robot_speed)
+    zone = zone_row(x, y, robot_motion_heading, radius, robot_speed) if len(crowd) else None
     r_social, violations, considered = social_reward(zone, distances, crowd)
     r_goal = goal_reward(goal_distance, initial_goal_distance, reached)
     return SafetyAssessment(

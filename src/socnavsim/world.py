@@ -499,9 +499,8 @@ class NavEnv:
         """Collision and arrival; keeps the clearance and pedestrian distances for the reward."""
         radius = self.config.robot_radius
         self._distances = self.crowd.distances(self.x, self.y)
-        gaps = self._distances - self.crowd.radius - radius
-        static = self._static_distances.closest_distance(self.x, self.y, radius)
-        self._clearance = min(static, float(gaps.min(initial=math.inf)))
+        gap = min((d - row[8] - radius for d, row in zip(self._distances, self.crowd.rows)), default=math.inf)
+        self._clearance = min(self._static_distances.closest_distance(self.x, self.y, radius), gap)
         if self._clearance <= 0.0:
             self.status = Status.COLLIDED
             return

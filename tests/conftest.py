@@ -18,8 +18,7 @@ from hypothesis import settings
 from socnavsim import crowd, evaluation, rewards, world
 from socnavsim.crowd import Crowd
 from socnavsim.geometry import (
-    CONTACT_SLACK, Scene, StaticMap, cast_fan, closest_distance, elementwise, rect_frames, rects_overlap,
-    wrap_angle,
+    CONTACT_SLACK, Scene, StaticMap, cast_fan, closest_distance, rects_overlap, wrap_angle,
 )
 from socnavsim.lidar import HISTORY_LEN, RANGE_MAX, RANGE_MIN, MotionFeature, Scan, cast_sweep
 from socnavsim.networks import Stacks, featurize
@@ -332,7 +331,7 @@ def reference_closest_distance(robot: Circle, shapes) -> float:
 
 # ---------------------------------------------------------------------------
 # Social zone oracle: one OrientedRect per agent, the zone that
-# rewards.zone_rows replaced; its to_map row must match zone_rows bit for bit
+# rewards.zone_row replaced; its to_map row must match zone_row bit for bit
 
 
 def social_zone(position: Vec2, motion_heading: float, radius: float, speed: float) -> OrientedRect:
@@ -415,8 +414,7 @@ def _project(corners, axis: Vec2) -> tuple[float, float]:
 
 def rects_intersect(a: OrientedRect, b: OrientedRect) -> bool:
     """Closed-set overlap test via the separating-axis theorem, one pair
-    at a time through Vec2 corners; geometry.rects_overlap must match it
-    bit for bit.
+    at a time through Vec2 corners; geometry.rects_overlap must match it.
 
     Only the four face normals need checking for a pair of rectangles;
     boundary contact, to within CONTACT_SLACK, counts as intersecting.
@@ -432,8 +430,8 @@ def rects_intersect(a: OrientedRect, b: OrientedRect) -> bool:
 
 
 def overlaps(a: OrientedRect, b: OrientedRect) -> bool:
-    """geometry.rects_overlap on a single pair of OrientedRects."""
-    return bool(rects_overlap(to_map([a]).rects, to_map([b]).rects)[0])
+    """geometry.rects_overlap on a pair of OrientedRects."""
+    return rects_overlap(*to_map([a, b]).rects.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +468,7 @@ class Pedestrian:
         return OrientedRect(anchor, self.motion_heading, half_width=side, length=2.0 * side)
 
     def zone(self) -> OrientedRect:
-        """The social zone: rewards.pedestrian_zones must match it bit for bit."""
+        """The social zone: rewards.pedestrian_zone must match it bit for bit."""
         speed = self.velocity.norm()
         heading = self.velocity.angle() if speed >= crowd.STILL_SPEED else self.motion_heading
         return social_zone(self.position, heading, self.radius, speed)
@@ -523,6 +521,26 @@ def unpack(c: Crowd) -> list:
     ]
 
 
+def elementwise(fn, *arrays: np.ndarray) -> np.ndarray:
+    """fn mapped over equal-length 1-D arrays, one scalar call per element:
+    numpy's vectorized transcendentals round differently from libm's."""
+    return np.fromiter(map(fn, *(a.tolist() for a in arrays)), float, len(arrays[0]))
+
+
+def rect_frames(rects: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """geometry.rect_corners as numpy column code: forward axes (fx, fy) and
+    (n, 4) corner coordinates (xs, ys) of rectangle rows, counter-clockwise
+    from the rear-right; cos and sin come from math."""
+    ax, ay, heading, half_width, length = rects.T
+    fx, fy = elementwise(math.cos, heading), elementwise(math.sin, heading)
+    front_x, front_y = ax + fx * length, ay + fy * length
+    wx, wy = -fy * half_width, fx * half_width
+    side = np.array([-1.0, -1.0, 1.0, 1.0])  # rear - w, front - w, front + w, rear + w
+    xs = np.array([ax, front_x, front_x, ax]).T + wx[:, None] * side
+    ys = np.array([ay, front_y, front_y, ay]).T + wy[:, None] * side
+    return fx, fy, xs, ys
+
+
 def column_scene(circles: np.ndarray, rects: np.ndarray, segments: np.ndarray) -> Scene:
     """Scene.pack as numpy column code over (c, 3), (r, 5) and (s, 4) arrays:
     radius**2 by Python's pow, then each rectangle's four edges from
@@ -539,12 +557,13 @@ def lidar_scene(c: Crowd) -> Scene:
     """Crowd.scene as numpy column code: a round pedestrian's circle or a rect
     one's inscribed square, anchored along the raw motion heading and turned by
     the wrapped one, packed by column_scene."""
-    r, rect = c.radius, np.array([row[9] for row in c.rows], dtype=bool)
-    heading, side = c.motion_heading[rect], r[rect] / math.sqrt(2.0)
+    t = np.array(c.rows, dtype=float).reshape(-1, 12)
+    position, r, rect = t[:, 1:3], t[:, 8], t[:, 9] == 1.0
+    heading, side = t[rect, 11], r[rect] / math.sqrt(2.0)
     fwd = np.column_stack([elementwise(math.cos, heading), elementwise(math.sin, heading)])
-    anchor = c.position[rect] - fwd * side[:, None]
+    anchor = position[rect] - fwd * side[:, None]
     squares = np.column_stack([anchor, elementwise(wrap_angle, heading), side, 2.0 * side])
-    return column_scene(np.column_stack([c.position[~rect], r[~rect]]), squares, np.empty((0, 4)))
+    return column_scene(np.column_stack([position[~rect], r[~rect]]), squares, np.empty((0, 4)))
 
 
 def clearance(robot: Circle, peds, obstacles) -> float:
@@ -564,7 +583,8 @@ def ego_reward_of(robot: Circle, peds, obstacles):
 def social_reward_of(robot_zone: OrientedRect, robot_position: Vec2, peds):
     """rewards.social_reward of the robot zone among Pedestrians."""
     c = pack(peds)
-    return rewards.social_reward(to_map([robot_zone]).rects, c.distances(robot_position.x, robot_position.y), c)
+    zone = tuple(to_map([robot_zone]).rects[0].tolist())
+    return rewards.social_reward(zone, c.distances(robot_position.x, robot_position.y), c)
 
 
 def assess_of(robot: Circle, heading, speed, peds, obstacles, p_star, p_0, reached):

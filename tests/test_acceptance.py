@@ -31,7 +31,7 @@ from socnavsim.rewards import (
     COLLISION_PENALTY,
     GOAL_BONUS,
     goal_reward,
-    zone_rows,
+    zone_row,
 )
 
 from conftest import (
@@ -118,7 +118,7 @@ class TestCriterion1RewardFormulas:
         assert r == pytest.approx(-0.25 * (1 - 0.35 / 0.7), abs=1e-12)
 
         # social zone: length = r/2 + 0.5 + 0.77 * v
-        z, z0, z2 = zone_rows(np.zeros((3, 2)), np.zeros(3), np.full(3, 0.3), np.array([1.0, 0.0, 2.0]))[:, 4]
+        z, z0, z2 = (zone_row(0.0, 0.0, 0.0, 0.3, speed)[4] for speed in (1.0, 0.0, 2.0))
         assert z == pytest.approx(1.42, abs=1e-12)
         assert z0 == pytest.approx(0.65, abs=1e-12)
         assert z2 - z == pytest.approx(0.77, abs=1e-12)
@@ -165,7 +165,7 @@ class TestCriterion2GeometryOracles:
         overlap_cases = 0
         for _ in range(100):
             a, b = random_rect(rng, span=2.0), random_rect(rng, span=2.0)
-            got = bool(rects_overlap(to_map([a]).rects, to_map([b]).rects)[0])
+            got = rects_overlap(*to_map([a, b]).rects.tolist())
             assert got == rect_overlap_oracle(a, b)
             if got and rects_share_sampled_point(a, b, rng, samples=100_000):
                 overlap_cases += 1

@@ -168,6 +168,22 @@ class TestEval:
         assert exc.value.code == 2
         assert f"checkpoint {ck}: not an actor checkpoint" in capsys.readouterr().err
 
+    def test_checkpoint_spec_without_conv_usage_error(self, tmp_path, env_yaml, capsys):
+        from socnavsim.networks import Actor, default_network_spec, save_checkpoint
+
+        spec = default_network_spec(40, 64)
+        saved = spec.to_dict()
+        del saved["conv"]
+        ck = tmp_path / "ck.npz"
+        save_checkpoint(ck, {"actor": Actor(spec, np.random.default_rng(0)).params()},
+                        {"stage": "ego", "network_spec": saved})
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--policy", str(ck), "--suite", "mapless",
+                  "--config", env_yaml, "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"checkpoint {ck}: network_spec lacks 'conv'" in err and "Traceback" not in err
+
 
 @pytest.mark.parametrize("command", [
     ["eval", "--suite", "mapless", "--runs", "1", "--policy"],

@@ -388,6 +388,19 @@ class TestSpawnScenario:
             assert abs(p.position.y) <= 2.5 + 1e-9
 
 
+@pytest.mark.parametrize("name, value", [
+    ("speed_range", (0.5, math.inf)),
+    ("radius_range", (0.1, math.inf)),
+    ("radius_range", (math.nan, 0.4)),
+    ("max_count", -3),
+])
+def test_bad_ranges_and_walk_in_cap_name_their_field(name, value):
+    """An infinite range would fail only at spawn, in numpy's sampler, and a
+    negative cap would silently stop every walk-in."""
+    with pytest.raises(ValueError, match=name):
+        CrowdConfig(**{name: value})
+
+
 def test_robot_ignorance_is_structural():
     """The crowd API has no robot parameter at all: trajectories cannot
     depend on it."""
@@ -455,9 +468,10 @@ class TestCrowdRowsMatchPedestrians:
         c = pack(peds)
         for _ in range(20):
             robot = Circle(random_point(rng, 4.0), float(rng.uniform(0.1, 0.5)))
-            gaps = c.distances(robot.center.x, robot.center.y) - c.radius - robot.radius
+            distances = c.distances(robot.center.x, robot.center.y)
+            gaps = [d - row[8] - robot.radius for d, row in zip(distances, c.rows)]
             want = [reference_closest_distance(robot, [p.body()]) for p in peds]
-            assert gaps.tolist() == want
+            assert gaps == want
 
 
 class TestStepMatchesReference:

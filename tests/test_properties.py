@@ -1,8 +1,9 @@
 """Property tests for the raycaster, the static distance, the social
-zones, the rectangle overlap test, the greedy planner's scan erosion,
-the ORCA solver, the map sampler, grid fill, corridor check, obstacle
-discs and scenario spawns against their object-based oracles, and the
-motion feature's stack, as the networks gather it, against the eager one."""
+zones, the rectangle corners and overlap test, the greedy planner's scan
+erosion, the ORCA solver, the map sampler, grid fill, corridor check,
+obstacle discs and scenario spawns against their object-based oracles,
+and the motion feature's stack, as the networks gather it, against the
+eager one."""
 
 import math
 
@@ -14,9 +15,9 @@ from hypothesis.extra.numpy import arrays
 from socnavsim import geometry
 from socnavsim.baselines import _inflate_returns
 from socnavsim.crowd import SCENARIO_KINDS, CrowdConfig, orca_lines, spawn_scenario
-from socnavsim.geometry import beam_arcs, rects_overlap, row_terms
+from socnavsim.geometry import beam_arcs, rect_corners, rects_overlap, row_terms
 from socnavsim.lidar import HISTORY_LEN, RANGE_MAX, RANGE_MIN, LidarConfig, build_motion_feature, normalize
-from socnavsim.rewards import zone_rows
+from socnavsim.rewards import zone_row
 from socnavsim.world import EnvConfig, _grid_connected, _grid_free, _sample_obstacle, randomize_map
 
 from conftest import (
@@ -46,6 +47,7 @@ from conftest import (
     reference_randomize_map,
     reference_sample_obstacle,
     reference_spawn_scenario,
+    rect_frames,
     scanned,
     segment_ok,
     social_zone,
@@ -223,9 +225,9 @@ def test_distance_scene_equals_vec2_loop(case):
     speed=st.one_of(st.floats(0.0, 1.5), st.just(0.0)),
 )
 def test_robot_zone_row_equals_social_zone(position, heading, radius, speed):
-    """The robot's zone_rows row, built as rewards.assess builds it, equals
-    the OrientedRect social zone packed by to_map bit for bit."""
-    row = zone_rows(np.array([[position.x, position.y]]), np.array([heading]), radius, speed)
+    """The robot's zone_row, built as rewards.assess builds it, equals the
+    OrientedRect social zone packed by to_map bit for bit."""
+    row = np.array([zone_row(position.x, position.y, heading, radius, speed)])
     assert row.tobytes() == to_map([social_zone(position, heading, radius, speed)]).rects.tobytes()
 
 
@@ -276,15 +278,35 @@ def test_touching_rects_intersect(pair):
 
 @given(rs=st.lists(st.one_of(rects, grid_rects), min_size=1, max_size=12))
 def test_rects_overlap_equals_pairwise_sat(rs):
-    """One rects_overlap pass over every ordered pair equals the Vec2
-    separating-axis test of each pair on its own, degenerate rects too."""
-    rows = to_map(rs).rects
-    n = len(rs)
-    got = rects_overlap(np.repeat(rows, n, axis=0), np.tile(rows, (n, 1)))
-    assert got.tolist() == [rects_intersect(a, b) for a in rs for b in rs]
-    # and one rectangle against all of them, the way the social reward calls it
-    for i, a in enumerate(rs):
-        assert np.array_equal(rects_overlap(rows[i : i + 1], rows), got[i * n : (i + 1) * n])
+    """rects_overlap on every ordered pair of rows equals the Vec2
+    separating-axis test of the pair, degenerate rects too."""
+    rows = to_map(rs).rects.tolist()
+    got = [rects_overlap(a, b) for a in rows for b in rows]
+    assert got == [rects_intersect(a, b) for a in rs for b in rs]
+
+
+signed_zeros = st.sampled_from([0.0, -0.0])
+
+
+@given(rs=st.lists(st.one_of(
+    rects,
+    grid_rects,
+    st.builds(OrientedRect, st.builds(Vec2, signed_zeros, signed_zeros),
+              st.sampled_from([0.0, -0.0, math.pi, -math.pi, math.pi / 2]),
+              st.one_of(signed_zeros, st.floats(0.0, 1.0)), st.one_of(signed_zeros, st.floats(0.0, 2.0))),
+), min_size=1, max_size=12))
+@example(rs=[OrientedRect(Vec2(x, y), h, w, length) for x in (0.0, -0.0) for y in (0.0, -0.0)
+             for h in (0.0, -0.0, math.pi, -math.pi) for w, length in ((0.0, 0.0), (0.0, 1.0), (0.5, 0.0))])
+def test_rect_corners_equal_column_frames(rs):
+    """rect_corners of each row, the one corner rule of Scene.pack and
+    rects_overlap, equals the numpy column code of rect_frames byte for
+    byte: zero sizes, headings at +-pi and signed-zero anchors."""
+    m = to_map(rs).rects
+    fx, fy, xs, ys = rect_frames(m)
+    got = [rect_corners(row) for row in m.tolist()]
+    assert np.array([g[:2] for g in got]).tobytes() == np.column_stack([fx, fy]).tobytes()
+    assert np.array([g[2] for g in got]).tobytes() == xs.tobytes()
+    assert np.array([g[3] for g in got]).tobytes() == ys.tobytes()
 
 
 @given(

@@ -9,8 +9,8 @@ from socnavsim.rewards import (
     COLLISION_PENALTY,
     GOAL_BONUS,
     goal_reward,
-    pedestrian_zones,
-    zone_rows,
+    pedestrian_zone,
+    zone_row,
 )
 
 from conftest import (
@@ -86,11 +86,6 @@ class TestEgoReward:
         assert r_ped < 0.0
 
 
-def zone_row(x, y, heading, radius, speed):
-    """One agent's zone_rows row as (x, y, heading, half_width, length)."""
-    return tuple(zone_rows(np.array([[x, y]]), np.array([heading]), radius, speed)[0])
-
-
 class TestSocialZone:
     def test_paper_length_substitution(self):
         _, _, _, half_width, length = zone_row(0.0, 0.0, 0.0, radius=0.3, speed=1.0)
@@ -116,7 +111,7 @@ class TestSocialZone:
 
     def test_stationary_pedestrian_uses_last_motion_heading(self):
         p = ped(0, (0, 0), (0.0, 0.0), heading=1.1)
-        heading = pedestrian_zones(pack([p]))[0, 2]
+        heading = pedestrian_zone(pack([p]).rows[0])[2]
         assert heading == pytest.approx(1.1)
 
 
@@ -210,7 +205,8 @@ class TestZonesMatchPedestrians:
 
     def test_zone_rows_equal_oracle_zones(self, rng):
         peds = edge_case_peds(rng, n=2000)
-        assert np.array_equal(pedestrian_zones(pack(peds)), to_map([p.zone() for p in peds]).rects)
+        got = np.array([pedestrian_zone(row) for row in pack(peds).rows])
+        assert got.tobytes() == to_map([p.zone() for p in peds]).rects.tobytes()
 
     def test_violations_equal_pairwise_sat(self, rng):
         for _ in range(200):
@@ -288,9 +284,9 @@ class TestAssess:
         """With no pedestrians the social part is zero and the robot's
         zone is never built."""
         def no_zone(*args):
-            raise AssertionError("zone_rows called for an empty crowd")
+            raise AssertionError("zone_row called for an empty crowd")
 
-        monkeypatch.setattr(rewards, "zone_rows", no_zone)
+        monkeypatch.setattr(rewards, "zone_row", no_zone)
         a = assess_of(Circle(Vec2(0.0, 0.0), 0.3), 0.0, 1.0, [], [], Vec2(4, 4), Vec2(-4, -4),
                       reached=False)
         assert (a.r_social, a.violations, a.considered_pedestrians) == (0.0, 0, 0)

@@ -840,6 +840,9 @@ class TestConfigIO:
             "crowd: {area: [5.0, -1.0]}\n",
             "crowd: {area: [.inf, 5.0]}\n",  # spawn points would be NaN
             "crowd: {center: [.nan, 0.0]}\n",
+            "crowd: {radius_range: [0.1, .inf]}\n",  # the spawn would die in numpy's sampler
+            "crowd: {speed_range: [0.5, .inf]}\n",
+            "crowd: {max_count: -3}\n",  # walk-ins would silently never happen
         ],
     )
     def test_out_of_range_values_rejected(self, tmp_path, text):
