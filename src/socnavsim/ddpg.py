@@ -31,6 +31,7 @@ from .networks import (
     default_network_spec,
     featurize,
     fronts,
+    gather,
     goal_input,
     load_params,
     save_checkpoint,
@@ -82,9 +83,9 @@ class ReplayBuffer:
     Per transition it keeps the ring slots and shifts of the K rows of
     the observation and of the next one, the goal, action, reward parts
     (separate, so either stage can recombine them), next goal and done
-    flag.  A sampled batch holds indices only: conv1 gathers each
-    block's rows from the ring (networks.Stacks), to the bits the stored
-    float16 feature stacks used to have.
+    flag.  A sampled batch holds indices only: the learner gathers its
+    rows from the ring (networks.Stacks), to the bits the stored float16
+    feature stacks used to have.
 
     Transitions come in episode order: each obs is the previous
     next_obs, or an episode's reset observation.  So a transition writes
@@ -185,7 +186,7 @@ class ReplayBuffer:
     def sample(self, batch_size: int, rng: np.random.Generator, reward_weights, out=None) -> dict:
         """batch_size transitions drawn uniformly, with the reward parts
         combined by reward_weights.  The observations are Stacks of ring
-        sweeps, which conv1 gathers block by block.  out, a batch an
+        sweeps, which the learner gathers once per update.  out, a batch an
         earlier call returned for the same batch_size, is refilled in
         place and returned, so a training loop allocates its batch once.
         """
@@ -252,31 +253,31 @@ class DDPG:
 
     def act(self, feat, goal) -> np.ndarray:
         """The action for one observation's featurize() inputs."""
-        a, _ = self.actor.forward(feat, goal[None])
-        return a[0]
+        return self.actor.act(feat, goal[None])[0]
 
     def update(self, batch: dict) -> tuple[float, float]:
         """One critic step, one actor step, then soft target updates.
 
         batch["feat"] and batch["next_feat"] are Stacks, as a replay
-        batch's and featurize()'s are, or (N, K, B) arrays.  Each trunk
-        runs over blocks of samples in reused scratch (nn.conv_stack):
-        conv1 gathers a block's rows, casting them to float32, then its
-        pool, relu1, conv2 and relu2 run on that block, and only the
-        trunk's output and what its backward reads outlive the block.
-        Networks whose conv1 weights are current at the same moment share
-        each block's rows, patches and tap GEMMs (networks.fronts): the
-        target actor and target critic on the next observations, and,
-        after the critic's step, the actor and the critic's second pass
-        on the current ones.  Only the passes that backprop into their
-        trunks (the critic's first, the actor's) keep caches; the actor
-        step needs only the critic head's input gradient.
+        batch's and featurize()'s are, or (N, K, B) arrays.  Each Stacks is
+        gathered once (networks.gather) into a float32 array that lives for
+        the passes reading it: the next observations for the target pass,
+        then the current ones for the other four.  Each trunk runs over
+        blocks of samples in reused scratch (nn.conv_stack), and only its
+        output, written into the head input, and what its backward reads
+        outlive a block.  Networks whose conv1 weights are current at the
+        same moment share each block's patches and tap GEMMs
+        (networks.fronts): the target actor and target critic on the next
+        observations, and, after the critic's step, the actor and the
+        critic's second pass on the current ones.  Only the passes that
+        backprop into their trunks (the critic's first, the actor's) keep
+        caches; the actor step needs only the critic head's input gradient.
         """
         cfg = self.config
         n = batch["feat"].shape[0]
-        y = self._target_values(batch)
+        y = self._target_values(batch, gather(batch["next_feat"], self.target_critic.trunk))
 
-        feat, goal = batch["feat"], batch["goal"]
+        feat, goal = gather(batch["feat"], self.critic.trunk), batch["goal"]
         q, cache = self.critic.forward(feat, goal, batch["action"])
         diff = q - y
         critic_loss = float(np.mean(diff * diff))
@@ -287,7 +288,7 @@ class DDPG:
         self.opt_critic.step(cgrads)
         del cgrads
 
-        front_actor, front_critic = fronts((self.actor.trunk, self.critic.trunk), feat, (True, False))
+        front_actor, front_critic = fronts((self.actor, self.critic), feat, (True, False))
         a, acache = self.actor.forward(feat, goal, front_actor)
         q_pi, ccache = self.critic.forward(feat, goal, a, front_critic)
         dq_da = self.critic.backward(np.full(n, -1.0 / n, dtype=q_pi.dtype), ccache, param_grads=False)[0]
@@ -301,15 +302,15 @@ class DDPG:
         self.updates += 1
         return critic_loss, float(np.mean(q_pi))
 
-    def _target_values(self, batch: dict) -> np.ndarray:
-        """Critic targets y = r + gamma * (1 - done) * Q'(o', mu'(o')).
+    def _target_values(self, batch: dict, feat) -> np.ndarray:
+        """Critic targets y = r + gamma * (1 - done) * Q'(o', mu'(o')), on
+        feat, the next observations as conv1 reads them.
 
-        The target networks share one front on the next observations and
-        never backprop, so they keep no caches.
+        The target networks share one front and never backprop, so they
+        keep no caches.
         """
-        feat, goal = batch["next_feat"], batch["next_goal"]
-        trunks = (self.target_actor.trunk, self.target_critic.trunk)
-        front_actor, front_critic = fronts(trunks, feat, (False, False))
+        goal = batch["next_goal"]
+        front_actor, front_critic = fronts((self.target_actor, self.target_critic), feat, (False, False))
         a_next = self.target_actor.forward(feat, goal, front_actor)[0]
         del front_actor
         q_next = self.target_critic.forward(feat, goal, a_next, front_critic)[0]
@@ -462,7 +463,8 @@ class Training:
             cfg = replace(cfg, start=(gx + (sx - gx) * frac, gy + (sy - gy) * frac))
         map_seed = int(self.env_seed_rng.integers(2**31))
         crowd_seed = int(self.env_seed_rng.integers(2**31))
-        ep_return, ep_closs, stop = 0.0, None, False
+        ep_return, stop = 0.0, False
+        losses, qs = [], []  # what each of the episode's updates returned
 
         for outcome in episode_steps(self, cfg, map_seed, crowd_seed):
             record = outcome.record
@@ -473,7 +475,9 @@ class Training:
             self.env_steps += 1
             steps = self.env_steps
             if steps >= tc.warmup_steps and steps % tc.update_every == 0 and self.replay.size >= tc.ddpg.batch_size:
-                ep_closs = self.update()
+                closs, q = self.update()
+                losses.append(closs)
+                qs.append(q)
             if steps % tc.eval_every == 0:
                 stop = self.probe()
             if steps % tc.checkpoint_every == 0:
@@ -482,25 +486,29 @@ class Training:
                 stop = True
                 break
 
+        n = len(losses)
         self.emit({"kind": "episode", "episode": self.episode, "env_steps": self.env_steps, "return": ep_return,
-                   "outcome": outcome.done.value, "steps": outcome.record.step, "critic_loss": ep_closs,
+                   "outcome": outcome.done.value, "steps": outcome.record.step,
+                   "critic_loss": losses[-1] if n else None, "updates": n,
+                   "critic_loss_mean": sum(losses) / n if n else None, "q_mean": sum(qs) / n if n else None,
                    "noise_sigma": tc.noise_sigma(self.env_steps - 1)})
         self.episode += 1
         return stop
 
-    def update(self) -> float:
-        """One learner update on a replay batch; returns the critic loss,
-        or raises TrainingDiverged after a diverged checkpoint."""
+    def update(self) -> tuple[float, float]:
+        """One learner update on a replay batch; returns the critic loss
+        and the mean Q(s, mu(s)) of DDPG.update, or raises
+        TrainingDiverged after a diverged checkpoint."""
         tc = self.config
         self.batch = self.replay.sample(tc.ddpg.batch_size, self.buffer_rng, self.weights, out=self.batch)
-        closs, _ = self.learner.update(self.batch)
+        closs, q = self.learner.update(self.batch)
         if not math.isfinite(closs) or closs > tc.divergence_threshold:
             self.checkpoint("diverged")
             raise TrainingDiverged(
                 f"critic loss {closs:.3e} exceeded {tc.divergence_threshold:.1e}",
                 {"env_steps": self.env_steps, "updates": self.learner.updates, "critic_loss": closs},
             )
-        return closs
+        return closs, q
 
     def probe(self) -> bool:
         """Records the deterministic actor's success rate over the probe

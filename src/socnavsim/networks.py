@@ -24,9 +24,10 @@ checks that against a float64 full-width oracle and by perturbing the
 beams on each side of the cut.  Changing the receptive field changes the
 network, so it is left as is.
 
-The inputs reach conv1 as Stacks, an observation's (featurize) or a
-replay batch's: sweeps held by reference, gathered block by block as
-the trunk runs over sample blocks.
+The inputs arrive as Stacks, an observation's (featurize) or a replay
+batch's: sweeps held by reference.  gather widens them once into the
+array conv1 reads, and every pass of an update over the same
+observations reads that array.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lidar import MotionFeature
-from .nn import Conv2d, Dense, MaxPoolW, ReLU, Tanh, conv_stack, conv_stack_backward, scratch_array
+from .nn import BLOCK, Conv2d, Dense, MaxPoolW, ReLU, Tanh, conv_stack, conv_stack_backward, scratch_array
 
 ACTION_DIM = 2
 GOAL_DIM = 2
@@ -108,9 +109,8 @@ class Stacks:
     lidar.MotionFeature's rows are: beam i reads beam i + shifts[n, k]
     of the sweep, and beams outside it read fill (RANGE_MAX
     normalized).  copy_to is the one place that applies this rule.
-    Slicing takes a block of stacks; copy_to gathers a block's rows into
-    conv1's input buffer (nn.Conv2d.im2col), so no array of the whole
-    batch's features is ever built.
+    Slicing takes a block of stacks, and gather copies the rows block by
+    block into conv1's input array.
     """
 
     sweeps: np.ndarray  # (S, B)
@@ -165,6 +165,19 @@ class Stacks:
             bits += np.uint32(112 << 23)
         else:
             np.copyto(dest, rows)
+
+
+def gather(feat, trunk) -> np.ndarray:
+    """conv1's input for feat: an array as it is, or a Stacks' rows
+    gathered by copy_to, BLOCK stacks at a time so that its scratch holds
+    a block, into a new (N, K, trunk.beams) array of the trunk's dtype."""
+    if isinstance(feat, np.ndarray):
+        return feat
+    n, k, _ = feat.shape
+    out = np.empty((n, k, trunk.beams), trunk.conv1.W.dtype)
+    for lo in range(0, n, BLOCK):
+        feat[lo : lo + BLOCK].copy_to(out[lo : lo + BLOCK])
+    return out
 
 
 def featurize(obs: MotionFeature):
@@ -258,27 +271,36 @@ class Trunk:
         self.layers = layers
         self.conv1, self.pool = layers[0][1], layers[1][1]
         self.rest = layers[2:]
-        self.flat_dim = in_ch * hw[0] * hw[1]
+        self.out_shape = (*hw, in_ch)
+        self.flat_dim = math.prod(self.out_shape)
 
     def backward(self, dflat, cache, grads) -> None:
         """Parameter gradients into grads as 'trunk.<layer>.<key>', from
-        the gradient of the flat output of a front made for backprop."""
-        out_shape, cache = cache
-        conv1, rest = conv_stack_backward(self.conv1, self.pool, self.rest, dflat.reshape(out_shape), cache)
+        the gradient (N, flat_dim) of the flat output of a front made for
+        backprop; dflat may be a view of wider rows."""
+        dy = dflat.reshape(len(dflat), *self.out_shape)
+        conv1, rest = conv_stack_backward(self.conv1, self.pool, self.rest, dy, cache)
         for name, layer_grads in (("conv1", conv1), *rest.items()):
             for k, g in layer_grads.items():
                 grads[f"trunk.{name}.{k}"] = g
 
 
-def fronts(trunks, feat, backprop):
-    """(flat output (N, flat_dim), cache) of each of trunks (one spec) on
-    feat: a Stacks (or an (N, K, B) array, which Conv2d.im2col also
-    reads).  The whole stack runs over sample blocks (nn.conv_stack),
-    and the trunks share each block's conv1 input, patches and tap
-    GEMMs.  backprop has one flag per trunk: only a front made with it
-    can be backpropagated (its cache is None otherwise)."""
-    outs = conv_stack([t.conv1 for t in trunks], trunks[0].pool, [t.rest for t in trunks], feat, backprop)
-    return [(y.reshape(len(y), -1), None if cache is None else (y.shape, cache)) for y, cache in outs]
+def fronts(nets, feat, backprop):
+    """(head input (N, in_dim), cache) of each of nets (TrunkHeads of one
+    spec) on feat, a Stacks (gathered first) or an (N, K, B) array.  The
+    whole trunk runs over sample blocks (nn.conv_stack), and the trunks
+    share each block's conv1 patches and tap GEMMs.  Each trunk's relu2
+    writes its output straight into the first flat_dim columns of its
+    head input; the head's run fills the other columns.  backprop has
+    one flag per net: only a front made with it can be backpropagated
+    (its cache is None otherwise)."""
+    trunks = [net.trunk for net in nets]
+    x = gather(feat, trunks[0])
+    n = len(x)
+    inputs = [np.empty((n, net.in_dim), net.dtype) for net in nets]
+    outs = [inp[:, : t.flat_dim].reshape(n, *t.out_shape) for inp, t in zip(inputs, trunks)]
+    caches = conv_stack([t.conv1 for t in trunks], trunks[0].pool, [t.rest for t in trunks], x, backprop, outs)
+    return list(zip(inputs, caches))
 
 
 class TrunkHead:
@@ -288,8 +310,10 @@ class TrunkHead:
 
     def __init__(self, spec: NetworkSpec, extra_dim: int, out_dim: int, rng, dtype):
         self.spec = spec
+        self.dtype = np.dtype(dtype)
         self.trunk = Trunk(spec, rng, dtype)
-        dims = (self.trunk.flat_dim + extra_dim, *spec.dense, out_dim)
+        self.in_dim = self.trunk.flat_dim + extra_dim
+        dims = (self.in_dim, *spec.dense, out_dim)
         head = []
         for i in range(len(dims) - 2):
             head += [(f"fc{i + 1}", Dense(dims[i], dims[i + 1], rng, dtype)), (f"relu{i + 1}", ReLU())]
@@ -299,12 +323,17 @@ class TrunkHead:
         self.head = [*head, ("out", out)]
 
     def run(self, feat, extras, front):
-        """(head output, cache) of the trunk output joined with extras.
-        front, when given, is this trunk's entry of a fronts() call made
-        together with other trunks; else the trunk runs alone, for
-        backprop."""
-        flat, tcache = front if front is not None else fronts((self.trunk,), feat, (True,))[0]
-        y, hcache = forward_layers(self.head, np.concatenate([flat, *extras], axis=1))
+        """(head output, cache) of the trunk output joined with extras,
+        which fill the head input's columns after the trunk's, in order.
+        front, when given, is this net's entry of a fronts() call made
+        together with other nets, and serves this one call; else the
+        trunk runs alone, for backprop."""
+        x, tcache = front if front is not None else fronts((self,), feat, (True,))[0]
+        col = self.trunk.flat_dim
+        for extra in extras:
+            x[:, col : col + extra.shape[1]] = extra
+            col += extra.shape[1]
+        y, hcache = forward_layers(self.head, x)
         return y, (tcache, hcache)
 
     def backprop(self, dy, cache):
@@ -312,7 +341,7 @@ class TrunkHead:
         tcache, hcache = cache
         grads = {}
         dx = backward_layers(self.head, dy, hcache, grads, "mlp.")
-        self.trunk.backward(np.ascontiguousarray(dx[:, : self.trunk.flat_dim]), tcache, grads)
+        self.trunk.backward(dx[:, : self.trunk.flat_dim], tcache, grads)
         return dx, grads
 
     def params(self):
@@ -328,6 +357,10 @@ class Actor(TrunkHead):
         y, cache = self.run(feat, (goal,), front)
         a, acache = self.tanh.forward(y)
         return ACTION_SCALE * a, (cache, acache, y)
+
+    def act(self, feat, goal):
+        """The actions alone, from a front that keeps no backprop caches."""
+        return self.forward(feat, goal, fronts((self,), feat, (False,))[0])[0]
 
     def backward(self, da, cache, logit_penalty):
         """Parameter gradients from da, the actions' gradient, plus the

@@ -6,16 +6,19 @@ per update without cache aliasing.  float32 for training speed; tests
 rebuild the same layers in float64 for finite-difference checks.
 
 A convolution stack (the trunk: conv1, a width pool, then more layers)
-runs over blocks of BLOCK samples: conv_stack and conv_stack_backward.
-A block's input rows, patches, conv outputs and their gradients live in
-scratch buffers (scratch_array) that every call reuses, and only the
-stack's output, each pool window's winner offset and the activations
-that backward reads are kept for the batch.  So no scratch buffer grows
-with the batch: the working set is a few blocks of conv output, not a
-few batches of it (the memory-efficient lowering of MEC, Cho & Brand,
-arXiv 1706.06873, applied to every layer of the stack).  Weight and bias
-gradients are summed per sample in sample order across the blocks,
-equal to a whole-batch backward's bit for bit.
+runs over sample blocks: conv_stack and conv_stack_backward.  conv1 and
+the pool run over blocks of BLOCK samples, whose patches and conv
+outputs are the widest arrays of the stack; the rest layers (relu1,
+conv2, relu2) over blocks of REST_BLOCK samples.  A block's patches,
+conv outputs and their gradients live in scratch buffers (scratch_array)
+that every call reuses, and only the stack's output, each pool window's
+winner offset and the activations that backward reads are kept for the
+batch.  So no scratch buffer grows with the batch: the working set is a
+few blocks of conv output, not a few batches of it (the memory-efficient
+lowering of MEC, Cho & Brand, arXiv 1706.06873, applied to every layer
+of the stack).  Weight and bias gradients are summed per sample in
+sample order across the blocks, equal to a whole-batch backward's bit
+for bit.
 """
 
 from __future__ import annotations
@@ -29,10 +32,16 @@ BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
 
-# samples per conv_stack block.  In batch-128 updates (2-core x86, one
-# BLAS thread) 8 and 16 tied as fastest; 4 was 9% slower at 180 beams
-# and 32 18% slower at 1080.  8 keeps the scratch smaller.
+# samples per conv1 and pool block of conv_stack.  In batch-128 updates
+# (2-core x86, one BLAS thread) 8 and 16 tied as fastest; 4 was 9% slower
+# at 180 beams and 32 18% slower at 1080.  8 keeps the scratch smaller.
 BLOCK = 8
+# samples per block of the layers after the pool, whose arrays are a
+# pool-width times narrower than conv1's: fewer, larger conv2 GEMMs and
+# half the im2col calls.  A multiple of BLOCK.  16 and 32 tied at 180
+# and 1080 beams; with 16 a batch of 16 already fills a block, so the
+# scratch of such a batch is that of any larger one.
+REST_BLOCK = 16
 
 
 # Scratch arrays that calls reuse, so that steady-state calls touch no
@@ -111,20 +120,10 @@ class Conv2d:
         self.b = np.zeros(out_ch, dtype=dtype)
 
     def im2col(self, x):
-        """Width patches (N, H, OW, kw*C) of an (N, H, W, C) input, in the
-        'cols' scratch buffer and the layer's dtype.
-
-        x is an array or a block source: anything with len() and a
-        copy_to(out) that writes its (N, H, W, C) rows, cast to out's
-        dtype, into the 'rows' scratch buffer (networks.Stacks, which
-        gathers a replay batch's sweeps there).  Patch [n, h, o] is row
-        h's columns o*sw .. o*sw + kw - 1, one contiguous kw*C run of a
-        channels-last row.
-        """
-        if not isinstance(x, np.ndarray):
-            rows = scratch_array("rows", (len(x), *self.in_hw, self.in_ch), self.W.dtype)
-            x.copy_to(rows)
-            x = rows
+        """Width patches (N, H, OW, kw*C) of an (N, H, W, C) array, in the
+        'cols' scratch buffer and the layer's dtype.  Patch [n, h, o] is
+        row h's columns o*sw .. o*sw + kw - 1, one contiguous kw*C run of
+        a channels-last row."""
         x = np.ascontiguousarray(x)
         kw, sw = self.kernel[1], self.stride[1]
         shape = (*x.shape[:2], self.out_hw[1], kw * self.in_ch)
@@ -189,7 +188,9 @@ class Conv2d:
         oh, ow = self.out_hw
         dy_rows = dy.reshape(n, oh * ow, self.out_ch)
         lead = 0 if grads is None else 1  # a leading row for the running total
-        prods = scratch_array("dW", (lead + n, kw * self.in_ch, self.out_ch), dy.dtype)
+        # cut with room for that row either way, so that a batch of one
+        # block takes the scratch of a batch of several
+        prods = scratch_array("dW", (1 + n, kw * self.in_ch, self.out_ch), dy.dtype)[1 - lead :]
         dtaps = np.empty((kh, *prods.shape[1:]), dy.dtype)
         totals = None if grads is None else self.taps(grads["W"])
         for i in range(kh):
@@ -281,46 +282,52 @@ class MaxPoolW:
         return {}
 
 
-def conv_stack(convs, pool, rests, x, keep):
+def conv_stack(convs, pool, rests, x, keep, outs):
     """Each conv of convs, then pool, then that conv's rest layers, on
-    the same input x, one block of BLOCK samples at a time.
+    the same input x, writing each conv's result into its entry of outs.
 
-    The layers in convs share one geometry and read the same input
-    (N, H, W, C): an array or a block source (Conv2d.im2col).  Per block
-    they share each tap's GEMM (Conv2d.forward's others), and each
-    conv's pool and rest layers ((name, layer) pairs, e.g. a ReLU, a
-    second conv and its ReLU) run at once on its slice of the output.
+    The layers in convs share one geometry and read the same (N, H, W, C)
+    array x.  conv1 and the pool run over blocks of BLOCK samples, which
+    share each tap's GEMM (Conv2d.forward's others); each conv's rest
+    layers ((name, layer) pairs, e.g. a ReLU, a second conv and its ReLU)
+    then run over blocks of REST_BLOCK samples of its pooled output, and
+    the last of them writes straight into the block of outs (its out=).
     keep has one flag per conv: whether its pass will backprop, so that
-    its cache must hold, per block, the input, the pool's winner
-    offsets and the rest layers' caches.  Returns one (output (N, ...),
-    cache or None) per conv.
+    its cache must hold the input, the pool's winner offsets per block
+    and the rest layers' caches per block.  Returns one cache or None
+    per conv.
     """
     lead = convs[0]
     oh, ow = lead.out_hw
     pooled = (oh, pool.out_width(ow))
-    outs = [None] * len(convs)
-    caches = [[] if k else None for k in keep]
-    for lo in range(0, len(x), BLOCK):
-        block = slice(lo, lo + BLOCK)
-        xb = x[block]
-        z, _ = lead.forward(xb, convs[1:], scratch=True)
-        c0 = 0
-        for j, (conv, rest) in enumerate(zip(convs, rests)):
-            shape = (len(z), *pooled, conv.out_ch)
-            offsets = np.empty(shape, np.int8) if keep[j] else None
-            y, pcache = pool.forward(z[..., c0 : c0 + conv.out_ch],
-                                     out=(scratch_array("pool", shape, z.dtype), offsets))
-            c0 += conv.out_ch
+    caches = [(x, [], []) if k else None for k in keep]
+    for lo in range(0, len(x), REST_BLOCK):
+        m = min(REST_BLOCK, len(x) - lo)
+        ys = [scratch_array(f"pool{j}", (m, *pooled, conv.out_ch), lead.W.dtype) for j, conv in enumerate(convs)]
+        for sub in range(0, m, BLOCK):
+            z, _ = lead.forward(x[lo + sub : lo + sub + BLOCK], convs[1:], scratch=True)
+            c0 = 0
+            for j, conv in enumerate(convs):
+                y = ys[j][sub : sub + len(z)]
+                offsets = np.empty(y.shape, np.int8) if keep[j] else None
+                _, pcache = pool.forward(z[..., c0 : c0 + conv.out_ch], out=(y, offsets))
+                c0 += conv.out_ch
+                if keep[j]:
+                    caches[j][1].append(pcache)
+        for j, (y, rest) in enumerate(zip(ys, rests)):
+            out = outs[j][lo : lo + m]
             rcaches = []
-            for _, layer in rest:
+            for _, layer in rest[:-1]:
                 y, cache = layer.forward(y)
                 rcaches.append(cache)
-            if outs[j] is None:
-                outs[j] = np.empty((len(x), *y.shape[1:]), y.dtype)
-            outs[j][block] = y
+            if rest:
+                y, cache = rest[-1][1].forward(y, out=out)
+                rcaches.append(cache)
+            else:
+                out[...] = y
             if keep[j]:
-                caches[j].append((xb, pcache, rcaches))
-    return list(zip(outs, caches))
+                caches[j][2].append(rcaches)
+    return caches
 
 
 def conv_stack_backward(conv, pool, rest, dy, cache):
@@ -329,22 +336,25 @@ def conv_stack_backward(conv, pool, rest, dy, cache):
     gradient.  Returns (conv's {"W", "b"}, {name: {"W", "b"}} of the
     rest layers that have parameters).
 
-    Per block, dy runs back through the rest layers and the pool, and
+    Per block of REST_BLOCK samples, dy runs back through the rest
+    layers; per block of BLOCK samples of that, through the pool, and
     the conv's patches are rebuilt from the block's input.  Each block's
     parameter gradients join the running totals in sample order
     (Conv2d.backward's grads), equal to a whole-batch backward's bit for
     bit.
     """
+    x, offsets, rcaches = cache
     grads, totals = None, {}
-    for lo, (xb, pcache, rcaches) in zip(range(0, len(dy), BLOCK), cache):
-        d = dy[lo : lo + BLOCK]
-        for (name, layer), c in zip(reversed(rest), reversed(rcaches)):
+    for lo, rc in zip(range(0, len(dy), REST_BLOCK), rcaches):
+        d = dy[lo : lo + REST_BLOCK]
+        for (name, layer), c in zip(reversed(rest), reversed(rc)):
             if layer.params():
                 d, totals[name] = layer.backward(d, c, grads=totals.get(name))
             else:
                 d = layer.input_grad(d, c)
-        dz, _ = pool.backward(d, pcache)
-        _, grads = conv.backward(dz, xb, need_input_grad=False, grads=grads)
+        for sub in range(0, len(d), BLOCK):
+            dz, _ = pool.backward(d[sub : sub + BLOCK], offsets[(lo + sub) // BLOCK])
+            _, grads = conv.backward(dz, x[lo + sub : lo + sub + BLOCK], need_input_grad=False, grads=grads)
     return grads, totals
 
 
@@ -352,8 +362,9 @@ class ReLU:
     """The cache is the output, which is > 0 exactly where the input is
     (NaN included), so the input can be freed after the forward pass."""
 
-    def forward(self, x):
-        y = np.maximum(x, 0.0)
+    def forward(self, x, out=None):
+        """out, when given, is the array the output is written into."""
+        y = np.maximum(x, 0.0, out=out)
         return y, y
 
     def backward(self, dy, cache):

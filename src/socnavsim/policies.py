@@ -28,7 +28,7 @@ class LearnedPolicy:
 
     def act(self, obs: MotionFeature) -> tuple[float, float]:
         feat, goal = featurize(obs)
-        a, _ = self.actor.forward(feat, goal[None])
+        a = self.actor.act(feat, goal[None])
         return float(a[0, 0]), float(a[0, 1])
 
 

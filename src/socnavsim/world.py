@@ -473,6 +473,12 @@ class NavEnv:
         self.crowd = crowd
         self._scene = self._static_scene + crowd.scene if len(crowd) else self._static_scene
 
+    def _crowd_moves(self) -> bool:
+        """Whether a control tick can change the crowd: it has pedestrians
+        or may gain one.  An empty crowd that cannot gain one draws
+        nothing from crowd_rng, so skipping its step changes no output."""
+        return len(self.crowd) > 0 or self.config.crowd.walk_in_probability > 0.0
+
     def _record_sweep(self) -> None:
         """Record the sweep that every scan reads until the robot or the
         crowd moves; it is cast when a scan of it is first read."""
@@ -531,8 +537,9 @@ class NavEnv:
                 self._measure_goal()
                 if v_l >= STILL_SPEED:
                     self.robot_motion_heading = self.heading
-                crowd = step_crowd(self.crowd, self.config.crowd, self.control_dt, self.crowd_rng, self._discs)
-                self._set_crowd(crowd)
+                if self._crowd_moves():
+                    crowd = step_crowd(self.crowd, self.config.crowd, self.control_dt, self.crowd_rng, self._discs)
+                    self._set_crowd(crowd)
                 self._record_sweep()
                 self._check_terminal()
             self.sim_time += self.tick_dt

@@ -1195,6 +1195,15 @@ class CastEveryTickEnv(NavEnv):
         return scanned([(self.heading, np.clip(ranges, RANGE_MIN, RANGE_MAX))])[0]
 
 
+class EveryTickCrowdEnv(NavEnv):
+    """NavEnv that steps the crowd at every control tick, also when it is
+    empty and can gain no pedestrian; the env that skips those steps must
+    step bit for bit like it."""
+
+    def _crowd_moves(self) -> bool:
+        return True
+
+
 # ---------------------------------------------------------------------------
 # Gradient oracle
 
@@ -1322,19 +1331,21 @@ def whole_batch_conv_pool_backward(conv, pool, dy, cache):
 # Learner oracle: DDPG.update as whole-batch, per-network passes
 
 
-def whole_batch_conv_stack(convs, pool, rests, x, keep):
+def whole_batch_conv_stack(convs, pool, rests, x, keep, outs):
     """nn.conv_stack as each trunk's own whole-batch pass: the input
     materialized (stacks_array) when it is a Stacks, conv1 and the pool
-    by whole_batch_conv_pool, then each rest layer on the whole batch."""
+    by whole_batch_conv_pool, then each rest layer on the whole batch.
+    Each output is copied into its entry of outs; returns the caches."""
     dense = (stacks_array(x) if isinstance(x, Stacks) else x)[:, :, : convs[0].in_hw[1], None]
-    outs = []
-    for (y, front), rest in zip(whole_batch_conv_pool(convs, pool, dense), rests):
-        caches = []
+    caches = []
+    for (y, front), rest, out in zip(whole_batch_conv_pool(convs, pool, dense), rests, outs):
+        rcaches = []
         for _, layer in rest:
             y, cache = layer.forward(y)
-            caches.append(cache)
-        outs.append((y, (front, caches)))
-    return outs
+            rcaches.append(cache)
+        out[...] = y
+        caches.append((front, rcaches))
+    return caches
 
 
 def whole_batch_conv_stack_backward(conv, pool, rest, dy, cache):
@@ -1352,16 +1363,17 @@ def whole_batch_conv_stack_backward(conv, pool, rest, dy, cache):
 def reference_update(learner, batch):
     """One DDPG update as separate passes of each network over the whole
     batch, with the trunk run by the whole-batch oracle above (patched in
-    for nn.conv_stack): no blocks, no shared GEMMs, a materialized input,
-    and every pass keeps what its backward needs.  batch may be a replay
-    batch or plain arrays.  DDPG.update must match it bit for bit."""
+    for nn.conv_stack): no blocks, no shared GEMMs, an input materialized
+    row by row (stacks_array) when it is a Stacks, and every pass keeps
+    what its backward needs.  batch may be a replay batch or plain
+    arrays.  DDPG.update must match it bit for bit."""
     from unittest import mock
 
     from socnavsim.networks import soft_update
 
     cfg = learner.config
     n = batch["feat"].shape[0]
-    feat, nfeat = batch["feat"], batch["next_feat"]
+    feat, nfeat = (stacks_array(f) if isinstance(f, Stacks) else f for f in (batch["feat"], batch["next_feat"]))
     with mock.patch("socnavsim.networks.conv_stack", whole_batch_conv_stack), \
             mock.patch("socnavsim.networks.conv_stack_backward", whole_batch_conv_stack_backward):
         a_next, _ = learner.target_actor.forward(nfeat, batch["next_goal"])

@@ -4,7 +4,7 @@ import numpy as np
 
 import pytest
 
-from socnavsim.networks import Stacks, Trunk, default_network_spec
+from socnavsim.networks import Stacks, Trunk, default_network_spec, gather
 from socnavsim.nn import Adam, Conv2d, Dense, MaxPoolW, ReLU, Tanh, conv_stack, conv_stack_backward
 
 from conftest import (
@@ -142,14 +142,20 @@ def ring_stacks(rng, n, k, beams):
     return Stacks(ring, rng.integers(0, len(ring), (n, k), dtype=np.int32), shifts)
 
 
-class TestBlockedConvPool:
-    """nn.conv_stack and conv_stack_backward (conv1, the pool, relu1,
-    conv2 and relu2 in sample blocks, shared conv1 tap GEMMs, int8 winner
-    offsets) against the whole-batch, one-layer-at-a-time oracle in
-    conftest, bit for bit: on a float16 ring of shifted sweeps and on a
-    plain float32 array."""
+def outputs(trunks, n):
+    """One conv_stack output array per trunk, for n samples."""
+    return [np.full((n, *t.out_shape), np.nan, np.float32) for t in trunks]
 
-    @pytest.mark.parametrize("beams, n", [(180, 1), (180, 7), (180, 17), (180, 128), (1080, 7)])
+
+class TestBlockedConvPool:
+    """nn.conv_stack and conv_stack_backward (conv1 and the pool, then
+    relu1, conv2 and relu2, in sample blocks, shared conv1 tap GEMMs, int8
+    winner offsets) against the whole-batch, one-layer-at-a-time oracle
+    in conftest, bit for bit: on a float16 ring of shifted sweeps, which
+    the library gathers (networks.gather) and the oracle materializes
+    row by row, and on a plain float32 array."""
+
+    @pytest.mark.parametrize("beams, n", [(180, 1), (180, 7), (180, 17), (180, 128), (1080, 7), (1080, 17)])
     @pytest.mark.parametrize("dtype", [np.float16, np.float32])
     def test_matches_whole_batch(self, rng, beams, n, dtype):
         spec = default_network_spec(40, beams)
@@ -162,11 +168,12 @@ class TestBlockedConvPool:
             x = ring_stacks(rng, n, 40, beams)
         else:
             x = rng.uniform(0.01, 1.0, (n, 40, beams)).astype(dtype)
-        args = ([t.conv1 for t in trunks], trunks[0].pool, [t.rest for t in trunks], x, (True, True))
-        got = conv_stack(*args)
-        want = whole_batch_conv_stack(*args)
-        for trunk, (y, cache), (y_ref, cache_ref) in zip(trunks, got, want):
-            assert y.dtype == np.float32 and y.tobytes() == y_ref.tobytes()
+        args = ([t.conv1 for t in trunks], trunks[0].pool, [t.rest for t in trunks])
+        got, want = outputs(trunks, n), outputs(trunks, n)
+        caches = conv_stack(*args, gather(x, trunks[0]), (True, True), got)
+        caches_ref = whole_batch_conv_stack(*args, x, (True, True), want)
+        for trunk, y, cache, y_ref, cache_ref in zip(trunks, got, caches, want, caches_ref):
+            assert y.tobytes() == y_ref.tobytes()
             dy = rng.normal(size=y.shape).astype(np.float32)
             grads, rest = conv_stack_backward(trunk.conv1, trunk.pool, trunk.rest, dy, cache)
             ref, rest_ref = whole_batch_conv_stack_backward(trunk.conv1, trunk.pool, trunk.rest, dy, cache_ref)
@@ -178,9 +185,10 @@ class TestBlockedConvPool:
 
     def test_no_winners_no_cache(self, rng):
         trunk = Trunk(default_network_spec(40, 180), rng)
-        x = ring_stacks(rng, 9, 40, 180)
-        (y, cache), = conv_stack([trunk.conv1], trunk.pool, [trunk.rest], x, (False,))
-        (y_ref, _), = conv_stack([trunk.conv1], trunk.pool, [trunk.rest], x, (True,))
+        x = gather(ring_stacks(rng, 9, 40, 180), trunk)
+        (y,), (y_ref,) = outputs([trunk], 9), outputs([trunk], 9)
+        cache, = conv_stack([trunk.conv1], trunk.pool, [trunk.rest], x, (False,), [y])
+        conv_stack([trunk.conv1], trunk.pool, [trunk.rest], x, (True,), [y_ref])
         assert cache is None and y.tobytes() == y_ref.tobytes()
 
 
@@ -314,8 +322,9 @@ class TestMaxPoolTies:
         conv = Conv2d(5, 5, (1, 1), (1, 1), (2, 18), rng, dtype=dtype)
         conv.W[...] = np.eye(5)
         pool = MaxPoolW(4)
-        (y, cache), = conv_stack([conv], pool, [[]], x, (True,))
-        offsets = np.concatenate([pcache[0] for _, pcache, _ in cache])
+        y = np.empty((12, 2, 4, 5), dtype)
+        cache, = conv_stack([conv], pool, [[]], x, (True,), [y])
+        offsets = np.concatenate([pcache[0] for pcache in cache[1]])
         nan_window = np.zeros(y.shape, bool)
         nan_window[5, 1, 2, :] = True
 

@@ -12,7 +12,7 @@ from conftest import (feature_of, gathered, numeric_gradient, reference_conv2d, 
                       stacks_array)
 from socnavsim import ddpg as ddpg_module
 from socnavsim import evaluation as evaluation_module
-from socnavsim import nn
+from socnavsim import networks, nn
 from socnavsim.crowd import CrowdConfig
 from socnavsim.ddpg import DDPG, DDPGConfig, ReplayBuffer, TrainConfig, train
 from socnavsim.evaluation import episode_seeds, run_episode
@@ -145,11 +145,30 @@ class TestSharedCols:
         feat = rng.random((4, 4, 16))
         goal = rng.random((4, 2))
         action = rng.uniform(-1.5, 1.5, (4, 2))
-        front_critic, front_actor = fronts((critic.trunk, actor.trunk), feat, (True, True))
+        front_critic, front_actor = fronts((critic, actor), feat, (True, True))
 
         assert np.array_equal(actor.forward(feat, goal)[0], actor.forward(feat, goal, front_actor)[0])
         assert np.array_equal(critic.forward(feat, goal, action)[0],
                               critic.forward(feat, goal, action, front_critic)[0])
+
+
+class TestAct:
+    @pytest.mark.parametrize("beams", [180, 1080])
+    def test_no_cache_action_equals_cached_forward(self, monkeypatch, beams):
+        """DDPG.act and LearnedPolicy.act run the actor on a front that
+        keeps no backprop caches, and return the action of the forward
+        pass that keeps them, bit for bit."""
+        rng = np.random.default_rng(6)
+        learner = DDPG(default_network_spec(HISTORY_LEN, beams), DDPGConfig(), rng)
+        obs = episode(rng, 3, beams)[-1]
+        feat, goal = featurize(obs)
+        want, _ = learner.actor.forward(feat, goal[None])
+        keeps, conv_stack = [], networks.conv_stack
+        monkeypatch.setattr(networks, "conv_stack", lambda *args: keeps.append(args[4]) or conv_stack(*args))
+        got = learner.act(feat, goal)
+        assert got.dtype == want.dtype and got.tobytes() == want[0].tobytes()
+        assert LearnedPolicy(learner.actor, "learned").act(obs) == (float(want[0, 0]), float(want[0, 1]))
+        assert keeps == [(False,), (False,)]
 
 
 def full_width_trunk(trunk, feat):
@@ -177,10 +196,12 @@ class TestBeamReach:
     @pytest.mark.parametrize("beams", [180, 1080])
     def test_trunk_equals_full_width_network(self, beams):
         rng = np.random.default_rng(11)
-        trunk = Actor(default_network_spec(40, beams), rng, dtype=np.float64).trunk
+        actor = Actor(default_network_spec(40, beams), rng, dtype=np.float64)
+        trunk = actor.trunk
         assert trunk.beams == self.REACH[beams]
         feat = rng.random((2, 40, beams))
-        (flat, _), = fronts((trunk,), feat, (False,))
+        (head_input, _), = fronts((actor,), feat, (False,))
+        flat = head_input[:, : trunk.flat_dim]
         np.testing.assert_allclose(flat, full_width_trunk(trunk, feat), rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("beams", [180, 1080])
@@ -583,6 +604,26 @@ class TestDDPGUpdate:
             tracemalloc.stop()
         assert peak - base <= 7e6
 
+    def test_working_set_replay(self):
+        """The same on a replay batch, the path training runs: at most
+        7 MB above its start plus the float32 rows gathered from the ring
+        (128 x 40 x 161, 3.30 MB), which live for the update."""
+        spec = default_network_spec(HISTORY_LEN, 180)
+        learner = DDPG(spec, DDPGConfig(), np.random.default_rng(3))
+        buf = ReplayBuffer(300, spec.feature_shape)
+        fill(buf, np.random.default_rng(4), (60, 90, 120), 180)
+        batch = buf.sample(128, np.random.default_rng(5), (1.0, 0.0, 1.0))
+        learner.update(batch)  # the first update allocates the scratch buffers
+        rows = 128 * HISTORY_LEN * learner.critic.trunk.beams * np.dtype(np.float32).itemsize
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            learner.update(batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= 7e6 + rows
+
     def test_divergence_detection_fields(self):
         from socnavsim.ddpg import TrainingDiverged
 
@@ -905,6 +946,39 @@ class TestTrainLoop:
             assert action.tobytes() == want.tobytes(), k
         assert next(noisy, None) is None and 0 < uniform < budget - warmup
         assert len(acted) == budget - warmup - uniform
+
+    def test_episode_records_summarize_updates(self, monkeypatch):
+        """Each episode record holds the number of updates made in the
+        episode, and the mean critic loss and mean Q(s, mu(s)) of the
+        values DDPG.update returned for them; critic_loss stays the last
+        loss.  An episode without updates reads 0 and None."""
+        returned, real_update = [], DDPG.update
+
+        def update(learner, batch):
+            returned.append(real_update(learner, batch))
+            return returned[-1]
+
+        monkeypatch.setattr(DDPG, "update", update)
+        # a warm-up longer than the first episode, which then makes no update
+        tc = replace(self._train_cfg(150), warmup_steps=45)
+        learner, curve = train("ego", self._env_cfg(), tc, seed=5)
+        episodes = [r for r in curve if r["kind"] == "episode"]
+        first, last = 0, 0  # env steps before each episode, index of its first update
+        for record in episodes:
+            steps = range(first + 1, record["env_steps"] + 1)
+            n = sum(s >= tc.warmup_steps and s % tc.update_every == 0 and s >= tc.ddpg.batch_size for s in steps)
+            mine = returned[last : last + n]
+            assert record["updates"] == n == len(mine)
+            if n:
+                losses, qs = [c for c, _ in mine], [q for _, q in mine]
+                assert record["critic_loss"] == losses[-1]
+                assert record["critic_loss_mean"] == sum(losses) / n
+                assert record["q_mean"] == sum(qs) / n
+            else:
+                assert record["critic_loss"] is record["critic_loss_mean"] is record["q_mean"] is None
+            first, last = record["env_steps"], last + n
+        assert last == len(returned) == learner.updates > 0
+        assert any(r["updates"] == 0 for r in episodes) and any(r["updates"] > 1 for r in episodes)
 
     def test_warm_start_applied(self, tmp_path):
         learner, _ = train("ego", self._env_cfg(), self._train_cfg(60), seed=3,

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import math
 import pathlib
 
@@ -27,7 +28,8 @@ from socnavsim.world import (
     randomize_map,
 )
 
-from conftest import (Circle, rows_grid_free, save_config, OrientedRect, Segment, Vec2, CastEveryTickEnv, clearance, closest_distance_of, gathered,
+from conftest import (Circle, rows_grid_free, save_config, OrientedRect, Segment, Vec2, CastEveryTickEnv,
+                      EveryTickCrowdEnv, clearance, closest_distance_of, gathered,
                       point_rect_signed_distance, reference_arena_walls, reference_closest_distance,
                       reference_grid_connected, reference_grid_free, reference_randomize_map,
                       reference_sample_obstacle, reference_static_shapes, rects_intersect, social_zone, to_map,
@@ -550,13 +552,14 @@ class TestScanOncePerPose:
     def rollout(self, env_cls, cfg, actions, monkeypatch, read):
         """One episode: its observations (the reset's first), its step
         outcomes, the noise_rng state as each call returned, and the casts
-        and control ticks of each call (the reset first, then each step)
-        counted with read(observation, terminal) of its observation."""
+        and control ticks (pose integrations) of each call (the reset
+        first, then each step) counted with read(observation, terminal)
+        of its observation."""
         from socnavsim import lidar
 
         counts = collections.Counter()
         with monkeypatch.context() as m:
-            for module, name in ((lidar, "cast_fan"), (world, "step_crowd")):
+            for module, name in ((lidar, "cast_fan"), (world, "integrate")):
                 def counted(*args, _original=getattr(module, name), _name=name, **kwargs):
                     counts[_name] += 1
                     return _original(*args, **kwargs)
@@ -609,7 +612,7 @@ class TestScanOncePerPose:
         terminal = outs[-1].done is not Status.RUNNING
         for i, tally in enumerate(tallies[1:], 1):
             if every_row:
-                assert tally.get("cast_fan", 0) == tally["step_crowd"]
+                assert tally.get("cast_fan", 0) == tally["integrate"]
             else:
                 assert tally.get("cast_fan", 0) == (0 if terminal and i == len(outs) else 1)
         return outs, tallies
@@ -643,7 +646,7 @@ class TestScanOncePerPose:
         no control tick and its remaining scans read the kept sweep."""
         got, tallies = self.check_parity(*self.case(f"wall {start_x}"), monkeypatch)
         assert got[-1].done is Status.COLLIDED
-        assert tallies[-1] == {"step_crowd": last_controls, "cast_fan": last_controls}
+        assert tallies[-1] == {"integrate": last_controls, "cast_fan": last_controls}
 
     @pytest.mark.parametrize("name", ["noisy combined:8", "noisy crowd:random:20", "wall 4.0", "wall 4.0375"])
     def test_newest_scan_only(self, monkeypatch, name):
@@ -673,6 +676,61 @@ class TestScanOncePerPose:
         assert b.ranges is not first and b.ranges.tobytes() == first.tobytes()
         assert not np.shares_memory(first, sweep.ranges) and not np.shares_memory(b.ranges, sweep.ranges)
         assert a.normalized is a.normalized and not a.normalized.flags.writeable
+
+
+class TestCrowdFreeTicks:
+    """A control tick steps the crowd only when it has pedestrians or may
+    gain one.  EveryTickCrowdEnv, which steps it at every control tick,
+    is the oracle: seeded crowd-free episodes, and walk-in episodes that
+    start with no pedestrians, step bit for bit like it."""
+
+    @staticmethod
+    def rollouts(env_cls, cfg, monkeypatch):
+        """Three seeded episodes under 40 random actions: per episode its
+        observations' stacks and goal vectors, its step outcomes, both env
+        streams' final states and its crowd rows; and the number of
+        step_crowd calls of all three."""
+        from socnavsim.evaluation import episode_seeds
+
+        actions = np.random.default_rng(1).uniform(-1.5, 1.5, (40, 2))
+        calls, episodes = [], []
+        with monkeypatch.context() as m:
+            m.setattr(world, "step_crowd", lambda *args, _real=world.step_crowd: calls.append(1) or _real(*args))
+            for _, map_seed, crowd_seed in episode_seeds(5, 3):
+                env = env_cls(cfg)
+                seen, outs = [env.reset(map_seed=map_seed, crowd_seed=crowd_seed)], []
+                for action in actions:
+                    outs.append(env.step(action))
+                    seen.append(outs[-1].observation)
+                    if outs[-1].done is not Status.RUNNING:
+                        break
+                episodes.append((
+                    [(gathered(o).tobytes(), o.goal_vector) for o in seen],
+                    [repr((o.done, o.record)) for o in outs],
+                    repr(env.crowd_rng.bit_generator.state),
+                    repr(env.noise_rng.bit_generator.state),
+                    env.crowd.rows,
+                ))
+        return episodes, len(calls)
+
+    @pytest.mark.parametrize("walk_in", [0.0, 0.3])
+    def test_episodes_equal_stepping_every_tick(self, monkeypatch, walk_in):
+        from socnavsim.evaluation import suite_config
+
+        base = small_cfg(noise_sigma=0.05, crowd=CrowdConfig(count=0, walk_in_probability=walk_in))
+        if walk_in == 0.0:
+            cfg = suite_config("mapless", base)
+        else:
+            cfg = dataclasses.replace(base, obstacle_count_range=(0, 0))
+        got, got_calls = self.rollouts(NavEnv, cfg, monkeypatch)
+        want, want_calls = self.rollouts(EveryTickCrowdEnv, cfg, monkeypatch)
+        assert got == want
+        assert want_calls > 0
+        if walk_in == 0.0:
+            assert got_calls == 0
+        else:
+            assert got_calls == want_calls
+            assert any(rows for *_, rows in got)  # someone walked in
 
 
 class TestBenchmarkProbes:
