@@ -20,7 +20,8 @@ def build_parser() -> argparse.ArgumentParser:
     from .evaluation import EXPORT_FORMATS  # imports numpy: main pins the BLAS threads first
 
     parser = argparse.ArgumentParser(prog="socnavsim")
-    parser.add_argument("--single-thread", action="store_true", help="pin BLAS to one thread")
+    parser.add_argument("--single-thread", action="store_true",
+                        help="run BLAS, episodes and the learner on one thread")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser("train", help="train a policy stage")
@@ -116,6 +117,7 @@ def cmd_train(args, parser) -> int:
     from .crowd import SCENARIO_KINDS
     from .ddpg import NETWORK_PARTS, DDPGConfig, TrainConfig, TrainingDiverged, train
     from .networks import load_checkpoint
+    from .nn import two_way
 
     if args.stage == "social" and not args.warm_start and not args.allow_cold_social:
         parser.error("--stage social requires --warm-start (or --allow-cold-social)")
@@ -155,15 +157,17 @@ def cmd_train(args, parser) -> int:
                 checkpoint_every=args.checkpoint_every,
             ),
         )
-        train(
-            args.stage,
-            env_cfg,
-            tc,
-            seed=args.seed,
-            warm_start_parts=warm,
-            out_dir=args.out,
-            allow_cold_social=args.allow_cold_social,
-        )
+        # --single-thread runs the learner's sample blocks inline too
+        with two_way(False if args.single_thread else None):
+            train(
+                args.stage,
+                env_cfg,
+                tc,
+                seed=args.seed,
+                warm_start_parts=warm,
+                out_dir=args.out,
+                allow_cold_social=args.allow_cold_social,
+            )
     except TrainingDiverged as exc:
         print(f"training diverged: {exc} {exc.diagnostics}", file=sys.stderr)
         return 3

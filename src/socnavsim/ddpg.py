@@ -10,6 +10,7 @@ from ego parameters.
 from __future__ import annotations
 
 import bisect
+import copy
 import json
 import math
 import os
@@ -243,10 +244,9 @@ class DDPG:
         self.config = config
         self.actor = Actor(spec, rng, dtype)
         self.critic = Critic(spec, rng, dtype)
-        self.target_actor = Actor(spec, rng, dtype)
-        self.target_critic = Critic(spec, rng, dtype)
-        load_params(self.target_actor, self.actor.params())
-        load_params(self.target_critic, self.critic.params())
+        # the targets start as copies of the online networks
+        self.target_actor = copy.deepcopy(self.actor)
+        self.target_critic = copy.deepcopy(self.critic)
         self.opt_actor = Adam(self.actor.params(), config.lr_actor)
         self.opt_critic = Adam(self.critic.params(), config.lr_critic)
         self.updates = 0
@@ -464,6 +464,7 @@ class Training:
         map_seed = int(self.env_seed_rng.integers(2**31))
         crowd_seed = int(self.env_seed_rng.integers(2**31))
         ep_return, stop = 0.0, False
+        part_sums = [0.0, 0.0, 0.0]  # ego, social, goal
         losses, qs = [], []  # what each of the episode's updates returned
 
         for outcome in episode_steps(self, cfg, map_seed, crowd_seed):
@@ -472,6 +473,8 @@ class Training:
             terminal = outcome.done in (Status.REACHED, Status.COLLIDED)
             self.replay.add(self.obs, (record.a_x, record.a_y), reward_parts, outcome.observation, terminal)
             ep_return += float(np.dot(self.weights, reward_parts))
+            for i, part in enumerate(reward_parts):
+                part_sums[i] += float(part)
             self.env_steps += 1
             steps = self.env_steps
             if steps >= tc.warmup_steps and steps % tc.update_every == 0 and self.replay.size >= tc.ddpg.batch_size:
@@ -489,6 +492,7 @@ class Training:
         n = len(losses)
         self.emit({"kind": "episode", "episode": self.episode, "env_steps": self.env_steps, "return": ep_return,
                    "outcome": outcome.done.value, "steps": outcome.record.step,
+                   "r_ego_sum": part_sums[0], "r_social_sum": part_sums[1], "r_goal_sum": part_sums[2],
                    "critic_loss": losses[-1] if n else None, "updates": n,
                    "critic_loss_mean": sum(losses) / n if n else None, "q_mean": sum(qs) / n if n else None,
                    "noise_sigma": tc.noise_sigma(self.env_steps - 1)})
@@ -511,19 +515,23 @@ class Training:
         return closs, q
 
     def probe(self) -> bool:
-        """Records the deterministic actor's success rate over the probe
-        episodes, the same seeds each time, with a best checkpoint when
-        it is a new best; returns whether it meets early_stop_success."""
+        """Records the deterministic actor's success rate and its counts
+        of each outcome over the probe episodes, the same seeds each
+        time, with a best checkpoint when it is a new best; returns
+        whether it meets early_stop_success."""
         tc = self.config
         cfg = tc.eval_env_config if tc.eval_env_config is not None else self.env_config
         policy = LearnedPolicy(self.learner.actor, f"learned-{self.stage}")
-        logs = (evaluation.run_episode(policy, cfg, "probe", *seeds)
-                for seeds in episode_seeds(self.eval_seed, tc.eval_episodes))
-        success = sum(log.outcome == Status.REACHED.value for log in logs) / tc.eval_episodes
+        outcomes = [evaluation.run_episode(policy, cfg, "probe", *seeds).outcome
+                    for seeds in episode_seeds(self.eval_seed, tc.eval_episodes)]
+        counts = {status: outcomes.count(status.value) for status in (Status.REACHED, Status.COLLIDED, Status.TIMEOUT)}
+        success = counts[Status.REACHED] / tc.eval_episodes
         if success > self.best_eval:
             self.best_eval = success
             self.checkpoint("best")
-        self.emit({"kind": "eval", "env_steps": self.env_steps, "success_rate": success})
+        self.emit({"kind": "eval", "env_steps": self.env_steps, "success_rate": success,
+                   "successes": counts[Status.REACHED], "collisions": counts[Status.COLLIDED],
+                   "timeouts": counts[Status.TIMEOUT]})
         return tc.early_stop_success is not None and success >= tc.early_stop_success
 
     def emit(self, record: dict) -> None:

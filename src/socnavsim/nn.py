@@ -19,11 +19,24 @@ lowering of MEC, Cho & Brand, arXiv 1706.06873, applied to every layer
 of the stack).  Weight and bias gradients are summed per sample in
 sample order across the blocks, equal to a whole-batch backward's bit
 for bit.
+
+The REST_BLOCK chunks of a stack are independent but for those sums, so
+they run two at a time (in_waves): the calling thread runs one chunk
+while one worker thread runs the next, when the process may run on two
+or more CPUs (two_way).  Each thread has its own scratch buffers.  A
+backward chunk returns its per-sample gradient terms, and the caller
+adds them to the running totals in sample order, so the pool changes no
+bit of any output.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
+import os
+import threading
+import weakref
 
 import numpy as np
 
@@ -31,6 +44,9 @@ import numpy as np
 BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
+# elements per slice of Adam.step's elementwise passes, so that their
+# two scratch buffers stay small
+ADAM_SLICE = 1 << 16
 
 # samples per conv1 and pool block of conv_stack.  In batch-128 updates
 # (2-core x86, one BLAS thread) 8 and 16 tied as fastest; 4 was 9% slower
@@ -40,28 +56,114 @@ BLOCK = 8
 # pool-width times narrower than conv1's: fewer, larger conv2 GEMMs and
 # half the im2col calls.  A multiple of BLOCK.  16 and 32 tied at 180
 # and 1080 beams; with 16 a batch of 16 already fills a block, so the
-# scratch of such a batch is that of any larger one.
+# scratch of such a batch is that of any larger one.  It is also the
+# unit of work of the two-way pool.
 REST_BLOCK = 16
 
 
+class _Scratch(dict):
+    """One thread's scratch buffers: one flat buffer per (name, dtype)."""
+
+
 # Scratch arrays that calls reuse, so that steady-state calls touch no
-# new pages: one flat buffer per (name, dtype), which only grows.  Each
-# scratch array is used only within a single forward, backward or
-# block of a conv_stack or conv_stack_backward call, so every layer in
-# the process shares them.
-_SCRATCH = {}
+# new pages; each buffer only grows.  Each thread has its own set (the
+# pool's worker and the caller run blocks at the same time), and each
+# scratch array is used only within a single forward, backward or block
+# of a conv_stack or conv_stack_backward call, so every layer run by a
+# thread shares that thread's set.
+_LOCAL = threading.local()
+# every live thread's set, by thread id
+_SCRATCHES = weakref.WeakValueDictionary()
 
 
 def scratch_array(name, shape, dtype):
-    """An array of the given shape, cut from the buffer kept under
-    (name, dtype).  Its contents are undefined, and it is valid until the
-    next scratch_array call with the same name."""
+    """An array of the given shape, cut from the calling thread's buffer
+    kept under (name, dtype).  Its contents are undefined, and it is
+    valid until the thread's next scratch_array call with the same name."""
+    scratch = getattr(_LOCAL, "scratch", None)
+    if scratch is None:
+        scratch = _LOCAL.scratch = _SCRATCHES[threading.get_ident()] = _Scratch()
     size = math.prod(shape)
     key = (name, np.dtype(dtype))
-    buf = _SCRATCH.get(key)
+    buf = scratch.get(key)
     if buf is None or buf.size < size:
-        buf = _SCRATCH[key] = np.empty(size, dtype)
+        buf = scratch[key] = np.empty(size, dtype)
     return buf[:size].reshape(shape)
+
+
+# The two-way pool: the calling thread plus one worker thread, made at
+# first use.  _TWO_WAY holds two_way's setting for the calling context.
+_TWO_WAY = contextvars.ContextVar("two_way", default=None)
+_WORKER = None
+
+
+def _forget_worker():
+    global _WORKER
+    _WORKER = None  # a forked child has no worker thread
+
+
+if hasattr(os, "register_at_fork"):  # where processes can fork
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+@contextlib.contextmanager
+def two_way(on):
+    """Within the block, and in the calling thread only, run conv stacks
+    on the two-way pool (True), inline on the calling thread (False), or
+    on the pool when the process may run on two or more CPUs (None, the
+    default outside any block).  The outputs are the same bits either
+    way."""
+    token = _TWO_WAY.set(on)
+    try:
+        yield
+    finally:
+        _TWO_WAY.reset(token)
+
+
+def _pool_on():
+    on = _TWO_WAY.get()
+    if on is not None:
+        return on
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        cpus = os.cpu_count() or 1
+    return cpus >= 2
+
+
+def in_waves(tasks):
+    """Yields the result of each of tasks (callables of no arguments), in
+    order.
+
+    On the two-way pool the tasks run in waves of two: the worker thread
+    runs the second of a wave while the caller runs the first, and a
+    wave's results are yielded before the next wave starts, so a caller
+    that drops each result after use holds at most one wave's.  An
+    exception in either task reaches the caller once both have ended.
+    The worker runs its task in a copy of the caller's context, so
+    numpy's error state (np.errstate) holds there too.  Without the
+    pool, or for a single task, each runs on the caller.
+    """
+    global _WORKER
+    if len(tasks) < 2 or not _pool_on():
+        for task in tasks:
+            yield task()
+        return
+    if _WORKER is None:
+        from concurrent.futures import ThreadPoolExecutor  # imported only by a process that uses the pool
+
+        _WORKER = ThreadPoolExecutor(1, thread_name_prefix="socnavsim-nn")
+    for lo in range(0, len(tasks), 2):
+        second = _WORKER.submit(contextvars.copy_context().run, tasks[lo + 1]) if lo + 1 < len(tasks) else None
+        try:
+            results = [tasks[lo]()]
+        finally:
+            if second is not None:
+                second.exception()  # waits for the worker's task to end
+        if second is not None:
+            results.append(second.result())
+        while results:
+            yield results.pop(0)
 
 
 class Dense:
@@ -171,15 +273,13 @@ class Conv2d:
         y += np.concatenate([c.b for c in convs]) if others else self.b
         return y.reshape(x.shape[0], *self.out_hw, -1), x
 
-    def backward(self, dy, cache, need_input_grad=True, grads=None):
+    def backward(self, dy, cache, need_input_grad=True, terms=False):
         """Returns (input gradient or None, {"W", "b"} gradients).
 
-        grads, when given, is this layer's gradients over the samples of
-        the same batch before dy's (conv_stack_backward's earlier blocks).
-        Each sample's weight and bias gradients are then added to those
-        totals one after another, in sample order, which is how a
-        whole-batch call sums them, so a batch run block by block gets
-        the same bits.
+        With terms the gradients are returned as their per-sample terms
+        instead, for add_terms to sum: each tap's per-sample weight
+        products (kh, 1 + N, kw*C, out) after a free leading row, and the
+        bias rows (N*OH*OW, out), a view of dy.
         """
         cols = self.im2col(cache)
         n = dy.shape[0]
@@ -187,24 +287,12 @@ class Conv2d:
         sh, sw = self.stride
         oh, ow = self.out_hw
         dy_rows = dy.reshape(n, oh * ow, self.out_ch)
-        lead = 0 if grads is None else 1  # a leading row for the running total
-        # cut with room for that row either way, so that a batch of one
-        # block takes the scratch of a batch of several
-        prods = scratch_array("dW", (1 + n, kw * self.in_ch, self.out_ch), dy.dtype)[1 - lead :]
-        dtaps = np.empty((kh, *prods.shape[1:]), dy.dtype)
-        totals = None if grads is None else self.taps(grads["W"])
+        prods = np.empty((kh, 1 + n, kw * self.in_ch, self.out_ch), dy.dtype)
         for i in range(kh):
-            if grads is not None:
-                prods[0] = totals[i]
-            np.matmul(self.tap_rows(cols, i).transpose(0, 2, 1), dy_rows, out=prods[lead:])
-            prods.sum(axis=0, out=dtaps[i])
-        # (kh, kw, C) rows back to the (C, kh, kw) order of W
-        dW = dtaps.reshape(kh, kw, self.in_ch, -1).transpose(2, 0, 1, 3)
-        db_rows = dy_rows.reshape(n * oh * ow, self.out_ch)
-        if grads is not None:
-            rows = scratch_array("db", (1 + len(db_rows), self.out_ch), dy.dtype)
-            db_rows = np.concatenate((grads["b"][None], db_rows), out=rows)
-        grads = {"W": dW.reshape(self.W.shape), "b": db_rows.sum(axis=0)}
+            np.matmul(self.tap_rows(cols, i).transpose(0, 2, 1), dy_rows, out=prods[i, 1:])
+        grads = (prods, dy_rows.reshape(n * oh * ow, self.out_ch))
+        if not terms:
+            grads = self.add_terms(None, grads)
         if not need_input_grad:
             return None, grads
         dcols = scratch_array("dcols", cols.shape, dy.dtype)
@@ -217,6 +305,27 @@ class Conv2d:
         for j in range(kw):
             dx[:, :, j : j + ow * sw : sw, :] += dcols[:, :, :, j, :]
         return dx, grads
+
+    def add_terms(self, grads, terms):
+        """The {"W", "b"} gradients of grads, this layer's totals over the
+        samples of the same batch before those of terms (None for none),
+        plus the per-sample terms of a backward(terms=True).  Each
+        sample's terms are added to the totals one after another, in
+        sample order, which is how a whole-batch backward sums them, so
+        a batch run block by block gets the same bits."""
+        prods, rows = terms
+        lead = 0 if grads is None else 1  # whether the leading row holds a total
+        if grads is not None:
+            prods[:, 0] = self.taps(grads["W"])
+            buf = scratch_array("db", (1 + len(rows), self.out_ch), rows.dtype)
+            rows = np.concatenate((grads["b"][None], rows), out=buf)
+        kh, kw = self.kernel
+        dtaps = np.empty((kh, *prods.shape[2:]), prods.dtype)
+        for i in range(kh):
+            prods[i, 1 - lead :].sum(axis=0, out=dtaps[i])
+        # (kh, kw, C) rows back to the (C, kh, kw) order of W
+        dW = dtaps.reshape(kh, kw, self.in_ch, -1).transpose(2, 0, 1, 3)
+        return {"W": dW.reshape(self.W.shape), "b": rows.sum(axis=0)}
 
     def params(self):
         return {"W": self.W, "b": self.b}
@@ -257,13 +366,16 @@ class MaxPoolW:
             np.maximum(y, v[:, :, :, k, :], out=y)
         if offsets is None:
             return y, None
-        offsets.fill(-1)
-        open_ = np.ones(y.shape, dtype=bool)  # windows whose winner is not found yet
-        for k in range(pw):
-            hit = v[:, :, :, k, :] == y
-            hit &= open_
-            open_ ^= hit
-            offsets += hit * np.int8(k + 1)  # -1 becomes k at the first hit
+        # the lowest offset holding the maximum is the number of offsets
+        # before it that miss it; a NaN window misses at every offset
+        miss = scratch_array("miss", y.shape, bool)  # windows missing at offsets 0..k
+        miss_k = scratch_array("miss_k", y.shape, bool)
+        np.not_equal(v[:, :, :, 0, :], y, out=miss)
+        offsets[...] = miss
+        for k in range(1, pw):
+            miss &= np.not_equal(v[:, :, :, k, :], y, out=miss_k)
+            offsets += miss
+        offsets[offsets == pw] = -1
         return y, (offsets, x.shape)
 
     def backward(self, dy, cache):
@@ -292,41 +404,49 @@ def conv_stack(convs, pool, rests, x, keep, outs):
     layers ((name, layer) pairs, e.g. a ReLU, a second conv and its ReLU)
     then run over blocks of REST_BLOCK samples of its pooled output, and
     the last of them writes straight into the block of outs (its out=).
-    keep has one flag per conv: whether its pass will backprop, so that
-    its cache must hold the input, the pool's winner offsets per block
-    and the rest layers' caches per block.  Returns one cache or None
-    per conv.
+    Each REST_BLOCK chunk of samples is one task of in_waves, writing its
+    own rows of outs.  keep has one flag per conv: whether its pass will
+    backprop, so that its cache must hold the input, the pool's winner
+    offsets per block and the rest layers' caches per block, in block
+    order.  Returns one cache or None per conv.
     """
     lead = convs[0]
     oh, ow = lead.out_hw
     pooled = (oh, pool.out_width(ow))
-    caches = [(x, [], []) if k else None for k in keep]
-    for lo in range(0, len(x), REST_BLOCK):
+
+    def chunk(lo):
+        """Samples [lo, lo + REST_BLOCK); returns per conv its pool
+        caches and its rest caches."""
         m = min(REST_BLOCK, len(x) - lo)
         ys = [scratch_array(f"pool{j}", (m, *pooled, conv.out_ch), lead.W.dtype) for j, conv in enumerate(convs)]
+        pcaches = [[] for _ in convs]
         for sub in range(0, m, BLOCK):
             z, _ = lead.forward(x[lo + sub : lo + sub + BLOCK], convs[1:], scratch=True)
             c0 = 0
             for j, conv in enumerate(convs):
                 y = ys[j][sub : sub + len(z)]
                 offsets = np.empty(y.shape, np.int8) if keep[j] else None
-                _, pcache = pool.forward(z[..., c0 : c0 + conv.out_ch], out=(y, offsets))
+                pcaches[j].append(pool.forward(z[..., c0 : c0 + conv.out_ch], out=(y, offsets))[1])
                 c0 += conv.out_ch
-                if keep[j]:
-                    caches[j][1].append(pcache)
+        rcaches = []
         for j, (y, rest) in enumerate(zip(ys, rests)):
             out = outs[j][lo : lo + m]
-            rcaches = []
+            rcaches.append([])
             for _, layer in rest[:-1]:
                 y, cache = layer.forward(y)
-                rcaches.append(cache)
+                rcaches[j].append(cache)
             if rest:
-                y, cache = rest[-1][1].forward(y, out=out)
-                rcaches.append(cache)
+                rcaches[j].append(rest[-1][1].forward(y, out=out)[1])
             else:
                 out[...] = y
-            if keep[j]:
-                caches[j][2].append(rcaches)
+        return pcaches, rcaches
+
+    caches = [(x, [], []) if k else None for k in keep]
+    for pcaches, rcaches in in_waves([lambda lo=lo: chunk(lo) for lo in range(0, len(x), REST_BLOCK)]):
+        for cache, pc, rc in zip(caches, pcaches, rcaches):
+            if cache is not None:
+                cache[1].extend(pc)
+                cache[2].append(rc)
     return caches
 
 
@@ -336,26 +456,59 @@ def conv_stack_backward(conv, pool, rest, dy, cache):
     gradient.  Returns (conv's {"W", "b"}, {name: {"W", "b"}} of the
     rest layers that have parameters).
 
-    Per block of REST_BLOCK samples, dy runs back through the rest
-    layers; per block of BLOCK samples of that, through the pool, and
-    the conv's patches are rebuilt from the block's input.  Each block's
-    parameter gradients join the running totals in sample order
-    (Conv2d.backward's grads), equal to a whole-batch backward's bit for
-    bit.
+    Per chunk of REST_BLOCK samples, one task of in_waves, dy runs back
+    through the rest layers; per block of BLOCK samples of that, through
+    the pool, and the conv's patches are rebuilt from the block's input.
+    Each chunk returns its per-sample parameter gradient terms, and they
+    join the running totals in sample order (Conv2d.add_terms), equal to
+    a whole-batch backward's bit for bit.
     """
     x, offsets, rcaches = cache
-    grads, totals = None, {}
-    for lo, rc in zip(range(0, len(dy), REST_BLOCK), rcaches):
+    layers = dict(rest)
+
+    def chunk(lo, rc):
         d = dy[lo : lo + REST_BLOCK]
+        rest_terms = {}
         for (name, layer), c in zip(reversed(rest), reversed(rc)):
             if layer.params():
-                d, totals[name] = layer.backward(d, c, grads=totals.get(name))
+                d, rest_terms[name] = layer.backward(d, c, terms=True)
             else:
                 d = layer.input_grad(d, c)
+        conv_terms = []
         for sub in range(0, len(d), BLOCK):
-            dz, _ = pool.backward(d[sub : sub + BLOCK], offsets[(lo + sub) // BLOCK])
-            _, grads = conv.backward(dz, x[lo + sub : lo + sub + BLOCK], need_input_grad=False, grads=grads)
+            pcache = offsets[(lo + sub) // BLOCK]
+            dz, _ = pool.backward(d[sub : sub + BLOCK], pcache)
+            prods, rows = conv.backward(dz, x[lo + sub : lo + sub + BLOCK], need_input_grad=False, terms=True)[1]
+            conv_terms.append((prods, _bias_rows(d[sub : sub + BLOCK], pcache, rows)))
+        return rest_terms, conv_terms
+
+    grads, totals = None, {}
+    tasks = [lambda lo=lo, rc=rc: chunk(lo, rc) for lo, rc in zip(range(0, len(dy), REST_BLOCK), rcaches)]
+    for rest_terms, conv_terms in in_waves(tasks):
+        for name, terms in rest_terms.items():
+            totals[name] = layers[name].add_terms(totals.get(name), terms)
+        for terms in conv_terms:
+            grads = conv.add_terms(grads, terms)
+        # the loop names would keep these alive while the next wave runs
+        del rest_terms, conv_terms, terms
     return grads, totals
+
+
+def _bias_rows(dy, cache, rows):
+    """The bias-gradient rows of the conv under the pool for one block, in
+    an array that outlives the scratch.  rows, a scratch view, are the
+    rows of the pool's input gradient, whose sum in order is the bias
+    gradient.
+
+    When every window has a winner and dy (the pool's output gradient) is
+    finite, the rows of dy, a pool-width times fewer, sum to the same
+    bits: the other rows are zeros, and a numpy sum starts from +0, so no
+    partial sum is -0 and adding a zero changes none.  Else a copy of
+    rows.
+    """
+    if cache[0].min() >= 0 and np.isfinite(dy).all():
+        return dy.reshape(-1, dy.shape[-1])
+    return rows.copy()
 
 
 class ReLU:
@@ -400,16 +553,35 @@ class Adam:
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
 
     def step(self, grads):
+        """One step of every parameter with a gradient in grads, in place.
+
+        The update runs over slices of ADAM_SLICE elements in two scratch
+        buffers, each operation in the order and dtype of the expression
+        m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
+        p -= lr * (m / b1c) / (sqrt(v / b2c) + EPS)."""
         self.t += 1
         b1c = 1.0 - BETA1**self.t
         b2c = 1.0 - BETA2**self.t
         for k, g in grads.items():
             p = self.params[k]
-            g = g.astype(p.dtype, copy=False)
-            m = self.m[k]
-            v = self.v[k]
-            m *= BETA1
-            m += (1.0 - BETA1) * g
-            v *= BETA2
-            v += (1.0 - BETA2) * (g * g)
-            p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + EPS)
+            g = g.astype(p.dtype, copy=False).reshape(-1)
+            # parameters and moments are contiguous, so these are views
+            flat = p.reshape(-1), self.m[k].reshape(-1), self.v[k].reshape(-1), g
+            for lo in range(0, g.size, ADAM_SLICE):
+                self._step_slice(*(a[lo : lo + ADAM_SLICE] for a in flat), b1c, b2c)
+
+    def _step_slice(self, p, m, v, g, b1c, b2c):
+        t = scratch_array("adam", g.shape, p.dtype)
+        u = scratch_array("adam2", g.shape, p.dtype)
+        m *= BETA1
+        m += np.multiply(g, 1.0 - BETA1, out=t)
+        v *= BETA2
+        np.multiply(g, g, out=t)
+        v += np.multiply(t, 1.0 - BETA2, out=t)
+        np.divide(m, b1c, out=t)
+        t *= self.lr
+        np.divide(v, b2c, out=u)
+        np.sqrt(u, out=u)
+        u += EPS
+        t /= u
+        p -= t

@@ -22,7 +22,7 @@ from socnavsim.geometry import (
 )
 from socnavsim.lidar import HISTORY_LEN, RANGE_MAX, RANGE_MIN, MotionFeature, Scan, cast_sweep
 from socnavsim.networks import Stacks, featurize
-from socnavsim.nn import MaxPoolW
+from socnavsim.nn import BETA1, BETA2, EPS, MaxPoolW
 from socnavsim.world import EnvConfig, NavEnv
 
 
@@ -1325,6 +1325,23 @@ def whole_batch_conv_pool_backward(conv, pool, dy, cache):
     dtaps = np.stack([np.matmul(r.transpose(0, 2, 1), dz_rows).sum(axis=0) for r in rows])
     dW = dtaps.reshape(kh, kw, conv.in_ch, -1).transpose(2, 0, 1, 3).reshape(conv.W.shape)
     return {"W": dW, "b": dz_rows.sum(axis=(0, 1))}
+
+
+# ---------------------------------------------------------------------------
+# Adam oracle
+
+
+def adam_oracle_step(p, m, v, g, lr, t):
+    """One Adam step of parameter p with moments m and v, in place, as
+    one whole-array expression: nn.Adam.step must match it bit for bit."""
+    b1c = 1.0 - BETA1**t
+    b2c = 1.0 - BETA2**t
+    g = g.astype(p.dtype, copy=False)
+    m *= BETA1
+    m += (1.0 - BETA1) * g
+    v *= BETA2
+    v += (1.0 - BETA2) * (g * g)
+    p -= lr * (m / b1c) / (np.sqrt(v / b2c) + EPS)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,19 @@
 """Finite-difference gradient checks for every layer type, in float64."""
 
+import sys
+import threading
+
 import numpy as np
 
 import pytest
 
+from socnavsim import nn
 from socnavsim.networks import Stacks, Trunk, default_network_spec, gather
 from socnavsim.nn import Adam, Conv2d, Dense, MaxPoolW, ReLU, Tanh, conv_stack, conv_stack_backward
 
 from conftest import (
     StandalonePool,
+    adam_oracle_step,
     numeric_gradient,
     reference_conv2d,
     stacks_array,
@@ -192,6 +197,211 @@ class TestBlockedConvPool:
         assert cache is None and y.tobytes() == y_ref.tobytes()
 
 
+def stack_and_grads(trunks, x, dys):
+    """conv_stack over trunks on x, then each trunk's conv_stack_backward
+    from its entry of dys: (outputs, [(conv1 grads, rest grads)])."""
+    args = ([t.conv1 for t in trunks], trunks[0].pool, [t.rest for t in trunks])
+    ys = outputs(trunks, len(x))
+    caches = conv_stack(*args, x, (True,) * len(trunks), ys)
+    grads = [conv_stack_backward(t.conv1, t.pool, t.rest, dy, c) for t, dy, c in zip(trunks, dys, caches)]
+    return ys, grads
+
+
+def stack_arrays(result):
+    """The outputs and every gradient array of a stack_and_grads result."""
+    ys, grads = result
+    return [*ys, *(g for conv1, rest in grads for g in (*conv1.values(), *rest["conv2"].values()))]
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestTwoWay:
+    """The two-way pool (nn.in_waves: the caller and one worker thread run
+    REST_BLOCK chunks two at a time) changes no bit of conv_stack's
+    outputs or conv_stack_backward's gradients, whatever the batch's
+    wave shape, next to the whole-batch oracle; NaN pool windows and
+    non-finite gradients take the full-row bias sum."""
+
+    CASES = [(180, 1), (180, 17), (180, 40), (180, 128), (1080, 1), (1080, 17), (1080, 40), (1080, 128)]
+
+    @pytest.mark.parametrize("beams, n, bad", [(b, n, None) for b, n in CASES]
+                             + [(180, 40, "nan_window"), (1080, 17, "nan_window"), (180, 17, "inf_grad")])
+    def test_same_bits_on_and_off(self, rng, beams, n, bad):
+        spec = default_network_spec(40, beams)
+        trunks = [Trunk(spec, rng) for _ in range(2)]
+        for trunk in trunks:
+            for _, layer in trunk.layers:
+                if isinstance(layer, Conv2d):
+                    layer.b[...] = rng.normal(0.0, 0.1, layer.b.shape)
+        x = ring_stacks(rng, n, 40, beams)
+        dys = [rng.normal(size=(n, *t.out_shape)).astype(np.float32) for t in trunks]
+        if bad == "nan_window":
+            x.sweeps[x.slots[n // 2, 5]] = np.nan  # every conv1 window of a row
+        elif bad == "inf_grad":
+            dys[0][n - 1, 0, 0, 3] = np.inf
+        results = {}
+        for on in (True, False):
+            with nn.two_way(on), np.errstate(invalid="ignore"):  # inf * 0 in the gradients
+                results[on] = stack_and_grads(trunks, gather(x, trunks[0]), dys)
+        (ys, grads), (ys_off, grads_off) = results[True], results[False]
+        for y, y_off in zip(ys, ys_off):
+            assert same_bits(y, y_off)
+        for (conv1, rest), (conv1_off, rest_off) in zip(grads, grads_off):
+            assert rest.keys() == rest_off.keys() == {"conv2"}
+            for got, want in ((conv1, conv1_off), (rest["conv2"], rest_off["conv2"])):
+                for k in ("W", "b"):
+                    assert same_bits(got[k], want[k]), k
+        if bad == "nan_window":
+            assert np.isnan(ys[0][n // 2]).any() and not np.isnan(ys[0][n // 2 - 1]).any()
+        if n * beams > 40 * 180:
+            return  # the oracle's whole-batch patches would take too much memory
+        args = ([t.conv1 for t in trunks], trunks[0].pool, [t.rest for t in trunks])
+        want = outputs(trunks, n)
+        caches_ref = whole_batch_conv_stack(*args, x, (True, True), want)
+        for trunk, y, y_ref, dy, cache_ref, (conv1, rest) in zip(trunks, ys, want, dys, caches_ref, grads):
+            assert same_bits(y, y_ref)
+            with np.errstate(invalid="ignore"):
+                ref, rest_ref = whole_batch_conv_stack_backward(trunk.conv1, trunk.pool, trunk.rest, dy, cache_ref)
+            for got, ref_grads in ((conv1, ref), (rest["conv2"], rest_ref["conv2"])):
+                for k in ("W", "b"):
+                    assert same_bits(got[k], ref_grads[k].astype(np.float32)), k
+
+    @pytest.mark.parametrize("width", [39, 33])
+    @pytest.mark.parametrize("bad", [None, "nan_window", "inf_grad"])
+    def test_pool_without_rest_layers(self, rng, width, bad):
+        """conv1 and the pool alone, so that the pool's output gradient
+        reaches conv1 as given: with trailing conv columns the pool drops
+        (width 39: 19 columns, 3 dropped) or none (33: 16 columns), a NaN
+        window, which gets no gradient, or an infinite output gradient,
+        whose zero products are NaN.  On and off the pool, three chunks
+        keep the whole-batch oracle's bits."""
+        conv = Conv2d(1, 4, (2, 3), (1, 2), (5, width), rng)
+        conv.b[...] = rng.normal(size=4)
+        pool = MaxPoolW(4)
+        x = rng.normal(size=(40, 5, width)).astype(np.float32)
+        dy = rng.normal(size=(40, 4, 4, 4)).astype(np.float32)
+        if bad == "nan_window":
+            x[21, 2, 7] = np.nan
+        elif bad == "inf_grad":
+            dy[33, 1, 2, 0] = np.inf
+        want = np.empty_like(dy)
+        cache_ref, = whole_batch_conv_stack([conv], pool, [[]], x, (True,), [want])
+        with np.errstate(invalid="ignore"):
+            ref, _ = whole_batch_conv_stack_backward(conv, pool, [], dy, cache_ref)
+        for on in (True, False):
+            y = np.empty_like(dy)
+            with nn.two_way(on), np.errstate(invalid="ignore"):
+                cache, = conv_stack([conv], pool, [[]], x[..., None], (True,), [y])
+                grads, _ = conv_stack_backward(conv, pool, [], dy, cache)
+            assert same_bits(y, want)
+            assert same_bits(grads["W"], ref["W"]) and same_bits(grads["b"], ref["b"])
+        if bad == "nan_window":
+            assert np.isnan(want[21]).any()
+        elif bad == "inf_grad":
+            assert np.isnan(ref["b"][0])
+
+    def test_worker_exception_reaches_caller(self, rng, monkeypatch):
+        """An exception raised in the worker's chunk reaches the caller,
+        and the pool serves the next call."""
+        trunk = Trunk(default_network_spec(40, 180), rng)
+        x = rng.uniform(0.01, 1.0, (32, 40, trunk.beams)).astype(np.float32)
+        caller, real_forward = threading.get_ident(), Conv2d.forward
+
+        def forward(layer, *args, **kwargs):
+            if threading.get_ident() != caller:
+                raise RuntimeError("worker chunk failed")
+            return real_forward(layer, *args, **kwargs)
+
+        with nn.two_way(True):
+            monkeypatch.setattr(Conv2d, "forward", forward)
+            with pytest.raises(RuntimeError, match="worker chunk failed"):
+                conv_stack([trunk.conv1], trunk.pool, [trunk.rest], x, (True,), outputs([trunk], 32))
+            monkeypatch.undo()
+            (y,), (y_off,) = outputs([trunk], 32), outputs([trunk], 32)
+            conv_stack([trunk.conv1], trunk.pool, [trunk.rest], x, (True,), [y])
+        with nn.two_way(False):
+            conv_stack([trunk.conv1], trunk.pool, [trunk.rest], x, (True,), [y_off])
+        assert same_bits(y, y_off)
+
+    def test_callers_on_more_threads_than_cores(self, rng):
+        """Four threads, each with its own trunks and batch, run conv
+        stacks on the one shared worker at once under a short switch
+        interval: every result keeps its inline bits, as each thread cuts
+        its blocks from scratch buffers of its own."""
+        spec = default_network_spec(40, 180)
+        jobs = []
+        for _ in range(4):
+            trunks = [Trunk(spec, rng) for _ in range(2)]
+            x = rng.uniform(0.01, 1.0, (40, 40, trunks[0].beams)).astype(np.float32)
+            dys = [rng.normal(size=(40, *t.out_shape)).astype(np.float32) for t in trunks]
+            with nn.two_way(False):
+                jobs.append((trunks, x, dys, stack_and_grads(trunks, x, dys)))
+        mismatches = []
+
+        def run(trunks, x, dys, want):
+            with nn.two_way(True):
+                for _ in range(3):
+                    got = stack_arrays(stack_and_grads(trunks, x, dys))
+                    mismatches.extend(i for i, (a, b) in enumerate(zip(got, stack_arrays(want))) if not same_bits(a, b))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=job) for job in jobs]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
+
+    def test_waves_keep_order_and_wait(self):
+        """in_waves yields results in task order; the worker runs every
+        second task; a wave's exception comes after both of its tasks
+        have ended."""
+        ran = []
+
+        def task(i, fail=False):
+            def run():
+                ran.append((i, threading.get_ident()))
+                if fail:
+                    raise ValueError(i)
+                return i
+            return run
+
+        with nn.two_way(True):
+            assert list(nn.in_waves([task(i) for i in range(5)])) == list(range(5))
+            caller = threading.get_ident()
+            assert [t == caller for _, t in sorted(ran)] == [True, False, True, False, True]
+            ran.clear()
+            with pytest.raises(ValueError):
+                list(nn.in_waves([task(0), task(1, fail=True), task(2), task(3)]))
+            assert sorted(i for i, _ in ran) == [0, 1]
+
+    @pytest.mark.parametrize("cpus, count, threads", [({0}, 8, 1), ({0, 1}, 1, 2), (None, 1, 1), (None, 4, 2)])
+    def test_follows_cpu_affinity(self, monkeypatch, cpus, count, threads):
+        """By default the pool runs when the process may use two or more
+        CPUs (its affinity, else the CPU count where a platform has no
+        affinity), and everything runs on the caller otherwise; one task
+        always runs on the caller."""
+        if cpus is None:
+            monkeypatch.delattr(nn.os, "sched_getaffinity")
+        else:
+            monkeypatch.setattr(nn.os, "sched_getaffinity", lambda pid: cpus)
+        monkeypatch.setattr(nn.os, "cpu_count", lambda: count)
+        ran = []
+        tasks = [lambda: ran.append(threading.get_ident()) for _ in range(4)]
+        list(nn.in_waves(tasks))
+        assert len(set(ran)) == threads
+        ran.clear()
+        list(nn.in_waves(tasks[:1]))
+        assert ran == [threading.get_ident()]
+
+
 class TestStacks:
     """networks.Stacks.copy_to, the gather conv1's blocks read, against
     the row-by-row oracle conftest.stacks_array, bit for bit."""
@@ -232,6 +442,27 @@ class TestAdam:
         for _ in range(500):
             opt.step({"w": 2.0 * p["w"]})
         assert np.all(np.abs(p["w"]) < 1e-3)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_oracle_bitwise(self, rng, dtype):
+        """Adam.step's in-place slices against the whole-array expression
+        (conftest.adam_oracle_step), bit for bit over several steps:
+        parameters larger than a slice and not a multiple of it, a
+        scalar-sized one, and float64 gradients for float32 parameters."""
+        shapes = {"big": (3, nn.ADAM_SLICE // 2 + 7), "small": (5,), "one": (1,)}
+        params = {k: rng.normal(size=shape).astype(dtype) for k, shape in shapes.items()}
+        ref = {k: v.copy() for k, v in params.items()}
+        opt = Adam(params, lr=3e-3)
+        m = {k: np.zeros_like(p) for k, p in ref.items()}
+        v = {k: np.zeros_like(p) for k, p in ref.items()}
+        for t in range(1, 6):
+            grads = {k: rng.normal(size=shape) * 10.0 ** rng.integers(-4, 3) for k, shape in shapes.items()}
+            grads["small"] = grads["small"].astype(dtype)
+            opt.step(grads)
+            for k in shapes:
+                adam_oracle_step(ref[k], m[k], v[k], grads[k], 3e-3, t)
+                assert same_bits(params[k], ref[k]), (t, k)
+                assert same_bits(opt.m[k], m[k]) and same_bits(opt.v[k], v[k]), (t, k)
 
 
 def pool_oracle(x, width, dy):

@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import math
+import threading
 import tracemalloc
 from collections import deque
 from dataclasses import replace
@@ -530,6 +531,16 @@ class TestDDPGUpdate:
     def test_matches_reference_bitwise_partial_block(self, rng, beams, n, feat_dtype):
         self.check_reference(rng, beams, n, feat_dtype)
 
+    @pytest.mark.parametrize("on", [True, False])
+    @pytest.mark.parametrize("beams, n", [(180, 1), (180, 17), (180, 40), (180, 128), (1080, 1), (1080, 17),
+                                          (1080, 40)])
+    def test_matches_reference_bitwise_two_way(self, rng, beams, n, on):
+        """The same with the two-way pool forced on and off, over batches
+        whose REST_BLOCK chunks make no wave, an uneven last wave (17 and
+        40 samples) and whole waves (128)."""
+        with nn.two_way(on):
+            self.check_reference(rng, beams, n, np.float16)
+
     @pytest.mark.parametrize("beams, n", [(180, 128), (1080, 11)])
     def test_matches_reference_bitwise_replay(self, rng, beams, n):
         """The same on replay batches: Stacks of ring sweeps with shifts of
@@ -551,20 +562,29 @@ class TestDDPGUpdate:
 
     def test_scratch_does_not_grow_with_the_batch(self):
         """nn's scratch buffers hold a block of samples, never a batch: at
-        1080 beams their total after steady-state updates at batch 16 is
-        the total at batch 64."""
+        1080 beams their total after steady-state updates at batch 32 is
+        the total at batch 64, summed over every thread's buffers (the
+        caller's and the two-way pool's worker's).  32 is the smallest
+        batch that fills a wave of two rest blocks; batch 16, one rest
+        block, runs on the caller alone, within the caller's buffers of a
+        larger batch."""
         spec = default_network_spec(HISTORY_LEN, 1080)
         learner = DDPG(spec, DDPGConfig(), np.random.default_rng(3))
         buf = ReplayBuffer(80, spec.feature_shape)
         fill(buf, np.random.default_rng(4), (30, 50), 1080)
-        nn._SCRATCH.clear()
-        totals = []
-        for n in (16, 64):
-            batch = buf.sample(n, np.random.default_rng(n), (1.0, 0.0, 1.0))
-            learner.update(batch)
-            learner.update(batch)
-            totals.append(sum(v.nbytes for v in nn._SCRATCH.values()))
-        assert totals[0] == totals[1]
+        for scratch in list(nn._SCRATCHES.values()):
+            scratch.clear()
+        sizes = []
+        with nn.two_way(True):
+            for n in (16, 32, 64):
+                batch = buf.sample(n, np.random.default_rng(n), (1.0, 0.0, 1.0))
+                learner.update(batch)
+                learner.update(batch)
+                sizes.append({t: sum(v.nbytes for v in s.values()) for t, s in list(nn._SCRATCHES.items()) if s})
+        caller = threading.get_ident()
+        assert sizes[0].keys() == {caller} and sizes[0][caller] <= sizes[2][caller]
+        assert len(sizes[2]) == 2
+        assert sum(sizes[1].values()) == sum(sizes[2].values())
 
     @staticmethod
     def check_reference(rng, beams, n, feat_dtype):
@@ -624,6 +644,29 @@ class TestDDPGUpdate:
             tracemalloc.stop()
         assert peak - base <= 7e6 + rows
 
+    def test_working_set_replay_1080(self):
+        """At the default 1080 beams a steady batch-128 update on a replay
+        batch, with the two-way pool on, allocates at most 57 MB above its
+        start plus the gathered float32 rows (128 x 40 x 1025, 21.0 MB)
+        (tracemalloc peak: 54.1 MB, 50 MB with the pool off; 66.3 MB with
+        Adam's whole-array temporaries), across both threads."""
+        spec = default_network_spec(HISTORY_LEN, 1080)
+        learner = DDPG(spec, DDPGConfig(), np.random.default_rng(3))
+        buf = ReplayBuffer(300, spec.feature_shape)
+        fill(buf, np.random.default_rng(4), (60, 90, 120), 1080)
+        batch = buf.sample(128, np.random.default_rng(5), (1.0, 0.0, 1.0))
+        rows = 128 * HISTORY_LEN * learner.critic.trunk.beams * np.dtype(np.float32).itemsize
+        with nn.two_way(True):
+            learner.update(batch)  # the first update allocates the scratch buffers
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                learner.update(batch)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak - base <= 57e6 + rows
+
     def test_divergence_detection_fields(self):
         from socnavsim.ddpg import TrainingDiverged
 
@@ -681,6 +724,23 @@ class TestParameters:
                 h.update(f"{part}/{name}".encode())
                 h.update(arr.tobytes())
         assert h.hexdigest() == self.INIT_SHA256
+
+    def test_targets_start_as_copies(self):
+        """The target networks start equal to the online ones bit for bit,
+        in arrays of their own, and DDPG draws nothing for them."""
+        rng = np.random.default_rng(0)
+        learner = DDPG(default_network_spec(40, 180), DDPGConfig(), rng)
+        twin = np.random.default_rng(0)
+        Actor(default_network_spec(40, 180), twin)
+        Critic(default_network_spec(40, 180), twin)
+        assert rng.bit_generator.state == twin.bit_generator.state
+        for target, online in ((learner.target_actor, learner.actor), (learner.target_critic, learner.critic)):
+            tp, op = target.params(), online.params()
+            assert tp.keys() == op.keys()
+            for k in op:
+                assert tp[k].dtype == op[k].dtype and tp[k].tobytes() == op[k].tobytes(), k
+                for other in op.values():
+                    assert not np.shares_memory(tp[k], other), k
 
     def test_load_params_copies_and_casts(self, rng):
         actor = Actor(TINY, rng)
@@ -832,7 +892,9 @@ class TestTrainLoop:
 
     def test_eval_probe_counts_reached_episodes(self, monkeypatch):
         """Each eval record is reached / eval_episodes over run_episode logs
-        of the actor as it stood at that probe, on the same seeds each time."""
+        of the actor as it stood at that probe, on the same seeds each time,
+        and counts the episodes that reached the goal, collided and timed
+        out."""
         calls = []
         real_run_episode = evaluation_module.run_episode
 
@@ -862,12 +924,14 @@ class TestTrainLoop:
             assert [s for _, s in batch] == seeds
             actor = batch[0][0]
             replay = LearnedPolicy(actor, "replay")
-            reached = sum(
-                run_episode(replay, probe_cfg, "replay", *s).outcome == "reached" for s in seeds
-            )
+            outcomes = [run_episode(replay, probe_cfg, "replay", *s).outcome for s in seeds]
+            reached = outcomes.count("reached")
             assert record["success_rate"] == reached / n
+            assert (record["successes"], record["collisions"], record["timeouts"]) == (
+                reached, outcomes.count("collided"), outcomes.count("timeout"))
         # a rate strictly between 0 and 1 tells reached / n from 100 * reached / n / 100
         assert any(0.0 < r["success_rate"] < 1.0 for r in evals)
+        assert any(r["timeouts"] for r in evals)
 
     def test_warmup_draw_order_pinned(self, monkeypatch):
         """Inside the warm-up, each action reaching NavEnv.step is the next
@@ -979,6 +1043,33 @@ class TestTrainLoop:
             first, last = record["env_steps"], last + n
         assert last == len(returned) == learner.updates > 0
         assert any(r["updates"] == 0 for r in episodes) and any(r["updates"] > 1 for r in episodes)
+
+    def test_episode_records_sum_reward_parts(self, monkeypatch):
+        """Each episode record holds the sums of its steps' ego, social and
+        goal reward parts, added in step order, on a social stage whose
+        crowd makes all three nonzero."""
+        episodes, real_steps = [], ddpg_module.episode_steps
+
+        def episode_steps(*args):
+            episodes.append([])
+            for outcome in real_steps(*args):
+                episodes[-1].append(outcome.record)
+                yield outcome
+
+        monkeypatch.setattr(ddpg_module, "episode_steps", episode_steps)
+        env_cfg = EnvConfig(beam_count=16, max_steps=40, obstacle_count_range=(0, 1),
+                            obstacle_size_range=(0.3, 0.5), crowd=CrowdConfig(count=6))
+        _, curve = train("social", env_cfg, self._train_cfg(150), seed=5, allow_cold_social=True)
+        records = [r for r in curve if r["kind"] == "episode"]
+        assert len(records) == len(episodes) > 1
+        for record, steps in zip(records, episodes):
+            for key, part in (("r_ego_sum", "r_ego"), ("r_social_sum", "r_social"), ("r_goal_sum", "r_goal")):
+                total = 0.0
+                for step in steps:
+                    total += getattr(step, part)
+                assert record[key] == total, key
+        for key in ("r_ego_sum", "r_social_sum", "r_goal_sum"):
+            assert any(r[key] != 0.0 for r in records), key
 
     def test_warm_start_applied(self, tmp_path):
         learner, _ = train("ego", self._env_cfg(), self._train_cfg(60), seed=3,
