@@ -21,7 +21,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     parser = argparse.ArgumentParser(prog="socnavsim")
     parser.add_argument("--single-thread", action="store_true",
-                        help="run BLAS, episodes and the learner on one thread")
+                        help="run BLAS, episodes, the crowd and the learner on one thread")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser("train", help="train a policy stage")
@@ -179,6 +179,7 @@ def cmd_train(args, parser) -> int:
 
 def cmd_eval(args, parser) -> int:
     from .evaluation import EXPORT_FORMATS, episode_seeds, export, run_episode, suite_config
+    from .nn import two_way
 
     if args.runs < 1:
         parser.error(f"--runs must be at least 1, got {args.runs}")
@@ -198,7 +199,9 @@ def cmd_eval(args, parser) -> int:
         with mp.get_context("spawn").Pool(jobs) as pool:
             logs = pool.starmap(run_episode, work)
     else:
-        logs = [run_episode(*w) for w in work]
+        # --single-thread steps the crowd inline too, not in the crowd worker
+        with two_way(False if args.single_thread else None):
+            logs = [run_episode(*w) for w in work]
 
     for log in logs:
         name = f"log__{args.suite.replace(':', '-')}__{log.policy}__{log.seed}.json"
@@ -212,6 +215,7 @@ def cmd_scenario_gen(args, parser) -> int:
     import yaml
 
     from .evaluation import episode_seeds, suite_config
+    from .nn import two_way
     from .world import NavEnv
 
     env_cfg = _load_env_config(args.config, parser)
@@ -221,7 +225,8 @@ def cmd_scenario_gen(args, parser) -> int:
         parser.error(str(exc))
     (_, map_seed, crowd_seed), = episode_seeds(args.seed, 1)
     env = NavEnv(cfg)
-    env.reset(map_seed=map_seed, crowd_seed=crowd_seed)
+    with two_way(False):  # a snapshot takes no step: no crowd worker to start
+        env.reset(map_seed=map_seed, crowd_seed=crowd_seed)
 
     keys = {"circle": ("x", "y", "radius"), "rect": ("x", "y", "heading", "half_width", "length")}
     obstacles = [{"kind": kind, **dict(zip(keys[kind], row))} for kind, row in env.static_map.placements()]

@@ -10,12 +10,17 @@ A Crowd is its pedestrians' rows of Python scalars, which the step, the
 collision check and the social reward read.  Each step builds every
 pedestrian's half-planes in one numpy pass over the columns of those rows
 (orca_lines), the crowd's one array code; the small per-pedestrian LP
-runs as scalar code on floats (orca_velocity).
+runs as scalar code on floats (orca_velocity).  A step maps rows to rows
+(step_rows), so it can run where no Crowd is built (the crowd worker,
+crowdfeed); step_crowd is step_rows plus the Crowd of the new rows.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -204,8 +209,27 @@ def preferred_velocity(x, y, goal_x, goal_y, pref_speed) -> tuple[float, float]:
     return to_x * scale, to_y * scale
 
 
-def orca_lines(crowd: Crowd, discs: np.ndarray, dt: float) -> tuple[np.ndarray, int]:
-    """Every pedestrian's ORCA half-planes, built from one snapshot.
+# the position, velocity and radius of a crowd row
+_ORCA_COLUMNS = operator.itemgetter(1, 2, 3, 4, 8)
+# (y, x) * _PERPENDICULAR is (y, -x), a direction turned right
+_PERPENDICULAR = np.array([1.0, -1.0])[:, None, None]
+
+
+@functools.lru_cache(maxsize=64)
+def _pair_layout(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For n pedestrians among k discs: the flat indices into an
+    (n, k + n) array of every pair of a pedestrian with the discs and the
+    other pedestrians, in row order, and the inverse time horizon and
+    responsibility of each of a pedestrian's k + n - 1 pairs."""
+    index = np.flatnonzero(~np.eye(n, k + n, k, dtype=bool))
+    inv_horizon, responsibility = np.full((2, k + n - 1), [[1.0 / AGENT_TIME_HORIZON], [0.5]])
+    inv_horizon[:k], responsibility[:k] = 1.0 / OBSTACLE_TIME_HORIZON, 1.0
+    return index, inv_horizon, responsibility
+
+
+def orca_lines(rows, discs: np.ndarray, dt: float) -> tuple[np.ndarray, int]:
+    """Every pedestrian's ORCA half-planes, built from one snapshot of a
+    crowd's rows.
 
     Returns (lines, num_fixed): lines[i] is an (m, 4) array of rows
     (point_x, point_y, dir_x, dir_y) for pedestrian i, first one per
@@ -217,82 +241,87 @@ def orca_lines(crowd: Crowd, discs: np.ndarray, dt: float) -> tuple[np.ndarray, 
 
     The arithmetic is that of the scalar reference formulation, operation
     by operation, so the lines are bitwise those of per-pair scalar code.
-    Rows are not checked for finiteness here; step_crowd rejects the
+    Rows are not checked for finiteness here; step_rows rejects the
     non-finite ones of the pedestrians it moves.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    if not len(crowd):
+    if not len(rows):
         return np.empty((0, 0, 4)), 0
     inv_dt = 1.0 / dt
-    k, n = len(discs), len(crowd)
+    k, n = len(discs), len(rows)
     m = k + n - 1
-    keep = ~np.eye(n, k + n, k, dtype=bool)  # a pedestrian does not avoid itself
-
-    def pairs(a):
-        return a[keep].reshape(n, m)
 
     # (x, y, vx, vy, radius) of each pedestrian, then of everything it avoids
-    t = np.array(crowd.rows, dtype=float)
-    position, velocity, radius = t[:, 1:3], t[:, 3:5], t[:, 8]
-    x, y = position.T[:, :, None]
-    vx, vy = velocity.T[:, :, None]
-    r = radius[:, None]
-    them = np.zeros((k + n, 5))
-    them[:k, :2], them[:k, 4] = discs[:, :2], discs[:, 2]
-    them[k:, :2], them[k:, 2:4], them[k:, 4] = position, velocity, radius
-    ox, oy, ovx, ovy, orad = them.T[:, None, :]
-    inv_horizon, responsibility = np.full((2, m), [[1.0 / AGENT_TIME_HORIZON], [0.5]])
-    inv_horizon[:k], responsibility[:k] = 1.0 / OBSTACLE_TIME_HORIZON, 1.0
+    own = np.fromiter(itertools.chain.from_iterable(map(_ORCA_COLUMNS, rows)), float, 5 * n).reshape(n, 5).T
+    them = np.zeros((5, k + n))
+    them[:2, :k], them[4, :k] = discs[:, :2].T, discs[:, 2]
+    them[:, k:] = own
+    v = own[2:4, :, None]
+    index, inv_horizon, responsibility = _pair_layout(n, k)
 
     # Every branch runs on every lane and the masks pick each lane's own
     # branch, so the other lanes may divide by zero or take a negative
-    # sqrt.  Overflow is not flagged either: step_crowd rejects the
-    # non-finite rows it uses.
+    # sqrt.  Overflow is not flagged either: step_rows rejects the
+    # non-finite rows it uses.  An (x, y) pair of (n, m) arrays runs as
+    # one (2, n, m) array, the same operations on the same lanes.
     with np.errstate(all="ignore"):
-        rpx, rpy = pairs(ox - x), pairs(oy - y)  # relative position
-        rvx, rvy = pairs(vx - ovx), pairs(vy - ovy)  # relative velocity; obstacles are still
-        combined = pairs(r + orad)
-        dist_sq = rpx * rpx + rpy * rpy
+        # relative position, relative velocity (obstacles are still) and
+        # combined radius of every pair, gathered once without the pairs
+        # of a pedestrian with itself
+        pair = np.empty((5, n, k + n))
+        np.subtract(them[:2, None, :], own[:2, :, None], out=pair[:2])
+        np.subtract(own[2:4, :, None], them[2:4, None, :], out=pair[2:4])
+        np.add(own[4, :, None], them[4, None, :], out=pair[4])
+        pair = pair.reshape(5, -1).take(index, axis=1).reshape(5, n, m)
+        rp, rv, combined = pair[:2], pair[2:4], pair[4]
+        sq = rp * rp
+        dist_sq = sq[0] + sq[1]
         combined_sq = combined * combined
-        wx = rvx - rpx * inv_horizon
-        wy = rvy - rpy * inv_horizon
-        w_len_sq = wx * wx + wy * wy
-        dot1 = wx * rpx + wy * rpy
+        w = rv - rp * inv_horizon
+        sq = w * w
+        w_len_sq = sq[0] + sq[1]
+        sq = w * rp
+        dot1 = sq[0] + sq[1]
         # project onto the cut-off circle
         cut = (dot1 < 0.0) & (dot1 * dot1 > combined_sq * w_len_sq)
         w_len = np.sqrt(w_len_sq)
-        unit_x = wx / w_len
-        unit_y = wy / w_len
+        unit = w / w_len
         scale = combined * inv_horizon - w_len
-        # or onto a cone leg
+        # or onto a cone leg, on the left (sign +1) or the right (-1):
+        # a - b is a + -b and -a is -1 * a, bit for bit
         leg = np.sqrt(dist_sq - combined_sq)
-        left = rpx * wy - rpy * wx > 0.0
-        leg_x = np.where(left, rpx * leg - rpy * combined, rpx * leg + rpy * combined)
-        leg_y = np.where(left, rpx * combined + rpy * leg, -rpx * combined + rpy * leg)
-        inv_dist_sq = np.where(left, 1.0 / dist_sq, -1.0 / dist_sq)
-        leg_x = leg_x * inv_dist_sq
-        leg_y = leg_y * inv_dist_sq
-        dot2 = rvx * leg_x + rvy * leg_y
-        dir_x = np.where(cut, unit_y, leg_x)
-        dir_y = np.where(cut, -unit_x, leg_y)
-        u_x = np.where(cut, unit_x * scale, leg_x * dot2 - rvx)
-        u_y = np.where(cut, unit_y * scale, leg_y * dot2 - rvy)
+        sq = rp * w[::-1]
+        sign = np.where(sq[0] - sq[1] > 0.0, 1.0, -1.0)
+        along, across = rp * leg, rp * combined * sign
+        leg = np.empty_like(rp)
+        np.subtract(along[0], across[1], out=leg[0])
+        np.add(across[0], along[1], out=leg[1])
+        leg *= sign / dist_sq
+        sq = rv * leg
+        dot2 = sq[0] + sq[1]
+        direction = np.where(cut, unit[::-1] * _PERPENDICULAR, leg)
+        u = np.where(cut, unit * scale, leg * dot2 - rv)
 
         # already colliding (rare): resolve within one time step
-        for i, j in zip(*np.nonzero(dist_sq <= combined_sq)):
-            cx = float(rvx[i, j]) - float(rpx[i, j]) * inv_dt
-            cy = float(rvy[i, j]) - float(rpy[i, j]) * inv_dt
-            c_len = math.hypot(cx, cy)
-            ux, uy = (cx / c_len, cy / c_len) if c_len > 0.0 else (1.0, 0.0)
-            c_scale = float(combined[i, j]) * inv_dt - c_len
-            dir_x[i, j], dir_y[i, j] = uy, -ux
-            u_x[i, j], u_y[i, j] = ux * c_scale, uy * c_scale
+        colliding = dist_sq <= combined_sq
+        if colliding.any():
+            (rpx, rpy), (rvx, rvy) = rp, rv
+            for i, j in zip(*np.nonzero(colliding)):
+                cx = float(rvx[i, j]) - float(rpx[i, j]) * inv_dt
+                cy = float(rvy[i, j]) - float(rpy[i, j]) * inv_dt
+                c_len = math.hypot(cx, cy)
+                ux, uy = (cx / c_len, cy / c_len) if c_len > 0.0 else (1.0, 0.0)
+                c_scale = float(combined[i, j]) * inv_dt - c_len
+                direction[:, i, j] = uy, -ux
+                u[:, i, j] = ux * c_scale, uy * c_scale
 
-        lines = np.empty((n, m, 4))
-        lines[..., 0], lines[..., 1] = vx + u_x * responsibility, vy + u_y * responsibility
-        lines[..., 2], lines[..., 3] = dir_x, dir_y
-    return lines, k
+        # (point x, point y, dir x, dir y) as the last axis of a view
+        lines = np.empty((4, n, m))
+        np.multiply(u, responsibility, out=lines[:2])
+        lines[:2] += v
+        lines[2:] = direction
+    return lines.transpose(1, 2, 0), k
 
 
 def orca_velocity(pref_x, pref_y, pref_speed, lines: list, num_fixed: int) -> tuple[float, float]:
@@ -404,30 +433,33 @@ def spawn_scenario(
     return Crowd.from_rows(rows)
 
 
-def step_crowd(
-    crowd: Crowd,
-    config: CrowdConfig,
-    dt: float,
-    rng: np.random.Generator,
-    discs: np.ndarray,
-) -> Crowd:
-    """Advance all pedestrians by one step of dt seconds.
+def crowd_moves(rows, config: CrowdConfig) -> bool:
+    """Whether a step can change a crowd of these rows: it has pedestrians
+    or may gain one.  An empty crowd that cannot gain one draws nothing
+    from its generator, so skipping its step changes no output."""
+    return len(rows) > 0 or config.walk_in_probability > 0.0
+
+
+def step_rows(rows, config: CrowdConfig, dt: float, rng: np.random.Generator, discs: np.ndarray) -> tuple:
+    """The rows of a crowd of these rows one step of dt seconds later.
 
     New velocities are computed from the previous snapshot and committed
     together; discs are the (k, 3) StaticMap.bounding_discs rows to
     avoid.  Handles stop-and-go pauses, goal renewal, and walk-ins; fully
-    deterministic under a fixed generator state.
+    deterministic under a fixed generator state.  Raises ValueError when
+    a pedestrian that moves has a non-finite constraint, after the
+    draws of the pedestrians before it.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    rows: list[tuple] = []
-    if len(crowd):  # an empty crowd has no constraints to build
-        lines, num_fixed = orca_lines(crowd, discs, dt)
+    new_rows: list[tuple] = []
+    if len(rows):  # an empty crowd has no constraints to build
+        lines, num_fixed = orca_lines(rows, discs, dt)
         # the finiteness checks of per-pair scalar code, done once per step
-        finite = np.isfinite(lines).all(axis=(1, 2)).tolist()
+        finite = None if np.isfinite(lines).all() else np.isfinite(lines).all(axis=(1, 2)).tolist()
         line_rows = lines.tolist()
 
-        for i, row in enumerate(crowd.rows):
+        for i, row in enumerate(rows):
             ped_id, x, y, vx, vy, goal_x, goal_y, speed, radius, rect, stopped, heading = row
             if stopped > 0:
                 stopped -= 1
@@ -436,10 +468,10 @@ def step_crowd(
                 stopped = int(rng.geometric(min(1.0, dt / MEAN_STOP_SECONDS)))
 
             if stopped > 0:
-                rows.append((ped_id, x, y, 0.0, 0.0, goal_x, goal_y, speed, radius, rect, stopped, heading))
+                new_rows.append((ped_id, x, y, 0.0, 0.0, goal_x, goal_y, speed, radius, rect, stopped, heading))
                 continue
 
-            if not finite[i]:
+            if finite is not None and not finite[i]:
                 raise ValueError(f"non-finite ORCA constraint for pedestrian {ped_id}")
             pref_x, pref_y = preferred_velocity(x, y, goal_x, goal_y, speed)
             vx, vy = orca_velocity(pref_x, pref_y, speed, line_rows[i], num_fixed)
@@ -448,12 +480,25 @@ def step_crowd(
                 goal_x, goal_y = _random_point(config, rng)
             if math.hypot(vx, vy) >= STILL_SPEED:
                 heading = math.atan2(vy, vx)
-            rows.append((ped_id, x, y, vx, vy, goal_x, goal_y, speed, radius, rect, 0, heading))
+            new_rows.append((ped_id, x, y, vx, vy, goal_x, goal_y, speed, radius, rect, 0, heading))
 
-    if config.walk_in_probability > 0.0 and len(rows) < config.max_count:
+    if config.walk_in_probability > 0.0 and len(new_rows) < config.max_count:
         if rng.random() < config.walk_in_probability:
-            next_id = max((row[0] for row in crowd.rows), default=-1) + 1
+            next_id = max((row[0] for row in rows), default=-1) + 1
             pos = _boundary_point(config, rng)
             goal = _random_point(config, rng)
-            rows.append(_sample_ped(next_id, pos, goal, config.speed_range, config, rng))
+            new_rows.append(_sample_ped(next_id, pos, goal, config.speed_range, config, rng))
+    return tuple(new_rows)
+
+
+def step_crowd(
+    crowd: Crowd,
+    config: CrowdConfig,
+    dt: float,
+    rng: np.random.Generator,
+    discs: np.ndarray,
+) -> Crowd:
+    """Advance all pedestrians by one step of dt seconds (step_rows), and
+    build the crowd of their new rows."""
+    rows = step_rows(crowd.rows, config, dt, rng, discs)
     return Crowd.from_rows(rows) if rows else crowd

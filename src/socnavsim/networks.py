@@ -435,21 +435,25 @@ def save_checkpoint(path, named_parts: dict, meta: dict) -> None:
 
 def load_checkpoint(path) -> tuple[dict, dict]:
     """Returns ({part: {name: array}}, meta).  Raises ValueError for a
-    file that is not a checkpoint, OSError for one that cannot be read."""
-    try:
-        data = np.load(path)
-    except (ValueError, zipfile.BadZipFile) as exc:  # ValueError: not a numpy file
-        raise ValueError(f"not a checkpoint: {exc}") from exc
-    if not isinstance(data, np.lib.npyio.NpzFile) or "__meta__" not in data.files:
-        raise ValueError("not a checkpoint: it has no __meta__ entry")
-    with data:
-        meta = json.loads(bytes(data["__meta__"]).decode())
-        parts: dict = {}
-        for key in data.files:
-            if key == "__meta__":
-                continue
-            part, name = key.split("/", 1)
-            parts.setdefault(part, {})[name] = data[key]
+    file that is not a checkpoint, OSError for one that cannot be read;
+    the file is closed on every path."""
+    with open(path, "rb") as f:
+        try:
+            data = np.load(f)
+        except (ValueError, zipfile.BadZipFile) as exc:  # ValueError: not a numpy file
+            raise ValueError(f"not a checkpoint: {exc}") from exc
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise ValueError("not a checkpoint: it has no __meta__ entry")
+        with data:
+            if "__meta__" not in data.files:
+                raise ValueError("not a checkpoint: it has no __meta__ entry")
+            meta = json.loads(bytes(data["__meta__"]).decode())
+            parts: dict = {}
+            for key in data.files:
+                if key == "__meta__":
+                    continue
+                part, name = key.split("/", 1)
+                parts.setdefault(part, {})[name] = data[key]
     return parts, meta
 
 

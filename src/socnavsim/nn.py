@@ -111,8 +111,9 @@ def two_way(on):
     """Within the block, and in the calling thread only, run conv stacks
     on the two-way pool (True), inline on the calling thread (False), or
     on the pool when the process may run on two or more CPUs (None, the
-    default outside any block).  The outputs are the same bits either
-    way."""
+    default outside any block).  A NavEnv reset within the block steps
+    its crowd in the crowd worker (crowdfeed) or inline by the same
+    switch.  The outputs are the same bits either way."""
     token = _TWO_WAY.set(on)
     try:
         yield
@@ -120,7 +121,8 @@ def two_way(on):
         _TWO_WAY.reset(token)
 
 
-def _pool_on():
+def two_way_on() -> bool:
+    """Whether the calling context runs on two cores (two_way)."""
     on = _TWO_WAY.get()
     if on is not None:
         return on
@@ -145,7 +147,7 @@ def in_waves(tasks):
     pool, or for a single task, each runs on the caller.
     """
     global _WORKER
-    if len(tasks) < 2 or not _pool_on():
+    if len(tasks) < 2 or not two_way_on():
         for task in tasks:
             yield task()
         return

@@ -10,7 +10,10 @@ and every scan tick records a scan of it with its own range noise,
 drawn at the tick.  A sweep is cast, and a scan read, the first time
 something reads its ranges (lidar.Scan): a policy that reads only the
 newest scan casts once per step.  The robot pose is kept as floats, and
-its goal distance is measured once per move.
+its goal distance is measured once per move.  The pedestrians never see
+the robot, so when a second CPU is free an episode's crowd ticks are
+computed ahead in the crowd worker (crowdfeed), and each control tick
+builds the crowd of the rows it sent: the same bits as stepping inline.
 """
 
 from __future__ import annotations
@@ -24,7 +27,16 @@ import numpy as np
 import yaml
 
 from . import rewards
-from .crowd import SCENARIO_KINDS, STILL_SPEED, Crowd, CrowdConfig, spawn_crowd, spawn_scenario, step_crowd
+from .crowd import (
+    SCENARIO_KINDS,
+    STILL_SPEED,
+    Crowd,
+    CrowdConfig,
+    crowd_moves,
+    spawn_crowd,
+    spawn_scenario,
+    step_crowd,
+)
 from .geometry import DistanceScene, StaticMap, closest_distance, rect_row, wrap_angle
 from .lidar import (
     HISTORY_LEN,
@@ -419,13 +431,17 @@ class NavEnv:
         self.ticks_per_control = config.scan_hz // config.control_hz
         self.tick_dt = 1.0 / config.scan_hz
         self.control_dt = 1.0 / config.control_hz
+        # control ticks of an episode that runs to its last step
+        self.max_control_ticks = config.max_steps * -(-self.ticks_per_step // self.ticks_per_control)
         self.status = Status.RUNNING
         self._needs_reset = True
+        self._feed = None
 
     # -- lifecycle
 
     def reset(self, map_seed: int | None = None, crowd_seed: int | None = None) -> MotionFeature:
         cfg = self.config
+        self._close_feed()
         map_seed = cfg.map_seed if map_seed is None else map_seed
         crowd_seed = cfg.crowd.seed if crowd_seed is None else crowd_seed
         self.map_rng = np.random.default_rng(np.random.SeedSequence(map_seed))
@@ -457,6 +473,7 @@ class NavEnv:
         else:
             crowd = spawn_crowd(cfg.crowd, self.crowd_rng)
         self._set_crowd(crowd)
+        self._open_feed()
 
         self.status = Status.RUNNING
         self.steps = 0
@@ -474,10 +491,39 @@ class NavEnv:
         self._scene = self._static_scene + crowd.scene if len(crowd) else self._static_scene
 
     def _crowd_moves(self) -> bool:
-        """Whether a control tick can change the crowd: it has pedestrians
-        or may gain one.  An empty crowd that cannot gain one draws
-        nothing from crowd_rng, so skipping its step changes no output."""
-        return len(self.crowd) > 0 or self.config.crowd.walk_in_probability > 0.0
+        """Whether a control tick can change the crowd (crowd.crowd_moves)."""
+        return crowd_moves(self.crowd.rows, self.config.crowd)
+
+    def _open_feed(self) -> None:
+        """Have the episode's crowd ticks computed ahead in the crowd
+        worker (crowdfeed), when it may run; crowd_rng is then not drawn
+        from, as the worker draws from a copy of it."""
+        if self._crowd_moves():
+            from .crowdfeed import open_feed  # imported at the first crowd reset
+
+            self._feed = open_feed(self.crowd.rows, self.config.crowd, self.control_dt, self.crowd_rng,
+                                   self._discs, self.max_control_ticks)
+
+    def _close_feed(self) -> None:
+        feed, self._feed = self._feed, None
+        if feed is not None:
+            feed.close()
+
+    def _next_crowd(self) -> Crowd:
+        """The crowd after this control tick, stepped inline or taken from
+        the feed; a tick that raises raises here, and leaves crowd_rng as
+        the step left it."""
+        feed = self._feed
+        if feed is None:
+            return step_crowd(self.crowd, self.config.crowd, self.control_dt, self.crowd_rng, self._discs)
+        try:
+            rows = feed.next_rows()
+        except Exception:
+            self._feed = None
+            if feed.rng is not None:
+                self.crowd_rng = feed.rng
+            raise
+        return Crowd.from_rows(rows) if rows else self.crowd
 
     def _record_sweep(self) -> None:
         """Record the sweep that every scan reads until the robot or the
@@ -538,8 +584,7 @@ class NavEnv:
                 if v_l >= STILL_SPEED:
                     self.robot_motion_heading = self.heading
                 if self._crowd_moves():
-                    crowd = step_crowd(self.crowd, self.config.crowd, self.control_dt, self.crowd_rng, self._discs)
-                    self._set_crowd(crowd)
+                    self._set_crowd(self._next_crowd())
                 self._record_sweep()
                 self._check_terminal()
             self.sim_time += self.tick_dt
@@ -548,6 +593,8 @@ class NavEnv:
         self.steps += 1
         if self.status is Status.RUNNING and self.steps >= self.config.max_steps:
             self.status = Status.TIMEOUT
+        if self.status is not Status.RUNNING:
+            self._close_feed()
 
         assessment = rewards.assess(
             (self.x, self.y, self.config.robot_radius),

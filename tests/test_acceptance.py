@@ -227,7 +227,7 @@ class TestCriterion4OrcaSanity:
         from dataclasses import replace
 
         for _ in range(500):
-            lines, num_fixed = orca_lines(pack([a, b]), to_map([]).bounding_discs(), dt)
+            lines, num_fixed = orca_lines(pack([a, b]).rows, to_map([]).bounding_discs(), dt)
             va = orca_solve(a, lines[0], num_fixed)
             vb = orca_solve(b, lines[1], num_fixed)
             assert va.x == pytest.approx(-vb.x, abs=1e-9)

@@ -53,7 +53,7 @@ def ped(pid, pos, vel, goal, speed=1.0, radius=0.3):
 
 def solve(p, neighbors, obstacles, dt):
     """orca_velocity for p among the given neighbors, through orca_lines."""
-    lines, num_fixed = orca_lines(pack([p, *neighbors]), to_map(obstacles).bounding_discs(), dt)
+    lines, num_fixed = orca_lines(pack([p, *neighbors]).rows, to_map(obstacles).bounding_discs(), dt)
     return orca_solve(p, lines[0], num_fixed)
 
 
@@ -108,7 +108,7 @@ class TestOrcaMatchesReference:
             peds, obstacles = random_snapshot(rng)
             dt = float(rng.choice([0.05, 0.025, 0.1, 1.0 / 3.0]))
             kinds.update(type(s).__name__ for s in obstacles)
-            lines, num_fixed = orca_lines(pack(peds), to_map(obstacles).bounding_discs(), dt)
+            lines, num_fixed = orca_lines(pack(peds).rows, to_map(obstacles).bounding_discs(), dt)
             for i, p in enumerate(peds):
                 ref = reference_orca_lines(p, peds, obstacles, dt)
                 expected = [[r.point.x, r.point.y, r.direction.x, r.direction.y] for r in ref]
@@ -191,7 +191,7 @@ class TestOrcaVelocity:
             gx, gy = 3.0 * math.cos(angle), 3.0 * math.sin(angle)
             peds = [ped(i, (0.0, 0.0), (0.0, 0.0), (gx, gy), radius=0.25) for i in range(4)]
             peds.append(ped(4, (0.0, 1e-5), (1.0, 0.0), (gx, gy + 1e-5), radius=0.25))
-            lines, num_fixed = orca_lines(pack(peds), NO_DISCS, 0.05)
+            lines, num_fixed = orca_lines(pack(peds).rows, NO_DISCS, 0.05)
             for p, rows in zip(peds, lines):
                 worst = max(worst, orca_solve(p, rows, num_fixed).norm() - p.pref_speed)
         assert worst <= 1e-9
@@ -206,7 +206,7 @@ class TestOrcaVelocity:
     def test_rejects_bad_dt(self):
         p = ped(0, (0, 0), (0, 0), (1, 0))
         with pytest.raises(ValueError):
-            orca_lines(pack([p]), NO_DISCS, dt=0.0)
+            orca_lines(pack([p]).rows, NO_DISCS, dt=0.0)
 
 
 def lp_both(pref, speed, rows, num_fixed=0):

@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import math
+import os
 import threading
 import tracemalloc
 from collections import deque
@@ -708,6 +709,25 @@ class TestCheckpoint:
         for part, params in twin.named_parts().items():
             for k, v in params.items():
                 assert v.dtype == parts[part][k].dtype and v.tobytes() == parts[part][k].tobytes(), f"{part}/{k}"
+
+    @pytest.mark.parametrize("damage", ["no meta", "truncated"])
+    def test_refusal_closes_the_file(self, tmp_path, damage):
+        """A file that is refused as a checkpoint is closed when the
+        refusal is raised, not left for the garbage collector."""
+        fd_dir = "/proc/self/fd"
+        if not os.path.isdir(fd_dir):
+            pytest.skip("needs /proc/self/fd to count open files")
+        path = tmp_path / "ck.npz"
+        if damage == "no meta":
+            np.savez(path, **{"actor/mlp.out.b": np.zeros(2, np.float32)})
+        else:
+            DDPG(TINY, DDPGConfig(batch_size=8), np.random.default_rng(0)).save(path, {"stage": "ego"})
+            path.write_bytes(path.read_bytes()[:1024])
+        open_before = len(os.listdir(fd_dir))
+        # the exception info keeps the refusal's frames, and what they hold, alive
+        with pytest.raises(ValueError, match="not a checkpoint") as refusal:
+            load_checkpoint(path)
+        assert len(os.listdir(fd_dir)) == open_before, refusal.value
 
 
 class TestParameters:

@@ -349,7 +349,7 @@ pedestrians = st.builds(
 def test_orca_speed_within_preferred(crowd, discs):
     crowd = [Pedestrian(i, p.position, p.velocity, p.pref_speed, p.radius, p.goal)
              for i, p in enumerate(crowd)]
-    lines, num_fixed = orca_lines(pack(crowd), to_map(discs).bounding_discs(), 0.05)
+    lines, num_fixed = orca_lines(pack(crowd).rows, to_map(discs).bounding_discs(), 0.05)
     for p, rows in zip(crowd, lines):
         assert orca_solve(p, rows, num_fixed).norm() <= p.pref_speed + 1e-9
 
@@ -368,7 +368,7 @@ def test_orca_head_on_mirror_symmetry(distance, heading, speed, pref_speed, radi
     v = Vec2.from_angle(heading, speed)
     a = Pedestrian(0, p * -1.0, v, pref_speed, radius, p * 2.0)
     b = Pedestrian(1, p, v * -1.0, pref_speed, radius, p * -2.0)
-    lines, num_fixed = orca_lines(pack([a, b]), to_map([]).bounding_discs(), 0.05)
+    lines, num_fixed = orca_lines(pack([a, b]).rows, to_map([]).bounding_discs(), 0.05)
     va = orca_solve(a, lines[0], num_fixed)
     vb = orca_solve(b, lines[1], num_fixed)
     assert abs(va.x + vb.x) <= 1e-9 and abs(va.y + vb.y) <= 1e-9
