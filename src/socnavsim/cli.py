@@ -215,7 +215,6 @@ def cmd_scenario_gen(args, parser) -> int:
     import yaml
 
     from .evaluation import episode_seeds, suite_config
-    from .nn import two_way
     from .world import NavEnv
 
     env_cfg = _load_env_config(args.config, parser)
@@ -225,8 +224,7 @@ def cmd_scenario_gen(args, parser) -> int:
         parser.error(str(exc))
     (_, map_seed, crowd_seed), = episode_seeds(args.seed, 1)
     env = NavEnv(cfg)
-    with two_way(False):  # a snapshot takes no step: no crowd worker to start
-        env.reset(map_seed=map_seed, crowd_seed=crowd_seed)
+    env.reset(map_seed=map_seed, crowd_seed=crowd_seed)
 
     keys = {"circle": ("x", "y", "radius"), "rect": ("x", "y", "heading", "half_width", "length")}
     obstacles = [{"kind": kind, **dict(zip(keys[kind], row))} for kind, row in env.static_map.placements()]

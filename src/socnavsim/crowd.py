@@ -502,3 +502,17 @@ def step_crowd(
     build the crowd of their new rows."""
     rows = step_rows(crowd.rows, config, dt, rng, discs)
     return Crowd.from_rows(rows) if rows else crowd
+
+
+# What this module's names hold as it defines them.  The crowd worker
+# (crowdfeed) runs these, so a process that has replaced one, as a
+# tracer or a test spy does, steps its crowd inline, where the
+# replacement sees every call.
+_DEFINED = {name: value for name, value in globals().items() if callable(value)}
+
+
+def defined_step(step) -> bool:
+    """Whether step, a caller's step_crowd, and every function of this
+    module are the ones it defines."""
+    names = globals()
+    return step is _DEFINED["step_crowd"] and all(names.get(name) is value for name, value in _DEFINED.items())

@@ -10,20 +10,25 @@ builds each tick's Crowd (its Scene) itself.  Pickling a Generator
 copies its state exactly, so the worker draws the same stream and every
 output is the same bits as stepping inline.
 
-The worker runs only where it can run beside the env: when the process
-may use two or more CPUs and the two-way switch is not off
-(nn.two_way_on, the learner pool's switch), and not in a daemonic
-process (the eval --jobs pool), which may not have children.  It serves
-one feed at a time: the first env to claim it holds it until its
-episode ends, its next reset or its garbage collection, and any other
-env steps inline meanwhile.  The worker is started at the first claim,
-as sys.executable on this package's own path, and talks over its stdin
-and stdout pipes in length-prefixed pickles; it exits when its stdin
-closes, and the parent closes it and waits for the worker at exit.
+An env claims a feed at its episode's first crowd tick.  The worker
+runs only where it can run beside the env: when the process may use two
+or more CPUs and the two-way switch is not off (nn.two_way_on, the
+learner pool's switch), and not in a daemonic process (the eval --jobs
+pool), which may not have children; and the env claims none when its
+crowd step has been replaced (crowd.defined_step).  It serves one feed
+at a time: the first env to claim it holds it until its episode ends,
+its next reset or its garbage collection, and any other env steps
+inline meanwhile.  The worker is started at the first claim, as
+sys.executable on this package's own path, and talks over its stdin and
+stdout pipes in length-prefixed pickles; it exits when its stdin closes,
+and the parent closes it and waits for the worker at exit.  A worker
+that sends nothing for RECV_TIMEOUT, or is gone, is killed, and the
+next claim starts another.
 """
 
 from __future__ import annotations
 
+import atexit
 import os
 import pickle
 import select
@@ -182,8 +187,14 @@ class _Worker:
         try:
             self.process.wait(EXIT_TIMEOUT)
         except subprocess.TimeoutExpired:
-            self.process.kill()
-            self.process.wait()
+            self.kill()
+
+    def kill(self) -> None:
+        """End a worker that is stuck, gone or mid-message at once."""
+        if not self.closed:
+            self.close_pipes()
+        self.process.kill()
+        self.process.wait()
 
 
 _LOCK = threading.Lock()  # held by the one live feed
@@ -197,6 +208,14 @@ def _shut_down() -> None:
         worker.close()
 
 
+def _discard(worker: _Worker) -> None:
+    """Kill worker, so that the next claim starts a new one."""
+    global _WORKER
+    if _WORKER is worker:
+        _WORKER = None
+    worker.kill()
+
+
 def _forget_worker() -> None:
     """In a forked child: the parent's worker is not the child's."""
     global _WORKER, _LOCK
@@ -205,6 +224,7 @@ def _forget_worker() -> None:
         worker.close_pipes()
 
 
+atexit.register(_shut_down)
 if hasattr(os, "register_at_fork"):  # where processes can fork
     os.register_at_fork(after_in_child=_forget_worker)
 
@@ -241,15 +261,25 @@ class CrowdFeed:
 
     def next_rows(self) -> tuple:
         """The crowd's rows after the next control tick; raises what
-        step_rows raised at that tick, once, then the feed is closed."""
-        message = self._worker.recv()
+        step_rows raised at that tick, once, then the feed is closed.
+        When the worker is stuck or gone, or the wait is interrupted, the
+        worker is killed, the feed closed and the error raised; rng then
+        stays None."""
+        worker = self._worker
+        try:
+            message = worker.recv()
+            if not isinstance(message, dict):
+                self._taken += 1
+                if self._taken % (LOOKAHEAD // 2) == 0 and self._taken + LOOKAHEAD // 2 < self._limit:
+                    worker.send(("taken", self._taken))
+        except BaseException:  # its pipes may hold part of a message
+            _discard(worker)
+            self.close()
+            raise
         if isinstance(message, dict):
             self.close()
             self.rng = message["rng"]
             raise message["error"]
-        self._taken += 1
-        if self._taken % (LOOKAHEAD // 2) == 0 and self._taken + LOOKAHEAD // 2 < self._limit:
-            self._worker.send(("taken", self._taken))
         return message
 
 
@@ -263,15 +293,13 @@ def open_feed(rows, config, dt: float, rng, discs, limit: int) -> CrowdFeed | No
         return None
     try:
         if _WORKER is None:
-            import atexit
-
             _WORKER = _Worker()
-            atexit.register(_shut_down)
         _WORKER.drain()
         _WORKER.send(("start", rows, config, dt, rng, discs, limit))
     except BaseException as exc:
+        if _WORKER is not None:
+            _discard(_WORKER)  # its pipes may hold part of a message
         _LOCK.release()
-        _shut_down()  # its pipes may hold part of a message
         if isinstance(exc, (OSError, EOFError)):  # the worker could not start, has died or is stuck
             return None
         raise

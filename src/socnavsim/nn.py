@@ -111,9 +111,10 @@ def two_way(on):
     """Within the block, and in the calling thread only, run conv stacks
     on the two-way pool (True), inline on the calling thread (False), or
     on the pool when the process may run on two or more CPUs (None, the
-    default outside any block).  A NavEnv reset within the block steps
-    its crowd in the crowd worker (crowdfeed) or inline by the same
-    switch.  The outputs are the same bits either way."""
+    default outside any block).  A NavEnv episode whose first crowd
+    tick is taken within the block steps its crowd in the crowd worker
+    (crowdfeed) or inline by the same switch.  The outputs are the same
+    bits either way."""
     token = _TWO_WAY.set(on)
     try:
         yield

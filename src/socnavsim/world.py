@@ -33,6 +33,7 @@ from .crowd import (
     Crowd,
     CrowdConfig,
     crowd_moves,
+    defined_step,
     spawn_crowd,
     spawn_scenario,
     step_crowd,
@@ -436,6 +437,7 @@ class NavEnv:
         self.status = Status.RUNNING
         self._needs_reset = True
         self._feed = None
+        self._feed_due = False  # whether the next crowd tick is the episode's first
 
     # -- lifecycle
 
@@ -473,7 +475,7 @@ class NavEnv:
         else:
             crowd = spawn_crowd(cfg.crowd, self.crowd_rng)
         self._set_crowd(crowd)
-        self._open_feed()
+        self._feed_due = True
 
         self.status = Status.RUNNING
         self.steps = 0
@@ -496,10 +498,12 @@ class NavEnv:
 
     def _open_feed(self) -> None:
         """Have the episode's crowd ticks computed ahead in the crowd
-        worker (crowdfeed), when it may run; crowd_rng is then not drawn
-        from, as the worker draws from a copy of it."""
-        if self._crowd_moves():
-            from .crowdfeed import open_feed  # imported at the first crowd reset
+        worker (crowdfeed), when it may run and the crowd step is the
+        library's own (a replaced one, as a tracer or a spy installs,
+        runs inline, where it sees every call); crowd_rng is then not
+        drawn from, as the worker draws from a copy of it."""
+        if defined_step(step_crowd):
+            from .crowdfeed import open_feed  # imported at the first crowd tick
 
             self._feed = open_feed(self.crowd.rows, self.config.crowd, self.control_dt, self.crowd_rng,
                                    self._discs, self.max_control_ticks)
@@ -511,16 +515,23 @@ class NavEnv:
 
     def _next_crowd(self) -> Crowd:
         """The crowd after this control tick, stepped inline or taken from
-        the feed; a tick that raises raises here, and leaves crowd_rng as
-        the step left it."""
+        the feed, which the episode's first tick opens; a tick that raises
+        raises here, and leaves crowd_rng as the step left it.  When the
+        worker fails instead (it is stuck or gone), the episode ends with
+        the error and the env needs a reset."""
+        if self._feed_due:
+            self._feed_due = False
+            self._open_feed()
         feed = self._feed
         if feed is None:
             return step_crowd(self.crowd, self.config.crowd, self.control_dt, self.crowd_rng, self._discs)
         try:
             rows = feed.next_rows()
-        except Exception:
+        except BaseException:
             self._feed = None
-            if feed.rng is not None:
+            if feed.rng is None:
+                self._needs_reset = True
+            else:
                 self.crowd_rng = feed.rng
             raise
         return Crowd.from_rows(rows) if rows else self.crowd

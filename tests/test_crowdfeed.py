@@ -1,9 +1,9 @@
 """The crowd worker (crowdfeed) against the inline crowd step.
 
 Every episode here runs twice: with the crowd's ticks taken from the
-worker (two_way(True) at reset) and stepped inline (two_way(False)).
-The step records, the final rows and the outcome must be the same
-bytes."""
+worker (two_way(True) at the episode's first crowd tick) and stepped
+inline (two_way(False)).  The step records, the final rows and the
+outcome must be the same bytes."""
 
 import dataclasses
 import gc
@@ -18,7 +18,7 @@ import threading
 
 import pytest
 
-from socnavsim import crowdfeed, nn, world
+from socnavsim import crowd, crowdfeed, nn, world
 from socnavsim.baselines import GreedyPolicy
 from socnavsim.crowd import Crowd, CrowdConfig
 from socnavsim.evaluation import episode_seeds, suite_config
@@ -29,14 +29,6 @@ SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 
 def crowd_cfg(suite, **changes):
     return dataclasses.replace(suite_config(suite, EnvConfig(beam_count=64, max_steps=60)), **changes)
-
-
-def reset(env, ahead, map_seed, crowd_seed):
-    """Reset env with the worker on or off; the feed is open exactly when on."""
-    with nn.two_way(ahead):
-        obs = env.reset(map_seed=map_seed, crowd_seed=crowd_seed)
-    assert (env._feed is not None) == ahead
-    return obs
 
 
 def finish(env, obs, policy, steps=None):
@@ -50,18 +42,30 @@ def finish(env, obs, policy, steps=None):
     return records, repr(env.crowd.rows), env.status
 
 
+def run(env, ahead, map_seed, crowd_seed, policy, steps=None):
+    """finish an episode of env from a reset, with the worker on or off
+    (ahead); the reset opens no feed, and the first step opens one
+    exactly when on."""
+    with nn.two_way(ahead):
+        obs = env.reset(map_seed=map_seed, crowd_seed=crowd_seed)
+        assert env._feed is None
+        out = finish(env, obs, policy, steps=1)
+        assert (env._feed is not None) == (ahead and env.status is Status.RUNNING)
+        more = finish(env, env._observation(), policy, None if steps is None else steps - 1)
+    return out[0] + more[0], *more[1:]
+
+
 def episodes_at(cfg, ahead, seeds):
     """Full greedy episodes on (run, map, crowd) seeds; the switch is
-    ahead at each reset, or left as the caller set it for None."""
+    ahead throughout, or left as the caller set it for None."""
     policy = GreedyPolicy(cfg.lidar())
     out = []
     for _, map_seed, crowd_seed in seeds:
         env = NavEnv(cfg)
         if ahead is None:
-            obs = env.reset(map_seed=map_seed, crowd_seed=crowd_seed)
+            out.append(finish(env, env.reset(map_seed=map_seed, crowd_seed=crowd_seed), policy))
         else:
-            obs = reset(env, ahead, map_seed, crowd_seed)
-        out.append(finish(env, obs, policy))
+            out.append(run(env, ahead, map_seed, crowd_seed, policy))
     return out
 
 
@@ -92,9 +96,9 @@ def test_crossing_has_static_discs():
 
 def test_walk_ins_start_from_an_empty_crowd():
     env = NavEnv(crowd_cfg("crowd:random:8", crowd=CrowdConfig(count=0, walk_in_probability=0.3)))
-    reset(env, True, 1, 2)
+    env.reset(map_seed=1, crowd_seed=2)
     assert len(env.crowd) == 0
-    finish(env, env._observation(), GreedyPolicy(env.lidar_config), steps=10)
+    run(env, True, 1, 2, GreedyPolicy(env.lidar_config), steps=10)
     assert len(env.crowd) > 0
 
 
@@ -111,10 +115,12 @@ def test_non_finite_line_raises_at_the_same_step(monkeypatch):
     results = []
     for ahead in (True, False):
         env = NavEnv(cfg)
-        reset(env, ahead, 1, 2)
-        env.step((1.0, 0.0))
-        with pytest.raises(ValueError, match="non-finite ORCA constraint for pedestrian 0"):
+        with nn.two_way(ahead):
+            env.reset(map_seed=1, crowd_seed=2)
             env.step((1.0, 0.0))
+            assert (env._feed is not None) == ahead
+            with pytest.raises(ValueError, match="non-finite ORCA constraint for pedestrian 0"):
+                env.step((1.0, 0.0))
         assert env._feed is None and not crowdfeed._LOCK.locked()
         results.append((env.steps, repr(env.crowd.rows), repr(env.crowd_rng.bit_generator.state)))
     assert results[0] == results[1]
@@ -130,37 +136,39 @@ def test_abandoned_episode_then_a_new_one():
     got, want = [], []
     for ahead, out in ((True, got), (False, want)):
         env = NavEnv(cfg)
-        out.append(finish(env, reset(env, ahead, m0, c0), policy, steps=4))
-        out.append(finish(env, reset(env, ahead, m1, c1), policy))
+        out.append(run(env, ahead, m0, c0, policy, steps=4))
+        out.append(run(env, ahead, m1, c1, policy))
         dropped = NavEnv(cfg)
-        out.append(finish(dropped, reset(dropped, ahead, m2, c2), policy, steps=3))
+        out.append(run(dropped, ahead, m2, c2, policy, steps=3))
         del dropped
         gc.collect()
         env = NavEnv(cfg)  # claims the worker that the dropped env held
-        out.append(finish(env, reset(env, ahead, m0, c0), policy))
+        out.append(run(env, ahead, m0, c0, policy))
     assert got == want
 
 
 def test_two_live_envs_stepped_alternately():
-    """The first env holds the worker; the second, reset while the first
-    is running, steps inline; the outputs are those of each alone."""
+    """The first env to take a crowd tick holds the worker; the second,
+    whose first tick comes while the first is running, steps inline; the
+    outputs are those of each alone."""
     cfg = crowd_cfg("crowd:random:20")
     policy = GreedyPolicy(cfg.lidar())
     (_, m0, c0), (_, m1, c1) = episode_seeds(7, 2)
     a, b = NavEnv(cfg), NavEnv(cfg)
+    records = {a: [], b: []}
     with nn.two_way(True):
         obs = {a: a.reset(map_seed=m0, crowd_seed=c0), b: b.reset(map_seed=m1, crowd_seed=c1)}
-    assert a._feed is not None and b._feed is None
-    records = {a: [], b: []}
-    while a.status is Status.RUNNING or b.status is Status.RUNNING:
-        for env in (a, b):
-            if env.status is Status.RUNNING:
-                outcome = env.step(policy.act(obs[env]))
-                obs[env] = outcome.observation
-                records[env].append(repr(outcome.record))
+        while a.status is Status.RUNNING or b.status is Status.RUNNING:
+            for env in (a, b):
+                if env.status is Status.RUNNING:
+                    outcome = env.step(policy.act(obs[env]))
+                    obs[env] = outcome.observation
+                    records[env].append(repr(outcome.record))
+            if len(records[b]) == 1:
+                assert a._feed is not None and b._feed is None
     for env, (m, c) in ((a, (m0, c0)), (b, (m1, c1))):
         alone = NavEnv(cfg)
-        assert (records[env], repr(env.crowd.rows), env.status) == finish(alone, reset(alone, False, m, c), policy)
+        assert (records[env], repr(env.crowd.rows), env.status) == run(alone, False, m, c, policy)
 
 
 def test_threads_share_one_worker():
@@ -196,28 +204,70 @@ def test_threads_share_one_worker():
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGSTOP"), reason="needs SIGSTOP")
-def test_stuck_worker_raises_then_envs_step_inline(monkeypatch):
+def test_stuck_worker_is_killed_and_the_episode_ends(monkeypatch):
     """A worker that sends nothing makes the step raise TimeoutError
-    instead of hanging; the next reset kills it and steps inline."""
+    instead of hanging; the worker is killed and the lock freed at once,
+    the env needs a reset (its generator is not where the episode is),
+    and the next episode starts a new worker."""
     monkeypatch.setattr(crowdfeed, "RECV_TIMEOUT", 0.5)
-    monkeypatch.setattr(crowdfeed, "EXIT_TIMEOUT", 0.5)
     cfg = crowd_cfg("crowd:random:8")
+    policy = GreedyPolicy(cfg.lidar())
     env = NavEnv(cfg)
-    reset(env, True, 1, 2)
-    process = crowdfeed._WORKER.process
-    os.kill(process.pid, signal.SIGSTOP)
-    try:
-        with pytest.raises(TimeoutError):
-            for _ in range(20):  # past what it sent before it stopped
-                env.step((0.5, 0.0))
+    with nn.two_way(True):
+        env.reset(map_seed=1, crowd_seed=2)
+        env.step((0.5, 0.0))
+        process = crowdfeed._WORKER.process
+        os.kill(process.pid, signal.SIGSTOP)
+        try:
+            with pytest.raises(TimeoutError):
+                for _ in range(20):  # past what it sent before it stopped
+                    env.step((0.5, 0.0))
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+                pytest.fail("the stuck worker was left running")
+        assert env._feed is None and crowdfeed._WORKER is None and not crowdfeed._LOCK.locked()
+        with pytest.raises(RuntimeError, match="reset"):
+            env.step((0.5, 0.0))
+    assert run(env, True, 1, 2, policy) == episodes_at(cfg, False, [(0, 1, 2)])[0]
+    assert crowdfeed._WORKER.process.pid != process.pid
+
+
+def test_replaced_crowd_step_runs_inline(monkeypatch):
+    """A replaced crowd function (a tracer's or a spy's wrapper) would not
+    run in the worker, so the env opens no feed, steps inline, and the
+    replacement sees every call."""
+    cfg = crowd_cfg("crowd:random:8")
+    want = episodes_at(cfg, False, [(0, 1, 2)])
+    for module, name in ((world, "step_crowd"), (crowd, "orca_velocity"), (crowd, "orca_lines")):
+        calls = []
+        with monkeypatch.context() as m:
+            m.setattr(module, name, lambda *args, _real=getattr(module, name): calls.append(1) or _real(*args))
+            m.setattr(crowdfeed, "open_feed", lambda *args: pytest.fail(f"a feed opened with {name} replaced"))
+            with nn.two_way(True):
+                assert episodes_at(cfg, None, [(0, 1, 2)]) == want
+        assert calls
+    assert crowd.defined_step(world.step_crowd)
+
+
+def test_reset_alone_starts_no_worker():
+    """A reset (as scenario-gen makes) neither imports the crowd worker's
+    module nor starts a worker: that waits for the first crowd tick."""
+    result = run_script("""
+        import sys
+        from socnavsim import nn
+        from socnavsim.evaluation import suite_config
+        from socnavsim.world import EnvConfig, NavEnv
+        env = NavEnv(suite_config("crowd:random:8", EnvConfig(beam_count=64)))
         with nn.two_way(True):
             env.reset(map_seed=1, crowd_seed=2)
-    finally:
-        if process.poll() is None:
-            process.kill()
-            process.wait()
-    assert env._feed is None and crowdfeed._WORKER is None and process.returncode is not None
-    assert finish(env, env._observation(), GreedyPolicy(cfg.lidar())) == episodes_at(cfg, False, [(0, 1, 2)])[0]
+            print("socnavsim.crowdfeed" in sys.modules)
+            env.step((0.5, 0.0))
+            print(env._feed is not None)
+    """)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False", "True"]
 
 
 def test_feed_stops_at_the_episode_limit():
@@ -226,19 +276,20 @@ def test_feed_stops_at_the_episode_limit():
     cfg = crowd_cfg("crowd:random:8", max_steps=3)
     env = NavEnv(cfg)
     assert env.max_control_ticks == 6
-    records, *_ = finish(env, reset(env, True, 1, 2), GreedyPolicy(cfg.lidar()))
+    records, *_ = run(env, True, 1, 2, GreedyPolicy(cfg.lidar()))
     assert len(records) <= 3 and env._feed is None
 
 
 def test_inline_under_two_way_false():
     env = NavEnv(crowd_cfg("crowd:random:8"))
-    reset(env, False, 1, 2)
+    run(env, False, 1, 2, GreedyPolicy(env.lidar_config), steps=2)
 
 
 def test_no_feed_for_a_crowd_that_cannot_change():
     env = NavEnv(suite_config("mapless", EnvConfig(beam_count=64)))
     with nn.two_way(True):
         env.reset(map_seed=1, crowd_seed=2)
+        env.step((0.5, 0.0))
     assert env._feed is None
 
 
@@ -246,6 +297,7 @@ def _feed_opened(queue):
     env = NavEnv(crowd_cfg("crowd:random:8"))
     with nn.two_way(True):
         env.reset(map_seed=1, crowd_seed=2)
+        env.step((0.5, 0.0))
     queue.put(env._feed is not None)
 
 
@@ -275,6 +327,7 @@ def test_inline_when_pinned_to_one_cpu():
         from socnavsim.world import EnvConfig, NavEnv
         env = NavEnv(suite_config("crowd:random:8", EnvConfig(beam_count=64)))
         env.reset(map_seed=1, crowd_seed=2)
+        env.step((0.5, 0.0))
         print(env._feed is None)
     """)
     assert result.returncode == 0, result.stderr

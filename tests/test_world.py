@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
-from socnavsim import nn, world
+from socnavsim import world
 from socnavsim.crowd import CrowdConfig
 from socnavsim import rewards
 from socnavsim.geometry import StaticMap, closest_distance, wrap_angle
@@ -694,8 +694,7 @@ class TestCrowdFreeTicks:
 
         actions = np.random.default_rng(1).uniform(-1.5, 1.5, (40, 2))
         calls, episodes = [], []
-        # inline, so that every crowd step is a call in this process
-        with monkeypatch.context() as m, nn.two_way(False):
+        with monkeypatch.context() as m:
             m.setattr(world, "step_crowd", lambda *args, _real=world.step_crowd: calls.append(1) or _real(*args))
             for _, map_seed, crowd_seed in episode_seeds(5, 3):
                 env = env_cls(cfg)
@@ -760,8 +759,7 @@ class TestBenchmarkProbes:
                 monkeypatch.setattr(owner, target.attr, spy)
 
         env = NavEnv(suite_config("combined:20", small_cfg()))
-        with nn.two_way(False):  # inline, so that every crowd step is a call in this process
-            env.reset(map_seed=4, crowd_seed=9)
+        env.reset(map_seed=4, crowd_seed=9)
         for _ in range(5):
             calls.clear()
             env.step((0.6, 0.1))
