@@ -183,6 +183,8 @@ def cmd_eval(args, parser) -> int:
 
     if args.runs < 1:
         parser.error(f"--runs must be at least 1, got {args.runs}")
+    if args.jobs is not None and args.jobs < 1:
+        parser.error(f"--jobs must be at least 1, got {args.jobs}")
     env_cfg = _load_env_config(args.config, parser)
     try:
         cfg = suite_config(args.suite, env_cfg)
@@ -192,7 +194,7 @@ def cmd_eval(args, parser) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     work = [(policy, cfg, args.suite, *seeds) for seeds in episode_seeds(args.seed, args.runs)]
-    jobs = 1 if args.single_thread else min(len(work), max(1, int(args.jobs or 1)))
+    jobs = 1 if args.single_thread else min(len(work), args.jobs or 1)  # os.cpu_count() may be None
     if jobs > 1:
         import multiprocessing as mp
 

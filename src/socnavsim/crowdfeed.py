@@ -4,11 +4,14 @@ The pedestrians never see the robot (as in ORCA), so the rows of a crowd
 at every control tick of an episode follow from what the env holds at
 reset alone: the spawned rows, the crowd config, the control period, the
 crowd generator and the obstacle discs.  A CrowdFeed hands those to one
-persistent worker process, which runs crowd.step_rows on them a few
-ticks ahead of the env and sends each tick's rows back in order; the env
-builds each tick's Crowd (its Scene) itself.  Pickling a Generator
-copies its state exactly, so the worker draws the same stream and every
-output is the same bits as stepping inline.
+persistent worker process, which runs crowd.step_rows on them ahead of
+the env and sends each tick's rows back in order; the env builds each
+tick's Crowd (its Scene) itself.  The pipe paces the worker: its write
+blocks while the pipe is full, so it runs ahead of the env by what the
+pipe holds plus what the parent's last read took in (64 KiB each on
+Linux, about 36 ticks of 20 pedestrians).  Pickling a Generator copies
+its state exactly, so the worker draws the same stream and every output
+is the same bits as stepping inline.
 
 An env claims a feed at its episode's first crowd tick.  The worker
 runs only where it can run beside the env: when the process may use two
@@ -21,9 +24,9 @@ its next reset or its garbage collection, and any other env steps
 inline meanwhile.  The worker is started at the first claim, as
 sys.executable on this package's own path, and talks over its stdin and
 stdout pipes in length-prefixed pickles; it exits when its stdin closes,
-and the parent closes it and waits for the worker at exit.  A worker
-that sends nothing for RECV_TIMEOUT, or is gone, is killed, and the
-next claim starts another.
+or its stdout while it waits on a full pipe, and the parent closes both
+and waits for the worker at exit.  A worker that sends nothing for
+RECV_TIMEOUT, or is gone, is killed, and the next claim starts another.
 """
 
 from __future__ import annotations
@@ -37,22 +40,20 @@ import sys
 import threading
 import weakref
 
-from .crowd import crowd_moves, step_rows
+from .crowd import step_rows
 
-# ticks the worker may run ahead of the env
-LOOKAHEAD = 16
 # seconds the parent waits for the worker to exit at its exit before killing it
 EXIT_TIMEOUT = 5.0
 # seconds the env waits for a message before it takes the worker for stuck
 RECV_TIMEOUT = 60.0
 
-# The protocol.  The parent sends ("start", rows, config, dt, rng, discs,
-# limit) to begin a stream of at most limit ticks, ("taken", n) once the
-# env has taken n ticks of it, and ("stop",) to end it.  The worker sends
-# each tick's rows (a tuple), {"error": exc, "rng": rng} when step_rows
-# raised exc, after which the stream makes no more ticks, and None once
-# it has stopped a stream.  It runs at most LOOKAHEAD ticks past the last
-# "taken" count.
+# The protocol.  The parent sends ("start", rows, config, dt, rng, discs)
+# to begin a stream and ("stop",) to end it.  The worker sends each
+# tick's rows (a tuple), {"error": exc, "rng": rng} when step_rows raised
+# exc, which ends the stream, and None once it has stopped a stream.  It
+# reads a message only between ticks, and makes the next tick as soon as
+# the last one is written; a stop reaches a worker blocked on a full
+# pipe once the parent reads (_Worker.drain).
 
 
 def _send(fd: int, message) -> None:
@@ -96,27 +97,6 @@ class _Reader:
         return message
 
 
-class _Stream:
-    """A stream the worker runs: the crowd's state and its tick budget."""
-
-    def __init__(self, rows, config, dt, rng, discs, limit):
-        self.rows, self.config, self.dt, self.rng, self.discs = rows, config, dt, rng, discs
-        self.limit = limit  # ticks it may make in all
-        self.allowed = min(limit, LOOKAHEAD)  # ticks it may make by now
-        self.made = 0
-
-    def tick(self):
-        """The next tick's message: its rows, or the error it raised."""
-        try:
-            if crowd_moves(self.rows, self.config):
-                self.rows = step_rows(self.rows, self.config, self.dt, self.rng, self.discs)
-        except Exception as exc:  # the env raises it at this tick
-            self.limit = self.allowed = self.made  # and the stream ends there
-            return {"error": exc, "rng": self.rng}
-        self.made += 1
-        return self.rows
-
-
 def serve(in_fd: int = 0, out_fd: int = 1) -> None:
     """The worker's loop: run streams from in_fd, send their ticks to
     out_fd, and return when in_fd closes or out_fd's reader is gone."""
@@ -126,17 +106,23 @@ def serve(in_fd: int = 0, out_fd: int = 1) -> None:
     out = os.dup(out_fd)
     os.dup2(2, out_fd)  # so that a stray print cannot break the stream
     reader = _Reader(in_fd)
-    stream = None
+    stream = None  # (rows, config, dt, rng, discs) of the running stream
     try:
         while True:
-            if stream is not None and stream.made < stream.allowed and not reader.ready():
-                _send(out, stream.tick())
+            if stream is not None and not reader.ready():
+                rows, config, dt, rng, discs = stream
+                try:
+                    rows = step_rows(rows, config, dt, rng, discs)
+                except Exception as exc:  # the env raises it at this tick
+                    stream = None  # and the stream ends there
+                    _send(out, {"error": exc, "rng": rng})
+                    continue
+                stream = rows, config, dt, rng, discs
+                _send(out, rows)  # blocks while the pipe is full
                 continue
             message = reader.recv()
             if message[0] == "start":
-                stream = _Stream(*message[1:])
-            elif message[0] == "taken":
-                stream.allowed = min(stream.limit, message[1] + LOOKAHEAD)
+                stream = message[1:]
             else:  # stop
                 stream = None
                 _send(out, None)
@@ -252,10 +238,8 @@ def _release(worker: _Worker, lock: threading.Lock) -> None:
 class CrowdFeed:
     """The rows of one crowd episode's control ticks, from the worker."""
 
-    def __init__(self, worker: _Worker, limit: int):
+    def __init__(self, worker: _Worker):
         self._worker = worker
-        self._limit = limit
-        self._taken = 0
         self.rng = None  # the generator as a failed tick left it
         self.close = weakref.finalize(self, _release, worker, _LOCK)
 
@@ -268,10 +252,6 @@ class CrowdFeed:
         worker = self._worker
         try:
             message = worker.recv()
-            if not isinstance(message, dict):
-                self._taken += 1
-                if self._taken % (LOOKAHEAD // 2) == 0 and self._taken + LOOKAHEAD // 2 < self._limit:
-                    worker.send(("taken", self._taken))
         except BaseException:  # its pipes may hold part of a message
             _discard(worker)
             self.close()
@@ -283,19 +263,19 @@ class CrowdFeed:
         return message
 
 
-def open_feed(rows, config, dt: float, rng, discs, limit: int) -> CrowdFeed | None:
-    """A feed of the next limit ticks of a crowd of these rows, whose
-    generator rng must not be drawn from while the feed is open; None
-    when the env must step its crowd inline: no second CPU or the switch
-    off, another feed open, a daemonic process, or no worker to be had."""
+def open_feed(rows, config, dt: float, rng, discs) -> CrowdFeed | None:
+    """A feed of the next ticks of a crowd of these rows, whose generator
+    rng must not be drawn from while the feed is open; None when the env
+    must step its crowd inline: no second CPU or the switch off, another
+    feed open, a daemonic process, or no worker to be had."""
     global _WORKER
-    if not (limit > 0 and _ahead_on() and _LOCK.acquire(blocking=False)):
+    if not (_ahead_on() and _LOCK.acquire(blocking=False)):
         return None
     try:
         if _WORKER is None:
             _WORKER = _Worker()
         _WORKER.drain()
-        _WORKER.send(("start", rows, config, dt, rng, discs, limit))
+        _WORKER.send(("start", rows, config, dt, rng, discs))
     except BaseException as exc:
         if _WORKER is not None:
             _discard(_WORKER)  # its pipes may hold part of a message
@@ -303,4 +283,4 @@ def open_feed(rows, config, dt: float, rng, discs, limit: int) -> CrowdFeed | No
         if isinstance(exc, (OSError, EOFError)):  # the worker could not start, has died or is stuck
             return None
         raise
-    return CrowdFeed(_WORKER, limit)
+    return CrowdFeed(_WORKER)

@@ -408,6 +408,10 @@ class Training:
 
     def __init__(self, stage: str, env_config: EnvConfig, config: TrainConfig, seed: int,
                  warm_start_parts: dict | None, out_dir: str | None):
+        probe = config.eval_env_config
+        if probe is not None and probe.beam_count != env_config.beam_count:
+            raise ValueError(f"the probe env has {probe.beam_count} beams and the training env "
+                             f"{env_config.beam_count}: the actor reads one beam count")
         self.stage, self.env_config, self.config, self.out_dir = stage, env_config, config, out_dir
         self.weights = STAGE_REWARD_WEIGHTS[stage]
         streams = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(5))

@@ -452,7 +452,9 @@ def load_checkpoint(path) -> tuple[dict, dict]:
             for key in data.files:
                 if key == "__meta__":
                     continue
-                part, name = key.split("/", 1)
+                part, slash, name = key.partition("/")
+                if not slash:
+                    raise ValueError(f"not a checkpoint: its entry {key!r} names no part (as 'actor/...')")
                 parts.setdefault(part, {})[name] = data[key]
     return parts, meta
 

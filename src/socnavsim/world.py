@@ -12,8 +12,10 @@ something reads its ranges (lidar.Scan): a policy that reads only the
 newest scan casts once per step.  The robot pose is kept as floats, and
 its goal distance is measured once per move.  The pedestrians never see
 the robot, so when a second CPU is free an episode's crowd ticks are
-computed ahead in the crowd worker (crowdfeed), and each control tick
-builds the crowd of the rows it sent: the same bits as stepping inline.
+computed ahead in the crowd worker (crowdfeed), as far as its pipe
+holds, and each control tick builds the crowd of the rows it sent: the
+same bits as stepping inline.  The episode's first crowd tick starts
+the worker's stream, and its end (or the next reset) stops it.
 """
 
 from __future__ import annotations
@@ -432,8 +434,6 @@ class NavEnv:
         self.ticks_per_control = config.scan_hz // config.control_hz
         self.tick_dt = 1.0 / config.scan_hz
         self.control_dt = 1.0 / config.control_hz
-        # control ticks of an episode that runs to its last step
-        self.max_control_ticks = config.max_steps * -(-self.ticks_per_step // self.ticks_per_control)
         self.status = Status.RUNNING
         self._needs_reset = True
         self._feed = None
@@ -505,8 +505,7 @@ class NavEnv:
         if defined_step(step_crowd):
             from .crowdfeed import open_feed  # imported at the first crowd tick
 
-            self._feed = open_feed(self.crowd.rows, self.config.crowd, self.control_dt, self.crowd_rng,
-                                   self._discs, self.max_control_ticks)
+            self._feed = open_feed(self.crowd.rows, self.config.crowd, self.control_dt, self.crowd_rng, self._discs)
 
     def _close_feed(self) -> None:
         feed, self._feed = self._feed, None

@@ -125,6 +125,15 @@ class TestEval:
         assert f"--runs must be at least 1, got {runs}" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_usage_error(self, tmp_path, env_yaml, capsys, jobs):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--policy", "greedy", "--suite", "mapless", "--runs", "2", "--jobs", jobs,
+                  "--config", env_yaml, "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert f"--jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_unknown_policy_usage_error(self, tmp_path, env_yaml):
         with pytest.raises(SystemExit):
             main(["eval", "--policy", "/nonexistent.npz", "--suite", "mapless",
@@ -189,10 +198,11 @@ class TestEval:
     ["eval", "--suite", "mapless", "--runs", "1", "--policy"],
     ["train", "--stage", "ego", "--budget", "0", "--warm-start"],
 ], ids=["policy", "warm-start"])
-@pytest.mark.parametrize("damage", ["missing", "truncated", "no meta"])
+@pytest.mark.parametrize("damage", ["missing", "truncated", "no meta", "no part"])
 def test_unreadable_checkpoint_is_a_usage_error(tmp_path, env_yaml, capsys, command, damage):
-    """A checkpoint that is missing, cut short or without its metadata is
-    one usage error naming the file, without a traceback."""
+    """A checkpoint that is missing, cut short, without its metadata or
+    with an entry outside any part is one usage error naming the file,
+    without a traceback."""
     from socnavsim.ddpg import DDPG, DDPGConfig
     from socnavsim.networks import default_network_spec
 
@@ -202,11 +212,15 @@ def test_unreadable_checkpoint_is_a_usage_error(tmp_path, env_yaml, capsys, comm
         ck.write_bytes(ck.read_bytes()[:4096])
     elif damage == "no meta":
         np.savez(ck, **{"actor/mlp.out.b": np.zeros(2, np.float32)})
+    elif damage == "no part":
+        np.savez(ck, __meta__=np.frombuffer(b'{"stage": "ego"}', np.uint8), W=np.zeros(2, np.float32))
     with pytest.raises(SystemExit) as exc:
         main([*command, str(ck), "--config", env_yaml, "--out", str(tmp_path / "out")])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert str(ck) in err and "Traceback" not in err
+    if damage == "no part":
+        assert "not a checkpoint" in err and "'W'" in err
     assert not (tmp_path / "out").exists()
 
 

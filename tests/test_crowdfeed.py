@@ -15,6 +15,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import time
 
 import pytest
 
@@ -208,20 +209,23 @@ def test_stuck_worker_is_killed_and_the_episode_ends(monkeypatch):
     """A worker that sends nothing makes the step raise TimeoutError
     instead of hanging; the worker is killed and the lock freed at once,
     the env needs a reset (its generator is not where the episode is),
-    and the next episode starts a new worker."""
+    and the next episode starts a new worker.  The robot stands still
+    out of the crowd's way, so the episode runs its 800 control ticks,
+    more than the pipe and the env's last read hold (about 160 of 8
+    pedestrians), unless the step raises first."""
     monkeypatch.setattr(crowdfeed, "RECV_TIMEOUT", 0.5)
-    cfg = crowd_cfg("crowd:random:8")
+    cfg = crowd_cfg("crowd:random:8", max_steps=400)
     policy = GreedyPolicy(cfg.lidar())
     env = NavEnv(cfg)
     with nn.two_way(True):
         env.reset(map_seed=1, crowd_seed=2)
-        env.step((0.5, 0.0))
+        env.step((0.0, 0.0))
         process = crowdfeed._WORKER.process
         os.kill(process.pid, signal.SIGSTOP)
         try:
             with pytest.raises(TimeoutError):
-                for _ in range(20):  # past what it sent before it stopped
-                    env.step((0.5, 0.0))
+                while True:  # past what it sent before it stopped
+                    env.step((0.0, 0.0))
         finally:
             if process.poll() is None:
                 process.kill()
@@ -271,13 +275,46 @@ def test_reset_alone_starts_no_worker():
 
 
 def test_feed_stops_at_the_episode_limit():
-    """A stream is never longer than the episode can be: max_steps
-    policy steps of two control ticks each."""
+    """An episode that ends at max_steps closes its feed."""
     cfg = crowd_cfg("crowd:random:8", max_steps=3)
     env = NavEnv(cfg)
-    assert env.max_control_ticks == 6
     records, *_ = run(env, True, 1, 2, GreedyPolicy(cfg.lidar()))
     assert len(records) <= 3 and env._feed is None
+
+
+def pipe_fill(fd):
+    """The bytes waiting in the pipe at fd and the most it holds, where
+    the platform tells them (Linux), else None."""
+    try:
+        import fcntl
+        import termios
+    except ImportError:  # not a POSIX platform
+        return None
+    if not (hasattr(fcntl, "F_GETPIPE_SZ") and hasattr(termios, "FIONREAD")):
+        return None
+    waiting = int.from_bytes(fcntl.ioctl(fd, termios.FIONREAD, bytes(4)), sys.byteorder)
+    return waiting, fcntl.fcntl(fd, fcntl.F_GETPIPE_SZ)
+
+
+def test_stop_reaches_a_worker_blocked_on_a_full_pipe():
+    """A reset stops a stream whose worker waits to write to a full pipe:
+    the next episode equals its inline run, on the same worker."""
+    cfg = crowd_cfg("crowd:random:20", max_steps=400)
+    policy = GreedyPolicy(cfg.lidar())
+    (_, m0, c0), (_, m1, c1) = episode_seeds(17, 2)
+    env = NavEnv(cfg)
+    with nn.two_way(True):
+        env.reset(map_seed=m0, crowd_seed=c0)
+        env.step((0.0, 0.0))
+        assert env._feed is not None
+        worker = crowdfeed._WORKER
+        time.sleep(0.5)  # some 40 ticks of 20 pedestrians fill the pipe in about 20 ms
+        fill = pipe_fill(worker.reader.fd)
+        assert fill is None or fill[0] > fill[1] // 2, fill  # the worker has filled most of it
+        assert worker.process.poll() is None
+    got = run(env, True, m1, c1, policy)
+    assert crowdfeed._WORKER is worker
+    assert got == run(NavEnv(cfg), False, m1, c1, policy)
 
 
 def test_inline_under_two_way_false():

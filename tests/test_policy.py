@@ -887,6 +887,15 @@ class TestTrainLoop:
                            allow_cold_social=True)
         assert learner.updates == 0
 
+    def test_probe_beam_count_mismatch_rejected(self, tmp_path):
+        """A probe env the actor cannot read fails at construction, not
+        at the first probe, and before the output directory is made."""
+        env_cfg = self._env_cfg()
+        tc = replace(self._train_cfg(100), eval_every=10, eval_env_config=replace(env_cfg, beam_count=32))
+        with pytest.raises(ValueError, match="probe env has 32 beams and the training env 16"):
+            train("ego", env_cfg, tc, seed=7, out_dir=str(tmp_path / "run"))
+        assert not (tmp_path / "run").exists()
+
     def test_same_seed_identical_curves(self):
         _, c1 = train("ego", self._env_cfg(), self._train_cfg(120), seed=5)
         _, c2 = train("ego", self._env_cfg(), self._train_cfg(120), seed=5)
