@@ -8,10 +8,10 @@ persistent worker process, which runs crowd.step_rows on them ahead of
 the env and sends each tick's rows back in order; the env builds each
 tick's Crowd (its Scene) itself.  The pipe paces the worker: its write
 blocks while the pipe is full, so it runs ahead of the env by what the
-pipe holds plus what the parent's last read took in (64 KiB each on
-Linux, about 36 ticks of 20 pedestrians).  Pickling a Generator copies
-its state exactly, so the worker draws the same stream and every output
-is the same bits as stepping inline.
+pipe holds plus what the parent's last read took in, up to about 128 KiB
+on Linux (64 KiB each): some 70 ticks of 20 pedestrians, or 180 of 8.
+Pickling a Generator copies its state exactly, so the worker draws the
+same stream and every output is the same bits as stepping inline.
 
 An env claims a feed at its episode's first crowd tick.  The worker
 runs only where it can run beside the env: when the process may use two

@@ -211,8 +211,9 @@ def test_stuck_worker_is_killed_and_the_episode_ends(monkeypatch):
     the env needs a reset (its generator is not where the episode is),
     and the next episode starts a new worker.  The robot stands still
     out of the crowd's way, so the episode runs its 800 control ticks,
-    more than the pipe and the env's last read hold (about 160 of 8
-    pedestrians), unless the step raises first."""
+    more than the pipe and the env's last read hold (up to about 128 KiB
+    on Linux, some 180 ticks of 8 pedestrians), unless the step raises
+    first."""
     monkeypatch.setattr(crowdfeed, "RECV_TIMEOUT", 0.5)
     cfg = crowd_cfg("crowd:random:8", max_steps=400)
     policy = GreedyPolicy(cfg.lidar())
@@ -308,7 +309,7 @@ def test_stop_reaches_a_worker_blocked_on_a_full_pipe():
         env.step((0.0, 0.0))
         assert env._feed is not None
         worker = crowdfeed._WORKER
-        time.sleep(0.5)  # some 40 ticks of 20 pedestrians fill the pipe in about 20 ms
+        time.sleep(0.5)  # some 36 ticks of 20 pedestrians fill the 64 KiB pipe in about 20 ms
         fill = pipe_fill(worker.reader.fd)
         assert fill is None or fill[0] > fill[1] // 2, fill  # the worker has filled most of it
         assert worker.process.poll() is None
