@@ -1,7 +1,7 @@
 """Command-line entry point: train / eval / scenario-gen / replay-export.
 
-Heavy imports stay inside the command handlers so --single-thread can
-pin the BLAS thread pools before numpy loads.
+main pins BLAS to one thread before numpy loads, so heavy imports stay in
+the command handlers; the CPUs the process may use (nn.usable_cpus) set the rest.
 """
 
 from __future__ import annotations
@@ -11,17 +11,11 @@ import os
 import sys
 
 
-def _pin_single_thread() -> None:
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = "1"
-
-
 def build_parser() -> argparse.ArgumentParser:
     from .evaluation import EXPORT_FORMATS  # imports numpy: main pins the BLAS threads first
+    from .nn import usable_cpus
 
     parser = argparse.ArgumentParser(prog="socnavsim")
-    parser.add_argument("--single-thread", action="store_true",
-                        help="run BLAS, episodes, the crowd and the learner on one thread")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser("train", help="train a policy stage")
@@ -49,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--seed", type=int, default=0)
     p_eval.add_argument("--config", help="environment config YAML")
     p_eval.add_argument("--out", required=True)
-    p_eval.add_argument("--jobs", type=int, default=os.cpu_count())
+    p_eval.add_argument("--jobs", type=int, default=usable_cpus())
 
     p_gen = sub.add_parser("scenario-gen", help="sample a scenario snapshot")
     p_gen.add_argument("--suite", required=True)
@@ -117,7 +111,6 @@ def cmd_train(args, parser) -> int:
     from .crowd import SCENARIO_KINDS
     from .ddpg import NETWORK_PARTS, DDPGConfig, TrainConfig, TrainingDiverged, train
     from .networks import load_checkpoint
-    from .nn import two_way
 
     if args.stage == "social" and not args.warm_start and not args.allow_cold_social:
         parser.error("--stage social requires --warm-start (or --allow-cold-social)")
@@ -157,17 +150,8 @@ def cmd_train(args, parser) -> int:
                 checkpoint_every=args.checkpoint_every,
             ),
         )
-        # --single-thread runs the learner's sample blocks inline too
-        with two_way(False if args.single_thread else None):
-            train(
-                args.stage,
-                env_cfg,
-                tc,
-                seed=args.seed,
-                warm_start_parts=warm,
-                out_dir=args.out,
-                allow_cold_social=args.allow_cold_social,
-            )
+        train(args.stage, env_cfg, tc, seed=args.seed, warm_start_parts=warm, out_dir=args.out,
+              allow_cold_social=args.allow_cold_social)
     except TrainingDiverged as exc:
         print(f"training diverged: {exc} {exc.diagnostics}", file=sys.stderr)
         return 3
@@ -179,11 +163,10 @@ def cmd_train(args, parser) -> int:
 
 def cmd_eval(args, parser) -> int:
     from .evaluation import EXPORT_FORMATS, episode_seeds, export, run_episode, suite_config
-    from .nn import two_way
 
     if args.runs < 1:
         parser.error(f"--runs must be at least 1, got {args.runs}")
-    if args.jobs is not None and args.jobs < 1:
+    if args.jobs < 1:
         parser.error(f"--jobs must be at least 1, got {args.jobs}")
     env_cfg = _load_env_config(args.config, parser)
     try:
@@ -194,16 +177,14 @@ def cmd_eval(args, parser) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     work = [(policy, cfg, args.suite, *seeds) for seeds in episode_seeds(args.seed, args.runs)]
-    jobs = 1 if args.single_thread else min(len(work), args.jobs or 1)  # os.cpu_count() may be None
+    jobs = min(len(work), args.jobs)
     if jobs > 1:
         import multiprocessing as mp
 
         with mp.get_context("spawn").Pool(jobs) as pool:
             logs = pool.starmap(run_episode, work)
     else:
-        # --single-thread steps the crowd inline too, not in the crowd worker
-        with two_way(False if args.single_thread else None):
-            logs = [run_episode(*w) for w in work]
+        logs = [run_episode(*w) for w in work]
 
     for log in logs:
         name = f"log__{args.suite.replace(':', '-')}__{log.policy}__{log.seed}.json"
@@ -270,9 +251,8 @@ def cmd_replay_export(args, parser) -> int:
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if "--single-thread" in argv:
-        _pin_single_thread()
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"  # before numpy loads: one BLAS thread, the same bits at any CPU count
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "train":

@@ -14,18 +14,19 @@ Pickling a Generator copies its state exactly, so the worker draws the
 same stream and every output is the same bits as stepping inline.
 
 An env claims a feed at its episode's first crowd tick.  The worker
-runs only where it can run beside the env: when the process may use two
-or more CPUs and the two-way switch is not off (nn.two_way_on, the
-learner pool's switch), and not in a daemonic process (the eval --jobs
-pool), which may not have children; and the env claims none when its
-crowd step has been replaced (crowd.defined_step).  It serves one feed
-at a time: the first env to claim it holds it until its episode ends,
-its next reset or its garbage collection, and any other env steps
-inline meanwhile.  The worker is started at the first claim, as
-sys.executable on this package's own path, and talks over its stdin and
-stdout pipes in length-prefixed pickles; it exits when its stdin closes,
-or its stdout while it waits on a full pipe, and the parent closes both
-and waits for the worker at exit.  A worker that sends nothing for
+runs only where a CPU is free for it beside the env: when the process
+may use two or more CPUs and the two-way switch is not off
+(nn.two_way_on, the learner pool's switch), and not in a daemonic
+process (an eval --jobs pool worker), whose pool already fills the
+CPUs; and the env claims none when its crowd step has been replaced
+(crowd.defined_step).  It serves one feed at a time: the first env to
+claim it holds it until its episode ends, its next reset or its garbage
+collection, and any other env steps inline meanwhile.  The worker is
+started at the first claim, as sys.executable on this package's own
+path, and talks over its stdin and stdout pipes in length-prefixed
+pickles; it exits when its stdin closes, or its stdout while it waits
+on a full pipe, and the parent closes both and waits for the worker at
+exit.  A worker that sends nothing for
 RECV_TIMEOUT, or is gone, is killed, and the next claim starts another.
 """
 

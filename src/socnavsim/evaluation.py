@@ -133,15 +133,17 @@ def suite_config(suite: str, base: EnvConfig | None = None) -> EnvConfig:
         if parts[0] == "crowd":
             if len(parts) != 3:
                 raise ValueError(f"crowd suite spec must be crowd:<kind>:<count>, got {suite!r}")
-            kind, count, obstacles = parts[1], int(parts[2]), (0, 0)
+            kind, count, obstacles = parts[1], parts[2], (0, 0)
         else:  # combined: static obstacles plus a random crowd
             if len(parts) > 2:
                 raise ValueError(f"combined suite spec must be combined[:<count>], got {suite!r}")
-            kind, count = "random", int(parts[1]) if len(parts) > 1 else 8
+            kind, count = "random", parts[1] if len(parts) > 1 else "8"
             obstacles = base.obstacle_count_range
+        if not count.isdecimal():
+            raise ValueError(f"the crowd count in suite {suite!r} must be a non-negative integer, got {count!r}")
         crowd = replace(
             base.crowd,
-            count=count,
+            count=int(count),
             area=(5.0, 5.0),
             center=(0.0, 0.0),
             walk_in_probability=0.02,

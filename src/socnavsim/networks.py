@@ -69,22 +69,36 @@ class NetworkSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "NetworkSpec":
-        """The spec of a to_dict dict; ValueError for a missing or malformed entry."""
+        """The spec of a to_dict dict; ValueError naming the key of a
+        missing or malformed entry."""
         try:
-            return NetworkSpec(
-                feature_shape=tuple(d["feature_shape"]),
-                conv=tuple(tuple(c) for c in d["conv"]),
-                pool_width=int(d["pool_width"]),
-                dense=tuple(d["dense"]),
-            )
+            shape, conv, pool_width, dense = (d[k] for k in ("feature_shape", "conv", "pool_width", "dense"))
         except KeyError as exc:
             raise ValueError(f"network_spec lacks {exc}") from exc
-        except TypeError as exc:
+        except TypeError as exc:  # not a mapping
             raise ValueError(f"malformed network_spec: {exc}") from exc
+        if type(pool_width) is not int or pool_width < 1:
+            raise ValueError(f"network_spec pool_width must be a positive int, got {pool_width!r}")
+        rows = conv if isinstance(conv, list) and conv else [conv]  # not a list of rows: refuse it whole
+        return NetworkSpec(
+            feature_shape=_positive_ints("feature_shape", shape, 2),
+            conv=tuple(_positive_ints("conv", row, 5) for row in rows),
+            pool_width=pool_width,
+            dense=_positive_ints("dense", dense),
+        )
 
     def config_hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
+
+
+def _positive_ints(key: str, value, length: int | None = None) -> tuple[int, ...]:
+    """value, a list of positive ints (length of them, if given), as a tuple."""
+    if not (isinstance(value, list) and length in (None, len(value))
+            and all(type(v) is int and v > 0 for v in value)):
+        count = "" if length is None else f"{length} "
+        raise ValueError(f"network_spec {key} must be a list of {count}positive ints, got {value!r}")
+    return tuple(value)
 
 
 def default_network_spec(time_rows: int, beams: int) -> NetworkSpec:

@@ -122,16 +122,18 @@ def two_way(on):
         _TWO_WAY.reset(token)
 
 
+def usable_cpus() -> int:
+    """The number of CPUs the process may use: its affinity, else the CPU count, else 1."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
 def two_way_on() -> bool:
     """Whether the calling context runs on two cores (two_way)."""
     on = _TWO_WAY.get()
-    if on is not None:
-        return on
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # a platform without CPU affinity
-        cpus = os.cpu_count() or 1
-    return cpus >= 2
+    return usable_cpus() >= 2 if on is None else on
 
 
 def in_waves(tasks):

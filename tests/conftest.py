@@ -7,6 +7,10 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 import math
+import pathlib
+import subprocess
+import sys
+import textwrap
 from collections import deque
 from dataclasses import dataclass, replace
 
@@ -25,6 +29,7 @@ from socnavsim.networks import Stacks, featurize
 from socnavsim.nn import BETA1, BETA2, EPS, MaxPoolW
 from socnavsim.world import EnvConfig, NavEnv
 
+SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 
 # property tests draw the same examples on every run and keep no example file;
 # HYPOTHESIS_PROFILE=thorough draws ten times as many
@@ -1431,6 +1436,13 @@ def save_config(config: EnvConfig, path) -> None:
     """Write config as the YAML that world.load_config reads back."""
     with open(path, "w") as f:
         yaml.safe_dump(config.to_dict(), f, sort_keys=True)
+
+
+def run_script(code, timeout=120):
+    """Run code (dedented) in a fresh interpreter that imports this
+    checkout's socnavsim; the CompletedProcess, output as text."""
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(code)], capture_output=True, text=True,
+                          timeout=timeout, env=dict(os.environ, PYTHONPATH=SRC))
 
 
 @pytest.fixture

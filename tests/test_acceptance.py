@@ -365,7 +365,7 @@ class TestCriterion8Determinism:
         for name in ("a", "b"):
             out = tmp_path / name
             rc = main([
-                "--single-thread", "eval", "--policy", "greedy",
+                "eval", "--policy", "greedy", "--jobs", "1",
                 "--suite", "crowd:crossing:4", "--runs", "3", "--seed", "17",
                 "--config", str(cfg_path), "--out", str(out),
             ])

@@ -7,9 +7,12 @@ import yaml
 
 from socnavsim.cli import main
 from socnavsim.crowd import CrowdConfig
+from socnavsim.nn import two_way
 from socnavsim.world import EnvConfig
 
-from conftest import save_config
+from conftest import run_script, save_config
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @pytest.fixture
@@ -33,7 +36,7 @@ class TestEval:
     def test_greedy_mapless_writes_outputs(self, tmp_path, env_yaml):
         out = tmp_path / "out"
         rc = main([
-            "--single-thread", "eval", "--policy", "greedy", "--suite", "mapless",
+            "eval", "--policy", "greedy", "--suite", "mapless", "--jobs", "1",
             "--runs", "2", "--seed", "3", "--config", env_yaml, "--out", str(out),
         ])
         assert rc == 0
@@ -49,7 +52,7 @@ class TestEval:
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
             rc = main([
-                "--single-thread", "eval", "--policy", "greedy", "--suite", "mapless",
+                "eval", "--policy", "greedy", "--suite", "mapless", "--jobs", "1",
                 "--runs", "2", "--seed", "11", "--config", env_yaml, "--out", str(out),
             ])
             assert rc == 0
@@ -63,7 +66,8 @@ class TestEval:
         ("checkpoint", "mapless"),
     ])
     def test_jobs_match_single_thread(self, tmp_path, env_yaml, policy, suite):
-        """The worker pool writes the bytes the serial path writes."""
+        """The worker pool writes the bytes of a serial run with everything
+        on one thread."""
         if policy == "checkpoint":
             from socnavsim.ddpg import DDPG, DDPGConfig
             from socnavsim.networks import default_network_spec
@@ -74,7 +78,8 @@ class TestEval:
         common = ["eval", "--policy", policy, "--suite", suite, "--runs", "3", "--seed", "7",
                   "--config", env_yaml]
         serial, pooled = tmp_path / "serial", tmp_path / "pooled"
-        assert main(["--single-thread", *common, "--out", str(serial)]) == 0
+        with two_way(False):
+            assert main([*common, "--jobs", "1", "--out", str(serial)]) == 0
         assert main([*common, "--jobs", "2", "--out", str(pooled)]) == 0
         ts, tp = read_tree(serial), read_tree(pooled)
         assert sum(n.startswith("log__") for n in ts) == 3
@@ -82,11 +87,20 @@ class TestEval:
         for k in ts:
             assert ts[k] == tp[k], k
 
-    def test_unknown_suite_usage_error(self, tmp_path, env_yaml):
+    @pytest.mark.parametrize("suite", ["wormhole", "crowd:random:x", "combined:y", "crowd:random:3.5"])
+    def test_unknown_suite_usage_error(self, tmp_path, env_yaml, capsys, suite):
+        """An unknown suite, or a crowd count that is not a non-negative
+        integer, is one usage error quoting the suite."""
         with pytest.raises(SystemExit) as exc:
-            main(["eval", "--policy", "greedy", "--suite", "wormhole",
+            main(["eval", "--policy", "greedy", "--suite", suite,
                   "--config", env_yaml, "--out", str(tmp_path / "x")])
         assert exc.value.code == 2
+        err = capsys.readouterr().err
+        if suite == "wormhole":
+            assert "unknown suite 'wormhole'" in err
+        else:
+            assert f"the crowd count in suite {suite!r} must be a non-negative integer" in err
+        assert "Traceback" not in err and "invalid literal" not in err
 
     def test_unknown_crowd_kind_usage_error(self, tmp_path, env_yaml, capsys):
         """A bad scenario kind fails when the suite config is built, as one
@@ -100,13 +114,14 @@ class TestEval:
 
     def test_single_run_starts_no_pool(self, tmp_path, env_yaml, monkeypatch):
         """--jobs is capped at the episode count, so one run is serial and
-        writes the bytes of --single-thread."""
+        writes the bytes of a run with everything inline."""
         import multiprocessing
 
         common = ["eval", "--policy", "greedy", "--suite", "crowd:random:4", "--runs", "1",
                   "--seed", "5", "--config", env_yaml]
         serial, default = tmp_path / "serial", tmp_path / "default"
-        assert main(["--single-thread", *common, "--out", str(serial)]) == 0
+        with two_way(False):
+            assert main([*common, "--jobs", "1", "--out", str(serial)]) == 0
 
         def no_pool(*args, **kwargs):
             raise AssertionError("a worker pool was started")
@@ -115,6 +130,30 @@ class TestEval:
         monkeypatch.setattr(multiprocessing, "Pool", no_pool)
         assert main([*common, "--jobs", "4", "--out", str(default)]) == 0
         assert read_tree(default) == read_tree(serial)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+    def test_one_cpu_runs_inline(self, tmp_path, env_yaml):
+        """Pinned to one CPU, eval with the default --jobs starts no pool
+        and no crowd worker, and writes the bytes of a --jobs 1 run that
+        may use every CPU."""
+        common = ["eval", "--policy", "greedy", "--suite", "crowd:random:4", "--runs", "2",
+                  "--seed", "5", "--config", env_yaml]
+        pinned, reference = tmp_path / "pinned", tmp_path / "reference"
+        result = run_script(f"""
+            import multiprocessing, os
+            os.sched_setaffinity(0, {{min(os.sched_getaffinity(0))}})
+            def no_pool(*args, **kwargs):
+                raise AssertionError("a worker pool was started")
+            multiprocessing.get_context = multiprocessing.Pool = no_pool
+            from socnavsim import crowdfeed
+            from socnavsim.cli import main
+            assert main({[*common, "--out", str(pinned)]!r}) == 0
+            print(crowdfeed._WORKER is None)
+        """, timeout=300)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["True"]
+        assert main([*common, "--jobs", "1", "--out", str(reference)]) == 0
+        assert read_tree(pinned) == read_tree(reference)
 
     @pytest.mark.parametrize("runs", ["0", "-2"])
     def test_runs_below_one_usage_error(self, tmp_path, env_yaml, capsys, runs):
@@ -177,12 +216,25 @@ class TestEval:
         assert exc.value.code == 2
         assert f"checkpoint {ck}: not an actor checkpoint" in capsys.readouterr().err
 
-    def test_checkpoint_spec_without_conv_usage_error(self, tmp_path, env_yaml, capsys):
+    @pytest.mark.parametrize("key, value", [
+        ("conv", None),
+        ("feature_shape", [40]),
+        ("feature_shape", [40, -5]),
+        ("conv", [[16, 3, 41, 1, 8], [32, 3, 5, 1]]),
+        ("pool_width", 0),
+        ("dense", "ab"),
+    ], ids=["no-conv", "one-dim-feature", "negative-beams", "four-entry-conv-row", "zero-pool", "dense-text"])
+    def test_checkpoint_spec_without_conv_usage_error(self, tmp_path, env_yaml, capsys, key, value):
+        """A network_spec that lacks a key, or holds a malformed value, is
+        one usage error naming the key."""
         from socnavsim.networks import Actor, default_network_spec, save_checkpoint
 
         spec = default_network_spec(40, 64)
         saved = spec.to_dict()
-        del saved["conv"]
+        if value is None:
+            del saved[key]
+        else:
+            saved[key] = value
         ck = tmp_path / "ck.npz"
         save_checkpoint(ck, {"actor": Actor(spec, np.random.default_rng(0)).params()},
                         {"stage": "ego", "network_spec": saved})
@@ -191,7 +243,11 @@ class TestEval:
                   "--config", env_yaml, "--out", str(tmp_path / "x")])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert f"checkpoint {ck}: network_spec lacks 'conv'" in err and "Traceback" not in err
+        assert "Traceback" not in err
+        if value is None:
+            assert f"checkpoint {ck}: network_spec lacks 'conv'" in err
+        else:
+            assert f"checkpoint {ck}: network_spec {key} must be " in err
 
 
 @pytest.mark.parametrize("command", [
@@ -228,7 +284,7 @@ class TestTrain:
     def test_budget_zero_writes_initial_checkpoint(self, tmp_path, env_yaml):
         out = tmp_path / "run"
         rc = main([
-            "--single-thread", "train", "--stage", "ego", "--config", env_yaml,
+            "train", "--stage", "ego", "--config", env_yaml,
             "--out", str(out), "--seed", "1", "--budget", "0",
         ])
         assert rc == 0
@@ -325,7 +381,7 @@ class TestTrain:
         ck = tmp_path / "partial.npz"
         save_checkpoint(ck, {k: v for k, v in learner.named_parts().items() if k in kept}, {"stage": "ego"})
         with pytest.raises(SystemExit) as exc:
-            main(["--single-thread", "train", "--stage", "social", "--config", env_yaml,
+            main(["train", "--stage", "social", "--config", env_yaml,
                   "--warm-start", str(ck), "--out", str(tmp_path / "x"), "--budget", "0"])
         assert exc.value.code == 2
         err = capsys.readouterr().err
@@ -334,15 +390,18 @@ class TestTrain:
         assert not (tmp_path / "x").exists()
 
     def test_short_training_deterministic_curves(self, tmp_path, env_yaml):
+        """A run with the learner's pool at its default writes the curve of
+        one with everything inline."""
         curves = []
-        for name in ("r1", "r2"):
+        for name, pool in (("r1", False), ("r2", None)):
             out = tmp_path / name
-            rc = main([
-                "--single-thread", "train", "--stage", "ego", "--config", env_yaml,
-                "--out", str(out), "--seed", "5", "--budget", "80",
-                "--warmup-steps", "20", "--batch-size", "8", "--buffer-capacity", "200",
-                "--eval-every", "1000000", "--checkpoint-every", "1000000",
-            ])
+            with two_way(pool):
+                rc = main([
+                    "train", "--stage", "ego", "--config", env_yaml,
+                    "--out", str(out), "--seed", "5", "--budget", "80",
+                    "--warmup-steps", "20", "--batch-size", "8", "--buffer-capacity", "200",
+                    "--eval-every", "1000000", "--checkpoint-every", "1000000",
+                ])
             assert rc == 0
             curves.append((out / "curve_ego.jsonl").read_bytes())
         assert curves[0] == curves[1]
@@ -371,6 +430,18 @@ def test_malformed_config_is_a_usage_error(tmp_path, capsys, command, text, key)
 
 
 class TestScenarioGen:
+    @pytest.mark.parametrize("start", [None, "4"])
+    def test_pins_blas_to_one_thread(self, tmp_path, env_yaml, monkeypatch, start):
+        """Every command leaves the BLAS thread variables at 1, whether
+        they were unset or asked for more threads."""
+        for var in BLAS_VARS:
+            if start is None:
+                monkeypatch.delenv(var, raising=False)
+            else:
+                monkeypatch.setenv(var, start)
+        assert main(["scenario-gen", "--suite", "mapless", "--config", env_yaml, "--out", str(tmp_path)]) == 0
+        assert [os.environ.get(var) for var in BLAS_VARS] == ["1"] * 3
+
     def test_writes_snapshot(self, tmp_path, env_yaml):
         out = tmp_path / "scen"
         rc = main(["scenario-gen", "--suite", "crowd:towards:4", "--seed", "2",
@@ -449,7 +520,7 @@ class TestReplayExport:
         from socnavsim.evaluation import EXPORT_FORMATS
 
         run_out = tmp_path / "run"
-        main(["--single-thread", "eval", "--policy", "greedy", "--suite", "mapless",
+        main(["eval", "--policy", "greedy", "--suite", "mapless", "--jobs", "1",
               "--runs", "1", "--seed", "4", "--config", env_yaml, "--out", str(run_out)])
         log_file = next(str(run_out / n) for n in os.listdir(run_out) if n.startswith("log__"))
         evaluated = read_tree(run_out)
@@ -497,7 +568,7 @@ class TestReplayExport:
         """A log holding every key can still hold a value of the wrong
         type; that too is a usage error naming the record and the key."""
         run_out = tmp_path / "run"
-        main(["--single-thread", "eval", "--policy", "greedy", "--suite", "mapless",
+        main(["eval", "--policy", "greedy", "--suite", "mapless", "--jobs", "1",
               "--runs", "1", "--seed", "4", "--config", env_yaml, "--out", str(run_out)])
         log_file = next(run_out / n for n in os.listdir(run_out) if n.startswith("log__"))
         doc = json.loads(log_file.read_text())
@@ -517,7 +588,7 @@ class TestReplayExport:
         logs = []
         for policy, suite in (("greedy", "mapless"), ("straight", "crowd:random:4")):
             out = tmp_path / suite.replace(":", "-")
-            assert main(["--single-thread", "eval", "--policy", policy, "--suite", suite, "--runs", "2",
+            assert main(["eval", "--policy", policy, "--suite", suite, "--runs", "2", "--jobs", "1",
                          "--seed", "4", "--config", env_yaml, "--out", str(out)]) == 0
             logs += sorted(str(out / n) for n in os.listdir(out) if n.startswith("log__"))
         for fmt in ("metrics-table", "curve-series"):
@@ -533,7 +604,7 @@ class TestReplayExport:
 
     def test_log_to_table(self, tmp_path, env_yaml):
         run_out = tmp_path / "run"
-        main(["--single-thread", "eval", "--policy", "greedy", "--suite", "mapless",
+        main(["eval", "--policy", "greedy", "--suite", "mapless", "--jobs", "1",
               "--runs", "1", "--seed", "4", "--config", env_yaml, "--out", str(run_out)])
         log_file = next(
             str(run_out / n) for n in os.listdir(run_out) if n.startswith("log__")

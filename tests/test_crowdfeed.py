@@ -9,11 +9,8 @@ import dataclasses
 import gc
 import multiprocessing
 import os
-import pathlib
 import signal
-import subprocess
 import sys
-import textwrap
 import threading
 import time
 
@@ -25,7 +22,7 @@ from socnavsim.crowd import Crowd, CrowdConfig
 from socnavsim.evaluation import episode_seeds, suite_config
 from socnavsim.world import EnvConfig, NavEnv, Status
 
-SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+from conftest import run_script
 
 
 def crowd_cfg(suite, **changes):
@@ -340,8 +337,8 @@ def _feed_opened(queue):
 
 
 def test_inline_in_a_daemonic_process():
-    """A daemonic process (an eval --jobs pool worker) may not have
-    children, so its envs step inline even with the switch on."""
+    """A daemonic process (an eval --jobs pool worker) steps its envs
+    inline even with the switch on: the pool already fills the CPUs."""
     ctx = multiprocessing.get_context("spawn")
     queue = ctx.Queue()
     process = ctx.Process(target=_feed_opened, args=(queue,), daemon=True)
@@ -349,11 +346,6 @@ def test_inline_in_a_daemonic_process():
     opened = queue.get(timeout=120)
     process.join(120)
     assert opened is False and process.exitcode == 0
-
-
-def run_script(code, timeout=120):
-    return subprocess.run([sys.executable, "-c", textwrap.dedent(code)], capture_output=True, text=True,
-                          timeout=timeout, env=dict(os.environ, PYTHONPATH=SRC))
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")

@@ -382,17 +382,25 @@ class TestTwoWay:
                 list(nn.in_waves([task(0), task(1, fail=True), task(2), task(3)]))
             assert sorted(i for i, _ in ran) == [0, 1]
 
-    @pytest.mark.parametrize("cpus, count, threads", [({0}, 8, 1), ({0, 1}, 1, 2), (None, 1, 1), (None, 4, 2)])
+    @pytest.mark.parametrize("cpus, count, threads", [({0}, 8, 1), ({0, 1}, 1, 2), (None, 1, 1), (None, 4, 2),
+                                                      ({0, 1, 2}, 1, 2), (None, None, 1)])
     def test_follows_cpu_affinity(self, monkeypatch, cpus, count, threads):
         """By default the pool runs when the process may use two or more
         CPUs (its affinity, else the CPU count where a platform has no
-        affinity), and everything runs on the caller otherwise; one task
-        always runs on the caller."""
+        affinity, else one), and everything runs on the caller otherwise;
+        one task always runs on the caller.  The eval --jobs default is
+        the same CPU count."""
+        from socnavsim.cli import build_parser
+
         if cpus is None:
             monkeypatch.delattr(nn.os, "sched_getaffinity")
         else:
             monkeypatch.setattr(nn.os, "sched_getaffinity", lambda pid: cpus)
         monkeypatch.setattr(nn.os, "cpu_count", lambda: count)
+        usable = len(cpus) if cpus is not None else count or 1
+        assert nn.usable_cpus() == usable
+        args = build_parser().parse_args(["eval", "--policy", "greedy", "--suite", "mapless", "--out", "x"])
+        assert args.jobs == usable
         ran = []
         tasks = [lambda: ran.append(threading.get_ident()) for _ in range(4)]
         list(nn.in_waves(tasks))
