@@ -1,7 +1,7 @@
 """Command-line entry point: train / eval / scenario-gen / replay-export.
 
-main pins BLAS to one thread before numpy loads, so heavy imports stay in
-the command handlers; the CPUs the process may use (nn.usable_cpus) set the rest.
+main pins BLAS to one thread before numpy loads, so heavy imports stay
+in the command handlers; nn.usable_cpus sets the rest of the parallelism.
 """
 
 from __future__ import annotations

@@ -26,8 +26,8 @@ started at the first claim, as sys.executable on this package's own
 path, and talks over its stdin and stdout pipes in length-prefixed
 pickles; it exits when its stdin closes, or its stdout while it waits
 on a full pipe, and the parent closes both and waits for the worker at
-exit.  A worker that sends nothing for
-RECV_TIMEOUT, or is gone, is killed, and the next claim starts another.
+exit.  A worker that sends nothing for RECV_TIMEOUT, or is gone, is
+killed, and the next claim starts another.
 """
 
 from __future__ import annotations

@@ -69,8 +69,7 @@ class NetworkSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "NetworkSpec":
-        """The spec of a to_dict dict; ValueError naming the key of a
-        missing or malformed entry."""
+        """The spec of a to_dict dict; ValueError naming a missing or malformed key."""
         try:
             shape, conv, pool_width, dense = (d[k] for k in ("feature_shape", "conv", "pool_width", "dense"))
         except KeyError as exc:
