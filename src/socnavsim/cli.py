@@ -13,7 +13,6 @@ import sys
 
 def build_parser() -> argparse.ArgumentParser:
     from .evaluation import EXPORT_FORMATS  # imports numpy: main pins the BLAS threads first
-    from .nn import usable_cpus
 
     parser = argparse.ArgumentParser(prog="socnavsim")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -43,7 +42,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--seed", type=int, default=0)
     p_eval.add_argument("--config", help="environment config YAML")
     p_eval.add_argument("--out", required=True)
-    p_eval.add_argument("--jobs", type=int, default=usable_cpus())
 
     p_gen = sub.add_parser("scenario-gen", help="sample a scenario snapshot")
     p_gen.add_argument("--suite", required=True)
@@ -92,10 +90,11 @@ def _build_policy(desc: str, env_cfg, parser):
     except (OSError, ValueError) as exc:
         parser.error(f"checkpoint {desc}: {exc}")
     policy = LearnedPolicy(actor, f"learned-{meta.get('stage', 'policy')}")
-    if policy.beam_count != env_cfg.beam_count:
+    scans, beams = policy.feature_shape
+    if (scans, beams) != (HISTORY_LEN, env_cfg.beam_count):
         parser.error(
-            f"checkpoint was trained with {policy.beam_count} beams but the "
-            f"environment uses {env_cfg.beam_count}"
+            f"checkpoint was trained on {scans} scans of {beams} beams but the "
+            f"environment gives {HISTORY_LEN} of {env_cfg.beam_count}"
         )
     expected = default_network_spec(HISTORY_LEN, env_cfg.beam_count).config_hash()
     if meta.get("config_hash") not in (None, expected):
@@ -163,11 +162,10 @@ def cmd_train(args, parser) -> int:
 
 def cmd_eval(args, parser) -> int:
     from .evaluation import EXPORT_FORMATS, episode_seeds, export, run_episode, suite_config
+    from .nn import usable_cpus
 
     if args.runs < 1:
         parser.error(f"--runs must be at least 1, got {args.runs}")
-    if args.jobs < 1:
-        parser.error(f"--jobs must be at least 1, got {args.jobs}")
     env_cfg = _load_env_config(args.config, parser)
     try:
         cfg = suite_config(args.suite, env_cfg)
@@ -177,7 +175,7 @@ def cmd_eval(args, parser) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     work = [(policy, cfg, args.suite, *seeds) for seeds in episode_seeds(args.seed, args.runs)]
-    jobs = min(len(work), args.jobs)
+    jobs = min(len(work), usable_cpus())  # one per usable CPU: taskset -c … asks for fewer
     if jobs > 1:
         import multiprocessing as mp
 
@@ -255,6 +253,8 @@ def main(argv=None) -> int:
         os.environ[var] = "1"  # before numpy loads: one BLAS thread, the same bits at any CPU count
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "seed", 0) < 0:  # numpy seeds only from non-negative ints
+        parser.error(f"--seed must be a non-negative integer, got {args.seed}")
     if args.command == "train":
         return cmd_train(args, parser)
     if args.command == "eval":

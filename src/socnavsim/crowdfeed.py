@@ -15,19 +15,18 @@ same stream and every output is the same bits as stepping inline.
 
 An env claims a feed at its episode's first crowd tick.  The worker
 runs only where a CPU is free for it beside the env: when the process
-may use two or more CPUs and the two-way switch is not off
-(nn.two_way_on, the learner pool's switch), and not in a daemonic
-process (an eval --jobs pool worker), whose pool already fills the
-CPUs; and the env claims none when its crowd step has been replaced
-(crowd.defined_step).  It serves one feed at a time: the first env to
-claim it holds it until its episode ends, its next reset or its garbage
-collection, and any other env steps inline meanwhile.  The worker is
-started at the first claim, as sys.executable on this package's own
-path, and talks over its stdin and stdout pipes in length-prefixed
-pickles; it exits when its stdin closes, or its stdout while it waits
-on a full pipe, and the parent closes both and waits for the worker at
-exit.  A worker that sends nothing for RECV_TIMEOUT, or is gone, is
-killed, and the next claim starts another.
+may use two or more CPUs (nn.two_way_on, the learner pool's rule too),
+and not in a daemonic process (a worker of eval's episode pool), whose
+pool already fills the CPUs; and the env claims none when its crowd
+step has been replaced (crowd.defined_step).  It serves one feed at a
+time: the first env to claim it holds it until its episode ends, its
+next reset or its garbage collection, and any other env steps inline
+meanwhile.  The worker is started at the first claim, as sys.executable
+on this package's own path, and talks over its stdin and stdout pipes
+in length-prefixed pickles; it exits when its stdin closes, or its
+stdout while it waits on a full pipe, and the parent closes both and
+waits for the worker at exit.  A worker that sends nothing for
+RECV_TIMEOUT, or is gone, is killed, and the next claim starts another.
 """
 
 from __future__ import annotations
@@ -217,7 +216,7 @@ if hasattr(os, "register_at_fork"):  # where processes can fork
 
 
 def _ahead_on() -> bool:
-    """Whether a feed may run: two CPUs and the switch on, no daemon."""
+    """Whether a feed may run: two CPUs, no daemon."""
     from .nn import two_way_on
 
     if not (two_way_on() and sys.executable):
@@ -267,8 +266,8 @@ class CrowdFeed:
 def open_feed(rows, config, dt: float, rng, discs) -> CrowdFeed | None:
     """A feed of the next ticks of a crowd of these rows, whose generator
     rng must not be drawn from while the feed is open; None when the env
-    must step its crowd inline: no second CPU or the switch off, another
-    feed open, a daemonic process, or no worker to be had."""
+    must step its crowd inline: no second CPU, another feed open, a
+    daemonic process, or no worker to be had."""
     global _WORKER
     if not (_ahead_on() and _LOCK.acquire(blocking=False)):
         return None

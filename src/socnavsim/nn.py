@@ -22,21 +22,19 @@ for bit.
 
 The REST_BLOCK chunks of a stack are independent but for those sums, so
 they run two at a time (in_waves): the calling thread runs one chunk
-while one worker thread runs the next, when the process may run on two
-or more CPUs (two_way).  Each thread has its own scratch buffers.  A
-backward chunk returns its per-sample gradient terms, and the caller
-adds them to the running totals in sample order, so the pool changes no
-bit of any output.
+while one worker thread runs the next, when the process may use two or
+more CPUs (usable_cpus, the one parallelism setting; two_way_on).  Each
+thread has its own scratch buffers.  A backward chunk returns its
+per-sample gradient terms, and the caller adds them to the running
+totals in sample order, so the pool changes no bit of any output.
 """
 
 from __future__ import annotations
 
-import contextlib
 import contextvars
 import math
 import os
 import threading
-import weakref
 
 import numpy as np
 
@@ -61,19 +59,14 @@ BLOCK = 8
 REST_BLOCK = 16
 
 
-class _Scratch(dict):
-    """One thread's scratch buffers: one flat buffer per (name, dtype)."""
-
-
 # Scratch arrays that calls reuse, so that steady-state calls touch no
-# new pages; each buffer only grows.  Each thread has its own set (the
-# pool's worker and the caller run blocks at the same time), and each
-# scratch array is used only within a single forward, backward or block
-# of a conv_stack or conv_stack_backward call, so every layer run by a
-# thread shares that thread's set.
+# new pages; each buffer only grows.  Each thread has its own set, a dict
+# of one flat buffer per (name, dtype) on _LOCAL (the pool's worker and
+# the caller run blocks at the same time), and each scratch array is
+# used only within a single forward, backward or block of a conv_stack
+# or conv_stack_backward call, so every layer run by a thread shares
+# that thread's set.
 _LOCAL = threading.local()
-# every live thread's set, by thread id
-_SCRATCHES = weakref.WeakValueDictionary()
 
 
 def scratch_array(name, shape, dtype):
@@ -82,7 +75,7 @@ def scratch_array(name, shape, dtype):
     valid until the thread's next scratch_array call with the same name."""
     scratch = getattr(_LOCAL, "scratch", None)
     if scratch is None:
-        scratch = _LOCAL.scratch = _SCRATCHES[threading.get_ident()] = _Scratch()
+        scratch = _LOCAL.scratch = {}
     size = math.prod(shape)
     key = (name, np.dtype(dtype))
     buf = scratch.get(key)
@@ -92,8 +85,7 @@ def scratch_array(name, shape, dtype):
 
 
 # The two-way pool: the calling thread plus one worker thread, made at
-# first use.  _TWO_WAY holds two_way's setting for the calling context.
-_TWO_WAY = contextvars.ContextVar("two_way", default=None)
+# first use.
 _WORKER = None
 
 
@@ -106,22 +98,6 @@ if hasattr(os, "register_at_fork"):  # where processes can fork
     os.register_at_fork(after_in_child=_forget_worker)
 
 
-@contextlib.contextmanager
-def two_way(on):
-    """Within the block, and in the calling thread only, run conv stacks
-    on the two-way pool (True), inline on the calling thread (False), or
-    on the pool when the process may run on two or more CPUs (None, the
-    default outside any block).  A NavEnv episode whose first crowd
-    tick is taken within the block steps its crowd in the crowd worker
-    (crowdfeed) or inline by the same switch.  The outputs are the same
-    bits either way."""
-    token = _TWO_WAY.set(on)
-    try:
-        yield
-    finally:
-        _TWO_WAY.reset(token)
-
-
 def usable_cpus() -> int:
     """The number of CPUs the process may use: its affinity, else the CPU count, else 1."""
     try:
@@ -131,9 +107,9 @@ def usable_cpus() -> int:
 
 
 def two_way_on() -> bool:
-    """Whether the calling context runs on two cores (two_way)."""
-    on = _TWO_WAY.get()
-    return usable_cpus() >= 2 if on is None else on
+    """Whether the process may use two or more CPUs, so that conv stacks
+    run on the two-way pool and crowd episodes on the crowd worker."""
+    return usable_cpus() >= 2
 
 
 def in_waves(tasks):

@@ -17,13 +17,16 @@ class LearnedPolicy:
         self.name = name
 
     @property
-    def beam_count(self) -> int:
-        return self.actor.spec.feature_shape[1]
+    def feature_shape(self) -> tuple[int, int]:
+        """The (scans, beams) of the observations the actor reads."""
+        return self.actor.spec.feature_shape
 
     def begin_episode(self, obs: MotionFeature) -> None:
-        if obs.beam_count != self.beam_count:
+        scans, beams = self.feature_shape
+        if (len(obs.scans), obs.beam_count) != (scans, beams):
             raise ValueError(
-                f"checkpoint expects {self.beam_count} beams, observation has {obs.beam_count}"
+                f"checkpoint expects {scans} scans of {beams} beams, "
+                f"observation has {len(obs.scans)} of {obs.beam_count}"
             )
 
     def act(self, obs: MotionFeature) -> tuple[float, float]:

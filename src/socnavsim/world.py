@@ -117,8 +117,12 @@ class EnvConfig:
     def __post_init__(self):
         if self.scan_hz <= 0 or self.control_hz <= 0 or self.policy_hz <= 0:
             raise ValueError("rates must be positive")
-        if self.scan_hz % self.control_hz or self.scan_hz % self.policy_hz:
-            raise ValueError("scan_hz must be a multiple of control_hz and policy_hz")
+        if self.scan_hz % self.control_hz or self.control_hz % self.policy_hz:
+            # so that a policy step is a whole number of control ticks, each of scan ticks
+            raise ValueError(
+                "scan_hz must be a multiple of control_hz and control_hz of policy_hz, got scan_hz "
+                f"{self.scan_hz}, control_hz {self.control_hz} and policy_hz {self.policy_hz}"
+            )
         if not all(map(math.isfinite, (*self.start, *self.goal))):
             raise ValueError(f"start and goal must be finite, got {self.start} and {self.goal}")
         if self.start == self.goal:

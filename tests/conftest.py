@@ -6,6 +6,7 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 
+import contextlib
 import math
 import pathlib
 import subprocess
@@ -19,7 +20,7 @@ import pytest
 import yaml
 from hypothesis import settings
 
-from socnavsim import crowd, evaluation, rewards, world
+from socnavsim import crowd, evaluation, nn, rewards, world
 from socnavsim.crowd import Crowd
 from socnavsim.geometry import (
     CONTACT_SLACK, Scene, StaticMap, cast_fan, closest_distance, rects_overlap, wrap_angle,
@@ -1443,6 +1444,18 @@ def run_script(code, timeout=120):
     checkout's socnavsim; the CompletedProcess, output as text."""
     return subprocess.run([sys.executable, "-c", textwrap.dedent(code)], capture_output=True, text=True,
                           timeout=timeout, env=dict(os.environ, PYTHONPATH=SRC))
+
+
+@contextlib.contextmanager
+def cpus(n):
+    """Within the block, socnavsim takes the process to have n usable CPUs
+    (nn.usable_cpus): from two on the learner's pool and the crowd worker
+    run, and eval's episode pool takes up to n processes.  It patches the
+    whole process, so threads that run meanwhile see the same count; a
+    subprocess or spawn child patches its own."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(nn, "usable_cpus", lambda: n)
+        yield
 
 
 @pytest.fixture

@@ -355,7 +355,7 @@ class TestCriterion5LearningMachinery:
 class TestCriterion8Determinism:
     def test_cmd_eval_byte_identical(self, tmp_path):
         from socnavsim.cli import main
-        from conftest import save_config
+        from conftest import cpus, save_config
         from socnavsim.world import EnvConfig
 
         cfg_path = tmp_path / "env.yaml"
@@ -364,11 +364,12 @@ class TestCriterion8Determinism:
         trees = []
         for name in ("a", "b"):
             out = tmp_path / name
-            rc = main([
-                "eval", "--policy", "greedy", "--jobs", "1",
-                "--suite", "crowd:crossing:4", "--runs", "3", "--seed", "17",
-                "--config", str(cfg_path), "--out", str(out),
-            ])
+            with cpus(1):
+                rc = main([
+                    "eval", "--policy", "greedy",
+                    "--suite", "crowd:crossing:4", "--runs", "3", "--seed", "17",
+                    "--config", str(cfg_path), "--out", str(out),
+                ])
             assert rc == 0
             tree = {}
             for f in sorted(os.listdir(out)):

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import os
 
@@ -7,10 +8,9 @@ import yaml
 
 from socnavsim.cli import main
 from socnavsim.crowd import CrowdConfig
-from socnavsim.nn import two_way
 from socnavsim.world import EnvConfig
 
-from conftest import run_script, save_config
+from conftest import cpus, run_script, save_config
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -35,10 +35,11 @@ def read_tree(root):
 class TestEval:
     def test_greedy_mapless_writes_outputs(self, tmp_path, env_yaml):
         out = tmp_path / "out"
-        rc = main([
-            "eval", "--policy", "greedy", "--suite", "mapless", "--jobs", "1",
-            "--runs", "2", "--seed", "3", "--config", env_yaml, "--out", str(out),
-        ])
+        with cpus(1):
+            rc = main([
+                "eval", "--policy", "greedy", "--suite", "mapless",
+                "--runs", "2", "--seed", "3", "--config", env_yaml, "--out", str(out),
+            ])
         assert rc == 0
         names = sorted(os.listdir(out))
         assert any(n.startswith("metrics__") for n in names)
@@ -51,10 +52,11 @@ class TestEval:
     def test_determinism_byte_identical(self, tmp_path, env_yaml):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
-            rc = main([
-                "eval", "--policy", "greedy", "--suite", "mapless", "--jobs", "1",
-                "--runs", "2", "--seed", "11", "--config", env_yaml, "--out", str(out),
-            ])
+            with cpus(1):
+                rc = main([
+                    "eval", "--policy", "greedy", "--suite", "mapless",
+                    "--runs", "2", "--seed", "11", "--config", env_yaml, "--out", str(out),
+                ])
             assert rc == 0
         ta, tb = read_tree(a), read_tree(b)
         assert ta.keys() == tb.keys()
@@ -66,8 +68,8 @@ class TestEval:
         ("checkpoint", "mapless"),
     ])
     def test_jobs_match_single_thread(self, tmp_path, env_yaml, policy, suite):
-        """The worker pool writes the bytes of a serial run with everything
-        on one thread."""
+        """The episode pool of a process with two usable CPUs writes the
+        bytes of a serial run with everything on one thread."""
         if policy == "checkpoint":
             from socnavsim.ddpg import DDPG, DDPGConfig
             from socnavsim.networks import default_network_spec
@@ -78,9 +80,10 @@ class TestEval:
         common = ["eval", "--policy", policy, "--suite", suite, "--runs", "3", "--seed", "7",
                   "--config", env_yaml]
         serial, pooled = tmp_path / "serial", tmp_path / "pooled"
-        with two_way(False):
-            assert main([*common, "--jobs", "1", "--out", str(serial)]) == 0
-        assert main([*common, "--jobs", "2", "--out", str(pooled)]) == 0
+        with cpus(1):
+            assert main([*common, "--out", str(serial)]) == 0
+        with cpus(2):
+            assert main([*common, "--out", str(pooled)]) == 0
         ts, tp = read_tree(serial), read_tree(pooled)
         assert sum(n.startswith("log__") for n in ts) == 3
         assert ts.keys() == tp.keys()
@@ -113,29 +116,30 @@ class TestEval:
         assert "unknown scenario 'bogus'" in err and "Traceback" not in err
 
     def test_single_run_starts_no_pool(self, tmp_path, env_yaml, monkeypatch):
-        """--jobs is capped at the episode count, so one run is serial and
-        writes the bytes of a run with everything inline."""
+        """The episode pool is capped at the episode count, so one run is
+        serial, even on four CPUs, and writes the bytes of a run with
+        everything inline."""
         import multiprocessing
 
         common = ["eval", "--policy", "greedy", "--suite", "crowd:random:4", "--runs", "1",
                   "--seed", "5", "--config", env_yaml]
         serial, default = tmp_path / "serial", tmp_path / "default"
-        with two_way(False):
-            assert main([*common, "--jobs", "1", "--out", str(serial)]) == 0
+        with cpus(1):
+            assert main([*common, "--out", str(serial)]) == 0
 
         def no_pool(*args, **kwargs):
             raise AssertionError("a worker pool was started")
 
         monkeypatch.setattr(multiprocessing, "get_context", no_pool)
         monkeypatch.setattr(multiprocessing, "Pool", no_pool)
-        assert main([*common, "--jobs", "4", "--out", str(default)]) == 0
+        with cpus(4):
+            assert main([*common, "--out", str(default)]) == 0
         assert read_tree(default) == read_tree(serial)
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
     def test_one_cpu_runs_inline(self, tmp_path, env_yaml):
-        """Pinned to one CPU, eval with the default --jobs starts no pool
-        and no crowd worker, and writes the bytes of a --jobs 1 run that
-        may use every CPU."""
+        """Pinned to one CPU, eval starts no pool and no crowd worker, and
+        writes the bytes of a run that takes itself to have one CPU."""
         common = ["eval", "--policy", "greedy", "--suite", "crowd:random:4", "--runs", "2",
                   "--seed", "5", "--config", env_yaml]
         pinned, reference = tmp_path / "pinned", tmp_path / "reference"
@@ -152,7 +156,8 @@ class TestEval:
         """, timeout=300)
         assert result.returncode == 0, result.stderr
         assert result.stdout.split() == ["True"]
-        assert main([*common, "--jobs", "1", "--out", str(reference)]) == 0
+        with cpus(1):
+            assert main([*common, "--out", str(reference)]) == 0
         assert read_tree(pinned) == read_tree(reference)
 
     @pytest.mark.parametrize("runs", ["0", "-2"])
@@ -164,13 +169,13 @@ class TestEval:
         assert f"--runs must be at least 1, got {runs}" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
-    @pytest.mark.parametrize("jobs", ["0", "-3"])
-    def test_jobs_below_one_usage_error(self, tmp_path, env_yaml, capsys, jobs):
+    def test_jobs_is_not_an_option(self, tmp_path, env_yaml, capsys):
+        """The usable CPUs set the episode pool; taskset -c asks for fewer."""
         with pytest.raises(SystemExit) as exc:
-            main(["eval", "--policy", "greedy", "--suite", "mapless", "--runs", "2", "--jobs", jobs,
+            main(["eval", "--policy", "greedy", "--suite", "mapless", "--runs", "2", "--jobs", "1",
                   "--config", env_yaml, "--out", str(tmp_path / "x")])
         assert exc.value.code == 2
-        assert f"--jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+        assert "unrecognized arguments: --jobs 1" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     def test_unknown_policy_usage_error(self, tmp_path, env_yaml):
@@ -178,16 +183,25 @@ class TestEval:
             main(["eval", "--policy", "/nonexistent.npz", "--suite", "mapless",
                   "--config", env_yaml, "--out", str(tmp_path / "x")])
 
-    def test_checkpoint_beam_mismatch_fails(self, tmp_path, env_yaml):
+    @pytest.mark.parametrize("shape, message", [
+        ((40, 32), "trained on 40 scans of 32 beams but the environment gives 40 of 64"),
+        ((20, 64), "trained on 20 scans of 64 beams but the environment gives 40 of 64"),
+    ], ids=["beams", "scans"])
+    def test_checkpoint_beam_mismatch_fails(self, tmp_path, env_yaml, capsys, shape, message):
+        """A checkpoint whose input shape the environment does not give is
+        a usage error naming both counts, with nothing written."""
         from socnavsim.ddpg import DDPG, DDPGConfig
         from socnavsim.networks import default_network_spec
 
         ck = tmp_path / "ck.npz"
-        learner = DDPG(default_network_spec(40, 32), DDPGConfig(), np.random.default_rng(0))
-        learner.save(ck, {"stage": "ego", "beam_count": 32})
-        with pytest.raises(SystemExit):
+        learner = DDPG(default_network_spec(*shape), DDPGConfig(), np.random.default_rng(0))
+        learner.save(ck, {"stage": "ego", "beam_count": shape[1]})
+        with pytest.raises(SystemExit) as exc:
             main(["eval", "--policy", str(ck), "--suite", "mapless",
                   "--config", env_yaml, "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_checkpoint_missing_parameter_usage_error(self, tmp_path, env_yaml, capsys):
         from socnavsim.networks import Actor, default_network_spec, save_checkpoint
@@ -390,12 +404,12 @@ class TestTrain:
         assert not (tmp_path / "x").exists()
 
     def test_short_training_deterministic_curves(self, tmp_path, env_yaml):
-        """A run with the learner's pool at its default writes the curve of
-        one with everything inline."""
+        """A run on the CPUs the process may use writes the curve of one
+        that takes itself to have one CPU, with everything inline."""
         curves = []
-        for name, pool in (("r1", False), ("r2", None)):
+        for name, usable in (("r1", 1), ("r2", None)):
             out = tmp_path / name
-            with two_way(pool):
+            with cpus(usable) if usable else contextlib.nullcontext():
                 rc = main([
                     "train", "--stage", "ego", "--config", env_yaml,
                     "--out", str(out), "--seed", "5", "--budget", "80",
@@ -427,6 +441,22 @@ def test_malformed_config_is_a_usage_error(tmp_path, capsys, command, text, key)
     err = capsys.readouterr().err
     assert f"config {path}: " in err and key in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["train", "--stage", "ego", "--budget", "0"],
+    ["eval", "--policy", "greedy", "--suite", "mapless"],
+    ["scenario-gen", "--suite", "mapless"],
+], ids=["train", "eval", "scenario-gen"])
+def test_negative_seed_is_a_usage_error(tmp_path, env_yaml, capsys, command):
+    """numpy seeds only from non-negative ints, so --seed -1 is a usage
+    error naming --seed, without a traceback and without output."""
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--seed", "-1", "--config", env_yaml, "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--seed must be a non-negative integer, got -1" in err and "Traceback" not in err
+    assert not (tmp_path / "x").exists()
 
 
 class TestScenarioGen:
@@ -520,7 +550,7 @@ class TestReplayExport:
         from socnavsim.evaluation import EXPORT_FORMATS
 
         run_out = tmp_path / "run"
-        main(["eval", "--policy", "greedy", "--suite", "mapless", "--jobs", "1",
+        main(["eval", "--policy", "greedy", "--suite", "mapless",
               "--runs", "1", "--seed", "4", "--config", env_yaml, "--out", str(run_out)])
         log_file = next(str(run_out / n) for n in os.listdir(run_out) if n.startswith("log__"))
         evaluated = read_tree(run_out)
@@ -568,7 +598,7 @@ class TestReplayExport:
         """A log holding every key can still hold a value of the wrong
         type; that too is a usage error naming the record and the key."""
         run_out = tmp_path / "run"
-        main(["eval", "--policy", "greedy", "--suite", "mapless", "--jobs", "1",
+        main(["eval", "--policy", "greedy", "--suite", "mapless",
               "--runs", "1", "--seed", "4", "--config", env_yaml, "--out", str(run_out)])
         log_file = next(run_out / n for n in os.listdir(run_out) if n.startswith("log__"))
         doc = json.loads(log_file.read_text())
@@ -588,8 +618,9 @@ class TestReplayExport:
         logs = []
         for policy, suite in (("greedy", "mapless"), ("straight", "crowd:random:4")):
             out = tmp_path / suite.replace(":", "-")
-            assert main(["eval", "--policy", policy, "--suite", suite, "--runs", "2", "--jobs", "1",
-                         "--seed", "4", "--config", env_yaml, "--out", str(out)]) == 0
+            with cpus(1):
+                assert main(["eval", "--policy", policy, "--suite", suite, "--runs", "2",
+                             "--seed", "4", "--config", env_yaml, "--out", str(out)]) == 0
             logs += sorted(str(out / n) for n in os.listdir(out) if n.startswith("log__"))
         for fmt in ("metrics-table", "curve-series"):
             with pytest.raises(SystemExit) as exc:
@@ -604,7 +635,7 @@ class TestReplayExport:
 
     def test_log_to_table(self, tmp_path, env_yaml):
         run_out = tmp_path / "run"
-        main(["eval", "--policy", "greedy", "--suite", "mapless", "--jobs", "1",
+        main(["eval", "--policy", "greedy", "--suite", "mapless",
               "--runs", "1", "--seed", "4", "--config", env_yaml, "--out", str(run_out)])
         log_file = next(
             str(run_out / n) for n in os.listdir(run_out) if n.startswith("log__")

@@ -1,8 +1,8 @@
 """The crowd worker (crowdfeed) against the inline crowd step.
 
 Every episode here runs twice: with the crowd's ticks taken from the
-worker (two_way(True) at the episode's first crowd tick) and stepped
-inline (two_way(False)).  The step records, the final rows and the
+worker (two usable CPUs at the episode's first crowd tick, conftest.cpus)
+and stepped inline (one).  The step records, the final rows and the
 outcome must be the same bytes."""
 
 import dataclasses
@@ -16,13 +16,13 @@ import time
 
 import pytest
 
-from socnavsim import crowd, crowdfeed, nn, world
+from socnavsim import crowd, crowdfeed, world
 from socnavsim.baselines import GreedyPolicy
 from socnavsim.crowd import Crowd, CrowdConfig
 from socnavsim.evaluation import episode_seeds, suite_config
 from socnavsim.world import EnvConfig, NavEnv, Status
 
-from conftest import run_script
+from conftest import cpus, run_script
 
 
 def crowd_cfg(suite, **changes):
@@ -44,7 +44,7 @@ def run(env, ahead, map_seed, crowd_seed, policy, steps=None):
     """finish an episode of env from a reset, with the worker on or off
     (ahead); the reset opens no feed, and the first step opens one
     exactly when on."""
-    with nn.two_way(ahead):
+    with cpus(2 if ahead else 1):
         obs = env.reset(map_seed=map_seed, crowd_seed=crowd_seed)
         assert env._feed is None
         out = finish(env, obs, policy, steps=1)
@@ -54,8 +54,9 @@ def run(env, ahead, map_seed, crowd_seed, policy, steps=None):
 
 
 def episodes_at(cfg, ahead, seeds):
-    """Full greedy episodes on (run, map, crowd) seeds; the switch is
-    ahead throughout, or left as the caller set it for None."""
+    """Full greedy episodes on (run, map, crowd) seeds; the worker is on
+    or off (ahead) throughout, or left as the caller's CPU count sets it
+    for None."""
     policy = GreedyPolicy(cfg.lidar())
     out = []
     for _, map_seed, crowd_seed in seeds:
@@ -113,7 +114,7 @@ def test_non_finite_line_raises_at_the_same_step(monkeypatch):
     results = []
     for ahead in (True, False):
         env = NavEnv(cfg)
-        with nn.two_way(ahead):
+        with cpus(2 if ahead else 1):
             env.reset(map_seed=1, crowd_seed=2)
             env.step((1.0, 0.0))
             assert (env._feed is not None) == ahead
@@ -154,7 +155,7 @@ def test_two_live_envs_stepped_alternately():
     (_, m0, c0), (_, m1, c1) = episode_seeds(7, 2)
     a, b = NavEnv(cfg), NavEnv(cfg)
     records = {a: [], b: []}
-    with nn.two_way(True):
+    with cpus(2):
         obs = {a: a.reset(map_seed=m0, crowd_seed=c0), b: b.reset(map_seed=m1, crowd_seed=c1)}
         while a.status is Status.RUNNING or b.status is Status.RUNNING:
             for env in (a, b):
@@ -170,9 +171,9 @@ def test_two_live_envs_stepped_alternately():
 
 
 def test_threads_share_one_worker():
-    """Four threads (more than the cores) run crowd episodes at once with
-    the switch on, under a 10 us switch interval: whichever env holds the
-    worker, each episode equals its inline run."""
+    """Four threads (more than the cores) run crowd episodes at once on
+    two usable CPUs, under a 10 us switch interval: whichever env holds
+    the worker, each episode equals its inline run."""
     cfg = crowd_cfg("crowd:random:8", max_steps=25)
     seeds = episode_seeds(13, 8)
     want = {seed: episodes_at(cfg, False, [seed]) for seed in seeds}
@@ -180,9 +181,8 @@ def test_threads_share_one_worker():
 
     def run(part):
         try:
-            with nn.two_way(True):
-                for seed in part:
-                    got[seed] = episodes_at(cfg, None, [seed])
+            for seed in part:
+                got[seed] = episodes_at(cfg, None, [seed])
         except Exception as exc:  # reported by the assertion below
             errors.append(exc)
 
@@ -190,10 +190,11 @@ def test_threads_share_one_worker():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(120)
+        with cpus(2):
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120)
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads) and not errors, errors
@@ -215,7 +216,7 @@ def test_stuck_worker_is_killed_and_the_episode_ends(monkeypatch):
     cfg = crowd_cfg("crowd:random:8", max_steps=400)
     policy = GreedyPolicy(cfg.lidar())
     env = NavEnv(cfg)
-    with nn.two_way(True):
+    with cpus(2):
         env.reset(map_seed=1, crowd_seed=2)
         env.step((0.0, 0.0))
         process = crowdfeed._WORKER.process
@@ -247,7 +248,7 @@ def test_replaced_crowd_step_runs_inline(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(module, name, lambda *args, _real=getattr(module, name): calls.append(1) or _real(*args))
             m.setattr(crowdfeed, "open_feed", lambda *args: pytest.fail(f"a feed opened with {name} replaced"))
-            with nn.two_way(True):
+            with cpus(2):
                 assert episodes_at(cfg, None, [(0, 1, 2)]) == want
         assert calls
     assert crowd.defined_step(world.step_crowd)
@@ -261,12 +262,12 @@ def test_reset_alone_starts_no_worker():
         from socnavsim import nn
         from socnavsim.evaluation import suite_config
         from socnavsim.world import EnvConfig, NavEnv
+        nn.usable_cpus = lambda: 2
         env = NavEnv(suite_config("crowd:random:8", EnvConfig(beam_count=64)))
-        with nn.two_way(True):
-            env.reset(map_seed=1, crowd_seed=2)
-            print("socnavsim.crowdfeed" in sys.modules)
-            env.step((0.5, 0.0))
-            print(env._feed is not None)
+        env.reset(map_seed=1, crowd_seed=2)
+        print("socnavsim.crowdfeed" in sys.modules)
+        env.step((0.5, 0.0))
+        print(env._feed is not None)
     """)
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["False", "True"]
@@ -301,7 +302,7 @@ def test_stop_reaches_a_worker_blocked_on_a_full_pipe():
     policy = GreedyPolicy(cfg.lidar())
     (_, m0, c0), (_, m1, c1) = episode_seeds(17, 2)
     env = NavEnv(cfg)
-    with nn.two_way(True):
+    with cpus(2):
         env.reset(map_seed=m0, crowd_seed=c0)
         env.step((0.0, 0.0))
         assert env._feed is not None
@@ -315,14 +316,14 @@ def test_stop_reaches_a_worker_blocked_on_a_full_pipe():
     assert got == run(NavEnv(cfg), False, m1, c1, policy)
 
 
-def test_inline_under_two_way_false():
+def test_inline_on_one_cpu():
     env = NavEnv(crowd_cfg("crowd:random:8"))
     run(env, False, 1, 2, GreedyPolicy(env.lidar_config), steps=2)
 
 
 def test_no_feed_for_a_crowd_that_cannot_change():
     env = NavEnv(suite_config("mapless", EnvConfig(beam_count=64)))
-    with nn.two_way(True):
+    with cpus(2):
         env.reset(map_seed=1, crowd_seed=2)
         env.step((0.5, 0.0))
     assert env._feed is None
@@ -330,15 +331,15 @@ def test_no_feed_for_a_crowd_that_cannot_change():
 
 def _feed_opened(queue):
     env = NavEnv(crowd_cfg("crowd:random:8"))
-    with nn.two_way(True):
+    with cpus(2):
         env.reset(map_seed=1, crowd_seed=2)
         env.step((0.5, 0.0))
     queue.put(env._feed is not None)
 
 
 def test_inline_in_a_daemonic_process():
-    """A daemonic process (an eval --jobs pool worker) steps its envs
-    inline even with the switch on: the pool already fills the CPUs."""
+    """A daemonic process (a worker of eval's episode pool) steps its
+    envs inline even on two CPUs: the pool already fills the CPUs."""
     ctx = multiprocessing.get_context("spawn")
     queue = ctx.Queue()
     process = ctx.Process(target=_feed_opened, args=(queue,), daemon=True)
@@ -374,9 +375,9 @@ def test_script_without_main_guard_leaves_no_worker():
         from socnavsim.evaluation import episode_seeds, run_episode, suite_config
         from socnavsim.world import EnvConfig
         print("script body")
+        nn.usable_cpus = lambda: 2
         cfg = suite_config("crowd:random:8", EnvConfig(beam_count=64, max_steps=20))
-        with nn.two_way(True):
-            run_episode(GreedyPolicy(cfg.lidar()), cfg, "crowd:random:8", *episode_seeds(0, 1)[0])
+        run_episode(GreedyPolicy(cfg.lidar()), cfg, "crowd:random:8", *episode_seeds(0, 1)[0])
         print(crowdfeed._WORKER.process.pid)
     """)
     assert result.returncode == 0, result.stderr

@@ -14,6 +14,7 @@ from socnavsim.nn import Adam, Conv2d, Dense, MaxPoolW, ReLU, Tanh, conv_stack, 
 from conftest import (
     StandalonePool,
     adam_oracle_step,
+    cpus,
     numeric_gradient,
     reference_conv2d,
     stacks_array,
@@ -243,7 +244,7 @@ class TestTwoWay:
             dys[0][n - 1, 0, 0, 3] = np.inf
         results = {}
         for on in (True, False):
-            with nn.two_way(on), np.errstate(invalid="ignore"):  # inf * 0 in the gradients
+            with cpus(2 if on else 1), np.errstate(invalid="ignore"):  # inf * 0 in the gradients
                 results[on] = stack_and_grads(trunks, gather(x, trunks[0]), dys)
         (ys, grads), (ys_off, grads_off) = results[True], results[False]
         for y, y_off in zip(ys, ys_off):
@@ -292,7 +293,7 @@ class TestTwoWay:
             ref, _ = whole_batch_conv_stack_backward(conv, pool, [], dy, cache_ref)
         for on in (True, False):
             y = np.empty_like(dy)
-            with nn.two_way(on), np.errstate(invalid="ignore"):
+            with cpus(2 if on else 1), np.errstate(invalid="ignore"):
                 cache, = conv_stack([conv], pool, [[]], x[..., None], (True,), [y])
                 grads, _ = conv_stack_backward(conv, pool, [], dy, cache)
             assert same_bits(y, want)
@@ -314,14 +315,14 @@ class TestTwoWay:
                 raise RuntimeError("worker chunk failed")
             return real_forward(layer, *args, **kwargs)
 
-        with nn.two_way(True):
+        with cpus(2):
             monkeypatch.setattr(Conv2d, "forward", forward)
             with pytest.raises(RuntimeError, match="worker chunk failed"):
                 conv_stack([trunk.conv1], trunk.pool, [trunk.rest], x, (True,), outputs([trunk], 32))
             monkeypatch.undo()
             (y,), (y_off,) = outputs([trunk], 32), outputs([trunk], 32)
             conv_stack([trunk.conv1], trunk.pool, [trunk.rest], x, (True,), [y])
-        with nn.two_way(False):
+        with cpus(1):
             conv_stack([trunk.conv1], trunk.pool, [trunk.rest], x, (True,), [y_off])
         assert same_bits(y, y_off)
 
@@ -336,24 +337,24 @@ class TestTwoWay:
             trunks = [Trunk(spec, rng) for _ in range(2)]
             x = rng.uniform(0.01, 1.0, (40, 40, trunks[0].beams)).astype(np.float32)
             dys = [rng.normal(size=(40, *t.out_shape)).astype(np.float32) for t in trunks]
-            with nn.two_way(False):
+            with cpus(1):
                 jobs.append((trunks, x, dys, stack_and_grads(trunks, x, dys)))
         mismatches = []
 
         def run(trunks, x, dys, want):
-            with nn.two_way(True):
-                for _ in range(3):
-                    got = stack_arrays(stack_and_grads(trunks, x, dys))
-                    mismatches.extend(i for i, (a, b) in enumerate(zip(got, stack_arrays(want))) if not same_bits(a, b))
+            for _ in range(3):
+                got = stack_arrays(stack_and_grads(trunks, x, dys))
+                mismatches.extend(i for i, (a, b) in enumerate(zip(got, stack_arrays(want))) if not same_bits(a, b))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            threads = [threading.Thread(target=run, args=job) for job in jobs]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
+            with cpus(2):
+                threads = [threading.Thread(target=run, args=job) for job in jobs]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
@@ -373,7 +374,7 @@ class TestTwoWay:
                 return i
             return run
 
-        with nn.two_way(True):
+        with cpus(2):
             assert list(nn.in_waves([task(i) for i in range(5)])) == list(range(5))
             caller = threading.get_ident()
             assert [t == caller for _, t in sorted(ran)] == [True, False, True, False, True]
@@ -384,13 +385,17 @@ class TestTwoWay:
 
     @pytest.mark.parametrize("cpus, count, threads", [({0}, 8, 1), ({0, 1}, 1, 2), (None, 1, 1), (None, 4, 2),
                                                       ({0, 1, 2}, 1, 2), (None, None, 1)])
-    def test_follows_cpu_affinity(self, monkeypatch, cpus, count, threads):
-        """By default the pool runs when the process may use two or more
-        CPUs (its affinity, else the CPU count where a platform has no
-        affinity, else one), and everything runs on the caller otherwise;
-        one task always runs on the caller.  The eval --jobs default is
-        the same CPU count."""
-        from socnavsim.cli import build_parser
+    def test_follows_cpu_affinity(self, monkeypatch, tmp_path, cpus, count, threads):
+        """The pool runs when the process may use two or more CPUs (its
+        affinity, else the CPU count where a platform has no affinity,
+        else one), and everything runs on the caller otherwise; one task
+        always runs on the caller.  eval's episode pool takes one process
+        per usable CPU, at most one per run, and none for one."""
+        import multiprocessing
+        from types import SimpleNamespace
+
+        from socnavsim import evaluation
+        from socnavsim.cli import main
 
         if cpus is None:
             monkeypatch.delattr(nn.os, "sched_getaffinity")
@@ -399,8 +404,24 @@ class TestTwoWay:
         monkeypatch.setattr(nn.os, "cpu_count", lambda: count)
         usable = len(cpus) if cpus is not None else count or 1
         assert nn.usable_cpus() == usable
-        args = build_parser().parse_args(["eval", "--policy", "greedy", "--suite", "mapless", "--out", "x"])
-        assert args.jobs == usable
+
+        class Started(Exception):
+            """Ends the eval run where its episodes would start."""
+
+        pools = []
+
+        def pool(processes):
+            pools.append(processes)
+            raise Started
+
+        def run_episode(*args):
+            raise Started
+
+        monkeypatch.setattr(evaluation, "run_episode", run_episode)
+        monkeypatch.setattr(multiprocessing, "get_context", lambda method: SimpleNamespace(Pool=pool))
+        with pytest.raises(Started):
+            main(["eval", "--policy", "greedy", "--suite", "mapless", "--runs", "3", "--out", str(tmp_path)])
+        assert pools == ([min(3, usable)] if usable > 1 else [])
         ran = []
         tasks = [lambda: ran.append(threading.get_ident()) for _ in range(4)]
         list(nn.in_waves(tasks))

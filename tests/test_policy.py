@@ -2,7 +2,6 @@ import copy
 import hashlib
 import math
 import os
-import threading
 import tracemalloc
 from collections import deque
 from dataclasses import replace
@@ -10,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import (feature_of, gathered, numeric_gradient, reference_conv2d, reference_update, scanned,
+from conftest import (cpus, feature_of, gathered, numeric_gradient, reference_conv2d, reference_update, scanned,
                       stacks_array)
 from socnavsim import ddpg as ddpg_module
 from socnavsim import evaluation as evaluation_module
@@ -171,6 +170,20 @@ class TestAct:
         assert got.dtype == want.dtype and got.tobytes() == want[0].tobytes()
         assert LearnedPolicy(learner.actor, "learned").act(obs) == (float(want[0, 0]), float(want[0, 1]))
         assert keeps == [(False,), (False,)]
+
+    def test_begin_episode_refuses_other_scan_counts(self):
+        """An actor trained on 20 scans per observation would read the
+        oldest 20 of a 40-scan observation; begin_episode refuses it, and
+        another beam count, naming both shapes."""
+        rng = np.random.default_rng(6)
+        obs = episode(rng, 1, 64)[-1]
+        for shape, message in (((20, 64), "expects 20 scans of 64 beams, observation has 40 of 64"),
+                               ((HISTORY_LEN, 32), "expects 40 scans of 32 beams, observation has 40 of 64")):
+            policy = LearnedPolicy(DDPG(default_network_spec(*shape), DDPGConfig(), rng).actor, "learned")
+            with pytest.raises(ValueError, match=message):
+                policy.begin_episode(obs)
+        matching = LearnedPolicy(DDPG(default_network_spec(HISTORY_LEN, 64), DDPGConfig(), rng).actor, "learned")
+        matching.begin_episode(obs)
 
 
 def full_width_trunk(trunk, feat):
@@ -539,7 +552,7 @@ class TestDDPGUpdate:
         """The same with the two-way pool forced on and off, over batches
         whose REST_BLOCK chunks make no wave, an uneven last wave (17 and
         40 samples) and whole waves (128)."""
-        with nn.two_way(on):
+        with cpus(2 if on else 1):
             self.check_reference(rng, beams, n, np.float16)
 
     @pytest.mark.parametrize("beams, n", [(180, 128), (1080, 11)])
@@ -564,28 +577,34 @@ class TestDDPGUpdate:
     def test_scratch_does_not_grow_with_the_batch(self):
         """nn's scratch buffers hold a block of samples, never a batch: at
         1080 beams their total after steady-state updates at batch 32 is
-        the total at batch 64, summed over every thread's buffers (the
-        caller's and the two-way pool's worker's).  32 is the smallest
-        batch that fills a wave of two rest blocks; batch 16, one rest
-        block, runs on the caller alone, within the caller's buffers of a
-        larger batch."""
+        the total at batch 64, summed over both threads' buffers (the
+        caller's and the two-way pool's worker's, read on the worker).  32
+        is the smallest batch that fills a wave of two rest blocks; batch
+        16, one rest block, runs on the caller alone, within the caller's
+        buffers of a larger batch."""
+
+        def scratch():
+            return getattr(nn._LOCAL, "scratch", {})
+
+        def on_both(fn):
+            """fn's result on the caller and on the pool's worker (0 before it exists)."""
+            return fn(), 0 if nn._WORKER is None else nn._WORKER.submit(fn).result()
+
         spec = default_network_spec(HISTORY_LEN, 1080)
         learner = DDPG(spec, DDPGConfig(), np.random.default_rng(3))
         buf = ReplayBuffer(80, spec.feature_shape)
         fill(buf, np.random.default_rng(4), (30, 50), 1080)
-        for scratch in list(nn._SCRATCHES.values()):
-            scratch.clear()
+        on_both(lambda: scratch().clear())
         sizes = []
-        with nn.two_way(True):
+        with cpus(2):
             for n in (16, 32, 64):
                 batch = buf.sample(n, np.random.default_rng(n), (1.0, 0.0, 1.0))
                 learner.update(batch)
                 learner.update(batch)
-                sizes.append({t: sum(v.nbytes for v in s.values()) for t, s in list(nn._SCRATCHES.items()) if s})
-        caller = threading.get_ident()
-        assert sizes[0].keys() == {caller} and sizes[0][caller] <= sizes[2][caller]
-        assert len(sizes[2]) == 2
-        assert sum(sizes[1].values()) == sum(sizes[2].values())
+                sizes.append(on_both(lambda: sum(v.nbytes for v in scratch().values())))
+        assert sizes[0][1] == 0 and sizes[0][0] <= sizes[2][0]
+        assert sizes[2][1] > 0
+        assert sum(sizes[1]) == sum(sizes[2])
 
     @staticmethod
     def check_reference(rng, beams, n, feat_dtype):
@@ -657,7 +676,7 @@ class TestDDPGUpdate:
         fill(buf, np.random.default_rng(4), (60, 90, 120), 1080)
         batch = buf.sample(128, np.random.default_rng(5), (1.0, 0.0, 1.0))
         rows = 128 * HISTORY_LEN * learner.critic.trunk.beams * np.dtype(np.float32).itemsize
-        with nn.two_way(True):
+        with cpus(2):
             learner.update(batch)  # the first update allocates the scratch buffers
             tracemalloc.start()
             try:

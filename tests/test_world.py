@@ -901,6 +901,9 @@ class TestConfigIO:
             "crowd: {radius_range: [0.1, .inf]}\n",  # the spawn would die in numpy's sampler
             "crowd: {speed_range: [0.5, .inf]}\n",
             "crowd: {max_count: -3}\n",  # walk-ins would silently never happen
+            # control ticks per policy step not whole: the robot and crowd would move too far
+            "scan_hz: 40\ncontrol_hz: 10\npolicy_hz: 20\n",
+            "scan_hz: 60\ncontrol_hz: 20\npolicy_hz: 15\n",
         ],
     )
     def test_out_of_range_values_rejected(self, tmp_path, text):
@@ -934,6 +937,8 @@ class TestConfigIO:
     def test_invalid_rates_rejected(self):
         with pytest.raises(ValueError):
             EnvConfig(scan_hz=40, control_hz=30)
+        with pytest.raises(ValueError, match="got scan_hz 40, control_hz 10 and policy_hz 20"):
+            EnvConfig(scan_hz=40, control_hz=10, policy_hz=20)
 
     def test_walls_present_by_default(self):
         walls = arena_walls(5.0)
