@@ -2,6 +2,12 @@
 
 main pins BLAS to one thread before numpy loads, so heavy imports stay
 in the command handlers; nn.usable_cpus sets the rest of the parallelism.
+eval builds the policy once and maps run_episode over the episode seeds,
+serially or on a spawn pool of one process per usable CPU (at most one
+per run) to which the policy is pickled, so its outputs are the same
+bytes on any number of CPUs.  A usage error exits 2 before anything is
+written; train exits 1 on a value training cannot run with and 3 when it
+diverges.
 """
 
 from __future__ import annotations
@@ -72,6 +78,25 @@ def _load_env_config(path, parser):
         parser.error(f"config {path}: {exc}")
 
 
+def _check_feature_shape(path, meta, env_cfg, parser) -> None:
+    """A usage error unless the networks of the checkpoint at path, whose
+    metadata is meta, read the (scans, beams) that env_cfg gives."""
+    from .lidar import HISTORY_LEN
+    from .networks import NetworkSpec
+
+    if "network_spec" not in meta:
+        parser.error(f"checkpoint {path}: it has no network_spec")
+    try:
+        scans, beams = NetworkSpec.from_dict(meta["network_spec"]).feature_shape
+    except ValueError as exc:
+        parser.error(f"checkpoint {path}: {exc}")
+    if (scans, beams) != (HISTORY_LEN, env_cfg.beam_count):
+        parser.error(
+            f"checkpoint was trained on {scans} scans of {beams} beams but the "
+            f"environment gives {HISTORY_LEN} of {env_cfg.beam_count}"
+        )
+
+
 def _build_policy(desc: str, env_cfg, parser):
     from .baselines import GreedyPolicy
     from .policies import LearnedPolicy, StraightLinePolicy
@@ -89,13 +114,8 @@ def _build_policy(desc: str, env_cfg, parser):
         actor, meta = actor_from_checkpoint(desc)
     except (OSError, ValueError) as exc:
         parser.error(f"checkpoint {desc}: {exc}")
+    _check_feature_shape(desc, meta, env_cfg, parser)
     policy = LearnedPolicy(actor, f"learned-{meta.get('stage', 'policy')}")
-    scans, beams = policy.feature_shape
-    if (scans, beams) != (HISTORY_LEN, env_cfg.beam_count):
-        parser.error(
-            f"checkpoint was trained on {scans} scans of {beams} beams but the "
-            f"environment gives {HISTORY_LEN} of {env_cfg.beam_count}"
-        )
     expected = default_network_spec(HISTORY_LEN, env_cfg.beam_count).config_hash()
     if meta.get("config_hash") not in (None, expected):
         print(
@@ -118,13 +138,14 @@ def cmd_train(args, parser) -> int:
     warm = None
     if args.warm_start:
         try:
-            warm, _meta = load_checkpoint(args.warm_start)
+            warm, meta = load_checkpoint(args.warm_start)
         except (OSError, ValueError) as exc:
             parser.error(f"checkpoint {args.warm_start}: {exc}")
         missing = [part for part in NETWORK_PARTS if part not in warm]
         if missing:
             parser.error(f"checkpoint {args.warm_start}: a warm start needs all four networks, "
                          f"it lacks {', '.join(missing)}")
+        _check_feature_shape(args.warm_start, meta, env_cfg, parser)
 
     if args.scenarios:
         cycle = tuple(k.strip() for k in args.scenarios.split(","))

@@ -81,7 +81,6 @@ class CrowdConfig:
     radius_range: tuple[float, float] = (0.15, 0.4)
     rect_shape_probability: float = 0.3
     max_count: int = 20  # cap on walk-in growth
-    seed: int = 0
 
     def __post_init__(self):
         if self.count < 0:

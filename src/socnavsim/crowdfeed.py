@@ -27,6 +27,23 @@ in length-prefixed pickles; it exits when its stdin closes, or its
 stdout while it waits on a full pipe, and the parent closes both and
 waits for the worker at exit.  A worker that sends nothing for
 RECV_TIMEOUT, or is gone, is killed, and the next claim starts another.
+
+So the worker serves a crowd episode run in a single process: eval
+--runs 1, the crowd episodes of training, and a script or benchmark that
+runs NavEnv itself.  Eval of more runs steps inline in its pool's
+processes, and crowd-free episodes and scenario-gen, which only resets,
+start no worker.  Because the env steps inline whenever a crowd function
+has been replaced (crowd.defined_step), a tracer or a test spy counts
+the same calls on one CPU or two.
+
+The protocol.  The parent sends ("start", rows, config, dt, rng, discs)
+to begin a stream and ("stop",) to end it.  The worker sends each tick's
+rows (a tuple), {"error": exc, "rng": rng} when step_rows raised exc,
+which ends the stream, and None once it has stopped a stream; so a tick
+that raises raises at the same step, with the crowd generator where the
+inline step leaves it.  It reads a message only between ticks, and makes
+the next tick as soon as the last one is written; a stop reaches a
+worker blocked on a full pipe once the parent reads (_Worker.drain).
 """
 
 from __future__ import annotations
@@ -46,14 +63,6 @@ from .crowd import step_rows
 EXIT_TIMEOUT = 5.0
 # seconds the env waits for a message before it takes the worker for stuck
 RECV_TIMEOUT = 60.0
-
-# The protocol.  The parent sends ("start", rows, config, dt, rng, discs)
-# to begin a stream and ("stop",) to end it.  The worker sends each
-# tick's rows (a tuple), {"error": exc, "rng": rng} when step_rows raised
-# exc, which ends the stream, and None once it has stopped a stream.  It
-# reads a message only between ticks, and makes the next tick as soon as
-# the last one is written; a stop reaches a worker blocked on a full
-# pipe once the parent reads (_Worker.drain).
 
 
 def _send(fd: int, message) -> None:

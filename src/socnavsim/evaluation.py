@@ -21,6 +21,22 @@ import numpy as np
 from .world import EnvConfig, NavEnv, Status, StepRecord, field_kwargs, fits
 
 FLOAT_FMT = "%.9g"
+OUTCOMES = tuple(s.value for s in Status if s is not Status.RUNNING)
+
+
+def check_episode(outcome: str, steps: int, arriving_time: float | None, what: str) -> None:
+    """Refuse, with a ValueError naming what, what no episode ends as: an
+    outcome not in OUTCOMES, no steps, or an arriving time on any but a
+    reached episode, or none on one."""
+    if outcome not in OUTCOMES:
+        raise ValueError(f"{what} outcome must be one of {OUTCOMES}, got {outcome!r}")
+    if steps == 0:
+        raise ValueError(f"{what} has no records: every episode takes at least one step")
+    reached = outcome == Status.REACHED.value
+    if reached and arriving_time is None:
+        raise ValueError(f"{what}: a reached episode needs an arriving_time")
+    if not reached and arriving_time is not None:
+        raise ValueError(f"{what}: a {outcome} episode has no arriving_time, got {arriving_time!r}")
 
 
 @dataclass
@@ -49,8 +65,9 @@ class EpisodeLog:
     def from_dict(d: dict) -> "EpisodeLog":
         """From a to_dict() mapping; raises ValueError naming the first
         missing, unknown or mistyped key, of the log or of one of its
-        records."""
+        records, or an episode no run ends with (check_episode)."""
         kwargs = field_kwargs(EpisodeLog, d, "episode log")
+        check_episode(kwargs["outcome"], len(kwargs["records"]), kwargs["arriving_time"], "episode log")
         records = []
         for i, r in enumerate(kwargs["records"]):
             rec = field_kwargs(StepRecord, r, f"record {i}")
@@ -262,7 +279,9 @@ def export_trajectory_table(log: EpisodeLog, out_dir) -> str:
 
 
 def parse_trajectory_table(path) -> EpisodeSummary:
-    """Recover the episode summary from an exported trajectory table."""
+    """Recover the episode summary from an exported trajectory table;
+    raises ValueError for one whose rows disagree on the outcome, or
+    that no run writes (check_episode)."""
     with open(path) as f:
         header = f.readline().strip().split(",")
         if header != TRAJECTORY_COLUMNS:
@@ -271,15 +290,20 @@ def parse_trajectory_table(path) -> EpisodeSummary:
     if not rows:
         # every episode takes at least one step: a table without rows is truncated
         raise ValueError(f"trajectory table {path} has no rows")
-    records = []
+    records, outcomes = [], set()
     for row in rows:
         if len(row) != len(TRAJECTORY_COLUMNS):
             raise ValueError(f"trajectory table {path} has a row of {len(row)} cells: {row}")
         *cells, outcome, peds = row
+        outcomes.add(outcome)
         values = {name: parse(cell) for (name, _, parse), cell in zip(_RECORD_COLUMNS, cells)}
         pedestrians = [tuple(map(float, p.split(":"))) for p in peds.split(";") if p]
         records.append(StepRecord(**values, pedestrians=pedestrians))
-    return summarize(records, outcome, records[-1].t if outcome == Status.REACHED.value else None)
+    if len(outcomes) > 1:
+        raise ValueError(f"trajectory table {path} rows disagree on the outcome: {sorted(outcomes)}")
+    arriving_time = records[-1].t if outcome == Status.REACHED.value else None
+    check_episode(outcome, len(records), arriving_time, f"trajectory table {path}")
+    return summarize(records, outcome, arriving_time)
 
 
 def metrics_from_tables(paths) -> Metrics:

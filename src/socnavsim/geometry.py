@@ -1,8 +1,19 @@
 """2D shapes as float rows: circles, segments and oriented rectangles.
 
-Provides the raycasting, distance and overlap tests used by the lidar
-simulation, the safety rewards, the map sampler and the crowd module.
-All shapes use closed-set semantics: boundary contact counts as
+A circle row is (centre x, centre y, radius), a segment row (ax, ay, bx,
+by) and a rectangle row (anchor x, anchor y, wrapped heading,
+half_width, length): the rectangle extends length along its heading from
+the anchor, the middle of its rear edge, and spans +-half_width
+laterally.  Zero length or width is allowed and collapses it to a
+segment or a point.  rect_row is the one anchor rule for a rectangle
+centred on a point, and rect_corners the one corner rule.
+
+Provides the raycasting (cast_fan over a packed Scene), distance
+(DistanceScene) and overlap (rects_overlap) tests used by the lidar
+simulation, the safety rewards, the map sampler and the crowd module.  A
+map's static shapes are one StaticMap, from which the scanner's Scene,
+the clearance's DistanceScene and ORCA's bounding discs are read.  All
+shapes use closed-set semantics: boundary contact counts as
 intersection / zero distance.
 """
 
@@ -22,14 +33,6 @@ def wrap_angle(angle: float) -> float:
     if a < 0.0:
         a += TWO_PI
     return a - math.pi
-
-
-# ---------------------------------------------------------------------------
-# Shape rows.  A circle row is (centre x, centre y, radius), a segment row
-# (ax, ay, bx, by) and a rectangle row (anchor x, anchor y, wrapped heading,
-# half_width, length): the rectangle extends `length` along its heading from
-# the anchor, the middle of its rear edge, and spans +-half_width laterally.
-# Zero length or width is allowed and collapses it to a segment or a point.
 
 
 # rects_overlap's separating-axis test counts projections this close (m) as

@@ -104,12 +104,12 @@ class MotionFeature:
     """The last K scans, held by reference, and the goal.
 
     Row k is the ranges of scans[k] calibrated to the current heading:
-    beam i reads rows[k][i + shifts[k]], and beams shifted in from
-    outside that sweep's fan read RANGE_MAX (networks.Stacks.copy_to
+    beam i reads scans[k].ranges[i + shifts[k]], and beams shifted in
+    from outside that sweep's fan read RANGE_MAX (networks.Stacks.copy_to
     gathers the rows by this rule).  The scans are those of the scan
     history, never copied: a feature costs K references and K shifts,
-    and reads a scan only when rows, current_scan_ranges or
-    beam_count first asks for its ranges.
+    and reads a scan only when current_scan_ranges or beam_count first
+    asks for its ranges.
     """
 
     scans: tuple  # K Scans, oldest -> newest
@@ -120,11 +120,6 @@ class MotionFeature:
     def __post_init__(self):
         if len(self.scans) != len(self.shifts):
             raise ValueError("a feature needs one shift per scan")
-
-    @property
-    def rows(self) -> tuple:
-        """The K scans' ranges (B,), oldest -> newest."""
-        return tuple(scan.ranges for scan in self.scans)
 
     @property
     def beam_count(self) -> int:

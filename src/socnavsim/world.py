@@ -16,6 +16,16 @@ computed ahead in the crowd worker (crowdfeed), as far as its pipe
 holds, and each control tick builds the crowd of the rows it sent: the
 same bits as stepping inline.  The episode's first crowd tick starts
 the worker's stream, and its end (or the next reset) stops it.
+
+NavEnv.reset(map_seed, crowd_seed) takes both seeds; the config holds
+none.  It samples the map straight into a StaticMap (randomize_map, whose
+corridor check grows reachability over an occupancy grid) and reads its
+scan rows, distance rows and ORCA obstacle discs once.  The collision
+check takes the clearance as the smallest gap over the static distance
+rows and the crowd's rows, and keeps it and the pedestrian distances for
+the reward.  A NaN action raises before the step changes anything.  step
+returns a StepOutcome: the observation, the status and the StepRecord
+that episode logs keep, with the three reward parts.
 """
 
 from __future__ import annotations
@@ -100,7 +110,6 @@ class EnvConfig:
     robot_radius: float = 0.3
     goal_tolerance: float = 0.3
     max_steps: int = 400
-    map_seed: int = 0
     obstacle_count_range: tuple[int, int] = (4, 8)
     obstacle_size_range: tuple[float, float] = (0.3, 1.2)
     scan_hz: int = 40
@@ -202,9 +211,10 @@ def field_kwargs(cls, d, what: str) -> dict:
     and gets it as a tuple."""
     if not isinstance(d, dict):
         raise ValueError(f"{what} must be a mapping, got {d!r}")
-    unknown = set(d) - {f.name for f in fields(cls)}
-    if unknown:
-        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+    names = {f.name for f in fields(cls)}
+    for key in d:
+        if key not in names:
+            raise ValueError(f"{what} key {key!r} is unknown")
     kwargs = {}
     for f in fields(cls):
         if f.name not in d:
@@ -445,11 +455,9 @@ class NavEnv:
 
     # -- lifecycle
 
-    def reset(self, map_seed: int | None = None, crowd_seed: int | None = None) -> MotionFeature:
+    def reset(self, map_seed: int, crowd_seed: int) -> MotionFeature:
         cfg = self.config
         self._close_feed()
-        map_seed = cfg.map_seed if map_seed is None else map_seed
-        crowd_seed = cfg.crowd.seed if crowd_seed is None else crowd_seed
         self.map_rng = np.random.default_rng(np.random.SeedSequence(map_seed))
         crowd_ss = np.random.SeedSequence(crowd_seed)
         self.crowd_rng = np.random.default_rng(crowd_ss)

@@ -1,4 +1,17 @@
-"""Shared fixtures and independent oracles for the test suite."""
+"""Shared fixtures and independent oracles for the test suite.
+
+The code the array paths replaced lives here as exact oracles, over the
+validating shape objects (Vec2, Circle, Segment, OrientedRect) and
+to_map, the one converter from them to a StaticMap: the Vec2 ORCA
+solver, the per-shape raycast loop, the per-pair rects_intersect, the
+per-shape distance loop (reference_closest_distance), the OrientedRect
+social_zone, the Pedestrian dataclass with its replace-based crowd step,
+the numpy column code of rectangle corners (rect_frames) and of the
+scanner's rows (column_scene, lidar_scene), and the object-based map
+sampler, grid fill, obstacle-disc packer and spawn_scenario
+(reference_randomize_map, reference_grid_free, reference_obstacle_discs,
+reference_spawn_scenario).
+"""
 
 import os
 

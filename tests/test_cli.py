@@ -371,18 +371,47 @@ class TestTrain:
         cycle = SCENARIO_KINDS if stage == "social" else (None,)
         assert tc == TrainConfig(scenario_cycle=cycle)
 
-    def test_warm_start_shape_mismatch_names_parameter(self, tmp_path, capsys):
+    def test_warm_start_shape_mismatch_names_parameter(self, tmp_path, env_yaml, capsys):
+        """A checkpoint of the environment's feature shape whose head has
+        other widths fails the strict load, naming the first parameter."""
+        from dataclasses import replace
+
         from socnavsim.ddpg import DDPG, DDPGConfig
         from socnavsim.networks import default_network_spec
 
-        ck = tmp_path / "ck1080.npz"
-        DDPG(default_network_spec(40, 1080), DDPGConfig(), np.random.default_rng(0)).save(ck, {"stage": "ego"})
-        cfg = tmp_path / "env180.yaml"
-        save_config(EnvConfig(beam_count=180, crowd=CrowdConfig(count=0)), cfg)
-        rc = main(["train", "--stage", "social", "--warm-start", str(ck), "--config", str(cfg),
+        ck = tmp_path / "narrow.npz"
+        spec = replace(default_network_spec(40, 64), dense=(64, 32))
+        DDPG(spec, DDPGConfig(), np.random.default_rng(0)).save(ck, {"stage": "ego"})
+        rc = main(["train", "--stage", "social", "--warm-start", str(ck), "--config", env_yaml,
                    "--out", str(tmp_path / "x"), "--budget", "0"])
         assert rc == 1
-        assert "trunk.conv2.W" in capsys.readouterr().err
+        assert "mlp.fc1.W" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("shape, message", [
+        ((40, 32), "checkpoint was trained on 40 scans of 32 beams but the environment gives 40 of 64"),
+        ((20, 64), "checkpoint was trained on 20 scans of 64 beams but the environment gives 40 of 64"),
+        (None, "it has no network_spec"),
+    ], ids=["beams", "scans", "no-spec"])
+    def test_warm_start_of_another_feature_shape_is_usage_error(self, tmp_path, env_yaml, capsys, shape, message):
+        """A warm start from a checkpoint whose networks read another
+        (scans, beams), or that does not say, is the usage error eval
+        gives, with nothing written."""
+        from socnavsim.ddpg import DDPG, DDPGConfig
+        from socnavsim.networks import default_network_spec, save_checkpoint
+
+        ck = tmp_path / "other.npz"
+        learner = DDPG(default_network_spec(*(shape or (40, 64))), DDPGConfig(), np.random.default_rng(0))
+        if shape is None:
+            save_checkpoint(ck, learner.named_parts(), {"stage": "ego"})
+        else:
+            learner.save(ck, {"stage": "ego"})
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--stage", "social", "--warm-start", str(ck), "--config", env_yaml,
+                  "--out", str(tmp_path / "x"), "--budget", "0"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("kept", [(), ("actor",), ("actor", "critic", "target_actor")])
     def test_warm_start_lacking_a_network_is_usage_error(self, tmp_path, env_yaml, capsys, kept):
@@ -428,7 +457,10 @@ class TestTrain:
 ])
 @pytest.mark.parametrize("text, key", [("crowd:\n", "crowd config"), ("start: 3\n", "start"),
                                        ("max_steps: 2.5\n", "max_steps"), ("beam_count: [\n", ""),
-                                       ("walls: 'false'\n", "walls"), (None, "No such file")])
+                                       ("walls: 'false'\n", "walls"), (None, "No such file"),
+                                       # seeds come from --seed alone: a seed key would be ignored
+                                       ("map_seed: 5\n", "config key 'map_seed' is unknown"),
+                                       ("crowd: {seed: 5}\n", "crowd config key 'seed' is unknown")])
 def test_malformed_config_is_a_usage_error(tmp_path, capsys, command, text, key):
     """Every command that reads --config reports a malformed or missing
     file as one usage error naming the file and the key, without a traceback."""
@@ -593,6 +625,10 @@ class TestReplayExport:
          "record 0 key 'social_violations' must be int, got True"),
         (lambda d: d.update(records={}), "episode log key 'records' must be list, got {}"),
         (lambda d: d.update(arriving_time="soon"), "episode log key 'arriving_time' must be float, got 'soon'"),
+        (lambda d: d.update(outcome="exploded"), "episode log outcome must be one of"),
+        (lambda d: d.update(records=[]), "episode log has no records"),
+        (lambda d: d.update(outcome="reached", arriving_time=None), "a reached episode needs an arriving_time"),
+        (lambda d: d.update(outcome="timeout", arriving_time=2.5), "a timeout episode has no arriving_time"),
     ])
     def test_malformed_log_entry_is_named(self, tmp_path, capsys, env_yaml, edit, message):
         """A log holding every key can still hold a value of the wrong

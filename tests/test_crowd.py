@@ -285,7 +285,7 @@ class TestStepCrowd:
         assert t == pytest.approx(4.0, abs=0.5)  # distance / pref_speed
 
     def test_determinism(self):
-        cfg = CrowdConfig(count=6, walk_in_probability=0.05, stop_go_probability=0.02, seed=3)
+        cfg = CrowdConfig(count=6, walk_in_probability=0.05, stop_go_probability=0.02)
         a = spawn_crowd(cfg, np.random.default_rng(3))
         b = spawn_crowd(cfg, np.random.default_rng(3))
         rng_a, rng_b = np.random.default_rng(7), np.random.default_rng(7)

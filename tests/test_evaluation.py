@@ -253,6 +253,22 @@ class TestExport:
         with pytest.raises(ValueError, match="row of 15 cells"):
             parse_trajectory_table(path)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda rows: [r[:-2] + ["exploded", r[-1]] for r in rows], "outcome must be one of"),
+        (lambda rows: rows[:-1] + [rows[-1][:-2] + ["timeout", rows[-1][-1]]], "rows disagree on the outcome"),
+    ], ids=["unknown-outcome", "outcomes-disagree"])
+    def test_impossible_table_rejected(self, tmp_path, edit, message):
+        """A table no episode writes is refused, not scored as a failure
+        or summarized from its last row."""
+        (path,) = export([synthetic_log(steps=3)], "trajectory-table", tmp_path)
+        with open(path) as f:
+            header, *rows = f.read().splitlines()
+        rows = edit([row.split(",") for row in rows])
+        with open(path, "w") as f:
+            f.write("\n".join([header] + [",".join(row) for row in rows]) + "\n")
+        with pytest.raises(ValueError, match=message):
+            parse_trajectory_table(path)
+
     def test_metrics_table_has_exactly_four_metrics(self, tmp_path):
         (path,) = export([synthetic_log()], "metrics-table", tmp_path)
         doc = json.loads(open(path).read())
@@ -284,6 +300,20 @@ class TestExport:
         log.save(p)
         loaded = EpisodeLog.load(p)
         assert loaded.to_dict() == log.to_dict()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.update(outcome="exploded"), "outcome must be one of"),
+        (lambda d: d.update(records=[]), "has no records"),
+        (lambda d: d.update(arriving_time=None), "a reached episode needs an arriving_time"),
+        (lambda d: d.update(outcome="collided"), "a collided episode has no arriving_time"),
+    ], ids=["unknown-outcome", "no-records", "reached-without-time", "collided-with-time"])
+    def test_impossible_log_rejected(self, edit, message):
+        """A log no episode writes is refused on load: it would otherwise
+        crash the metrics, score 100 or count as a failure."""
+        doc = json.loads(json.dumps(synthetic_log().to_dict()))
+        edit(doc)
+        with pytest.raises(ValueError, match=message):
+            EpisodeLog.from_dict(doc)
 
     def test_deterministic_bytes(self, tmp_path):
         log = synthetic_log(steps=6)

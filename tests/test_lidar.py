@@ -178,7 +178,7 @@ class TestScan:
         mf = build_motion_feature(history, 0.0, 1.0, 0.0, 1.0, CFG)
         assert made == []
         assert mf.current_scan_ranges[0] == 5.0 and made == [4]
-        assert [row[0] for row in mf.rows] == [1.0] * 36 + [2.0, 3.0, 4.0, 5.0]
+        assert [s.ranges[0] for s in mf.scans] == [1.0] * 36 + [2.0, 3.0, 4.0, 5.0]
         assert made == [4, 0, 1, 2, 3]
 
 
@@ -333,7 +333,7 @@ class TestFeatureByReference:
         history = [reset] * 2 + [(current - k * inc, rng.uniform(0.1, 10.0, b)) for k in offsets]
         mf = build_motion_feature(scanned(history), current, 2.0, 0.1, 3.0, cfg)
         assert min(mf.shifts) <= -b and max(mf.shifts) >= b and mf.shifts[0] != 0
-        assert all(row is ranges for row, (_, ranges) in zip(mf.rows, history))
+        assert all(scan.ranges is ranges for scan, (_, ranges) in zip(mf.scans, history))
         want = normalize(eager_motion_matrix(history, current, cfg))
         assert gathered(mf).tobytes() == want.tobytes()
         assert stacks_array(featurize(mf)[0])[0].tobytes() == want.tobytes()
@@ -347,7 +347,7 @@ class TestFeatureByReference:
         obs = env.reset(map_seed=4, crowd_seed=5)
         steps = 0
         while True:
-            assert obs.shifts[-1] == 0 and obs.current_scan_ranges is obs.rows[-1]
+            assert obs.shifts[-1] == 0 and obs.current_scan_ranges is obs.scans[-1].ranges
             assert obs.current_scan_ranges is env.scan_history[-1][1].ranges
             assert np.array_equal(normalize(obs.current_scan_ranges), gathered(obs)[-1])
             out = env.step(rng.uniform(-1.5, 1.5, 2))

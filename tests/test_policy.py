@@ -480,7 +480,7 @@ class TestReplayBuffer:
         train("ego", env_cfg, tc, seed=2)
         buf = buffers[0]
         assert len(added) == 70 and buf.capacity == 25
-        assert sum(obs.rows[0] is obs.rows[-1] for obs, _ in added) >= 7  # reset observations: episodes
+        assert sum(obs.scans[0].ranges is obs.scans[-1].ranges for obs, _ in added) >= 7  # reset observations: episodes
         assert_stored(buf, added)
         # each distinct scan went into the ring once
         distinct = {id(scan) for pair in added for obs in pair for scan in obs.scans}

@@ -487,7 +487,7 @@ def test_lazy_matrix_equals_eager(beams, config_beams, reset_rows, data):
     history = [reset] * reset_rows + rest
     current = data.draw(headings)
     mf = build_motion_feature(scanned(history), current, 1.0, 0.0, 1.0, cfg)
-    assert all(row is ranges for row, (_, ranges) in zip(mf.rows, history))
+    assert all(scan.ranges is ranges for scan, (_, ranges) in zip(mf.scans, history))
     assert gathered(mf).tobytes() == normalize(eager_motion_matrix(history, current, cfg)).tobytes()
 
 

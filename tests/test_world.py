@@ -204,7 +204,7 @@ class TestStaticClearance:
 
     def test_env_clearance_uses_every_static_shape(self):
         env = NavEnv(small_cfg())
-        env.reset(map_seed=3)
+        env.reset(map_seed=3, crowd_seed=0)
         env._check_terminal()
         robot = Circle(Vec2(env.x, env.y), env.config.robot_radius)
         assert env._clearance == reference_closest_distance(robot, reference_static_shapes(env.config, 3))
@@ -306,8 +306,8 @@ class TestEnvStep:
             return assessments[-1]
 
         monkeypatch.setattr(rewards, "assess", kept)
-        env = NavEnv(small_cfg(map_seed=5))
-        env.reset()
+        env = NavEnv(small_cfg())
+        env.reset(map_seed=5, crowd_seed=0)
         for _ in range(20):
             r = env.step((1.0, 0.2)).record
             (a,) = assessments
@@ -320,7 +320,7 @@ class TestEnvStep:
     def test_on_goal_reports_reached(self):
         cfg = small_cfg(obstacle_count_range=(0, 0), start=(3.3, 0.0), goal=(3.5, 0.0))
         env = NavEnv(cfg)
-        env.reset()
+        env.reset(map_seed=0, crowd_seed=0)
         out = env.step((0.0, 0.0))
         assert out.done is Status.REACHED
         assert out.record.r_goal == 10.0
@@ -329,7 +329,7 @@ class TestEnvStep:
         cfg = small_cfg(obstacle_count_range=(0, 0), start=(4.0, 0.0), goal=(-4.0, 0.0),
                         start_heading=0.0)  # facing +x, wall at x=5
         env = NavEnv(cfg)
-        env.reset()
+        env.reset(map_seed=0, crowd_seed=0)
         done = None
         for _ in range(50):
             out = env.step((1.5, 0.0))
@@ -342,7 +342,7 @@ class TestEnvStep:
     def test_empty_map_straight_run_timing(self):
         cfg = small_cfg(obstacle_count_range=(0, 0), start=(-1.5, 0.0), goal=(1.5, 0.0))
         env = NavEnv(cfg)
-        env.reset()
+        env.reset(map_seed=0, crowd_seed=0)
         t = None
         for _ in range(60):
             out = env.step((1.5, 0.0))
@@ -355,7 +355,7 @@ class TestEnvStep:
     def test_step_after_done_rejected(self):
         cfg = small_cfg(obstacle_count_range=(0, 0), start=(3.3, 0.0), goal=(3.5, 0.0))
         env = NavEnv(cfg)
-        env.reset()
+        env.reset(map_seed=0, crowd_seed=0)
         env.step((0.0, 0.0))
         with pytest.raises(RuntimeError):
             env.step((0.0, 0.0))
@@ -368,7 +368,7 @@ class TestEnvStep:
     def test_timeout(self):
         cfg = small_cfg(obstacle_count_range=(0, 0), max_steps=5)
         env = NavEnv(cfg)
-        env.reset()
+        env.reset(map_seed=0, crowd_seed=0)
         out = None
         for _ in range(5):
             out = env.step((0.0, 0.0))
@@ -377,7 +377,7 @@ class TestEnvStep:
     def test_observation_shape_and_bounds(self):
         cfg = small_cfg()
         env = NavEnv(cfg)
-        obs = env.reset()
+        obs = env.reset(map_seed=0, crowd_seed=0)
         feat = gathered(obs)
         assert feat.shape == (40, 64)
         assert feat.min() >= np.float32(0.01) and feat.max() <= 1.0
@@ -405,7 +405,7 @@ class TestEnvStep:
         cfg = small_cfg(obstacle_count_range=(0, 0), start_heading=0.0, goal=(0.0, 4.0),
                         start=(0.0, -4.0))
         env = NavEnv(cfg)
-        env.reset()
+        env.reset(map_seed=0, crowd_seed=0)
         # command a pure left turn at small speed; heading converges toward pi/2
         for _ in range(12):
             env.step((0.01, 1.2))
@@ -434,8 +434,8 @@ class TestEnvStep:
 
     def test_infinite_action_clamps(self):
         def pose(action):
-            env = NavEnv(small_cfg(map_seed=5))
-            env.reset()
+            env = NavEnv(small_cfg())
+            env.reset(map_seed=5, crowd_seed=0)
             out = env.step(action)
             return out.record.x, out.record.y, out.record.heading, out.record.v_l, out.record.omega
 
@@ -445,7 +445,7 @@ class TestEnvStep:
         """A step appends four (heading, Scan) scans to the history, which
         the reset filled with forty copies of its one scan."""
         env = NavEnv(small_cfg())
-        env.reset()
+        env.reset(map_seed=0, crowd_seed=0)
         first = env.scan_history[-1]
         assert all(scan is first for scan in env.scan_history)
         env.step((0.0, 0.0))
@@ -662,8 +662,8 @@ class TestScanOncePerPose:
         """Reading a scan twice returns the one read-only array; the two
         scans of a control tick read its one read-only sweep, each into a
         fresh array of its own, and nothing is cast before a read."""
-        env = NavEnv(small_cfg(map_seed=3))
-        env.reset()
+        env = NavEnv(small_cfg())
+        env.reset(map_seed=3, crowd_seed=0)
         env.step((0.8, 0.3))
         sweep = env._sweep
         (_, a), (_, b) = list(env.scan_history)[-2:]
@@ -801,7 +801,7 @@ class TestConfigIO:
             ("obstacle_count_range: [1.5, 3]\n", "config key 'obstacle_count_range' must be a list of 2 ints"),
             ("max_steps: 2.5\n", "config key 'max_steps' must be int"),
             ("beam_count: true\n", "config key 'beam_count' must be int"),
-            ("map_seed: '3'\n", "config key 'map_seed' must be int"),
+            ("map_seed: '3'\n", "config key 'map_seed' is unknown"),  # no command reads a seed from the config
             ("crowd: {count: 8.0}\n", "crowd config key 'count' must be int"),
             ("arena_half: '5'\n", "config key 'arena_half' must be float"),
             ("walls: 'false'\n", "config key 'walls' must be bool"),
